@@ -249,17 +249,20 @@ def _family_inverse(family: BasisFamily) -> list[list[Fraction]]:
         raise ValueError("family does not span the free space") from exc
 
 
+def _apply(matrix: list[list[Fraction]], coeffs: Sequence[Fraction]) -> list[Fraction]:
+    """The product matrix * coeffs, skipping zero entries on both sides."""
+    out = [Fraction(0)] * len(matrix)
+    for r, c in enumerate(coeffs):
+        if c:
+            for k, row in enumerate(matrix):
+                if row[r]:
+                    out[k] += row[r] * c
+    return out
+
+
 def expand_in_basis(family: BasisFamily, v: FreeVector) -> tuple[Fraction, ...]:
     """Coefficients of v in the family (unique since the family must span)."""
-    inverse = _family_inverse(family)
-    dim = len(inverse)
-    out = [Fraction(0)] * dim
-    for r, c in enumerate(v.coeffs):
-        if c:
-            for k in range(dim):
-                if inverse[k][r]:
-                    out[k] += inverse[k][r] * c
-    return tuple(out)
+    return tuple(_apply(_family_inverse(family), v.coeffs))
 
 
 def _elementary_norm(space: FiniteMetricSpace, coeffs: list[Fraction]) -> Optional[Fraction]:
@@ -301,13 +304,7 @@ def basis_constant(space: FiniteMetricSpace, family: BasisFamily, certified: boo
     best = Fraction(0)
     for i in range(len(space)):
         for j in range(i + 1, len(space)):
-            u = molecule(space, i, j)
-            coeffs = [Fraction(0)] * count
-            for r, c in enumerate(u.coeffs):
-                if c:
-                    for k in range(count):
-                        if inverse[k][r]:
-                            coeffs[k] += inverse[k][r] * c
+            coeffs = _apply(inverse, molecule(space, i, j).coeffs)
             partial = [Fraction(0)] * dim
             for k in range(count):
                 ck = coeffs[k]

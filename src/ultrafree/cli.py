@@ -79,10 +79,15 @@ def _build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+def _out_path(args):
+    """--out if given, else <command>.json under $ULTRAFREE_OUT if set, else None (stdout)."""
+    if args.out is None and os.environ.get("ULTRAFREE_OUT"):
+        return str(Path(os.environ["ULTRAFREE_OUT"]) / f"{args.command}.json")
+    return args.out
+
+
 def _emit(data, args) -> None:
-    out = args.out
-    if out is None and os.environ.get("ULTRAFREE_OUT"):
-        out = str(Path(os.environ["ULTRAFREE_OUT"]) / f"{args.command}.json")
+    out = _out_path(args)
     text = dump_json(data, out)
     if out is None:
         sys.stdout.write(text)
@@ -205,9 +210,7 @@ def _cmd_campaign(args) -> int:
     stages = tuple(STAGES) if args.stages == "all" else tuple(
         s.strip() for s in args.stages.split(",") if s.strip()
     )
-    out = args.out
-    if out is None and os.environ.get("ULTRAFREE_OUT"):
-        out = str(Path(os.environ["ULTRAFREE_OUT"]) / "campaign.json")
+    out = _out_path(args)
     config = CampaignConfig(
         sizes=_parse_sizes(args.sizes),
         seeds=args.seeds,

@@ -21,6 +21,7 @@ from .chain import BasisFamily, basis_constant, basis_vectors, build_chain, veri
 from .freespace import (
     FreeVector,
     PointMap,
+    _transport_program,
     dirac,
     free_norm,
     operator_norm_of_extension,
@@ -278,33 +279,14 @@ def _orthant_minimum(
 ) -> Fraction:
     """min transport-norm of sum sigma_k t_k e^_k over t >= 0, sum t = 1."""
     n = len(space)
-    count = len(unit_vectors)
-    arcs = [(i, j) for i in range(n) for j in range(n) if i != j]
-    arc_index = {arc: k for k, arc in enumerate(arcs)}
-    costs = [space.dist[i][j] for i, j in arcs]
-    columns: list[list[tuple[int, Fraction]]] = []
-    for i, j in arcs:
-        col = []
-        if i != 0:
-            col.append((i - 1, Fraction(1)))
-        if j != 0:
-            col.append((j - 1, Fraction(-1)))
-        columns.append(col)
-    for k in range(count):
-        col = [
-            (r, -signs[k] * c)
-            for r, c in enumerate(unit_vectors[k].coeffs)
-            if c
-        ]
+    lead = [signs[0] * c for c in unit_vectors[0].coeffs]
+    arcs, costs, columns, basis = _transport_program(space, lead)
+    for sign, vector in zip(signs, unit_vectors):
+        col = [(r, -sign * c) for r, c in enumerate(vector.coeffs) if c]
         col.append((n - 1, Fraction(1)))
         costs.append(Fraction(0))
         columns.append(col)
     rhs = [Fraction(0)] * (n - 1) + [Fraction(1)]
-    lead = unit_vectors[0].coeffs
-    basis = [
-        arc_index[(r + 1, 0)] if signs[0] * lead[r] >= 0 else arc_index[(0, r + 1)]
-        for r in range(n - 1)
-    ]
     basis.append(len(arcs))
     return solve_lp(costs, columns, rhs, basis=basis).value
 

@@ -13,7 +13,9 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from .metric import CertificationError, FiniteMetricSpace
+from typing import Sequence
+
+from .metric import CertificationError, FiniteMetricSpace, _pair_ratios
 from .rational import parse_rational
 from .simplex import solve_lp
 
@@ -120,31 +122,18 @@ def lip_norm(space: FiniteMetricSpace, f: LipFunction) -> Fraction:
     if len(f.values) != len(space):
         raise ValueError("function dimension does not match the space")
     vals = f.values
-    best = Fraction(0)
-    n = len(space)
-    for i in range(n):
-        for j in range(i + 1, n):
-            q = abs(vals[i] - vals[j]) / space.dist[i][j]
-            if q > best:
-                best = q
-    return best
+    return max(_pair_ratios(space, lambda i, j: abs(vals[i] - vals[j])), default=Fraction(0))
 
 
-def free_norm_certificate(space: FiniteMetricSpace, v: FreeVector) -> FreeNormCertificate:
-    """Solve the transport program for v and certify primal/dual equality.
+def _transport_program(space: FiniteMetricSpace, lead: Sequence[Fraction]):
+    """Arcs, costs and divergence columns of the transport program, plus a start basis.
 
-    The flow lives on all ordered pairs of points (base included); the basis
-    routing every coefficient through the base is primal feasible, so phase
-    one is never needed.  The dual solution, read as a potential vanishing at
-    the base, must be 1-Lipschitz and attain the same objective exactly;
-    anything else raises :class:`CertificationError`.
+    The flow lives on all ordered pairs of points (base included); row k is
+    the net divergence at point k+1.  The basis routes coefficient k of
+    ``lead`` through the base, which is primal feasible for right-hand side
+    ``lead``, so phase one is never needed.
     """
     n = len(space)
-    if len(v.coeffs) != n - 1:
-        raise ValueError("vector dimension does not match the space")
-    if n == 1 or v.is_zero():
-        return FreeNormCertificate(Fraction(0), (), LipFunction((Fraction(0),) * n))
-
     arcs = [(i, j) for i in range(n) for j in range(n) if i != j]
     arc_index = {arc: k for k, arc in enumerate(arcs)}
     costs = [space.dist[i][j] for i, j in arcs]
@@ -157,9 +146,27 @@ def free_norm_certificate(space: FiniteMetricSpace, v: FreeVector) -> FreeNormCe
             col.append((j - 1, Fraction(-1)))
         columns.append(col)
     basis = [
-        arc_index[(k + 1, 0)] if v.coeffs[k] >= 0 else arc_index[(0, k + 1)]
+        arc_index[(k + 1, 0)] if lead[k] >= 0 else arc_index[(0, k + 1)]
         for k in range(n - 1)
     ]
+    return arcs, costs, columns, basis
+
+
+def free_norm_certificate(space: FiniteMetricSpace, v: FreeVector) -> FreeNormCertificate:
+    """Solve the transport program for v and certify primal/dual equality.
+
+    The program is the one of :func:`_transport_program`, started from its
+    base-routing basis.  The dual solution, read as a potential vanishing at
+    the base, must be 1-Lipschitz and attain the same objective exactly;
+    anything else raises :class:`CertificationError`.
+    """
+    n = len(space)
+    if len(v.coeffs) != n - 1:
+        raise ValueError("vector dimension does not match the space")
+    if n == 1 or v.is_zero():
+        return FreeNormCertificate(Fraction(0), (), LipFunction((Fraction(0),) * n))
+
+    arcs, costs, columns, basis = _transport_program(space, v.coeffs)
     result = solve_lp(costs, columns, v.coeffs, basis=basis)
 
     potential = LipFunction((Fraction(0),) + result.dual)
@@ -180,15 +187,8 @@ def free_norm(space: FiniteMetricSpace, v: FreeVector) -> Fraction:
 
 def lipschitz_constant(point_map: PointMap) -> Fraction:
     """Exact maximum of d(Lx, Ly) / d(x, y) over domain pairs."""
-    dom, cod, img = point_map.domain, point_map.codomain, point_map.image
-    best = Fraction(0)
-    n = len(dom)
-    for i in range(n):
-        for j in range(i + 1, n):
-            q = cod.dist[img[i]][img[j]] / dom.dist[i][j]
-            if q > best:
-                best = q
-    return best
+    cod, img = point_map.codomain, point_map.image
+    return max(_pair_ratios(point_map.domain, lambda i, j: cod.dist[img[i]][img[j]]), default=Fraction(0))
 
 
 def push_forward(point_map: PointMap, v: FreeVector) -> FreeVector:

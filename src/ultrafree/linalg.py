@@ -10,51 +10,56 @@ class SingularMatrixError(ValueError):
     pass
 
 
+def _reduce(rows: list[list[Fraction]], ncols: int) -> int:
+    """Gauss-Jordan in place, pivoting in the first ``ncols`` columns; returns the rank.
+
+    Pivot rows are scaled to 1 and cleared above and below, so a square
+    block of full rank ends as the identity and any columns to its right
+    carry the solved right-hand sides.
+    """
+    rank = 0
+    for col in range(ncols):
+        pivot = next((r for r in range(rank, len(rows)) if rows[r][col] != 0), None)
+        if pivot is None:
+            continue
+        rows[rank], rows[pivot] = rows[pivot], rows[rank]
+        pval = rows[rank][col]
+        if pval != 1:
+            rows[rank] = [x / pval for x in rows[rank]]
+        prow = rows[rank]
+        for r in range(len(rows)):
+            if r != rank and rows[r][col]:
+                f = rows[r][col]
+                rows[r] = [a - f * p if p else a for a, p in zip(rows[r], prow)]
+        rank += 1
+        if rank == len(rows):
+            break
+    return rank
+
+
+def _solve_square(matrix: Sequence[Sequence[Fraction]], rhs_rows: Sequence[Sequence[Fraction]]) -> list[list[Fraction]]:
+    """Reduce [matrix | rhs] and return the right-hand block of the solution."""
+    n = len(matrix)
+    if any(len(row) != n for row in matrix):
+        raise ValueError("matrix must be square")
+    aug = [[Fraction(x) for x in row] + list(extra) for row, extra in zip(matrix, rhs_rows)]
+    if _reduce(aug, n) < n:
+        raise SingularMatrixError("matrix is singular")
+    return [row[n:] for row in aug]
+
+
 def solve_linear(matrix: Sequence[Sequence[Fraction]], rhs: Sequence[Fraction]) -> list[Fraction]:
     """Solve a square system exactly by Gaussian elimination."""
-    n = len(matrix)
-    if any(len(row) != n for row in matrix) or len(rhs) != n:
+    if len(rhs) != len(matrix):
         raise ValueError("system must be square with matching right-hand side")
-    aug = [list(row) + [rhs[i]] for i, row in enumerate(matrix)]
-    for col in range(n):
-        pivot = next((r for r in range(col, n) if aug[r][col] != 0), None)
-        if pivot is None:
-            raise SingularMatrixError("matrix is singular")
-        aug[col], aug[pivot] = aug[pivot], aug[col]
-        pval = aug[col][col]
-        if pval != 1:
-            aug[col] = [x / pval for x in aug[col]]
-        prow = aug[col]
-        for r in range(n):
-            if r != col and aug[r][col]:
-                f = aug[r][col]
-                aug[r] = [a - f * p if p else a for a, p in zip(aug[r], prow)]
-    return [aug[i][n] for i in range(n)]
+    return [row[0] for row in _solve_square(matrix, [[Fraction(b)] for b in rhs])]
 
 
 def invert_matrix(matrix: Sequence[Sequence[Fraction]]) -> list[list[Fraction]]:
     """Exact inverse by Gauss-Jordan; raises SingularMatrixError if singular."""
     n = len(matrix)
-    if any(len(row) != n for row in matrix):
-        raise ValueError("matrix must be square")
-    aug = [
-        [Fraction(x) for x in row] + [Fraction(1) if i == j else Fraction(0) for j in range(n)]
-        for i, row in enumerate(matrix)
-    ]
-    for col in range(n):
-        pivot = next((r for r in range(col, n) if aug[r][col] != 0), None)
-        if pivot is None:
-            raise SingularMatrixError("matrix is singular")
-        aug[col], aug[pivot] = aug[pivot], aug[col]
-        pval = aug[col][col]
-        if pval != 1:
-            aug[col] = [x / pval for x in aug[col]]
-        prow = aug[col]
-        for r in range(n):
-            if r != col and aug[r][col]:
-                f = aug[r][col]
-                aug[r] = [a - f * p if p else a for a, p in zip(aug[r], prow)]
-    return [row[n:] for row in aug]
+    identity = [[Fraction(int(i == j)) for j in range(n)] for i in range(n)]
+    return _solve_square(matrix, identity)
 
 
 def fraction_rank(matrix: Sequence[Sequence[Fraction]]) -> int:
@@ -62,20 +67,4 @@ def fraction_rank(matrix: Sequence[Sequence[Fraction]]) -> int:
     rows = [list(map(Fraction, row)) for row in matrix]
     if not rows:
         return 0
-    ncols = len(rows[0])
-    rank = 0
-    for col in range(ncols):
-        pivot = next((r for r in range(rank, len(rows)) if rows[r][col] != 0), None)
-        if pivot is None:
-            continue
-        rows[rank], rows[pivot] = rows[pivot], rows[rank]
-        prow = rows[rank]
-        pval = prow[col]
-        for r in range(len(rows)):
-            if r != rank and rows[r][col]:
-                f = rows[r][col] / pval
-                rows[r] = [a - f * p if p else a for a, p in zip(rows[r], prow)]
-        rank += 1
-        if rank == len(rows):
-            break
-    return rank
+    return _reduce(rows, len(rows[0]))

@@ -12,7 +12,7 @@ import random
 from dataclasses import dataclass
 from fractions import Fraction
 from itertools import combinations
-from typing import Optional
+from typing import Callable, Iterator, Optional
 
 from .rational import dyadic_floor, is_power_of_two, parse_rational
 
@@ -59,7 +59,10 @@ class FiniteMetricSpace:
         return self.dist[i][j]
 
     def index_of(self, label: str) -> int:
-        return self.labels.index(label)
+        try:
+            return self.labels.index(label)
+        except ValueError:
+            raise ValueError(f"unknown label {label!r}") from None
 
     def diameter(self) -> Fraction:
         n = len(self)
@@ -160,22 +163,21 @@ def round_to_dyadic(space: FiniteMetricSpace) -> FiniteMetricSpace:
     return FiniteMetricSpace(space.labels, rows)
 
 
+def _pair_ratios(space: FiniteMetricSpace, numerator: Callable[[int, int], Fraction]) -> Iterator[Fraction]:
+    """numerator(i, j) / d(i, j) over the pairs i < j of the space, row by row."""
+    n = len(space)
+    d = space.dist
+    return (numerator(i, j) / d[i][j] for i in range(n) for j in range(i + 1, n))
+
+
 def bilipschitz_distortion(a: FiniteMetricSpace, b: FiniteMetricSpace) -> tuple[Fraction, Fraction]:
     """Min and max of d_b/d_a over all pairs, under the identity correspondence."""
     if len(a) != len(b):
         raise ValueError(f"point counts differ: {len(a)} vs {len(b)}")
-    lower: Optional[Fraction] = None
-    upper: Optional[Fraction] = None
-    for i in range(len(a)):
-        for j in range(i + 1, len(a)):
-            ratio = b.dist[i][j] / a.dist[i][j]
-            if lower is None or ratio < lower:
-                lower = ratio
-            if upper is None or ratio > upper:
-                upper = ratio
-    if lower is None or upper is None:
+    ratios = list(_pair_ratios(a, lambda i, j: b.dist[i][j]))
+    if not ratios:
         return (Fraction(1), Fraction(1))
-    return (lower, upper)
+    return (min(ratios), max(ratios))
 
 
 def identity_distortion(a: FiniteMetricSpace, b: FiniteMetricSpace) -> Fraction:

@@ -21,7 +21,7 @@ from fractions import Fraction
 from itertools import combinations, combinations_with_replacement
 from typing import Optional, Sequence
 
-from .metric import CertificationError, FiniteMetricSpace, validate
+from .metric import CertificationError, FiniteMetricSpace, validate, with_base
 from .rational import dyadic_exponent, parse_rational
 
 
@@ -124,10 +124,9 @@ def verify_segment_axioms(
     via the mirror parameter, and membership matches the metric criterion
     rho(p,v) + rho(v,q) = rho(p,q) against all leaf and branching points.
     """
+    candidates = _tree_nodes(space, branching_points(space))
     if pairs is None:
-        nodes = [TreePoint(i, Fraction(0)) for i in range(len(space))] + branching_points(space)
-        pairs = [(a, b) for a, b in combinations(nodes, 2)]
-    candidates = [TreePoint(i, Fraction(0)) for i in range(len(space))] + branching_points(space)
+        pairs = list(combinations(candidates, 2))
     iso, rev, endp, betw = [], [], [], []
     for p, q in pairs:
         rho = tree_distance(space, p, q)
@@ -182,6 +181,11 @@ def four_point_check(space: FiniteMetricSpace, points: Sequence[TreePoint]) -> F
         if sums[2] != sums[1]:
             violations.append((w, x, y, z))
     return FourPointReport(tuple(violations), checked)
+
+
+def _tree_nodes(space: FiniteMetricSpace, branching: Sequence[TreePoint]) -> list[TreePoint]:
+    """The finite tree domain: the leaves <i, 0> in point order, then the branching points."""
+    return [TreePoint(i, Fraction(0)) for i in range(len(space))] + list(branching)
 
 
 def branching_points(space: FiniteMetricSpace) -> list[TreePoint]:
@@ -332,7 +336,7 @@ def verify_retraction_claims(space: FiniteMetricSpace) -> RetractionClaimReport:
             rhs = 4 * (Fraction(2) ** max(expo_m, expo_n) - Fraction(2) ** (expo_n - 1) - Fraction(2) ** (expo_k - 1))
             if lhs > rhs:
                 exponent_gap.append((a, b))
-    nodes = [TreePoint(i, Fraction(0)) for i in range(len(space))] + branching
+    nodes = _tree_nodes(space, branching)
     images = {p: retract_to_space(space, p, branching) for p in nodes}
     idempotent = all(images[TreePoint(images[p], Fraction(0))] == images[p] for p in nodes)
     attained = Fraction(0)
@@ -385,8 +389,7 @@ def dendrogram(space: FiniteMetricSpace) -> DendrogramTree:
     report = validate(space)
     if not report.is_ultrametric:
         raise ValueError("dendrogram requires an ultrametric space")
-    leaves = [TreePoint(i, Fraction(0)) for i in range(len(space))]
-    nodes = leaves + branching_points(space)
+    nodes = _tree_nodes(space, branching_points(space))
     parent = [-1] * len(nodes)
     edge = [Fraction(0)] * len(nodes)
     for idx, u in enumerate(nodes):
@@ -457,10 +460,4 @@ def rooted_node_space(tree: DendrogramTree) -> FiniteMetricSpace:
     spaces over different base points are isometric, so this is a choice of
     coordinates, not of content.
     """
-    order = [len(tree.nodes) - 1] + list(range(len(tree.nodes) - 1))
-    labels = tuple(_node_label(tree, tree.nodes[k]) for k in order)
-    dist = tuple(
-        tuple(tree_distance(tree.space, tree.nodes[i], tree.nodes[j]) for j in order)
-        for i in order
-    )
-    return FiniteMetricSpace(labels, dist)
+    return with_base(node_space(tree), len(tree.nodes) - 1)

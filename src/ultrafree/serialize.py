@@ -113,11 +113,20 @@ def ingest(path: str | Path, fmt: str | None = None) -> FiniteMetricSpace:
 
 
 def vector_from_json(space: FiniteMetricSpace, data: dict) -> FreeVector:
-    """Read a label->rational map; the base label must be absent or zero."""
+    """Read a label->rational map; the base label must be absent or zero.
+
+    Anything else (not an object, an unknown label, a value that is not a
+    rational) raises :class:`IngestError` naming the offending entry.
+    """
+    if not isinstance(data, dict):
+        raise IngestError(f"expected an object mapping labels to rationals, got {type(data).__name__}")
     coeffs = [Fraction(0)] * (len(space) - 1)
     for label, value in data.items():
-        idx = space.index_of(label)
-        q = parse_rational(value)
+        try:
+            idx = space.index_of(label)
+            q = parse_rational(value)
+        except (ValueError, TypeError) as exc:
+            raise IngestError(f"vector entry {label!r}: {exc}") from exc
         if idx == 0:
             if q != 0:
                 raise IngestError("the base point cannot carry a coefficient")

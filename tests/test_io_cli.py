@@ -125,6 +125,26 @@ def test_cli_norm(tmp_path, capsys):
     assert out["dual_certificate"]["0"] == "0"
 
 
+@pytest.mark.parametrize(
+    "content, needle",
+    [
+        ('["x", "1"]', "list"),
+        ('{"x": true}', "'x'"),
+        ('{"x": [1]}', "'x'"),
+        ('{"x": "1/0"}', "1/0"),
+        ('{"z": "1"}', "'z'"),
+    ],
+    ids=["list", "bool", "nested", "zero-denominator", "unknown-label"],
+)
+def test_cli_norm_bad_vector_exit_two(tmp_path, capsys, content, needle):
+    space = _write_triangle(tmp_path)
+    vec = tmp_path / "vec.json"
+    vec.write_text(content)
+    assert main(["norm", str(space), "--vector", str(vec)]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and needle in err
+
+
 def test_cli_basis(tmp_path, capsys):
     space = _write_triangle(tmp_path)
     assert main(["basis", str(space)]) == 0
@@ -171,11 +191,17 @@ def test_cli_out_file(tmp_path):
     assert json.loads(out_path.read_text())["is_metric"] is True
 
 
-def test_cli_env_output_dir(tmp_path, monkeypatch):
+@pytest.mark.parametrize(
+    "argv",
+    [["validate", "{space}"], ["campaign", "--sizes", "3", "--seeds", "1", "--stages", "validate"]],
+    ids=lambda argv: argv[0],
+)
+def test_cli_env_output_dir(tmp_path, monkeypatch, capsys, argv):
     space = _write_triangle(tmp_path)
     monkeypatch.setenv("ULTRAFREE_OUT", str(tmp_path))
-    assert main(["validate", str(space)]) == 0
-    assert (tmp_path / "validate.json").exists()
+    assert main([a.format(space=space) for a in argv]) == 0
+    assert capsys.readouterr().out == ""
+    assert json.loads((tmp_path / f"{argv[0]}.json").read_text())
 
 
 def test_campaign_deterministic_and_round_trips(tmp_path):
