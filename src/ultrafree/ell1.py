@@ -346,6 +346,8 @@ def three_point_report(
     constraint violation over coordinates in [-1, 1] at the stated
     resolution, in exact scaled-integer arithmetic.
     """
+    if not isinstance(resolution, int) or resolution <= 0:
+        raise ValueError("resolution must be a positive integer")
     s = parse_rational(s)
     space = three_point_space(s)
     if betas is None:

@@ -3,8 +3,10 @@
 The transport norm is re-derived here by brute-force vertex enumeration of
 the dual polytope (all 1-Lipschitz potentials vanishing at the base): every
 basic feasible point of that polytope is constructed by solving equality
-subsystems exactly, and the objective is maximized over them.  No simplex
-code is shared with the package path under test.
+subsystems exactly, and the objective is maximized over them.  General
+linear programs in equality form are minimized the same way, over their
+basic feasible solutions.  No simplex code is shared with the package path
+under test.
 """
 
 from __future__ import annotations
@@ -50,3 +52,62 @@ def dual_vertex_norm(space: FiniteMetricSpace, v: FreeVector) -> Fraction:
                 best = value
     assert best is not None, "dual polytope has no vertices"
     return best
+
+
+def lp_vertex_minimum(costs, rows, rhs) -> tuple[str, Fraction | None]:
+    """min c.x over A x = b, x >= 0 by enumerating basic solutions.
+
+    Returns ("optimal", value), ("infeasible", None) or ("unbounded", None).
+    The program is unbounded when it is feasible and some vertex d of
+    {A d = 0, sum d = 1, d >= 0} has c.d < 0.  Exponential; intended for a
+    handful of rows and columns.
+    """
+    points = _basic_feasible_points(rows, rhs)
+    if not points:
+        return "infeasible", None
+    n = len(costs)
+    rays = _basic_feasible_points(list(rows) + [[Fraction(1)] * n], [Fraction(0)] * len(rows) + [Fraction(1)])
+    if any(_dot(costs, d) < 0 for d in rays):
+        return "unbounded", None
+    return "optimal", min(_dot(costs, x) for x in points)
+
+
+def feasible_basis(rows, rhs) -> list[int] | None:
+    """The first m-column subset whose square system has a nonnegative solution, if any."""
+    m, n = len(rows), len(rows[0])
+    for cols in combinations(range(n), m):
+        try:
+            x = solve_linear([[row[j] for j in cols] for row in rows], list(rhs))
+        except SingularMatrixError:
+            continue
+        if all(v >= 0 for v in x):
+            return list(cols)
+    return None
+
+
+def _basic_feasible_points(rows, rhs) -> list[list[Fraction]]:
+    """Every nonnegative solution of A x = b supported on a nonsingular square subsystem.
+
+    Each vertex has linearly independent support columns, so some square
+    subsystem on those columns is nonsingular and yields it; redundant rows
+    only mean that the subsystem is smaller than A.
+    """
+    m, n = len(rows), len(rows[0])
+    found = []
+    for size in range(min(m, n) + 1):
+        for cols in combinations(range(n), size):
+            for picked in combinations(range(m), size):
+                try:
+                    values = solve_linear([[rows[i][j] for j in cols] for i in picked], [rhs[i] for i in picked])
+                except SingularMatrixError:
+                    continue
+                x = [Fraction(0)] * n
+                for j, v in zip(cols, values):
+                    x[j] = v
+                if all(v >= 0 for v in x) and all(_dot(row, x) == b for row, b in zip(rows, rhs)):
+                    found.append(x)
+    return found
+
+
+def _dot(a, b) -> Fraction:
+    return sum((p * q for p, q in zip(a, b)), Fraction(0))

@@ -19,7 +19,9 @@ from ultrafree.freespace import (
     zero_vector,
 )
 from ultrafree.chain import build_chain, retraction_map
-from ultrafree.metric import random_ultrametric
+from ultrafree.ell1 import tree_free_norm
+from ultrafree.metric import FiniteMetricSpace, random_ultrametric
+from ultrafree.rtree import dendrogram
 
 from _oracles import dual_vertex_norm
 
@@ -100,6 +102,56 @@ def test_against_vertex_enumeration_oracle():
         for _ in range(4):
             v = FreeVector(tuple(Fraction(rng.randint(-5, 5), rng.randint(1, 4)) for _ in range(3)))
             assert free_norm(space, v) == dual_vertex_norm(space, v)
+
+
+_PRIMES_NEAR_A_MILLION = (
+    999809, 999853, 999863, 999883, 999907, 999917, 999931,
+    999953, 999959, 999961, 999979, 999983, 1000003, 1000033,
+)
+
+
+def _coprime_ultrametric(n, rng):
+    """Random merge tree whose heights have distinct prime denominators near 10^6."""
+    primes = rng.sample(_PRIMES_NEAR_A_MILLION, n - 1)
+    heights = sorted(Fraction(rng.randint(q, 8 * q), q) for q in primes)
+    clusters = [[i] for i in range(n)]
+    dist = [[Fraction(0)] * n for _ in range(n)]
+    for h in heights:
+        a, b = rng.sample(range(len(clusters)), 2)
+        for x in clusters[a]:
+            for y in clusters[b]:
+                dist[x][y] = dist[y][x] = h
+        clusters = [c for k, c in enumerate(clusters) if k not in (a, b)] + [clusters[a] + clusters[b]]
+    return FiniteMetricSpace(tuple(str(i) for i in range(n)), tuple(map(tuple, dist)))
+
+
+def _coprime_vector(n, rng):
+    return FreeVector(tuple(
+        Fraction(rng.randint(-10**6, 10**6), rng.choice(_PRIMES_NEAR_A_MILLION)) for _ in range(n - 1)
+    ))
+
+
+@settings(max_examples=10, deadline=None)
+@given(seed=st.integers(0, 10**6))
+def test_large_coprime_denominators_match_the_edge_flows(seed):
+    rng = random.Random(seed)
+    space = _coprime_ultrametric(12, rng)
+    tree = dendrogram(space)
+    for v in (_coprime_vector(12, rng), molecule(space, *rng.sample(range(12), 2)) * rng.randint(1, 10**6)):
+        cert = free_norm_certificate(space, v)
+        # root-based node coordinates: leaf k is point k + 1, the base leaf carries -sum(v)
+        coeffs = [-sum(v.coeffs)] + list(v.coeffs) + [Fraction(0)] * (len(tree.nodes) - 1 - len(space))
+        assert cert.value == tree_free_norm(tree, FreeVector(tuple(coeffs)))
+        assert lip_norm(space, cert.potential) <= 1
+
+
+@settings(max_examples=10, deadline=None)
+@given(seed=st.integers(0, 10**6), n=st.integers(2, 5))
+def test_large_coprime_denominators_match_the_dual_vertices(seed, n):
+    rng = random.Random(seed)
+    space = _coprime_ultrametric(n, rng)
+    v = _coprime_vector(n, rng)
+    assert free_norm(space, v) == dual_vertex_norm(space, v)
 
 
 @settings(max_examples=25, deadline=None)

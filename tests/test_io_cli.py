@@ -184,6 +184,12 @@ def test_cli_threepoint(tmp_path, capsys):
     assert Fraction(out["min_violation"]) > 0
 
 
+@pytest.mark.parametrize("resolution", ["0", "-3"])
+def test_cli_threepoint_bad_resolution_exit_two(capsys, resolution):
+    assert main(["threepoint", "--s", "1/2", "--resolution", resolution]) == 2
+    assert capsys.readouterr().err == "error: resolution must be a positive integer\n"
+
+
 def test_cli_out_file(tmp_path):
     space = _write_triangle(tmp_path)
     out_path = tmp_path / "report.json"

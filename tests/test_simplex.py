@@ -2,6 +2,7 @@ import random
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from ultrafree.simplex import (
     LpError,
@@ -10,6 +11,8 @@ from ultrafree.simplex import (
     dense_columns,
     solve_lp,
 )
+
+from _oracles import feasible_basis, lp_vertex_minimum
 
 
 def _solve_dense(costs, rows, rhs, basis=None):
@@ -85,3 +88,52 @@ def test_random_instances_certified():
         baseline = sum(c * x for c, x in zip(costs, x0))
         assert res.value <= baseline  # x0 is feasible, optimum can only improve
         assert sum(y * b for y, b in zip(res.dual, rhs)) == res.value
+
+
+def test_redundant_row_whose_artificial_moved():
+    # the last row is redundant; Bland's rule re-enters an artificial in
+    # another row, so the constraint to drop is the one whose artificial
+    # stays basic, not the one at that tableau position
+    rows = [[0, 3, 3, -2], [-2, -2, 2, 1], [1, 3, -3, 2], [3, -3, -3, -2], [-4, -1, 7, 0]]
+    res = _solve_dense([5, 0, 4, 3], rows, [7, -1, 5, -11, 5])
+    assert res.value == 7
+    assert res.x == (0, 2, 1, 1)
+
+
+_entries = st.builds(Fraction, st.integers(-4, 4), st.sampled_from((1, 2, 3, 5, 7)))
+
+
+@st.composite
+def _programs(draw):
+    """Small programs: coprime denominators, signed data, sometimes a redundant row."""
+    m, n = draw(st.integers(1, 3)), draw(st.integers(1, 5))
+    rows = [[draw(_entries) for _ in range(n)] for _ in range(m)]
+    if draw(st.booleans()):
+        a, b = draw(st.integers(0, m - 1)), draw(st.integers(0, m - 1))
+        k = draw(_entries)
+        rows.append([x + k * y for x, y in zip(rows[a], rows[b])])
+    if draw(st.booleans()):
+        x0 = [abs(draw(_entries)) for _ in range(n)]
+        rhs = [sum(r * x for r, x in zip(row, x0)) for row in rows]
+    else:
+        rhs = [draw(_entries) for _ in rows]
+    costs = [draw(_entries) for _ in range(n)]
+    return costs, rows, rhs
+
+
+@settings(max_examples=200, deadline=None)
+@given(program=_programs())
+def test_matches_basic_solution_enumeration(program):
+    costs, rows, rhs = program
+    status, value = lp_vertex_minimum(costs, rows, rhs)
+    if status == "infeasible":
+        with pytest.raises(LpInfeasibleError):
+            _solve_dense(costs, rows, rhs)
+        return
+    basis = feasible_basis(rows, rhs)
+    for start in [None] if basis is None else [None, basis]:
+        if status == "unbounded":
+            with pytest.raises(LpUnboundedError):
+                _solve_dense(costs, rows, rhs, basis=start)
+        else:
+            assert _solve_dense(costs, rows, rhs, basis=start).value == value
