@@ -45,8 +45,7 @@ print()
 
 family = basis_vectors(build_chain(space))
 constants = l1_equivalence_constants(space, family)
-print(f"l1-equivalence constants of the retraction basis: lower {constants.lower}, upper {constants.upper}"
-      f" (exact: {constants.exact})")
+print(f"l1-equivalence constants of the retraction basis: lower {constants.lower}, upper {constants.upper}")
 print()
 
 print("Full pipeline on the same space:")

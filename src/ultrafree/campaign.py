@@ -133,7 +133,6 @@ def _stage_l1check(space: FiniteMetricSpace, seed: int) -> StageResult:
             "basis_constant": report.basis_constant,
             "l1_lower": report.l1_lower,
             "l1_upper": report.l1_upper,
-            "l1_exact": report.l1_exact,
         },
     )
 
@@ -182,7 +181,7 @@ def run_campaign(config: CampaignConfig) -> Report:
             for s in THREE_POINT_GRID
         )
     return Report(
-        schema="ultrafree-report/1",
+        schema="ultrafree-report/2",
         config=config,
         instances=tuple(instances),
         three_point=three_point,

@@ -286,6 +286,19 @@ def _elementary_norm(space: FiniteMetricSpace, coeffs: list[Fraction]) -> Option
     return None
 
 
+def _molecule_expansions(space: FiniteMetricSpace, family: BasisFamily):
+    """Yield (i, j, coefficients of the molecule m_ij in the family) for every pair i < j.
+
+    Molecules are the extreme points of the free-space unit ball, so a
+    convex function of the coefficients attains its maximum over the ball
+    on one of them.  Raises ValueError when the family does not span.
+    """
+    inverse = _family_inverse(family)
+    for i in range(len(space)):
+        for j in range(i + 1, len(space)):
+            yield i, j, _apply(inverse, molecule(space, i, j).coeffs)
+
+
 def basis_constant(space: FiniteMetricSpace, family: BasisFamily, certified: bool = False) -> Fraction:
     """Supremum over n of the norm of the coordinate partial-sum projection.
 
@@ -299,23 +312,20 @@ def basis_constant(space: FiniteMetricSpace, family: BasisFamily, certified: boo
     count = len(family.vectors)
     if count == 0:
         return Fraction(1)
-    inverse = _family_inverse(family)
     dim = len(space) - 1
     best = Fraction(0)
-    for i in range(len(space)):
-        for j in range(i + 1, len(space)):
-            coeffs = _apply(inverse, molecule(space, i, j).coeffs)
-            partial = [Fraction(0)] * dim
-            for k in range(count):
-                ck = coeffs[k]
-                if ck:
-                    vec = family.vectors[k].coeffs
-                    for r in range(dim):
-                        if vec[r]:
-                            partial[r] += ck * vec[r]
-                value = None if certified else _elementary_norm(space, partial)
-                if value is None:
-                    value = free_norm(space, FreeVector(tuple(partial)))
-                if value > best:
-                    best = value
+    for _, _, coeffs in _molecule_expansions(space, family):
+        partial = [Fraction(0)] * dim
+        for k in range(count):
+            ck = coeffs[k]
+            if ck:
+                vec = family.vectors[k].coeffs
+                for r in range(dim):
+                    if vec[r]:
+                        partial[r] += ck * vec[r]
+            value = None if certified else _elementary_norm(space, partial)
+            if value is None:
+                value = free_norm(space, FreeVector(tuple(partial)))
+            if value > best:
+                best = value
     return best

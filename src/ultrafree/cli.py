@@ -64,7 +64,6 @@ def _build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("l1check", help="full pipeline report for one space")
     p.add_argument("space")
     p.add_argument("--oracle-vectors", type=int, default=25)
-    p.add_argument("--orthant-budget", type=int, default=1024)
 
     p = sub.add_parser("threepoint", help="three-point norms and grid infeasibility search")
     p.add_argument("--s", required=True, help="side length in (0,1], e.g. 1/2")
@@ -189,12 +188,7 @@ def _cmd_embed(args) -> int:
 
 def _cmd_l1check(args) -> int:
     space = ingest(args.space, args.format)
-    report = pipeline(
-        space,
-        oracle_vectors=args.oracle_vectors,
-        orthant_budget=args.orthant_budget,
-        seed=args.seed,
-    )
+    report = pipeline(space, oracle_vectors=args.oracle_vectors, seed=args.seed)
     _emit(report, args)
     return 0 if report.passed else 1
 

@@ -4,9 +4,14 @@ On a metric tree the transport norm has explicit l1 coordinates: the norm of
 a coefficient vector equals the sum over edges of edge length times the
 absolute net coefficient mass hanging below the edge.  This module implements
 that edge-flow oracle on the dendrogram, plays it against the transport
-solver vector by vector, measures the l1-equivalence constants of a basis
-family by exact per-orthant minimization, and runs the three-point
-non-isometry search.
+solver vector by vector, computes the l1-equivalence constants of a basis
+family in closed form, and runs the three-point non-isometry search.
+
+The unit ball of the free space is the convex hull of the +-molecules
+m_ij = (delta_i - delta_j) / d(i, j), so the lower l1 constant of a family
+is 1 / max_{i<j} Phi(m_ij), where Phi(x) = sum |c_k(x)| * norm(e_k) over
+the coefficients c(x) of x in the family; its witness, the maximizing
+molecule scaled to Phi = 1, is certified by one transport solve.
 """
 
 from __future__ import annotations
@@ -17,13 +22,14 @@ from fractions import Fraction
 from math import lcm
 from typing import Optional, Sequence
 
-from .chain import BasisFamily, basis_constant, basis_vectors, build_chain, verify_chain
+from .chain import BasisFamily, _molecule_expansions, basis_constant, basis_vectors, build_chain, verify_chain
 from .freespace import (
     FreeVector,
     PointMap,
-    _transport_program,
     dirac,
     free_norm,
+    free_norm_certificate,
+    molecule,
     operator_norm_of_extension,
     zero_vector,
 )
@@ -44,7 +50,6 @@ from .rtree import (
     rooted_node_space,
     verify_retraction_claims,
 )
-from .simplex import solve_lp
 
 
 @dataclass(frozen=True)
@@ -178,6 +183,17 @@ def edge_molecules(tree: DendrogramTree) -> BasisFamily:
     return BasisFamily(ambient, tuple(vectors), (Fraction(1),) * len(vectors))
 
 
+def _combination(dim: int, vectors: Sequence[FreeVector], coeffs: Sequence[Fraction]) -> list[Fraction]:
+    """The dim coefficients of sum_k coeffs[k] * vectors[k]."""
+    combo = [Fraction(0)] * dim
+    for c, vec in zip(coeffs, vectors):
+        if c:
+            for r, value in enumerate(vec.coeffs):
+                if value:
+                    combo[r] += c * value
+    return combo
+
+
 @dataclass(frozen=True)
 class EdgeMoleculeReport:
     patterns_checked: int
@@ -202,12 +218,7 @@ def edge_molecule_isometry(tree: DendrogramTree, patterns: int = 30, seed: int =
         batteries.append(_random_coeffs(rng, len(family.vectors)))
     mismatches = []
     for pattern in batteries:
-        combo = [Fraction(0)] * (len(ambient) - 1)
-        for c, vec in zip(pattern, family.vectors):
-            if c:
-                for r, value in enumerate(vec.coeffs):
-                    if value:
-                        combo[r] += c * value
+        combo = _combination(len(ambient) - 1, family.vectors, pattern)
         lhs = free_norm(ambient, FreeVector(tuple(combo)))
         rhs = sum((abs(c) for c in pattern), Fraction(0))
         if lhs != rhs:
@@ -219,76 +230,41 @@ def edge_molecule_isometry(tree: DendrogramTree, patterns: int = 30, seed: int =
 class L1Constants:
     lower: Fraction
     upper: Fraction
-    exact: bool
 
 
-def l1_equivalence_constants(
-    space: FiniteMetricSpace,
-    family: BasisFamily,
-    orthant_budget: int = 1024,
-    samples: int = 128,
-    seed: int = 0,
-) -> L1Constants:
+def l1_equivalence_constants(space: FiniteMetricSpace, family: BasisFamily) -> L1Constants:
     """Equivalence constants between the family and the l1 unit basis.
 
-    With coefficients normalized by sum |c_k| * norm(e_k) = 1 the triangle
-    inequality pins the upper constant at 1; the lower constant is the exact
-    minimum of the transport norm over that cross-polytope boundary, computed
-    one sign orthant at a time as a single joint linear program (simplex
-    weights and flows are both linear).  Opposite orthants give equal values,
-    so only half are enumerated; past ``orthant_budget`` a seeded random
-    sample of orthants is taken instead and the result is flagged non-exact
-    (sampling can only overestimate the true minimum).
+    Write Phi(x) = sum |c_k(x)| * norm(e_k) for the coefficients c(x) of x in
+    the family.  The triangle inequality gives norm(x) <= Phi(x), so the
+    upper constant is 1.  The lower constant is the minimum of norm(x) over
+    Phi(x) = 1, that is 1 / max Phi over the unit ball; the unit ball is
+    the convex hull of the +-molecules and Phi is convex and even, so the
+    maximum is attained at a molecule: lower = 1 / max_{i<j} Phi(m_ij).
+
+    The value is certified by its witness w = m*/Phi(m*), at the maximizing
+    molecule m*: the coefficients must reconstruct m* exactly, and the
+    transport norm of w must equal the returned lower constant.  A family
+    that does not span the free space raises ValueError.
     """
-    count = len(family.vectors)
-    if count == 0:
+    if not family.vectors:
         raise ValueError("family is empty")
     if any(len(v.coeffs) != len(space) - 1 for v in family.vectors):
         raise ValueError("family vectors do not live on the given space")
-    if count == 1:
-        return L1Constants(Fraction(1), Fraction(1), True)
-    unit_vectors = [
-        (1 / family.norms[k]) * family.vectors[k] for k in range(count)
-    ]
-    total = 1 << (count - 1)
-    exact = total <= orthant_budget
-    if exact:
-        signs_list = [
-            (1,) + tuple(1 if (mask >> b) & 1 == 0 else -1 for b in range(count - 1))
-            for mask in range(total)
-        ]
-    else:
-        rng = random.Random(seed)
-        signs_list = [
-            (1,) + tuple(rng.choice((1, -1)) for _ in range(count - 1))
-            for _ in range(samples)
-        ]
-    best: Optional[Fraction] = None
-    for signs in signs_list:
-        value = _orthant_minimum(space, unit_vectors, signs)
-        if best is None or value < best:
-            best = value
-    assert best is not None
-    return L1Constants(best, Fraction(1), exact)
-
-
-def _orthant_minimum(
-    space: FiniteMetricSpace,
-    unit_vectors: Sequence[FreeVector],
-    signs: Sequence[int],
-) -> Fraction:
-    """min transport-norm of sum sigma_k t_k e^_k over t >= 0, sum t = 1."""
-    n = len(space)
-    lead = [signs[0] * c for c in unit_vectors[0].coeffs]
-    arcs, costs, columns, basis = _transport_program(space, lead)
-    for sign, vector in zip(signs, unit_vectors):
-        col = [(r, -sign * c) for r, c in enumerate(vector.coeffs) if c]
-        col.append((n - 1, Fraction(1)))
-        costs.append(Fraction(0))
-        columns.append(col)
-    rhs = [Fraction(0)] * (n - 1) + [Fraction(1)]
-    basis.append(len(arcs))
-    return solve_lp(costs, columns, rhs, basis=basis).value
+    phi, i, j, coeffs = max(
+        (
+            (sum((abs(c) * norm for c, norm in zip(coeffs, family.norms)), Fraction(0)), i, j, coeffs)
+            for i, j, coeffs in _molecule_expansions(space, family)
+        ),
+        key=lambda entry: entry[0],
+    )
+    lower = 1 / phi
+    m = molecule(space, i, j)
+    if _combination(len(space) - 1, family.vectors, coeffs) != list(m.coeffs):
+        raise CertificationError(f"l1 witness at pair ({i}, {j}) does not reconstruct its molecule")
+    if free_norm_certificate(space, lower * m).value != lower:
+        raise CertificationError(f"l1 witness at pair ({i}, {j}) does not attain the lower constant")
+    return L1Constants(lower, Fraction(1))
 
 
 def three_point_space(s: Fraction) -> FiniteMetricSpace:
@@ -466,7 +442,6 @@ class PipelineReport:
     basis_constant: Fraction
     l1_lower: Fraction
     l1_upper: Fraction
-    l1_exact: bool
     chain_ok: bool
     claims_ok: bool
     oracle_ok: bool
@@ -489,7 +464,6 @@ def pipeline(
     space: FiniteMetricSpace,
     ordering: Optional[Sequence[int]] = None,
     oracle_vectors: int = 25,
-    orthant_budget: int = 1024,
     seed: int = 0,
 ) -> PipelineReport:
     """Run the full chain: round, embed, retract, oracle, basis, l1 constants.
@@ -498,6 +472,8 @@ def pipeline(
     and the induced projection norm below or at 4, the basis constant must be
     exactly 1 and the l1 lower constant in (0, 1].
     """
+    if len(space) < 2:
+        raise ValueError("pipeline needs at least two points")
     report = validate(space)
     if not report.is_ultrametric:
         raise ValueError("pipeline requires an ultrametric space")
@@ -510,7 +486,7 @@ def pipeline(
     chain_report = verify_chain(chain)
     family = basis_vectors(chain)
     constant = basis_constant(space, family)
-    l1 = l1_equivalence_constants(space, family, orthant_budget=orthant_budget, seed=seed)
+    l1 = l1_equivalence_constants(space, family)
     ambient = node_space(tree)
     branching = branching_points(rounded)
     image = tuple(
@@ -525,7 +501,6 @@ def pipeline(
         basis_constant=constant,
         l1_lower=l1.lower,
         l1_upper=l1.upper,
-        l1_exact=l1.exact,
         chain_ok=chain_report.passed,
         claims_ok=claims.passed,
         oracle_ok=oracle.passed,

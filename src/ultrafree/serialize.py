@@ -28,7 +28,8 @@ def to_jsonable(obj: Any) -> Any:
     """Recursively convert package objects into JSON-serializable data.
 
     Fractions become strings, dataclasses become dicts in field order (which
-    keeps emitted reports byte-stable), tuples become lists.
+    keeps emitted reports byte-stable), tuples become lists.  Sets are
+    refused like floats: their iteration order would make reports unstable.
     """
     if isinstance(obj, Fraction):
         return str(obj)
@@ -38,7 +39,7 @@ def to_jsonable(obj: Any) -> Any:
         return {f.name: to_jsonable(getattr(obj, f.name)) for f in dataclasses.fields(obj)}
     if isinstance(obj, dict):
         return {str(k): to_jsonable(v) for k, v in obj.items()}
-    if isinstance(obj, (list, tuple, set, frozenset)):
+    if isinstance(obj, (list, tuple)):
         return [to_jsonable(v) for v in obj]
     if isinstance(obj, float):
         raise TypeError("refusing to serialize a float")

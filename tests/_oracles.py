@@ -7,6 +7,13 @@ subsystems exactly, and the objective is maximized over them.  General
 linear programs in equality form are minimized the same way, over their
 basic feasible solutions.  No simplex code is shared with the package path
 under test.
+
+The lower l1-equivalence constant of a basis family is re-derived by the
+definition: the minimum of the transport norm over the l1 sphere of the
+family, one sign orthant at a time, each a joint linear program in the
+weights and the flow.  It runs on the package simplex, which the
+enumeration above checks, and shares nothing with the molecule expansion
+of the closed form it is compared with.
 """
 
 from __future__ import annotations
@@ -14,9 +21,11 @@ from __future__ import annotations
 from fractions import Fraction
 from itertools import combinations
 
+from ultrafree.chain import BasisFamily
+from ultrafree.freespace import FreeVector, _transport_program
 from ultrafree.linalg import SingularMatrixError, solve_linear
 from ultrafree.metric import FiniteMetricSpace
-from ultrafree.freespace import FreeVector
+from ultrafree.simplex import solve_lp
 
 
 def dual_vertex_norm(space: FiniteMetricSpace, v: FreeVector) -> Fraction:
@@ -51,6 +60,34 @@ def dual_vertex_norm(space: FiniteMetricSpace, v: FreeVector) -> Fraction:
             if best is None or value > best:
                 best = value
     assert best is not None, "dual polytope has no vertices"
+    return best
+
+
+def orthant_l1_lower(space: FiniteMetricSpace, family: BasisFamily) -> Fraction:
+    """min of the transport norm of sum_k t_k e_k / |e_k| over sum_k |t_k| = 1.
+
+    The sphere is the union of the faces {sigma_k t_k >= 0}, one per sign
+    vector sigma; on each face the weights and the flow are jointly linear,
+    so its minimum is one LP.  Opposite faces have equal minima, so sigma_0
+    is fixed to +1: 2^(count-1) LPs, intended for families of up to 7
+    vectors (N <= 8).
+    """
+    n = len(space)
+    count = len(family.vectors)
+    units = [(1 / norm) * vector for vector, norm in zip(family.vectors, family.norms)]
+    best: Fraction | None = None
+    for mask in range(1 << (count - 1)):
+        signs = [1] + [-1 if (mask >> b) & 1 else 1 for b in range(count - 1)]
+        arcs, costs, columns, basis = _transport_program(space, [signs[0] * c for c in units[0].coeffs])
+        for sign, unit in zip(signs, units):
+            column = [(r, -sign * c) for r, c in enumerate(unit.coeffs) if c]
+            columns.append(column + [(n - 1, Fraction(1))])
+            costs.append(Fraction(0))
+        basis.append(len(arcs))
+        value = solve_lp(costs, columns, [Fraction(0)] * (n - 1) + [Fraction(1)], basis=basis).value
+        if best is None or value < best:
+            best = value
+    assert best is not None
     return best
 
 

@@ -10,6 +10,7 @@ from fractions import Fraction
 
 import pytest
 
+from _oracles import orthant_l1_lower
 from ultrafree.chain import (
     basis_constant,
     basis_vectors,
@@ -242,7 +243,8 @@ def test_criterion_9_pipeline():
     instances = 0
     sizes = [(n, seed) for n in range(3, 9) for seed in range(2)] + [(10, 0), (12, 0)]
     for n, seed in sizes:
-        report = pipeline(random_ultrametric(n, 5000 + 7 * n + seed))
+        space = random_ultrametric(n, 5000 + 7 * n + seed)
+        report = pipeline(space)
         ok = (
             ok
             and report.passed
@@ -251,8 +253,12 @@ def test_criterion_9_pipeline():
             and report.projection_norm <= 4
             and report.basis_constant == 1
             and 0 < report.l1_lower <= 1
-            and (report.l1_exact if n <= 12 else True)
+            and (
+                report.l1_lower == orthant_l1_lower(space, basis_vectors(build_chain(space)))
+                if n <= 8
+                else True
+            )
         )
         instances += 1
-    _report("9 pipeline", ok, f"{instances} instances, l1 lower bound exact for N <= 12")
+    _report("9 pipeline", ok, f"{instances} instances, l1 lower constant equals the orthant LP for N <= 8")
     assert ok

@@ -3,7 +3,9 @@ from fractions import Fraction
 
 import pytest
 
-from ultrafree.chain import basis_vectors, build_chain
+from _oracles import orthant_l1_lower
+from ultrafree import ell1
+from ultrafree.chain import BasisFamily, basis_vectors, build_chain
 from ultrafree.ell1 import (
     edge_flow_coordinates,
     edge_molecule_isometry,
@@ -17,7 +19,8 @@ from ultrafree.ell1 import (
     vector_from_edge_flows,
 )
 from ultrafree.freespace import FreeVector, dirac, free_norm
-from ultrafree.metric import random_ultrametric, round_to_dyadic, validate
+from ultrafree.linalg import fraction_rank
+from ultrafree.metric import CertificationError, FiniteMetricSpace, random_ultrametric, round_to_dyadic, validate
 from ultrafree.rtree import dendrogram, rooted_node_space
 
 H = Fraction(1, 2)
@@ -124,13 +127,12 @@ def test_l1_constants_single_vector():
     space = random_ultrametric(2, 1)
     family = basis_vectors(build_chain(space))
     constants = l1_equivalence_constants(space, family)
-    assert (constants.lower, constants.upper, constants.exact) == (1, 1, True)
+    assert (constants.lower, constants.upper) == (1, 1)
 
 
 def test_l1_constants_triangle_exact(triangle):
     family = basis_vectors(build_chain(triangle))
     constants = l1_equivalence_constants(triangle, family)
-    assert constants.exact
     assert constants.upper == 1
     assert constants.lower == Fraction(2, 3)
 
@@ -153,17 +155,82 @@ def test_l1_constants_edge_molecules(triangle):
     tree = dendrogram(triangle)
     family = edge_molecules(tree)
     constants = l1_equivalence_constants(family.space, family)
-    assert (constants.lower, constants.upper, constants.exact) == (1, 1, True)
+    assert (constants.lower, constants.upper) == (1, 1)
 
 
-def test_l1_constants_sampled_fallback(triangle):
-    family = basis_vectors(build_chain(random_ultrametric(8, 2)))
-    space = random_ultrametric(8, 2)
-    constants = l1_equivalence_constants(space, family, orthant_budget=4, samples=8, seed=0)
-    assert not constants.exact
-    exact = l1_equivalence_constants(space, family)
-    assert exact.exact
-    assert constants.lower >= exact.lower > 0
+def _quarter_metric(n: int, rng: random.Random) -> FiniteMetricSpace:
+    """Distances drawn from {1, 5/4, ..., 2}: always a metric, rarely an ultrametric."""
+    dist = [[Fraction(0)] * n for _ in range(n)]
+    for i in range(n):
+        for j in range(i + 1, n):
+            dist[i][j] = dist[j][i] = Fraction(rng.randint(4, 8), 4)
+    return FiniteMetricSpace(tuple(str(i) for i in range(n)), tuple(map(tuple, dist)))
+
+
+def _random_family(space: FiniteMetricSpace, rng: random.Random) -> BasisFamily:
+    """A random spanning family of small integer vectors, with their true norms."""
+    dim = len(space) - 1
+    while True:
+        vectors = [FreeVector(tuple(rng.randint(-2, 2) for _ in range(dim))) for _ in range(dim)]
+        if fraction_rank([v.coeffs for v in vectors]) == dim:
+            return BasisFamily(space, tuple(vectors), tuple(free_norm(space, v) for v in vectors))
+
+
+def _l1_cases():
+    rng = random.Random(5)
+    cases = []
+    for n in range(2, 7):
+        for repeat in range(2):
+            for kind in ("ultrametric", "metric"):
+                if kind == "ultrametric":
+                    space = random_ultrametric(n, rng.randrange(10**6))
+                else:
+                    space = _quarter_metric(n, rng)
+                rest = list(range(1, n))
+                rng.shuffle(rest)
+                chain_family = basis_vectors(build_chain(space, (0, *rest)))
+                cases.append(pytest.param(space, chain_family, id=f"{kind}-n{n}-{repeat}-chain"))
+                cases.append(pytest.param(space, _random_family(space, rng), id=f"{kind}-n{n}-{repeat}-random"))
+    return cases
+
+
+@pytest.mark.parametrize("space, family", _l1_cases())
+def test_l1_lower_matches_orthant_oracle(space, family):
+    constants = l1_equivalence_constants(space, family)
+    assert constants.lower == orthant_l1_lower(space, family)
+    assert constants.upper == 1
+
+
+def test_l1_constants_reject_non_spanning_family():
+    space = random_ultrametric(4, 3)
+    chain_family = basis_vectors(build_chain(space))
+    first, second, _ = chain_family.vectors
+    repeated = BasisFamily(space, (first, second, first + second), chain_family.norms)
+    with pytest.raises(ValueError, match="does not span"):
+        l1_equivalence_constants(space, repeated)
+
+
+def test_l1_constants_witness_is_checked(triangle, monkeypatch):
+    family = basis_vectors(build_chain(triangle))
+    real_certificate = ell1.free_norm_certificate
+    monkeypatch.setattr(
+        ell1, "free_norm_certificate", lambda space, v: real_certificate(space, 2 * v)
+    )
+    with pytest.raises(CertificationError, match=r"pair \(0, 2\)"):
+        l1_equivalence_constants(triangle, family)
+
+
+def test_l1_constants_reconstruction_is_checked(triangle, monkeypatch):
+    family = basis_vectors(build_chain(triangle))
+    real_expansions = ell1._molecule_expansions
+
+    def shifted(space, fam):
+        for i, j, coeffs in real_expansions(space, fam):
+            yield i, j, [coeffs[0] + 1] + coeffs[1:]
+
+    monkeypatch.setattr(ell1, "_molecule_expansions", shifted)
+    with pytest.raises(CertificationError, match="reconstruct"):
+        l1_equivalence_constants(triangle, family)
 
 
 def test_three_point_space_validation():
@@ -219,7 +286,6 @@ def test_pipeline_triangle(triangle):
     assert report.projection_norm == 4
     assert report.basis_constant == 1
     assert report.l1_lower == Fraction(2, 3)
-    assert report.l1_exact
 
 
 def test_pipeline_two_points():
@@ -234,6 +300,12 @@ def test_pipeline_two_points():
 def test_pipeline_random():
     report = pipeline(random_ultrametric(6, 77))
     assert report.passed
+
+
+def test_pipeline_rejects_one_point():
+    space = FiniteMetricSpace(("0",), ((0,),))
+    with pytest.raises(ValueError, match="pipeline needs at least two points"):
+        pipeline(space)
 
 
 def test_pipeline_rejects_non_ultrametric(collinear):

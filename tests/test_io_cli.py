@@ -86,6 +86,13 @@ def test_to_jsonable_refuses_floats():
         to_jsonable(0.5)
 
 
+@pytest.mark.parametrize("value", [{"1", "2"}, frozenset({Fraction(1, 2)}), {"key": [{"nested"}]}])
+def test_to_jsonable_refuses_sets(value):
+    # a set would be emitted in iteration order, which is not byte-stable
+    with pytest.raises(TypeError, match="cannot serialize"):
+        to_jsonable(value)
+
+
 def _write_triangle(tmp_path, name="space.json"):
     path = tmp_path / name
     data = {
@@ -175,6 +182,13 @@ def test_cli_l1check(tmp_path, capsys):
     out = json.loads(capsys.readouterr().out)
     assert out["l1_lower"] == "2/3"
     assert out["basis_constant"] == "1"
+
+
+def test_cli_l1check_one_point_exit_two(tmp_path, capsys):
+    path = tmp_path / "one.json"
+    path.write_text('{"labels": ["0"], "dist": [["0"]]}')
+    assert main(["l1check", str(path)]) == 2
+    assert capsys.readouterr().err == "error: pipeline needs at least two points\n"
 
 
 def test_cli_threepoint(tmp_path, capsys):
