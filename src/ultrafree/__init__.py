@@ -78,6 +78,7 @@ from .ell1 import (
     three_point_report,
     three_point_space,
     tree_free_norm,
+    tree_norm_certificate,
     vector_from_edge_flows,
 )
 from .campaign import CampaignConfig, Report, emit_report, run_campaign

@@ -195,9 +195,9 @@ def verify_projection_algebra(chain: RetractionChain, include_norms: bool = Fals
     """Check P_n P_m = P_min(n,m) as exact integer matrix identities.
 
     Projection matrices are 0/1 integer matrices, so int64 products are
-    exact.  With ``include_norms`` the operator norm of every stage n >= 2
-    is additionally computed from molecule images via the transport solver
-    and must equal 1.
+    exact.  With ``include_norms`` the operator norm of every stage n >= 2,
+    certified at its witness pair by :func:`operator_norm_of_extension`,
+    must additionally equal 1.
     """
     size = chain.size
     mats = [np.array(projection_matrix(chain, n), dtype=np.int64) for n in range(1, size + 1)]

@@ -3,9 +3,11 @@
 On a metric tree the transport norm has explicit l1 coordinates: the norm of
 a coefficient vector equals the sum over edges of edge length times the
 absolute net coefficient mass hanging below the edge.  This module implements
-that edge-flow oracle on the dendrogram, plays it against the transport
-solver vector by vector, computes the l1-equivalence constants of a basis
-family in closed form, and runs the three-point non-isometry search.
+that edge-flow oracle on the dendrogram, certifies it vector by vector with
+its own flow (|mass| along each edge) and sign potential, plays it against
+the transport solver in :func:`oracle_vs_lp`, computes the l1-equivalence
+constants of a basis family in closed form, and runs the three-point
+non-isometry search.
 
 The unit ball of the free space is the convex hull of the +-molecules
 m_ij = (delta_i - delta_j) / d(i, j), so the lower l1 constant of a family
@@ -24,7 +26,9 @@ from typing import Optional, Sequence
 
 from .chain import BasisFamily, _molecule_expansions, basis_constant, basis_vectors, build_chain, verify_chain
 from .freespace import (
+    FreeNormCertificate,
     FreeVector,
+    LipFunction,
     PointMap,
     dirac,
     free_norm,
@@ -43,6 +47,7 @@ from .metric import (
 from .rational import parse_rational
 from .rtree import (
     DendrogramTree,
+    _certify_path_metric,
     branching_points,
     dendrogram,
     node_space,
@@ -120,6 +125,32 @@ def _random_coeffs(rng: random.Random, dim: int) -> tuple[Fraction, ...]:
     return tuple(Fraction(rng.randint(-6, 6), rng.choice((1, 2, 3, 4))) for _ in range(dim))
 
 
+def _battery(
+    space: FiniteMetricSpace, ambient: FiniteMetricSpace, vectors: int, seed: int
+) -> tuple[list[FreeVector], list[tuple[int, int, FreeVector]]]:
+    """The edge-flow battery in the root-based coordinates of the node set.
+
+    ``vectors`` random rational vectors, then max(5, vectors // 5) random
+    vectors supported on the original leaves, then the difference of every
+    node pair (i, j) of ``ambient``, whose norm must be their distance.
+    """
+    if vectors < 0:
+        raise ValueError("the oracle battery size must be non-negative")
+    dim = len(ambient) - 1
+    rng = random.Random(seed)
+    battery = [FreeVector(_random_coeffs(rng, dim)) for _ in range(vectors)]
+    for _ in range(max(5, vectors // 5)):
+        coeffs = list(_random_coeffs(rng, len(space)))
+        coeffs += [Fraction(0)] * (dim - len(coeffs))
+        battery.append(FreeVector(tuple(coeffs)))
+    pairs = [
+        (i, j, dirac(ambient, i) - dirac(ambient, j))
+        for i in range(len(ambient))
+        for j in range(i + 1, len(ambient))
+    ]
+    return battery, pairs
+
+
 def oracle_vs_lp(
     space: FiniteMetricSpace,
     vectors: int = 50,
@@ -129,40 +160,126 @@ def oracle_vs_lp(
     """Play the edge-flow oracle against the transport solver, exactly.
 
     Both sides use the root-based coordinates of the node set.  The battery
-    contains random rational vectors, every pairwise evaluation difference
-    (whose common value must also be the tree distance of the pair), and
-    random vectors supported on the original leaves only.
+    contains random rational vectors, random vectors supported on the
+    original leaves only, and every pairwise evaluation difference (whose
+    common value must also be the tree distance of the pair).
     """
     if tree is None:
         tree = dendrogram(space)
     ambient = rooted_node_space(tree)
-    dim = len(ambient) - 1
-    rng = random.Random(seed)
-    battery = [FreeVector(_random_coeffs(rng, dim)) for _ in range(vectors)]
-    leaf_supported = []
-    for _ in range(max(5, vectors // 5)):
-        coeffs = list(_random_coeffs(rng, len(space)))
-        coeffs += [Fraction(0)] * (dim - len(coeffs))
-        leaf_supported.append(FreeVector(tuple(coeffs)))
+    battery, pairs = _battery(space, ambient, vectors, seed)
     mism = []
-    for v in battery + leaf_supported:
+    for v in battery:
         flow_value = tree_free_norm(tree, v)
         lp_value = free_norm(ambient, v)
         if flow_value != lp_value:
             mism.append((v, flow_value, lp_value))
     pair_mism = []
-    for i in range(len(ambient)):
-        for j in range(i + 1, len(ambient)):
-            v = dirac(ambient, i) - dirac(ambient, j)
-            flow_value = tree_free_norm(tree, v)
-            lp_value = free_norm(ambient, v)
-            if not flow_value == lp_value == ambient.dist[i][j]:
-                pair_mism.append((v, flow_value, lp_value))
-    return OracleReport(
-        len(battery) + len(leaf_supported) + len(ambient) * (len(ambient) - 1) // 2,
-        tuple(mism),
-        tuple(pair_mism),
-    )
+    for i, j, v in pairs:
+        flow_value = tree_free_norm(tree, v)
+        lp_value = free_norm(ambient, v)
+        if not flow_value == lp_value == ambient.dist[i][j]:
+            pair_mism.append((v, flow_value, lp_value))
+    return OracleReport(len(battery) + len(pairs), tuple(mism), tuple(pair_mism))
+
+
+def _edge_flow_solution(tree: DendrogramTree, v: FreeVector) -> FreeNormCertificate:
+    """The edge-flow norm of v with its flow and sign potential, unchecked.
+
+    Point 0 of the root-based node space is the root and point k + 1 is node
+    k.  The flow sends |m_e| along each edge e, out of the subtree below e
+    when its mass m_e is positive; the potential vanishes at the root and
+    rises by length(e) * sign(m_e) from the parent to the child of e.
+    """
+    coords = edge_flow_coordinates(tree, v)
+    count = len(tree.nodes)
+    g = [Fraction(0)] * count
+    flow = []
+    for k in sorted(range(count - 1), key=lambda k: tree.nodes[k].height, reverse=True):
+        child, parent = k + 1, (tree.parent[k] + 1) % count
+        mass, length = coords.masses[k], coords.lengths[k]
+        if mass > 0:
+            g[child] = g[parent] + length
+            flow.append((child, parent, mass))
+        elif mass < 0:
+            g[child] = g[parent] - length
+            flow.append((parent, child, -mass))
+        else:
+            g[child] = g[parent]
+    return FreeNormCertificate(coords.norm(), tuple(flow), LipFunction(tuple(g)))
+
+
+def _checked_tree_certificate(
+    tree: DendrogramTree, ambient: FiniteMetricSpace, v: FreeVector
+) -> FreeNormCertificate:
+    """The edge-flow certificate of v, checked against the distances of ``ambient``.
+
+    ``ambient`` is the root-based node space of a tree whose path metric is
+    certified.  The flow must run along tree edges with positive amounts,
+    balance every node to its coefficient and cost the value; the potential
+    must be 1-Lipschitz on every edge, tight on every edge that carries flow
+    and attain the value.  On a tree path the edge steps add up to the
+    distance, so the edge-wise 1-Lipschitz check covers every pair.
+    """
+    cert = _edge_flow_solution(tree, v)
+    d, labels, g = ambient.dist, ambient.labels, cert.potential.values
+    count = len(tree.nodes)
+    parent_of = {k + 1: (p + 1) % count for k, p in enumerate(tree.parent) if p >= 0}
+
+    def edge(a: int, b: int) -> str:
+        return f"({labels[a]}, {labels[b]})"
+
+    divergence = [Fraction(0)] * count
+    cost = Fraction(0)
+    for a, b, amount in cert.flow:
+        if parent_of.get(a) != b and parent_of.get(b) != a:
+            raise CertificationError(f"flow arc {edge(a, b)} is not a tree edge")
+        if amount <= 0:
+            raise CertificationError(f"flow on edge {edge(a, b)} is not positive")
+        if g[a] - g[b] != d[a][b]:
+            raise CertificationError(f"potential does not drop by the length of edge {edge(a, b)}")
+        divergence[a] += amount
+        divergence[b] -= amount
+        cost += amount * d[a][b]
+    for child, parent in parent_of.items():
+        if abs(g[child] - g[parent]) > d[child][parent]:
+            raise CertificationError(f"potential is not 1-Lipschitz on edge {edge(child, parent)}")
+        if divergence[child] != v.coeffs[child - 1]:
+            raise CertificationError(f"flow on edge {edge(child, parent)} does not balance {labels[child]}")
+    if cost != cert.value:
+        raise CertificationError(f"edge flow costs {cost}, not the value {cert.value}")
+    if sum(c * x for c, x in zip(v.coeffs, g[1:])) != cert.value:
+        raise CertificationError(f"sign potential does not attain the value {cert.value}")
+    return cert
+
+
+def tree_norm_certificate(tree: DendrogramTree, v: FreeVector) -> FreeNormCertificate:
+    """Edge-flow norm of v on the root-based node space, with its flow and potential.
+
+    Re-certifies the path metric of the tree against the quotient metric,
+    then checks the flow and the sign potential as in
+    :func:`_checked_tree_certificate`; any failure raises
+    :class:`CertificationError`.
+    """
+    _certify_path_metric(tree)
+    return _checked_tree_certificate(tree, rooted_node_space(tree), v)
+
+
+def _certify_edge_flow_battery(space: FiniteMetricSpace, tree: DendrogramTree, vectors: int, seed: int) -> None:
+    """Certify the edge-flow norm on the battery of :func:`oracle_vs_lp`.
+
+    ``tree`` is ``dendrogram(space)``, whose path metric is certified.  The
+    norm of every node pair difference must also be the distance of the pair.
+    """
+    ambient = rooted_node_space(tree)
+    battery, pairs = _battery(space, ambient, vectors, seed)
+    for v in battery:
+        _checked_tree_certificate(tree, ambient, v)
+    for i, j, v in pairs:
+        if _checked_tree_certificate(tree, ambient, v).value != ambient.dist[i][j]:
+            raise CertificationError(
+                f"edge-flow norm of the pair ({ambient.labels[i]}, {ambient.labels[j]}) is not its distance"
+            )
 
 
 def edge_molecules(tree: DendrogramTree) -> BasisFamily:
@@ -466,11 +583,17 @@ def pipeline(
     oracle_vectors: int = 25,
     seed: int = 0,
 ) -> PipelineReport:
-    """Run the full chain: round, embed, retract, oracle, basis, l1 constants.
+    """Run the full chain: round, embed, retract, edge flows, basis, l1 constants.
 
     The rounding distortion must stay below 2, the tree retraction constant
     and the induced projection norm below or at 4, the basis constant must be
-    exactly 1 and the l1 lower constant in (0, 1].
+    exactly 1 and the l1 lower constant in (0, 1].  The edge-flow norm is
+    certified on the battery of :func:`oracle_vs_lp` (``oracle_vectors``
+    random vectors, the leaf-supported ones and every node pair) by its own
+    flow and potential, and the projection norm is the Lipschitz constant of
+    the retraction, certified at its witness pair; a failed certificate
+    raises :class:`CertificationError`.  The one transport solve left is
+    the witness of the l1 lower constant.
     """
     if len(space) < 2:
         raise ValueError("pipeline needs at least two points")
@@ -481,7 +604,7 @@ def pipeline(
     distortion = identity_distortion(space, rounded)
     tree = dendrogram(rounded)
     claims = verify_retraction_claims(rounded)
-    oracle = oracle_vs_lp(rounded, vectors=oracle_vectors, seed=seed, tree=tree)
+    _certify_edge_flow_battery(rounded, tree, oracle_vectors, seed)
     chain = build_chain(space, ordering)
     chain_report = verify_chain(chain)
     family = basis_vectors(chain)
@@ -503,5 +626,6 @@ def pipeline(
         l1_upper=l1.upper,
         chain_ok=chain_report.passed,
         claims_ok=claims.passed,
-        oracle_ok=oracle.passed,
+        # a battery vector that fails its certificate raises above
+        oracle_ok=True,
     )

@@ -171,10 +171,14 @@ def free_norm_certificate(space: FiniteMetricSpace, v: FreeVector) -> FreeNormCe
 
     potential = LipFunction((Fraction(0),) + result.dual)
     if lip_norm(space, potential) > 1:
-        raise CertificationError("dual potential is not 1-Lipschitz")
+        g, d = potential.values, space.dist
+        i, j = next((i, j) for i in range(n) for j in range(i + 1, n) if abs(g[i] - g[j]) > d[i][j])
+        raise CertificationError(f"dual potential is not 1-Lipschitz on the pair ({i}, {j})")
     dual_value = sum(c * g for c, g in zip(v.coeffs, result.dual))
     if dual_value != result.value:
-        raise CertificationError("primal and dual transport optima differ")
+        raise CertificationError(
+            f"primal and dual transport optima differ: {result.value} against {dual_value}"
+        )
     flow = tuple(
         (arcs[k][0], arcs[k][1], amount) for k, amount in enumerate(result.x) if amount
     )
@@ -185,10 +189,22 @@ def free_norm(space: FiniteMetricSpace, v: FreeVector) -> Fraction:
     return free_norm_certificate(space, v).value
 
 
+def _lipschitz_witness(point_map: PointMap) -> tuple[Fraction, int, int]:
+    """Lip(f) and the first pair i < j, row by row, that attains it; (0, 0, 0) on one point."""
+    cod, img = point_map.codomain, point_map.image
+    n = len(point_map.domain)
+    pairs = ((i, j) for i in range(n) for j in range(i + 1, n))
+    ratios = _pair_ratios(point_map.domain, lambda i, j: cod.dist[img[i]][img[j]])
+    return max(
+        ((ratio, i, j) for ratio, (i, j) in zip(ratios, pairs)),
+        key=lambda entry: entry[0],
+        default=(Fraction(0), 0, 0),
+    )
+
+
 def lipschitz_constant(point_map: PointMap) -> Fraction:
     """Exact maximum of d(Lx, Ly) / d(x, y) over domain pairs."""
-    cod, img = point_map.codomain, point_map.image
-    return max(_pair_ratios(point_map.domain, lambda i, j: cod.dist[img[i]][img[j]]), default=Fraction(0))
+    return _lipschitz_witness(point_map)[0]
 
 
 def push_forward(point_map: PointMap, v: FreeVector) -> FreeVector:
@@ -205,25 +221,29 @@ def push_forward(point_map: PointMap, v: FreeVector) -> FreeVector:
 
 
 def operator_norm_of_extension(point_map: PointMap) -> Fraction:
-    """Operator norm of the linearized map, by maximizing over domain molecules.
+    """Operator norm of the linearized map: the Lipschitz constant of the point map.
 
-    Molecules are the extreme points of the domain unit ball, so the maximum
-    of the transport norm of their images is the exact operator norm.  The
-    value must coincide with the Lipschitz constant of the underlying point
-    map; a mismatch means the solver is broken, and raises.
+    Upper bound: the image of a molecule m_ij is the flow of 1/d(i, j) along
+    the one arc from f(i) to f(j), which costs d(f i, f j) / d(i, j) <=
+    Lip(f); molecules are the extreme points of the domain unit ball, so the
+    norm is at most Lip(f).  Lower bound, at the first pair (i, j) attaining
+    Lip(f): the potential g = d(., f j) - d(base, f j) on the codomain must
+    be 1-Lipschitz and pair with the image of m_ij to exactly Lip(f), and
+    the one-arc flow must have that image as its divergence.  A failed check
+    raises :class:`CertificationError` naming the pair.
     """
-    dom = point_map.domain
-    best = Fraction(0)
-    n = len(dom)
-    for i in range(n):
-        for j in range(i + 1, n):
-            image = push_forward(point_map, molecule(dom, i, j))
-            value = free_norm(point_map.codomain, image)
-            if value > best:
-                best = value
-    expected = lipschitz_constant(point_map)
-    if best != expected:
-        raise CertificationError(
-            f"operator norm {best} differs from Lipschitz constant {expected}"
-        )
+    best, i, j = _lipschitz_witness(point_map)
+    if best == 0:
+        return best
+    dom, cod = point_map.domain, point_map.codomain
+    source, target = point_map.image[i], point_map.image[j]
+    image = push_forward(point_map, molecule(dom, i, j))
+    arc = (1 / dom.dist[i][j]) * (dirac(cod, source) - dirac(cod, target))
+    if image != arc:
+        raise CertificationError(f"the image of the molecule at pair ({i}, {j}) is not its one-arc flow")
+    g = LipFunction(tuple(row[target] - cod.dist[0][target] for row in cod.dist))
+    if lip_norm(cod, g) > 1:
+        raise CertificationError(f"the potential of pair ({i}, {j}) is not 1-Lipschitz")
+    if sum(c * x for c, x in zip(image.coeffs, g.values[1:])) != best:
+        raise CertificationError(f"the potential of pair ({i}, {j}) does not attain the operator norm {best}")
     return best

@@ -402,18 +402,31 @@ def dendrogram(space: FiniteMetricSpace) -> DendrogramTree:
         if best >= 0:
             edge[idx] = nodes[best].height - u.height
     tree = DendrogramTree(space, tuple(nodes), tuple(parent), tuple(edge))
-    if parent.count(-1) != 1 or parent[-1] != -1:
-        raise CertificationError("dendrogram must have exactly one root, the top node")
+    _certify_path_metric(tree)
     for idx, u in enumerate(nodes):
         if u.height > 0 and len(tree.children(idx)) < 2:
             raise CertificationError(f"branching node {u} has fewer than two children")
+    return tree
+
+
+def _certify_path_metric(tree: DendrogramTree) -> None:
+    """Raise unless the path metric of the tree is the quotient metric on every node pair.
+
+    The tree must be rooted at its top node, with every parent strictly
+    higher than its child, so that every path walk ends.
+    """
+    nodes, parent = tree.nodes, tree.parent
+    if parent.count(-1) != 1 or parent[-1] != -1:
+        raise CertificationError("dendrogram must have exactly one root, the top node")
+    for k, p in enumerate(parent):
+        if p >= 0 and nodes[p].height <= nodes[k].height:
+            raise CertificationError(f"parent {nodes[p]} of {nodes[k]} is not higher")
     for i in range(len(nodes)):
         for j in range(i + 1, len(nodes)):
-            if path_distance(tree, i, j) != tree_distance(space, nodes[i], nodes[j]):
+            if path_distance(tree, i, j) != tree_distance(tree.space, nodes[i], nodes[j]):
                 raise CertificationError(
                     f"path metric disagrees with the quotient metric on ({nodes[i]}, {nodes[j]})"
                 )
-    return tree
 
 
 def path_distance(tree: DendrogramTree, i: int, j: int) -> Fraction:

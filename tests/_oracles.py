@@ -14,6 +14,11 @@ family, one sign orthant at a time, each a joint linear program in the
 weights and the flow.  It runs on the package simplex, which the
 enumeration above checks, and shares nothing with the molecule expansion
 of the closed form it is compared with.
+
+The operator norm of a linearized point map is re-derived by its
+definition on the extreme points of the unit ball: the largest transport
+norm, one LP each, of the images of the domain molecules.  It shares
+nothing with the Lipschitz-constant closed form it is compared with.
 """
 
 from __future__ import annotations
@@ -22,7 +27,7 @@ from fractions import Fraction
 from itertools import combinations
 
 from ultrafree.chain import BasisFamily
-from ultrafree.freespace import FreeVector, _transport_program
+from ultrafree.freespace import FreeVector, PointMap, _transport_program, free_norm, molecule, push_forward
 from ultrafree.linalg import SingularMatrixError, solve_linear
 from ultrafree.metric import FiniteMetricSpace
 from ultrafree.simplex import solve_lp
@@ -89,6 +94,20 @@ def orthant_l1_lower(space: FiniteMetricSpace, family: BasisFamily) -> Fraction:
             best = value
     assert best is not None
     return best
+
+
+def molecule_operator_norm(point_map: PointMap) -> Fraction:
+    """max over domain molecules m_ij of the transport norm of their images, one LP each."""
+    dom = point_map.domain
+    n = len(dom)
+    return max(
+        (
+            free_norm(point_map.codomain, push_forward(point_map, molecule(dom, i, j)))
+            for i in range(n)
+            for j in range(i + 1, n)
+        ),
+        default=Fraction(0),
+    )
 
 
 def lp_vertex_minimum(costs, rows, rhs) -> tuple[str, Fraction | None]:

@@ -10,7 +10,7 @@ from fractions import Fraction
 
 import pytest
 
-from _oracles import orthant_l1_lower
+from _oracles import molecule_operator_norm, orthant_l1_lower
 from ultrafree.chain import (
     basis_constant,
     basis_vectors,
@@ -27,6 +27,7 @@ from ultrafree.ell1 import (
 )
 from ultrafree.freespace import PointMap, lipschitz_constant, operator_norm_of_extension
 from ultrafree.metric import (
+    FiniteMetricSpace,
     bilipschitz_distortion,
     identity_distortion,
     random_ultrametric,
@@ -189,6 +190,11 @@ def test_criterion_6_edge_flow_oracle():
     assert ok
 
 
+def _linearization_norm_ok(pm) -> bool:
+    """The closed form, the molecule-LP definition and the Lipschitz constant agree."""
+    return operator_norm_of_extension(pm) == molecule_operator_norm(pm) == lipschitz_constant(pm)
+
+
 def test_criterion_7_linearization_norm():
     ok = True
     maps_checked = 0
@@ -197,12 +203,11 @@ def test_criterion_7_linearization_norm():
         identity = PointMap(space, space, tuple(range(n)))
         const = PointMap(space, space, (0,) * n)
         for pm in (identity, const):
-            ok = ok and operator_norm_of_extension(pm) == lipschitz_constant(pm)
+            ok = ok and _linearization_norm_ok(pm)
             maps_checked += 1
         chain = build_chain(space)
         for stage in range(1, n + 1):
-            pm = retraction_map(chain, stage)
-            ok = ok and operator_norm_of_extension(pm) == lipschitz_constant(pm)
+            ok = ok and _linearization_norm_ok(retraction_map(chain, stage))
             maps_checked += 1
     for n, seed in ((4, 5), (5, 6)):
         rounded = round_to_dyadic(random_ultrametric(n, 4100 + seed))
@@ -210,16 +215,14 @@ def test_criterion_7_linearization_norm():
         ambient = node_space(tree)
         branching = branching_points(rounded)
         image = tuple(retract_to_space(rounded, node, branching) for node in tree.nodes)
-        tree_retraction = PointMap(ambient, ambient, image)
-        ok = ok and operator_norm_of_extension(tree_retraction) == lipschitz_constant(tree_retraction)
+        ok = ok and _linearization_norm_ok(PointMap(ambient, ambient, image))
         maps_checked += 1
         chain = build_chain(rounded)
         for stage in (2, n):
             composite = tuple(chain.retract(stage, point) for point in image)
-            pm = PointMap(ambient, ambient, composite)
-            ok = ok and operator_norm_of_extension(pm) == lipschitz_constant(pm)
+            ok = ok and _linearization_norm_ok(PointMap(ambient, ambient, composite))
             maps_checked += 1
-    _report("7 linearization-norm", ok, f"{maps_checked} point maps")
+    _report("7 linearization-norm", ok, f"{maps_checked} point maps, closed form equals the molecule LPs")
     assert ok
 
 
@@ -238,12 +241,54 @@ def test_criterion_8_three_point_remark():
     assert ok
 
 
+# Primes just above 10^5: merge heights over different primes give large coprime denominators.
+_PRIMES_NEAR_1E5 = tuple(p for p in range(100_003, 100_200, 2) if all(p % q for q in range(3, 317, 2)))
+
+
+def _merge_space(heights, pick) -> FiniteMetricSpace:
+    """The ultrametric of merging the clusters pick(count) at each height, in increasing order."""
+    n = len(heights) + 1
+    clusters = [[i] for i in range(n)]
+    dist = [[Fraction(0)] * n for _ in range(n)]
+    for h in sorted(heights):
+        a, b = pick(len(clusters))
+        for x in clusters[a]:
+            for y in clusters[b]:
+                dist[x][y] = dist[y][x] = h
+        clusters = [c for k, c in enumerate(clusters) if k not in (a, b)] + [clusters[a] + clusters[b]]
+    return FiniteMetricSpace(tuple(f"p{i}" for i in range(n)), tuple(map(tuple, dist)))
+
+
+def _generated_spaces():
+    """Stress shapes at N <= 12: equal-height ties, coprime heights, a caterpillar and a star."""
+    rng = random.Random(5100)
+
+    def random_pair(count):
+        return rng.sample(range(count), 2)
+
+    def coprime_heights(count):
+        heights = set()
+        while len(heights) < count:
+            q = rng.choice(_PRIMES_NEAR_1E5)
+            heights.add(Fraction(rng.randint(q, 8 * q), q))
+        return list(heights)
+
+    ties = [_merge_space([Fraction(2) ** rng.randint(-2, 2) for _ in range(n - 1)], random_pair) for n in (6, 9, 12)]
+    coprime = [_merge_space(coprime_heights(n - 1), random_pair) for n in (5, 8, 11)]
+    # each merge joins the next singleton to the growing cluster
+    caterpillars = [_merge_space(coprime_heights(n - 1), lambda count: (0, count - 1)) for n in (7, 12)]
+    stars = [_merge_space([Fraction(3, 2)] * (n - 1), random_pair) for n in (5, 12)]
+    return ties + coprime + caterpillars + stars
+
+
 def test_criterion_9_pipeline():
     ok = True
     instances = 0
-    sizes = [(n, seed) for n in range(3, 9) for seed in range(2)] + [(10, 0), (12, 0)]
-    for n, seed in sizes:
-        space = random_ultrametric(n, 5000 + 7 * n + seed)
+    sizes = [(n, seed) for n in range(3, 9) for seed in range(2)] + [(10, 0), (12, 0), (16, 0), (24, 0)]
+    spaces = [random_ultrametric(n, 5000 + 7 * n + seed) for n, seed in sizes]
+    spaces += _generated_spaces()
+    for space in spaces:
+        n = len(space)
         report = pipeline(space)
         ok = (
             ok
@@ -253,12 +298,19 @@ def test_criterion_9_pipeline():
             and report.projection_norm <= 4
             and report.basis_constant == 1
             and 0 < report.l1_lower <= 1
-            and (
-                report.l1_lower == orthant_l1_lower(space, basis_vectors(build_chain(space)))
-                if n <= 8
-                else True
-            )
         )
+        if n <= 8:
+            rounded = round_to_dyadic(space)
+            ok = (
+                ok
+                and report.l1_lower == orthant_l1_lower(space, basis_vectors(build_chain(space)))
+                and oracle_vs_lp(rounded, vectors=25, seed=0, tree=dendrogram(rounded)).passed
+            )
         instances += 1
-    _report("9 pipeline", ok, f"{instances} instances, l1 lower constant equals the orthant LP for N <= 8")
+    _report(
+        "9 pipeline",
+        ok,
+        f"{instances} instances, N = 3..24 with ties, coprime heights, a caterpillar and a star; "
+        "for N <= 8 the l1 lower constant equals the orthant LP and the edge flows match the LP",
+    )
     assert ok

@@ -9,11 +9,14 @@ from ultrafree.chain import (
     build_chain,
     expand_in_basis,
     projection_matrix,
+    retraction_map,
     verify_chain,
     verify_projection_algebra,
 )
-from ultrafree.freespace import dirac, free_norm
+from ultrafree.freespace import dirac, free_norm, lipschitz_constant, operator_norm_of_extension
 from ultrafree.metric import random_ultrametric
+
+from _oracles import molecule_operator_norm
 
 
 def test_build_chain_triangle(triangle):
@@ -81,8 +84,12 @@ def test_projection_matrix_extremes(triangle):
 
 
 def test_projection_algebra(triangle):
-    report = verify_projection_algebra(build_chain(triangle), include_norms=True)
+    chain = build_chain(triangle)
+    report = verify_projection_algebra(chain, include_norms=True)
     assert report.passed
+    for n in range(2, chain.size + 1):
+        pm = retraction_map(chain, n)
+        assert operator_norm_of_extension(pm) == molecule_operator_norm(pm) == lipschitz_constant(pm) == 1
 
 
 def test_projection_algebra_random():

@@ -1,3 +1,4 @@
+import dataclasses
 import random
 from fractions import Fraction
 
@@ -16,9 +17,10 @@ from ultrafree.ell1 import (
     three_point_report,
     three_point_space,
     tree_free_norm,
+    tree_norm_certificate,
     vector_from_edge_flows,
 )
-from ultrafree.freespace import FreeVector, dirac, free_norm
+from ultrafree.freespace import FreeNormCertificate, FreeVector, LipFunction, dirac, free_norm, lip_norm
 from ultrafree.linalg import fraction_rank
 from ultrafree.metric import CertificationError, FiniteMetricSpace, random_ultrametric, round_to_dyadic, validate
 from ultrafree.rtree import dendrogram, rooted_node_space
@@ -73,6 +75,108 @@ def test_oracle_vs_lp_random():
     for seed in range(4):
         space = round_to_dyadic(random_ultrametric(5, 30 + seed))
         assert oracle_vs_lp(space, vectors=20, seed=seed).passed
+
+
+@pytest.mark.parametrize("vectors", [-1, -3])
+def test_oracle_rejects_negative_battery(triangle, vectors):
+    with pytest.raises(ValueError, match="non-negative"):
+        oracle_vs_lp(triangle, vectors=vectors)
+    with pytest.raises(ValueError, match="non-negative"):
+        pipeline(triangle, oracle_vectors=vectors)
+
+
+def test_empty_random_battery_keeps_the_leaf_and_pair_vectors(triangle):
+    # five leaf-supported vectors and the 10 pairs of the 5 tree nodes
+    assert oracle_vs_lp(triangle, vectors=0).vectors_checked == 15
+    assert pipeline(triangle, oracle_vectors=0) == pipeline(triangle)
+
+
+def test_tree_norm_certificate_matches_the_lp():
+    rng = random.Random(8)
+    for n in range(2, 9):
+        for seed in range(3):
+            tree = dendrogram(round_to_dyadic(random_ultrametric(n, 600 + 10 * n + seed)))
+            ambient = rooted_node_space(tree)
+            for _ in range(3):
+                v = FreeVector(tuple(Fraction(rng.randint(-6, 6), rng.randint(1, 4)) for _ in range(len(ambient) - 1)))
+                cert = tree_norm_certificate(tree, v)
+                assert cert.value == free_norm(ambient, v) == tree_free_norm(tree, v)
+                # the edge-wise check covers every pair, so the full scan agrees
+                assert lip_norm(ambient, cert.potential) <= 1
+
+
+# four_cluster: node 1 is the leaf a, its parent node 4 the ball a@1/8 at distance 1/8
+_LEAF_A = FreeVector((0, 1, 0, 0, 0, 0))
+_EDGE_A = r"edge \(a, a@1/8\)"
+
+
+def test_tree_certificate_rejects_a_wrong_edge_length(four_cluster, monkeypatch):
+    real = ell1.edge_flow_coordinates
+
+    def stretched(tree, v):
+        coords = real(tree, v)
+        lengths = list(coords.lengths)
+        lengths[1] *= 2
+        return ell1.EdgeFlowCoordinates(coords.masses, tuple(lengths))
+
+    monkeypatch.setattr(ell1, "edge_flow_coordinates", stretched)
+    with pytest.raises(CertificationError, match=_EDGE_A):
+        tree_norm_certificate(dendrogram(four_cluster), _LEAF_A)
+
+
+def _corrupt_solution(monkeypatch, change):
+    real = ell1._edge_flow_solution
+    monkeypatch.setattr(ell1, "_edge_flow_solution", lambda tree, v: change(real(tree, v)))
+
+
+def test_tree_certificate_rejects_a_flipped_potential_sign(four_cluster, monkeypatch):
+    def flip(cert):
+        g = list(cert.potential.values)
+        g[2] = 2 * g[5] - g[2]  # a (point 2) mirrored about its parent a@1/8 (point 5)
+        return FreeNormCertificate(cert.value, cert.flow, LipFunction(tuple(g)))
+
+    _corrupt_solution(monkeypatch, flip)
+    with pytest.raises(CertificationError, match="potential does not drop by the length of " + _EDGE_A):
+        tree_norm_certificate(dendrogram(four_cluster), _LEAF_A)
+
+
+def test_tree_certificate_rejects_a_corrupted_flow(four_cluster, monkeypatch):
+    def double(cert):
+        flow = tuple((a, b, 2 * amount if (a, b) == (2, 5) else amount) for a, b, amount in cert.flow)
+        return FreeNormCertificate(cert.value, flow, cert.potential)
+
+    _corrupt_solution(monkeypatch, double)
+    with pytest.raises(CertificationError, match="flow on " + _EDGE_A + " does not balance a"):
+        tree_norm_certificate(dendrogram(four_cluster), _LEAF_A)
+
+
+def test_tree_certificate_rejects_a_flow_off_the_tree(four_cluster, monkeypatch):
+    def shortcut(cert):
+        return FreeNormCertificate(cert.value, ((2, 0, Fraction(1)),), cert.potential)
+
+    _corrupt_solution(monkeypatch, shortcut)
+    with pytest.raises(CertificationError, match=r"flow arc \(a, 0@1/2\) is not a tree edge"):
+        tree_norm_certificate(dendrogram(four_cluster), _LEAF_A)
+
+
+def test_tree_certificate_recertifies_the_path_metric(four_cluster):
+    tree = dendrogram(four_cluster)
+    lengths = list(tree.edge_length)
+    lengths[1] *= 2
+    with pytest.raises(CertificationError, match="path metric disagrees"):
+        tree_norm_certificate(dataclasses.replace(tree, edge_length=tuple(lengths)), _LEAF_A)
+
+
+def test_pipeline_raises_on_a_failed_edge_flow_certificate(triangle, monkeypatch):
+    real = ell1._edge_flow_solution
+
+    def negated(tree, v):
+        cert = real(tree, v)
+        return FreeNormCertificate(cert.value, cert.flow, LipFunction(tuple(-g for g in cert.potential.values)))
+
+    monkeypatch.setattr(ell1, "_edge_flow_solution", negated)
+    with pytest.raises(CertificationError, match="potential does not drop"):
+        pipeline(triangle)
 
 
 def test_leaf_vectors_match_original_space_norm(triangle):

@@ -18,12 +18,14 @@ from ultrafree.freespace import (
     push_forward,
     zero_vector,
 )
+from ultrafree import freespace
 from ultrafree.chain import build_chain, retraction_map
 from ultrafree.ell1 import tree_free_norm
-from ultrafree.metric import FiniteMetricSpace, random_ultrametric
+from ultrafree.metric import CertificationError, FiniteMetricSpace, random_ultrametric
 from ultrafree.rtree import dendrogram
+from ultrafree.simplex import LpResult
 
-from _oracles import dual_vertex_norm
+from _oracles import dual_vertex_norm, molecule_operator_norm
 
 
 rationals = st.fractions(min_value=-4, max_value=4, max_denominator=6)
@@ -209,15 +211,18 @@ def test_push_forward_merges_coefficients(triangle):
     assert push_forward(collapse, v).coeffs == (Fraction(5), Fraction(0))
 
 
+def _operator_norms(pm):
+    return operator_norm_of_extension(pm), molecule_operator_norm(pm), lipschitz_constant(pm)
+
+
 def test_operator_norm_equals_lipschitz_constant(triangle):
     identity = PointMap(triangle, triangle, (0, 1, 2))
     const = PointMap(triangle, triangle, (0, 0, 0))
-    assert operator_norm_of_extension(identity) == 1
-    assert operator_norm_of_extension(const) == 0
+    assert _operator_norms(identity) == (1, 1, 1)
+    assert _operator_norms(const) == (0, 0, 0)
     for n in (1, 2, 3):
-        chain = build_chain(triangle)
-        value = operator_norm_of_extension(retraction_map(chain, n))
-        assert value == lipschitz_constant(retraction_map(chain, n))
+        value, oracle, lipschitz = _operator_norms(retraction_map(build_chain(triangle), n))
+        assert value == oracle == lipschitz
 
 
 def test_operator_norm_on_random_retractions():
@@ -225,4 +230,57 @@ def test_operator_norm_on_random_retractions():
         space = random_ultrametric(5, 200 + seed)
         chain = build_chain(space)
         for n in range(2, 6):
-            assert operator_norm_of_extension(retraction_map(chain, n)) == 1
+            assert _operator_norms(retraction_map(chain, n)) == (1, 1, 1)
+
+
+def test_operator_norm_one_point():
+    space = FiniteMetricSpace(("0",), ((0,),))
+    assert operator_norm_of_extension(PointMap(space, space, (0,))) == 0
+
+
+@pytest.mark.parametrize("corrupt", ["image", "potential"])
+def test_operator_norm_witness_is_checked(triangle, monkeypatch, corrupt):
+    # the collapse y -> x attains Lip = 1 first at the pair (0, 1)
+    collapse = PointMap(triangle, triangle, (0, 1, 1))
+    if corrupt == "image":
+        real = freespace.push_forward
+        monkeypatch.setattr(freespace, "push_forward", lambda pm, v: 2 * real(pm, v))
+        match = r"image of the molecule at pair \(0, 1\)"
+    else:
+        real = freespace.LipFunction
+        monkeypatch.setattr(freespace, "LipFunction", lambda values: real(tuple(2 * x for x in values)))
+        match = r"potential of pair \(0, 1\) is not 1-Lipschitz"
+    with pytest.raises(CertificationError, match=match):
+        operator_norm_of_extension(collapse)
+
+
+def test_operator_norm_potential_must_attain(triangle, monkeypatch):
+    collapse = PointMap(triangle, triangle, (0, 1, 1))
+    real = freespace.LipFunction
+    monkeypatch.setattr(freespace, "LipFunction", lambda values: real(tuple(x / 2 for x in values)))
+    with pytest.raises(CertificationError, match=r"pair \(0, 1\) does not attain"):
+        operator_norm_of_extension(collapse)
+
+
+def _corrupt_dual(monkeypatch, change):
+    real = freespace.solve_lp
+
+    def solve(*args, **kwargs):
+        result = real(*args, **kwargs)
+        return LpResult(result.x, result.value, change(result.dual))
+
+    monkeypatch.setattr(freespace, "solve_lp", solve)
+
+
+def test_free_norm_names_the_pair_breaking_lipschitz(triangle, monkeypatch):
+    # within 1 of the base at both points, but 1 apart across the side of length 1/2
+    _corrupt_dual(monkeypatch, lambda dual: (Fraction(1, 2), Fraction(-1, 2)))
+    with pytest.raises(CertificationError, match=r"not 1-Lipschitz on the pair \(1, 2\)"):
+        free_norm(triangle, FreeVector((1, -1)))
+
+
+def test_free_norm_names_both_optima(triangle, monkeypatch):
+    # d(x, y) = 1/2: the optimal potential is (0, 1, 1/2), value 1/2; halving it keeps it 1-Lipschitz
+    _corrupt_dual(monkeypatch, lambda dual: tuple(g / 2 for g in dual))
+    with pytest.raises(CertificationError, match=r"optima differ: 1/2 against 1/4"):
+        free_norm(triangle, FreeVector((1, -1)))

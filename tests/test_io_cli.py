@@ -3,10 +3,12 @@ from fractions import Fraction
 
 import pytest
 
+from ultrafree import freespace
 from ultrafree.campaign import CampaignConfig, emit_report, run_campaign
 from ultrafree.cli import main
 from ultrafree.freespace import FreeVector
 from ultrafree.metric import random_ultrametric
+from ultrafree.simplex import LpResult
 from ultrafree.serialize import (
     IngestError,
     dump_json,
@@ -189,6 +191,42 @@ def test_cli_l1check_one_point_exit_two(tmp_path, capsys):
     path.write_text('{"labels": ["0"], "dist": [["0"]]}')
     assert main(["l1check", str(path)]) == 2
     assert capsys.readouterr().err == "error: pipeline needs at least two points\n"
+
+
+@pytest.mark.parametrize("vectors", ["-3"])
+def test_cli_l1check_bad_oracle_vectors_exit_two(tmp_path, capsys, vectors):
+    space = _write_triangle(tmp_path)
+    assert main(["l1check", str(space), "--oracle-vectors", vectors]) == 2
+    assert capsys.readouterr().err == "error: the oracle battery size must be non-negative\n"
+
+
+def test_cli_l1check_empty_oracle_battery(tmp_path, capsys):
+    space = _write_triangle(tmp_path)
+    assert main(["l1check", str(space), "--oracle-vectors", "0"]) == 0
+    assert json.loads(capsys.readouterr().out)["oracle_ok"] is True
+
+
+@pytest.mark.parametrize(
+    "dual, message",
+    [
+        ((Fraction(1, 2), Fraction(-1, 2)), "dual potential is not 1-Lipschitz on the pair (1, 2)"),
+        ((Fraction(1, 2), Fraction(1, 4)), "primal and dual transport optima differ: 1/2 against 1/4"),
+    ],
+    ids=["lipschitz", "duality"],
+)
+def test_cli_norm_failed_certificate_exit_one(tmp_path, capsys, monkeypatch, dual, message):
+    real = freespace.solve_lp
+
+    def solve(*args, **kwargs):
+        result = real(*args, **kwargs)
+        return LpResult(result.x, result.value, dual)
+
+    monkeypatch.setattr(freespace, "solve_lp", solve)
+    space = _write_triangle(tmp_path)
+    vec = tmp_path / "vec.json"
+    vec.write_text('{"x": "1", "y": "-1"}')
+    assert main(["norm", str(space), "--vector", str(vec)]) == 1
+    assert capsys.readouterr().err == f"check failed: {message}\n"
 
 
 def test_cli_threepoint(tmp_path, capsys):
