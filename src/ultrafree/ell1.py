@@ -461,8 +461,10 @@ def three_point_report(
     norm_y = free_norm(space, dy)
     norm_diff = free_norm(space, dx - dy)
     norm_sum = free_norm(space, dx + dy)
-    if (norm_x, norm_y, norm_diff, norm_sum) != (1, 1, s, 2):
-        raise CertificationError("three-point identities failed")
+    identities = (("|dx|", norm_x, 1), ("|dy|", norm_y, 1), ("|dx - dy|", norm_diff, s), ("|dx + dy|", norm_sum, 2))
+    for name, value, expected in identities:
+        if value != expected:
+            raise CertificationError(f"three-point identity failed: {name} is {value}, not {expected}")
     beta_rows = []
     for beta in betas:
         value = free_norm(space, dx - beta * dy)

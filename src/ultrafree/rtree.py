@@ -416,8 +416,10 @@ def _certify_path_metric(tree: DendrogramTree) -> None:
     higher than its child, so that every path walk ends.
     """
     nodes, parent = tree.nodes, tree.parent
-    if parent.count(-1) != 1 or parent[-1] != -1:
-        raise CertificationError("dendrogram must have exactly one root, the top node")
+    roots = [_node_label(tree, nodes[k]) for k, p in enumerate(parent) if p == -1]
+    if len(roots) != 1 or parent[-1] != -1:
+        found = ", ".join(roots) or "none"
+        raise CertificationError(f"dendrogram must have exactly one root, the top node; its roots are {found}")
     for k, p in enumerate(parent):
         if p >= 0 and nodes[p].height <= nodes[k].height:
             raise CertificationError(f"parent {nodes[p]} of {nodes[k]} is not higher")

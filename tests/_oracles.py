@@ -19,6 +19,12 @@ The operator norm of a linearized point map is re-derived by its
 definition on the extreme points of the unit ball: the largest transport
 norm, one LP each, of the images of the domain molecules.  It shares
 nothing with the Lipschitz-constant closed form it is compared with.
+
+On ultrametric input the package reads the transport norm off the merge
+tree.  Two references check that route without sharing its code: the
+transport program solved by the package simplex directly, and the sum over
+the distinct closed balls of half the radius gap to the next larger ball
+times the absolute mass of the ball.
 """
 
 from __future__ import annotations
@@ -167,3 +173,28 @@ def _basic_feasible_points(rows, rhs) -> list[list[Fraction]]:
 
 def _dot(a, b) -> Fraction:
     return sum((p * q for p, q in zip(a, b)), Fraction(0))
+
+
+def lp_transport_norm(space: FiniteMetricSpace, v: FreeVector) -> Fraction:
+    """The transport program of the package, solved by the simplex whatever the metric."""
+    arcs, costs, columns, basis = _transport_program(space, v.coeffs)
+    return solve_lp(costs, columns, v.coeffs, basis=basis).value
+
+
+def ball_transport_norm(space: FiniteMetricSpace, v: FreeVector) -> Fraction:
+    """sum over distinct balls B of (r(parent) - r(B)) / 2 * |mu(B)| on an ultrametric.
+
+    B runs over the closed balls {y : d(x, y) <= r} with r a distance from
+    x; r(B) is the largest such distance inside B (0 for a point), the
+    parent is the next larger ball about the same centre, and mu includes
+    the base mass -sum(v).  The whole space has no parent and mass 0.
+    """
+    n = len(space)
+    mass = [-sum(v.coeffs, Fraction(0)), *v.coeffs]
+    terms = {}
+    for x in range(n):
+        radii = sorted(set(space.dist[x]))
+        for r, outer in zip(radii, radii[1:]):
+            ball = frozenset(y for y in range(n) if space.dist[x][y] <= r)
+            terms[ball] = (outer - r) / 2 * abs(sum(mass[y] for y in ball))
+    return sum(terms.values(), Fraction(0))

@@ -42,3 +42,12 @@ def four_cluster():
         ("0", "a", "b", "c"),
         ((0, 1, 1, 1), (1, 0, q, h), (1, q, 0, h), (1, h, h, 0)),
     )
+
+
+@pytest.fixture
+def lopsided():
+    """The triangle with d(0, y) lowered to 3/4: a metric, not an ultrametric."""
+    return FiniteMetricSpace(
+        ("0", "x", "y"),
+        ((0, 1, Fraction(3, 4)), (1, 0, Fraction(1, 2)), (Fraction(3, 4), Fraction(1, 2), 0)),
+    )

@@ -167,6 +167,18 @@ def test_tree_certificate_recertifies_the_path_metric(four_cluster):
         tree_norm_certificate(dataclasses.replace(tree, edge_length=tuple(lengths)), _LEAF_A)
 
 
+@pytest.mark.parametrize(
+    "parents, roots",
+    [(lambda p: p[:-1] + (0,), "none"), (lambda p: (-1,) + p[1:], "0, 0@1/2")],
+    ids=["no-root", "two-roots"],
+)
+def test_tree_certificate_names_the_roots_it_found(four_cluster, parents, roots):
+    tree = dendrogram(four_cluster)
+    broken = dataclasses.replace(tree, parent=parents(tree.parent))
+    with pytest.raises(CertificationError, match=f"exactly one root, the top node; its roots are {roots}$"):
+        tree_norm_certificate(broken, _LEAF_A)
+
+
 def test_pipeline_raises_on_a_failed_edge_flow_certificate(triangle, monkeypatch):
     real = ell1._edge_flow_solution
 
@@ -375,6 +387,13 @@ def test_three_point_symmetric_case_bound_is_tight():
 def test_three_point_grid_positive_minimum():
     report = three_point_report(Fraction(1, 2), resolution=16)
     assert report.min_violation > 0
+
+
+def test_three_point_names_the_failed_identity(monkeypatch):
+    real = ell1.free_norm
+    monkeypatch.setattr(ell1, "free_norm", lambda space, v: real(space, v) / 2 if v.coeffs == (1, -1) else real(space, v))
+    with pytest.raises(CertificationError, match=r"identity failed: \|dx - dy\| is 1/4, not 1/2$"):
+        three_point_report(Fraction(1, 2), resolution=4)
 
 
 def test_three_point_rejects_bad_s():

@@ -21,11 +21,11 @@ from ultrafree.freespace import (
 from ultrafree import freespace
 from ultrafree.chain import build_chain, retraction_map
 from ultrafree.ell1 import tree_free_norm
-from ultrafree.metric import CertificationError, FiniteMetricSpace, random_ultrametric
+from ultrafree.metric import CertificationError, FiniteMetricSpace, random_ultrametric, validate
 from ultrafree.rtree import dendrogram
 from ultrafree.simplex import LpResult
 
-from _oracles import dual_vertex_norm, molecule_operator_norm
+from _oracles import ball_transport_norm, dual_vertex_norm, lp_transport_norm, molecule_operator_norm
 
 
 rationals = st.fractions(min_value=-4, max_value=4, max_denominator=6)
@@ -112,19 +112,28 @@ _PRIMES_NEAR_A_MILLION = (
 )
 
 
-def _coprime_ultrametric(n, rng):
-    """Random merge tree whose heights have distinct prime denominators near 10^6."""
-    primes = rng.sample(_PRIMES_NEAR_A_MILLION, n - 1)
-    heights = sorted(Fraction(rng.randint(q, 8 * q), q) for q in primes)
+def _merge_ultrametric(heights, pick):
+    """The ultrametric of merging the clusters pick(count) at each height, in increasing order."""
+    n = len(heights) + 1
     clusters = [[i] for i in range(n)]
     dist = [[Fraction(0)] * n for _ in range(n)]
-    for h in heights:
-        a, b = rng.sample(range(len(clusters)), 2)
+    for h in sorted(heights):
+        a, b = pick(len(clusters))
         for x in clusters[a]:
             for y in clusters[b]:
                 dist[x][y] = dist[y][x] = h
         clusters = [c for k, c in enumerate(clusters) if k not in (a, b)] + [clusters[a] + clusters[b]]
     return FiniteMetricSpace(tuple(str(i) for i in range(n)), tuple(map(tuple, dist)))
+
+
+def _coprime_heights(count, rng):
+    """Random heights with distinct prime denominators near 10^6."""
+    return [Fraction(rng.randint(q, 8 * q), q) for q in rng.sample(_PRIMES_NEAR_A_MILLION, count)]
+
+
+def _coprime_ultrametric(n, rng):
+    """Random merge tree whose heights have distinct prime denominators near 10^6."""
+    return _merge_ultrametric(_coprime_heights(n - 1, rng), lambda count: rng.sample(range(count), 2))
 
 
 def _coprime_vector(n, rng):
@@ -272,15 +281,149 @@ def _corrupt_dual(monkeypatch, change):
     monkeypatch.setattr(freespace, "solve_lp", solve)
 
 
-def test_free_norm_names_the_pair_breaking_lipschitz(triangle, monkeypatch):
-    # within 1 of the base at both points, but 1 apart across the side of length 1/2
+def test_free_norm_names_the_pair_breaking_lipschitz(lopsided, monkeypatch):
+    # within 1 and 3/4 of the base, but 1 apart across the side of length 1/2
     _corrupt_dual(monkeypatch, lambda dual: (Fraction(1, 2), Fraction(-1, 2)))
+    with pytest.raises(CertificationError, match=r"not 1-Lipschitz on the pair \(1, 2\)"):
+        free_norm(lopsided, FreeVector((1, -1)))
+
+
+def test_free_norm_names_both_optima(lopsided, monkeypatch):
+    # d(x, y) = 1/2: an optimal potential pairs to 1/2; halving it keeps it 1-Lipschitz
+    _corrupt_dual(monkeypatch, lambda dual: tuple(g / 2 for g in dual))
+    with pytest.raises(CertificationError, match=r"optima differ: 1/2 against 1/4"):
+        free_norm(lopsided, FreeVector((1, -1)))
+
+
+def _no_lp(*args, **kwargs):
+    raise AssertionError("the simplex ran on an ultrametric")
+
+
+def test_tree_route_names_the_pair_breaking_lipschitz(triangle, monkeypatch):
+    monkeypatch.setattr(freespace, "solve_lp", _no_lp)
+    monkeypatch.setattr(freespace, "_sign_potential", lambda merges, masses: [0, Fraction(1, 2), Fraction(-1, 2)])
     with pytest.raises(CertificationError, match=r"not 1-Lipschitz on the pair \(1, 2\)"):
         free_norm(triangle, FreeVector((1, -1)))
 
 
-def test_free_norm_names_both_optima(triangle, monkeypatch):
-    # d(x, y) = 1/2: the optimal potential is (0, 1, 1/2), value 1/2; halving it keeps it 1-Lipschitz
-    _corrupt_dual(monkeypatch, lambda dual: tuple(g / 2 for g in dual))
-    with pytest.raises(CertificationError, match=r"optima differ: 1/2 against 1/4"):
+def test_tree_route_names_both_optima(triangle, monkeypatch):
+    # the detour x -> 0 -> y meets the coefficients at cost 2; the sign potential pairs to 1/2
+    monkeypatch.setattr(freespace, "solve_lp", _no_lp)
+    monkeypatch.setattr(
+        freespace, "_lca_flow", lambda merges, masses: (Fraction(2), [(0, 2, Fraction(1)), (1, 0, Fraction(1))])
+    )
+    with pytest.raises(CertificationError, match=r"optima differ: 2 against 1/2"):
         free_norm(triangle, FreeVector((1, -1)))
+
+
+@pytest.mark.parametrize(
+    "flow, match",
+    [
+        ([(1, 2, Fraction(0))], r"arc \(1, 2\) carries 0"),
+        ([(1, 2, Fraction(2))], r"leaves point 1 with 2, not 1"),
+        ([(1, 2, Fraction(1))], r"flow costs 1/2, not the value 1"),
+    ],
+    ids=["amount", "divergence", "cost"],
+)
+def test_tree_route_checks_its_flow(triangle, monkeypatch, flow, match):
+    monkeypatch.setattr(freespace, "_lca_flow", lambda merges, masses: (Fraction(1), flow))
+    with pytest.raises(CertificationError, match=match):
+        free_norm(triangle, FreeVector((1, -1)))
+
+
+def _count_lp(monkeypatch):
+    calls = []
+    real = freespace.solve_lp
+
+    def solve(*args, **kwargs):
+        calls.append(1)
+        return real(*args, **kwargs)
+
+    monkeypatch.setattr(freespace, "solve_lp", solve)
+    return calls
+
+
+def test_route_takes_the_tree_only_on_ultrametrics(four_cluster, monkeypatch):
+    calls = _count_lp(monkeypatch)
+    v = FreeVector((1, -2, Fraction(1, 3)))
+    tree_value = free_norm(four_cluster, v)
+    assert calls == []
+    rows = [list(row) for row in four_cluster.dist]
+    rows[3][1] = Fraction(1, 4)  # d(c, a) below d(a, c) = 1/2: asymmetric
+    assert free_norm(FiniteMetricSpace(four_cluster.labels, tuple(map(tuple, rows))), v) == tree_value
+    assert calls == [1]
+    rows = [list(row) for row in four_cluster.dist]
+    # d(b, c) = 5/8: a metric whose only defect is one cross pair of the merge at 1/2
+    rows[2][3] = rows[3][2] = Fraction(5, 8)
+    space = FiniteMetricSpace(four_cluster.labels, tuple(map(tuple, rows)))
+    assert validate(space).is_metric and not validate(space).is_ultrametric
+    assert free_norm(space, v) == dual_vertex_norm(space, v)
+    assert calls == [1, 1]
+
+
+def _stress_ultrametrics(rng):
+    """Equal-height power-of-two ties, heights over primes near 10^6, caterpillars and stars, N = 2..12."""
+
+    def pair(count):
+        return rng.sample(range(count), 2)
+
+    for n in range(2, 13):
+        yield _merge_ultrametric([Fraction(2) ** rng.randint(-2, 2) for _ in range(n - 1)], pair)
+        yield _coprime_ultrametric(n, rng)
+        # each merge joins the next singleton to the growing cluster
+        yield _merge_ultrametric(_coprime_heights(n - 1, rng), lambda count: (0, count - 1))
+        yield _merge_ultrametric([Fraction(3, 2)] * (n - 1), pair)
+
+
+def _stress_vectors(space, rng):
+    """A random vector, a sum of scaled molecules and a Dirac."""
+    n = len(space)
+    yield _coprime_vector(n, rng)
+    total = zero_vector(space)
+    for _ in range(3):
+        total = total + rng.randint(-7, 7) * molecule(space, *rng.sample(range(n), 2))
+    yield total
+    yield dirac(space, rng.randrange(1, n))
+
+
+def test_tree_route_matches_the_lp_on_stress_ultrametrics(monkeypatch):
+    rng = random.Random(7)
+    calls = _count_lp(monkeypatch)
+    checked = 0
+    for space in _stress_ultrametrics(rng):
+        for v in _stress_vectors(space, rng):
+            assert free_norm_certificate(space, v).value == lp_transport_norm(space, v)
+            checked += 1
+    assert calls == [] and checked == 132
+
+
+@pytest.mark.parametrize("seed", [60, 61])
+def test_free_norm_at_sixty_points(seed):
+    space = random_ultrametric(60, seed)
+    rng = random.Random(seed)
+    for v in _stress_vectors(space, rng):
+        assert free_norm(space, v) == ball_transport_norm(space, v)
+
+
+def test_ball_reference_matches_the_lp():
+    rng = random.Random(11)
+    for space in _stress_ultrametrics(rng):
+        if len(space) <= 8:
+            v = _coprime_vector(len(space), rng)
+            assert ball_transport_norm(space, v) == lp_transport_norm(space, v)
+
+
+def test_free_vector_arithmetic_parses_only_the_scalar(monkeypatch):
+    v, w = FreeVector((1, "1/2", Fraction(-3))), FreeVector((0, 2, "7/3"))
+    parsed = []
+    real = freespace.parse_rational
+    monkeypatch.setattr(freespace, "parse_rational", lambda x: parsed.append(x) or real(x))
+    assert (v + w).coeffs == (1, Fraction(5, 2), Fraction(-2, 3))
+    assert (v - w).coeffs == (1, Fraction(-3, 2), Fraction(-16, 3))
+    assert (-v).coeffs == (-1, Fraction(-1, 2), 3)
+    assert ("2/3" * v).coeffs == (Fraction(2, 3), Fraction(1, 3), -2)
+    assert parsed == ["2/3"]
+    with pytest.raises(TypeError, match="refusing float"):
+        FreeVector((0.5, 1, 2))
+    with pytest.raises(TypeError, match="refusing float"):
+        0.5 * v

@@ -3,7 +3,7 @@ from fractions import Fraction
 
 import pytest
 
-from ultrafree import freespace
+from ultrafree import ell1, freespace
 from ultrafree.campaign import CampaignConfig, emit_report, run_campaign
 from ultrafree.cli import main
 from ultrafree.freespace import FreeVector
@@ -95,11 +95,11 @@ def test_to_jsonable_refuses_sets(value):
         to_jsonable(value)
 
 
-def _write_triangle(tmp_path, name="space.json"):
+def _write_triangle(tmp_path, name="space.json", base_to_y="1"):
     path = tmp_path / name
     data = {
         "labels": ["0", "x", "y"],
-        "dist": [["0", "1", "1"], ["1", "0", "1/2"], ["1", "1/2", "0"]],
+        "dist": [["0", "1", base_to_y], ["1", "0", "1/2"], [base_to_y, "1/2", "0"]],
     }
     path.write_text(json.dumps(data))
     return path
@@ -222,11 +222,37 @@ def test_cli_norm_failed_certificate_exit_one(tmp_path, capsys, monkeypatch, dua
         return LpResult(result.x, result.value, dual)
 
     monkeypatch.setattr(freespace, "solve_lp", solve)
+    # d(0, y) = 3/4 keeps the space a metric but not an ultrametric, so the norm goes to the simplex
+    space = _write_triangle(tmp_path, base_to_y="3/4")
+    vec = tmp_path / "vec.json"
+    vec.write_text('{"x": "1", "y": "-1"}')
+    assert main(["norm", str(space), "--vector", str(vec)]) == 1
+    assert capsys.readouterr().err == f"check failed: {message}\n"
+
+
+@pytest.mark.parametrize(
+    "corrupt, value, message",
+    [
+        ("_sign_potential", [0, Fraction(1, 2), Fraction(-1, 2)], "dual potential is not 1-Lipschitz on the pair (1, 2)"),
+        ("_lca_flow", (Fraction(2), [(0, 2, Fraction(1)), (1, 0, Fraction(1))]),
+         "primal and dual transport optima differ: 2 against 1/2"),
+    ],
+    ids=["potential", "flow"],
+)
+def test_cli_norm_failed_tree_certificate_exit_one(tmp_path, capsys, monkeypatch, corrupt, value, message):
+    monkeypatch.setattr(freespace, corrupt, lambda merges, masses: value)
     space = _write_triangle(tmp_path)
     vec = tmp_path / "vec.json"
     vec.write_text('{"x": "1", "y": "-1"}')
     assert main(["norm", str(space), "--vector", str(vec)]) == 1
     assert capsys.readouterr().err == f"check failed: {message}\n"
+
+
+def test_cli_threepoint_names_the_failed_identity(capsys, monkeypatch):
+    real = ell1.free_norm
+    monkeypatch.setattr(ell1, "free_norm", lambda space, v: 2 * real(space, v) if v.coeffs == (1, 1) else real(space, v))
+    assert main(["threepoint", "--s", "1/2", "--resolution", "4"]) == 1
+    assert capsys.readouterr().err == "check failed: three-point identity failed: |dx + dy| is 4, not 2\n"
 
 
 def test_cli_threepoint(tmp_path, capsys):
