@@ -9,6 +9,12 @@ the transport solver in :func:`oracle_vs_lp`, computes the l1-equivalence
 constants of a basis family in closed form, and runs the three-point
 non-isometry search.
 
+The certificate runs in integers: the tree is prepared once, its edge
+lengths and the node-space distances they are checked against put on one
+common scale, and each vector's coefficients are scaled by the lcm of
+their denominators.  Every check of the certificate is then an integer
+comparison; Fractions are built only for a returned certificate.
+
 The unit ball of the free space is the convex hull of the +-molecules
 m_ij = (delta_i - delta_j) / d(i, j), so the lower l1 constant of a family
 is 1 / max_{i<j} Phi(m_ij), where Phi(x) = sum |c_k(x)| * norm(e_k) over
@@ -22,7 +28,7 @@ import random
 from dataclasses import dataclass
 from fractions import Fraction
 from math import lcm
-from typing import Optional, Sequence
+from typing import NamedTuple, Optional, Sequence
 
 from .chain import BasisFamily, _molecule_expansions, basis_constant, basis_vectors, build_chain, verify_chain
 from .freespace import (
@@ -43,12 +49,12 @@ from .metric import (
     identity_distortion,
     round_to_dyadic,
     validate,
+    with_base,
 )
 from .rational import parse_rational
 from .rtree import (
     DendrogramTree,
     _certify_path_metric,
-    branching_points,
     dendrogram,
     node_space,
     retract_to_space,
@@ -75,6 +81,20 @@ class EdgeFlowCoordinates:
         )
 
 
+def _top_down(tree: DendrogramTree) -> list[tuple[int, int, Fraction]]:
+    """The edges (child, parent, length), highest child first; point 0 is the root, k + 1 node k."""
+    count = len(tree.nodes)
+    order = sorted(range(count - 1), key=lambda k: tree.nodes[k].height, reverse=True)
+    return [(k + 1, (tree.parent[k] + 1) % count, tree.edge_length[k]) for k in order]
+
+
+def _subtree_masses(edges: Sequence[tuple], net: list) -> list:
+    """Add every node's mass into its parent, children first; ``net`` is indexed by point."""
+    for child, parent, *_ in reversed(edges):
+        net[parent] += net[child]
+    return net
+
+
 def edge_flow_coordinates(tree: DendrogramTree, v: FreeVector) -> EdgeFlowCoordinates:
     """Accumulate subtree masses bottom-up; linear time in the node count.
 
@@ -84,12 +104,8 @@ def edge_flow_coordinates(tree: DendrogramTree, v: FreeVector) -> EdgeFlowCoordi
     count = len(tree.nodes)
     if len(v.coeffs) != count - 1:
         raise ValueError("vector dimension does not match the tree nodes")
-    net = list(v.coeffs) + [Fraction(0)]
-    for k in sorted(range(count), key=lambda k: tree.nodes[k].height):
-        p = tree.parent[k]
-        if p >= 0:
-            net[p] += net[k]
-    return EdgeFlowCoordinates(tuple(net[: count - 1]), tree.edge_length[: count - 1])
+    net = _subtree_masses(_top_down(tree), [Fraction(0), *v.coeffs])
+    return EdgeFlowCoordinates(tuple(net[1:]), tree.edge_length[: count - 1])
 
 
 def vector_from_edge_flows(tree: DendrogramTree, masses: Sequence[Fraction]) -> FreeVector:
@@ -138,16 +154,19 @@ def _battery(
         raise ValueError("the oracle battery size must be non-negative")
     dim = len(ambient) - 1
     rng = random.Random(seed)
-    battery = [FreeVector(_random_coeffs(rng, dim)) for _ in range(vectors)]
+    battery = [FreeVector._exact(_random_coeffs(rng, dim)) for _ in range(vectors)]
+    zeros = (Fraction(0),) * dim
     for _ in range(max(5, vectors // 5)):
-        coeffs = list(_random_coeffs(rng, len(space)))
-        coeffs += [Fraction(0)] * (dim - len(coeffs))
-        battery.append(FreeVector(tuple(coeffs)))
-    pairs = [
-        (i, j, dirac(ambient, i) - dirac(ambient, j))
-        for i in range(len(ambient))
-        for j in range(i + 1, len(ambient))
-    ]
+        coeffs = _random_coeffs(rng, len(space))
+        battery.append(FreeVector._exact(coeffs + zeros[len(coeffs):]))
+    pairs = []
+    for i in range(len(ambient)):
+        for j in range(i + 1, len(ambient)):
+            coeffs = list(zeros)
+            if i:
+                coeffs[i - 1] = Fraction(1)
+            coeffs[j - 1] = Fraction(-1)
+            pairs.append((i, j, FreeVector._exact(tuple(coeffs))))
     return battery, pairs
 
 
@@ -183,100 +202,146 @@ def oracle_vs_lp(
     return OracleReport(len(battery) + len(pairs), tuple(mism), tuple(pair_mism))
 
 
-def _edge_flow_solution(tree: DendrogramTree, v: FreeVector) -> FreeNormCertificate:
-    """The edge-flow norm of v with its flow and sign potential, unchecked.
+class _ScaledTree(NamedTuple):
+    """A tree prepared once for many vectors, on one integer scale: lengths in units of 1/scale.
 
-    Point 0 of the root-based node space is the root and point k + 1 is node
-    k.  The flow sends |m_e| along each edge e, out of the subtree below e
-    when its mass m_e is positive; the potential vanishes at the root and
-    rises by length(e) * sign(m_e) from the parent to the child of e.
+    ``edges`` holds (child, parent, length) in root-based node-space indices,
+    highest child first, with the lengths of ``tree.edge_length``; ``dist``
+    holds the node-space distance on both orientations of every edge, the
+    independent side the lengths are checked against.
     """
-    coords = edge_flow_coordinates(tree, v)
-    count = len(tree.nodes)
-    g = [Fraction(0)] * count
+
+    scale: int
+    edges: tuple[tuple[int, int, int], ...]
+    dist: dict[tuple[int, int], int]
+    parent: tuple[int, ...]
+    labels: tuple[str, ...]
+
+
+def _scaled_tree(tree: DendrogramTree, ambient: FiniteMetricSpace) -> _ScaledTree:
+    """Prepare ``tree`` against ``ambient``, its root-based node space."""
+    edges, d = _top_down(tree), ambient.dist
+    dist, parent = {}, [-1] * len(tree.nodes)
+    for child, up, _ in edges:
+        dist[child, up] = d[child][up]
+        dist[up, child] = d[up][child]
+        parent[child] = up
+    scale = lcm(*(x.denominator for x in dist.values()), *(length.denominator for *_, length in edges))
+    return _ScaledTree(
+        scale,
+        tuple((child, up, int(length * scale)) for child, up, length in edges),
+        {arc: int(x * scale) for arc, x in dist.items()},
+        tuple(parent),
+        ambient.labels,
+    )
+
+
+def _edge_flow_solution(tree: _ScaledTree, coeffs: Sequence[int]) -> tuple[int, list[tuple[int, int, int]], list[int]]:
+    """The edge-flow norm of integer coefficients with its flow and sign potential, unchecked.
+
+    Coefficient k belongs to point k + 1.  The flow sends |m_e| along each
+    edge e, out of the subtree below e when its mass m_e is positive; the
+    potential vanishes at the root and rises by length(e) * sign(m_e) from
+    the parent to the child of e, in units of 1/scale.
+    """
+    net = _subtree_masses(tree.edges, [0, *coeffs])
+    g = [0] * len(net)
     flow = []
-    for k in sorted(range(count - 1), key=lambda k: tree.nodes[k].height, reverse=True):
-        child, parent = k + 1, (tree.parent[k] + 1) % count
-        mass, length = coords.masses[k], coords.lengths[k]
-        if mass > 0:
-            g[child] = g[parent] + length
-            flow.append((child, parent, mass))
-        elif mass < 0:
-            g[child] = g[parent] - length
-            flow.append((parent, child, -mass))
-        else:
-            g[child] = g[parent]
-    return FreeNormCertificate(coords.norm(), tuple(flow), LipFunction(tuple(g)))
+    for child, parent, length in tree.edges:
+        mass = net[child]
+        g[child] = g[parent] + ((mass > 0) - (mass < 0)) * length
+        if mass:
+            flow.append((child, parent, mass) if mass > 0 else (parent, child, -mass))
+    return sum(length * abs(net[child]) for child, _, length in tree.edges), flow, g
 
 
-def _checked_tree_certificate(
-    tree: DendrogramTree, ambient: FiniteMetricSpace, v: FreeVector
-) -> FreeNormCertificate:
-    """The edge-flow certificate of v, checked against the distances of ``ambient``.
+def _checked_edge_flow(tree: _ScaledTree, v: FreeVector) -> tuple[int, int, list[tuple[int, int, int]], list[int]]:
+    """The edge-flow solution of v, checked in integers against the node-space distances.
 
-    ``ambient`` is the root-based node space of a tree whose path metric is
-    certified.  The flow must run along tree edges with positive amounts,
-    balance every node to its coefficient and cost the value; the potential
-    must be 1-Lipschitz on every edge, tight on every edge that carries flow
-    and attain the value.  On a tree path the edge steps add up to the
-    distance, so the edge-wise 1-Lipschitz check covers every pair.
+    Returns (value, unit, flow, potential): the coefficients are scaled by
+    the lcm ``unit`` of their denominators and the value is in units of
+    1/(scale * unit).  The flow must run along tree edges with positive
+    amounts, balance every node to its coefficient and cost the value; the
+    potential must be tight on every edge that carries flow, 1-Lipschitz on
+    every edge and attain the value.  On a tree path the edge steps add up
+    to the distance, so the edge-wise 1-Lipschitz check covers every pair.
     """
-    cert = _edge_flow_solution(tree, v)
-    d, labels, g = ambient.dist, ambient.labels, cert.potential.values
-    count = len(tree.nodes)
-    parent_of = {k + 1: (p + 1) % count for k, p in enumerate(tree.parent) if p >= 0}
+    if len(v.coeffs) != len(tree.edges):
+        raise ValueError("vector dimension does not match the tree nodes")
+    unit = lcm(*(c.denominator for c in v.coeffs))
+    coeffs = [c.numerator * (unit // c.denominator) for c in v.coeffs]
+    value, flow, g = _edge_flow_solution(tree, coeffs)
+    dist, labels = tree.dist, tree.labels
 
     def edge(a: int, b: int) -> str:
         return f"({labels[a]}, {labels[b]})"
 
-    divergence = [Fraction(0)] * count
-    cost = Fraction(0)
-    for a, b, amount in cert.flow:
-        if parent_of.get(a) != b and parent_of.get(b) != a:
+    def exact(x: int) -> Fraction:
+        return Fraction(x, tree.scale * unit)
+
+    divergence = [0] * len(g)
+    cost = 0
+    for a, b, amount in flow:
+        length = dist.get((a, b))
+        if length is None:
             raise CertificationError(f"flow arc {edge(a, b)} is not a tree edge")
         if amount <= 0:
             raise CertificationError(f"flow on edge {edge(a, b)} is not positive")
-        if g[a] - g[b] != d[a][b]:
+        if g[a] - g[b] != length:
             raise CertificationError(f"potential does not drop by the length of edge {edge(a, b)}")
         divergence[a] += amount
         divergence[b] -= amount
-        cost += amount * d[a][b]
-    for child, parent in parent_of.items():
-        if abs(g[child] - g[parent]) > d[child][parent]:
+        cost += amount * length
+    for child in range(1, len(g)):
+        parent = tree.parent[child]
+        if abs(g[child] - g[parent]) > dist[child, parent]:
             raise CertificationError(f"potential is not 1-Lipschitz on edge {edge(child, parent)}")
-        if divergence[child] != v.coeffs[child - 1]:
+        if divergence[child] != coeffs[child - 1]:
             raise CertificationError(f"flow on edge {edge(child, parent)} does not balance {labels[child]}")
-    if cost != cert.value:
-        raise CertificationError(f"edge flow costs {cost}, not the value {cert.value}")
-    if sum(c * x for c, x in zip(v.coeffs, g[1:])) != cert.value:
-        raise CertificationError(f"sign potential does not attain the value {cert.value}")
-    return cert
+    if cost != value:
+        raise CertificationError(f"edge flow costs {exact(cost)}, not the value {exact(value)}")
+    if sum(c * x for c, x in zip(coeffs, g[1:])) != value:
+        raise CertificationError(f"sign potential does not attain the value {exact(value)}")
+    return value, unit, flow, g
 
 
 def tree_norm_certificate(tree: DendrogramTree, v: FreeVector) -> FreeNormCertificate:
     """Edge-flow norm of v on the root-based node space, with its flow and potential.
 
     Re-certifies the path metric of the tree against the quotient metric,
-    then checks the flow and the sign potential as in
-    :func:`_checked_tree_certificate`; any failure raises
-    :class:`CertificationError`.
+    then checks the flow and the sign potential in integers on one scale,
+    as in :func:`_checked_edge_flow`, and converts to Fractions at the end;
+    any failure raises :class:`CertificationError`.
     """
     _certify_path_metric(tree)
-    return _checked_tree_certificate(tree, rooted_node_space(tree), v)
+    scaled = _scaled_tree(tree, rooted_node_space(tree))
+    value, unit, flow, g = _checked_edge_flow(scaled, v)
+    return FreeNormCertificate(
+        Fraction(value, scaled.scale * unit),
+        tuple((a, b, Fraction(amount, unit)) for a, b, amount in flow),
+        LipFunction(tuple(Fraction(x, scaled.scale) for x in g)),
+    )
 
 
-def _certify_edge_flow_battery(space: FiniteMetricSpace, tree: DendrogramTree, vectors: int, seed: int) -> None:
-    """Certify the edge-flow norm on the battery of :func:`oracle_vs_lp`.
+def _certify_edge_flow_battery(
+    space: FiniteMetricSpace, tree: DendrogramTree, ambient: FiniteMetricSpace, vectors: int, seed: int
+) -> None:
+    """Certify the edge-flow norm on the battery of :func:`oracle_vs_lp`, in integers.
 
-    ``tree`` is ``dendrogram(space)``, whose path metric is certified.  The
-    norm of every node pair difference must also be the distance of the pair.
+    ``tree`` is ``dendrogram(space)``, whose path metric is certified, and
+    ``ambient`` its root-based node space.  The tree is prepared on one
+    integer scale once; every vector gets every check of
+    :func:`_checked_edge_flow`, and the norm of every node pair difference
+    must also be the distance of the pair.
     """
-    ambient = rooted_node_space(tree)
+    scaled = _scaled_tree(tree, ambient)
     battery, pairs = _battery(space, ambient, vectors, seed)
     for v in battery:
-        _checked_tree_certificate(tree, ambient, v)
+        _checked_edge_flow(scaled, v)
     for i, j, v in pairs:
-        if _checked_tree_certificate(tree, ambient, v).value != ambient.dist[i][j]:
+        value, unit, _, _ = _checked_edge_flow(scaled, v)
+        d = ambient.dist[i][j]
+        if value * d.denominator != d.numerator * scaled.scale * unit:
             raise CertificationError(
                 f"edge-flow norm of the pair ({ambient.labels[i]}, {ambient.labels[j]}) is not its distance"
             )
@@ -592,7 +657,8 @@ def pipeline(
     exactly 1 and the l1 lower constant in (0, 1].  The edge-flow norm is
     certified on the battery of :func:`oracle_vs_lp` (``oracle_vectors``
     random vectors, the leaf-supported ones and every node pair) by its own
-    flow and potential, and the projection norm is the Lipschitz constant of
+    flow and potential, in integers on the tree prepared once; the node
+    space is built once, and the projection norm is the Lipschitz constant of
     the retraction, certified at its witness pair; a failed certificate
     raises :class:`CertificationError`.  The one transport solve left is
     the witness of the l1 lower constant.
@@ -606,17 +672,15 @@ def pipeline(
     distortion = identity_distortion(space, rounded)
     tree = dendrogram(rounded)
     claims = verify_retraction_claims(rounded)
-    _certify_edge_flow_battery(rounded, tree, oracle_vectors, seed)
+    ambient = node_space(tree)
+    _certify_edge_flow_battery(rounded, tree, with_base(ambient, len(tree.nodes) - 1), oracle_vectors, seed)
     chain = build_chain(space, ordering)
     chain_report = verify_chain(chain)
     family = basis_vectors(chain)
     constant = basis_constant(space, family)
     l1 = l1_equivalence_constants(space, family)
-    ambient = node_space(tree)
-    branching = branching_points(rounded)
-    image = tuple(
-        retract_to_space(rounded, node, branching) for node in tree.nodes
-    )
+    branching = tree.nodes[len(rounded):]
+    image = tuple(retract_to_space(rounded, node, branching) for node in tree.nodes)
     projection = operator_norm_of_extension(PointMap(ambient, ambient, image))
     return PipelineReport(
         size=len(space),

@@ -4,7 +4,8 @@ from fractions import Fraction
 
 import pytest
 
-from _oracles import orthant_l1_lower
+from _oracles import lp_transport_norm, orthant_l1_lower
+from test_freespace import _PRIMES_NEAR_A_MILLION, _coprime_heights, _merge_ultrametric
 from ultrafree import ell1
 from ultrafree.chain import BasisFamily, basis_vectors, build_chain
 from ultrafree.ell1 import (
@@ -20,7 +21,7 @@ from ultrafree.ell1 import (
     tree_norm_certificate,
     vector_from_edge_flows,
 )
-from ultrafree.freespace import FreeNormCertificate, FreeVector, LipFunction, dirac, free_norm, lip_norm
+from ultrafree.freespace import FreeVector, dirac, free_norm, lip_norm
 from ultrafree.linalg import fraction_rank
 from ultrafree.metric import CertificationError, FiniteMetricSpace, random_ultrametric, round_to_dyadic, validate
 from ultrafree.rtree import dendrogram, rooted_node_space
@@ -105,58 +106,171 @@ def test_tree_norm_certificate_matches_the_lp():
                 assert lip_norm(ambient, cert.potential) <= 1
 
 
-# four_cluster: node 1 is the leaf a, its parent node 4 the ball a@1/8 at distance 1/8
+def _public_battery(space, ambient, vectors, seed):
+    """The battery built by public construction: parsed vectors and dirac differences."""
+    dim = len(ambient) - 1
+    rng = random.Random(seed)
+    battery = [FreeVector(ell1._random_coeffs(rng, dim)) for _ in range(vectors)]
+    for _ in range(max(5, vectors // 5)):
+        coeffs = list(ell1._random_coeffs(rng, len(space)))
+        coeffs += [Fraction(0)] * (dim - len(coeffs))
+        battery.append(FreeVector(tuple(coeffs)))
+    pairs = [
+        (i, j, dirac(ambient, i) - dirac(ambient, j))
+        for i in range(len(ambient))
+        for j in range(i + 1, len(ambient))
+    ]
+    return battery, pairs
+
+
+@pytest.mark.parametrize("vectors, seed", [(0, 0), (25, 3), (60, 11)])
+def test_battery_matches_the_public_construction(triangle, four_cluster, vectors, seed):
+    for space in (triangle, four_cluster, round_to_dyadic(random_ultrametric(7, 40 + seed))):
+        ambient = rooted_node_space(dendrogram(space))
+        battery, pairs = ell1._battery(space, ambient, vectors, seed)
+        assert (battery, pairs) == _public_battery(space, ambient, vectors, seed)
+        for v in battery + [v for _, _, v in pairs]:
+            assert all(type(c) is Fraction for c in v.coeffs)
+
+
+def test_tree_norm_certificate_on_one_integer_scale():
+    """Coprime heights, caterpillars, stars and power-of-two ties, N = 2..8, with
+    coefficients over primes near 10^6: the value is the LP's, the potential passes
+    the full pair scan and the flow, recomputed here, balances every coefficient."""
+    rng = random.Random(12)
+
+    def pair(count):
+        return rng.sample(range(count), 2)
+
+    checked = 0
+    for n in range(2, 9):
+        shapes = (
+            _merge_ultrametric(_coprime_heights(n - 1, rng), pair),
+            # each merge joins the next singleton to the growing cluster
+            _merge_ultrametric(_coprime_heights(n - 1, rng), lambda count: (0, count - 1)),
+            _merge_ultrametric([Fraction(3, 2)] * (n - 1), pair),
+            _merge_ultrametric([Fraction(2) ** rng.randint(-2, 2) for _ in range(n - 1)], pair),
+        )
+        for space in shapes:
+            tree = dendrogram(space)
+            ambient = rooted_node_space(tree)
+            for _ in range(2):
+                v = FreeVector(tuple(
+                    Fraction(rng.randint(-10**6, 10**6), rng.choice(_PRIMES_NEAR_A_MILLION))
+                    for _ in range(len(ambient) - 1)
+                ))
+                cert = tree_norm_certificate(tree, v)
+                assert cert.value == lp_transport_norm(ambient, v)
+                assert lip_norm(ambient, cert.potential) <= 1
+                assert sum(c * g for c, g in zip(v.coeffs, cert.potential.values[1:])) == cert.value
+                outflow = [Fraction(0)] * len(ambient)
+                for a, b, amount in cert.flow:
+                    assert amount > 0
+                    outflow[a] += amount
+                    outflow[b] -= amount
+                assert outflow[1:] == list(v.coeffs)
+                assert sum(amount * ambient.dist[a][b] for a, b, amount in cert.flow) == cert.value
+                checked += 1
+    assert checked == 56
+
+
+# four_cluster: node 1 is the leaf a, its parent node 4 the ball a@1/8 at distance 1/8;
+# in the root-based node space they are points 2 and 5
 _LEAF_A = FreeVector((0, 1, 0, 0, 0, 0))
 _EDGE_A = r"edge \(a, a@1/8\)"
 
 
+def _certify_leaf_a(space):
+    return tree_norm_certificate(dendrogram(space), _LEAF_A)
+
+
+# Both entry points reach the one checker: tree_norm_certificate on _LEAF_A, and
+# pipeline on its battery, which fails at the first vector the corruption reaches.
+# Each corruption test runs both, under the test's one name.
+_ENTRY_POINTS = (_certify_leaf_a, pipeline)
+
+
 def test_tree_certificate_rejects_a_wrong_edge_length(four_cluster, monkeypatch):
-    real = ell1.edge_flow_coordinates
+    real = ell1._scaled_tree
 
-    def stretched(tree, v):
-        coords = real(tree, v)
-        lengths = list(coords.lengths)
-        lengths[1] *= 2
-        return ell1.EdgeFlowCoordinates(coords.masses, tuple(lengths))
+    def stretched(tree, ambient):
+        scaled = real(tree, ambient)
+        return scaled._replace(edges=tuple((c, p, 2 * l if c == 2 else l) for c, p, l in scaled.edges))
 
-    monkeypatch.setattr(ell1, "edge_flow_coordinates", stretched)
-    with pytest.raises(CertificationError, match=_EDGE_A):
-        tree_norm_certificate(dendrogram(four_cluster), _LEAF_A)
+    monkeypatch.setattr(ell1, "_scaled_tree", stretched)
+    with pytest.raises(CertificationError, match="potential does not drop by the length of " + _EDGE_A + "$"):
+        _certify_leaf_a(four_cluster)
+    # the first battery vector gives a negative mass, so its arc runs from a@1/8 down to a
+    with pytest.raises(CertificationError, match=r"potential does not drop by the length of edge \(a@1/8, a\)$"):
+        pipeline(four_cluster)
 
 
 def _corrupt_solution(monkeypatch, change):
+    """Corrupt the unchecked solution of every vector that sends mass up the edge of a."""
     real = ell1._edge_flow_solution
-    monkeypatch.setattr(ell1, "_edge_flow_solution", lambda tree, v: change(real(tree, v)))
+
+    def corrupted(tree, coeffs):
+        value, flow, g = real(tree, coeffs)
+        return change(value, flow, g) if any(arc[:2] == (2, 5) for arc in flow) else (value, flow, g)
+
+    monkeypatch.setattr(ell1, "_edge_flow_solution", corrupted)
 
 
 def test_tree_certificate_rejects_a_flipped_potential_sign(four_cluster, monkeypatch):
-    def flip(cert):
-        g = list(cert.potential.values)
-        g[2] = 2 * g[5] - g[2]  # a (point 2) mirrored about its parent a@1/8 (point 5)
-        return FreeNormCertificate(cert.value, cert.flow, LipFunction(tuple(g)))
+    def flip(value, flow, g):
+        g = list(g)
+        g[2] = 2 * g[5] - g[2]  # a mirrored about its parent a@1/8
+        return value, flow, g
 
     _corrupt_solution(monkeypatch, flip)
-    with pytest.raises(CertificationError, match="potential does not drop by the length of " + _EDGE_A):
-        tree_norm_certificate(dendrogram(four_cluster), _LEAF_A)
+    for certify in _ENTRY_POINTS:
+        with pytest.raises(CertificationError, match="potential does not drop by the length of " + _EDGE_A + "$"):
+            certify(four_cluster)
 
 
 def test_tree_certificate_rejects_a_corrupted_flow(four_cluster, monkeypatch):
-    def double(cert):
-        flow = tuple((a, b, 2 * amount if (a, b) == (2, 5) else amount) for a, b, amount in cert.flow)
-        return FreeNormCertificate(cert.value, flow, cert.potential)
+    def double(value, flow, g):
+        return value, [(a, b, 2 * amount if (a, b) == (2, 5) else amount) for a, b, amount in flow], g
 
     _corrupt_solution(monkeypatch, double)
-    with pytest.raises(CertificationError, match="flow on " + _EDGE_A + " does not balance a"):
-        tree_norm_certificate(dendrogram(four_cluster), _LEAF_A)
+    for certify in _ENTRY_POINTS:
+        with pytest.raises(CertificationError, match="flow on " + _EDGE_A + " does not balance a$"):
+            certify(four_cluster)
 
 
 def test_tree_certificate_rejects_a_flow_off_the_tree(four_cluster, monkeypatch):
-    def shortcut(cert):
-        return FreeNormCertificate(cert.value, ((2, 0, Fraction(1)),), cert.potential)
+    def shortcut(value, flow, g):
+        return value, [(2, 0, 1)], g
 
     _corrupt_solution(monkeypatch, shortcut)
-    with pytest.raises(CertificationError, match=r"flow arc \(a, 0@1/2\) is not a tree edge"):
-        tree_norm_certificate(dendrogram(four_cluster), _LEAF_A)
+    for certify in _ENTRY_POINTS:
+        with pytest.raises(CertificationError, match=r"flow arc \(a, 0@1/2\) is not a tree edge$"):
+            certify(four_cluster)
+
+
+def test_pipeline_raises_on_a_failed_edge_flow_certificate(four_cluster, monkeypatch):
+    def negated(value, flow, g):
+        return value, flow, [-x for x in g]
+
+    _corrupt_solution(monkeypatch, negated)
+    # the first arc checked is the top edge, from a@1/4 to the root
+    for certify in _ENTRY_POINTS:
+        with pytest.raises(CertificationError, match=r"potential does not drop by the length of edge \(a@1/4, 0@1/2\)$"):
+            certify(four_cluster)
+
+
+def test_pipeline_names_the_pair_off_its_distance(four_cluster, monkeypatch):
+    real = ell1.with_base
+
+    def stretched(space, index):
+        rooted = real(space, index)
+        dist = [list(row) for row in rooted.dist]
+        dist[0][2] = dist[2][0] = 2 * dist[0][2]  # the root and a: three edges apart, no edge of its own
+        return FiniteMetricSpace(rooted.labels, tuple(map(tuple, dist)))
+
+    monkeypatch.setattr(ell1, "with_base", stretched)
+    with pytest.raises(CertificationError, match=r"edge-flow norm of the pair \(0@1/2, a\) is not its distance$"):
+        pipeline(four_cluster)
 
 
 def test_tree_certificate_recertifies_the_path_metric(four_cluster):
@@ -177,18 +291,6 @@ def test_tree_certificate_names_the_roots_it_found(four_cluster, parents, roots)
     broken = dataclasses.replace(tree, parent=parents(tree.parent))
     with pytest.raises(CertificationError, match=f"exactly one root, the top node; its roots are {roots}$"):
         tree_norm_certificate(broken, _LEAF_A)
-
-
-def test_pipeline_raises_on_a_failed_edge_flow_certificate(triangle, monkeypatch):
-    real = ell1._edge_flow_solution
-
-    def negated(tree, v):
-        cert = real(tree, v)
-        return FreeNormCertificate(cert.value, cert.flow, LipFunction(tuple(-g for g in cert.potential.values)))
-
-    monkeypatch.setattr(ell1, "_edge_flow_solution", negated)
-    with pytest.raises(CertificationError, match="potential does not drop"):
-        pipeline(triangle)
 
 
 def test_leaf_vectors_match_original_space_norm(triangle):

@@ -1,5 +1,6 @@
 import json
 from fractions import Fraction
+from pathlib import Path
 
 import pytest
 
@@ -340,3 +341,24 @@ def test_emitted_space_reingests_exactly(tmp_path):
     path = tmp_path / "space.json"
     dump_json(space_to_json(space), path)
     assert ingest(path) == space
+
+
+# The `ultrafree l1check` report of fixed spaces (random, power-of-two ties, coprime
+# heights, a caterpillar and a star, N <= 12), pinned byte for byte.  After a
+# deliberate change to the report, regenerate a pinned file with
+#     PYTHONPATH=src python -m ultrafree l1check tests/golden/l1check/<name>.space.json \
+#         > tests/golden/l1check/<name>.report.json
+L1CHECK_GOLDEN = Path(__file__).resolve().parent / "golden" / "l1check"
+L1CHECK_SPACES = sorted(L1CHECK_GOLDEN.glob("*.space.json"))
+
+
+def test_l1check_goldens_found():
+    names = sorted(p.name for p in L1CHECK_GOLDEN.iterdir())
+    assert len(L1CHECK_SPACES) == 8
+    assert names == sorted(n for p in L1CHECK_SPACES for n in (p.name, p.name.replace(".space.", ".report.")))
+
+
+@pytest.mark.parametrize("space", L1CHECK_SPACES, ids=lambda p: p.name.removesuffix(".space.json"))
+def test_l1check_matches_its_golden_report(space, capsys):
+    assert main(["l1check", str(space)]) == 0
+    assert capsys.readouterr().out == space.with_name(space.name.replace(".space.", ".report.")).read_text()
