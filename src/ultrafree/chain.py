@@ -7,6 +7,12 @@ ultrametric space every stage is 1-Lipschitz, consecutive stages commute,
 and the induced linear projections on the free space are norm one, which
 makes the telescoped difference vectors a monotone basis.
 
+Since P_n delta_x = delta_{r_n x}, every point evaluation has 0/1
+coordinates in the basis of its own chain, read off the rank table and
+certified by the telescoping identity; the basis constant and the molecule
+expansions of a chain's family come from them, and only families built
+otherwise are inverted.
+
 Non-ultrametric spaces are accepted in exploratory mode: verification then
 reports violations instead of asserting their absence.
 """
@@ -17,10 +23,8 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Optional, Sequence
 
-import numpy as np
-
-from .freespace import FreeVector, PointMap, dirac, free_norm, molecule, operator_norm_of_extension
-from .linalg import SingularMatrixError, fraction_rank, invert_matrix
+from .freespace import FreeVector, PointMap, free_norm, molecule, operator_norm_of_extension
+from .linalg import SingularMatrixError, invert_matrix
 from .metric import FiniteMetricSpace
 
 
@@ -192,25 +196,24 @@ def projection_matrix(chain: RetractionChain, n: int) -> tuple[tuple[int, ...], 
 
 
 def verify_projection_algebra(chain: RetractionChain, include_norms: bool = False) -> ProjectionAlgebraReport:
-    """Check P_n P_m = P_min(n,m) as exact integer matrix identities.
+    """Check P_n P_m = P_min(n,m) and rank P_n = n - 1 on the point maps.
 
-    Projection matrices are 0/1 integer matrices, so int64 products are
-    exact.  With ``include_norms`` the operator norm of every stage n >= 2,
-    certified at its witness pair by :func:`operator_norm_of_extension`,
-    must additionally equal 1.
+    Column x of P_n is the evaluation of r_n(x), and the base evaluates to
+    zero, so the matrix identity is the map identity r_n(r_m x) = r_min(n,m)(x)
+    for every x >= 1, with r_n(0) = 0, and the rank of P_n is the number of
+    distinct images r_n(x) != 0 of the points x >= 1.  With ``include_norms``
+    the operator norm of every stage n >= 2, certified at its witness pair by
+    :func:`operator_norm_of_extension`, must additionally equal 1.
     """
     size = chain.size
-    mats = [np.array(projection_matrix(chain, n), dtype=np.int64) for n in range(1, size + 1)]
-    min_rule = []
-    for n in range(1, size + 1):
-        for m in range(1, size + 1):
-            product = mats[n - 1] @ mats[m - 1]
-            if not np.array_equal(product, mats[min(n, m) - 1]):
-                min_rule.append((n, m))
-    rank_failures = [
-        n for n in range(1, size + 1)
-        if fraction_rank([[Fraction(int(v)) for v in row] for row in mats[n - 1]]) != n - 1
+    maps = [(0, *(chain.retract(n, x) for x in range(1, size))) for n in range(1, size + 1)]
+    min_rule = [
+        (n, m)
+        for n in range(1, size + 1)
+        for m in range(1, size + 1)
+        if any(maps[n - 1][maps[m - 1][x]] != maps[min(n, m) - 1][x] for x in range(1, size))
     ]
+    rank_failures = [n for n in range(1, size + 1) if len(set(maps[n - 1][1:]) - {0}) != n - 1]
     norm_failures: list[tuple[int, Fraction]] = []
     if include_norms:
         for n in range(2, size + 1):
@@ -228,12 +231,18 @@ def basis_vectors(chain: RetractionChain) -> BasisFamily:
     distance, by the isometry of the evaluation embedding.
     """
     space, order = chain.space, chain.ordering
+    one, zeros = Fraction(1), [Fraction(0)] * (chain.size - 1)
     vectors = []
     norms = []
     for k in range(1, chain.size):
         point = order[k]
+        # the anchor is one of the first k points, so never the point itself
         anchor = chain.retract(k, point)
-        vectors.append(dirac(space, point) - dirac(space, anchor))
+        coeffs = list(zeros)
+        coeffs[point - 1] = one
+        if anchor:
+            coeffs[anchor - 1] = -one
+        vectors.append(FreeVector._exact(tuple(coeffs)))
         norms.append(space.dist[point][anchor])
     return BasisFamily(space, tuple(vectors), tuple(norms))
 
@@ -286,17 +295,87 @@ def _elementary_norm(space: FiniteMetricSpace, coeffs: list[Fraction]) -> Option
     return None
 
 
+def _dirac_rows(chain: RetractionChain) -> list[tuple[int, ...]]:
+    """The 0/1 coordinates of every Dirac in the chain basis, read off the rank table.
+
+    Row x holds c_n(delta_x) for n = 1..N-1, which is 1 exactly when x is
+    nearest to the point added at stage n + 1.
+    """
+    return [
+        tuple(int(chain.ranks[n][x] == n + 1) for n in range(1, chain.size))
+        for x in range(chain.size)
+    ]
+
+
+def _telescopes(chain: RetractionChain, rows: Sequence[Sequence[int]]) -> bool:
+    """Certify the rows as the coordinates of every Dirac in the basis of the chain.
+
+    Checks delta_{r_{n+1} x} - delta_{r_n x} = rows[x][n-1] * e_n for every
+    stage n < N and every point x, where e_n = delta_{p} - delta_{r_n p} for
+    the point p added at stage n + 1, together with r_1 x = base and
+    r_N x = x.  Summing the identity over n reconstructs delta_{r_n x}
+    exactly from the first n - 1 coordinates of x, so every truncation of
+    delta_x is delta_{r_n x}.
+    """
+    order, size = chain.ordering, chain.size
+    if any(chain.retract(1, x) != 0 or chain.retract(size, x) != x for x in range(size)):
+        return False
+    for n in range(1, size):
+        added = order[n]
+        anchor = chain.retract(n, added)
+        for x in range(size):
+            after, before = chain.retract(n + 1, x), chain.retract(n, x)
+            if (after, before) != (added, anchor) if rows[x][n - 1] else after != before:
+                return False
+    return True
+
+
+def _certified_chain(
+    space: FiniteMetricSpace, family: BasisFamily
+) -> Optional[tuple[RetractionChain, list[tuple[int, ...]]]]:
+    """The chain whose basis is ``family`` with its certified Dirac rows, or None.
+
+    The ordering is read off the positive entry of each e_k, the chain is
+    rebuilt from it, and its basis must be the family itself.  Any other
+    family, and any chain whose rows fail :func:`_telescopes`, gets None.
+    """
+    ordering = [0]
+    for v in family.vectors:
+        positive = [r + 1 for r, c in enumerate(v.coeffs) if c > 0]
+        if len(positive) != 1:
+            return None
+        ordering.append(positive[0])
+    try:
+        chain = build_chain(space, ordering)
+    except ValueError:
+        return None
+    if basis_vectors(chain) != family:
+        return None
+    rows = _dirac_rows(chain)
+    return (chain, rows) if _telescopes(chain, rows) else None
+
+
 def _molecule_expansions(space: FiniteMetricSpace, family: BasisFamily):
     """Yield (i, j, coefficients of the molecule m_ij in the family) for every pair i < j.
 
     Molecules are the extreme points of the free-space unit ball, so a
     convex function of the coefficients attains its maximum over the ball
-    on one of them.  Raises ValueError when the family does not span.
+    on one of them.  On a chain's own family the coefficients are the
+    certified Dirac rows, (row_i - row_j) / d(i, j); any other family is
+    inverted.  Raises ValueError when the family does not span.
     """
-    inverse = _family_inverse(family)
+    certified = _certified_chain(space, family)
+    if certified is None:
+        inverse = _family_inverse(family)
+        for i in range(len(space)):
+            for j in range(i + 1, len(space)):
+                yield i, j, _apply(inverse, molecule(space, i, j).coeffs)
+        return
+    rows = certified[1]
     for i in range(len(space)):
         for j in range(i + 1, len(space)):
-            yield i, j, _apply(inverse, molecule(space, i, j).coeffs)
+            unit = 1 / space.dist[i][j]
+            yield i, j, [(a - b) * unit for a, b in zip(rows[i], rows[j])]
 
 
 def basis_constant(space: FiniteMetricSpace, family: BasisFamily, certified: bool = False) -> Fraction:
@@ -304,14 +383,28 @@ def basis_constant(space: FiniteMetricSpace, family: BasisFamily, certified: boo
 
     Each projection norm is the maximum transport norm of a truncated
     molecule expansion, molecules being the extreme points of the unit
-    ball.  Truncations that are exact molecule multiples use the distance
-    closed form; ``certified=True`` forces the transport solver on every
-    image (used to cross-check the closed form on small instances).
-    Equals exactly 1 for chains built on ultrametric spaces.
+    ball.  On a chain's own family, whose Dirac rows are certified, the
+    truncation of m_ij after n - 1 vectors is the molecule multiple
+    (delta_{r_n i} - delta_{r_n j}) / d(i, j), so the constant is the
+    maximum of d(r_n i, r_n j) / d(i, j) over the stages n >= 2 and the
+    pairs.  On any other family, truncations that are exact molecule
+    multiples use the same distance closed form; ``certified=True`` forces
+    the transport solver on every image (used to cross-check the closed
+    form on small instances).  Equals exactly 1 for chains built on
+    ultrametric spaces.
     """
     count = len(family.vectors)
     if count == 0:
         return Fraction(1)
+    closed_form = None if certified else _certified_chain(space, family)
+    if closed_form is not None:
+        retract, d = closed_form[0].retract, space.dist
+        return max(
+            d[retract(n, i)][retract(n, j)] / d[i][j]
+            for n in range(2, len(space) + 1)
+            for i in range(len(space))
+            for j in range(i + 1, len(space))
+        )
     dim = len(space) - 1
     best = Fraction(0)
     for _, _, coeffs in _molecule_expansions(space, family):

@@ -19,7 +19,9 @@ The unit ball of the free space is the convex hull of the +-molecules
 m_ij = (delta_i - delta_j) / d(i, j), so the lower l1 constant of a family
 is 1 / max_{i<j} Phi(m_ij), where Phi(x) = sum |c_k(x)| * norm(e_k) over
 the coefficients c(x) of x in the family; its witness, the maximizing
-molecule scaled to Phi = 1, is certified by one transport solve.
+molecule scaled to Phi = 1, is certified by one transport solve.  On a
+chain's own family the coefficients of m_ij are the difference of the
+certified 0/1 Dirac rows of i and j over d(i, j).
 """
 
 from __future__ import annotations
@@ -30,7 +32,15 @@ from fractions import Fraction
 from math import lcm
 from typing import NamedTuple, Optional, Sequence
 
-from .chain import BasisFamily, _molecule_expansions, basis_constant, basis_vectors, build_chain, verify_chain
+from .chain import (
+    BasisFamily,
+    _certified_chain,
+    _molecule_expansions,
+    basis_constant,
+    basis_vectors,
+    build_chain,
+    verify_chain,
+)
 from .freespace import (
     FreeNormCertificate,
     FreeVector,
@@ -46,8 +56,8 @@ from .freespace import (
 from .metric import (
     CertificationError,
     FiniteMetricSpace,
+    _round_to_dyadic,
     identity_distortion,
-    round_to_dyadic,
     validate,
     with_base,
 )
@@ -55,11 +65,13 @@ from .rational import parse_rational
 from .rtree import (
     DendrogramTree,
     _certify_path_metric,
+    _dendrogram,
+    _retraction_claims,
+    branching_points,
     dendrogram,
     node_space,
     retract_to_space,
     rooted_node_space,
-    verify_retraction_claims,
 )
 
 
@@ -424,6 +436,8 @@ def l1_equivalence_constants(space: FiniteMetricSpace, family: BasisFamily) -> L
     the convex hull of the +-molecules and Phi is convex and even, so the
     maximum is attained at a molecule: lower = 1 / max_{i<j} Phi(m_ij).
 
+    On a chain's own family, Phi(m_ij) is the sum of norm(e_k) over the k
+    where the certified 0/1 Dirac rows of i and j differ, over d(i, j).
     The value is certified by its witness w = m*/Phi(m*), at the maximizing
     molecule m*: the coefficients must reconstruct m* exactly, and the
     transport norm of w must equal the returned lower constant.  A family
@@ -433,13 +447,31 @@ def l1_equivalence_constants(space: FiniteMetricSpace, family: BasisFamily) -> L
         raise ValueError("family is empty")
     if any(len(v.coeffs) != len(space) - 1 for v in family.vectors):
         raise ValueError("family vectors do not live on the given space")
-    phi, i, j, coeffs = max(
-        (
-            (sum((abs(c) * norm for c, norm in zip(coeffs, family.norms)), Fraction(0)), i, j, coeffs)
-            for i, j, coeffs in _molecule_expansions(space, family)
-        ),
-        key=lambda entry: entry[0],
-    )
+    certified = _certified_chain(space, family)
+    if certified is None:
+        phi, i, j, coeffs = max(
+            (
+                (sum((abs(c) * norm for c, norm in zip(coeffs, family.norms)), Fraction(0)), i, j, coeffs)
+                for i, j, coeffs in _molecule_expansions(space, family)
+            ),
+            key=lambda entry: entry[0],
+        )
+    else:
+        rows, d = certified[1], space.dist
+        phi, i, j = max(
+            (
+                (
+                    sum((norm for a, b, norm in zip(rows[i], rows[j], family.norms) if a != b), Fraction(0))
+                    / d[i][j],
+                    i,
+                    j,
+                )
+                for i in range(len(space))
+                for j in range(i + 1, len(space))
+            ),
+            key=lambda entry: entry[0],
+        )
+        coeffs = [(a - b) / d[i][j] for a, b in zip(rows[i], rows[j])]
     lower = 1 / phi
     m = molecule(space, i, j)
     if _combination(len(space) - 1, family.vectors, coeffs) != list(m.coeffs):
@@ -660,18 +692,26 @@ def pipeline(
     flow and potential, in integers on the tree prepared once; the node
     space is built once, and the projection norm is the Lipschitz constant of
     the retraction, certified at its witness pair; a failed certificate
-    raises :class:`CertificationError`.  The one transport solve left is
-    the witness of the l1 lower constant.
+    raises :class:`CertificationError`.  The input and its rounding are
+    validated once each, and the branching points of the rounding are
+    scanned once for both the dendrogram and the retraction claims.  The
+    basis and l1 constants are read off the certified Dirac rows of the
+    chain; the one transport solve left is the witness of the l1 lower
+    constant.
     """
     if len(space) < 2:
         raise ValueError("pipeline needs at least two points")
     report = validate(space)
     if not report.is_ultrametric:
         raise ValueError("pipeline requires an ultrametric space")
-    rounded = round_to_dyadic(space)
+    rounded = _round_to_dyadic(space)
+    report = validate(rounded)
+    if not (report.is_ultrametric and report.is_dyadic):
+        raise CertificationError("dyadic rounding did not give a power-of-two ultrametric")
     distortion = identity_distortion(space, rounded)
-    tree = dendrogram(rounded)
-    claims = verify_retraction_claims(rounded)
+    branching = branching_points(rounded)
+    tree = _dendrogram(rounded, branching)
+    claims = _retraction_claims(rounded, branching)
     ambient = node_space(tree)
     _certify_edge_flow_battery(rounded, tree, with_base(ambient, len(tree.nodes) - 1), oracle_vectors, seed)
     chain = build_chain(space, ordering)
@@ -679,7 +719,6 @@ def pipeline(
     family = basis_vectors(chain)
     constant = basis_constant(space, family)
     l1 = l1_equivalence_constants(space, family)
-    branching = tree.nodes[len(rounded):]
     image = tuple(retract_to_space(rounded, node, branching) for node in tree.nodes)
     projection = operator_norm_of_extension(PointMap(ambient, ambient, image))
     return PipelineReport(

@@ -154,6 +154,11 @@ def round_to_dyadic(space: FiniteMetricSpace) -> FiniteMetricSpace:
     report = validate(space)
     if not report.is_ultrametric:
         raise ValueError("round_to_dyadic requires an ultrametric space")
+    return _round_to_dyadic(space)
+
+
+def _round_to_dyadic(space: FiniteMetricSpace) -> FiniteMetricSpace:
+    """The body of :func:`round_to_dyadic`, for a space already validated as ultrametric."""
     n = len(space)
     d = space.dist
     rows = tuple(

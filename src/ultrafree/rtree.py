@@ -306,8 +306,15 @@ def verify_retraction_claims(space: FiniteMetricSpace) -> RetractionClaimReport:
         raise ValueError("retraction claims require an ultrametric space")
     if not report.is_dyadic:
         raise ValueError("retraction claims require power-of-two distances")
+    return _retraction_claims(space, branching_points(space))
+
+
+def _retraction_claims(space: FiniteMetricSpace, branching: Sequence[TreePoint]) -> RetractionClaimReport:
+    """The body of :func:`verify_retraction_claims` on a validated dyadic ultrametric space.
+
+    ``branching`` is ``branching_points(space)``.
+    """
     d = space.dist
-    branching = branching_points(space)
     leaf_branch, anchor_gap = [], []
     for a in range(len(space)):
         leaf = TreePoint(a, Fraction(0))
@@ -389,7 +396,15 @@ def dendrogram(space: FiniteMetricSpace) -> DendrogramTree:
     report = validate(space)
     if not report.is_ultrametric:
         raise ValueError("dendrogram requires an ultrametric space")
-    nodes = _tree_nodes(space, branching_points(space))
+    return _dendrogram(space, branching_points(space))
+
+
+def _dendrogram(space: FiniteMetricSpace, branching: Sequence[TreePoint]) -> DendrogramTree:
+    """The body of :func:`dendrogram` on a validated ultrametric space.
+
+    ``branching`` is ``branching_points(space)``.
+    """
+    nodes = _tree_nodes(space, branching)
     parent = [-1] * len(nodes)
     edge = [Fraction(0)] * len(nodes)
     for idx, u in enumerate(nodes):

@@ -25,6 +25,11 @@ tree.  Two references check that route without sharing its code: the
 transport program solved by the package simplex directly, and the sum over
 the distinct closed balls of half the radius gap to the next larger ball
 times the absolute mass of the ball.
+
+The projection algebra of a retraction chain is re-derived on its matrices:
+integer products of the 0/1 projection matrices against the min rule, and
+their exact ranks by Gauss-Jordan elimination.  It shares nothing with the
+point-map identities the package checks.
 """
 
 from __future__ import annotations
@@ -32,9 +37,9 @@ from __future__ import annotations
 from fractions import Fraction
 from itertools import combinations
 
-from ultrafree.chain import BasisFamily
+from ultrafree.chain import BasisFamily, ProjectionAlgebraReport, RetractionChain, projection_matrix
 from ultrafree.freespace import FreeVector, PointMap, _transport_program, free_norm, molecule, push_forward
-from ultrafree.linalg import SingularMatrixError, solve_linear
+from ultrafree.linalg import SingularMatrixError, fraction_rank, solve_linear
 from ultrafree.metric import FiniteMetricSpace
 from ultrafree.simplex import solve_lp
 
@@ -198,3 +203,27 @@ def ball_transport_norm(space: FiniteMetricSpace, v: FreeVector) -> Fraction:
             ball = frozenset(y for y in range(n) if space.dist[x][y] <= r)
             terms[ball] = (outer - r) / 2 * abs(sum(mass[y] for y in ball))
     return sum(terms.values(), Fraction(0))
+
+
+def matrix_projection_algebra(chain: RetractionChain) -> ProjectionAlgebraReport:
+    """P_n P_m = P_min(n,m) by integer matrix products, and rank P_n = n - 1 by fraction_rank.
+
+    The stage norms are not checked: ``norm_failures`` is always empty.
+    """
+    size = chain.size
+    mats = [projection_matrix(chain, n) for n in range(1, size + 1)]
+
+    def product(a, b):
+        return tuple(tuple(sum(x * y for x, y in zip(row, col)) for col in zip(*b)) for row in a)
+
+    min_rule = tuple(
+        (n, m)
+        for n in range(1, size + 1)
+        for m in range(1, size + 1)
+        if product(mats[n - 1], mats[m - 1]) != mats[min(n, m) - 1]
+    )
+    rank_failures = tuple(
+        n for n in range(1, size + 1)
+        if fraction_rank([[Fraction(v) for v in row] for row in mats[n - 1]]) != n - 1
+    )
+    return ProjectionAlgebraReport(min_rule, rank_failures, ())

@@ -3,7 +3,16 @@ from fractions import Fraction
 
 import pytest
 
+from ultrafree import chain as chain_module
 from ultrafree.chain import (
+    BasisFamily,
+    RetractionChain,
+    _apply,
+    _certified_chain,
+    _dirac_rows,
+    _family_inverse,
+    _molecule_expansions,
+    _telescopes,
     basis_constant,
     basis_vectors,
     build_chain,
@@ -13,10 +22,12 @@ from ultrafree.chain import (
     verify_chain,
     verify_projection_algebra,
 )
-from ultrafree.freespace import dirac, free_norm, lipschitz_constant, operator_norm_of_extension
-from ultrafree.metric import random_ultrametric
+from ultrafree.ell1 import l1_equivalence_constants
+from ultrafree.freespace import dirac, free_norm, lipschitz_constant, molecule, operator_norm_of_extension
+from ultrafree.metric import FiniteMetricSpace, random_ultrametric
 
-from _oracles import molecule_operator_norm
+from _oracles import matrix_projection_algebra, molecule_operator_norm, orthant_l1_lower
+from test_freespace import _stress_ultrametrics
 
 
 def test_build_chain_triangle(triangle):
@@ -146,3 +157,165 @@ def test_reverse_commutation_holds():
         space = random_ultrametric(8, 500 + seed)
         report = verify_chain(build_chain(space))
         assert report.reverse_commutation == ()
+
+
+def _shuffled_chain(space, rng):
+    rest = list(range(1, len(space)))
+    rng.shuffle(rest)
+    return build_chain(space, (0, *rest))
+
+
+def test_dirac_rows_match_the_family_inverse():
+    # tied, coprime, caterpillar and star spaces, N = 2..12, random orderings
+    rng = random.Random(23)
+    checked = 0
+    for space in _stress_ultrametrics(rng):
+        family = basis_vectors(_shuffled_chain(space, rng))
+        certified = _certified_chain(space, family)
+        assert certified is not None
+        inverse = _family_inverse(family)
+        n = len(space)
+        assert certified[1] == [tuple(_apply(inverse, dirac(space, x).coeffs)) for x in range(n)]
+        expected = [
+            (i, j, _apply(inverse, molecule(space, i, j).coeffs)) for i in range(n) for j in range(i + 1, n)
+        ]
+        assert list(_molecule_expansions(space, family)) == expected
+        checked += n + len(expected)
+    assert checked == 1452
+
+
+class InverseTaken(Exception):
+    """Raised by the patched ``_family_inverse``: the general path was taken."""
+
+
+def _rejects_inverse(monkeypatch):
+    def refuse(family):
+        raise InverseTaken
+
+    monkeypatch.setattr(chain_module, "_family_inverse", refuse)
+
+
+def test_chain_families_take_the_closed_form(monkeypatch):
+    spaces = [random_ultrametric(n, 40 + n) for n in range(2, 8)]
+    rng = random.Random(8)
+    families = [basis_vectors(_shuffled_chain(space, rng)) for space in spaces]
+    lowers = [orthant_l1_lower(space, family) for space, family in zip(spaces, families)]
+    _rejects_inverse(monkeypatch)
+    for space, family, lower in zip(spaces, families, lowers):
+        assert basis_constant(space, family) == 1
+        assert l1_equivalence_constants(space, family).lower == lower
+
+
+def test_hand_built_families_take_the_inverse(triangle, monkeypatch):
+    dx, dy = dirac(triangle, 1), dirac(triangle, 2)
+    family = BasisFamily(triangle, (dx, dy), (Fraction(1), Fraction(1)))
+    assert _certified_chain(triangle, family) is None
+    _rejects_inverse(monkeypatch)
+    with pytest.raises(InverseTaken):
+        basis_constant(triangle, family)
+    with pytest.raises(InverseTaken):
+        l1_equivalence_constants(triangle, family)
+
+
+def test_telescoping_rejects_every_corrupted_entry():
+    rng = random.Random(31)
+    for n in (2, 5, 8):
+        chain = _shuffled_chain(random_ultrametric(n, 70 + n), rng)
+        rows = _dirac_rows(chain)
+        assert _telescopes(chain, rows)
+        for x in range(n):
+            for k in range(n - 1):
+                bad = list(rows)
+                bad[x] = rows[x][:k] + (1 - rows[x][k],) + rows[x][k + 1:]
+                assert not _telescopes(chain, bad)
+
+
+def test_corrupted_rows_fall_back_to_the_inverse(monkeypatch):
+    space = random_ultrametric(7, 12)
+    family = basis_vectors(build_chain(space, (0, 3, 1, 6, 2, 5, 4)))
+    expected = basis_constant(space, family), l1_equivalence_constants(space, family).lower
+    real_rows = chain_module._dirac_rows
+
+    def corrupted(chain):
+        rows = real_rows(chain)
+        rows[3] = (1 - rows[3][0],) + rows[3][1:]
+        return rows
+
+    inversions = []
+    real_inverse = chain_module._family_inverse
+    monkeypatch.setattr(chain_module, "_dirac_rows", corrupted)
+    monkeypatch.setattr(chain_module, "_family_inverse", lambda fam: inversions.append(1) or real_inverse(fam))
+    assert _certified_chain(space, family) is None
+    assert (basis_constant(space, family), l1_equivalence_constants(space, family).lower) == expected
+    assert len(inversions) == 2
+
+
+def test_collinear_chain_telescopes(collinear, monkeypatch):
+    # stage 2 keeps {0, "2"} and sends "1" to the base, so e_2 = delta_"1":
+    # the rows telescope, and the closed form reads d(0, "2") / d("1", "2")
+    family = basis_vectors(build_chain(collinear, (0, 2, 1)))
+    assert _certified_chain(collinear, family)[1] == [(0, 0), (0, 1), (1, 0)]
+    _rejects_inverse(monkeypatch)
+    assert basis_constant(collinear, family) == 2
+
+
+def _tangled_chain():
+    """A non-ultrametric five-point chain whose stages 2, 3 and 4 do not commute."""
+    q = Fraction
+    rows = (
+        (0, 2, 2, q(7, 4), 2),
+        (2, 0, q(5, 4), q(3, 2), 1),
+        (2, q(5, 4), 0, q(3, 2), 2),
+        (q(7, 4), q(3, 2), q(3, 2), 0, q(5, 4)),
+        (2, 1, 2, q(5, 4), 0),
+    )
+    return build_chain(FiniteMetricSpace(tuple(map(str, range(5))), rows), (0, 2, 1, 4, 3))
+
+
+def test_non_commuting_chain_fails_the_telescoping():
+    chain = _tangled_chain()
+    family = basis_vectors(chain)
+    assert not _telescopes(chain, _dirac_rows(chain))
+    assert _certified_chain(chain.space, family) is None
+    assert basis_constant(chain.space, family) == basis_constant(chain.space, family, certified=True) > 1
+
+
+def _corrupted_table(chain):
+    """The chain with its stage-3 row sending the third ordered point to the base."""
+    ranks = list(chain.ranks)
+    row = list(ranks[2])
+    row[chain.ordering[2]] = 1
+    ranks[2] = tuple(row)
+    return RetractionChain(chain.space, chain.ordering, tuple(ranks))
+
+
+def test_projection_algebra_matches_the_matrix_oracle():
+    rng = random.Random(19)
+    failing = 0
+    for trial in range(60):
+        n = rng.randint(2, 9)
+        if trial % 2:
+            space = random_ultrametric(n, 600 + trial)
+        else:
+            dist = [[Fraction(0)] * n for _ in range(n)]
+            for i in range(n):
+                for j in range(i + 1, n):
+                    dist[i][j] = dist[j][i] = Fraction(rng.randint(4, 8), 4)
+            space = FiniteMetricSpace(tuple(map(str, range(n))), tuple(map(tuple, dist)))
+        chain = _shuffled_chain(space, rng)
+        chains = [chain, _corrupted_table(chain)] if n >= 3 else [chain]
+        for candidate in chains:
+            report = verify_projection_algebra(candidate)
+            assert report == matrix_projection_algebra(candidate)
+            failing += not report.passed
+    assert failing > 0
+
+
+def test_projection_algebra_min_rule_fails_off_ultrametrics():
+    chain = _tangled_chain()
+    report = verify_projection_algebra(chain)
+    assert report.min_rule == ((2, 3), (2, 4), (3, 4)) and report.rank_failures == ()
+    assert report == matrix_projection_algebra(chain)
+    broken = _corrupted_table(build_chain(random_ultrametric(5, 2)))
+    assert verify_projection_algebra(broken).rank_failures == (3,)
+    assert verify_projection_algebra(broken) == matrix_projection_algebra(broken)

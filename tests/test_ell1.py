@@ -409,6 +409,16 @@ def _l1_cases():
                 chain_family = basis_vectors(build_chain(space, (0, *rest)))
                 cases.append(pytest.param(space, chain_family, id=f"{kind}-n{n}-{repeat}-chain"))
                 cases.append(pytest.param(space, _random_family(space, rng), id=f"{kind}-n{n}-{repeat}-random"))
+    # chain families on tied power-of-two and coprime heights, read off the rank table
+    for n in (7, 8):
+        tied = _merge_ultrametric([Fraction(2) ** rng.randint(-1, 1) for _ in range(n - 1)],
+                                  lambda count: rng.sample(range(count), 2))
+        coprime = _merge_ultrametric(_coprime_heights(n - 1, rng), lambda count: rng.sample(range(count), 2))
+        for kind, space in (("tied", tied), ("coprime", coprime)):
+            rest = list(range(1, n))
+            rng.shuffle(rest)
+            chain_family = basis_vectors(build_chain(space, (0, *rest)))
+            cases.append(pytest.param(space, chain_family, id=f"{kind}-n{n}-chain"))
     return cases
 
 
@@ -439,7 +449,9 @@ def test_l1_constants_witness_is_checked(triangle, monkeypatch):
 
 
 def test_l1_constants_reconstruction_is_checked(triangle, monkeypatch):
-    family = basis_vectors(build_chain(triangle))
+    # a hand-built family: the coefficients come from the inverse
+    dx, dy = dirac(triangle, 1), dirac(triangle, 2)
+    family = BasisFamily(triangle, (dx, dy), (Fraction(1), Fraction(1)))
     real_expansions = ell1._molecule_expansions
 
     def shifted(space, fam):
@@ -447,6 +459,20 @@ def test_l1_constants_reconstruction_is_checked(triangle, monkeypatch):
             yield i, j, [coeffs[0] + 1] + coeffs[1:]
 
     monkeypatch.setattr(ell1, "_molecule_expansions", shifted)
+    with pytest.raises(CertificationError, match="reconstruct"):
+        l1_equivalence_constants(triangle, family)
+
+
+def test_l1_constants_reconstruction_is_checked_on_chain_rows(triangle, monkeypatch):
+    # a chain's own family: the coefficients come from its Dirac rows
+    family = basis_vectors(build_chain(triangle))
+    real_certified = ell1._certified_chain
+
+    def flipped(space, fam):
+        chain, rows = real_certified(space, fam)
+        return chain, [rows[0], rows[1], (1 - rows[2][0], rows[2][1])]
+
+    monkeypatch.setattr(ell1, "_certified_chain", flipped)
     with pytest.raises(CertificationError, match="reconstruct"):
         l1_equivalence_constants(triangle, family)
 
