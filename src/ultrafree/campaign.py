@@ -17,7 +17,7 @@ from typing import Optional
 from .chain import basis_constant, basis_vectors, build_chain, verify_chain, verify_projection_algebra
 from .ell1 import ThreePointReport, pipeline, three_point_report
 from .metric import FiniteMetricSpace, random_ultrametric, round_to_dyadic, validate
-from .rtree import dendrogram, verify_retraction_claims
+from .rtree import _embedding
 from .serialize import dump_json
 
 STAGES = ("validate", "basis", "embed", "l1check", "threepoint")
@@ -112,8 +112,7 @@ def _stage_basis(space: FiniteMetricSpace, seed: int) -> StageResult:
 
 def _stage_embed(space: FiniteMetricSpace) -> StageResult:
     rounded = round_to_dyadic(space)
-    dendrogram(rounded)  # certification happens inside
-    claims = verify_retraction_claims(rounded)
+    _, claims = _embedding(rounded, validate(rounded))  # the dendrogram is certified inside
     return StageResult(
         "embed",
         claims.passed,

@@ -393,10 +393,23 @@ def basis_constant(space: FiniteMetricSpace, family: BasisFamily, certified: boo
     form on small instances).  Equals exactly 1 for chains built on
     ultrametric spaces.
     """
+    closed_form = None if certified or not family.vectors else _certified_chain(space, family)
+    return _basis_constant(space, family, closed_form, certified)
+
+
+def _basis_constant(
+    space: FiniteMetricSpace,
+    family: BasisFamily,
+    closed_form: Optional[tuple[RetractionChain, list[tuple[int, ...]]]],
+    certified: bool,
+) -> Fraction:
+    """The body of :func:`basis_constant`.
+
+    ``closed_form`` is ``_certified_chain(space, family)``, or None to skip the closed form.
+    """
     count = len(family.vectors)
     if count == 0:
         return Fraction(1)
-    closed_form = None if certified else _certified_chain(space, family)
     if closed_form is not None:
         retract, d = closed_form[0].retract, space.dist
         return max(

@@ -19,9 +19,10 @@ from .ell1 import pipeline, three_point_report
 from .freespace import free_norm_certificate
 from .metric import CertificationError, StructuralError, validate
 from .rational import parse_rational
-from .rtree import branching_points, dendrogram, retract_to_space, verify_retraction_claims
+from .rtree import _embedding, retract_to_space
 from .serialize import (
     IngestError,
+    _ingest,
     dump_json,
     function_to_json,
     ingest,
@@ -157,10 +158,9 @@ def _cmd_basis(args) -> int:
 
 
 def _cmd_embed(args) -> int:
-    space = ingest(args.space, args.format)
-    tree = dendrogram(space)
-    branching = branching_points(space)
-    claims = verify_retraction_claims(space)
+    space, report = _ingest(args.space, args.format)
+    tree, claims = _embedding(space, report)
+    branching = tree.nodes[len(space):]
     retraction = {
         f"{space.labels[p.anchor]}@{p.height}": space.labels[retract_to_space(space, p, branching)]
         for p in branching

@@ -34,9 +34,9 @@ from typing import NamedTuple, Optional, Sequence
 
 from .chain import (
     BasisFamily,
+    _basis_constant,
     _certified_chain,
     _molecule_expansions,
-    basis_constant,
     basis_vectors,
     build_chain,
     verify_chain,
@@ -64,13 +64,10 @@ from .metric import (
 from .rational import parse_rational
 from .rtree import (
     DendrogramTree,
-    _certify_path_metric,
     _dendrogram,
+    _node_space,
     _retraction_claims,
-    branching_points,
     dendrogram,
-    node_space,
-    retract_to_space,
     rooted_node_space,
 )
 
@@ -320,12 +317,12 @@ def _checked_edge_flow(tree: _ScaledTree, v: FreeVector) -> tuple[int, int, list
 def tree_norm_certificate(tree: DendrogramTree, v: FreeVector) -> FreeNormCertificate:
     """Edge-flow norm of v on the root-based node space, with its flow and potential.
 
-    Re-certifies the path metric of the tree against the quotient metric,
-    then checks the flow and the sign potential in integers on one scale,
-    as in :func:`_checked_edge_flow`, and converts to Fractions at the end;
-    any failure raises :class:`CertificationError`.
+    Re-certifies the path metric of the tree against the quotient metric
+    (in :func:`rooted_node_space`, whose distances are the certified path
+    sums), then checks the flow and the sign potential in integers on one
+    scale, as in :func:`_checked_edge_flow`, and converts to Fractions at
+    the end; any failure raises :class:`CertificationError`.
     """
-    _certify_path_metric(tree)
     scaled = _scaled_tree(tree, rooted_node_space(tree))
     value, unit, flow, g = _checked_edge_flow(scaled, v)
     return FreeNormCertificate(
@@ -447,7 +444,11 @@ def l1_equivalence_constants(space: FiniteMetricSpace, family: BasisFamily) -> L
         raise ValueError("family is empty")
     if any(len(v.coeffs) != len(space) - 1 for v in family.vectors):
         raise ValueError("family vectors do not live on the given space")
-    certified = _certified_chain(space, family)
+    return _l1_equivalence_constants(space, family, _certified_chain(space, family))
+
+
+def _l1_equivalence_constants(space: FiniteMetricSpace, family: BasisFamily, certified) -> L1Constants:
+    """The body of :func:`l1_equivalence_constants`; ``certified`` is ``_certified_chain(space, family)``."""
     if certified is None:
         phi, i, j, coeffs = max(
             (
@@ -693,11 +694,12 @@ def pipeline(
     space is built once, and the projection norm is the Lipschitz constant of
     the retraction, certified at its witness pair; a failed certificate
     raises :class:`CertificationError`.  The input and its rounding are
-    validated once each, and the branching points of the rounding are
-    scanned once for both the dendrogram and the retraction claims.  The
-    basis and l1 constants are read off the certified Dirac rows of the
-    chain; the one transport solve left is the witness of the l1 lower
-    constant.
+    validated once each; the dendrogram of the rounding is read off its
+    single-linkage merges once, and its certified node distances serve the
+    retraction claims, the node space and the retraction images.  The
+    chain's family is recognised and certified once, and the basis and l1
+    constants are read off its certified Dirac rows; the one transport
+    solve left is the witness of the l1 lower constant.
     """
     if len(space) < 2:
         raise ValueError("pipeline needs at least two points")
@@ -709,18 +711,17 @@ def pipeline(
     if not (report.is_ultrametric and report.is_dyadic):
         raise CertificationError("dyadic rounding did not give a power-of-two ultrametric")
     distortion = identity_distortion(space, rounded)
-    branching = branching_points(rounded)
-    tree = _dendrogram(rounded, branching)
-    claims = _retraction_claims(rounded, branching)
-    ambient = node_space(tree)
+    tree, certified = _dendrogram(rounded)
+    claims, image = _retraction_claims(tree, certified)
+    ambient = _node_space(tree, certified)
     _certify_edge_flow_battery(rounded, tree, with_base(ambient, len(tree.nodes) - 1), oracle_vectors, seed)
     chain = build_chain(space, ordering)
     chain_report = verify_chain(chain)
     family = basis_vectors(chain)
-    constant = basis_constant(space, family)
-    l1 = l1_equivalence_constants(space, family)
-    image = tuple(retract_to_space(rounded, node, branching) for node in tree.nodes)
-    projection = operator_norm_of_extension(PointMap(ambient, ambient, image))
+    recognised = _certified_chain(space, family)
+    constant = _basis_constant(space, family, recognised, False)
+    l1 = _l1_equivalence_constants(space, family, recognised)
+    projection = operator_norm_of_extension(PointMap(ambient, ambient, tuple(image)))
     return PipelineReport(
         size=len(space),
         distortion=distortion,

@@ -23,9 +23,9 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 from math import lcm
-from typing import Optional, Sequence
+from typing import Sequence
 
-from .metric import CertificationError, FiniteMetricSpace, _pair_ratios
+from .metric import CertificationError, FiniteMetricSpace, _integer_view, _pair_ratios, _single_linkage
 from .rational import parse_rational
 from .simplex import solve_lp
 
@@ -169,47 +169,6 @@ def _transport_program(space: FiniteMetricSpace, lead: Sequence[Fraction]):
     return arcs, costs, columns, basis
 
 
-def _single_linkage(space: FiniteMetricSpace) -> Optional[list[tuple[Fraction, int, int]]]:
-    """The merges of the single-linkage hierarchy, or None when the space is no ultrametric.
-
-    Pairs are taken by increasing distance, and a pair joining two clusters
-    merges them at its distance; merge k is (height, left, right) and
-    creates node n + k, the points being nodes 0..n-1.  The distances must
-    be symmetric and non-negative, and every cross pair of every merge must
-    sit exactly at the merge height: then d(x, y) is the height of the
-    merge that first joins x and y, and heights never fall, which makes the
-    space an ultrametric with this merge tree.
-    """
-    n = len(space)
-    # the distances over one common denominator: the same order and ties, compared as ints
-    scale = lcm(*(h.denominator for row in space.dist for h in row))
-    d = [[h.numerator * (scale // h.denominator) for h in row] for row in space.dist]
-    pairs = []
-    for i in range(n):
-        row = d[i]
-        for j in range(i + 1, n):
-            h = row[j]
-            if h < 0 or h != d[j][i]:
-                return None
-            pairs.append((h, i, j))
-    pairs.sort()
-    node = list(range(n))
-    members = [[x] for x in range(n)]
-    merges: list[tuple[Fraction, int, int]] = []
-    for h, i, j in pairs:
-        a, b = node[i], node[j]
-        if a == b:
-            continue
-        left, right = members[a], members[b]
-        if any(d[x][y] != h for x in left for y in right):
-            return None
-        for x in left + right:
-            node[x] = n + len(merges)
-        merges.append((space.dist[i][j], a, b))
-        members.append(left + right)
-    return merges
-
-
 def _lca_flow(merges, masses: Sequence[Fraction]) -> tuple[Fraction, list[tuple[int, int, Fraction]]]:
     """Match opposite-signed point masses at each merge, bottom-up, at cost = merge height.
 
@@ -321,7 +280,7 @@ def free_norm_certificate(space: FiniteMetricSpace, v: FreeVector) -> FreeNormCe
     if n == 1 or v.is_zero():
         return FreeNormCertificate(Fraction(0), (), LipFunction((Fraction(0),) * n))
 
-    merges = _single_linkage(space)
+    merges = _single_linkage(space, _integer_view(space))
     if merges is None:
         value, flow, potential = _lp_route(space, v.coeffs)
     else:

@@ -12,6 +12,7 @@ import random
 from dataclasses import dataclass
 from fractions import Fraction
 from itertools import combinations
+from math import lcm
 from typing import Callable, Iterator, Optional
 
 from .rational import dyadic_floor, is_power_of_two, parse_rational
@@ -83,18 +84,33 @@ class ValidationReport:
     is_dyadic: bool
 
 
-def _check_structure(space: FiniteMetricSpace) -> None:
+# (scale, rows): a matrix of rationals rows[i][j] / scale, all over one denominator
+_Scaled = tuple[int, list[list[int]]]
+
+
+def _integer_view(space: FiniteMetricSpace) -> _Scaled:
+    """Every distance over one common denominator: (scale, rows) with d(i, j) = rows[i][j] / scale.
+
+    The scale is the lcm of the denominators, so the rows are integers with
+    the same order, ties, sums and maxima as the distances.
+    """
+    scale = lcm(*(h.denominator for row in space.dist for h in row))
+    return scale, [[h.numerator * (scale // h.denominator) for h in row] for row in space.dist]
+
+
+def _check_structure(space: FiniteMetricSpace, d: list[list[int]]) -> None:
+    """Raise on a nonzero diagonal, an asymmetric, negative or zero entry; ``d`` is the integer view."""
     n = len(space)
-    d = space.dist
+    q = space.dist
     for i in range(n):
         if d[i][i] != 0:
-            raise StructuralError(f"nonzero diagonal at index {i}: {d[i][i]}")
+            raise StructuralError(f"nonzero diagonal at index {i}: {q[i][i]}")
     for i in range(n):
         for j in range(i + 1, n):
             if d[i][j] != d[j][i]:
-                raise StructuralError(f"asymmetric entries at ({i},{j}): {d[i][j]} vs {d[j][i]}")
+                raise StructuralError(f"asymmetric entries at ({i},{j}): {q[i][j]} vs {q[j][i]}")
             if d[i][j] < 0:
-                raise StructuralError(f"negative distance at ({i},{j}): {d[i][j]}")
+                raise StructuralError(f"negative distance at ({i},{j}): {q[i][j]}")
             if d[i][j] == 0:
                 raise StructuralError(f"zero distance between distinct points ({i},{j})")
 
@@ -103,14 +119,20 @@ def validate(space: FiniteMetricSpace) -> ValidationReport:
     """Exhaustively check the triangle and max inequalities plus dyadicity.
 
     Structural defects raise :class:`StructuralError`; metric failures are
-    reported, not raised, so deliberately bad inputs can be inspected.
+    reported, not raised, so deliberately bad inputs can be inspected.  The
+    triple scan runs on the integer view of :func:`_integer_view`: a triple
+    whose largest side is attained twice passes both inequalities, and any
+    other triple is checked side by side in the scan order.
     """
-    _check_structure(space)
+    _, d = _integer_view(space)
+    _check_structure(space, d)
     n = len(space)
-    d = space.dist
     metric_fail: Optional[tuple[int, int, int]] = None
     ultra_fail: Optional[tuple[int, int, int]] = None
     for a, b, c in combinations(range(n), 3):
+        ab, ac, bc = d[a][b], d[a][c], d[b][c]
+        if ab == ac >= bc or ab == bc >= ac or ac == bc >= ab:
+            continue
         for i, j, k in ((a, b, c), (b, a, c), (a, c, b)):
             if metric_fail is None and d[i][k] > d[i][j] + d[j][k]:
                 metric_fail = (i, j, k)
@@ -118,13 +140,54 @@ def validate(space: FiniteMetricSpace) -> ValidationReport:
                 ultra_fail = (i, j, k)
         if metric_fail is not None and ultra_fail is not None:
             break
-    is_dyadic = all(is_power_of_two(d[i][j]) for i in range(n) for j in range(i + 1, n))
+    q = space.dist
+    is_dyadic = all(is_power_of_two(q[i][j]) for i in range(n) for j in range(i + 1, n))
     return ValidationReport(
         is_metric=metric_fail is None,
         is_ultrametric=ultra_fail is None,
         failing_triple=metric_fail if metric_fail is not None else ultra_fail,
         is_dyadic=is_dyadic,
     )
+
+
+def _single_linkage(space: FiniteMetricSpace, view: _Scaled) -> Optional[list[tuple[Fraction, int, int]]]:
+    """The merges of the single-linkage hierarchy, or None when the space is no ultrametric.
+
+    ``view`` is :func:`_integer_view` of the space.  Pairs are taken by
+    increasing distance, and a pair joining two clusters merges them at its
+    distance; merge k is (height, left, right) and creates node n + k, the
+    points being nodes 0..n-1.  The distances must be symmetric and
+    non-negative, and every cross pair of every merge must sit exactly at
+    the merge height: then d(x, y) is the height of the merge that first
+    joins x and y, and heights never fall, which makes the space an
+    ultrametric with this merge tree.
+    """
+    n = len(space)
+    d = view[1]
+    pairs = []
+    for i in range(n):
+        row = d[i]
+        for j in range(i + 1, n):
+            h = row[j]
+            if h < 0 or h != d[j][i]:
+                return None
+            pairs.append((h, i, j))
+    pairs.sort()
+    node = list(range(n))
+    members = [[x] for x in range(n)]
+    merges: list[tuple[Fraction, int, int]] = []
+    for h, i, j in pairs:
+        a, b = node[i], node[j]
+        if a == b:
+            continue
+        left, right = members[a], members[b]
+        if any(d[x][y] != h for x in left for y in right):
+            return None
+        for x in left + right:
+            node[x] = n + len(merges)
+        merges.append((space.dist[i][j], a, b))
+        members.append(left + right)
+    return merges
 
 
 def strict_max_check(space: FiniteMetricSpace) -> list[tuple[int, int, int]]:
@@ -160,11 +223,10 @@ def round_to_dyadic(space: FiniteMetricSpace) -> FiniteMetricSpace:
 def _round_to_dyadic(space: FiniteMetricSpace) -> FiniteMetricSpace:
     """The body of :func:`round_to_dyadic`, for a space already validated as ultrametric."""
     n = len(space)
-    d = space.dist
-    rows = tuple(
-        tuple(Fraction(0) if i == j else dyadic_floor(d[i][j]) for j in range(n))
-        for i in range(n)
-    )
+    rows = [[Fraction(0)] * n for _ in range(n)]
+    for i in range(n):
+        for j in range(i + 1, n):
+            rows[i][j] = rows[j][i] = dyadic_floor(space.dist[i][j])
     return FiniteMetricSpace(space.labels, rows)
 
 

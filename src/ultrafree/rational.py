@@ -42,20 +42,20 @@ def is_power_of_two(q: Fraction) -> bool:
 
 
 def dyadic_floor(q: Fraction) -> Fraction:
-    """Largest power of two <= q, found by exact doubling/halving.
+    """Largest power of two <= q, from the bit lengths and one exact comparison.
 
-    Never touches logarithms, so the bracket 2**n <= q < 2**(n+1) is exact.
+    With a and b the bit lengths of the numerator and the denominator,
+    2**(a-b-1) < q < 2**(a-b+1), so the answer is 2**(a-b) when
+    2**(a-b) <= q and 2**(a-b-1) otherwise.  Never touches logarithms.
     """
     if q <= 0:
         raise ValueError(f"dyadic_floor needs a positive value, got {q}")
-    p = Fraction(1)
-    if p <= q:
-        while p * 2 <= q:
-            p *= 2
-    else:
-        while p > q:
-            p /= 2
-    return p
+    num, den = q.numerator, q.denominator
+    k = num.bit_length() - den.bit_length()
+    below = num < den << k if k >= 0 else num << -k < den  # q < 2**k
+    if below:
+        k -= 1
+    return Fraction(1 << k) if k >= 0 else Fraction(1, 1 << -k)
 
 
 def dyadic_exponent(q: Fraction) -> int:

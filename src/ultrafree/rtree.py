@@ -6,12 +6,17 @@ their distance.  The metric is
 
     rho(<m,i>, <n,j>) = 2 max(i, j, d(m,n)/2) - (i + j),
 
-under which the original space embeds isometrically at height 0.  The module
-enumerates the branching points, realizes the finite subtree they span as a
-rooted edge-weighted dendrogram, and verifies the nearest-anchor retraction
-back onto the original points together with its Lipschitz bounds (factor 2
-from a leaf to a branching point, factor 4 between branching points, on
-power-of-two-valued spaces).
+under which the original space embeds isometrically at height 0.  The finite
+subtree spanned by the points is the single-linkage hierarchy of the space:
+each cluster C that merges at height h (tied merges contracted) is the
+branching point <min C, h/2>, and the tree distance of two points is twice
+the height of their lowest common ancestor.  The module reads the branching
+points and the rooted edge-weighted dendrogram off one single-linkage merge
+tree, certifies its path metric against the quotient metric on every node
+pair in integers, and verifies the nearest-anchor retraction back onto the
+original points together with its Lipschitz bounds (factor 2 from a leaf to
+a branching point, factor 4 between branching points, on
+power-of-two-valued spaces), on the same certified node distances.
 """
 
 from __future__ import annotations
@@ -19,10 +24,20 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 from itertools import combinations, combinations_with_replacement
+from math import lcm
 from typing import Optional, Sequence
 
-from .metric import CertificationError, FiniteMetricSpace, validate, with_base
-from .rational import dyadic_exponent, parse_rational
+from .metric import (
+    CertificationError,
+    FiniteMetricSpace,
+    ValidationReport,
+    _Scaled,
+    _integer_view,
+    _single_linkage,
+    validate,
+    with_base,
+)
+from .rational import parse_rational
 
 
 @dataclass(frozen=True)
@@ -189,13 +204,47 @@ def _tree_nodes(space: FiniteMetricSpace, branching: Sequence[TreePoint]) -> lis
 
 
 def branching_points(space: FiniteMetricSpace) -> list[TreePoint]:
-    """All classes <m, d(m,n)/2> over distinct pairs, canonical and deduplicated."""
-    found = set()
-    for m in range(len(space)):
-        for n in range(len(space)):
-            if m != n:
-                found.add(canonicalize(space, TreePoint(m, space.dist[m][n] / 2)))
-    return sorted(found, key=lambda p: (p.height, p.anchor))
+    """All classes <m, d(m,n)/2> over distinct pairs, canonical and deduplicated.
+
+    On an ultrametric these are the clusters of the single-linkage merge
+    tree with tied heights contracted, each cluster C merging at height h
+    giving <min C, h/2>; sorted by (height, anchor).  Raises ValueError on
+    a space that is not an ultrametric.
+    """
+    merges = _single_linkage(space, _integer_view(space))
+    if merges is None:
+        raise ValueError("branching points require an ultrametric space")
+    return _merge_tree(len(space), merges)[0][len(space):]
+
+
+def _merge_tree(n: int, merges) -> tuple[list[TreePoint], list[int], list[Fraction]]:
+    """The nodes, parents and edge lengths of the dendrogram, read off single-linkage merges.
+
+    ``merges`` are those of :func:`ultrafree.metric._single_linkage` on n
+    points.  A merge whose parent merge has the same height belongs to its
+    parent's cluster; every other merge closes a cluster C at its height h,
+    the ball of radius h about each member, which is the branching point
+    <min C, h/2>.  Nodes are the leaves in point order, then the branching
+    points by (height, anchor); a node's parent is the branching point of
+    the next cluster above it, and its edge length the height gap.
+    """
+    count = n + len(merges)
+    up = [-1] * count
+    low = list(range(count))
+    height = [Fraction(0)] * n + [h for h, _, _ in merges]
+    for k, (_, a, b) in enumerate(merges):
+        up[a] = up[b] = n + k
+        low[n + k] = min(low[a], low[b])
+    top = list(range(count))  # the merge that closes each merge's cluster
+    for u in reversed(range(n, count)):
+        if up[u] >= 0 and height[up[u]] == height[u]:
+            top[u] = top[up[u]]
+    closing = sorted((u for u in range(n, count) if top[u] == u), key=lambda u: (height[u], low[u]))
+    index = {u: n + k for k, u in enumerate(closing)}
+    nodes = [TreePoint(x, Fraction(0)) for x in range(n)] + [TreePoint(low[u], height[u] / 2) for u in closing]
+    parent = [index[top[up[u]]] if up[u] >= 0 else -1 for u in (*range(n), *closing)]
+    edge = [nodes[p].height - node.height if p >= 0 else Fraction(0) for node, p in zip(nodes, parent)]
+    return nodes, parent, edge
 
 
 def generating_partner(space: FiniteMetricSpace, v: TreePoint) -> Optional[int]:
@@ -299,67 +348,76 @@ def verify_retraction_claims(space: FiniteMetricSpace) -> RetractionClaimReport:
 
     Refuses non-dyadic input: the factor-4 bound genuinely uses power-of-two
     distances.  Also reports the attained Lipschitz constant over all pairs
-    of the finite domain (leaves plus branching points).
+    of the finite domain (leaves plus branching points).  The claims run on
+    the certified node distances of the dendrogram.
     """
     report = validate(space)
     if not report.is_ultrametric:
         raise ValueError("retraction claims require an ultrametric space")
     if not report.is_dyadic:
         raise ValueError("retraction claims require power-of-two distances")
-    return _retraction_claims(space, branching_points(space))
+    return _retraction_claims(*_dendrogram(space))[0]
 
 
-def _retraction_claims(space: FiniteMetricSpace, branching: Sequence[TreePoint]) -> RetractionClaimReport:
-    """The body of :func:`verify_retraction_claims` on a validated dyadic ultrametric space.
+def _retraction_claims(tree: DendrogramTree, certified: _Scaled) -> tuple[RetractionClaimReport, list[int]]:
+    """The body of :func:`verify_retraction_claims`, with the image of every tree node.
 
-    ``branching`` is ``branching_points(space)``.
+    ``tree`` is the dendrogram of a validated dyadic ultrametric space and
+    ``certified`` its node distances from :func:`_certify_path_metric`, in
+    units of 1/L; the leaves are nodes 0..n-1, so the distances of the
+    space are there too.  Every claim is an integer comparison on that one
+    scale.  A node retracts to its canonical anchor, the first point within
+    twice its height, and a branching point's generating partner is the
+    first other point at exactly twice its height from that anchor.  On
+    powers of two, 2**max(e_m, e_n) - 2**(e_n - 1) - 2**(e_k - 1) of the
+    exponent-gap claim is max(d, 2 h_max) - h_max - h_min.
     """
-    d = space.dist
+    nodes, (unit, rows) = tree.nodes, certified
+    n, count = len(tree.space), len(nodes)
+    height = [p.height.numerator * (unit // p.height.denominator) for p in nodes]
+    images = [next(q for q in range(n) if rows[p.anchor][q] <= 2 * height[k]) for k, p in enumerate(nodes)]
+    partners = {
+        k: next(q for q in range(n) if q != images[k] and rows[images[k]][q] == 2 * height[k])
+        for k in range(n, count)
+    }
     leaf_branch, anchor_gap = [], []
-    for a in range(len(space)):
-        leaf = TreePoint(a, Fraction(0))
-        for b in branching:
-            rho = tree_distance(space, leaf, b)
-            if d[a][b.anchor] > 2 * rho:
-                leaf_branch.append((a, b))
-            partner = generating_partner(space, b)
-            gap = 2 * max(d[b.anchor][partner], d[b.anchor][a]) - d[b.anchor][partner]
-            if d[a][b.anchor] > gap:
-                anchor_gap.append((a, b))
+    for a in range(n):
+        row = rows[a]
+        for k in range(n, count):
+            m = nodes[k].anchor
+            if row[m] > 2 * row[k]:
+                leaf_branch.append((a, nodes[k]))
+            reach = rows[m][partners[k]]
+            if row[m] > 2 * max(reach, rows[m][a]) - reach:
+                anchor_gap.append((a, nodes[k]))
     branch_pair, exponent_gap, same_height = [], [], []
-    for a, b in combinations(branching, 2):
-        rho = tree_distance(space, a, b)
-        if d[a.anchor][b.anchor] > 4 * rho:
+    for k, l in combinations(range(n, count), 2):
+        a, b = nodes[k], nodes[l]
+        gap = rows[a.anchor][b.anchor]
+        if gap > 4 * rows[k][l]:
             branch_pair.append((a, b))
-        if a.height == b.height and d[a.anchor][b.anchor] <= 2 * a.height:
+        if height[k] == height[l] and gap <= 2 * height[k]:
             same_height.append((a, b))
-        if d[a.anchor][b.anchor] > 0:
-            expo_m = dyadic_exponent(d[a.anchor][b.anchor])
-            expo_n = dyadic_exponent(2 * a.height)
-            expo_k = dyadic_exponent(2 * b.height)
-            if expo_n < expo_k:
-                expo_n, expo_k = expo_k, expo_n
-            lhs = Fraction(2) ** expo_m
-            rhs = 4 * (Fraction(2) ** max(expo_m, expo_n) - Fraction(2) ** (expo_n - 1) - Fraction(2) ** (expo_k - 1))
-            if lhs > rhs:
+        if gap > 0:
+            high, low = max(height[k], height[l]), min(height[k], height[l])
+            if gap > 4 * (max(gap, 2 * high) - high - low):
                 exponent_gap.append((a, b))
-    nodes = _tree_nodes(space, branching)
-    images = {p: retract_to_space(space, p, branching) for p in nodes}
-    idempotent = all(images[TreePoint(images[p], Fraction(0))] == images[p] for p in nodes)
-    attained = Fraction(0)
-    for p, q in combinations(nodes, 2):
-        ratio = d[images[p]][images[q]] / tree_distance(space, p, q)
-        if ratio > attained:
-            attained = ratio
-    return RetractionClaimReport(
+    idempotent = all(images[images[k]] == images[k] for k in range(count))
+    best, over = 0, 1
+    for p, q in combinations(range(count), 2):
+        moved, rho = rows[images[p]][images[q]], rows[p][q]
+        if moved * over > best * rho:
+            best, over = moved, rho
+    report = RetractionClaimReport(
         tuple(leaf_branch),
         tuple(branch_pair),
         tuple(anchor_gap),
         tuple(exponent_gap),
         tuple(same_height),
         idempotent,
-        attained,
+        Fraction(best, over),
     )
+    return report, images
 
 
 @dataclass(frozen=True)
@@ -387,48 +445,60 @@ class DendrogramTree:
 def dendrogram(space: FiniteMetricSpace) -> DendrogramTree:
     """Build the dendrogram and certify its path metric against the quotient metric.
 
-    The parent of a node is the lowest node strictly above it whose ball
-    covers its anchor; the root is the top branching point anchored at the
-    base.  Certification compares the path-length distance of every node pair
-    with the closed-form quotient distance and raises on any mismatch, and
-    additionally checks that every branching node has at least two children.
+    The tree is read off the single-linkage merges of the space: the
+    branching points are its clusters with tied heights contracted, the
+    parent of a node is the branching point of the next cluster above it,
+    and the root is the cluster of all points, anchored at the base.
+    Certification compares the path-length distance of every node pair
+    with the closed-form quotient distance, in integers, and raises on any
+    mismatch, and additionally checks that every branching node has at
+    least two children.
     """
     report = validate(space)
     if not report.is_ultrametric:
         raise ValueError("dendrogram requires an ultrametric space")
-    return _dendrogram(space, branching_points(space))
+    return _dendrogram(space)[0]
 
 
-def _dendrogram(space: FiniteMetricSpace, branching: Sequence[TreePoint]) -> DendrogramTree:
-    """The body of :func:`dendrogram` on a validated ultrametric space.
-
-    ``branching`` is ``branching_points(space)``.
-    """
-    nodes = _tree_nodes(space, branching)
-    parent = [-1] * len(nodes)
-    edge = [Fraction(0)] * len(nodes)
-    for idx, u in enumerate(nodes):
-        best = -1
-        for jdx, w in enumerate(nodes):
-            if w.height > u.height and space.dist[u.anchor][w.anchor] <= 2 * w.height:
-                if best < 0 or w.height < nodes[best].height:
-                    best = jdx
-        parent[idx] = best
-        if best >= 0:
-            edge[idx] = nodes[best].height - u.height
+def _dendrogram(space: FiniteMetricSpace) -> tuple[DendrogramTree, _Scaled]:
+    """The body of :func:`dendrogram` on a validated ultrametric space, with its certified node distances."""
+    view = _integer_view(space)
+    merges = _single_linkage(space, view)
+    if merges is None:
+        raise CertificationError("a validated ultrametric has no single-linkage merge tree")
+    nodes, parent, edge = _merge_tree(len(space), merges)
     tree = DendrogramTree(space, tuple(nodes), tuple(parent), tuple(edge))
-    _certify_path_metric(tree)
+    certified = _certify_path_metric(tree, view)
+    children = [0] * len(nodes)
+    for p in parent:
+        if p >= 0:
+            children[p] += 1
     for idx, u in enumerate(nodes):
-        if u.height > 0 and len(tree.children(idx)) < 2:
+        if u.height > 0 and children[idx] < 2:
             raise CertificationError(f"branching node {u} has fewer than two children")
-    return tree
+    return tree, certified
 
 
-def _certify_path_metric(tree: DendrogramTree) -> None:
+def _embedding(space: FiniteMetricSpace, report: ValidationReport) -> tuple[DendrogramTree, RetractionClaimReport]:
+    """:func:`dendrogram` and :func:`verify_retraction_claims` on one validation; ``report`` is ``validate(space)``."""
+    if not report.is_ultrametric:
+        raise ValueError("dendrogram requires an ultrametric space")
+    tree, certified = _dendrogram(space)
+    if not report.is_dyadic:
+        raise ValueError("retraction claims require power-of-two distances")
+    return tree, _retraction_claims(tree, certified)[0]
+
+
+def _certify_path_metric(tree: DendrogramTree, view: _Scaled) -> _Scaled:
     """Raise unless the path metric of the tree is the quotient metric on every node pair.
 
     The tree must be rooted at its top node, with every parent strictly
-    higher than its child, so that every path walk ends.
+    higher than its child, so that it is a tree.  ``view`` is the integer
+    view of ``tree.space``.  The heights, the edge lengths and half of
+    every distance go on one integer scale L; one walk of the tree from
+    each node gives its path sums, and each pair (p, q), p < q in node
+    order, must have path sum 2 max(h_p, h_q, d(m, n)/2) - h_p - h_q.
+    Returns (L, rows), the node distances in units of 1/L.
     """
     nodes, parent = tree.nodes, tree.parent
     roots = [_node_label(tree, nodes[k]) for k, p in enumerate(parent) if p == -1]
@@ -438,12 +508,36 @@ def _certify_path_metric(tree: DendrogramTree) -> None:
     for k, p in enumerate(parent):
         if p >= 0 and nodes[p].height <= nodes[k].height:
             raise CertificationError(f"parent {nodes[p]} of {nodes[k]} is not higher")
-    for i in range(len(nodes)):
-        for j in range(i + 1, len(nodes)):
-            if path_distance(tree, i, j) != tree_distance(tree.space, nodes[i], nodes[j]):
+    scale, d = view
+    unit = lcm(2 * scale, *(p.height.denominator for p in nodes), *(x.denominator for x in tree.edge_length))
+    half = unit // (2 * scale)
+    height = [p.height.numerator * (unit // p.height.denominator) for p in nodes]
+    count = len(nodes)
+    adjacent: list[list[tuple[int, int]]] = [[] for _ in range(count)]
+    for k, (p, x) in enumerate(zip(parent, tree.edge_length)):
+        if p >= 0:
+            length = x.numerator * (unit // x.denominator)
+            adjacent[k].append((p, length))
+            adjacent[p].append((k, length))
+    rows = []
+    for i in range(count):
+        path = [0] * count
+        stack = [(i, -1)]
+        while stack:
+            u, came = stack.pop()
+            for v, length in adjacent[u]:
+                if v != came:
+                    path[v] = path[u] + length
+                    stack.append((v, u))
+        hi, di = height[i], d[nodes[i].anchor]
+        for j in range(i + 1, count):
+            hj = height[j]
+            if path[j] != 2 * max(hi, hj, di[nodes[j].anchor] * half) - hi - hj:
                 raise CertificationError(
                     f"path metric disagrees with the quotient metric on ({nodes[i]}, {nodes[j]})"
                 )
+        rows.append(path)
+    return unit, rows
 
 
 def path_distance(tree: DendrogramTree, i: int, j: int) -> Fraction:
@@ -470,15 +564,19 @@ def node_space(tree: DendrogramTree) -> FiniteMetricSpace:
 
     Leaves keep their labels and their indices, so the original space sits at
     the same positions; this is the basing under which the retraction onto
-    the leaves preserves the base point.
+    the leaves preserves the base point.  The distances are the path sums
+    that :func:`_certify_path_metric` certifies, so a tree whose path metric
+    is not the quotient metric raises :class:`CertificationError`.
     """
-    labels = [_node_label(tree, p) for p in tree.nodes]
-    count = len(tree.nodes)
-    dist = tuple(
-        tuple(tree_distance(tree.space, tree.nodes[i], tree.nodes[j]) for j in range(count))
-        for i in range(count)
-    )
-    return FiniteMetricSpace(tuple(labels), dist)
+    return _node_space(tree, _certify_path_metric(tree, _integer_view(tree.space)))
+
+
+def _node_space(tree: DendrogramTree, certified: _Scaled) -> FiniteMetricSpace:
+    """The node space of ``tree`` from its certified node distances (L, rows)."""
+    unit, rows = certified
+    exact = {x: Fraction(x, unit) for x in {x for row in rows for x in row}}
+    dist = tuple(tuple(exact[x] for x in row) for row in rows)
+    return FiniteMetricSpace(tuple(_node_label(tree, p) for p in tree.nodes), dist)
 
 
 def rooted_node_space(tree: DendrogramTree) -> FiniteMetricSpace:

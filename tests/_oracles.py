@@ -30,6 +30,16 @@ The projection algebra of a retraction chain is re-derived on its matrices:
 integer products of the 0/1 projection matrices against the min rule, and
 their exact ranks by Gauss-Jordan elimination.  It shares nothing with the
 point-map identities the package checks.
+
+The package validates a space, builds its dendrogram, certifies it and
+checks the retraction claims in integers, from one single-linkage merge
+tree.  The Fraction scans these replaced are kept as references: the
+triple scan of ``validate``, the doubling/halving ``dyadic_floor``, the
+branching points as every canonical <m, d(m, n)/2>, each node's parent as
+the lowest higher node whose ball covers its anchor, the node space by the
+quotient formula on every pair, and the retraction claims by
+``tree_distance``, ``generating_partner`` and ``dyadic_exponent`` on every
+pair.  None of them touches the integer view or the merges.
 """
 
 from __future__ import annotations
@@ -40,7 +50,17 @@ from itertools import combinations
 from ultrafree.chain import BasisFamily, ProjectionAlgebraReport, RetractionChain, projection_matrix
 from ultrafree.freespace import FreeVector, PointMap, _transport_program, free_norm, molecule, push_forward
 from ultrafree.linalg import SingularMatrixError, fraction_rank, solve_linear
-from ultrafree.metric import FiniteMetricSpace
+from ultrafree.metric import FiniteMetricSpace, StructuralError, ValidationReport
+from ultrafree.rational import dyadic_exponent, is_power_of_two
+from ultrafree.rtree import (
+    DendrogramTree,
+    RetractionClaimReport,
+    TreePoint,
+    canonicalize,
+    generating_partner,
+    retract_to_space,
+    tree_distance,
+)
 from ultrafree.simplex import solve_lp
 
 
@@ -227,3 +247,134 @@ def matrix_projection_algebra(chain: RetractionChain) -> ProjectionAlgebraReport
         if fraction_rank([[Fraction(v) for v in row] for row in mats[n - 1]]) != n - 1
     )
     return ProjectionAlgebraReport(min_rule, rank_failures, ())
+
+
+def scan_validate(space: FiniteMetricSpace) -> ValidationReport:
+    """The structure checks and the triple scan of ``validate``, in Fractions, every order of every triple."""
+    n = len(space)
+    d = space.dist
+    for i in range(n):
+        if d[i][i] != 0:
+            raise StructuralError(f"nonzero diagonal at index {i}: {d[i][i]}")
+    for i in range(n):
+        for j in range(i + 1, n):
+            if d[i][j] != d[j][i]:
+                raise StructuralError(f"asymmetric entries at ({i},{j}): {d[i][j]} vs {d[j][i]}")
+            if d[i][j] < 0:
+                raise StructuralError(f"negative distance at ({i},{j}): {d[i][j]}")
+            if d[i][j] == 0:
+                raise StructuralError(f"zero distance between distinct points ({i},{j})")
+    metric_fail = ultra_fail = None
+    for a, b, c in combinations(range(n), 3):
+        for i, j, k in ((a, b, c), (b, a, c), (a, c, b)):
+            if metric_fail is None and d[i][k] > d[i][j] + d[j][k]:
+                metric_fail = (i, j, k)
+            if ultra_fail is None and d[i][k] > max(d[i][j], d[j][k]):
+                ultra_fail = (i, j, k)
+        if metric_fail is not None and ultra_fail is not None:
+            break
+    return ValidationReport(
+        is_metric=metric_fail is None,
+        is_ultrametric=ultra_fail is None,
+        failing_triple=metric_fail if metric_fail is not None else ultra_fail,
+        is_dyadic=all(is_power_of_two(d[i][j]) for i in range(n) for j in range(i + 1, n)),
+    )
+
+
+def loop_dyadic_floor(q: Fraction) -> Fraction:
+    """The largest power of two <= q > 0, by doubling or halving from 1."""
+    p = Fraction(1)
+    if p <= q:
+        while p * 2 <= q:
+            p *= 2
+    else:
+        while p > q:
+            p /= 2
+    return p
+
+
+def scan_branching_points(space: FiniteMetricSpace) -> list[TreePoint]:
+    """Every class <m, d(m,n)/2> over distinct pairs, canonicalized, deduplicated, by (height, anchor)."""
+    found = set()
+    for m in range(len(space)):
+        for n in range(len(space)):
+            if m != n:
+                found.add(canonicalize(space, TreePoint(m, space.dist[m][n] / 2)))
+    return sorted(found, key=lambda p: (p.height, p.anchor))
+
+
+def scan_dendrogram(space: FiniteMetricSpace) -> DendrogramTree:
+    """Leaves then branching points; each node's parent is the lowest higher node covering its anchor."""
+    nodes = [TreePoint(i, Fraction(0)) for i in range(len(space))] + scan_branching_points(space)
+    parent = [-1] * len(nodes)
+    edge = [Fraction(0)] * len(nodes)
+    for idx, u in enumerate(nodes):
+        best = -1
+        for jdx, w in enumerate(nodes):
+            if w.height > u.height and space.dist[u.anchor][w.anchor] <= 2 * w.height:
+                if best < 0 or w.height < nodes[best].height:
+                    best = jdx
+        parent[idx] = best
+        if best >= 0:
+            edge[idx] = nodes[best].height - u.height
+    return DendrogramTree(space, tuple(nodes), tuple(parent), tuple(edge))
+
+
+def quotient_node_distances(tree: DendrogramTree) -> tuple[tuple[Fraction, ...], ...]:
+    """``tree_distance`` of every node pair, as a symmetric matrix."""
+    nodes = tree.nodes
+    dist = [[Fraction(0)] * len(nodes) for _ in nodes]
+    for i, j in combinations(range(len(nodes)), 2):
+        dist[i][j] = dist[j][i] = tree_distance(tree.space, nodes[i], nodes[j])
+    return tuple(map(tuple, dist))
+
+
+def scan_retraction_claims(space: FiniteMetricSpace) -> RetractionClaimReport:
+    """Every retraction claim on every pair, in Fractions, on a dyadic ultrametric space."""
+    branching = scan_branching_points(space)
+    d = space.dist
+    leaf_branch, anchor_gap = [], []
+    for a in range(len(space)):
+        leaf = TreePoint(a, Fraction(0))
+        for b in branching:
+            rho = tree_distance(space, leaf, b)
+            if d[a][b.anchor] > 2 * rho:
+                leaf_branch.append((a, b))
+            partner = generating_partner(space, b)
+            gap = 2 * max(d[b.anchor][partner], d[b.anchor][a]) - d[b.anchor][partner]
+            if d[a][b.anchor] > gap:
+                anchor_gap.append((a, b))
+    branch_pair, exponent_gap, same_height = [], [], []
+    for a, b in combinations(branching, 2):
+        rho = tree_distance(space, a, b)
+        if d[a.anchor][b.anchor] > 4 * rho:
+            branch_pair.append((a, b))
+        if a.height == b.height and d[a.anchor][b.anchor] <= 2 * a.height:
+            same_height.append((a, b))
+        if d[a.anchor][b.anchor] > 0:
+            expo_m = dyadic_exponent(d[a.anchor][b.anchor])
+            expo_n = dyadic_exponent(2 * a.height)
+            expo_k = dyadic_exponent(2 * b.height)
+            if expo_n < expo_k:
+                expo_n, expo_k = expo_k, expo_n
+            lhs = Fraction(2) ** expo_m
+            rhs = 4 * (Fraction(2) ** max(expo_m, expo_n) - Fraction(2) ** (expo_n - 1) - Fraction(2) ** (expo_k - 1))
+            if lhs > rhs:
+                exponent_gap.append((a, b))
+    nodes = [TreePoint(i, Fraction(0)) for i in range(len(space))] + branching
+    images = {p: retract_to_space(space, p, branching) for p in nodes}
+    idempotent = all(images[TreePoint(images[p], Fraction(0))] == images[p] for p in nodes)
+    attained = Fraction(0)
+    for p, q in combinations(nodes, 2):
+        ratio = d[images[p]][images[q]] / tree_distance(space, p, q)
+        if ratio > attained:
+            attained = ratio
+    return RetractionClaimReport(
+        tuple(leaf_branch),
+        tuple(branch_pair),
+        tuple(anchor_gap),
+        tuple(exponent_gap),
+        tuple(same_height),
+        idempotent,
+        attained,
+    )

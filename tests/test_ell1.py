@@ -1,5 +1,6 @@
 import dataclasses
 import random
+import re
 from fractions import Fraction
 
 import pytest
@@ -277,8 +278,21 @@ def test_tree_certificate_recertifies_the_path_metric(four_cluster):
     tree = dendrogram(four_cluster)
     lengths = list(tree.edge_length)
     lengths[1] *= 2
-    with pytest.raises(CertificationError, match="path metric disagrees"):
+    # the first node pair whose path runs through the stretched edge of a: the base and a
+    message = ("path metric disagrees with the quotient metric on "
+               "(TreePoint(anchor=0, height=Fraction(0, 1)), TreePoint(anchor=1, height=Fraction(0, 1)))")
+    with pytest.raises(CertificationError, match=re.escape(message) + "$"):
         tree_norm_certificate(dataclasses.replace(tree, edge_length=tuple(lengths)), _LEAF_A)
+
+
+def test_tree_certificate_names_a_parent_that_is_not_higher(four_cluster):
+    tree = dendrogram(four_cluster)
+    parents = list(tree.parent)
+    parents[5] = 4  # a@1/4 below a@1/8
+    message = ("parent TreePoint(anchor=1, height=Fraction(1, 8)) "
+               "of TreePoint(anchor=1, height=Fraction(1, 4)) is not higher")
+    with pytest.raises(CertificationError, match=re.escape(message) + "$"):
+        tree_norm_certificate(dataclasses.replace(tree, parent=tuple(parents)), _LEAF_A)
 
 
 @pytest.mark.parametrize(

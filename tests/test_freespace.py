@@ -126,9 +126,14 @@ def _merge_ultrametric(heights, pick):
     return FiniteMetricSpace(tuple(str(i) for i in range(n)), tuple(map(tuple, dist)))
 
 
+# for more than 14 heights: the primes in (10^6, 10^6 + 1000), by trial division up to 1000
+_PRIMES_ABOVE_A_MILLION = tuple(p for p in range(1_000_003, 1_001_000, 2) if all(p % q for q in range(3, 1001, 2)))
+
+
 def _coprime_heights(count, rng):
     """Random heights with distinct prime denominators near 10^6."""
-    return [Fraction(rng.randint(q, 8 * q), q) for q in rng.sample(_PRIMES_NEAR_A_MILLION, count)]
+    primes = _PRIMES_NEAR_A_MILLION if count <= len(_PRIMES_NEAR_A_MILLION) else _PRIMES_ABOVE_A_MILLION
+    return [Fraction(rng.randint(q, 8 * q), q) for q in rng.sample(primes, count)]
 
 
 def _coprime_ultrametric(n, rng):
@@ -361,13 +366,13 @@ def test_route_takes_the_tree_only_on_ultrametrics(four_cluster, monkeypatch):
     assert calls == [1, 1]
 
 
-def _stress_ultrametrics(rng):
-    """Equal-height power-of-two ties, heights over primes near 10^6, caterpillars and stars, N = 2..12."""
+def _stress_ultrametrics(rng, sizes=range(2, 13)):
+    """Equal-height power-of-two ties, heights over primes near 10^6, caterpillars and stars, N in sizes."""
 
     def pair(count):
         return rng.sample(range(count), 2)
 
-    for n in range(2, 13):
+    for n in sizes:
         yield _merge_ultrametric([Fraction(2) ** rng.randint(-2, 2) for _ in range(n - 1)], pair)
         yield _coprime_ultrametric(n, rng)
         # each merge joins the next singleton to the growing cluster

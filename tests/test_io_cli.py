@@ -10,6 +10,7 @@ from ultrafree.cli import main
 from ultrafree.freespace import FreeVector
 from ultrafree.metric import random_ultrametric
 from ultrafree.simplex import LpResult
+from test_rtree import CORRUPTED_MERGE_TREES, corrupt_merge_tree
 from ultrafree.serialize import (
     IngestError,
     dump_json,
@@ -362,3 +363,48 @@ def test_l1check_goldens_found():
 def test_l1check_matches_its_golden_report(space, capsys):
     assert main(["l1check", str(space)]) == 0
     assert capsys.readouterr().out == space.with_name(space.name.replace(".space.", ".report.")).read_text()
+
+
+# The `ultrafree embed` report of fixed power-of-two spaces (ties, coprime heights
+# rounded down, a caterpillar, a star and a random merge tree), pinned byte for byte.
+# After a deliberate change to the report, regenerate a pinned file with
+#     PYTHONPATH=src python -m ultrafree embed tests/golden/embed/<name>.space.json \
+#         > tests/golden/embed/<name>.report.json
+EMBED_GOLDEN = Path(__file__).resolve().parent / "golden" / "embed"
+EMBED_SPACES = sorted(EMBED_GOLDEN.glob("*.space.json"))
+
+
+def test_embed_goldens_found():
+    names = sorted(p.name for p in EMBED_GOLDEN.iterdir())
+    assert len(EMBED_SPACES) == 7
+    assert names == sorted(n for p in EMBED_SPACES for n in (p.name, p.name.replace(".space.", ".report.")))
+
+
+@pytest.mark.parametrize("space", EMBED_SPACES, ids=lambda p: p.name.removesuffix(".space.json"))
+def test_embed_matches_its_golden_report(space, capsys):
+    assert main(["embed", str(space)]) == 0
+    assert capsys.readouterr().out == space.with_name(space.name.replace(".space.", ".report.")).read_text()
+
+
+@pytest.mark.parametrize(
+    "dist, message",
+    [
+        ([[0, 1, "3/4"], [1, 0, "1/2"], ["3/4", "1/2", 0]], "dendrogram requires an ultrametric space"),
+        ([[0, 3, 3], [3, 0, "3/2"], [3, "3/2", 0]], "retraction claims require power-of-two distances"),
+    ],
+    ids=["non-ultrametric", "non-dyadic"],
+)
+def test_cli_embed_refuses_with_exit_two(tmp_path, capsys, dist, message):
+    path = tmp_path / "space.json"
+    path.write_text(json.dumps({"labels": ["0", "x", "y"], "dist": dist}))
+    assert main(["embed", str(path)]) == 2
+    assert capsys.readouterr().err == f"error: {message}\n"
+
+
+@pytest.mark.parametrize("change, message", CORRUPTED_MERGE_TREES)
+def test_cli_embed_failed_certificate_exit_one(tmp_path, capsys, monkeypatch, four_cluster, change, message):
+    path = tmp_path / "space.json"
+    dump_json(space_to_json(four_cluster), path)
+    corrupt_merge_tree(monkeypatch, change)
+    assert main(["embed", str(path)]) == 1
+    assert capsys.readouterr().err == f"check failed: {message}\n"

@@ -1,3 +1,5 @@
+import random
+import re
 from fractions import Fraction
 
 import pytest
@@ -14,6 +16,9 @@ from ultrafree.metric import (
     validate,
     with_base,
 )
+
+from _oracles import scan_validate
+from test_freespace import _stress_ultrametrics
 
 
 def test_validate_ultrametric_triangle(triangle):
@@ -59,7 +64,9 @@ def test_validate_non_metric_reports_triple():
 )
 def test_structural_errors(dist):
     space = FiniteMetricSpace(("a", "b"), dist)
-    with pytest.raises(StructuralError):
+    with pytest.raises(StructuralError) as oracle:
+        scan_validate(space)
+    with pytest.raises(StructuralError, match=re.escape(str(oracle.value)) + "$"):
         validate(space)
 
 
@@ -166,3 +173,25 @@ def test_with_base_relabels(triangle):
     assert moved.labels == ("y", "0", "x")
     assert moved.dist[0][2] == triangle.dist[2][1]
     assert validate(moved).is_ultrametric
+
+
+def _perturbed(space, rng):
+    """The space with the distance of one random pair scaled by 1/4, 3/4, 5/4 or 4."""
+    x, y = rng.sample(range(len(space)), 2)
+    rows = [list(row) for row in space.dist]
+    rows[x][y] = rows[y][x] = rows[x][y] * rng.choice((Fraction(1, 4), Fraction(3, 4), Fraction(5, 4), Fraction(4)))
+    return FiniteMetricSpace(space.labels, tuple(map(tuple, rows)))
+
+
+def test_validate_matches_the_fraction_triple_scan():
+    # tied, coprime, caterpillar and star ultrametrics for N = 2..40, and each with one
+    # pair's distance scaled: metrics that are no ultrametric and non-metrics, whose
+    # first failing triple must be the scan's
+    rng = random.Random(43)
+    kinds = set()
+    for space in _stress_ultrametrics(rng, range(2, 41)):
+        for s in (space, _perturbed(space, rng)):
+            report = validate(s)
+            assert report == scan_validate(s), s
+            kinds.add((report.is_metric, report.is_ultrametric))
+    assert kinds == {(True, True), (True, False), (False, False)}

@@ -1,8 +1,11 @@
+import random
 from fractions import Fraction
 
 import pytest
 
 from ultrafree.rational import dyadic_exponent, dyadic_floor, is_power_of_two, parse_rational
+
+from _oracles import loop_dyadic_floor
 
 
 def test_parse_forms():
@@ -49,6 +52,17 @@ def test_dyadic_floor(value, expected):
     floor = dyadic_floor(value)
     assert floor == expected
     assert floor <= value < 2 * floor
+
+
+def test_dyadic_floor_matches_the_doubling_loop():
+    rng = random.Random(3)
+    powers = [Fraction(2) ** k for k in range(-80, 81)]
+    just_below = [p - Fraction(1, 2**90) for p in powers] + [p * Fraction(2**61 - 1, 2**61) for p in powers]
+    huge = [Fraction(rng.getrandbits(rng.randint(1, 200)) + 1, rng.getrandbits(rng.randint(1, 200)) + 1)
+            for _ in range(2000)]
+    coprime = [Fraction(10**40 + 1, 10**39 - 1), Fraction(3**50, 2**79), Fraction(2**79, 3**50), Fraction(1, 3**60)]
+    for q in powers + just_below + huge + coprime:
+        assert dyadic_floor(q) == loop_dyadic_floor(q), q
 
 
 def test_dyadic_floor_rejects_nonpositive():

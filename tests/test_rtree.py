@@ -1,8 +1,11 @@
+import random
+import re
 from fractions import Fraction
 
 import pytest
 
-from ultrafree.metric import FiniteMetricSpace, random_ultrametric, round_to_dyadic
+from ultrafree import rtree
+from ultrafree.metric import CertificationError, FiniteMetricSpace, random_ultrametric, round_to_dyadic
 from ultrafree.rtree import (
     TreePoint,
     branching_points,
@@ -22,6 +25,9 @@ from ultrafree.rtree import (
     verify_retraction_claims,
     verify_segment_axioms,
 )
+
+from _oracles import quotient_node_distances, scan_branching_points, scan_dendrogram, scan_retraction_claims
+from test_freespace import _stress_ultrametrics
 
 H = Fraction(1, 2)
 Q = Fraction(1, 4)
@@ -227,3 +233,84 @@ def test_node_spaces(triangle):
     # permutations of the same metric
     assert sorted(plain.labels) == sorted(rooted.labels)
     assert plain.dist[0][1] == triangle.dist[0][1]
+
+
+# The integer path (one single-linkage merge tree, certified in integers) against
+# the Fraction scans it replaced, on tied, coprime, caterpillar and star spaces
+# for N = 2..40, each as given and rounded to powers of two.
+def _oracle_spaces():
+    return [(space, round_to_dyadic(space)) for space in _stress_ultrametrics(random.Random(41), range(2, 41))]
+
+
+def test_dendrogram_matches_the_scan_oracle():
+    checked = 0
+    for space, rounded in _oracle_spaces():
+        for s in (space, rounded) if rounded != space else (space,):
+            tree = dendrogram(s)
+            assert branching_points(s) == scan_branching_points(s)
+            assert tree == scan_dendrogram(s), s
+            assert node_space(tree).dist == quotient_node_distances(tree)
+            checked += 1
+    assert checked == 4 * 39 + 3 * 39  # the tied spaces are their own rounding
+
+
+def test_retraction_claims_match_the_scan_oracle():
+    constants = set()
+    for _, rounded in _oracle_spaces():
+        report = verify_retraction_claims(rounded)
+        assert report == scan_retraction_claims(rounded), rounded
+        constants.add(report.attained_constant)
+    assert max(constants) == 4 and len(constants) > 1
+
+
+def test_branching_points_reject_a_non_ultrametric(lopsided):
+    with pytest.raises(ValueError, match="branching points require an ultrametric space"):
+        branching_points(lopsided)
+
+
+# Corruptions of the merge-tree reading of four_cluster (0, a, b, c; nodes 0..3, then
+# a@1/8, a@1/4 and the root 0@1/2), each with the certificate message it must raise.
+def _lower_parent(nodes, parent, edge):
+    """a@1/4 hangs below a@1/8."""
+    parent = list(parent)
+    parent[5] = 4
+    return nodes, parent, edge
+
+
+def _one_child(nodes, parent, edge):
+    """The point <c, 1/8> inserted on the edge of c: on the tree, but with one child."""
+    e = Fraction(1, 8)
+    nodes = [*nodes[:5], TreePoint(3, e), *nodes[5:]]
+    return nodes, [7, 4, 4, 5, 6, 6, 7, -1], [H, e, e, e, e, e, Q, 0]
+
+
+def _long_edge(nodes, parent, edge):
+    """The edge of a twice as long."""
+    edge = list(edge)
+    edge[1] *= 2
+    return nodes, parent, edge
+
+
+CORRUPTED_MERGE_TREES = [
+    pytest.param(_lower_parent, "parent TreePoint(anchor=1, height=Fraction(1, 8)) "
+                 "of TreePoint(anchor=1, height=Fraction(1, 4)) is not higher", id="lower-parent"),
+    pytest.param(_one_child, "branching node TreePoint(anchor=3, height=Fraction(1, 8)) has fewer than two children",
+                 id="one-child"),
+    pytest.param(_long_edge, "path metric disagrees with the quotient metric on "
+                 "(TreePoint(anchor=0, height=Fraction(0, 1)), TreePoint(anchor=1, height=Fraction(0, 1)))",
+                 id="long-edge"),
+]
+
+
+def corrupt_merge_tree(monkeypatch, change):
+    real = rtree._merge_tree
+    monkeypatch.setattr(rtree, "_merge_tree", lambda n, merges: change(*real(n, merges)))
+
+
+@pytest.mark.parametrize("change, message", CORRUPTED_MERGE_TREES)
+def test_dendrogram_certificate_names_the_defect(four_cluster, monkeypatch, change, message):
+    corrupt_merge_tree(monkeypatch, change)
+    with pytest.raises(CertificationError, match=re.escape(message) + "$"):
+        dendrogram(four_cluster)
+    with pytest.raises(CertificationError, match=re.escape(message) + "$"):
+        verify_retraction_claims(four_cluster)
