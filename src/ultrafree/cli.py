@@ -11,6 +11,7 @@ import argparse
 import os
 import sys
 from fractions import Fraction
+from functools import cache
 from pathlib import Path
 
 from .campaign import STAGES, CampaignConfig, emit_report, run_campaign
@@ -34,6 +35,7 @@ from .serialize import (
 import json
 
 
+@cache
 def _build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="ultrafree",
@@ -96,6 +98,8 @@ def _emit(data, args) -> None:
 def _parse_sizes(text: str) -> tuple[int, ...]:
     if "-" in text:
         lo, hi = text.split("-", 1)
+        if int(lo) > int(hi):
+            raise ValueError(f"size range {text} is reversed: {lo} is above {hi}")
         return tuple(range(int(lo), int(hi) + 1))
     return tuple(int(s) for s in text.split(",") if s)
 
@@ -231,8 +235,7 @@ _HANDLERS = {
 
 
 def main(argv=None) -> int:
-    parser = _build_parser()
-    args = parser.parse_args(argv)
+    args = _build_parser().parse_args(argv)
     try:
         return _HANDLERS[args.command](args)
     except (IngestError, StructuralError, ValueError, OSError) as exc:

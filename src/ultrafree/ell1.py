@@ -4,10 +4,11 @@ On a metric tree the transport norm has explicit l1 coordinates: the norm of
 a coefficient vector equals the sum over edges of edge length times the
 absolute net coefficient mass hanging below the edge.  This module implements
 that edge-flow oracle on the dendrogram, certifies it vector by vector with
-its own flow (|mass| along each edge) and sign potential, plays it against
-the transport solver in :func:`oracle_vs_lp`, computes the l1-equivalence
-constants of a basis family in closed form, and runs the three-point
-non-isometry search.
+its own flow (|mass| along each edge) and sign potential, both read off
+:func:`ultrafree.freespace._tree_transport`, the kernel of the free-space
+tree route, plays it against the transport solver in :func:`oracle_vs_lp`,
+computes the l1-equivalence constants of a basis family in closed form, and
+runs the three-point non-isometry search.
 
 The certificate runs in integers: the tree is prepared once, its edge
 lengths and the node-space distances they are checked against put on one
@@ -46,6 +47,7 @@ from .freespace import (
     FreeVector,
     LipFunction,
     PointMap,
+    _tree_transport,
     dirac,
     free_norm,
     free_norm_certificate,
@@ -97,15 +99,8 @@ def _top_down(tree: DendrogramTree) -> list[tuple[int, int, Fraction]]:
     return [(k + 1, (tree.parent[k] + 1) % count, tree.edge_length[k]) for k in order]
 
 
-def _subtree_masses(edges: Sequence[tuple], net: list) -> list:
-    """Add every node's mass into its parent, children first; ``net`` is indexed by point."""
-    for child, parent, *_ in reversed(edges):
-        net[parent] += net[child]
-    return net
-
-
 def edge_flow_coordinates(tree: DendrogramTree, v: FreeVector) -> EdgeFlowCoordinates:
-    """Accumulate subtree masses bottom-up; linear time in the node count.
+    """The subtree masses of :func:`_tree_transport` on the dendrogram; linear time in the node count.
 
     Coefficient k belongs to tree node k, with the root (always the last
     node) carrying none: these are free-space coordinates based at the root.
@@ -113,7 +108,7 @@ def edge_flow_coordinates(tree: DendrogramTree, v: FreeVector) -> EdgeFlowCoordi
     count = len(tree.nodes)
     if len(v.coeffs) != count - 1:
         raise ValueError("vector dimension does not match the tree nodes")
-    net = _subtree_masses(_top_down(tree), [Fraction(0), *v.coeffs])
+    net, _ = _tree_transport(_top_down(tree), [Fraction(0), *v.coeffs])
     return EdgeFlowCoordinates(tuple(net[1:]), tree.edge_length[: count - 1])
 
 
@@ -248,17 +243,15 @@ def _scaled_tree(tree: DendrogramTree, ambient: FiniteMetricSpace) -> _ScaledTre
 def _edge_flow_solution(tree: _ScaledTree, coeffs: Sequence[int]) -> tuple[int, list[tuple[int, int, int]], list[int]]:
     """The edge-flow norm of integer coefficients with its flow and sign potential, unchecked.
 
-    Coefficient k belongs to point k + 1.  The flow sends |m_e| along each
-    edge e, out of the subtree below e when its mass m_e is positive; the
-    potential vanishes at the root and rises by length(e) * sign(m_e) from
-    the parent to the child of e, in units of 1/scale.
+    Coefficient k belongs to point k + 1.  The subtree masses m_e and the
+    potential, in units of 1/scale, are those of :func:`_tree_transport`;
+    the flow sends |m_e| along each edge e, out of the subtree below e when
+    m_e is positive.
     """
-    net = _subtree_masses(tree.edges, [0, *coeffs])
-    g = [0] * len(net)
+    net, g = _tree_transport(tree.edges, [0, *coeffs])
     flow = []
-    for child, parent, length in tree.edges:
+    for child, parent, _ in tree.edges:
         mass = net[child]
-        g[child] = g[parent] + ((mass > 0) - (mass < 0)) * length
         if mass:
             flow.append((child, parent, mass) if mass > 0 else (parent, child, -mass))
     return sum(length * abs(net[child]) for child, _, length in tree.edges), flow, g

@@ -10,12 +10,14 @@ Two exact routes compute it.  One pass over the sorted pairs builds the
 single-linkage merges and decides the route: when the distances are
 symmetric, non-negative and every cross pair of every merge sits exactly at
 the merge height, the space is an ultrametric and the norm is read off its
-merge tree (opposite-signed masses are matched at their lowest merge, and
-the sign potential moves each cluster by half its gap); otherwise the
-transport program goes to the exact simplex.  Both routes end in the same
-check against the metric alone: the flow must meet the coefficients at the
-value's cost, and its potential, vanishing at the base, must be 1-Lipschitz
-and pair with the coefficients to the same value exactly.
+merge tree in integers: opposite-signed masses are matched at their lowest
+merge, and the potential comes from :func:`_tree_transport`, the one kernel
+for subtree masses and sign potentials, which the edge-flow certificate of
+:mod:`ultrafree.ell1` runs on the dendrogram.  Other input goes to the
+exact simplex.  Both routes end in the same check against the metric alone:
+the flow must meet the coefficients at the value's cost, and its potential,
+vanishing at the base, must be 1-Lipschitz and pair with the coefficients
+to the same value exactly.
 """
 
 from __future__ import annotations
@@ -169,7 +171,7 @@ def _transport_program(space: FiniteMetricSpace, lead: Sequence[Fraction]):
     return arcs, costs, columns, basis
 
 
-def _lca_flow(merges, masses: Sequence[Fraction]) -> tuple[Fraction, list[tuple[int, int, Fraction]]]:
+def _lca_flow(merges, masses: Sequence[int]) -> tuple[int, list[tuple[int, int, int]]]:
     """Match opposite-signed point masses at each merge, bottom-up, at cost = merge height.
 
     Every cluster keeps its unmatched (point, mass) entries, which share the
@@ -178,7 +180,7 @@ def _lca_flow(merges, masses: Sequence[Fraction]) -> tuple[Fraction, list[tuple[
     """
     unmatched = [[(x, m)] if m else [] for x, m in enumerate(masses)]
     arcs = []
-    value = Fraction(0)
+    value = 0
     for h, a, b in merges:
         left, right = unmatched[a], unmatched[b]
         while left and right and (left[-1][1] > 0) != (right[-1][1] > 0):
@@ -195,34 +197,21 @@ def _lca_flow(merges, masses: Sequence[Fraction]) -> tuple[Fraction, list[tuple[
     return value, arcs
 
 
-def _sign_potential(merges, masses: Sequence[Fraction]) -> list[Fraction]:
-    """The sign potential of the merge tree, shifted to vanish at the base.
+def _tree_transport(edges: Sequence[tuple], masses: Sequence) -> tuple[list, list]:
+    """Subtree masses and sign potential of a tree: ``edges`` are (child, parent, length), parents first.
 
-    Going down from the root, each cluster moves from its parent by half the
-    gap between their heights, up when its net mass is positive, down when
-    negative, not at all when zero.  The points are the clusters at height 0.
+    Each node's mass adds into its parent, children first.  The potential
+    is 0 at the root and steps from parent to child by sign(subtree mass) *
+    length, which attains the transport norm sum(length * |subtree mass|).
     """
-    n = len(masses)
     net = list(masses)
-    height = [Fraction(0)] * n
-    for h, a, b in merges:
-        net.append(net[a] + net[b])
-        height.append(h)
-    g = [Fraction(0)] * len(net)
-    for k in reversed(range(len(merges))):
-        h, a, b = merges[k]
-        for child in (a, b):
-            sign = (net[child] > 0) - (net[child] < 0)
-            g[child] = g[n + k] + sign * (h - height[child]) / 2
-    return [x - g[0] for x in g[:n]]
-
-
-def _lp_route(space: FiniteMetricSpace, coeffs: Sequence[Fraction]):
-    """The transport program on all ordered pairs, solved by the exact simplex."""
-    arcs, costs, columns, basis = _transport_program(space, coeffs)
-    result = solve_lp(costs, columns, coeffs, basis=basis)
-    flow = [(arcs[k][0], arcs[k][1], amount) for k, amount in enumerate(result.x) if amount]
-    return result.value, flow, [Fraction(0), *result.dual]
+    for child, parent, _ in reversed(edges):
+        net[parent] += net[child]
+    g = [0] * len(net)
+    for child, parent, length in edges:
+        mass = net[child]
+        g[child] = g[parent] + ((mass > 0) - (mass < 0)) * length
+    return net, g
 
 
 def _certify_transport(space: FiniteMetricSpace, coeffs, value, flow, potential) -> None:
@@ -268,8 +257,9 @@ def free_norm_certificate(space: FiniteMetricSpace, v: FreeVector) -> FreeNormCe
 
     On an ultrametric (decided by :func:`_single_linkage`, one sort of the
     pairs and a union-find) the flow matches opposite-signed masses at their
-    lowest merge, the base carrying -sum(v), and the potential is the merge
-    tree's sign potential; on any other input the transport program of
+    lowest merge, the base carrying -sum(v), and the potential is the sign
+    potential of :func:`_tree_transport` on the merge tree, in integers
+    until the result is built; on any other input the transport program of
     :func:`_transport_program` is solved from its base-routing basis.
     Either way the result passes :func:`_certify_transport`, which uses the
     metric only; a failed check raises :class:`CertificationError`.
@@ -280,13 +270,25 @@ def free_norm_certificate(space: FiniteMetricSpace, v: FreeVector) -> FreeNormCe
     if n == 1 or v.is_zero():
         return FreeNormCertificate(Fraction(0), (), LipFunction((Fraction(0),) * n))
 
-    merges = _single_linkage(space, _integer_view(space))
+    view = _integer_view(space)
+    merges = _single_linkage(space, view)
     if merges is None:
-        value, flow, potential = _lp_route(space, v.coeffs)
+        arcs, costs, columns, basis = _transport_program(space, v.coeffs)
+        result = solve_lp(costs, columns, v.coeffs, basis=basis)
+        value, potential = result.value, [Fraction(0), *result.dual]
+        flow = [(arcs[k][0], arcs[k][1], amount) for k, amount in enumerate(result.x) if amount]
     else:
-        masses = (-sum(v.coeffs), *v.coeffs)
-        value, flow = _lca_flow(merges, masses)
-        potential = _sign_potential(merges, masses)
+        # merge k is node n + k; a tree edge is half its height gap, so g is over 2 scale
+        scale, unit = view[0], lcm(*(c.denominator for c in v.coeffs))
+        masses = [c.numerator * (unit // c.denominator) for c in (-sum(v.coeffs), *v.coeffs)]
+        merges = [(h.numerator * (scale // h.denominator), a, b) for h, a, b in merges]
+        height = [0] * n + [h for h, _, _ in merges]
+        edges = [(x, n + k, h - height[x]) for k, (h, a, b) in reversed(list(enumerate(merges))) for x in (a, b)]
+        cost, arcs = _lca_flow(merges, masses)
+        _, g = _tree_transport(edges, masses + [0] * len(merges))
+        value = Fraction(cost, scale * unit)
+        flow = [(i, j, Fraction(amount, unit)) for i, j, amount in arcs]
+        potential = [Fraction(x - g[0], 2 * scale) for x in g[:n]]
     _certify_transport(space, v.coeffs, value, flow, potential)
     return FreeNormCertificate(value, tuple(flow), LipFunction(tuple(potential)))
 

@@ -584,8 +584,9 @@ def rooted_node_space(tree: DendrogramTree) -> FiniteMetricSpace:
 
     Point 0 is the root and point k >= 1 is node k-1 (the root is always the
     last tree node), so free vectors in these coordinates line up with the
-    edge-flow coordinates of :func:`ultrafree.ell1.tree_free_norm`.  Free
-    spaces over different base points are isometric, so this is a choice of
-    coordinates, not of content.
+    edge-flow coordinates of :func:`ultrafree.ell1.tree_free_norm`, and the
+    potential of :func:`ultrafree.freespace._tree_transport` vanishes at the
+    base.  Free spaces over different base points are isometric, so this is
+    a choice of coordinates, not of content.
     """
     return with_base(node_space(tree), len(tree.nodes) - 1)

@@ -26,6 +26,11 @@ transport program solved by the package simplex directly, and the sum over
 the distinct closed balls of half the radius gap to the next larger ball
 times the absolute mass of the ball.
 
+The route's potential is pinned, not only checked for validity, by the
+sign potential computed here in Fractions, cluster by cluster on the
+single-linkage merges, sharing no code with the package's integer
+tree-transport kernel.
+
 The projection algebra of a retraction chain is re-derived on its matrices:
 integer products of the 0/1 projection matrices against the min rule, and
 their exact ranks by Gauss-Jordan elimination.  It shares nothing with the
@@ -223,6 +228,30 @@ def ball_transport_norm(space: FiniteMetricSpace, v: FreeVector) -> Fraction:
             ball = frozenset(y for y in range(n) if space.dist[x][y] <= r)
             terms[ball] = (outer - r) / 2 * abs(sum(mass[y] for y in ball))
     return sum(terms.values(), Fraction(0))
+
+
+def sign_potential(merges, masses) -> list[Fraction]:
+    """The sign potential of the merge tree in Fractions, shifted to vanish at the base.
+
+    ``merges`` are those of ``metric._single_linkage`` and ``masses`` one
+    per point, the base carrying -sum(v).  Going down from the root, each
+    cluster moves from its parent by half the gap between their heights,
+    up when its net mass is positive, down when negative, not at all when
+    zero.  The points are the clusters at height 0.
+    """
+    n = len(masses)
+    net = list(masses)
+    height = [Fraction(0)] * n
+    for h, a, b in merges:
+        net.append(net[a] + net[b])
+        height.append(h)
+    g = [Fraction(0)] * len(net)
+    for k in reversed(range(len(merges))):
+        h, a, b = merges[k]
+        for child in (a, b):
+            sign = (net[child] > 0) - (net[child] < 0)
+            g[child] = g[n + k] + sign * (h - height[child]) / 2
+    return [x - g[0] for x in g[:n]]
 
 
 def matrix_projection_algebra(chain: RetractionChain) -> ProjectionAlgebraReport:

@@ -20,12 +20,17 @@ from ultrafree.freespace import (
 )
 from ultrafree import freespace
 from ultrafree.chain import build_chain, retraction_map
-from ultrafree.ell1 import tree_free_norm
-from ultrafree.metric import CertificationError, FiniteMetricSpace, random_ultrametric, validate
-from ultrafree.rtree import dendrogram
+from ultrafree.metric import (
+    CertificationError,
+    FiniteMetricSpace,
+    _integer_view,
+    _single_linkage,
+    random_ultrametric,
+    validate,
+)
 from ultrafree.simplex import LpResult
 
-from _oracles import ball_transport_norm, dual_vertex_norm, lp_transport_norm, molecule_operator_norm
+from _oracles import ball_transport_norm, dual_vertex_norm, lp_transport_norm, molecule_operator_norm, sign_potential
 
 
 rationals = st.fractions(min_value=-4, max_value=4, max_denominator=6)
@@ -149,15 +154,12 @@ def _coprime_vector(n, rng):
 
 @settings(max_examples=10, deadline=None)
 @given(seed=st.integers(0, 10**6))
-def test_large_coprime_denominators_match_the_edge_flows(seed):
+def test_large_coprime_denominators_match_the_ball_reference(seed):
     rng = random.Random(seed)
     space = _coprime_ultrametric(12, rng)
-    tree = dendrogram(space)
     for v in (_coprime_vector(12, rng), molecule(space, *rng.sample(range(12), 2)) * rng.randint(1, 10**6)):
         cert = free_norm_certificate(space, v)
-        # root-based node coordinates: leaf k is point k + 1, the base leaf carries -sum(v)
-        coeffs = [-sum(v.coeffs)] + list(v.coeffs) + [Fraction(0)] * (len(tree.nodes) - 1 - len(space))
-        assert cert.value == tree_free_norm(tree, FreeVector(tuple(coeffs)))
+        assert cert.value == ball_transport_norm(space, v)
         assert lip_norm(space, cert.potential) <= 1
 
 
@@ -306,17 +308,16 @@ def _no_lp(*args, **kwargs):
 
 def test_tree_route_names_the_pair_breaking_lipschitz(triangle, monkeypatch):
     monkeypatch.setattr(freespace, "solve_lp", _no_lp)
-    monkeypatch.setattr(freespace, "_sign_potential", lambda merges, masses: [0, Fraction(1, 2), Fraction(-1, 2)])
+    # on the scale 2 of the triangle the potential is g / 4: the points get 0, 1/2 and -1/2
+    monkeypatch.setattr(freespace, "_tree_transport", lambda edges, masses: (masses, [0, 2, -2, 0, 0]))
     with pytest.raises(CertificationError, match=r"not 1-Lipschitz on the pair \(1, 2\)"):
         free_norm(triangle, FreeVector((1, -1)))
 
 
 def test_tree_route_names_both_optima(triangle, monkeypatch):
-    # the detour x -> 0 -> y meets the coefficients at cost 2; the sign potential pairs to 1/2
+    # the detour x -> 0 -> y meets the coefficients at cost 2 (4 on the scale 2); the sign potential pairs to 1/2
     monkeypatch.setattr(freespace, "solve_lp", _no_lp)
-    monkeypatch.setattr(
-        freespace, "_lca_flow", lambda merges, masses: (Fraction(2), [(0, 2, Fraction(1)), (1, 0, Fraction(1))])
-    )
+    monkeypatch.setattr(freespace, "_lca_flow", lambda merges, masses: (4, [(0, 2, 1), (1, 0, 1)]))
     with pytest.raises(CertificationError, match=r"optima differ: 2 against 1/2"):
         free_norm(triangle, FreeVector((1, -1)))
 
@@ -324,14 +325,15 @@ def test_tree_route_names_both_optima(triangle, monkeypatch):
 @pytest.mark.parametrize(
     "flow, match",
     [
-        ([(1, 2, Fraction(0))], r"arc \(1, 2\) carries 0"),
-        ([(1, 2, Fraction(2))], r"leaves point 1 with 2, not 1"),
-        ([(1, 2, Fraction(1))], r"flow costs 1/2, not the value 1"),
+        ([(1, 2, 0)], r"arc \(1, 2\) carries 0"),
+        ([(1, 2, 2)], r"leaves point 1 with 2, not 1"),
+        ([(1, 2, 1)], r"flow costs 1/2, not the value 1"),
     ],
     ids=["amount", "divergence", "cost"],
 )
 def test_tree_route_checks_its_flow(triangle, monkeypatch, flow, match):
-    monkeypatch.setattr(freespace, "_lca_flow", lambda merges, masses: (Fraction(1), flow))
+    # integer amounts for the unit 1 of (1, -1); the value 1 is 2 on the scale 2 of the triangle
+    monkeypatch.setattr(freespace, "_lca_flow", lambda merges, masses: (2, flow))
     with pytest.raises(CertificationError, match=match):
         free_norm(triangle, FreeVector((1, -1)))
 
@@ -396,8 +398,11 @@ def test_tree_route_matches_the_lp_on_stress_ultrametrics(monkeypatch):
     calls = _count_lp(monkeypatch)
     checked = 0
     for space in _stress_ultrametrics(rng):
+        merges = _single_linkage(space, _integer_view(space))
         for v in _stress_vectors(space, rng):
-            assert free_norm_certificate(space, v).value == lp_transport_norm(space, v)
+            cert = free_norm_certificate(space, v)
+            assert cert.value == lp_transport_norm(space, v)
+            assert cert.potential.values == tuple(sign_potential(merges, (-sum(v.coeffs), *v.coeffs)))
             checked += 1
     assert calls == [] and checked == 132
 

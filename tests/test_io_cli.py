@@ -4,7 +4,7 @@ from pathlib import Path
 
 import pytest
 
-from ultrafree import ell1, freespace
+from ultrafree import cli, ell1, freespace
 from ultrafree.campaign import CampaignConfig, emit_report, run_campaign
 from ultrafree.cli import main
 from ultrafree.freespace import FreeVector
@@ -235,14 +235,14 @@ def test_cli_norm_failed_certificate_exit_one(tmp_path, capsys, monkeypatch, dua
 @pytest.mark.parametrize(
     "corrupt, value, message",
     [
-        ("_sign_potential", [0, Fraction(1, 2), Fraction(-1, 2)], "dual potential is not 1-Lipschitz on the pair (1, 2)"),
-        ("_lca_flow", (Fraction(2), [(0, 2, Fraction(1)), (1, 0, Fraction(1))]),
-         "primal and dual transport optima differ: 2 against 1/2"),
+        # on the scale 2 of the triangle: potential g / 4 = (0, 1/2, -1/2), value 4 / 2 = 2
+        ("_tree_transport", ([], [0, 2, -2, 0, 0]), "dual potential is not 1-Lipschitz on the pair (1, 2)"),
+        ("_lca_flow", (4, [(0, 2, 1), (1, 0, 1)]), "primal and dual transport optima differ: 2 against 1/2"),
     ],
     ids=["potential", "flow"],
 )
 def test_cli_norm_failed_tree_certificate_exit_one(tmp_path, capsys, monkeypatch, corrupt, value, message):
-    monkeypatch.setattr(freespace, corrupt, lambda merges, masses: value)
+    monkeypatch.setattr(freespace, corrupt, lambda *args: value)
     space = _write_triangle(tmp_path)
     vec = tmp_path / "vec.json"
     vec.write_text('{"x": "1", "y": "-1"}')
@@ -326,6 +326,46 @@ def test_campaign_cli(tmp_path, capsys):
     out = json.loads(capsys.readouterr().out)
     assert out["failures"] == 0
     assert len(out["instances"]) == 2
+
+
+def test_campaign_cli_rejects_a_reversed_size_range(capsys):
+    assert main(["campaign", "--sizes", "3-2", "--seeds", "1"]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == "error: size range 3-2 is reversed: 3 is above 2\n"
+
+
+def _run(argv, capsys) -> tuple[int, str, str]:
+    try:
+        code = main(argv)
+    except SystemExit as exc:  # argparse rejects a bad flag itself
+        code = exc.code
+    captured = capsys.readouterr()
+    return code, captured.out, captured.err
+
+
+def test_cli_parser_is_built_once_and_reused(tmp_path, capsys):
+    space = str(_write_triangle(tmp_path))
+    calls = [
+        ["--seed", "3", "basis", space, "--shuffle"],
+        ["basis", space],
+        ["validate", space, "--bogus"],
+        # the extra beta 3 leaves the coarse grid a zero: exit 1
+        ["threepoint", "--s", "1/2", "--resolution", "4", "--beta", "3"],
+        ["threepoint", "--s", "1/2", "--resolution", "4"],
+        ["campaign", "--sizes", "3-2", "--seeds", "1"],
+        ["embed", space],
+    ]
+    fresh = []
+    for argv in calls:
+        cli._build_parser.cache_clear()
+        fresh.append(_run(argv, capsys))
+    parser = cli._build_parser()
+    assert [_run(argv, capsys) for argv in calls] == fresh
+    assert cli._build_parser() is parser
+    assert [code for code, _, _ in fresh] == [0, 0, 2, 1, 0, 2, 0]
+    assert "unrecognized arguments: --bogus" in fresh[2][2]
+    assert fresh[0][1] != fresh[1][1] and fresh[3][1] != fresh[4][1]
 
 
 def test_campaign_includes_threepoint():
