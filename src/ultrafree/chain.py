@@ -13,6 +13,11 @@ certified by the telescoping identity; the basis constant and the molecule
 expansions of a chain's family come from them, and only families built
 otherwise are inverted.
 
+The chain identities and the closed-form basis constant, the maximum of
+d(r_n x, r_n y) / d(x, y) over the stages n >= 2 and the pairs, come from
+one incremental integer scan of the rank table, :func:`_scan_chain`: a
+pair is evaluated again only when one of its two points changes rank.
+
 Non-ultrametric spaces are accepted in exploratory mode: verification then
 reports violations instead of asserting their absence.
 """
@@ -25,7 +30,7 @@ from typing import Optional, Sequence
 
 from .freespace import FreeVector, PointMap, free_norm, molecule, operator_norm_of_extension
 from .linalg import SingularMatrixError, invert_matrix
-from .metric import FiniteMetricSpace
+from .metric import FiniteMetricSpace, _integer_view
 
 
 @dataclass(frozen=True)
@@ -140,36 +145,98 @@ def verify_chain(chain: RetractionChain) -> ChainReport:
       * d(x, y) < dist(x, S_n)  implies same nearest position and
         dist(x, S_n) = dist(y, S_n)                          (locality)
       * every kept point is fixed by its stage
+
+    The report is the one of :func:`_scan_chain`, the single incremental
+    integer scan that also gives the closed form of :func:`basis_constant`.
     """
-    space, order = chain.space, chain.ordering
-    d = space.dist
-    n_points = len(space)
+    return _scan_chain(chain)[0]
+
+
+def _scan_chain(chain: RetractionChain) -> tuple[ChainReport, Optional[Fraction]]:
+    """The :class:`ChainReport` and max_{n >= 2} max_{x<y} d(r_n x, r_n y) / d(x, y), in one scan.
+
+    The scan runs on the integer rows of :func:`_integer_view`, which have
+    the order and ties of the distances and the same ratios, so ratios are
+    compared by cross-multiplication and one Fraction is built at the end.
+
+    Unchanged rank entries give unchanged outcomes: at stage n the outcomes
+    of a pair x < y (1-Lipschitz, locality, locality distance, and the ratio
+    d(r_n x, r_n y) / d(x, y)) are functions of d and of the two entries
+    ranks[n-1][x] and ranks[n-1][y] alone, since r_n x is the point at
+    position ranks[n-1][x] and dist(x, S_n) is d(x, r_n x).  So stage 1 is
+    scanned in full, and at stage n + 1 only the pairs with a point whose
+    rank entry differs from stage n are re-evaluated; every other pair keeps
+    its outcomes, and a violating pair is listed again with the new stage
+    number, so the witnesses come in the order of the exhaustive scan.  The
+    constant is the maximum of the ratios held at stage 2 and of every value
+    re-evaluated later.  With R changed rank entries the scan costs
+    O(N^2 + N * R); on a chain from :func:`build_chain` R is the number of
+    times a point is re-routed to a closer added point.  The fixed-point and
+    commutation checks read each stage's row once, O(N^2) in all.
+
+    The constant is None when a distance between distinct points is not
+    positive, and 1 on a one-point chain, which has no pairs.
+    """
+    order, ranks, size = chain.ordering, chain.ranks, chain.size
+    d = _integer_view(chain.space)[1]
+    positive = all(d[a][b] > 0 for a in range(size) for b in range(a + 1, size))
     lip, comm, rcomm, loc, loc_dist, fixed = [], [], [], [], [], []
-    for n in range(1, n_points + 1):
-        row = chain.ranks[n - 1]
-        for k in range(n):
-            if row[order[k]] != k + 1:
-                fixed.append((n, order[k]))
-        for x in range(n_points):
-            rx = order[row[x] - 1]
-            dist_x = d[x][rx]
-            for y in range(x + 1, n_points):
-                ry = order[row[y] - 1]
-                if d[rx][ry] > d[x][y]:
-                    lip.append((n, x, y))
-                if d[x][y] < dist_x:
-                    if row[y] != row[x]:
-                        loc.append((n, x, y))
-                    if d[y][ry] != dist_x:
-                        loc_dist.append((n, x, y))
-        if n < n_points:
-            nxt = chain.ranks[n]
-            for x in range(n_points):
+    violating = (set(), set(), set())  # the (x, y) failing 1-Lipschitz, locality, locality distance now
+    state = [[0] * size for _ in range(size)]  # bit k set when (x, y) is in violating[k]
+    image = [[0] * size for _ in range(size)]  # d(r_n x, r_n y) at stages 1 and 2
+    target = [0] * size  # r_n x
+    near = [0] * size  # d(x, r_n x)
+    best_num, best_den = 0, 1
+    prev: Sequence[int] = ()
+    for n in range(1, size + 1):
+        row = ranks[n - 1]
+        fixed.extend((n, order[k]) for k in range(n) if row[order[k]] != k + 1)
+        moved = [x for x in range(size) if n == 1 or row[x] != prev[x]]
+        is_moved = [False] * size
+        for x in moved:
+            is_moved[x] = True
+            target[x] = order[row[x] - 1]
+            near[x] = d[x][target[x]]
+        for x in moved:
+            for y in range(size):
+                if is_moved[y] and y <= x:
+                    continue  # the pair itself, or one already re-evaluated from y
+                a, b = (x, y) if x < y else (y, x)
+                dab = d[a][b]
+                value = d[target[a]][target[b]]
+                flags = value > dab
+                if dab < near[a]:
+                    flags |= (row[a] != row[b]) << 1 | (near[b] != near[a]) << 2
+                old = state[a][b]
+                if flags != old:
+                    state[a][b] = flags
+                    for bit, now in enumerate(violating):
+                        if (flags ^ old) >> bit & 1:
+                            (now.add if flags >> bit & 1 else now.discard)((a, b))
+                if n <= 2:
+                    image[a][b] = value
+                elif value * best_den > best_num * dab:
+                    best_num, best_den = value, dab
+        if n == 2 and positive:
+            best_num, best_den = image[0][1], d[0][1]
+            for a in range(size):
+                for b in range(a + 1, size):
+                    if image[a][b] * best_den > best_num * d[a][b]:
+                        best_num, best_den = image[a][b], d[a][b]
+        for found, now in zip((lip, loc, loc_dist), violating):
+            found.extend((n, a, b) for a, b in sorted(now))
+        if n < size:
+            nxt = ranks[n]
+            for x in range(size):
                 if row[order[nxt[x] - 1]] != row[x]:
                     comm.append((n, x))
-                if nxt[order[row[x] - 1]] != row[x]:
+                if nxt[target[x]] != row[x]:
                     rcomm.append((n, x))
-    return ChainReport(tuple(lip), tuple(comm), tuple(rcomm), tuple(loc), tuple(loc_dist), tuple(fixed))
+        prev = row
+    report = ChainReport(tuple(lip), tuple(comm), tuple(rcomm), tuple(loc), tuple(loc_dist), tuple(fixed))
+    if not positive:
+        return report, None
+    return report, Fraction(best_num, best_den) if size > 1 else Fraction(1)
 
 
 def retraction_map(chain: RetractionChain, n: int) -> PointMap:
@@ -387,37 +454,44 @@ def basis_constant(space: FiniteMetricSpace, family: BasisFamily, certified: boo
     truncation of m_ij after n - 1 vectors is the molecule multiple
     (delta_{r_n i} - delta_{r_n j}) / d(i, j), so the constant is the
     maximum of d(r_n i, r_n j) / d(i, j) over the stages n >= 2 and the
-    pairs.  On any other family, truncations that are exact molecule
-    multiples use the same distance closed form; ``certified=True`` forces
-    the transport solver on every image (used to cross-check the closed
-    form on small instances).  Equals exactly 1 for chains built on
-    ultrametric spaces.
+    pairs, read off the one incremental integer scan of
+    :func:`_scan_chain` that also checks the chain identities.  On any
+    other family, truncations that are exact molecule multiples use the
+    same distance closed form; ``certified=True`` forces the transport
+    solver on every image (used to cross-check the closed form on small
+    instances).  Equals exactly 1 for chains built on ultrametric spaces.
     """
     closed_form = None if certified or not family.vectors else _certified_chain(space, family)
-    return _basis_constant(space, family, closed_form, certified)
+    constant = None if closed_form is None else _scan_chain(closed_form[0])[1]
+    return _basis_constant(space, family, certified) if constant is None else constant
 
 
-def _basis_constant(
-    space: FiniteMetricSpace,
-    family: BasisFamily,
-    closed_form: Optional[tuple[RetractionChain, list[tuple[int, ...]]]],
-    certified: bool,
-) -> Fraction:
-    """The body of :func:`basis_constant`.
+def _chain_basis(
+    chain: RetractionChain,
+) -> tuple[ChainReport, BasisFamily, Fraction, Optional[tuple[RetractionChain, list[tuple[int, ...]]]]]:
+    """The report, the family, the basis constant and the certified Dirac rows of a built chain.
 
-    ``closed_form`` is ``_certified_chain(space, family)``, or None to skip the closed form.
+    For a chain from :func:`build_chain`, whose family is its own basis: the
+    report and the closed-form constant come from one :func:`_scan_chain`,
+    and the rows, certified by :func:`_telescopes`, are what
+    :func:`_certified_chain` would rebuild from the family.  The constant is
+    read off the closed form only when the rows telescope; the last entry is
+    then (chain, rows), else None and the constant takes the general route.
     """
+    report, constant = _scan_chain(chain)
+    family = basis_vectors(chain)
+    rows = _dirac_rows(chain)
+    certified = (chain, rows) if _telescopes(chain, rows) else None
+    if certified is None or constant is None:
+        constant = _basis_constant(chain.space, family, False)
+    return report, family, constant, certified
+
+
+def _basis_constant(space: FiniteMetricSpace, family: BasisFamily, certified: bool) -> Fraction:
+    """The general route of :func:`basis_constant`: every truncation of every molecule expansion."""
     count = len(family.vectors)
     if count == 0:
         return Fraction(1)
-    if closed_form is not None:
-        retract, d = closed_form[0].retract, space.dist
-        return max(
-            d[retract(n, i)][retract(n, j)] / d[i][j]
-            for n in range(2, len(space) + 1)
-            for i in range(len(space))
-            for j in range(i + 1, len(space))
-        )
     dim = len(space) - 1
     best = Fraction(0)
     for _, _, coeffs in _molecule_expansions(space, family):

@@ -15,7 +15,7 @@ from functools import cache
 from pathlib import Path
 
 from .campaign import STAGES, CampaignConfig, emit_report, run_campaign
-from .chain import basis_constant, basis_vectors, build_chain, verify_chain
+from .chain import _chain_basis, build_chain
 from .ell1 import pipeline, three_point_report
 from .freespace import free_norm_certificate
 from .metric import CertificationError, StructuralError, validate
@@ -57,9 +57,10 @@ def _build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("basis", help="retraction chain, its basis, and the basis constant")
     p.add_argument("space")
-    p.add_argument("--ordering", default=None,
-                   help="comma-separated point indices starting at 0 (default: input order)")
-    p.add_argument("--shuffle", action="store_true", help="use a seed-shuffled ordering")
+    choice = p.add_mutually_exclusive_group()
+    choice.add_argument("--ordering", default=None,
+                        help="comma-separated point indices starting at 0 (default: input order)")
+    choice.add_argument("--shuffle", action="store_true", help="use a seed-shuffled ordering")
 
     p = sub.add_parser("embed", help="branching points, dendrogram, and retraction bounds")
     p.add_argument("space")
@@ -144,9 +145,7 @@ def _cmd_basis(args) -> int:
     else:
         ordering = tuple(range(len(space)))
     chain = build_chain(space, ordering)
-    report = verify_chain(chain)
-    family = basis_vectors(chain)
-    constant = basis_constant(space, family)
+    report, family, constant, _ = _chain_basis(chain)
     _emit(
         {
             "ordering": list(ordering),

@@ -33,15 +33,7 @@ from fractions import Fraction
 from math import lcm
 from typing import NamedTuple, Optional, Sequence
 
-from .chain import (
-    BasisFamily,
-    _basis_constant,
-    _certified_chain,
-    _molecule_expansions,
-    basis_vectors,
-    build_chain,
-    verify_chain,
-)
+from .chain import BasisFamily, _certified_chain, _chain_basis, _molecule_expansions, build_chain
 from .freespace import (
     FreeNormCertificate,
     FreeVector,
@@ -690,9 +682,10 @@ def pipeline(
     validated once each; the dendrogram of the rounding is read off its
     single-linkage merges once, and its certified node distances serve the
     retraction claims, the node space and the retraction images.  The
-    chain's family is recognised and certified once, and the basis and l1
-    constants are read off its certified Dirac rows; the one transport
-    solve left is the witness of the l1 lower constant.
+    chain identities and the basis constant come from one incremental
+    integer scan of the chain just built, its Dirac rows are certified
+    once, and the l1 constants are read off them; the one transport solve
+    left is the witness of the l1 lower constant.
     """
     if len(space) < 2:
         raise ValueError("pipeline needs at least two points")
@@ -708,11 +701,7 @@ def pipeline(
     claims, image = _retraction_claims(tree, certified)
     ambient = _node_space(tree, certified)
     _certify_edge_flow_battery(rounded, tree, with_base(ambient, len(tree.nodes) - 1), oracle_vectors, seed)
-    chain = build_chain(space, ordering)
-    chain_report = verify_chain(chain)
-    family = basis_vectors(chain)
-    recognised = _certified_chain(space, family)
-    constant = _basis_constant(space, family, recognised, False)
+    chain_report, family, constant, recognised = _chain_basis(build_chain(space, ordering))
     l1 = _l1_equivalence_constants(space, family, recognised)
     projection = operator_norm_of_extension(PointMap(ambient, ambient, tuple(image)))
     return PipelineReport(

@@ -36,6 +36,13 @@ integer products of the 0/1 projection matrices against the min rule, and
 their exact ranks by Gauss-Jordan elimination.  It shares nothing with the
 point-map identities the package checks.
 
+The package checks the chain identities and reads the closed-form basis
+constant off one incremental integer scan of the rank table.  The two
+exhaustive Fraction scans it replaced are kept as references: every
+identity at every stage and pair, and the maximum of d(r_n i, r_n j) /
+d(i, j) over every stage n >= 2 and pair.  Neither touches the integer
+view or re-evaluates only what changed.
+
 The package validates a space, builds its dendrogram, certifies it and
 checks the retraction claims in integers, from one single-linkage merge
 tree.  The Fraction scans these replaced are kept as references: the
@@ -52,7 +59,7 @@ from __future__ import annotations
 from fractions import Fraction
 from itertools import combinations
 
-from ultrafree.chain import BasisFamily, ProjectionAlgebraReport, RetractionChain, projection_matrix
+from ultrafree.chain import BasisFamily, ChainReport, ProjectionAlgebraReport, RetractionChain, projection_matrix
 from ultrafree.freespace import FreeVector, PointMap, _transport_program, free_norm, molecule, push_forward
 from ultrafree.linalg import SingularMatrixError, fraction_rank, solve_linear
 from ultrafree.metric import FiniteMetricSpace, StructuralError, ValidationReport
@@ -276,6 +283,54 @@ def matrix_projection_algebra(chain: RetractionChain) -> ProjectionAlgebraReport
         if fraction_rank([[Fraction(v) for v in row] for row in mats[n - 1]]) != n - 1
     )
     return ProjectionAlgebraReport(min_rule, rank_failures, ())
+
+
+
+def scan_verify_chain(chain: RetractionChain) -> ChainReport:
+    """The chain identities of ``verify_chain`` by the exhaustive Fraction scan of every stage and pair."""
+    space, order = chain.space, chain.ordering
+    d = space.dist
+    n_points = len(space)
+    lip, comm, rcomm, loc, loc_dist, fixed = [], [], [], [], [], []
+    for n in range(1, n_points + 1):
+        row = chain.ranks[n - 1]
+        for k in range(n):
+            if row[order[k]] != k + 1:
+                fixed.append((n, order[k]))
+        for x in range(n_points):
+            rx = order[row[x] - 1]
+            dist_x = d[x][rx]
+            for y in range(x + 1, n_points):
+                ry = order[row[y] - 1]
+                if d[rx][ry] > d[x][y]:
+                    lip.append((n, x, y))
+                if d[x][y] < dist_x:
+                    if row[y] != row[x]:
+                        loc.append((n, x, y))
+                    if d[y][ry] != dist_x:
+                        loc_dist.append((n, x, y))
+        if n < n_points:
+            nxt = chain.ranks[n]
+            for x in range(n_points):
+                if row[order[nxt[x] - 1]] != row[x]:
+                    comm.append((n, x))
+                if nxt[order[row[x] - 1]] != row[x]:
+                    rcomm.append((n, x))
+    return ChainReport(tuple(lip), tuple(comm), tuple(rcomm), tuple(loc), tuple(loc_dist), tuple(fixed))
+
+
+def scan_basis_constant(chain: RetractionChain) -> Fraction:
+    """The closed form max_{n >= 2} max_{i<j} d(r_n i, r_n j) / d(i, j) by the Fraction scan; 1 with no pairs."""
+    retract, d, size = chain.retract, chain.space.dist, chain.size
+    return max(
+        (
+            d[retract(n, i)][retract(n, j)] / d[i][j]
+            for n in range(2, size + 1)
+            for i in range(size)
+            for j in range(i + 1, size)
+        ),
+        default=Fraction(1),
+    )
 
 
 def scan_validate(space: FiniteMetricSpace) -> ValidationReport:

@@ -1,3 +1,4 @@
+import json
 import random
 from fractions import Fraction
 
@@ -12,6 +13,7 @@ from ultrafree.chain import (
     _dirac_rows,
     _family_inverse,
     _molecule_expansions,
+    _scan_chain,
     _telescopes,
     basis_constant,
     basis_vectors,
@@ -22,12 +24,22 @@ from ultrafree.chain import (
     verify_chain,
     verify_projection_algebra,
 )
-from ultrafree.ell1 import l1_equivalence_constants
+from ultrafree.campaign import CampaignConfig, run_campaign
+from ultrafree.cli import main
+from ultrafree.ell1 import l1_equivalence_constants, pipeline
 from ultrafree.freespace import dirac, free_norm, lipschitz_constant, molecule, operator_norm_of_extension
 from ultrafree.metric import FiniteMetricSpace, random_ultrametric
+from ultrafree.serialize import dump_json, space_to_json
 
-from _oracles import matrix_projection_algebra, molecule_operator_norm, orthant_l1_lower
+from _oracles import (
+    matrix_projection_algebra,
+    molecule_operator_norm,
+    orthant_l1_lower,
+    scan_basis_constant,
+    scan_verify_chain,
+)
 from test_freespace import _stress_ultrametrics
+from test_metric import _perturbed
 
 
 def test_build_chain_triangle(triangle):
@@ -319,3 +331,117 @@ def test_projection_algebra_min_rule_fails_off_ultrametrics():
     broken = _corrupted_table(build_chain(random_ultrametric(5, 2)))
     assert verify_projection_algebra(broken).rank_failures == (3,)
     assert verify_projection_algebra(broken) == matrix_projection_algebra(broken)
+
+
+def _scan_oracles(chain):
+    return scan_verify_chain(chain), scan_basis_constant(chain)
+
+
+def test_one_scan_matches_the_fraction_scans():
+    # tied, coprime, caterpillar and star ultrametrics for N = 2..40, and each with one
+    # pair's distance scaled, under the input ordering and a random one: witnesses,
+    # their order and the closed-form constant must be the exhaustive scans'
+    rng = random.Random(41)
+    outcomes = set()
+    for space in _stress_ultrametrics(rng, range(2, 41)):
+        for s in (space, _perturbed(space, rng)):
+            for chain in (build_chain(s), _shuffled_chain(s, rng)):
+                expected = _scan_oracles(chain)
+                assert _scan_chain(chain) == expected
+                assert verify_chain(chain) == expected[0]
+                outcomes.add((expected[0].passed, expected[1] == 1))
+    assert outcomes == {(True, True), (False, True), (False, False)}
+
+
+def _with_rows(chain, changes):
+    """The chain with ranks[n - 1][x] set to rank for every (n, x, rank) in changes."""
+    ranks = [list(row) for row in chain.ranks]
+    for n, x, rank in changes:
+        ranks[n - 1][x] = rank
+    return RetractionChain(chain.space, chain.ordering, tuple(map(tuple, ranks)))
+
+
+def _hand_built_tables(chain, rng):
+    """Corrupted rank tables: a kept point not fixed, a stage-1 row off the base,
+    a rank that changes and changes back, and a rank that decreases."""
+    size, order = chain.size, chain.ordering
+    for _ in range(3):
+        n = rng.randrange(2, size + 1)
+        k = rng.randrange(1, n)
+        yield _with_rows(chain, [(n, order[k], rng.randrange(1, k + 1))])
+        yield _with_rows(chain, [(1, rng.randrange(size), rng.randrange(2, size + 1))])
+        x, m = rng.randrange(size), rng.randrange(2, size)
+        yield _with_rows(chain, [(m, x, rng.randrange(1, m + 1))])
+        x, m = rng.randrange(size), rng.randrange(1, size - 1)
+        # above the next stage's entry, which is at most m + 1 < size
+        yield _with_rows(chain, [(m, x, rng.randrange(chain.ranks[m][x] + 1, size + 1))])
+
+
+def test_one_scan_matches_the_fraction_scans_on_hand_built_tables():
+    rng = random.Random(47)
+    failing = constants = 0
+    for trial in range(40):
+        n = rng.randint(3, 12)
+        space = random_ultrametric(n, 800 + trial)
+        if trial % 2:
+            space = _perturbed(space, rng)
+        for table in _hand_built_tables(_shuffled_chain(space, rng), rng):
+            expected = _scan_oracles(table)
+            assert _scan_chain(table) == expected
+            failing += not expected[0].passed
+            constants += expected[1] != 1
+    assert failing > 400 and constants > 200
+
+
+def test_stage_one_values_carried_into_stage_two_count():
+    # y is sent to the point added at stage 2 by the stage-1 and stage-2 rows alike, so
+    # the pair (x, y) is not re-evaluated at stage 2 and its ratio there is carried from
+    # stage 1; sent there by the stage-1 row alone, the value is never held at stage 2
+    space = random_ultrametric(9, 3)
+    chain = build_chain(space, (0, 5, 1, 2, 3, 4, 6, 7, 8))
+    second = chain.ordering[1]
+    stays = [p for p in range(1, 9) if p != second and chain.ranks[1][p] == 1]
+    x, y = min(((x, y) for x in stays for y in stays if x < y), key=lambda pair: space.dist[pair[0]][pair[1]])
+    carried = _with_rows(chain, [(1, y, 2), (2, y, 2)])
+    assert _scan_chain(carried)[1] == scan_basis_constant(carried) == space.dist[0][second] / space.dist[x][y] > 1
+    dropped = _with_rows(chain, [(1, y, 2)])
+    assert not _scan_chain(dropped)[0].passed
+    assert _scan_chain(dropped)[1] == scan_basis_constant(dropped) == 1
+
+
+@pytest.mark.parametrize("shuffle_seed", [None, 1, 2])
+def test_chain_at_two_hundred_points(shuffle_seed):
+    space = random_ultrametric(200, 5)
+    if shuffle_seed is None:
+        chain = build_chain(space)
+    else:
+        chain = _shuffled_chain(space, random.Random(shuffle_seed))
+    assert verify_chain(chain).passed
+    assert basis_constant(space, basis_vectors(chain)) == 1
+
+
+def test_each_command_scans_a_chain_once(tmp_path, monkeypatch, capsys):
+    scans = []
+    real_scan = chain_module._scan_chain
+    monkeypatch.setattr(chain_module, "_scan_chain", lambda chain: scans.append(chain.ordering) or real_scan(chain))
+    space = random_ultrametric(6, 4)
+    path = tmp_path / "space.json"
+    dump_json(space_to_json(space), path)
+    assert main(["basis", str(path)]) == 0
+    assert json.loads(capsys.readouterr().out)["basis_constant"] == "1"
+    assert scans == [tuple(range(6))]
+    scans.clear()
+    assert run_campaign(CampaignConfig(sizes=(5,), seeds=1, stages=("validate", "basis", "embed"))).passed
+    assert len(scans) == 2 and scans[0] == tuple(range(5)) != scans[1]
+    scans.clear()
+    assert pipeline(space).passed
+    assert scans == [tuple(range(6))]
+
+
+def test_zero_distance_keeps_the_report_and_refuses_the_constant():
+    space = FiniteMetricSpace(("0", "x", "y"), ((0, 1, 1), (1, 0, 0), (1, 0, 0)))
+    chain = build_chain(space)
+    assert verify_chain(chain) == scan_verify_chain(chain)
+    assert _scan_chain(chain)[1] is None
+    with pytest.raises(ZeroDivisionError):
+        basis_constant(space, basis_vectors(chain))

@@ -171,6 +171,17 @@ def test_cli_basis_explicit_ordering(tmp_path, capsys):
     assert out["ordering"] == [0, 2, 1]
 
 
+def test_cli_basis_ordering_and_shuffle_exclude_each_other(tmp_path, capsys):
+    space = str(_write_triangle(tmp_path))
+    code, out, err = _run(["basis", space, "--ordering", "0,2,1", "--shuffle"], capsys)
+    assert (code, out) == (2, "")
+    assert "argument --shuffle: not allowed with argument --ordering" in err
+    code, out, _ = _run(["basis", space, "--ordering", "0,2,1"], capsys)
+    assert code == 0 and json.loads(out)["ordering"] == [0, 2, 1]
+    code, out, _ = _run(["--seed", "1", "basis", space, "--shuffle"], capsys)
+    assert code == 0 and sorted(json.loads(out)["ordering"]) == [0, 1, 2]
+
+
 def test_cli_embed(tmp_path, capsys):
     space = _write_triangle(tmp_path)
     assert main(["embed", str(space)]) == 0
@@ -424,6 +435,45 @@ def test_embed_goldens_found():
 def test_embed_matches_its_golden_report(space, capsys):
     assert main(["embed", str(space)]) == 0
     assert capsys.readouterr().out == space.with_name(space.name.replace(".space.", ".report.")).read_text()
+
+
+# The `ultrafree basis` report of fixed spaces (power-of-two ties, coprime heights, a
+# caterpillar, a star, a random merge tree, and a metric that is no ultrametric, whose
+# violations are listed with exit 1), each under the input ordering, the reversed
+# ordering 0,N-1,...,1 and `--seed 3 ... --shuffle`, pinned byte for byte.  After a
+# deliberate change to the report, regenerate a pinned file with
+#     PYTHONPATH=src python -m ultrafree [--seed 3] basis tests/golden/basis/<name>.space.json \
+#         [--ordering 0,N-1,...,1 | --shuffle] > tests/golden/basis/<name>.<variant>.report.json
+BASIS_GOLDEN = Path(__file__).resolve().parent / "golden" / "basis"
+BASIS_SPACES = sorted(BASIS_GOLDEN.glob("*.space.json"))
+BASIS_VARIANTS = ("input", "ordering", "shuffle")
+
+
+def _basis_argv(space, variant):
+    if variant == "shuffle":
+        return ["--seed", "3", "basis", str(space), "--shuffle"]
+    if variant == "ordering":
+        n = len(json.loads(space.read_text())["labels"])
+        return ["basis", str(space), "--ordering", ",".join(map(str, (0, *range(n - 1, 0, -1))))]
+    return ["basis", str(space)]
+
+
+def test_basis_goldens_found():
+    names = sorted(p.name for p in BASIS_GOLDEN.iterdir())
+    assert len(BASIS_SPACES) == 6
+    assert names == sorted(
+        n for p in BASIS_SPACES for n in (p.name, *(p.name.replace(".space.", f".{v}.report.") for v in BASIS_VARIANTS))
+    )
+
+
+@pytest.mark.parametrize("variant", BASIS_VARIANTS)
+@pytest.mark.parametrize("space", BASIS_SPACES, ids=lambda p: p.name.removesuffix(".space.json"))
+def test_basis_matches_its_golden_report(space, variant, capsys):
+    expected = 1 if space.name.startswith("metric-") else 0
+    assert main(_basis_argv(space, variant)) == expected
+    out = capsys.readouterr().out
+    assert out == space.with_name(space.name.replace(".space.", f".{variant}.report.")).read_text()
+    assert any(json.loads(out)["violations"].values()) == bool(expected)
 
 
 @pytest.mark.parametrize(
