@@ -58,7 +58,7 @@ print(f"  l1 lower constant {report.l1_lower} (in (0, 1])")
 print()
 
 print("Three-point obstruction (no isometry onto two-dimensional l1):")
-tp = three_point_report(Fraction(1, 2), resolution=32)
+tp = three_point_report(Fraction(1, 2))
 print(f"  norms: |dx| = {tp.norm_x}, |dx - dy| = {tp.norm_difference}, |dx + dy| = {tp.norm_sum}")
-print(f"  minimum constraint violation over the grid: {tp.min_violation} > 0")
-print("  (grid-certified evidence, not a proof)")
+print(f"  extreme molecules: {tp.extreme_pairs} pairs, where l1 would have 2")
+print(f"  isometric to l1: {tp.l1_isometric} (each pair certified)")

@@ -15,7 +15,6 @@ from .metric import (
     identity_distortion,
     random_ultrametric,
     round_to_dyadic,
-    strict_max_check,
     validate,
     with_base,
 )
@@ -42,7 +41,6 @@ from .chain import (
     basis_vectors,
     build_chain,
     expand_in_basis,
-    projection_matrix,
     retraction_map,
     verify_chain,
     verify_projection_algebra,
@@ -55,7 +53,6 @@ from .rtree import (
     dendrogram,
     four_point_check,
     node_space,
-    path_distance,
     retract_to_space,
     rooted_node_space,
     segment_point,

@@ -32,7 +32,6 @@ class CampaignConfig:
     stages: tuple[str, ...]
     out: Optional[str] = None
     base_seed: int = 0
-    three_point_resolution: int = 64
 
     def __post_init__(self) -> None:
         if any(size < 2 for size in self.sizes):
@@ -77,7 +76,7 @@ class Report:
 
     @property
     def passed(self) -> bool:
-        return self.failures == 0 and all(r.min_violation > 0 for r in self.three_point)
+        return self.failures == 0 and not any(r.l1_isometric for r in self.three_point)
 
 
 def _stage_validate(space: FiniteMetricSpace) -> StageResult:
@@ -174,12 +173,9 @@ def run_campaign(config: CampaignConfig) -> Report:
                 failures += 1
     three_point = ()
     if "threepoint" in config.stages:
-        three_point = tuple(
-            three_point_report(s, resolution=config.three_point_resolution)
-            for s in THREE_POINT_GRID
-        )
+        three_point = tuple(three_point_report(s) for s in THREE_POINT_GRID)
     return Report(
-        schema="ultrafree-report/2",
+        schema="ultrafree-report/3",
         config=config,
         instances=tuple(instances),
         three_point=three_point,

@@ -245,23 +245,6 @@ def retraction_map(chain: RetractionChain, n: int) -> PointMap:
     return PointMap(chain.space, chain.space, image)
 
 
-def projection_matrix(chain: RetractionChain, n: int) -> tuple[tuple[int, ...], ...]:
-    """Matrix of the induced projection in base-reduced coordinates.
-
-    Column x-1 carries the evaluation vector of r_n(x); entries are 0/1
-    integers, rank is n-1, and the matrix is idempotent.
-    """
-    if not 1 <= n <= chain.size:
-        raise ValueError(f"stage {n} out of range")
-    dim = chain.size - 1
-    rows = [[0] * dim for _ in range(dim)]
-    for x in range(1, chain.size):
-        target = chain.retract(n, x)
-        if target != 0:
-            rows[target - 1][x - 1] = 1
-    return tuple(tuple(r) for r in rows)
-
-
 def verify_projection_algebra(chain: RetractionChain, include_norms: bool = False) -> ProjectionAlgebraReport:
     """Check P_n P_m = P_min(n,m) and rank P_n = n - 1 on the point maps.
 

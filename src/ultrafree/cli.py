@@ -69,10 +69,10 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("space")
     p.add_argument("--oracle-vectors", type=int, default=25)
 
-    p = sub.add_parser("threepoint", help="three-point norms and grid infeasibility search")
+    p = sub.add_parser("threepoint", help="three-point norms and the exact l1-isometry decision")
     p.add_argument("--s", required=True, help="side length in (0,1], e.g. 1/2")
-    p.add_argument("--resolution", type=int, default=64)
-    p.add_argument("--beta", action="append", default=None, help="extra beta grid point (repeatable)")
+    p.add_argument("--beta", action="append", default=None,
+                   help="beta for the scaling bound (repeatable); the given betas replace the default list")
 
     p = sub.add_parser("campaign", help="randomized campaign over generated instances")
     p.add_argument("--sizes", default="3,4,5,6", help="comma list or a-b range, e.g. 3-8")
@@ -96,13 +96,22 @@ def _emit(data, args) -> None:
         sys.stdout.write(text)
 
 
+def _size(token: str) -> int:
+    try:
+        return int(token)
+    except ValueError:
+        raise ValueError(
+            f"size {token!r} in --sizes is not an integer; give a comma list such as 3,4,5 or a range a-b such as 3-8"
+        ) from None
+
+
 def _parse_sizes(text: str) -> tuple[int, ...]:
     if "-" in text:
-        lo, hi = text.split("-", 1)
-        if int(lo) > int(hi):
+        lo, hi = (_size(token) for token in text.split("-", 1))
+        if lo > hi:
             raise ValueError(f"size range {text} is reversed: {lo} is above {hi}")
-        return tuple(range(int(lo), int(hi) + 1))
-    return tuple(int(s) for s in text.split(",") if s)
+        return tuple(range(lo, hi + 1))
+    return tuple(_size(s) for s in text.split(",") if s)
 
 
 def _cmd_validate(args) -> int:
@@ -198,9 +207,9 @@ def _cmd_l1check(args) -> int:
 
 def _cmd_threepoint(args) -> int:
     betas = [parse_rational(b) for b in args.beta] if args.beta else None
-    report = three_point_report(parse_rational(args.s), betas, args.resolution)
+    report = three_point_report(parse_rational(args.s), betas)
     _emit(report, args)
-    return 0 if report.min_violation > 0 else 1
+    return 1 if report.l1_isometric else 0
 
 
 def _cmd_campaign(args) -> int:

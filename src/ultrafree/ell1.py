@@ -8,7 +8,8 @@ its own flow (|mass| along each edge) and sign potential, both read off
 :func:`ultrafree.freespace._tree_transport`, the kernel of the free-space
 tree route, plays it against the transport solver in :func:`oracle_vs_lp`,
 computes the l1-equivalence constants of a basis family in closed form, and
-runs the three-point non-isometry search.
+decides exactly, from the extreme molecules, whether a free space is
+isometric to l1.
 
 The certificate runs in integers: the tree is prepared once, its edge
 lengths and the node-space distances they are checked against put on one
@@ -50,6 +51,7 @@ from .freespace import (
 from .metric import (
     CertificationError,
     FiniteMetricSpace,
+    _integer_view,
     _round_to_dyadic,
     identity_distortion,
     validate,
@@ -483,14 +485,73 @@ def three_point_space(s: Fraction) -> FiniteMetricSpace:
     )
 
 
+def _segment_witness(d: Sequence[Sequence[int]], x: int, y: int) -> Optional[int]:
+    """A third point z with d(x, z) + d(z, y) = d(x, y), or None."""
+    return next((z for z in range(len(d)) if z not in (x, y) and d[x][z] + d[z][y] == d[x][y]), None)
+
+
+def _separating_potential(d: Sequence[Sequence[int]], x: int, y: int) -> list[int]:
+    """d(y, .), raised at x to the shortest detour min_w d(x, w) + d(w, y) over w not in {x, y}.
+
+    With no third point any value above d(x, y) separates; 2 d(x, y) is taken.
+    """
+    f = list(d[y])
+    f[x] = min((d[x][w] + d[w][y] for w in range(len(d)) if w not in (x, y)), default=2 * d[x][y])
+    return f
+
+
+def _l1_isometry(space: FiniteMetricSpace) -> tuple[tuple[tuple[int, int], ...], bool]:
+    """The extreme pairs x < y of a finite metric space, and whether F(M) is isometric to l1^(N-1).
+
+    The unit ball of F(M) is the convex hull of the +-molecules m_xy.  A
+    pair with a segment witness z, d(x, z) + d(z, y) = d(x, y), is not
+    extreme: m_xy = (d(x, z) m_xz + d(z, y) m_zy) / d(x, y) is a proper
+    convex combination of two other molecules.  Any other pair gets its
+    separating potential f: it is 1-Lipschitz on every pair other than
+    {x, y} and f(x) - f(y) > d(x, y), so <f, m> <= 1 on every other
+    +-molecule while <f, m_xy> > 1, and m_xy is a vertex of the ball.  A
+    centrally symmetric polytope in R^(N-1) is a linear image of the cross
+    polytope exactly when it has 2(N - 1) vertices, so F(M) is isometric to
+    l1^(N-1) exactly when there are N - 1 extreme pairs (Godard 2010).
+
+    Both certificates are checked on the integer view.  Off x the potential
+    must be d(y, .), which is 1-Lipschitz by the triangle inequality that
+    :func:`validate` has checked, so only the pairs through x are checked
+    one by one: O(N) per pair, O(N^3) in all.  A failed check raises
+    :class:`CertificationError` naming the pair; non-metric input raises
+    ValueError.
+    """
+    if not validate(space).is_metric:
+        raise ValueError("the l1-isometry decision needs a metric space")
+    _, d = _integer_view(space)
+    n, labels = len(space), space.labels
+    extreme = []
+    for x in range(n):
+        for y in range(x + 1, n):
+            pair, off = f"({labels[x]}, {labels[y]})", f"d({labels[y]}, .) off {labels[x]}"
+            z = _segment_witness(d, x, y)
+            if z is not None:
+                if z in (x, y) or d[x][z] + d[z][y] != d[x][y]:
+                    raise CertificationError(f"segment witness of the pair {pair} does not lie between them")
+                continue
+            f = _separating_potential(d, x, y)
+            if any(f[u] != d[y][u] for u in range(n) if u != x):
+                raise CertificationError(f"separating potential of the pair {pair} is not {off}")
+            if any(abs(f[x] - f[w]) > d[x][w] for w in range(n) if w not in (x, y)):
+                raise CertificationError(f"separating potential of the pair {pair} is not 1-Lipschitz off the pair")
+            if f[x] - f[y] <= d[x][y]:
+                raise CertificationError(f"separating potential of the pair {pair} does not separate its molecule")
+            extreme.append((x, y))
+    return tuple(extreme), len(extreme) == n - 1
+
+
 @dataclass(frozen=True)
 class ThreePointReport:
-    """Exact norms of the three-point space and the grid infeasibility bound.
+    """Exact norms of the three-point space and its l1-isometry decision.
 
-    ``min_violation`` is the minimum over the coordinate grid of the largest
-    absolute violation among the isometry constraints; a strictly positive
-    value is grid-level evidence that no isometry onto two-dimensional l1
-    exists, not a proof.
+    ``extreme_pairs`` counts the molecules that are vertices of the unit
+    ball; the space is isometric to two-dimensional l1 exactly when there
+    are two, and on the ultrametric triangle all three are.
     """
 
     s: Fraction
@@ -499,38 +560,28 @@ class ThreePointReport:
     norm_difference: Fraction
     norm_sum: Fraction
     beta_norms: tuple[tuple[Fraction, Fraction, Fraction], ...]
-    resolution: int
-    min_violation: Fraction
-    argmin: tuple[Fraction, Fraction, Fraction, Fraction]
+    extreme_pairs: int
+    l1_isometric: bool
 
 
 def _beta_bound(s: Fraction, beta: Fraction) -> Fraction:
     return max(s, s * beta, s * (beta + 1) / 2)
 
 
-def three_point_report(
-    s: Fraction,
-    betas: Optional[Sequence[Fraction]] = None,
-    resolution: int = 64,
-) -> ThreePointReport:
-    """Exact three-point norms, the scaling bounds, and the grid search.
+def three_point_report(s: Fraction, betas: Optional[Sequence[Fraction]] = None) -> ThreePointReport:
+    """Exact three-point norms, the scaling bounds, and the l1-isometry decision.
 
     Asserts the four exact identities (unit evaluations, difference s, sum 2)
-    and, at every grid beta, the lower bound max(s, s*beta, s*(beta+1)/2) for
-    the norm of delta_x - beta*delta_y; the weaker reading s/(2*(beta+1)) is
-    checked incidentally.  The grid search then minimizes the maximum
-    constraint violation over coordinates in [-1, 1] at the stated
-    resolution, in exact scaled-integer arithmetic.
+    and, at every beta, the lower bound max(s, s*beta, s*(beta+1)/2) for the
+    norm of delta_x - beta*delta_y; the weaker reading s/(2*(beta+1)) is
+    checked incidentally.  ``betas`` replaces the default list.  The
+    decision is that of :func:`_l1_isometry`, certificates included.
     """
-    if not isinstance(resolution, int) or resolution <= 0:
-        raise ValueError("resolution must be a positive integer")
     s = parse_rational(s)
     space = three_point_space(s)
     if betas is None:
         base = [Fraction(1, 4), Fraction(1, 2), Fraction(1), Fraction(2), Fraction(4)]
-        # scalings just off 1 are where a candidate matching the four exact
-        # identities can still cheat the bounds; without them the grid
-        # search has spurious zeros
+        # scalings just off 1, on both sides of where the bound changes branch
         near_one = [Fraction(8, 9), Fraction(9, 8), Fraction(4, 5), Fraction(5, 4),
                     Fraction(2, 3), Fraction(3, 2)]
         betas = sorted(set(base + near_one + [s, 1 / s]))
@@ -555,82 +606,8 @@ def three_point_report(
         if bound > value or s / (2 * (beta + 1)) > value:
             raise CertificationError(f"scaling bound failed at beta={beta}")
         beta_rows.append((beta, value, bound))
-    min_violation, argmin = _grid_min_violation(s, list(betas), resolution)
-    return ThreePointReport(
-        s,
-        norm_x,
-        norm_y,
-        norm_diff,
-        norm_sum,
-        tuple(beta_rows),
-        resolution,
-        min_violation,
-        argmin,
-    )
-
-
-def _grid_min_violation(
-    s: Fraction, betas: list[Fraction], resolution: int
-) -> tuple[Fraction, tuple[Fraction, Fraction, Fraction, Fraction]]:
-    """Minimize the max constraint violation over the grid, exactly.
-
-    All violations are rescaled to a common integer unit so the inner loops
-    run on machine integers; both coordinate pairs are enumerated in order of
-    their own unit-sphere violation, which lets the loops break as soon as
-    that term alone exceeds the best value found.
-    """
-    r = resolution
-    bounds = [_beta_bound(s, b) for b in betas]
-    scale = lcm(r, r * s.denominator, *(r * b.denominator for b in betas),
-                *(bd.denominator for bd in bounds))
-    unit = scale // r
-    s_num, s_den = s.numerator, s.denominator
-    diff_unit = scale // (r * s_den)
-    beta_data = [
-        (b.numerator, b.denominator, scale // (r * b.denominator), int(bd * scale))
-        for b, bd in zip(betas, bounds)
-    ]
-    cells = []
-    for a in range(-r, r + 1):
-        for b in range(-r, r + 1):
-            cells.append((abs(abs(a) + abs(b) - r) * unit, a, b))
-    cells.sort(key=lambda t: t[0])
-    best: Optional[int] = None
-    best_point = (0, 0, 0, 0)
-    for t1, ax, bx in cells:
-        if best is not None and t1 >= best:
-            break
-        for t2, ay, by in cells:
-            cur = t1 if t1 > t2 else t2
-            if best is not None and cur >= best:
-                break
-            t3 = abs((abs(ax - ay) + abs(bx - by)) * s_den - s_num * r) * diff_unit
-            if t3 > cur:
-                cur = t3
-            if best is not None and cur >= best:
-                continue
-            t4 = abs(abs(ax + ay) + abs(bx + by) - 2 * r) * unit
-            if t4 > cur:
-                cur = t4
-            if best is not None and cur >= best:
-                continue
-            for p, q, mult, bound_int in beta_data:
-                short = bound_int - (abs(q * ax - p * ay) + abs(q * bx - p * by)) * mult
-                if short > cur:
-                    cur = short
-                short = bound_int - (abs(q * ay - p * ax) + abs(q * by - p * bx)) * mult
-                if short > cur:
-                    cur = short
-                if best is not None and cur >= best:
-                    break
-            else:
-                if best is None or cur < best:
-                    best = cur
-                    best_point = (ax, bx, ay, by)
-    assert best is not None
-    ax, bx, ay, by = best_point
-    point = (Fraction(ax, r), Fraction(bx, r), Fraction(ay, r), Fraction(by, r))
-    return Fraction(best, scale), point
+    extreme, isometric = _l1_isometry(space)
+    return ThreePointReport(s, norm_x, norm_y, norm_diff, norm_sum, tuple(beta_rows), len(extreme), isometric)
 
 
 @dataclass(frozen=True)
@@ -646,14 +623,12 @@ class PipelineReport:
     l1_upper: Fraction
     chain_ok: bool
     claims_ok: bool
-    oracle_ok: bool
 
     @property
     def passed(self) -> bool:
         return (
             self.chain_ok
             and self.claims_ok
-            and self.oracle_ok
             and self.distortion < 2
             and self.retraction_constant <= 4
             and self.projection_norm <= 4
@@ -714,6 +689,4 @@ def pipeline(
         l1_upper=l1.upper,
         chain_ok=chain_report.passed,
         claims_ok=claims.passed,
-        # a battery vector that fails its certificate raises above
-        oracle_ok=True,
     )

@@ -60,11 +60,3 @@ def invert_matrix(matrix: Sequence[Sequence[Fraction]]) -> list[list[Fraction]]:
     n = len(matrix)
     identity = [[Fraction(int(i == j)) for j in range(n)] for i in range(n)]
     return _solve_square(matrix, identity)
-
-
-def fraction_rank(matrix: Sequence[Sequence[Fraction]]) -> int:
-    """Rank over the rationals, by elimination on a working copy."""
-    rows = [list(map(Fraction, row)) for row in matrix]
-    if not rows:
-        return 0
-    return _reduce(rows, len(rows[0]))

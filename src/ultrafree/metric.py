@@ -190,24 +190,6 @@ def _single_linkage(space: FiniteMetricSpace, view: _Scaled) -> Optional[list[tu
     return merges
 
 
-def strict_max_check(space: FiniteMetricSpace) -> list[tuple[int, int, int]]:
-    """Check that unequal legs force d(i,k) = max of the legs, over all triples.
-
-    The property is a theorem for ultrametric spaces, so the returned list is
-    empty unless the arithmetic is broken; non-ultrametric input is rejected.
-    """
-    report = validate(space)
-    if not report.is_ultrametric:
-        raise ValueError("strict_max_check requires an ultrametric space")
-    d = space.dist
-    violations = []
-    for a, b, c in combinations(range(len(space)), 3):
-        for i, j, k in ((a, b, c), (b, a, c), (a, c, b)):
-            if d[i][j] != d[j][k] and d[i][k] != max(d[i][j], d[j][k]):
-                violations.append((i, j, k))
-    return violations
-
-
 def round_to_dyadic(space: FiniteMetricSpace) -> FiniteMetricSpace:
     """Round every distance down to a power of two via exact interval search.
 

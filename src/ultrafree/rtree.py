@@ -540,19 +540,6 @@ def _certify_path_metric(tree: DendrogramTree, view: _Scaled) -> _Scaled:
     return unit, rows
 
 
-def path_distance(tree: DendrogramTree, i: int, j: int) -> Fraction:
-    """Sum of edge lengths along the unique path between two nodes."""
-    total = Fraction(0)
-    while i != j:
-        if tree.nodes[i].height <= tree.nodes[j].height and tree.parent[i] >= 0:
-            total += tree.edge_length[i]
-            i = tree.parent[i]
-        else:
-            total += tree.edge_length[j]
-            j = tree.parent[j]
-    return total
-
-
 def _node_label(tree: DendrogramTree, p: TreePoint) -> str:
     if p.height == 0:
         return tree.space.labels[p.anchor]

@@ -17,8 +17,6 @@ from .metric import FiniteMetricSpace, StructuralError, ValidationReport, valida
 from .freespace import FreeVector, LipFunction
 from .rational import parse_rational
 
-SCHEMA = "ultrafree/1"
-
 
 class IngestError(ValueError):
     """Input file could not be turned into a valid metric space."""

@@ -52,17 +52,28 @@ the lowest higher node whose ball covers its anchor, the node space by the
 quotient formula on every pair, and the retraction claims by
 ``tree_distance``, ``generating_partner`` and ``dyadic_exponent`` on every
 pair.  None of them touches the integer view or the merges.
+
+The package decides l1-isometry from the extreme molecules, each pair
+certified by a segment witness or a separating potential.  The reference
+decides extremality by its definition: one LP feasibility problem per
+pair, on the package simplex, asking whether the molecule is a convex
+combination of the other +-molecules.
+
+Four helpers that only the tests use live here rather than in the
+package: the strict-max triple check, the path sum along a dendrogram, the
+0/1 projection matrices of a chain and the exact rank of a matrix.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
 from itertools import combinations
+from typing import Sequence
 
-from ultrafree.chain import BasisFamily, ChainReport, ProjectionAlgebraReport, RetractionChain, projection_matrix
+from ultrafree.chain import BasisFamily, ChainReport, ProjectionAlgebraReport, RetractionChain
 from ultrafree.freespace import FreeVector, PointMap, _transport_program, free_norm, molecule, push_forward
-from ultrafree.linalg import SingularMatrixError, fraction_rank, solve_linear
-from ultrafree.metric import FiniteMetricSpace, StructuralError, ValidationReport
+from ultrafree.linalg import SingularMatrixError, _reduce, solve_linear
+from ultrafree.metric import FiniteMetricSpace, StructuralError, ValidationReport, validate
 from ultrafree.rational import dyadic_exponent, is_power_of_two
 from ultrafree.rtree import (
     DendrogramTree,
@@ -73,7 +84,7 @@ from ultrafree.rtree import (
     retract_to_space,
     tree_distance,
 )
-from ultrafree.simplex import solve_lp
+from ultrafree.simplex import LpInfeasibleError, solve_lp
 
 
 def dual_vertex_norm(space: FiniteMetricSpace, v: FreeVector) -> Fraction:
@@ -462,3 +473,85 @@ def scan_retraction_claims(space: FiniteMetricSpace) -> RetractionClaimReport:
         idempotent,
         attained,
     )
+
+
+def hull_extreme_pairs(space: FiniteMetricSpace) -> list[tuple[int, int]]:
+    """The pairs x < y whose molecule is not a convex combination of the other +-molecules.
+
+    One LP feasibility problem per pair: weights lambda >= 0 on the other
+    molecules and their negatives with sum 1 whose combination is m_xy.
+    """
+    n = len(space)
+    pairs = list(combinations(range(n), 2))
+    extreme = []
+    for x, y in pairs:
+        columns = [
+            [(r, sign * c) for r, c in enumerate(molecule(space, i, j).coeffs) if c] + [(n - 1, Fraction(1))]
+            for i, j in pairs
+            if (i, j) != (x, y)
+            for sign in (1, -1)
+        ]
+        if not columns:
+            extreme.append((x, y))
+            continue
+        try:
+            solve_lp([Fraction(0)] * len(columns), columns, [*molecule(space, x, y).coeffs, Fraction(1)])
+        except LpInfeasibleError:
+            extreme.append((x, y))
+    return extreme
+
+
+def strict_max_check(space: FiniteMetricSpace) -> list[tuple[int, int, int]]:
+    """Check that unequal legs force d(i,k) = max of the legs, over all triples.
+
+    The property is a theorem for ultrametric spaces, so the returned list is
+    empty unless the arithmetic is broken; non-ultrametric input is rejected.
+    """
+    report = validate(space)
+    if not report.is_ultrametric:
+        raise ValueError("strict_max_check requires an ultrametric space")
+    d = space.dist
+    violations = []
+    for a, b, c in combinations(range(len(space)), 3):
+        for i, j, k in ((a, b, c), (b, a, c), (a, c, b)):
+            if d[i][j] != d[j][k] and d[i][k] != max(d[i][j], d[j][k]):
+                violations.append((i, j, k))
+    return violations
+
+
+def path_distance(tree: DendrogramTree, i: int, j: int) -> Fraction:
+    """Sum of edge lengths along the unique path between two nodes."""
+    total = Fraction(0)
+    while i != j:
+        if tree.nodes[i].height <= tree.nodes[j].height and tree.parent[i] >= 0:
+            total += tree.edge_length[i]
+            i = tree.parent[i]
+        else:
+            total += tree.edge_length[j]
+            j = tree.parent[j]
+    return total
+
+
+def projection_matrix(chain: RetractionChain, n: int) -> tuple[tuple[int, ...], ...]:
+    """Matrix of the induced projection in base-reduced coordinates.
+
+    Column x-1 carries the evaluation vector of r_n(x); entries are 0/1
+    integers, rank is n-1, and the matrix is idempotent.
+    """
+    if not 1 <= n <= chain.size:
+        raise ValueError(f"stage {n} out of range")
+    dim = chain.size - 1
+    rows = [[0] * dim for _ in range(dim)]
+    for x in range(1, chain.size):
+        target = chain.retract(n, x)
+        if target != 0:
+            rows[target - 1][x - 1] = 1
+    return tuple(tuple(r) for r in rows)
+
+
+def fraction_rank(matrix: Sequence[Sequence[Fraction]]) -> int:
+    """Rank over the rationals, by elimination on a working copy."""
+    rows = [list(map(Fraction, row)) for row in matrix]
+    if not rows:
+        return 0
+    return _reduce(rows, len(rows[0]))

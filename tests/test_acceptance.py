@@ -228,16 +228,16 @@ def test_criterion_7_linearization_norm():
 
 def test_criterion_8_three_point_remark():
     ok = True
-    minima = []
+    extreme = []
     for s in (Fraction(1, 4), Fraction(1, 2), Fraction(3, 4), Fraction(1)):
-        report = three_point_report(s, resolution=64)
+        report = three_point_report(s)
         ok = ok and (report.norm_x, report.norm_y) == (1, 1)
         ok = ok and report.norm_difference == s and report.norm_sum == 2
         for beta, value, bound in report.beta_norms:
             ok = ok and max(s, s * beta, s * (beta + 1) / 2) == bound <= value
-        ok = ok and report.min_violation > 0
-        minima.append(str(report.min_violation))
-    _report("8 three-point-remark", ok, f"grid minima {minima} (evidence, not proof)")
+        ok = ok and report.extreme_pairs == 3 and not report.l1_isometric
+        extreme.append(report.extreme_pairs)
+    _report("8 three-point-remark", ok, f"extreme pairs {extreme} > 2: not isometric to l1 (certified decision)")
     assert ok
 
 

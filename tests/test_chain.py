@@ -19,7 +19,6 @@ from ultrafree.chain import (
     basis_vectors,
     build_chain,
     expand_in_basis,
-    projection_matrix,
     retraction_map,
     verify_chain,
     verify_projection_algebra,
@@ -35,6 +34,7 @@ from _oracles import (
     matrix_projection_algebra,
     molecule_operator_norm,
     orthant_l1_lower,
+    projection_matrix,
     scan_basis_constant,
     scan_verify_chain,
 )

@@ -5,7 +5,7 @@ from fractions import Fraction
 
 import pytest
 
-from _oracles import lp_transport_norm, orthant_l1_lower
+from _oracles import fraction_rank, hull_extreme_pairs, lp_transport_norm, orthant_l1_lower
 from test_freespace import _PRIMES_NEAR_A_MILLION, _coprime_heights, _merge_ultrametric
 from ultrafree import ell1
 from ultrafree.chain import BasisFamily, basis_vectors, build_chain
@@ -22,8 +22,7 @@ from ultrafree.ell1 import (
     tree_norm_certificate,
     vector_from_edge_flows,
 )
-from ultrafree.freespace import FreeVector, dirac, free_norm, lip_norm
-from ultrafree.linalg import fraction_rank
+from ultrafree.freespace import FreeVector, dirac, free_norm, lip_norm, molecule, zero_vector
 from ultrafree.metric import CertificationError, FiniteMetricSpace, random_ultrametric, round_to_dyadic, validate
 from ultrafree.rtree import dendrogram, rooted_node_space
 
@@ -500,7 +499,7 @@ def test_three_point_space_validation():
 
 
 def test_three_point_report_identities():
-    report = three_point_report(Fraction(1, 2), resolution=16)
+    report = three_point_report(Fraction(1, 2))
     assert (report.norm_x, report.norm_y) == (1, 1)
     assert report.norm_difference == Fraction(1, 2)
     assert report.norm_sum == 2
@@ -514,33 +513,118 @@ def test_three_point_report_identities():
 def test_three_point_norm_closed_form():
     # for beta <= 1 the norm is beta*s + 1 - beta; beyond 1 it is s + beta - 1
     s = Fraction(3, 4)
-    report = three_point_report(s, resolution=16)
+    report = three_point_report(s)
     for beta, value, _ in report.beta_norms:
         expected = beta * s + 1 - beta if beta <= 1 else s + beta - 1
         assert value == expected
 
 
 def test_three_point_symmetric_case_bound_is_tight():
-    report = three_point_report(Fraction(1), resolution=8)
+    report = three_point_report(Fraction(1))
     values = {beta: (value, bound) for beta, value, bound in report.beta_norms}
     assert values[Fraction(1)] == (1, 1)
 
 
-def test_three_point_grid_positive_minimum():
-    report = three_point_report(Fraction(1, 2), resolution=16)
-    assert report.min_violation > 0
+def test_three_point_is_not_l1_isometric():
+    report = three_point_report(Fraction(1, 2))
+    assert (report.extreme_pairs, report.l1_isometric) == (3, False)
+
+
+def test_three_point_betas_replace_the_default_list():
+    report = three_point_report(Fraction(1, 2), betas=[Fraction(3)])
+    assert [beta for beta, _, _ in report.beta_norms] == [3]
 
 
 def test_three_point_names_the_failed_identity(monkeypatch):
     real = ell1.free_norm
     monkeypatch.setattr(ell1, "free_norm", lambda space, v: real(space, v) / 2 if v.coeffs == (1, -1) else real(space, v))
     with pytest.raises(CertificationError, match=r"identity failed: \|dx - dy\| is 1/4, not 1/2$"):
-        three_point_report(Fraction(1, 2), resolution=4)
+        three_point_report(Fraction(1, 2))
 
 
 def test_three_point_rejects_bad_s():
     with pytest.raises(ValueError):
         three_point_report(Fraction(2))
+
+
+def _graph_metric(n: int, rng: random.Random) -> FiniteMetricSpace:
+    """The shortest-path metric of a random connected graph with weights 1..3: a spanning tree plus extra edges."""
+    inf = 10 * n
+    d = [[0 if i == j else inf for j in range(n)] for i in range(n)]
+    edges = [(rng.randrange(k), k) for k in range(1, n)]
+    edges += [(i, j) for i in range(n) for j in range(i + 1, n) if rng.random() < 0.3]
+    for i, j in edges:
+        d[i][j] = d[j][i] = min(d[i][j], rng.randint(1, 3))
+    for k in range(n):
+        for i in range(n):
+            for j in range(n):
+                d[i][j] = min(d[i][j], d[i][k] + d[k][j])
+    return FiniteMetricSpace(tuple(str(i) for i in range(n)), tuple(tuple(row) for row in d))
+
+
+def _isometry_cases():
+    rng = random.Random(13)
+    for n in range(2, 7):
+        for _ in range(4):
+            yield random_ultrametric(n, rng.randrange(10**6))
+    for n in range(3, 7):
+        for _ in range(10):
+            yield _graph_metric(n, rng)
+
+
+def test_l1_isometry_matches_the_convex_hull_oracle():
+    rng = random.Random(14)
+    isometric_cases = 0
+    for space in _isometry_cases():
+        extreme, isometric = ell1._l1_isometry(space)
+        assert list(extreme) == hull_extreme_pairs(space)
+        assert isometric == (len(extreme) == len(space) - 1)
+        if validate(space).is_ultrametric:
+            assert len(extreme) == len(space) * (len(space) - 1) // 2
+        if isometric:
+            isometric_cases += 1
+            for _ in range(5):
+                a = [Fraction(rng.randint(-6, 6), rng.randint(1, 4)) for _ in extreme]
+                v = sum((c * molecule(space, x, y) for c, (x, y) in zip(a, extreme)), zero_vector(space))
+                assert free_norm(space, v) == sum(abs(c) for c in a)
+    assert isometric_cases >= 5
+
+
+def test_l1_isometry_of_a_path_and_a_cycle():
+    path = FiniteMetricSpace(("0", "1", "2"), ((0, 1, 2), (1, 0, 1), (2, 1, 0)))
+    assert ell1._l1_isometry(path) == (((0, 1), (1, 2)), True)
+    square = FiniteMetricSpace(("0", "1", "2", "3"), ((0, 1, 2, 1), (1, 0, 1, 2), (2, 1, 0, 1), (1, 2, 1, 0)))
+    assert ell1._l1_isometry(square) == (((0, 1), (0, 3), (1, 2), (2, 3)), False)
+
+
+def test_l1_isometry_rejects_a_non_metric():
+    broken = FiniteMetricSpace(("0", "1", "2"), ((0, 1, 3), (1, 0, 1), (3, 1, 0)))
+    with pytest.raises(ValueError, match="needs a metric space"):
+        ell1._l1_isometry(broken)
+
+
+@pytest.mark.parametrize(
+    "name, corrupt, message",
+    [
+        # the path 0 - 1 - 2: the pair (0, 2) has the witness 1
+        ("_segment_witness", lambda d, x, y: x if d[x][y] == 2 else None,
+         r"segment witness of the pair \(0, 2\) does not lie between them"),
+        ("_segment_witness", lambda d, x, y: None, r"separating potential of the pair \(0, 2\) does not separate"),
+        ("_separating_potential", lambda d, x, y: [d[y][u] + (u != x) for u in range(len(d))],
+         r"separating potential of the pair \(0, 1\) is not d\(1, \.\) off 0"),
+        # one above the detour 0 - 2 - 1 breaks the Lipschitz bound at (0, 2) by exactly 1
+        ("_separating_potential", lambda d, x, y: [4 if u == x else d[y][u] for u in range(len(d))],
+         r"separating potential of the pair \(0, 1\) is not 1-Lipschitz off the pair"),
+        ("_separating_potential", lambda d, x, y: list(d[y]),
+         r"separating potential of the pair \(0, 1\) does not separate its molecule"),
+    ],
+    ids=["witness-endpoint", "witness-missing", "potential-off-x", "potential-lipschitz", "potential-flat"],
+)
+def test_l1_isometry_names_the_pair_of_a_failed_certificate(monkeypatch, name, corrupt, message):
+    monkeypatch.setattr(ell1, name, corrupt)
+    path = FiniteMetricSpace(("0", "1", "2"), ((0, 1, 2), (1, 0, 1), (2, 1, 0)))
+    with pytest.raises(CertificationError, match=message):
+        ell1._l1_isometry(path)
 
 
 def test_pipeline_triangle(triangle):

@@ -216,7 +216,17 @@ def test_cli_l1check_bad_oracle_vectors_exit_two(tmp_path, capsys, vectors):
 def test_cli_l1check_empty_oracle_battery(tmp_path, capsys):
     space = _write_triangle(tmp_path)
     assert main(["l1check", str(space), "--oracle-vectors", "0"]) == 0
-    assert json.loads(capsys.readouterr().out)["oracle_ok"] is True
+    assert list(json.loads(capsys.readouterr().out)) == [
+        "size",
+        "distortion",
+        "retraction_constant",
+        "projection_norm",
+        "basis_constant",
+        "l1_lower",
+        "l1_upper",
+        "chain_ok",
+        "claims_ok",
+    ]
 
 
 @pytest.mark.parametrize(
@@ -264,21 +274,20 @@ def test_cli_norm_failed_tree_certificate_exit_one(tmp_path, capsys, monkeypatch
 def test_cli_threepoint_names_the_failed_identity(capsys, monkeypatch):
     real = ell1.free_norm
     monkeypatch.setattr(ell1, "free_norm", lambda space, v: 2 * real(space, v) if v.coeffs == (1, 1) else real(space, v))
-    assert main(["threepoint", "--s", "1/2", "--resolution", "4"]) == 1
+    assert main(["threepoint", "--s", "1/2"]) == 1
     assert capsys.readouterr().err == "check failed: three-point identity failed: |dx + dy| is 4, not 2\n"
 
 
 def test_cli_threepoint(tmp_path, capsys):
-    assert main(["threepoint", "--s", "1/2", "--resolution", "16"]) == 0
+    assert main(["threepoint", "--s", "1/2"]) == 0
     out = json.loads(capsys.readouterr().out)
     assert out["norm_sum"] == "2"
-    assert Fraction(out["min_violation"]) > 0
+    assert (out["extreme_pairs"], out["l1_isometric"]) == (3, False)
 
 
-@pytest.mark.parametrize("resolution", ["0", "-3"])
-def test_cli_threepoint_bad_resolution_exit_two(capsys, resolution):
-    assert main(["threepoint", "--s", "1/2", "--resolution", resolution]) == 2
-    assert capsys.readouterr().err == "error: resolution must be a positive integer\n"
+def test_cli_threepoint_beta_replaces_the_default_list(capsys):
+    assert main(["threepoint", "--s", "1/2", "--beta", "0.5"]) == 0
+    assert json.loads(capsys.readouterr().out)["beta_norms"] == [["1/2", "3/4", "1/2"]]
 
 
 def test_cli_out_file(tmp_path):
@@ -346,6 +355,17 @@ def test_campaign_cli_rejects_a_reversed_size_range(capsys):
     assert captured.err == "error: size range 3-2 is reversed: 3 is above 2\n"
 
 
+@pytest.mark.parametrize("sizes", ["x", "3-x"])
+def test_campaign_cli_names_a_bad_size(capsys, sizes):
+    assert main(["campaign", "--sizes", sizes, "--seeds", "1"]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == (
+        "error: size 'x' in --sizes is not an integer; "
+        "give a comma list such as 3,4,5 or a range a-b such as 3-8\n"
+    )
+
+
 def _run(argv, capsys) -> tuple[int, str, str]:
     try:
         code = main(argv)
@@ -361,9 +381,8 @@ def test_cli_parser_is_built_once_and_reused(tmp_path, capsys):
         ["--seed", "3", "basis", space, "--shuffle"],
         ["basis", space],
         ["validate", space, "--bogus"],
-        # the extra beta 3 leaves the coarse grid a zero: exit 1
-        ["threepoint", "--s", "1/2", "--resolution", "4", "--beta", "3"],
-        ["threepoint", "--s", "1/2", "--resolution", "4"],
+        ["threepoint", "--s", "1/2", "--beta", "3"],
+        ["threepoint", "--s", "1/2"],
         ["campaign", "--sizes", "3-2", "--seeds", "1"],
         ["embed", space],
     ]
@@ -374,18 +393,17 @@ def test_cli_parser_is_built_once_and_reused(tmp_path, capsys):
     parser = cli._build_parser()
     assert [_run(argv, capsys) for argv in calls] == fresh
     assert cli._build_parser() is parser
-    assert [code for code, _, _ in fresh] == [0, 0, 2, 1, 0, 2, 0]
+    assert [code for code, _, _ in fresh] == [0, 0, 2, 0, 0, 2, 0]
     assert "unrecognized arguments: --bogus" in fresh[2][2]
     assert fresh[0][1] != fresh[1][1] and fresh[3][1] != fresh[4][1]
 
 
 def test_campaign_includes_threepoint():
-    config = CampaignConfig(
-        sizes=(2,), seeds=1, stages=("validate", "threepoint"), three_point_resolution=8
-    )
-    report = run_campaign(config)
+    report = run_campaign(CampaignConfig(sizes=(2,), seeds=1, stages=("validate", "threepoint")))
     assert len(report.three_point) == 4
-    assert report.passed == all(r.min_violation > 0 for r in report.three_point)
+    assert report.schema == "ultrafree-report/3"
+    assert report.passed
+    assert all((r.extreme_pairs, r.l1_isometric) == (3, False) for r in report.three_point)
 
 
 def test_emitted_space_reingests_exactly(tmp_path):

@@ -12,12 +12,11 @@ from ultrafree.metric import (
     identity_distortion,
     random_ultrametric,
     round_to_dyadic,
-    strict_max_check,
     validate,
     with_base,
 )
 
-from _oracles import scan_validate
+from _oracles import scan_validate, strict_max_check
 from test_freespace import _stress_ultrametrics
 
 

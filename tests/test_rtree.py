@@ -14,7 +14,6 @@ from ultrafree.rtree import (
     four_point_check,
     generating_partner,
     node_space,
-    path_distance,
     retract_to_space,
     rooted_node_space,
     same_point,
@@ -26,7 +25,7 @@ from ultrafree.rtree import (
     verify_segment_axioms,
 )
 
-from _oracles import quotient_node_distances, scan_branching_points, scan_dendrogram, scan_retraction_claims
+from _oracles import path_distance, quotient_node_distances, scan_branching_points, scan_dendrogram, scan_retraction_claims
 from test_freespace import _stress_ultrametrics
 
 H = Fraction(1, 2)
