@@ -14,21 +14,26 @@ merge tree in integers: opposite-signed masses are matched at their lowest
 merge, and the potential comes from :func:`_tree_transport`, the one kernel
 for subtree masses and sign potentials, which the edge-flow certificate of
 :mod:`ultrafree.ell1` runs on the dendrogram.  Other input goes to the
-exact simplex.  Both routes end in the same check against the metric alone:
-the flow must meet the coefficients at the value's cost, and its potential,
-vanishing at the base, must be 1-Lipschitz and pair with the coefficients
-to the same value exactly.
+exact simplex.  Both routes end in the same check against the metric alone,
+certified in integers on the space's cached view: the flow must meet the
+coefficients at the value's cost, and its potential, vanishing at the base,
+must be 1-Lipschitz and pair with the coefficients to the same value
+exactly.  The view, the merges and the integer merge tree are computed once
+per space and kept on it (:func:`ultrafree.metric._integer_view`); the tree
+route builds Fractions only for the returned certificate, and the simplex
+result is scaled onto integers for the same check.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from itertools import combinations
 from math import lcm
-from typing import Sequence
+from typing import Optional, Sequence
 
-from .metric import CertificationError, FiniteMetricSpace, _integer_view, _pair_ratios, _single_linkage
-from .rational import parse_rational
+from .metric import CertificationError, FiniteMetricSpace, _cached, _integer_view, _pair_ratios, _single_linkage
+from .rational import _rationals, parse_rational
 from .simplex import solve_lp
 
 
@@ -39,7 +44,7 @@ class FreeVector:
     coeffs: tuple[Fraction, ...]
 
     def __post_init__(self) -> None:
-        object.__setattr__(self, "coeffs", tuple(parse_rational(c) for c in self.coeffs))
+        object.__setattr__(self, "coeffs", _rationals(self.coeffs))
 
     @classmethod
     def _exact(cls, coeffs: tuple[Fraction, ...]) -> "FreeVector":
@@ -80,10 +85,17 @@ class LipFunction:
     values: tuple[Fraction, ...]
 
     def __post_init__(self) -> None:
-        values = tuple(parse_rational(v) for v in self.values)
+        values = _rationals(self.values)
         if not values or values[0] != 0:
             raise ValueError("a Lipschitz function must vanish at the base point")
         object.__setattr__(self, "values", values)
+
+    @classmethod
+    def _exact(cls, values: tuple[Fraction, ...]) -> "LipFunction":
+        """Wrap a certified potential: Fractions already, 0 at the base, without parsing it again."""
+        f = object.__new__(cls)
+        object.__setattr__(f, "values", values)
+        return f
 
 
 @dataclass(frozen=True)
@@ -214,55 +226,108 @@ def _tree_transport(edges: Sequence[tuple], masses: Sequence) -> tuple[list, lis
     return net, g
 
 
-def _certify_transport(space: FiniteMetricSpace, coeffs, value, flow, potential) -> None:
-    """Check a transport certificate against the metric alone; a failure names its witness.
+def _certify_transport(space: FiniteMetricSpace, masses, unit: int, cost: int, arcs, potential, scale: int) -> None:
+    """Check a transport certificate in integers on the space's cached view; a failure names its witness.
 
-    The arcs must carry positive amounts, the flow's divergence must be the
-    coefficients and its cost the value; the potential must vanish at the
-    base, be 1-Lipschitz on every pair and pair with the coefficients to the
-    value.  Then the value is both attained and a lower bound: the norm.
+    On the view (q, D), d(i, j) = D[i][j] / q.  The coefficient at point
+    k + 1 is masses[k] / unit, an arc (i, j, amount) carries amount / unit,
+    the value is cost / (q * unit) and the potential at x is potential[x] /
+    scale.  The arcs must carry positive amounts, the flow's divergence
+    must be the coefficients and its cost the value; the potential must
+    vanish at the base, be 1-Lipschitz on every pair and pair with the
+    coefficients to the value.  Then the value is both attained and a lower
+    bound: the norm.  Fractions are built only to write a failure message.
     """
-    d = space.dist
+    q, d = _integer_view(space)
     n = len(space)
-    divergence = [Fraction(0)] * n
-    cost = Fraction(0)
-    for i, j, amount in flow:
+    divergence = [0] * n
+    total = 0
+    for i, j, amount in arcs:
         if amount <= 0 or i == j:
-            raise CertificationError(f"transport arc ({i}, {j}) carries {amount}")
+            raise CertificationError(f"transport arc ({i}, {j}) carries {Fraction(amount, unit)}")
         divergence[i] += amount
         divergence[j] -= amount
-        cost += d[i][j] * amount
-    for k, c in enumerate(coeffs, 1):
-        if divergence[k] != c:
-            raise CertificationError(f"transport flow leaves point {k} with {divergence[k]}, not {c}")
-    if cost != value:
-        raise CertificationError(f"transport flow costs {cost}, not the value {value}")
+        total += d[i][j] * amount
+    for k, m in enumerate(masses, 1):
+        if divergence[k] != m:
+            raise CertificationError(
+                f"transport flow leaves point {k} with {Fraction(divergence[k], unit)}, not {Fraction(m, unit)}"
+            )
+    if total != cost:
+        raise CertificationError(
+            f"transport flow costs {Fraction(total, q * unit)}, not the value {Fraction(cost, q * unit)}"
+        )
     if potential[0] != 0:
-        raise CertificationError(f"dual potential is {potential[0]} at the base, not 0")
-    # over one common denominator q: |g_i - g_j| <= d(i, j) iff |G_i - G_j| <= q d(i, j)
-    q = lcm(*(x.denominator for x in potential))
-    scaled = [x.numerator * (q // x.denominator) for x in potential]
+        raise CertificationError(f"dual potential is {Fraction(potential[0], scale)} at the base, not 0")
+    # |g_i - g_j| <= d(i, j) iff |G_i - G_j| * q <= scale * D[i][j]
     for i in range(n):
-        gi, row = scaled[i], d[i]
+        gi, row = potential[i], d[i]
         for j in range(i + 1, n):
-            if abs(gi - scaled[j]) * row[j].denominator > q * row[j].numerator:
+            if abs(gi - potential[j]) * q > scale * row[j]:
                 raise CertificationError(f"dual potential is not 1-Lipschitz on the pair ({i}, {j})")
-    dual = sum((c * x for c, x in zip(coeffs, potential[1:])), Fraction(0))
-    if dual != value:
-        raise CertificationError(f"primal and dual transport optima differ: {value} against {dual}")
+    # the value is cost / (q * unit) and the dual dual / (unit * scale)
+    dual = sum(m * x for m, x in zip(masses, potential[1:]))
+    if dual * q != cost * scale:
+        raise CertificationError(
+            f"primal and dual transport optima differ: {Fraction(cost, q * unit)} against {Fraction(dual, unit * scale)}"
+        )
+
+
+def _certify_rational(space: FiniteMetricSpace, coeffs, value, flow, potential) -> None:
+    """Scale a certificate in Fractions onto integers and check it with :func:`_certify_transport`.
+
+    The unit is the lcm of the denominators of the coefficients, the
+    amounts and the value, so the masses, the amounts and the cost on the
+    view's scale are integers; the potential goes over the lcm of its own
+    denominators.
+    """
+    q = _integer_view(space)[0]
+    unit = lcm(value.denominator, *(c.denominator for c in coeffs), *(a.denominator for _, _, a in flow))
+    scale = lcm(*(x.denominator for x in potential))
+    _certify_transport(
+        space,
+        [c.numerator * (unit // c.denominator) for c in coeffs],
+        unit,
+        value.numerator * (unit // value.denominator) * q,
+        [(i, j, a.numerator * (unit // a.denominator)) for i, j, a in flow],
+        [x.numerator * (scale // x.denominator) for x in potential],
+        scale,
+    )
+
+
+def _transport_tree(space: FiniteMetricSpace) -> Optional[tuple[tuple, tuple]]:
+    """The merge tree of :func:`_single_linkage` in integers, or None when the space is no ultrametric.
+
+    Returns the merges with their heights on the scale of
+    :func:`_integer_view`, merge k being node n + k, and the top-down
+    (child, parent, length) edges for :func:`_tree_transport`, a child's
+    length being its height gap to its merge.  :func:`free_norm_certificate`
+    prepares it once per space and keeps it on the space with the view.
+    """
+    merges = _single_linkage(space)
+    if merges is None:
+        return None
+    n, scale = len(space), _integer_view(space)[0]
+    merges = tuple((h.numerator * (scale // h.denominator), a, b) for h, a, b in merges)
+    height = [0] * n + [h for h, _, _ in merges]
+    edges = tuple((x, n + k, h - height[x]) for k, (h, a, b) in reversed(list(enumerate(merges))) for x in (a, b))
+    return merges, edges
 
 
 def free_norm_certificate(space: FiniteMetricSpace, v: FreeVector) -> FreeNormCertificate:
     """The transport norm of v with an optimal flow and an optimal dual potential.
 
     On an ultrametric (decided by :func:`_single_linkage`, one sort of the
-    pairs and a union-find) the flow matches opposite-signed masses at their
-    lowest merge, the base carrying -sum(v), and the potential is the sign
-    potential of :func:`_tree_transport` on the merge tree, in integers
-    until the result is built; on any other input the transport program of
-    :func:`_transport_program` is solved from its base-routing basis.
-    Either way the result passes :func:`_certify_transport`, which uses the
-    metric only; a failed check raises :class:`CertificationError`.
+    pairs and a union-find, once per space) the flow matches
+    opposite-signed masses at their lowest merge, the base carrying
+    -sum(v), and the potential is the sign potential of
+    :func:`_tree_transport` on the merge tree, all in integers, which
+    :func:`_certify_transport` checks before the Fractions of the result
+    are built; on any other input the transport program of
+    :func:`_transport_program` is solved from its base-routing basis, and
+    its result is scaled onto integers for the same check
+    (:func:`_certify_rational`).  A failed check raises
+    :class:`CertificationError`.
     """
     n = len(space)
     if len(v.coeffs) != n - 1:
@@ -270,27 +335,28 @@ def free_norm_certificate(space: FiniteMetricSpace, v: FreeVector) -> FreeNormCe
     if n == 1 or v.is_zero():
         return FreeNormCertificate(Fraction(0), (), LipFunction((Fraction(0),) * n))
 
-    view = _integer_view(space)
-    merges = _single_linkage(space, view)
-    if merges is None:
+    tree = _cached(space, "_transport_tree", _transport_tree)
+    if tree is None:
         arcs, costs, columns, basis = _transport_program(space, v.coeffs)
         result = solve_lp(costs, columns, v.coeffs, basis=basis)
-        value, potential = result.value, [Fraction(0), *result.dual]
-        flow = [(arcs[k][0], arcs[k][1], amount) for k, amount in enumerate(result.x) if amount]
-    else:
-        # merge k is node n + k; a tree edge is half its height gap, so g is over 2 scale
-        scale, unit = view[0], lcm(*(c.denominator for c in v.coeffs))
-        masses = [c.numerator * (unit // c.denominator) for c in (-sum(v.coeffs), *v.coeffs)]
-        merges = [(h.numerator * (scale // h.denominator), a, b) for h, a, b in merges]
-        height = [0] * n + [h for h, _, _ in merges]
-        edges = [(x, n + k, h - height[x]) for k, (h, a, b) in reversed(list(enumerate(merges))) for x in (a, b)]
-        cost, arcs = _lca_flow(merges, masses)
-        _, g = _tree_transport(edges, masses + [0] * len(merges))
-        value = Fraction(cost, scale * unit)
-        flow = [(i, j, Fraction(amount, unit)) for i, j, amount in arcs]
-        potential = [Fraction(x - g[0], 2 * scale) for x in g[:n]]
-    _certify_transport(space, v.coeffs, value, flow, potential)
-    return FreeNormCertificate(value, tuple(flow), LipFunction(tuple(potential)))
+        flow = tuple((arcs[k][0], arcs[k][1], amount) for k, amount in enumerate(result.x) if amount)
+        potential = (Fraction(0), *result.dual)
+        _certify_rational(space, v.coeffs, result.value, flow, potential)
+        return FreeNormCertificate(result.value, flow, LipFunction._exact(potential))
+    merges, edges = tree
+    # a tree edge is half its height gap, so g is over 2 scale
+    scale, unit = _integer_view(space)[0], lcm(*(c.denominator for c in v.coeffs))
+    coeffs = [c.numerator * (unit // c.denominator) for c in v.coeffs]
+    masses = [-sum(coeffs), *coeffs]
+    cost, arcs = _lca_flow(merges, masses)
+    _, g = _tree_transport(edges, masses + [0] * len(merges))
+    potential = [x - g[0] for x in g[:n]]
+    _certify_transport(space, coeffs, unit, cost, arcs, potential, 2 * scale)
+    return FreeNormCertificate(
+        Fraction(cost, scale * unit),
+        tuple((i, j, Fraction(amount, unit)) for i, j, amount in arcs),
+        LipFunction._exact(tuple(Fraction(x, 2 * scale) for x in potential)),
+    )
 
 
 def free_norm(space: FiniteMetricSpace, v: FreeVector) -> Fraction:
@@ -328,6 +394,11 @@ def push_forward(point_map: PointMap, v: FreeVector) -> FreeVector:
     return FreeVector._exact(tuple(out))
 
 
+def _distance_potential(d, target: int) -> list[int]:
+    """The potential d(., target) - d(base, target) on the integer rows ``d`` of a view."""
+    return [row[target] - d[0][target] for row in d]
+
+
 def operator_norm_of_extension(point_map: PointMap) -> Fraction:
     """Operator norm of the linearized map: the Lipschitz constant of the point map.
 
@@ -335,10 +406,11 @@ def operator_norm_of_extension(point_map: PointMap) -> Fraction:
     the one arc from f(i) to f(j), which costs d(f i, f j) / d(i, j) <=
     Lip(f); molecules are the extreme points of the domain unit ball, so the
     norm is at most Lip(f).  Lower bound, at the first pair (i, j) attaining
-    Lip(f): the potential g = d(., f j) - d(base, f j) on the codomain must
-    be 1-Lipschitz and pair with the image of m_ij to exactly Lip(f), and
-    the one-arc flow must have that image as its divergence.  A failed check
-    raises :class:`CertificationError` naming the pair.
+    Lip(f): the one-arc flow must have the image of m_ij as its divergence,
+    and the potential g = d(., f j) - d(base, f j), an integer row on the
+    codomain's cached view, must be 1-Lipschitz and pair with that image
+    to exactly Lip(f).  A failed check raises :class:`CertificationError`
+    naming the pair.
     """
     best, i, j = _lipschitz_witness(point_map)
     if best == 0:
@@ -349,9 +421,10 @@ def operator_norm_of_extension(point_map: PointMap) -> Fraction:
     arc = (1 / dom.dist[i][j]) * (dirac(cod, source) - dirac(cod, target))
     if image != arc:
         raise CertificationError(f"the image of the molecule at pair ({i}, {j}) is not its one-arc flow")
-    g = LipFunction(tuple(row[target] - cod.dist[0][target] for row in cod.dist))
-    if lip_norm(cod, g) > 1:
+    q, d = _integer_view(cod)
+    g = _distance_potential(d, target)  # the potential is g / q
+    if any(abs(g[x] - g[y]) > d[x][y] for x, y in combinations(range(len(cod)), 2)):
         raise CertificationError(f"the potential of pair ({i}, {j}) is not 1-Lipschitz")
-    if sum(c * x for c, x in zip(image.coeffs, g.values[1:])) != best:
+    if sum(c * x for c, x in zip(image.coeffs, g[1:])) != best * q:
         raise CertificationError(f"the potential of pair ({i}, {j}) does not attain the operator norm {best}")
     return best

@@ -15,7 +15,7 @@ from itertools import combinations
 from math import lcm
 from typing import Callable, Iterator, Optional
 
-from .rational import dyadic_floor, is_power_of_two, parse_rational
+from .rational import _rationals, dyadic_floor, is_power_of_two
 
 
 class StructuralError(ValueError):
@@ -43,11 +43,15 @@ class FiniteMetricSpace:
             raise ValueError("a metric space needs at least the base point")
         if len(set(labels)) != len(labels):
             raise ValueError("duplicate labels")
-        rows = tuple(tuple(parse_rational(x) for x in row) for row in self.dist)
+        rows = tuple(_rationals(row) for row in self.dist)
         if len(rows) != len(labels) or any(len(r) != len(labels) for r in rows):
             raise ValueError("distance matrix must be square and match the labels")
         object.__setattr__(self, "labels", labels)
         object.__setattr__(self, "dist", rows)
+
+    def __getstate__(self) -> dict:
+        # the fields only: what _cached keeps on the space (the integer view, the merges) stays out of a pickle
+        return {"labels": self.labels, "dist": self.dist}
 
     def __len__(self) -> int:
         return len(self.labels)
@@ -85,20 +89,40 @@ class ValidationReport:
 
 
 # (scale, rows): a matrix of rationals rows[i][j] / scale, all over one denominator
-_Scaled = tuple[int, list[list[int]]]
+_Scaled = tuple[int, tuple[tuple[int, ...], ...]]
+
+
+def _cached(space: FiniteMetricSpace, name: str, build: Callable[[FiniteMetricSpace], object]):
+    """``build(space)``, computed on the first call and kept on the space, outside its fields."""
+    cache = vars(space)
+    if name not in cache:
+        object.__setattr__(space, name, build(space))
+    return cache[name]
 
 
 def _integer_view(space: FiniteMetricSpace) -> _Scaled:
     """Every distance over one common denominator: (scale, rows) with d(i, j) = rows[i][j] / scale.
 
     The scale is the lcm of the denominators, so the rows are integers with
-    the same order, ties, sums and maxima as the distances.
+    the same order, ties, sums and maxima as the distances.  The view is
+    the space's cached view: computed once per space and kept on it outside
+    its fields, so it takes no part in ``==``, ``hash``, ``repr``,
+    serialization or pickling; its rows are tuples, which no caller can
+    change.  ``with_base`` and ``dataclasses.replace`` build new spaces,
+    each with a view of its own.  Validation, the single-linkage merges, the
+    chain scan, the dendrogram certificate, the l1-isometry decision and
+    every transport certificate are certified in integers on the space's
+    cached view.
     """
+    return _cached(space, "_view", _scale_rows)
+
+
+def _scale_rows(space: FiniteMetricSpace) -> _Scaled:
     scale = lcm(*(h.denominator for row in space.dist for h in row))
-    return scale, [[h.numerator * (scale // h.denominator) for h in row] for row in space.dist]
+    return scale, tuple(tuple(h.numerator * (scale // h.denominator) for h in row) for row in space.dist)
 
 
-def _check_structure(space: FiniteMetricSpace, d: list[list[int]]) -> None:
+def _check_structure(space: FiniteMetricSpace, d: tuple[tuple[int, ...], ...]) -> None:
     """Raise on a nonzero diagonal, an asymmetric, negative or zero entry; ``d`` is the integer view."""
     n = len(space)
     q = space.dist
@@ -150,20 +174,24 @@ def validate(space: FiniteMetricSpace) -> ValidationReport:
     )
 
 
-def _single_linkage(space: FiniteMetricSpace, view: _Scaled) -> Optional[list[tuple[Fraction, int, int]]]:
+def _single_linkage(space: FiniteMetricSpace) -> Optional[tuple[tuple[Fraction, int, int], ...]]:
     """The merges of the single-linkage hierarchy, or None when the space is no ultrametric.
 
-    ``view`` is :func:`_integer_view` of the space.  Pairs are taken by
-    increasing distance, and a pair joining two clusters merges them at its
-    distance; merge k is (height, left, right) and creates node n + k, the
-    points being nodes 0..n-1.  The distances must be symmetric and
-    non-negative, and every cross pair of every merge must sit exactly at
-    the merge height: then d(x, y) is the height of the merge that first
-    joins x and y, and heights never fall, which makes the space an
-    ultrametric with this merge tree.
+    Pairs of :func:`_integer_view` are taken by increasing distance, and a
+    pair joining two clusters merges them at its distance; merge k is
+    (height, left, right) and creates node n + k, the points being nodes
+    0..n-1.  The distances must be symmetric and non-negative, and every
+    cross pair of every merge must sit exactly at the merge height: then
+    d(x, y) is the height of the merge that first joins x and y, and heights
+    never fall, which makes the space an ultrametric with this merge tree.
+    Like the view, the merges are computed once per space and cached on it.
     """
+    return _cached(space, "_merges", _merge_pairs)
+
+
+def _merge_pairs(space: FiniteMetricSpace) -> Optional[tuple[tuple[Fraction, int, int], ...]]:
     n = len(space)
-    d = view[1]
+    d = _integer_view(space)[1]
     pairs = []
     for i in range(n):
         row = d[i]
@@ -187,7 +215,7 @@ def _single_linkage(space: FiniteMetricSpace, view: _Scaled) -> Optional[list[tu
             node[x] = n + len(merges)
         merges.append((space.dist[i][j], a, b))
         members.append(left + right)
-    return merges
+    return tuple(merges)
 
 
 def round_to_dyadic(space: FiniteMetricSpace) -> FiniteMetricSpace:

@@ -33,6 +33,11 @@ def parse_rational(value: object) -> Fraction:
     raise TypeError(f"cannot convert {type(value).__name__} to a rational")
 
 
+def _rationals(values) -> tuple[Fraction, ...]:
+    """:func:`parse_rational` of each value, passing Fractions through without parsing them again."""
+    return tuple(x if isinstance(x, Fraction) else parse_rational(x) for x in values)
+
+
 def is_power_of_two(q: Fraction) -> bool:
     """True iff q == 2**k for some integer k (negative k allowed)."""
     if q <= 0:

@@ -211,7 +211,7 @@ def branching_points(space: FiniteMetricSpace) -> list[TreePoint]:
     giving <min C, h/2>; sorted by (height, anchor).  Raises ValueError on
     a space that is not an ultrametric.
     """
-    merges = _single_linkage(space, _integer_view(space))
+    merges = _single_linkage(space)
     if merges is None:
         raise ValueError("branching points require an ultrametric space")
     return _merge_tree(len(space), merges)[0][len(space):]
@@ -462,13 +462,12 @@ def dendrogram(space: FiniteMetricSpace) -> DendrogramTree:
 
 def _dendrogram(space: FiniteMetricSpace) -> tuple[DendrogramTree, _Scaled]:
     """The body of :func:`dendrogram` on a validated ultrametric space, with its certified node distances."""
-    view = _integer_view(space)
-    merges = _single_linkage(space, view)
+    merges = _single_linkage(space)
     if merges is None:
         raise CertificationError("a validated ultrametric has no single-linkage merge tree")
     nodes, parent, edge = _merge_tree(len(space), merges)
     tree = DendrogramTree(space, tuple(nodes), tuple(parent), tuple(edge))
-    certified = _certify_path_metric(tree, view)
+    certified = _certify_path_metric(tree, _integer_view(space))
     children = [0] * len(nodes)
     for p in parent:
         if p >= 0:

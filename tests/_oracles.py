@@ -59,6 +59,12 @@ decides extremality by its definition: one LP feasibility problem per
 pair, on the package simplex, asking whether the molecule is a convex
 combination of the other +-molecules.
 
+The package checks every transport certificate in integers on the
+space's cached view.  The Fraction check it replaced is kept as a
+reference: the same checks in the same order, on ``space.dist`` and the
+certificate's own Fractions, with its own common denominator for the
+Lipschitz scan.
+
 Four helpers that only the tests use live here rather than in the
 package: the strict-max triple check, the path sum along a dendrogram, the
 0/1 projection matrices of a chain and the exact rank of a matrix.
@@ -68,12 +74,13 @@ from __future__ import annotations
 
 from fractions import Fraction
 from itertools import combinations
+from math import lcm
 from typing import Sequence
 
 from ultrafree.chain import BasisFamily, ChainReport, ProjectionAlgebraReport, RetractionChain
 from ultrafree.freespace import FreeVector, PointMap, _transport_program, free_norm, molecule, push_forward
 from ultrafree.linalg import SingularMatrixError, _reduce, solve_linear
-from ultrafree.metric import FiniteMetricSpace, StructuralError, ValidationReport, validate
+from ultrafree.metric import CertificationError, FiniteMetricSpace, StructuralError, ValidationReport, validate
 from ultrafree.rational import dyadic_exponent, is_power_of_two
 from ultrafree.rtree import (
     DendrogramTree,
@@ -270,6 +277,44 @@ def sign_potential(merges, masses) -> list[Fraction]:
             sign = (net[child] > 0) - (net[child] < 0)
             g[child] = g[n + k] + sign * (h - height[child]) / 2
     return [x - g[0] for x in g[:n]]
+
+
+def fraction_certify_transport(space: FiniteMetricSpace, coeffs, value, flow, potential) -> None:
+    """Check a transport certificate in Fractions against the metric alone; a failure names its witness.
+
+    The arcs must carry positive amounts, the flow's divergence must be the
+    coefficients and its cost the value; the potential must vanish at the
+    base, be 1-Lipschitz on every pair and pair with the coefficients to the
+    value.
+    """
+    d = space.dist
+    n = len(space)
+    divergence = [Fraction(0)] * n
+    cost = Fraction(0)
+    for i, j, amount in flow:
+        if amount <= 0 or i == j:
+            raise CertificationError(f"transport arc ({i}, {j}) carries {amount}")
+        divergence[i] += amount
+        divergence[j] -= amount
+        cost += d[i][j] * amount
+    for k, c in enumerate(coeffs, 1):
+        if divergence[k] != c:
+            raise CertificationError(f"transport flow leaves point {k} with {divergence[k]}, not {c}")
+    if cost != value:
+        raise CertificationError(f"transport flow costs {cost}, not the value {value}")
+    if potential[0] != 0:
+        raise CertificationError(f"dual potential is {potential[0]} at the base, not 0")
+    # over one common denominator q: |g_i - g_j| <= d(i, j) iff |G_i - G_j| <= q d(i, j)
+    q = lcm(*(x.denominator for x in potential))
+    scaled = [x.numerator * (q // x.denominator) for x in potential]
+    for i in range(n):
+        gi, row = scaled[i], d[i]
+        for j in range(i + 1, n):
+            if abs(gi - scaled[j]) * row[j].denominator > q * row[j].numerator:
+                raise CertificationError(f"dual potential is not 1-Lipschitz on the pair ({i}, {j})")
+    dual = sum((c * x for c, x in zip(coeffs, potential[1:])), Fraction(0))
+    if dual != value:
+        raise CertificationError(f"primal and dual transport optima differ: {value} against {dual}")
 
 
 def matrix_projection_algebra(chain: RetractionChain) -> ProjectionAlgebraReport:

@@ -23,14 +23,20 @@ from ultrafree.chain import build_chain, retraction_map
 from ultrafree.metric import (
     CertificationError,
     FiniteMetricSpace,
-    _integer_view,
     _single_linkage,
     random_ultrametric,
     validate,
 )
 from ultrafree.simplex import LpResult
 
-from _oracles import ball_transport_norm, dual_vertex_norm, lp_transport_norm, molecule_operator_norm, sign_potential
+from _oracles import (
+    ball_transport_norm,
+    dual_vertex_norm,
+    fraction_certify_transport,
+    lp_transport_norm,
+    molecule_operator_norm,
+    sign_potential,
+)
 
 
 rationals = st.fractions(min_value=-4, max_value=4, max_denominator=6)
@@ -263,8 +269,8 @@ def test_operator_norm_witness_is_checked(triangle, monkeypatch, corrupt):
         monkeypatch.setattr(freespace, "push_forward", lambda pm, v: 2 * real(pm, v))
         match = r"image of the molecule at pair \(0, 1\)"
     else:
-        real = freespace.LipFunction
-        monkeypatch.setattr(freespace, "LipFunction", lambda values: real(tuple(2 * x for x in values)))
+        real = freespace._distance_potential
+        monkeypatch.setattr(freespace, "_distance_potential", lambda d, target: [2 * x for x in real(d, target)])
         match = r"potential of pair \(0, 1\) is not 1-Lipschitz"
     with pytest.raises(CertificationError, match=match):
         operator_norm_of_extension(collapse)
@@ -272,8 +278,8 @@ def test_operator_norm_witness_is_checked(triangle, monkeypatch, corrupt):
 
 def test_operator_norm_potential_must_attain(triangle, monkeypatch):
     collapse = PointMap(triangle, triangle, (0, 1, 1))
-    real = freespace.LipFunction
-    monkeypatch.setattr(freespace, "LipFunction", lambda values: real(tuple(x / 2 for x in values)))
+    real = freespace._distance_potential
+    monkeypatch.setattr(freespace, "_distance_potential", lambda d, target: [Fraction(x, 2) for x in real(d, target)])
     with pytest.raises(CertificationError, match=r"pair \(0, 1\) does not attain"):
         operator_norm_of_extension(collapse)
 
@@ -398,7 +404,7 @@ def test_tree_route_matches_the_lp_on_stress_ultrametrics(monkeypatch):
     calls = _count_lp(monkeypatch)
     checked = 0
     for space in _stress_ultrametrics(rng):
-        merges = _single_linkage(space, _integer_view(space))
+        merges = _single_linkage(space)
         for v in _stress_vectors(space, rng):
             cert = free_norm_certificate(space, v)
             assert cert.value == lp_transport_norm(space, v)
@@ -421,6 +427,76 @@ def test_ball_reference_matches_the_lp():
         if len(space) <= 8:
             v = _coprime_vector(len(space), rng)
             assert ball_transport_norm(space, v) == lp_transport_norm(space, v)
+
+
+def _rational_graph_metric(n, rng):
+    """Shortest paths of a complete graph whose weights have prime denominators near 10^6: mostly no ultrametric."""
+    d = [[Fraction(0)] * n for _ in range(n)]
+    for i in range(n):
+        for j in range(i + 1, n):
+            q = rng.choice(_PRIMES_NEAR_A_MILLION)
+            d[i][j] = d[j][i] = Fraction(rng.randint(q, 4 * q), q)
+    for k in range(n):
+        for i in range(n):
+            for j in range(n):
+                d[i][j] = min(d[i][j], d[i][k] + d[k][j])
+    return FiniteMetricSpace(tuple(str(i) for i in range(n)), tuple(map(tuple, d)))
+
+
+def _first_arc_times(flow, factor):
+    (i, j, amount), *rest = flow
+    return [(i, j, factor * amount), *rest]
+
+
+# each takes (space, value, flow, potential) and breaks exactly one check of an honest certificate
+_CORRUPTIONS = {
+    "zero arc": lambda space, value, flow, g: (value, _first_arc_times(flow, 0), g),
+    "divergence": lambda space, value, flow, g: (value, _first_arc_times(flow, 2), g),
+    "cost": lambda space, value, flow, g: (value + 1, flow, g),
+    "base potential": lambda space, value, flow, g: (value, flow, [x + 1 for x in g]),
+    "lipschitz": lambda space, value, flow, g: (value, flow, [g[0], g[1] + 3 * space.diameter(), *g[2:]]),
+    "dual": lambda space, value, flow, g: (value, flow, [x / 2 for x in g]),
+}
+
+
+def _verdict(check, *args):
+    try:
+        check(*args)
+    except CertificationError as exc:
+        return str(exc)
+    return None
+
+
+def test_integer_check_matches_the_fraction_check():
+    # both routes: stress ultrametrics (ties, primes near 10^6, caterpillars, stars) and rational graph metrics
+    rng = random.Random(17)
+    cases = [(space, v) for space in _stress_ultrametrics(rng, range(2, 9)) for v in _stress_vectors(space, rng)]
+    cases += [(space, _coprime_vector(n, rng)) for n in range(3, 8) for space in [_rational_graph_metric(n, rng)] * 3]
+    lp_route = 0
+    for space, v in cases:
+        if v.is_zero():
+            continue
+        cert = free_norm_certificate(space, v)
+        lp_route += _single_linkage(space) is None
+        honest = (cert.value, list(cert.flow), list(cert.potential.values))
+        assert _verdict(fraction_certify_transport, space, v.coeffs, *honest) is None
+        assert _verdict(freespace._certify_rational, space, v.coeffs, *honest) is None
+        for name, corrupt in _CORRUPTIONS.items():
+            corrupted = corrupt(space, *honest)
+            expected = _verdict(fraction_certify_transport, space, v.coeffs, *corrupted)
+            assert expected is not None, name
+            assert _verdict(freespace._certify_rational, space, v.coeffs, *corrupted) == expected, name
+    assert lp_route == 15
+
+
+def test_equal_spaces_give_the_same_certificate(lopsided):
+    rng = random.Random(23)
+    for space in [*_stress_ultrametrics(rng, range(2, 7)), lopsided]:
+        twin = FiniteMetricSpace(space.labels, space.dist)
+        for v in _stress_vectors(space, rng):
+            first = repr(free_norm_certificate(space, v))
+            assert repr(free_norm_certificate(twin, v)) == first
+            assert repr(free_norm_certificate(space, v)) == first
 
 
 def test_free_vector_arithmetic_parses_only_the_scalar(monkeypatch):

@@ -1,3 +1,5 @@
+import dataclasses
+import pickle
 import random
 import re
 from fractions import Fraction
@@ -5,9 +7,13 @@ from fractions import Fraction
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from ultrafree import rational
+from ultrafree.freespace import FreeVector, LipFunction
 from ultrafree.metric import (
     FiniteMetricSpace,
     StructuralError,
+    _integer_view,
+    _single_linkage,
     bilipschitz_distortion,
     identity_distortion,
     random_ultrametric,
@@ -15,6 +21,7 @@ from ultrafree.metric import (
     validate,
     with_base,
 )
+from ultrafree.serialize import to_jsonable
 
 from _oracles import scan_validate, strict_max_check
 from test_freespace import _stress_ultrametrics
@@ -194,3 +201,58 @@ def test_validate_matches_the_fraction_triple_scan():
             assert report == scan_validate(s), s
             kinds.add((report.is_metric, report.is_ultrametric))
     assert kinds == {(True, True), (True, False), (False, False)}
+
+
+def test_the_cached_view_stays_out_of_the_space(four_cluster):
+    fresh = FiniteMetricSpace(four_cluster.labels, four_cluster.dist)
+    view, merges = _integer_view(four_cluster), _single_linkage(four_cluster)
+    assert _integer_view(four_cluster) is view and _single_linkage(four_cluster) is merges
+    assert four_cluster == fresh and hash(four_cluster) == hash(fresh) and repr(four_cluster) == repr(fresh)
+    assert to_jsonable(four_cluster) == to_jsonable(fresh)
+    assert pickle.dumps(four_cluster) == pickle.dumps(fresh)
+    copy = pickle.loads(pickle.dumps(four_cluster))
+    assert vars(copy) == vars(fresh) == {"labels": four_cluster.labels, "dist": four_cluster.dist}
+    assert _integer_view(copy) == view and _integer_view(copy) is not view
+    assert _single_linkage(copy) == merges
+
+
+def test_the_cached_view_is_immutable(four_cluster):
+    scale, rows = _integer_view(four_cluster)
+    assert (scale, rows[1]) == (4, (4, 0, 1, 2))
+    with pytest.raises(TypeError):
+        rows[1][2] = 3
+    with pytest.raises(TypeError):
+        rows[1] = (4, 0, 3, 2)
+    with pytest.raises(TypeError):
+        _single_linkage(four_cluster)[0] = (Fraction(1, 8), 1, 2)
+    with pytest.raises(dataclasses.FrozenInstanceError):
+        four_cluster._view = (1, ())
+
+
+def test_new_spaces_get_a_view_of_their_own(four_cluster):
+    view, merges = _integer_view(four_cluster), _single_linkage(four_cluster)
+    moved = with_base(four_cluster, 2)
+    halved = dataclasses.replace(four_cluster, dist=tuple(tuple(x / 2 for x in row) for row in four_cluster.dist))
+    for space in (moved, halved):
+        fresh = FiniteMetricSpace(space.labels, space.dist)
+        assert _integer_view(space) == _integer_view(fresh) != view
+        assert _single_linkage(space) == _single_linkage(fresh) != merges
+    assert _integer_view(halved) == (8, view[1])
+
+
+def test_construction_parses_only_what_is_not_a_fraction(monkeypatch):
+    parsed = []
+    real = rational.parse_rational
+    monkeypatch.setattr(rational, "parse_rational", lambda x: parsed.append(x) or real(x))
+    half = Fraction(1, 2)
+    space = FiniteMetricSpace(("0", "x"), ((Fraction(0), "1/2"), (half, 0)))
+    assert space.dist == ((0, half), (half, 0)) and parsed == ["1/2", 0]
+    assert LipFunction((Fraction(0), half, "1")).values == (0, half, 1) and parsed[2:] == ["1"]
+    assert FreeVector((half, 2)).coeffs == (half, 2) and parsed[3:] == [2]
+    for bad, error, match in ((0.5, TypeError, "refusing float"), (True, TypeError, "bool"), ("x", ValueError, "parse")):
+        with pytest.raises(error, match=match):
+            FiniteMetricSpace(("0", "x"), ((0, bad), (half, 0)))
+        with pytest.raises(error, match=match):
+            LipFunction((Fraction(0), bad))
+        with pytest.raises(error, match=match):
+            FreeVector((half, bad))
