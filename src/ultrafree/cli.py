@@ -96,13 +96,20 @@ def _emit(data, args) -> None:
         sys.stdout.write(text)
 
 
-def _size(token: str) -> int:
+def _integer(token: str, name: str, flag: str, hint: str) -> int:
+    """``int(token)``, or a ValueError that names the flag and the token."""
     try:
         return int(token)
     except ValueError:
-        raise ValueError(
-            f"size {token!r} in --sizes is not an integer; give a comma list such as 3,4,5 or a range a-b such as 3-8"
-        ) from None
+        raise ValueError(f"{name} {token!r} in {flag} is not an integer; {hint}") from None
+
+
+def _size(token: str) -> int:
+    return _integer(token, "size", "--sizes", "give a comma list such as 3,4,5 or a range a-b such as 3-8")
+
+
+def _point(token: str) -> int:
+    return _integer(token, "point index", "--ordering", "give comma-separated point indices starting at 0, such as 0,2,1")
 
 
 def _parse_sizes(text: str) -> tuple[int, ...]:
@@ -144,7 +151,7 @@ def _cmd_norm(args) -> int:
 def _cmd_basis(args) -> int:
     space = ingest(args.space, args.format)
     if args.ordering is not None:
-        ordering = tuple(int(k) for k in args.ordering.split(","))
+        ordering = tuple(_point(k) for k in args.ordering.split(","))
     elif args.shuffle:
         import random
 

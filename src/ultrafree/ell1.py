@@ -15,7 +15,10 @@ The certificate runs in integers: the tree is prepared once, its edge
 lengths and the node-space distances they are checked against put on one
 common scale, and each vector's coefficients are scaled by the lcm of
 their denominators.  Every check of the certificate is then an integer
-comparison; Fractions are built only for a returned certificate.
+comparison; Fractions are built only for a returned certificate.  The
+difference delta_i - delta_j of two nodes has its flow and its potential
+steps on the tree path from i to j alone (Godard 2010), so the node pairs
+of a battery are certified on their paths.
 
 The unit ball of the free space is the convex hull of the +-molecules
 m_ij = (delta_i - delta_j) / d(i, j), so the lower l1 constant of a family
@@ -139,24 +142,45 @@ def _random_coeffs(rng: random.Random, dim: int) -> tuple[Fraction, ...]:
     return tuple(Fraction(rng.randint(-6, 6), rng.choice((1, 2, 3, 4))) for _ in range(dim))
 
 
+# the lcm of the denominators 1, 2, 3, 4 that a random coefficient is drawn with
+_DRAW_UNIT = 12
+
+
+def _random_integers(rng: random.Random, dim: int) -> list[int]:
+    """The draws of :func:`_random_coeffs` as integers over :data:`_DRAW_UNIT`, from the same rng calls."""
+    return [rng.randint(-6, 6) * (_DRAW_UNIT // rng.choice((1, 2, 3, 4))) for _ in range(dim)]
+
+
+def _battery_draws(space: FiniteMetricSpace, ambient: FiniteMetricSpace, vectors: int, seed: int) -> list[list[int]]:
+    """The random vectors of the battery, as integer coefficients over :data:`_DRAW_UNIT`.
+
+    ``vectors`` random vectors on every node, then max(5, vectors // 5)
+    random vectors supported on the original leaves.
+    """
+    if vectors < 0:
+        raise ValueError("the oracle battery size must be non-negative")
+    dim, leaves = len(ambient) - 1, len(space)
+    rng = random.Random(seed)
+    draws = [_random_integers(rng, dim) for _ in range(vectors)]
+    draws += [_random_integers(rng, leaves) + [0] * (dim - leaves) for _ in range(max(5, vectors // 5))]
+    return draws
+
+
 def _battery(
     space: FiniteMetricSpace, ambient: FiniteMetricSpace, vectors: int, seed: int
 ) -> tuple[list[FreeVector], list[tuple[int, int, FreeVector]]]:
     """The edge-flow battery in the root-based coordinates of the node set.
 
-    ``vectors`` random rational vectors, then max(5, vectors // 5) random
-    vectors supported on the original leaves, then the difference of every
-    node pair (i, j) of ``ambient``, whose norm must be their distance.
+    The random vectors of :func:`_battery_draws` as Fractions, then the
+    difference of every node pair (i, j) of ``ambient``, whose norm must
+    be their distance.
     """
-    if vectors < 0:
-        raise ValueError("the oracle battery size must be non-negative")
+    battery = [
+        FreeVector._exact(tuple(Fraction(c, _DRAW_UNIT) for c in coeffs))
+        for coeffs in _battery_draws(space, ambient, vectors, seed)
+    ]
     dim = len(ambient) - 1
-    rng = random.Random(seed)
-    battery = [FreeVector._exact(_random_coeffs(rng, dim)) for _ in range(vectors)]
     zeros = (Fraction(0),) * dim
-    for _ in range(max(5, vectors // 5)):
-        coeffs = _random_coeffs(rng, len(space))
-        battery.append(FreeVector._exact(coeffs + zeros[len(coeffs):]))
     pairs = []
     for i in range(len(ambient)):
         for j in range(i + 1, len(ambient)):
@@ -206,30 +230,33 @@ class _ScaledTree(NamedTuple):
     ``edges`` holds (child, parent, length) in root-based node-space indices,
     highest child first, with the lengths of ``tree.edge_length``; ``dist``
     holds the node-space distance on both orientations of every edge, the
-    independent side the lengths are checked against.
+    independent side the lengths are checked against.  ``position[x]`` is
+    the index in ``edges`` of the edge from x to its parent, -1 at the root.
     """
 
     scale: int
     edges: tuple[tuple[int, int, int], ...]
     dist: dict[tuple[int, int], int]
     parent: tuple[int, ...]
+    position: tuple[int, ...]
     labels: tuple[str, ...]
 
 
 def _scaled_tree(tree: DendrogramTree, ambient: FiniteMetricSpace) -> _ScaledTree:
     """Prepare ``tree`` against ``ambient``, its root-based node space."""
     edges, d = _top_down(tree), ambient.dist
-    dist, parent = {}, [-1] * len(tree.nodes)
-    for child, up, _ in edges:
+    dist, parent, position = {}, [-1] * len(tree.nodes), [-1] * len(tree.nodes)
+    for k, (child, up, _) in enumerate(edges):
         dist[child, up] = d[child][up]
         dist[up, child] = d[up][child]
-        parent[child] = up
+        parent[child], position[child] = up, k
     scale = lcm(*(x.denominator for x in dist.values()), *(length.denominator for *_, length in edges))
     return _ScaledTree(
         scale,
         tuple((child, up, int(length * scale)) for child, up, length in edges),
         {arc: int(x * scale) for arc, x in dist.items()},
         tuple(parent),
+        tuple(position),
         ambient.labels,
     )
 
@@ -251,26 +278,38 @@ def _edge_flow_solution(tree: _ScaledTree, coeffs: Sequence[int]) -> tuple[int, 
     return sum(length * abs(net[child]) for child, _, length in tree.edges), flow, g
 
 
+def _edge(tree: _ScaledTree, a: int, b: int) -> str:
+    return f"({tree.labels[a]}, {tree.labels[b]})"
+
+
 def _checked_edge_flow(tree: _ScaledTree, v: FreeVector) -> tuple[int, int, list[tuple[int, int, int]], list[int]]:
     """The edge-flow solution of v, checked in integers against the node-space distances.
 
     Returns (value, unit, flow, potential): the coefficients are scaled by
     the lcm ``unit`` of their denominators and the value is in units of
-    1/(scale * unit).  The flow must run along tree edges with positive
-    amounts, balance every node to its coefficient and cost the value; the
-    potential must be tight on every edge that carries flow, 1-Lipschitz on
-    every edge and attain the value.  On a tree path the edge steps add up
-    to the distance, so the edge-wise 1-Lipschitz check covers every pair.
+    1/(scale * unit).  The checks are those of :func:`_checked_coefficients`.
     """
     if len(v.coeffs) != len(tree.edges):
         raise ValueError("vector dimension does not match the tree nodes")
     unit = lcm(*(c.denominator for c in v.coeffs))
-    coeffs = [c.numerator * (unit // c.denominator) for c in v.coeffs]
+    return _checked_coefficients(tree, [c.numerator * (unit // c.denominator) for c in v.coeffs], unit)
+
+
+def _checked_coefficients(
+    tree: _ScaledTree, coeffs: Sequence[int], unit: int
+) -> tuple[int, int, list[tuple[int, int, int]], list[int]]:
+    """The edge-flow solution of the coefficients ``coeffs`` / ``unit``, checked in integers.
+
+    The flow must run along tree edges with positive amounts, balance every
+    node to its coefficient and cost the value; the potential must be tight
+    on every edge that carries flow, 1-Lipschitz on every edge and attain
+    the value.  On a tree path the edge steps add up to the distance, so
+    the edge-wise 1-Lipschitz check covers every pair.  Every check is
+    homogeneous in ``unit``, so any common multiple of the denominators
+    gives the same verdict and the same message.
+    """
     value, flow, g = _edge_flow_solution(tree, coeffs)
     dist, labels = tree.dist, tree.labels
-
-    def edge(a: int, b: int) -> str:
-        return f"({labels[a]}, {labels[b]})"
 
     def exact(x: int) -> Fraction:
         return Fraction(x, tree.scale * unit)
@@ -280,25 +319,101 @@ def _checked_edge_flow(tree: _ScaledTree, v: FreeVector) -> tuple[int, int, list
     for a, b, amount in flow:
         length = dist.get((a, b))
         if length is None:
-            raise CertificationError(f"flow arc {edge(a, b)} is not a tree edge")
+            raise CertificationError(f"flow arc {_edge(tree, a, b)} is not a tree edge")
         if amount <= 0:
-            raise CertificationError(f"flow on edge {edge(a, b)} is not positive")
+            raise CertificationError(f"flow on edge {_edge(tree, a, b)} is not positive")
         if g[a] - g[b] != length:
-            raise CertificationError(f"potential does not drop by the length of edge {edge(a, b)}")
+            raise CertificationError(f"potential does not drop by the length of edge {_edge(tree, a, b)}")
         divergence[a] += amount
         divergence[b] -= amount
         cost += amount * length
     for child in range(1, len(g)):
         parent = tree.parent[child]
         if abs(g[child] - g[parent]) > dist[child, parent]:
-            raise CertificationError(f"potential is not 1-Lipschitz on edge {edge(child, parent)}")
+            raise CertificationError(f"potential is not 1-Lipschitz on edge {_edge(tree, child, parent)}")
         if divergence[child] != coeffs[child - 1]:
-            raise CertificationError(f"flow on edge {edge(child, parent)} does not balance {labels[child]}")
+            raise CertificationError(f"flow on edge {_edge(tree, child, parent)} does not balance {labels[child]}")
     if cost != value:
         raise CertificationError(f"edge flow costs {exact(cost)}, not the value {exact(value)}")
     if sum(c * x for c, x in zip(coeffs, g[1:])) != value:
         raise CertificationError(f"sign potential does not attain the value {exact(value)}")
     return value, unit, flow, g
+
+
+def _path_solution(tree: _ScaledTree, i: int, j: int) -> tuple[int, list[tuple[int, int, int]], dict[int, int]]:
+    """The edge-flow solution of delta_i - delta_j on the tree path from i to j, unchecked.
+
+    One unit of flow runs up from i to the lowest common ancestor of i and
+    j and down from it to j.  Returns the value, the sum of the path's edge
+    lengths; the arcs (position, a, b), one unit from a to b along the edge
+    at ``position`` in ``tree.edges``, in that order; and the potential on
+    the path nodes, in units of 1/scale: 0 at the ancestor, stepping by
+    + length down to i and by - length down to j.  The root is point 0.
+    """
+    parent, edges, position = tree.parent, tree.edges, tree.position
+    rise = [i]
+    while rise[-1]:
+        rise.append(parent[rise[-1]])
+    above = {x: k for k, x in enumerate(rise)}
+    fall = []
+    top = j
+    while top not in above:
+        fall.append(top)
+        top = parent[top]
+    g = {top: 0}
+    arcs = []
+    value = 0
+    for step, nodes in ((1, rise[: above[top]]), (-1, fall)):
+        for x in reversed(nodes):
+            k = position[x]
+            _, up, length = edges[k]
+            g[x] = g[up] + step * length
+            value += length
+            arcs.append((k, x, up) if step > 0 else (k, up, x))
+    arcs.sort()
+    return value, arcs, g
+
+
+def _checked_pair(tree: _ScaledTree, i: int, j: int, distance: Fraction) -> None:
+    """Certify that the edge-flow norm of delta_i - delta_j is ``distance``, on the tree path alone.
+
+    Checked on the solution of :func:`_path_solution`: each path arc is a
+    tree edge (a ``dist`` lookup) and the potential is tight on it; the
+    cost, the sum of ``dist`` along the path, is the value, the sum of the
+    kernel lengths; g(i) - g(j) is the value; and the value is
+    ``distance``.  The messages are those of :func:`_checked_coefficients`.
+
+    This is that dense check on delta_i - delta_j, whose subtree masses are
+    +1 on the path edges towards i, -1 towards j and 0 elsewhere, so whose
+    flow and sign potential are these.  The checks left out hold by this
+    representation.  Every arc carries 1 > 0.  Off the path the flow and
+    the subtree mass are 0, and the potential is constant on every subtree
+    hanging off the path (0 at and above the ancestor), so each off-path
+    edge has a zero step, at most its distance: the dense checks of the
+    battery's random vectors, run first, find every edge distance
+    non-negative.  On a path arc the step is the distance, by tightness.
+    Every off-path divergence is 0, its coefficient; an interior path node
+    passes on the unit it takes in; i sends out 1 and j takes in 1, their
+    coefficients; the root is not constrained.
+    """
+    value, arcs, g = _path_solution(tree, i, j)
+    dist = tree.dist
+    cost = 0
+    for _, a, b in arcs:
+        length = dist.get((a, b))
+        if length is None:
+            raise CertificationError(f"flow arc {_edge(tree, a, b)} is not a tree edge")
+        if g[a] - g[b] != length:
+            raise CertificationError(f"potential does not drop by the length of edge {_edge(tree, a, b)}")
+        cost += length
+    if cost != value:
+        raise CertificationError(
+            f"edge flow costs {Fraction(cost, tree.scale)}, not the value {Fraction(value, tree.scale)}"
+        )
+    if g[i] - g[j] != value:
+        raise CertificationError(f"sign potential does not attain the value {Fraction(value, tree.scale)}")
+    if value * distance.denominator != distance.numerator * tree.scale:
+        raise CertificationError(f"edge-flow norm of the pair {_edge(tree, i, j)} is not its distance")
 
 
 def tree_norm_certificate(tree: DendrogramTree, v: FreeVector) -> FreeNormCertificate:
@@ -326,21 +441,19 @@ def _certify_edge_flow_battery(
 
     ``tree`` is ``dendrogram(space)``, whose path metric is certified, and
     ``ambient`` its root-based node space.  The tree is prepared on one
-    integer scale once; every vector gets every check of
-    :func:`_checked_edge_flow`, and the norm of every node pair difference
-    must also be the distance of the pair.
+    integer scale once.  The random and leaf-supported vectors, drawn as
+    integers over :data:`_DRAW_UNIT`, get every check of
+    :func:`_checked_coefficients`, O(n) each for n nodes.  Every node pair
+    (i, j) is then certified on its own tree path by :func:`_checked_pair`,
+    in time linear in the path's length, and its norm must be d(i, j).
     """
     scaled = _scaled_tree(tree, ambient)
-    battery, pairs = _battery(space, ambient, vectors, seed)
-    for v in battery:
-        _checked_edge_flow(scaled, v)
-    for i, j, v in pairs:
-        value, unit, _, _ = _checked_edge_flow(scaled, v)
-        d = ambient.dist[i][j]
-        if value * d.denominator != d.numerator * scaled.scale * unit:
-            raise CertificationError(
-                f"edge-flow norm of the pair ({ambient.labels[i]}, {ambient.labels[j]}) is not its distance"
-            )
+    for coeffs in _battery_draws(space, ambient, vectors, seed):
+        _checked_coefficients(scaled, coeffs, _DRAW_UNIT)
+    d = ambient.dist
+    for i in range(len(ambient)):
+        for j in range(i + 1, len(ambient)):
+            _checked_pair(scaled, i, j, d[i][j])
 
 
 def edge_molecules(tree: DendrogramTree) -> BasisFamily:
@@ -434,6 +547,34 @@ def l1_equivalence_constants(space: FiniteMetricSpace, family: BasisFamily) -> L
     return _l1_equivalence_constants(space, family, _certified_chain(space, family))
 
 
+def _chain_phi(
+    space: FiniteMetricSpace, norms: Sequence[Fraction], rows: Sequence[Sequence[int]]
+) -> tuple[Fraction, int, int]:
+    """max_{i<j} Phi(m_ij) on a chain's own family, and the first pair i < j, row by row, attaining it.
+
+    ``rows`` are the certified 0/1 Dirac rows and ``norms`` the norms of
+    the family.  Phi(m_ij) is the sum of the norms where rows i and j
+    differ, over d(i, j).  With the norms over the lcm L of their
+    denominators and the integer view (q, D) of the space, Phi(m_ij) = S_ij
+    q / (L D[i][j]) for an integer sum S_ij, so the pairs are compared by
+    cross-multiplying S_ij / D[i][j] and one Fraction is built at the end.
+    A distance that is not positive raises ValueError naming its pair.
+    """
+    q, d = _integer_view(space)
+    unit = lcm(*(norm.denominator for norm in norms))
+    weights = [norm.numerator * (unit // norm.denominator) for norm in norms]
+    best = None
+    for i, row in enumerate(d):
+        for j in range(i + 1, len(row)):
+            if row[j] <= 0:
+                raise ValueError(f"the distance of the pair ({i}, {j}) is {space.dist[i][j]}, not positive")
+            total = sum(w for a, b, w in zip(rows[i], rows[j], weights) if a != b)
+            if best is None or total * best[1] > best[0] * row[j]:
+                best = total, row[j], i, j
+    total, bottom, i, j = best
+    return Fraction(total * q, unit * bottom), i, j
+
+
 def _l1_equivalence_constants(space: FiniteMetricSpace, family: BasisFamily, certified) -> L1Constants:
     """The body of :func:`l1_equivalence_constants`; ``certified`` is ``_certified_chain(space, family)``."""
     if certified is None:
@@ -445,21 +586,9 @@ def _l1_equivalence_constants(space: FiniteMetricSpace, family: BasisFamily, cer
             key=lambda entry: entry[0],
         )
     else:
-        rows, d = certified[1], space.dist
-        phi, i, j = max(
-            (
-                (
-                    sum((norm for a, b, norm in zip(rows[i], rows[j], family.norms) if a != b), Fraction(0))
-                    / d[i][j],
-                    i,
-                    j,
-                )
-                for i in range(len(space))
-                for j in range(i + 1, len(space))
-            ),
-            key=lambda entry: entry[0],
-        )
-        coeffs = [(a - b) / d[i][j] for a, b in zip(rows[i], rows[j])]
+        rows = certified[1]
+        phi, i, j = _chain_phi(space, family.norms, rows)
+        coeffs = [(a - b) / space.dist[i][j] for a, b in zip(rows[i], rows[j])]
     lower = 1 / phi
     m = molecule(space, i, j)
     if _combination(len(space) - 1, family.vectors, coeffs) != list(m.coeffs):
@@ -650,17 +779,19 @@ def pipeline(
     exactly 1 and the l1 lower constant in (0, 1].  The edge-flow norm is
     certified on the battery of :func:`oracle_vs_lp` (``oracle_vectors``
     random vectors, the leaf-supported ones and every node pair) by its own
-    flow and potential, in integers on the tree prepared once; the node
-    space is built once, and the projection norm is the Lipschitz constant of
-    the retraction, certified at its witness pair; a failed certificate
-    raises :class:`CertificationError`.  The input and its rounding are
+    flow and potential, in integers on the tree prepared once: the random
+    vectors over the whole tree, each node pair on its own tree path (see
+    :func:`_certify_edge_flow_battery`).  The node space is built once, and
+    the projection norm is the Lipschitz constant of the retraction, found
+    by cross-multiplication on integers and certified at its witness pair;
+    a failed certificate raises :class:`CertificationError`.  The input and its rounding are
     validated once each; the dendrogram of the rounding is read off its
     single-linkage merges once, and its certified node distances serve the
     retraction claims, the node space and the retraction images.  The
     chain identities and the basis constant come from one incremental
     integer scan of the chain just built, its Dirac rows are certified
-    once, and the l1 constants are read off them; the one transport solve
-    left is the witness of the l1 lower constant.
+    once, and the l1 constants are read off them in integers; the one
+    transport solve left is the witness of the l1 lower constant.
     """
     if len(space) < 2:
         raise ValueError("pipeline needs at least two points")

@@ -364,16 +364,30 @@ def free_norm(space: FiniteMetricSpace, v: FreeVector) -> Fraction:
 
 
 def _lipschitz_witness(point_map: PointMap) -> tuple[Fraction, int, int]:
-    """Lip(f) and the first pair i < j, row by row, that attains it; (0, 0, 0) on one point."""
-    cod, img = point_map.codomain, point_map.image
-    n = len(point_map.domain)
-    pairs = ((i, j) for i in range(n) for j in range(i + 1, n))
-    ratios = _pair_ratios(point_map.domain, lambda i, j: cod.dist[img[i]][img[j]])
-    return max(
-        ((ratio, i, j) for ratio, (i, j) in zip(ratios, pairs)),
-        key=lambda entry: entry[0],
-        default=(Fraction(0), 0, 0),
-    )
+    """Lip(f) and the first pair i < j, row by row, that attains it; (0, 0, 0) on one point.
+
+    On the cached integer views (p, D) of the domain and (q, C) of the
+    codomain the ratio at (i, j) is C[f i][f j] p / (D[i][j] q), so the
+    pairs are compared by cross-multiplying C[f i][f j] / D[i][j] and one
+    Fraction is built at the end.  That order is the order of the ratios
+    only over positive denominators: a domain distance that is not
+    positive raises ValueError naming its pair.
+    """
+    img, domain = point_map.image, point_map.domain
+    p, d = _integer_view(domain)
+    q, c = _integer_view(point_map.codomain)
+    best = None
+    for i, row in enumerate(d):
+        images = c[img[i]]
+        for j in range(i + 1, len(row)):
+            if row[j] <= 0:
+                raise ValueError(f"the domain distance of the pair ({i}, {j}) is {domain.dist[i][j]}, not positive")
+            if best is None or images[img[j]] * best[1] > best[0] * row[j]:
+                best = images[img[j]], row[j], i, j
+    if best is None:
+        return Fraction(0), 0, 0
+    top, bottom, i, j = best
+    return Fraction(top * p, bottom * q), i, j
 
 
 def lipschitz_constant(point_map: PointMap) -> Fraction:

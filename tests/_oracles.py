@@ -65,6 +65,14 @@ reference: the same checks in the same order, on ``space.dist`` and the
 certificate's own Fractions, with its own common denominator for the
 Lipschitz scan.
 
+The package certifies every node pair of the edge-flow battery on its
+own tree path, compares the ratios of a Lipschitz constant and of the
+chain branch of the l1 constant by cross-multiplication on integer views,
+and builds one Fraction at the end.  What these replaced is kept as a
+reference: the dense edge-flow check of delta_i - delta_j over the whole
+tree followed by the distance comparison, and the two Fraction maxima
+over every pair's ratio.
+
 Four helpers that only the tests use live here rather than in the
 package: the strict-max triple check, the path sum along a dendrogram, the
 0/1 projection matrices of a chain and the exact rank of a matrix.
@@ -78,6 +86,7 @@ from math import lcm
 from typing import Sequence
 
 from ultrafree.chain import BasisFamily, ChainReport, ProjectionAlgebraReport, RetractionChain
+from ultrafree.ell1 import _checked_edge_flow
 from ultrafree.freespace import FreeVector, PointMap, _transport_program, free_norm, molecule, push_forward
 from ultrafree.linalg import SingularMatrixError, _reduce, solve_linear
 from ultrafree.metric import CertificationError, FiniteMetricSpace, StructuralError, ValidationReport, validate
@@ -169,6 +178,53 @@ def molecule_operator_norm(point_map: PointMap) -> Fraction:
         ),
         default=Fraction(0),
     )
+
+
+def fraction_lipschitz_witness(point_map: PointMap) -> tuple[Fraction, int, int]:
+    """Lip(f) and the first pair i < j, row by row, attaining it: a Fraction max over every pair."""
+    dom, cod, img = point_map.domain, point_map.codomain, point_map.image
+    n = len(dom)
+    return max(
+        (
+            (cod.dist[img[i]][img[j]] / dom.dist[i][j], i, j)
+            for i in range(n)
+            for j in range(i + 1, n)
+        ),
+        key=lambda entry: entry[0],
+        default=(Fraction(0), 0, 0),
+    )
+
+
+def fraction_chain_phi(
+    space: FiniteMetricSpace, norms: Sequence[Fraction], rows: Sequence[Sequence[int]]
+) -> tuple[Fraction, int, int]:
+    """max Phi(m_ij) over the Dirac rows of a chain's family, and the first pair attaining it, in Fractions."""
+    n = len(space)
+    return max(
+        (
+            (sum((norm for a, b, norm in zip(rows[i], rows[j], norms) if a != b), Fraction(0)) / space.dist[i][j], i, j)
+            for i in range(n)
+            for j in range(i + 1, n)
+        ),
+        key=lambda entry: entry[0],
+    )
+
+
+def dense_pair_check(tree, i: int, j: int, distance: Fraction) -> None:
+    """Certify delta_i - delta_j by the dense edge-flow check over the whole tree, then against ``distance``.
+
+    ``tree`` is a prepared ``ell1._ScaledTree``; the root is point 0 and
+    carries no coefficient.
+    """
+    coeffs = [Fraction(0)] * len(tree.edges)
+    if i:
+        coeffs[i - 1] = Fraction(1)
+    coeffs[j - 1] = Fraction(-1)
+    value, unit, _, _ = _checked_edge_flow(tree, FreeVector(tuple(coeffs)))
+    if value * distance.denominator != distance.numerator * tree.scale * unit:
+        raise CertificationError(
+            f"edge-flow norm of the pair ({tree.labels[i]}, {tree.labels[j]}) is not its distance"
+        )
 
 
 def lp_vertex_minimum(costs, rows, rhs) -> tuple[str, Fraction | None]:

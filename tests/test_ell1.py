@@ -5,7 +5,14 @@ from fractions import Fraction
 
 import pytest
 
-from _oracles import fraction_rank, hull_extreme_pairs, lp_transport_norm, orthant_l1_lower
+from _oracles import (
+    dense_pair_check,
+    fraction_chain_phi,
+    fraction_rank,
+    hull_extreme_pairs,
+    lp_transport_norm,
+    orthant_l1_lower,
+)
 from test_freespace import _PRIMES_NEAR_A_MILLION, _coprime_heights, _merge_ultrametric
 from ultrafree import ell1
 from ultrafree.chain import BasisFamily, basis_vectors, build_chain
@@ -273,6 +280,148 @@ def test_pipeline_names_the_pair_off_its_distance(four_cluster, monkeypatch):
         pipeline(four_cluster)
 
 
+def _node_pair_trees():
+    """Tied power-of-two, coprime, caterpillar and star trees, N = 2..8, with their prepared scaled trees."""
+    rng = random.Random(15)
+
+    def pair(count):
+        return rng.sample(range(count), 2)
+
+    for n in range(2, 9):
+        for space in (
+            _merge_ultrametric([Fraction(2) ** rng.randint(-2, 2) for _ in range(n - 1)], pair),
+            _merge_ultrametric(_coprime_heights(n - 1, rng), pair),
+            # each merge joins the next singleton to the growing cluster
+            _merge_ultrametric(_coprime_heights(n - 1, rng), lambda count: (0, count - 1)),
+            _merge_ultrametric([Fraction(3, 2)] * (n - 1), pair),
+        ):
+            tree = dendrogram(space)
+            ambient = rooted_node_space(tree)
+            yield ambient, ell1._scaled_tree(tree, ambient)
+
+
+def _verdict(check, *args):
+    """None when the check passes, else the message of its CertificationError."""
+    try:
+        check(*args)
+    except CertificationError as exc:
+        return str(exc)
+    return None
+
+
+def _node_pair_verdicts(scaled, ambient, stretch=1):
+    """The verdicts of the path certificate and of the dense check on every node pair."""
+    pairs = [(i, j) for i in range(len(ambient)) for j in range(i + 1, len(ambient))]
+    return [
+        (
+            _verdict(ell1._checked_pair, scaled, i, j, stretch * ambient.dist[i][j]),
+            _verdict(dense_pair_check, scaled, i, j, stretch * ambient.dist[i][j]),
+        )
+        for i, j in pairs
+    ]
+
+
+def _flip_potentials(monkeypatch, node):
+    """Mirror the potential at ``node`` about its parent in both solutions, where the path solution has both."""
+    real_dense, real_path = ell1._edge_flow_solution, ell1._path_solution
+
+    def dense(tree, coeffs):
+        value, flow, g = real_dense(tree, coeffs)
+        g = list(g)
+        g[node] = 2 * g[tree.parent[node]] - g[node]
+        return value, flow, g
+
+    def path(tree, i, j):
+        value, arcs, g = real_path(tree, i, j)
+        if node in g and tree.parent[node] in g:
+            g[node] = 2 * g[tree.parent[node]] - g[node]
+        return value, arcs, g
+
+    monkeypatch.setattr(ell1, "_edge_flow_solution", dense)
+    monkeypatch.setattr(ell1, "_path_solution", path)
+
+
+def _shift_values(monkeypatch):
+    """Add one unit to the value of both solutions, leaving the flow and the potential."""
+    real_dense, real_path = ell1._edge_flow_solution, ell1._path_solution
+
+    def dense(tree, coeffs):
+        value, flow, g = real_dense(tree, coeffs)
+        return value + 1, flow, g
+
+    def path(tree, i, j):
+        value, arcs, g = real_path(tree, i, j)
+        return value + 1, arcs, g
+
+    monkeypatch.setattr(ell1, "_edge_flow_solution", dense)
+    monkeypatch.setattr(ell1, "_path_solution", path)
+
+
+def test_path_certificate_matches_the_dense_check(monkeypatch):
+    """Every node pair of tied, coprime, caterpillar and star trees gets the verdict and the
+    message of the dense check, also under a stretched node distance (on each edge, and on
+    the pair itself), a wrong edge length, a flipped potential step and a wrong value."""
+    compared = failures = 0
+    for ambient, scaled in _node_pair_trees():
+        corrupted = [(scaled, 1), (scaled, 2)]
+        for k, (child, up, length) in enumerate(scaled.edges):
+            dist = dict(scaled.dist)
+            dist[child, up] *= 3
+            dist[up, child] *= 3
+            edges = list(scaled.edges)
+            edges[k] = (child, up, 2 * length)
+            corrupted += [(scaled._replace(dist=dist), 1), (scaled._replace(edges=tuple(edges)), 1)]
+        verdicts = [v for tree, stretch in corrupted for v in _node_pair_verdicts(tree, ambient, stretch)]
+        for child, *_ in scaled.edges:
+            with monkeypatch.context() as patch:
+                _flip_potentials(patch, child)
+                verdicts += _node_pair_verdicts(scaled, ambient)
+        with monkeypatch.context() as patch:
+            _shift_values(patch)
+            verdicts += _node_pair_verdicts(scaled, ambient)
+        for path, dense in verdicts:
+            assert path == dense
+            compared += 1
+            failures += path is not None
+        # the uncorrupted tree passes every pair
+        assert all(path is None for path, _ in verdicts[: len(ambient) * (len(ambient) - 1) // 2])
+    assert compared == 32445 and failures == 10200
+
+
+def test_pipeline_checks_no_node_pair_densely(monkeypatch):
+    """One pipeline call makes a dense check of each random vector and of nothing else,
+    and certifies every node pair on its path."""
+    dense, paths = [], []
+    real_dense, real_pair = ell1._checked_coefficients, ell1._checked_pair
+
+    def count_dense(tree, coeffs, unit):
+        dense.append((list(coeffs), unit))
+        return real_dense(tree, coeffs, unit)
+
+    def count_pair(tree, i, j, distance):
+        paths.append((i, j))
+        return real_pair(tree, i, j, distance)
+
+    monkeypatch.setattr(ell1, "_checked_coefficients", count_dense)
+    monkeypatch.setattr(ell1, "_checked_pair", count_pair)
+    space = random_ultrametric(7, 11)
+    rounded = round_to_dyadic(space)
+    ambient = rooted_node_space(dendrogram(rounded))
+    nodes = len(ambient)
+    for vectors in (0, 4, 25, 60):
+        dense.clear()
+        paths.clear()
+        pipeline(space, oracle_vectors=vectors, seed=vectors)
+        assert len(dense) == vectors + max(5, vectors // 5)
+        assert dense == [(draw, 12) for draw in ell1._battery_draws(rounded, ambient, vectors, vectors)]
+        assert paths == [(i, j) for i in range(nodes) for j in range(i + 1, nodes)]
+
+
+def test_pipeline_at_240_points():
+    report = pipeline(random_ultrametric(240, 5))
+    assert report.passed and report.size == 240 and report.basis_constant == 1
+
+
 def test_tree_certificate_recertifies_the_path_metric(four_cluster):
     tree = dendrogram(four_cluster)
     lengths = list(tree.edge_length)
@@ -440,6 +589,31 @@ def test_l1_lower_matches_orthant_oracle(space, family):
     constants = l1_equivalence_constants(space, family)
     assert constants.lower == orthant_l1_lower(space, family)
     assert constants.upper == 1
+
+
+@pytest.mark.parametrize("space, family", [case for case in _l1_cases() if case.id.endswith("chain")])
+def test_chain_phi_matches_the_fraction_max(space, family):
+    # the cross-multiplied scan gives the Fraction max and its first maximizing pair, row by row
+    rows = ell1._certified_chain(space, family)[1]
+    assert ell1._chain_phi(space, family.norms, rows) == fraction_chain_phi(space, family.norms, rows)
+
+
+@pytest.mark.parametrize("distance, shown", [(0, "0"), (-1, "-1")])
+def test_chain_phi_names_a_distance_that_is_not_positive(triangle, distance, shown):
+    # a cross-multiplied ratio over a distance <= 0 would be misordered, so the scan refuses it
+    family = basis_vectors(build_chain(triangle))
+    rows = ell1._certified_chain(triangle, family)[1]
+    space = FiniteMetricSpace(("0", "x", "y"), ((0, 1, 1), (1, 0, distance), (1, distance, 0)))
+    message = rf"^the distance of the pair \(1, 2\) is {shown}, not positive$"
+    with pytest.raises(ValueError, match=message):
+        ell1._chain_phi(space, family.norms, rows)
+
+
+def test_l1_constants_name_a_zero_distance_of_an_asymmetric_matrix():
+    # the constructor admits an asymmetric matrix, whose chain family reaches the scan
+    space = FiniteMetricSpace(("0", "x", "y"), ((0, 1, 1), (1, 0, 0), (1, H, 0)))
+    with pytest.raises(ValueError, match=r"^the distance of the pair \(1, 2\) is 0, not positive$"):
+        l1_equivalence_constants(space, basis_vectors(build_chain(space)))
 
 
 def test_l1_constants_reject_non_spanning_family():

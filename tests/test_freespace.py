@@ -33,6 +33,7 @@ from _oracles import (
     ball_transport_norm,
     dual_vertex_norm,
     fraction_certify_transport,
+    fraction_lipschitz_witness,
     lp_transport_norm,
     molecule_operator_norm,
     sign_potential,
@@ -225,6 +226,33 @@ def test_lipschitz_constant_examples(triangle):
     assert lipschitz_constant(const) == 0
     r2 = retraction_map(build_chain(triangle), 2)
     assert lipschitz_constant(r2) == 1
+
+
+def test_lipschitz_witness_matches_the_fraction_max():
+    # ultrametrics full of ties and coprime-height ones, as domain and codomain, under random
+    # base-preserving maps: the same constant and the same first maximizing pair, row by row
+    rng = random.Random(14)
+    checked = 0
+    for n in range(1, 9):
+        for _ in range(40):
+            domain = random_ultrametric(n, rng.randrange(10**6)) if n > 1 else FiniteMetricSpace(("0",), ((0,),))
+            codomain = rng.choice([domain, _coprime_ultrametric(rng.randint(2, 8), rng)])
+            image = (0, *(rng.randrange(len(codomain)) for _ in range(n - 1)))
+            point_map = PointMap(domain, codomain, image)
+            assert freespace._lipschitz_witness(point_map) == fraction_lipschitz_witness(point_map)
+            checked += 1
+    assert checked == 320
+
+
+@pytest.mark.parametrize("distance, shown", [(0, "0"), (-1, "-1")])
+def test_lipschitz_constant_names_a_domain_distance_that_is_not_positive(distance, shown):
+    # the constructor admits these distances; a ratio over them means nothing
+    space = FiniteMetricSpace(("0", "x", "y"), ((0, 1, 1), (1, 0, distance), (1, distance, 0)))
+    identity = PointMap(space, space, (0, 1, 2))
+    message = rf"^the domain distance of the pair \(1, 2\) is {shown}, not positive$"
+    for measure in (lipschitz_constant, operator_norm_of_extension):
+        with pytest.raises(ValueError, match=message):
+            measure(identity)
 
 
 def test_push_forward_merges_coefficients(triangle):

@@ -182,6 +182,17 @@ def test_cli_basis_ordering_and_shuffle_exclude_each_other(tmp_path, capsys):
     assert code == 0 and sorted(json.loads(out)["ordering"]) == [0, 1, 2]
 
 
+@pytest.mark.parametrize("ordering, token", [("", ""), ("0,,2", ""), ("0,a", "a")])
+def test_cli_basis_names_a_bad_ordering_token(tmp_path, capsys, ordering, token):
+    space = str(_write_triangle(tmp_path))
+    code, out, err = _run(["basis", space, "--ordering", ordering], capsys)
+    assert (code, out) == (2, "")
+    assert err == (
+        f"error: point index {token!r} in --ordering is not an integer; "
+        "give comma-separated point indices starting at 0, such as 0,2,1\n"
+    )
+
+
 def test_cli_embed(tmp_path, capsys):
     space = _write_triangle(tmp_path)
     assert main(["embed", str(space)]) == 0
