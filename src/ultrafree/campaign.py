@@ -109,8 +109,7 @@ def _stage_basis(space: FiniteMetricSpace, seed: int) -> StageResult:
 
 
 def _stage_embed(space: FiniteMetricSpace) -> StageResult:
-    rounded = round_to_dyadic(space)
-    _, claims = _embedding(rounded, validate(rounded))  # the dendrogram is certified inside
+    _, claims, _ = _embedding(round_to_dyadic(space))  # the dendrogram is certified inside
     return StageResult(
         "embed",
         claims.passed,

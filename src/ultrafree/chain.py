@@ -428,7 +428,7 @@ def _molecule_expansions(space: FiniteMetricSpace, family: BasisFamily):
             yield i, j, [(a - b) * unit for a, b in zip(rows[i], rows[j])]
 
 
-def basis_constant(space: FiniteMetricSpace, family: BasisFamily, certified: bool = False) -> Fraction:
+def basis_constant(space: FiniteMetricSpace, family: BasisFamily) -> Fraction:
     """Supremum over n of the norm of the coordinate partial-sum projection.
 
     Each projection norm is the maximum transport norm of a truncated
@@ -440,13 +440,12 @@ def basis_constant(space: FiniteMetricSpace, family: BasisFamily, certified: boo
     pairs, read off the one incremental integer scan of
     :func:`_scan_chain` that also checks the chain identities.  On any
     other family, truncations that are exact molecule multiples use the
-    same distance closed form; ``certified=True`` forces the transport
-    solver on every image (used to cross-check the closed form on small
-    instances).  Equals exactly 1 for chains built on ultrametric spaces.
+    same distance closed form and the others go to the transport solver.
+    Equals exactly 1 for chains built on ultrametric spaces.
     """
-    closed_form = None if certified or not family.vectors else _certified_chain(space, family)
+    closed_form = _certified_chain(space, family) if family.vectors else None
     constant = None if closed_form is None else _scan_chain(closed_form[0])[1]
-    return _basis_constant(space, family, certified) if constant is None else constant
+    return _basis_constant(space, family) if constant is None else constant
 
 
 def _chain_basis(
@@ -466,11 +465,11 @@ def _chain_basis(
     rows = _dirac_rows(chain)
     certified = (chain, rows) if _telescopes(chain, rows) else None
     if certified is None or constant is None:
-        constant = _basis_constant(chain.space, family, False)
+        constant = _basis_constant(chain.space, family)
     return report, family, constant, certified
 
 
-def _basis_constant(space: FiniteMetricSpace, family: BasisFamily, certified: bool) -> Fraction:
+def _basis_constant(space: FiniteMetricSpace, family: BasisFamily) -> Fraction:
     """The general route of :func:`basis_constant`: every truncation of every molecule expansion."""
     count = len(family.vectors)
     if count == 0:
@@ -486,7 +485,7 @@ def _basis_constant(space: FiniteMetricSpace, family: BasisFamily, certified: bo
                 for r in range(dim):
                     if vec[r]:
                         partial[r] += ck * vec[r]
-            value = None if certified else _elementary_norm(space, partial)
+            value = _elementary_norm(space, partial)
             if value is None:
                 value = free_norm(space, FreeVector(tuple(partial)))
             if value > best:

@@ -20,10 +20,9 @@ from .ell1 import pipeline, three_point_report
 from .freespace import free_norm_certificate
 from .metric import CertificationError, StructuralError, validate
 from .rational import parse_rational
-from .rtree import _embedding, retract_to_space
+from .rtree import _embedding
 from .serialize import (
     IngestError,
-    _ingest,
     dump_json,
     function_to_json,
     ingest,
@@ -118,7 +117,10 @@ def _parse_sizes(text: str) -> tuple[int, ...]:
         if lo > hi:
             raise ValueError(f"size range {text} is reversed: {lo} is above {hi}")
         return tuple(range(lo, hi + 1))
-    return tuple(_size(s) for s in text.split(",") if s)
+    sizes = tuple(_size(s) for s in text.split(",") if s)
+    if not sizes:
+        raise ValueError(f"--sizes {text!r} lists no size; give a comma list such as 3,4,5 or a range a-b such as 3-8")
+    return sizes
 
 
 def _cmd_validate(args) -> int:
@@ -177,12 +179,11 @@ def _cmd_basis(args) -> int:
 
 
 def _cmd_embed(args) -> int:
-    space, report = _ingest(args.space, args.format)
-    tree, claims = _embedding(space, report)
+    space = ingest(args.space, args.format)
+    tree, claims, images = _embedding(space)
     branching = tree.nodes[len(space):]
     retraction = {
-        f"{space.labels[p.anchor]}@{p.height}": space.labels[retract_to_space(space, p, branching)]
-        for p in branching
+        f"{space.labels[p.anchor]}@{p.height}": space.labels[image] for p, image in zip(branching, images[len(space):])
     }
     _emit(
         {
@@ -223,6 +224,8 @@ def _cmd_campaign(args) -> int:
     stages = tuple(STAGES) if args.stages == "all" else tuple(
         s.strip() for s in args.stages.split(",") if s.strip()
     )
+    if not stages:
+        raise ValueError(f"--stages {args.stages!r} lists no stage; give a comma subset of {','.join(STAGES)} or 'all'")
     out = _out_path(args)
     config = CampaignConfig(
         sizes=_parse_sizes(args.sizes),

@@ -55,8 +55,8 @@ from .metric import (
     CertificationError,
     FiniteMetricSpace,
     _integer_view,
-    _round_to_dyadic,
     identity_distortion,
+    round_to_dyadic,
     validate,
     with_base,
 )
@@ -785,8 +785,8 @@ def pipeline(
     the projection norm is the Lipschitz constant of the retraction, found
     by cross-multiplication on integers and certified at its witness pair;
     a failed certificate raises :class:`CertificationError`.  The input and its rounding are
-    validated once each; the dendrogram of the rounding is read off its
-    single-linkage merges once, and its certified node distances serve the
+    validated by their cached single-linkage merges, from which the dendrogram
+    of the rounding is then read, and its certified node distances serve the
     retraction claims, the node space and the retraction images.  The
     chain identities and the basis constant come from one incremental
     integer scan of the chain just built, its Dirac rows are certified
@@ -798,7 +798,7 @@ def pipeline(
     report = validate(space)
     if not report.is_ultrametric:
         raise ValueError("pipeline requires an ultrametric space")
-    rounded = _round_to_dyadic(space)
+    rounded = round_to_dyadic(space)
     report = validate(rounded)
     if not (report.is_ultrametric and report.is_dyadic):
         raise CertificationError("dyadic rounding did not give a power-of-two ultrametric")

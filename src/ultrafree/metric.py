@@ -50,7 +50,7 @@ class FiniteMetricSpace:
         object.__setattr__(self, "dist", rows)
 
     def __getstate__(self) -> dict:
-        # the fields only: what _cached keeps on the space (the integer view, the merges) stays out of a pickle
+        # the fields only: what _cached keeps on the space stays out of a pickle
         return {"labels": self.labels, "dist": self.dist}
 
     def __len__(self) -> int:
@@ -76,7 +76,7 @@ class FiniteMetricSpace:
 
 @dataclass(frozen=True)
 class ValidationReport:
-    """Outcome of the exhaustive triple scan.
+    """Outcome of :func:`validate`: the metric, ultrametric and dyadic flags.
 
     ``failing_triple`` is ``(i, j, k)`` with the violated inequality read as
     d(i,k) against the two legs through j; present iff a flag is false.
@@ -140,23 +140,36 @@ def _check_structure(space: FiniteMetricSpace, d: tuple[tuple[int, ...], ...]) -
 
 
 def validate(space: FiniteMetricSpace) -> ValidationReport:
-    """Exhaustively check the triangle and max inequalities plus dyadicity.
+    """Check the triangle and max inequalities plus dyadicity.
 
     Structural defects raise :class:`StructuralError`; metric failures are
-    reported, not raised, so deliberately bad inputs can be inspected.  The
-    triple scan runs on the integer view of :func:`_integer_view`: a triple
-    whose largest side is attained twice passes both inequalities, and any
-    other triple is checked side by side in the scan order.
+    reported, not raised, so deliberately bad inputs can be inspected.  A
+    space with single-linkage merges is an ultrametric; only one without
+    them goes through the triple scan, which names the first failing
+    triple.  The report is computed once per space and cached on it.
     """
+    return _cached(space, "_report", _validated)
+
+
+def _validated(space: FiniteMetricSpace) -> ValidationReport:
     _, d = _integer_view(space)
     _check_structure(space, d)
-    n = len(space)
-    metric_fail: Optional[tuple[int, int, int]] = None
-    ultra_fail: Optional[tuple[int, int, int]] = None
-    for a, b, c in combinations(range(n), 3):
+    metric_fail, ultra_fail = (None, None) if _single_linkage(space) is not None else _failing_triples(d)
+    return ValidationReport(
+        is_metric=metric_fail is None,
+        is_ultrametric=ultra_fail is None,
+        failing_triple=metric_fail if metric_fail is not None else ultra_fail,
+        is_dyadic=all(is_power_of_two(h) for i, row in enumerate(space.dist) for h in row[i + 1:]),
+    )
+
+
+def _failing_triples(d: tuple[tuple[int, ...], ...]) -> tuple[Optional[tuple[int, int, int]], ...]:
+    """The first triples failing the triangle and the max inequality on the view ``d``, in scan order."""
+    metric_fail = ultra_fail = None
+    for a, b, c in combinations(range(len(d)), 3):
         ab, ac, bc = d[a][b], d[a][c], d[b][c]
         if ab == ac >= bc or ab == bc >= ac or ac == bc >= ab:
-            continue
+            continue  # the largest side is attained twice: both inequalities hold
         for i, j, k in ((a, b, c), (b, a, c), (a, c, b)):
             if metric_fail is None and d[i][k] > d[i][j] + d[j][k]:
                 metric_fail = (i, j, k)
@@ -164,14 +177,7 @@ def validate(space: FiniteMetricSpace) -> ValidationReport:
                 ultra_fail = (i, j, k)
         if metric_fail is not None and ultra_fail is not None:
             break
-    q = space.dist
-    is_dyadic = all(is_power_of_two(q[i][j]) for i in range(n) for j in range(i + 1, n))
-    return ValidationReport(
-        is_metric=metric_fail is None,
-        is_ultrametric=ultra_fail is None,
-        failing_triple=metric_fail if metric_fail is not None else ultra_fail,
-        is_dyadic=is_dyadic,
-    )
+    return metric_fail, ultra_fail
 
 
 def _single_linkage(space: FiniteMetricSpace) -> Optional[tuple[tuple[Fraction, int, int], ...]]:
@@ -184,7 +190,9 @@ def _single_linkage(space: FiniteMetricSpace) -> Optional[tuple[tuple[Fraction, 
     cross pair of every merge must sit exactly at the merge height: then
     d(x, y) is the height of the merge that first joins x and y, and heights
     never fall, which makes the space an ultrametric with this merge tree.
-    Like the view, the merges are computed once per space and cached on it.
+    Conversely every ultrametric passes, so this is the package's one
+    ultrametricity decision, and :func:`validate` reads it.  Like the view,
+    the merges are computed once per space and cached on it.
     """
     return _cached(space, "_merges", _merge_pairs)
 
@@ -219,19 +227,13 @@ def _merge_pairs(space: FiniteMetricSpace) -> Optional[tuple[tuple[Fraction, int
 
 
 def round_to_dyadic(space: FiniteMetricSpace) -> FiniteMetricSpace:
-    """Round every distance down to a power of two via exact interval search.
+    """Round every distance down to a power of two by the bit-length rule of ``dyadic_floor``.
 
     Each output distance r satisfies r <= d < 2r pairwise, the result is again
     ultrametric, and the operation is idempotent.
     """
-    report = validate(space)
-    if not report.is_ultrametric:
+    if not validate(space).is_ultrametric:
         raise ValueError("round_to_dyadic requires an ultrametric space")
-    return _round_to_dyadic(space)
-
-
-def _round_to_dyadic(space: FiniteMetricSpace) -> FiniteMetricSpace:
-    """The body of :func:`round_to_dyadic`, for a space already validated as ultrametric."""
     n = len(space)
     rows = [[Fraction(0)] * n for _ in range(n)]
     for i in range(n):

@@ -30,7 +30,6 @@ from typing import Optional, Sequence
 from .metric import (
     CertificationError,
     FiniteMetricSpace,
-    ValidationReport,
     _Scaled,
     _integer_view,
     _single_linkage,
@@ -462,10 +461,7 @@ def dendrogram(space: FiniteMetricSpace) -> DendrogramTree:
 
 def _dendrogram(space: FiniteMetricSpace) -> tuple[DendrogramTree, _Scaled]:
     """The body of :func:`dendrogram` on a validated ultrametric space, with its certified node distances."""
-    merges = _single_linkage(space)
-    if merges is None:
-        raise CertificationError("a validated ultrametric has no single-linkage merge tree")
-    nodes, parent, edge = _merge_tree(len(space), merges)
+    nodes, parent, edge = _merge_tree(len(space), _single_linkage(space))
     tree = DendrogramTree(space, tuple(nodes), tuple(parent), tuple(edge))
     certified = _certify_path_metric(tree, _integer_view(space))
     children = [0] * len(nodes)
@@ -478,14 +474,15 @@ def _dendrogram(space: FiniteMetricSpace) -> tuple[DendrogramTree, _Scaled]:
     return tree, certified
 
 
-def _embedding(space: FiniteMetricSpace, report: ValidationReport) -> tuple[DendrogramTree, RetractionClaimReport]:
-    """:func:`dendrogram` and :func:`verify_retraction_claims` on one validation; ``report`` is ``validate(space)``."""
+def _embedding(space: FiniteMetricSpace) -> tuple[DendrogramTree, RetractionClaimReport, list[int]]:
+    """:func:`dendrogram` and :func:`verify_retraction_claims` on one tree, with the image of every tree node."""
+    report = validate(space)
     if not report.is_ultrametric:
         raise ValueError("dendrogram requires an ultrametric space")
     tree, certified = _dendrogram(space)
     if not report.is_dyadic:
         raise ValueError("retraction claims require power-of-two distances")
-    return tree, _retraction_claims(tree, certified)[0]
+    return (tree, *_retraction_claims(tree, certified))
 
 
 def _certify_path_metric(tree: DendrogramTree, view: _Scaled) -> _Scaled:

@@ -13,7 +13,7 @@ from fractions import Fraction
 from pathlib import Path
 from typing import Any
 
-from .metric import FiniteMetricSpace, StructuralError, ValidationReport, validate
+from .metric import FiniteMetricSpace, StructuralError, validate
 from .freespace import FreeVector, LipFunction
 from .rational import parse_rational
 
@@ -99,13 +99,9 @@ def ingest(path: str | Path, fmt: str | None = None) -> FiniteMetricSpace:
     """Load a space and reject anything that is not a metric.
 
     Ultrametricity is not required here: several operations accept plain
-    metrics in exploratory mode and enforce their own preconditions.
+    metrics in exploratory mode and enforce their own preconditions; they
+    read the validation report cached on the space.
     """
-    return _ingest(path, fmt)[0]
-
-
-def _ingest(path: str | Path, fmt: str | None) -> tuple[FiniteMetricSpace, ValidationReport]:
-    """The body of :func:`ingest`, returning the validation report of the space too."""
     space = load_space(path, fmt)
     try:
         report = validate(space)
@@ -113,7 +109,7 @@ def _ingest(path: str | Path, fmt: str | None) -> tuple[FiniteMetricSpace, Valid
         raise IngestError(f"{path}: {exc}") from exc
     if not report.is_metric:
         raise IngestError(f"{path}: triangle inequality fails at triple {report.failing_triple}")
-    return space, report
+    return space
 
 
 def vector_from_json(space: FiniteMetricSpace, data: dict) -> FreeVector:

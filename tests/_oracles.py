@@ -36,12 +36,19 @@ integer products of the 0/1 projection matrices against the min rule, and
 their exact ranks by Gauss-Jordan elimination.  It shares nothing with the
 point-map identities the package checks.
 
+The basis constant is re-derived by its definition: every molecule is
+expanded by the inverse of the family matrix, and every truncation of
+every expansion is normed by the transport solver.  It shares nothing
+with the closed forms the package reads the constant from.
+
 The package checks the chain identities and reads the closed-form basis
 constant off one incremental integer scan of the rank table.  The two
-exhaustive Fraction scans it replaced are kept as references: every
-identity at every stage and pair, and the maximum of d(r_n i, r_n j) /
-d(i, j) over every stage n >= 2 and pair.  Neither touches the integer
-view or re-evaluates only what changed.
+exhaustive scans it replaced are kept as references: every identity at
+every stage and pair, and the maximum of d(r_n i, r_n j) / d(i, j) over
+every stage n >= 2 and pair, by cross-multiplication.  Both run on the
+distances scaled to integers here and on a retraction table read off the
+ranks here; neither touches the package's integer view or re-evaluates
+only what changed.
 
 The package validates a space, builds its dendrogram, certifies it and
 checks the retraction claims in integers, from one single-linkage merge
@@ -88,7 +95,7 @@ from typing import Sequence
 from ultrafree.chain import BasisFamily, ChainReport, ProjectionAlgebraReport, RetractionChain
 from ultrafree.ell1 import _checked_edge_flow
 from ultrafree.freespace import FreeVector, PointMap, _transport_program, free_norm, molecule, push_forward
-from ultrafree.linalg import SingularMatrixError, _reduce, solve_linear
+from ultrafree.linalg import SingularMatrixError, _reduce, invert_matrix, solve_linear
 from ultrafree.metric import CertificationError, FiniteMetricSpace, StructuralError, ValidationReport, validate
 from ultrafree.rational import dyadic_exponent, is_power_of_two
 from ultrafree.rtree import (
@@ -398,22 +405,34 @@ def matrix_projection_algebra(chain: RetractionChain) -> ProjectionAlgebraReport
 
 
 
+def _scaled_distances(space: FiniteMetricSpace) -> list[list[int]]:
+    """The distances times the lcm of their denominators: integers with the same order and ratios."""
+    scale = lcm(*(q.denominator for row in space.dist for q in row))
+    return [[q.numerator * (scale // q.denominator) for q in row] for row in space.dist]
+
+
+def _retraction_table(chain: RetractionChain) -> list[list[int]]:
+    """Row n - 1 holds r_n x for every point x, read off the rank table."""
+    order = chain.ordering
+    return [[order[rank - 1] for rank in row] for row in chain.ranks]
+
+
 def scan_verify_chain(chain: RetractionChain) -> ChainReport:
-    """The chain identities of ``verify_chain`` by the exhaustive Fraction scan of every stage and pair."""
-    space, order = chain.space, chain.ordering
-    d = space.dist
-    n_points = len(space)
+    """The chain identities of ``verify_chain`` by the exhaustive scan of every stage and pair."""
+    d = _scaled_distances(chain.space)
+    order, table = chain.ordering, _retraction_table(chain)
+    n_points = len(d)
     lip, comm, rcomm, loc, loc_dist, fixed = [], [], [], [], [], []
     for n in range(1, n_points + 1):
-        row = chain.ranks[n - 1]
+        row, image = chain.ranks[n - 1], table[n - 1]
         for k in range(n):
             if row[order[k]] != k + 1:
                 fixed.append((n, order[k]))
         for x in range(n_points):
-            rx = order[row[x] - 1]
+            rx = image[x]
             dist_x = d[x][rx]
             for y in range(x + 1, n_points):
-                ry = order[row[y] - 1]
+                ry = image[y]
                 if d[rx][ry] > d[x][y]:
                     lip.append((n, x, y))
                 if d[x][y] < dist_x:
@@ -426,23 +445,49 @@ def scan_verify_chain(chain: RetractionChain) -> ChainReport:
             for x in range(n_points):
                 if row[order[nxt[x] - 1]] != row[x]:
                     comm.append((n, x))
-                if nxt[order[row[x] - 1]] != row[x]:
+                if nxt[image[x]] != row[x]:
                     rcomm.append((n, x))
     return ChainReport(tuple(lip), tuple(comm), tuple(rcomm), tuple(loc), tuple(loc_dist), tuple(fixed))
 
 
 def scan_basis_constant(chain: RetractionChain) -> Fraction:
-    """The closed form max_{n >= 2} max_{i<j} d(r_n i, r_n j) / d(i, j) by the Fraction scan; 1 with no pairs."""
-    retract, d, size = chain.retract, chain.space.dist, chain.size
-    return max(
-        (
-            d[retract(n, i)][retract(n, j)] / d[i][j]
-            for n in range(2, size + 1)
-            for i in range(size)
-            for j in range(i + 1, size)
-        ),
-        default=Fraction(1),
-    )
+    """The closed form max_{n >= 2} max_{i<j} d(r_n i, r_n j) / d(i, j) by the exhaustive scan; 1 with no pairs.
+
+    Ratios are compared by cross-multiplication on the scaled distances,
+    and the largest is returned as one Fraction.
+    """
+    d, table, size = _scaled_distances(chain.space), _retraction_table(chain), chain.size
+    best, over = 0, 0
+    for image in table[1:]:
+        for i in range(size):
+            for j in range(i + 1, size):
+                moved, gap = d[image[i]][image[j]], d[i][j]
+                if not over or moved * over > best * gap:
+                    best, over = moved, gap
+    return Fraction(best, over) if over else Fraction(1)
+
+
+def solver_basis_constant(family: BasisFamily) -> Fraction:
+    """The basis constant by its definition, the transport solver on every truncation.
+
+    Each molecule is expanded by the inverse of the family matrix, and
+    every truncation of every expansion is normed by ``free_norm``; the
+    constant is the largest norm, 1 for an empty family.
+    """
+    space, vectors = family.space, [v.coeffs for v in family.vectors]
+    if not vectors:
+        return Fraction(1)
+    dim = len(vectors)
+    inverse = invert_matrix([[vectors[k][r] for k in range(dim)] for r in range(dim)])
+    best = Fraction(0)
+    for i, j in combinations(range(len(space)), 2):
+        m = molecule(space, i, j).coeffs
+        partial = [Fraction(0)] * dim
+        for row, vec in zip(inverse, vectors):
+            c = _dot(row, m)
+            partial = [p + c * x for p, x in zip(partial, vec)]
+            best = max(best, free_norm(space, FreeVector(tuple(partial))))
+    return best
 
 
 def scan_validate(space: FiniteMetricSpace) -> ValidationReport:

@@ -366,6 +366,29 @@ def test_campaign_cli_rejects_a_reversed_size_range(capsys):
     assert captured.err == "error: size range 3-2 is reversed: 3 is above 2\n"
 
 
+@pytest.mark.parametrize("sizes", [",", ""])
+def test_campaign_cli_rejects_an_empty_size_list(capsys, tmp_path, sizes):
+    out = tmp_path / "report.json"
+    assert main(["--out", str(out), "campaign", "--sizes", sizes, "--seeds", "1"]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == "" and not out.exists()
+    assert captured.err == (
+        f"error: --sizes {sizes!r} lists no size; give a comma list such as 3,4,5 or a range a-b such as 3-8\n"
+    )
+
+
+@pytest.mark.parametrize("stages", ["", " , "])
+def test_campaign_cli_rejects_an_empty_stage_list(capsys, tmp_path, stages):
+    out = tmp_path / "report.json"
+    assert main(["--out", str(out), "campaign", "--sizes", "3", "--seeds", "1", "--stages", stages]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == "" and not out.exists()
+    assert captured.err == (
+        f"error: --stages {stages!r} lists no stage; give a comma subset of "
+        "validate,basis,embed,l1check,threepoint or 'all'\n"
+    )
+
+
 @pytest.mark.parametrize("sizes", ["x", "3-x"])
 def test_campaign_cli_names_a_bad_size(capsys, sizes):
     assert main(["campaign", "--sizes", sizes, "--seeds", "1"]) == 2

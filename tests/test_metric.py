@@ -1,4 +1,5 @@
 import dataclasses
+import json
 import pickle
 import random
 import re
@@ -7,7 +8,10 @@ from fractions import Fraction
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from ultrafree import rational
+from ultrafree import metric, rational
+from ultrafree.campaign import STAGES
+from ultrafree.cli import main
+from ultrafree.ell1 import pipeline
 from ultrafree.freespace import FreeVector, LipFunction
 from ultrafree.metric import (
     FiniteMetricSpace,
@@ -21,7 +25,8 @@ from ultrafree.metric import (
     validate,
     with_base,
 )
-from ultrafree.serialize import to_jsonable
+from ultrafree.rtree import dendrogram, verify_retraction_claims
+from ultrafree.serialize import ingest, space_to_json, to_jsonable
 
 from _oracles import scan_validate, strict_max_check
 from test_freespace import _stress_ultrametrics
@@ -201,6 +206,74 @@ def test_validate_matches_the_fraction_triple_scan():
             assert report == scan_validate(s), s
             kinds.add((report.is_metric, report.is_ultrametric))
     assert kinds == {(True, True), (True, False), (False, False)}
+
+
+def _count_scans(monkeypatch):
+    """Record every triple scan that validation runs."""
+    scans = []
+    real = metric._failing_triples
+    monkeypatch.setattr(metric, "_failing_triples", lambda d: scans.append(len(d)) or real(d))
+    return scans
+
+
+def test_no_triple_scan_on_ultrametric_input(monkeypatch, tmp_path):
+    scans = _count_scans(monkeypatch)
+    for seed in range(4):
+        pipeline(random_ultrametric(9, seed), seed=seed)
+        rounded = round_to_dyadic(random_ultrametric(8, 10 + seed))
+        dendrogram(FiniteMetricSpace(rounded.labels, rounded.dist))
+        verify_retraction_claims(FiniteMetricSpace(rounded.labels, rounded.dist))
+        path = tmp_path / f"space{seed}.json"
+        path.write_text(json.dumps(space_to_json(rounded)))
+        assert ingest(path) == rounded
+        assert main(["--out", str(tmp_path / "embed.json"), "embed", str(path)]) == 0
+    stages = ",".join(s for s in STAGES if s != "threepoint")
+    out = tmp_path / "campaign.json"
+    assert main(["--out", str(out), "campaign", "--sizes", "3-6", "--seeds", "2", "--stages", stages]) == 0
+    assert len(json.loads(out.read_text())["instances"]) == 8
+    assert scans == []
+
+
+def test_one_triple_scan_per_space_that_is_no_ultrametric(monkeypatch, collinear, lopsided):
+    scans = _count_scans(monkeypatch)
+    rng = random.Random(5)
+    spaces = [collinear, lopsided] + [_perturbed(s, rng) for s in _stress_ultrametrics(rng, range(3, 9))]
+    spaces = [s for s in spaces if _single_linkage(s) is None]
+    assert len(spaces) == 19
+    for count, space in enumerate(spaces, 1):
+        report = validate(space)
+        assert not report.is_ultrametric and len(scans) == count
+        assert validate(space) is report and len(scans) == count
+        with pytest.raises(ValueError, match="requires an ultrametric space"):
+            round_to_dyadic(space)
+        assert len(scans) == count
+
+
+def test_the_report_is_cached_and_structural_errors_repeat(four_cluster):
+    assert validate(four_cluster) is validate(four_cluster)
+    assert FiniteMetricSpace(four_cluster.labels, four_cluster.dist) == four_cluster
+    space = FiniteMetricSpace(("a", "b", "c"), ((0, 1, 1), (1, 0, 2), (1, 3, 0)))
+    for _ in range(2):
+        with pytest.raises(StructuralError, match=r"asymmetric entries at \(1,2\): 2 vs 3$"):
+            validate(space)
+
+
+def _space(rows):
+    return FiniteMetricSpace(tuple(f"p{i}" for i in range(len(rows))), rows)
+
+
+def test_validate_names_the_scan_witness_where_the_merges_fail():
+    # the merges of {0, 1} at 1 and {2, 3} at 2 pass; the last, at 3, meets d(1, 3) = 4
+    last = _space(((0, 1, 3, 3), (1, 0, 3, 4), (3, 3, 0, 2), (3, 4, 2, 0)))
+    # the second merge at the tied height 1 meets d(0, 2) = 2; the merge at 4 is never reached
+    tied = _space(((0, 1, 2, 4), (1, 0, 1, 4), (2, 1, 0, 4), (4, 4, 4, 0)))
+    # as the last, with d(1, 3) = 5 past d(1, 0) + d(0, 3)
+    broken = _space(((0, 1, 3, 3), (1, 0, 3, 5), (3, 3, 0, 2), (3, 5, 2, 0)))
+    for space, triple, is_metric in ((last, (1, 0, 3), True), (tied, (0, 1, 2), True), (broken, (1, 0, 3), False)):
+        assert _single_linkage(space) is None
+        report = validate(space)
+        assert report == scan_validate(space)
+        assert (report.is_metric, report.is_ultrametric, report.failing_triple) == (is_metric, False, triple)
 
 
 def test_the_cached_view_stays_out_of_the_space(four_cluster):
