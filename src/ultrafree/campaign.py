@@ -17,7 +17,7 @@ from typing import Optional
 from .chain import _chain_basis, build_chain, verify_projection_algebra
 from .ell1 import ThreePointReport, pipeline, three_point_report
 from .metric import FiniteMetricSpace, random_ultrametric, round_to_dyadic, validate
-from .rtree import _embedding
+from .rtree import verify_retraction_claims
 from .serialize import dump_json
 
 STAGES = ("validate", "basis", "embed", "l1check", "threepoint")
@@ -109,7 +109,7 @@ def _stage_basis(space: FiniteMetricSpace, seed: int) -> StageResult:
 
 
 def _stage_embed(space: FiniteMetricSpace) -> StageResult:
-    _, claims, _ = _embedding(round_to_dyadic(space))  # the dendrogram is certified inside
+    claims = verify_retraction_claims(round_to_dyadic(space))  # the dendrogram is certified inside
     return StageResult(
         "embed",
         claims.passed,

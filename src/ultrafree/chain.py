@@ -410,22 +410,14 @@ def _molecule_expansions(space: FiniteMetricSpace, family: BasisFamily):
 
     Molecules are the extreme points of the free-space unit ball, so a
     convex function of the coefficients attains its maximum over the ball
-    on one of them.  On a chain's own family the coefficients are the
-    certified Dirac rows, (row_i - row_j) / d(i, j); any other family is
-    inverted.  Raises ValueError when the family does not span.
+    on one of them.  The coefficients come from the inverse of the family
+    matrix (callers read a chain's own family off its certified Dirac rows
+    instead).  Raises ValueError when the family does not span.
     """
-    certified = _certified_chain(space, family)
-    if certified is None:
-        inverse = _family_inverse(family)
-        for i in range(len(space)):
-            for j in range(i + 1, len(space)):
-                yield i, j, _apply(inverse, molecule(space, i, j).coeffs)
-        return
-    rows = certified[1]
+    inverse = _family_inverse(family)
     for i in range(len(space)):
         for j in range(i + 1, len(space)):
-            unit = 1 / space.dist[i][j]
-            yield i, j, [(a - b) * unit for a, b in zip(rows[i], rows[j])]
+            yield i, j, _apply(inverse, molecule(space, i, j).coeffs)
 
 
 def basis_constant(space: FiniteMetricSpace, family: BasisFamily) -> Fraction:

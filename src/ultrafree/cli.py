@@ -20,7 +20,7 @@ from .ell1 import pipeline, three_point_report
 from .freespace import free_norm_certificate
 from .metric import CertificationError, StructuralError, validate
 from .rational import parse_rational
-from .rtree import _embedding
+from .rtree import _retraction_claims, dendrogram
 from .serialize import (
     IngestError,
     dump_json,
@@ -180,7 +180,8 @@ def _cmd_basis(args) -> int:
 
 def _cmd_embed(args) -> int:
     space = ingest(args.space, args.format)
-    tree, claims, images = _embedding(space)
+    tree = dendrogram(space)
+    claims, images = _retraction_claims(space)
     branching = tree.nodes[len(space):]
     retraction = {
         f"{space.labels[p.anchor]}@{p.height}": space.labels[image] for p, image in zip(branching, images[len(space):])

@@ -54,21 +54,14 @@ from .freespace import (
 from .metric import (
     CertificationError,
     FiniteMetricSpace,
+    _cached,
     _integer_view,
     identity_distortion,
     round_to_dyadic,
     validate,
-    with_base,
 )
 from .rational import parse_rational
-from .rtree import (
-    DendrogramTree,
-    _dendrogram,
-    _node_space,
-    _retraction_claims,
-    dendrogram,
-    rooted_node_space,
-)
+from .rtree import DendrogramTree, _retraction_claims, dendrogram, node_space, rooted_node_space
 
 
 @dataclass(frozen=True)
@@ -192,21 +185,16 @@ def _battery(
     return battery, pairs
 
 
-def oracle_vs_lp(
-    space: FiniteMetricSpace,
-    vectors: int = 50,
-    seed: int = 0,
-    tree: Optional[DendrogramTree] = None,
-) -> OracleReport:
+def oracle_vs_lp(space: FiniteMetricSpace, vectors: int = 50, seed: int = 0) -> OracleReport:
     """Play the edge-flow oracle against the transport solver, exactly.
 
     Both sides use the root-based coordinates of the node set.  The battery
     contains random rational vectors, random vectors supported on the
     original leaves only, and every pairwise evaluation difference (whose
-    common value must also be the tree distance of the pair).
+    common value must also be the tree distance of the pair), on the
+    dendrogram kept on the space.
     """
-    if tree is None:
-        tree = dendrogram(space)
+    tree = dendrogram(space)
     ambient = rooted_node_space(tree)
     battery, pairs = _battery(space, ambient, vectors, seed)
     mism = []
@@ -242,8 +230,13 @@ class _ScaledTree(NamedTuple):
     labels: tuple[str, ...]
 
 
-def _scaled_tree(tree: DendrogramTree, ambient: FiniteMetricSpace) -> _ScaledTree:
-    """Prepare ``tree`` against ``ambient``, its root-based node space."""
+def _scaled_tree(tree: DendrogramTree) -> _ScaledTree:
+    """``tree`` prepared against its root-based node space, once per tree and kept on it."""
+    return _cached(tree, "_scaled", _prepared_tree)
+
+
+def _prepared_tree(tree: DendrogramTree) -> _ScaledTree:
+    ambient = rooted_node_space(tree)
     edges, d = _top_down(tree), ambient.dist
     dist, parent, position = {}, [-1] * len(tree.nodes), [-1] * len(tree.nodes)
     for k, (child, up, _) in enumerate(edges):
@@ -419,13 +412,12 @@ def _checked_pair(tree: _ScaledTree, i: int, j: int, distance: Fraction) -> None
 def tree_norm_certificate(tree: DendrogramTree, v: FreeVector) -> FreeNormCertificate:
     """Edge-flow norm of v on the root-based node space, with its flow and potential.
 
-    Re-certifies the path metric of the tree against the quotient metric
-    (in :func:`rooted_node_space`, whose distances are the certified path
-    sums), then checks the flow and the sign potential in integers on one
-    scale, as in :func:`_checked_edge_flow`, and converts to Fractions at
-    the end; any failure raises :class:`CertificationError`.
+    The flow and the sign potential are checked in integers, as in
+    :func:`_checked_edge_flow`, on the tree prepared once against its
+    certified node distances (:func:`_scaled_tree`), and converted to
+    Fractions at the end; any failure raises :class:`CertificationError`.
     """
-    scaled = _scaled_tree(tree, rooted_node_space(tree))
+    scaled = _scaled_tree(tree)
     value, unit, flow, g = _checked_edge_flow(scaled, v)
     return FreeNormCertificate(
         Fraction(value, scaled.scale * unit),
@@ -434,21 +426,19 @@ def tree_norm_certificate(tree: DendrogramTree, v: FreeVector) -> FreeNormCertif
     )
 
 
-def _certify_edge_flow_battery(
-    space: FiniteMetricSpace, tree: DendrogramTree, ambient: FiniteMetricSpace, vectors: int, seed: int
-) -> None:
+def _certify_edge_flow_battery(tree: DendrogramTree, vectors: int, seed: int) -> None:
     """Certify the edge-flow norm on the battery of :func:`oracle_vs_lp`, in integers.
 
-    ``tree`` is ``dendrogram(space)``, whose path metric is certified, and
-    ``ambient`` its root-based node space.  The tree is prepared on one
-    integer scale once.  The random and leaf-supported vectors, drawn as
+    The battery lives on the root-based node space of ``tree``, whose path
+    metric is certified, and the tree is prepared on one integer scale once
+    (:func:`_scaled_tree`).  The random and leaf-supported vectors, drawn as
     integers over :data:`_DRAW_UNIT`, get every check of
     :func:`_checked_coefficients`, O(n) each for n nodes.  Every node pair
     (i, j) is then certified on its own tree path by :func:`_checked_pair`,
     in time linear in the path's length, and its norm must be d(i, j).
     """
-    scaled = _scaled_tree(tree, ambient)
-    for coeffs in _battery_draws(space, ambient, vectors, seed):
+    scaled, ambient = _scaled_tree(tree), rooted_node_space(tree)
+    for coeffs in _battery_draws(tree.space, ambient, vectors, seed):
         _checked_coefficients(scaled, coeffs, _DRAW_UNIT)
     d = ambient.dist
     for i in range(len(ambient)):
@@ -781,13 +771,13 @@ def pipeline(
     random vectors, the leaf-supported ones and every node pair) by its own
     flow and potential, in integers on the tree prepared once: the random
     vectors over the whole tree, each node pair on its own tree path (see
-    :func:`_certify_edge_flow_battery`).  The node space is built once, and
-    the projection norm is the Lipschitz constant of the retraction, found
-    by cross-multiplication on integers and certified at its witness pair;
-    a failed certificate raises :class:`CertificationError`.  The input and its rounding are
-    validated by their cached single-linkage merges, from which the dendrogram
-    of the rounding is then read, and its certified node distances serve the
-    retraction claims, the node space and the retraction images.  The
+    :func:`_certify_edge_flow_battery`).  The projection norm is the
+    Lipschitz constant of the retraction on the node space, found by
+    cross-multiplication on integers and certified at its witness pair; a
+    failed certificate raises :class:`CertificationError`.  The input and
+    its rounding are validated by their cached single-linkage merges.  The
+    dendrogram of the rounding is kept on it, and its node distances,
+    certified once, serve the claims, the node spaces and the battery.  The
     chain identities and the basis constant come from one incremental
     integer scan of the chain just built, its Dirac rows are certified
     once, and the l1 constants are read off them in integers; the one
@@ -803,10 +793,10 @@ def pipeline(
     if not (report.is_ultrametric and report.is_dyadic):
         raise CertificationError("dyadic rounding did not give a power-of-two ultrametric")
     distortion = identity_distortion(space, rounded)
-    tree, certified = _dendrogram(rounded)
-    claims, image = _retraction_claims(tree, certified)
-    ambient = _node_space(tree, certified)
-    _certify_edge_flow_battery(rounded, tree, with_base(ambient, len(tree.nodes) - 1), oracle_vectors, seed)
+    tree = dendrogram(rounded)
+    claims, image = _retraction_claims(rounded)
+    ambient = node_space(tree)
+    _certify_edge_flow_battery(tree, oracle_vectors, seed)
     chain_report, family, constant, recognised = _chain_basis(build_chain(space, ordering))
     l1 = _l1_equivalence_constants(space, family, recognised)
     projection = operator_norm_of_extension(PointMap(ambient, ambient, tuple(image)))

@@ -32,7 +32,7 @@ from itertools import combinations
 from math import lcm
 from typing import Optional, Sequence
 
-from .metric import CertificationError, FiniteMetricSpace, _cached, _integer_view, _pair_ratios, _single_linkage
+from .metric import CertificationError, FiniteMetricSpace, _cached, _extreme_ratios, _integer_view, _single_linkage
 from .rational import _rationals, parse_rational
 from .simplex import solve_lp
 
@@ -149,11 +149,16 @@ def molecule(space: FiniteMetricSpace, i: int, j: int) -> FreeVector:
 
 
 def lip_norm(space: FiniteMetricSpace, f: LipFunction) -> Fraction:
-    """Exact maximum of |f(x) - f(y)| / d(x, y) over all pairs."""
+    """Exact maximum of |f(x) - f(y)| / d(x, y) over all pairs, with f over the lcm of its denominators."""
     if len(f.values) != len(space):
         raise ValueError("function dimension does not match the space")
-    vals = f.values
-    return max(_pair_ratios(space, lambda i, j: abs(vals[i] - vals[j])), default=Fraction(0))
+    scale = lcm(*(x.denominator for x in f.values))
+    values = [x.numerator * (scale // x.denominator) for x in f.values]
+    extremes = _extreme_ratios(space, lambda i, j: abs(values[i] - values[j]))
+    if extremes is None:
+        return Fraction(0)
+    top, bottom, _, _ = extremes[1]
+    return Fraction(top * _integer_view(space)[0], bottom * scale)
 
 
 def _transport_program(space: FiniteMetricSpace, lead: Sequence[Fraction]):
@@ -367,27 +372,19 @@ def _lipschitz_witness(point_map: PointMap) -> tuple[Fraction, int, int]:
     """Lip(f) and the first pair i < j, row by row, that attains it; (0, 0, 0) on one point.
 
     On the cached integer views (p, D) of the domain and (q, C) of the
-    codomain the ratio at (i, j) is C[f i][f j] p / (D[i][j] q), so the
-    pairs are compared by cross-multiplying C[f i][f j] / D[i][j] and one
-    Fraction is built at the end.  That order is the order of the ratios
-    only over positive denominators: a domain distance that is not
-    positive raises ValueError naming its pair.
+    codomain the ratio at (i, j) is C[f i][f j] p / (D[i][j] q), so
+    :func:`ultrafree.metric._extreme_ratios` compares the pairs by
+    cross-multiplying C[f i][f j] / D[i][j], and one Fraction is built at
+    the end.  A domain distance that is not positive raises ValueError
+    naming its pair.
     """
     img, domain = point_map.image, point_map.domain
-    p, d = _integer_view(domain)
     q, c = _integer_view(point_map.codomain)
-    best = None
-    for i, row in enumerate(d):
-        images = c[img[i]]
-        for j in range(i + 1, len(row)):
-            if row[j] <= 0:
-                raise ValueError(f"the domain distance of the pair ({i}, {j}) is {domain.dist[i][j]}, not positive")
-            if best is None or images[img[j]] * best[1] > best[0] * row[j]:
-                best = images[img[j]], row[j], i, j
-    if best is None:
+    extremes = _extreme_ratios(domain, lambda i, j: c[img[i]][img[j]])
+    if extremes is None:
         return Fraction(0), 0, 0
-    top, bottom, i, j = best
-    return Fraction(top * p, bottom * q), i, j
+    top, bottom, i, j = extremes[1]
+    return Fraction(top * _integer_view(domain)[0], bottom * q), i, j
 
 
 def lipschitz_constant(point_map: PointMap) -> Fraction:

@@ -13,7 +13,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from itertools import combinations
 from math import lcm
-from typing import Callable, Iterator, Optional
+from typing import Callable, Optional
 
 from .rational import _rationals, dyadic_floor, is_power_of_two
 
@@ -92,11 +92,14 @@ class ValidationReport:
 _Scaled = tuple[int, tuple[tuple[int, ...], ...]]
 
 
-def _cached(space: FiniteMetricSpace, name: str, build: Callable[[FiniteMetricSpace], object]):
-    """``build(space)``, computed on the first call and kept on the space, outside its fields."""
-    cache = vars(space)
+def _cached(owner, name: str, build: Callable):
+    """``build(owner)``, computed on the first call and kept on the frozen dataclass ``owner``, outside its fields.
+
+    Nothing is kept when ``build`` raises, so a failure repeats on every call.
+    """
+    cache = vars(owner)
     if name not in cache:
-        object.__setattr__(space, name, build(space))
+        object.__setattr__(owner, name, build(owner))
     return cache[name]
 
 
@@ -110,9 +113,9 @@ def _integer_view(space: FiniteMetricSpace) -> _Scaled:
     serialization or pickling; its rows are tuples, which no caller can
     change.  ``with_base`` and ``dataclasses.replace`` build new spaces,
     each with a view of its own.  Validation, the single-linkage merges, the
-    chain scan, the dendrogram certificate, the l1-isometry decision and
-    every transport certificate are certified in integers on the space's
-    cached view.
+    chain scan, the dendrogram certificate, the l1-isometry decision, every
+    transport certificate and the ratio scans of :func:`_extreme_ratios`
+    run in integers on the space's cached view.
     """
     return _cached(space, "_view", _scale_rows)
 
@@ -242,21 +245,39 @@ def round_to_dyadic(space: FiniteMetricSpace) -> FiniteMetricSpace:
     return FiniteMetricSpace(space.labels, rows)
 
 
-def _pair_ratios(space: FiniteMetricSpace, numerator: Callable[[int, int], Fraction]) -> Iterator[Fraction]:
-    """numerator(i, j) / d(i, j) over the pairs i < j of the space, row by row."""
-    n = len(space)
-    d = space.dist
-    return (numerator(i, j) / d[i][j] for i in range(n) for j in range(i + 1, n))
+def _extreme_ratios(space: FiniteMetricSpace, top: Callable[[int, int], int]):
+    """The least and the greatest top(i, j) / D[i][j] over the pairs i < j of the view (q, D); None on one point.
+
+    Each comes as (top, D[i][j], i, j) at the first pair, row by row, that
+    attains it.  Cross-multiplying orders the ratios only over positive
+    denominators, so a distance that is not positive raises ValueError.
+    """
+    least = greatest = None
+    for i, row in enumerate(_integer_view(space)[1]):
+        for j in range(i + 1, len(row)):
+            if row[j] <= 0:
+                raise ValueError(f"the domain distance of the pair ({i}, {j}) is {space.dist[i][j]}, not positive")
+            ratio = top(i, j), row[j], i, j
+            if greatest is None or ratio[0] * greatest[1] > greatest[0] * row[j]:
+                greatest = ratio
+            if least is None or ratio[0] * least[1] < least[0] * row[j]:
+                least = ratio
+    return None if greatest is None else (least, greatest)
 
 
 def bilipschitz_distortion(a: FiniteMetricSpace, b: FiniteMetricSpace) -> tuple[Fraction, Fraction]:
-    """Min and max of d_b/d_a over all pairs, under the identity correspondence."""
+    """Min and max of d_b/d_a over all pairs, under the identity correspondence.
+
+    On the integer views (p, A) and (q, B) the ratio at (i, j) is B[i][j] p / (A[i][j] q).
+    """
     if len(a) != len(b):
         raise ValueError(f"point counts differ: {len(a)} vs {len(b)}")
-    ratios = list(_pair_ratios(a, lambda i, j: b.dist[i][j]))
-    if not ratios:
+    q, e = _integer_view(b)
+    extremes = _extreme_ratios(a, lambda i, j: e[i][j])
+    if extremes is None:
         return (Fraction(1), Fraction(1))
-    return (min(ratios), max(ratios))
+    p = _integer_view(a)[0]
+    return tuple(Fraction(top * p, bottom * q) for top, bottom, _, _ in extremes)
 
 
 def identity_distortion(a: FiniteMetricSpace, b: FiniteMetricSpace) -> Fraction:

@@ -16,7 +16,8 @@ tree, certifies its path metric against the quotient metric on every node
 pair in integers, and verifies the nearest-anchor retraction back onto the
 original points together with its Lipschitz bounds (factor 2 from a leaf to
 a branching point, factor 4 between branching points, on
-power-of-two-valued spaces), on the same certified node distances.
+power-of-two-valued spaces), on the same certified node distances, which
+the tree keeps (see :func:`ultrafree.metric._cached`).
 """
 
 from __future__ import annotations
@@ -31,6 +32,7 @@ from .metric import (
     CertificationError,
     FiniteMetricSpace,
     _Scaled,
+    _cached,
     _integer_view,
     _single_linkage,
     validate,
@@ -100,10 +102,10 @@ def segment_point(space: FiniteMetricSpace, p: TreePoint, q: TreePoint, t: Fract
     return canonicalize(space, TreePoint(n, space.dist[m][n] - i - t))
 
 
-def segment_grid(space: FiniteMetricSpace, p: TreePoint, q: TreePoint, quarters: int = 4) -> list[Fraction]:
-    """Sample parameters: an even grid plus the case-switch height, dedup, sorted."""
+def segment_grid(space: FiniteMetricSpace, p: TreePoint, q: TreePoint) -> list[Fraction]:
+    """Sample parameters: the quarters of the segment plus the case-switch height, dedup, sorted."""
     rho = tree_distance(space, p, q)
-    ts = {Fraction(k) * rho / quarters for k in range(quarters + 1)}
+    ts = {Fraction(k) * rho / 4 for k in range(5)}
     # apex parameters measured from either endpoint; relevant only when the
     # segment actually climbs over the joining height
     half = space.dist[p.anchor][q.anchor] / 2
@@ -126,25 +128,20 @@ class SegmentAxiomReport:
         return not (self.isometry or self.reversal or self.endpoint or self.betweenness)
 
 
-def verify_segment_axioms(
-    space: FiniteMetricSpace,
-    pairs: Optional[Sequence[tuple[TreePoint, TreePoint]]] = None,
-    quarters: int = 4,
-) -> SegmentAxiomReport:
+def verify_segment_axioms(space: FiniteMetricSpace) -> SegmentAxiomReport:
     """Finite-scale segment checks on sampled parameter grids.
 
-    For each sampled pair: endpoints land on the pair, the parametrization is
-    an exact isometry on the grid, the two orientations trace the same set
+    For each pair of leaves and branching points: endpoints land on the
+    pair, the parametrization is an exact isometry on the quarter grid of
+    :func:`segment_grid`, the two orientations trace the same set
     via the mirror parameter, and membership matches the metric criterion
     rho(p,v) + rho(v,q) = rho(p,q) against all leaf and branching points.
     """
-    candidates = _tree_nodes(space, branching_points(space))
-    if pairs is None:
-        pairs = list(combinations(candidates, 2))
+    candidates = [TreePoint(i, Fraction(0)) for i in range(len(space))] + branching_points(space)
     iso, rev, endp, betw = [], [], [], []
-    for p, q in pairs:
+    for p, q in combinations(candidates, 2):
         rho = tree_distance(space, p, q)
-        grid = segment_grid(space, p, q, quarters)
+        grid = segment_grid(space, p, q)
         samples = {t: segment_point(space, p, q, t) for t in grid}
         if not same_point(space, samples[Fraction(0)], p) or not same_point(space, samples[rho], q):
             endp.append((p, q))
@@ -195,11 +192,6 @@ def four_point_check(space: FiniteMetricSpace, points: Sequence[TreePoint]) -> F
         if sums[2] != sums[1]:
             violations.append((w, x, y, z))
     return FourPointReport(tuple(violations), checked)
-
-
-def _tree_nodes(space: FiniteMetricSpace, branching: Sequence[TreePoint]) -> list[TreePoint]:
-    """The finite tree domain: the leaves <i, 0> in point order, then the branching points."""
-    return [TreePoint(i, Fraction(0)) for i in range(len(space))] + list(branching)
 
 
 def branching_points(space: FiniteMetricSpace) -> list[TreePoint]:
@@ -345,34 +337,34 @@ class RetractionClaimReport:
 def verify_retraction_claims(space: FiniteMetricSpace) -> RetractionClaimReport:
     """Check both Lipschitz bounds of the retraction on a dyadic ultrametric space.
 
-    Refuses non-dyadic input: the factor-4 bound genuinely uses power-of-two
-    distances.  Also reports the attained Lipschitz constant over all pairs
-    of the finite domain (leaves plus branching points).  The claims run on
-    the certified node distances of the dendrogram.
+    Refuses non-ultrametric, then non-dyadic input: the factor-4 bound
+    genuinely uses power-of-two distances.  Also reports the attained
+    Lipschitz constant over all pairs of the finite domain (leaves plus
+    branching points).  The claims run on the certified node distances of
+    the space's dendrogram.
     """
-    report = validate(space)
-    if not report.is_ultrametric:
-        raise ValueError("retraction claims require an ultrametric space")
-    if not report.is_dyadic:
-        raise ValueError("retraction claims require power-of-two distances")
-    return _retraction_claims(*_dendrogram(space))[0]
+    return _retraction_claims(space)[0]
 
 
-def _retraction_claims(tree: DendrogramTree, certified: _Scaled) -> tuple[RetractionClaimReport, list[int]]:
+def _retraction_claims(space: FiniteMetricSpace) -> tuple[RetractionClaimReport, list[int]]:
     """The body of :func:`verify_retraction_claims`, with the image of every tree node.
 
-    ``tree`` is the dendrogram of a validated dyadic ultrametric space and
-    ``certified`` its node distances from :func:`_certify_path_metric`, in
-    units of 1/L; the leaves are nodes 0..n-1, so the distances of the
-    space are there too.  Every claim is an integer comparison on that one
-    scale.  A node retracts to its canonical anchor, the first point within
-    twice its height, and a branching point's generating partner is the
-    first other point at exactly twice its height from that anchor.  On
-    powers of two, 2**max(e_m, e_n) - 2**(e_n - 1) - 2**(e_k - 1) of the
-    exponent-gap claim is max(d, 2 h_max) - h_max - h_min.
+    The one place that refuses input to the claims: a non-ultrametric space
+    through :func:`dendrogram`, then a non-dyadic one.  The claims run on the
+    node distances of :func:`_node_distances`, in units of 1/L; the leaves
+    are nodes 0..n-1, so the distances of the space are there too.  Every
+    claim is an integer comparison on that one scale.  A node retracts to its
+    canonical anchor, the first point within twice its height, and a
+    branching point's generating partner is the first other point at
+    exactly twice its height from that anchor.  On powers of two,
+    2**max(e_m, e_n) - 2**(e_n - 1) - 2**(e_k - 1) of the exponent-gap
+    claim is max(d, 2 h_max) - h_max - h_min.
     """
-    nodes, (unit, rows) = tree.nodes, certified
-    n, count = len(tree.space), len(nodes)
+    tree = dendrogram(space)
+    if not validate(space).is_dyadic:
+        raise ValueError("retraction claims require power-of-two distances")
+    nodes, (unit, rows) = tree.nodes, _node_distances(tree)
+    n, count = len(space), len(nodes)
     height = [p.height.numerator * (unit // p.height.denominator) for p in nodes]
     images = [next(q for q in range(n) if rows[p.anchor][q] <= 2 * height[k]) for k, p in enumerate(nodes)]
     partners = {
@@ -433,6 +425,10 @@ class DendrogramTree:
     parent: tuple[int, ...]
     edge_length: tuple[Fraction, ...]
 
+    def __getstate__(self) -> dict:
+        # the fields only: what _cached keeps on the tree stays out of a pickle
+        return {"space": self.space, "nodes": self.nodes, "parent": self.parent, "edge_length": self.edge_length}
+
     @property
     def root(self) -> int:
         return self.parent.index(-1)
@@ -442,7 +438,7 @@ class DendrogramTree:
 
 
 def dendrogram(space: FiniteMetricSpace) -> DendrogramTree:
-    """Build the dendrogram and certify its path metric against the quotient metric.
+    """The dendrogram of an ultrametric space, certified against the quotient metric.
 
     The tree is read off the single-linkage merges of the space: the
     branching points are its clusters with tied heights contracted, the
@@ -451,47 +447,37 @@ def dendrogram(space: FiniteMetricSpace) -> DendrogramTree:
     Certification compares the path-length distance of every node pair
     with the closed-form quotient distance, in integers, and raises on any
     mismatch, and additionally checks that every branching node has at
-    least two children.
+    least two children.  A space that is not an ultrametric is refused.
+    The certified tree is kept on the space: ``dendrogram(s) is
+    dendrogram(s)``, and a failed certificate raises on every call.
     """
-    report = validate(space)
-    if not report.is_ultrametric:
+    if not validate(space).is_ultrametric:
         raise ValueError("dendrogram requires an ultrametric space")
-    return _dendrogram(space)[0]
+    return _cached(space, "_tree", _certified_dendrogram)
 
 
-def _dendrogram(space: FiniteMetricSpace) -> tuple[DendrogramTree, _Scaled]:
-    """The body of :func:`dendrogram` on a validated ultrametric space, with its certified node distances."""
+def _certified_dendrogram(space: FiniteMetricSpace) -> DendrogramTree:
     nodes, parent, edge = _merge_tree(len(space), _single_linkage(space))
     tree = DendrogramTree(space, tuple(nodes), tuple(parent), tuple(edge))
-    certified = _certify_path_metric(tree, _integer_view(space))
-    children = [0] * len(nodes)
-    for p in parent:
-        if p >= 0:
-            children[p] += 1
-    for idx, u in enumerate(nodes):
-        if u.height > 0 and children[idx] < 2:
+    _node_distances(tree)
+    for k, u in enumerate(nodes):
+        if u.height > 0 and parent.count(k) < 2:
             raise CertificationError(f"branching node {u} has fewer than two children")
-    return tree, certified
+    return tree
 
 
-def _embedding(space: FiniteMetricSpace) -> tuple[DendrogramTree, RetractionClaimReport, list[int]]:
-    """:func:`dendrogram` and :func:`verify_retraction_claims` on one tree, with the image of every tree node."""
-    report = validate(space)
-    if not report.is_ultrametric:
-        raise ValueError("dendrogram requires an ultrametric space")
-    tree, certified = _dendrogram(space)
-    if not report.is_dyadic:
-        raise ValueError("retraction claims require power-of-two distances")
-    return (tree, *_retraction_claims(tree, certified))
+def _node_distances(tree: DendrogramTree) -> _Scaled:
+    """The node distances (L, rows) of :func:`_certify_path_metric`, certified once per tree and kept on it."""
+    return _cached(tree, "_distances", _certify_path_metric)
 
 
-def _certify_path_metric(tree: DendrogramTree, view: _Scaled) -> _Scaled:
+def _certify_path_metric(tree: DendrogramTree) -> _Scaled:
     """Raise unless the path metric of the tree is the quotient metric on every node pair.
 
     The tree must be rooted at its top node, with every parent strictly
-    higher than its child, so that it is a tree.  ``view`` is the integer
-    view of ``tree.space``.  The heights, the edge lengths and half of
-    every distance go on one integer scale L; one walk of the tree from
+    higher than its child, so that it is a tree.  The heights, the edge
+    lengths and half of every distance of the integer view of
+    ``tree.space`` go on one integer scale L; one walk of the tree from
     each node gives its path sums, and each pair (p, q), p < q in node
     order, must have path sum 2 max(h_p, h_q, d(m, n)/2) - h_p - h_q.
     Returns (L, rows), the node distances in units of 1/L.
@@ -504,7 +490,7 @@ def _certify_path_metric(tree: DendrogramTree, view: _Scaled) -> _Scaled:
     for k, p in enumerate(parent):
         if p >= 0 and nodes[p].height <= nodes[k].height:
             raise CertificationError(f"parent {nodes[p]} of {nodes[k]} is not higher")
-    scale, d = view
+    scale, d = _integer_view(tree.space)
     unit = lcm(2 * scale, *(p.height.denominator for p in nodes), *(x.denominator for x in tree.edge_length))
     half = unit // (2 * scale)
     height = [p.height.numerator * (unit // p.height.denominator) for p in nodes]
@@ -532,7 +518,7 @@ def _certify_path_metric(tree: DendrogramTree, view: _Scaled) -> _Scaled:
                 raise CertificationError(
                     f"path metric disagrees with the quotient metric on ({nodes[i]}, {nodes[j]})"
                 )
-        rows.append(path)
+        rows.append(tuple(path))
     return unit, rows
 
 
@@ -548,15 +534,15 @@ def node_space(tree: DendrogramTree) -> FiniteMetricSpace:
     Leaves keep their labels and their indices, so the original space sits at
     the same positions; this is the basing under which the retraction onto
     the leaves preserves the base point.  The distances are the path sums
-    that :func:`_certify_path_metric` certifies, so a tree whose path metric
-    is not the quotient metric raises :class:`CertificationError`.
+    that :func:`_certify_path_metric` certifies once per tree, so a tree
+    whose path metric is not the quotient metric raises
+    :class:`CertificationError`.  It is kept on the tree.
     """
-    return _node_space(tree, _certify_path_metric(tree, _integer_view(tree.space)))
+    return _cached(tree, "_node_space", _node_metric)
 
 
-def _node_space(tree: DendrogramTree, certified: _Scaled) -> FiniteMetricSpace:
-    """The node space of ``tree`` from its certified node distances (L, rows)."""
-    unit, rows = certified
+def _node_metric(tree: DendrogramTree) -> FiniteMetricSpace:
+    unit, rows = _node_distances(tree)
     exact = {x: Fraction(x, unit) for x in {x for row in rows for x in row}}
     dist = tuple(tuple(exact[x] for x in row) for row in rows)
     return FiniteMetricSpace(tuple(_node_label(tree, p) for p in tree.nodes), dist)
@@ -570,6 +556,6 @@ def rooted_node_space(tree: DendrogramTree) -> FiniteMetricSpace:
     edge-flow coordinates of :func:`ultrafree.ell1.tree_free_norm`, and the
     potential of :func:`ultrafree.freespace._tree_transport` vanishes at the
     base.  Free spaces over different base points are isometric, so this is
-    a choice of coordinates, not of content.
+    a choice of coordinates, not of content.  It is kept on the tree.
     """
-    return with_base(node_space(tree), len(tree.nodes) - 1)
+    return _cached(tree, "_rooted_node_space", lambda t: with_base(node_space(t), len(t.nodes) - 1))

@@ -52,9 +52,15 @@ def space_to_json(space: FiniteMetricSpace) -> dict:
 
 
 def space_from_json(data: dict) -> FiniteMetricSpace:
+    """Read ``{"labels": [...], "dist": [[...], ...]}``; a field of another JSON type raises :class:`IngestError` naming it."""
     if not isinstance(data, dict) or "labels" not in data or "dist" not in data:
         raise IngestError("expected an object with 'labels' and 'dist'")
-    return FiniteMetricSpace(tuple(data["labels"]), tuple(tuple(row) for row in data["dist"]))
+    labels, dist = data["labels"], data["dist"]
+    if not isinstance(labels, list):
+        raise IngestError("'labels' must be an array of labels")
+    if not isinstance(dist, list) or not all(isinstance(row, list) for row in dist):
+        raise IngestError("'dist' must be an array of arrays of distances")
+    return FiniteMetricSpace(tuple(labels), tuple(tuple(row) for row in dist))
 
 
 def space_from_csv(text: str) -> FiniteMetricSpace:

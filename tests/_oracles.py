@@ -53,7 +53,8 @@ only what changed.
 The package validates a space, builds its dendrogram, certifies it and
 checks the retraction claims in integers, from one single-linkage merge
 tree.  The Fraction scans these replaced are kept as references: the
-triple scan of ``validate``, the doubling/halving ``dyadic_floor``, the
+triple scan of ``validate`` (on the distances scaled to integers here, as
+the chain scans are), the doubling/halving ``dyadic_floor``, the
 branching points as every canonical <m, d(m, n)/2>, each node's parent as
 the lowest higher node whose ball covers its anchor, the node space by the
 quotient formula on every pair, and the retraction claims by
@@ -75,10 +76,11 @@ Lipschitz scan.
 The package certifies every node pair of the edge-flow battery on its
 own tree path, compares the ratios of a Lipschitz constant and of the
 chain branch of the l1 constant by cross-multiplication on integer views,
-and builds one Fraction at the end.  What these replaced is kept as a
-reference: the dense edge-flow check of delta_i - delta_j over the whole
-tree followed by the distance comparison, and the two Fraction maxima
-over every pair's ratio.
+and builds one Fraction at the end; the bi-Lipschitz distortion is found
+the same way.  What these replaced is kept as a reference: the dense
+edge-flow check of delta_i - delta_j over the whole tree followed by the
+distance comparison, the two Fraction maxima over every pair's ratio, and
+the Fraction minimum and maximum of the distortion ratios.
 
 Four helpers that only the tests use live here rather than in the
 package: the strict-max triple check, the path sum along a dendrogram, the
@@ -200,6 +202,13 @@ def fraction_lipschitz_witness(point_map: PointMap) -> tuple[Fraction, int, int]
         key=lambda entry: entry[0],
         default=(Fraction(0), 0, 0),
     )
+
+
+def fraction_bilipschitz_distortion(a: FiniteMetricSpace, b: FiniteMetricSpace) -> tuple[Fraction, Fraction]:
+    """Min and max of d_b / d_a over every pair, as Fractions; (1, 1) on one point."""
+    n = len(a)
+    ratios = [b.dist[i][j] / a.dist[i][j] for i in range(n) for j in range(i + 1, n)]
+    return (min(ratios), max(ratios)) if ratios else (Fraction(1), Fraction(1))
 
 
 def fraction_chain_phi(
@@ -491,7 +500,12 @@ def solver_basis_constant(family: BasisFamily) -> Fraction:
 
 
 def scan_validate(space: FiniteMetricSpace) -> ValidationReport:
-    """The structure checks and the triple scan of ``validate``, in Fractions, every order of every triple."""
+    """The structure checks of ``validate`` in Fractions, then the triple scan, every order of every triple.
+
+    The scan runs on the distances scaled to integers by the lcm of their
+    denominators (:func:`_scaled_distances`), which keeps every sum and
+    maximum in the same order.
+    """
     n = len(space)
     d = space.dist
     for i in range(n):
@@ -505,12 +519,13 @@ def scan_validate(space: FiniteMetricSpace) -> ValidationReport:
                 raise StructuralError(f"negative distance at ({i},{j}): {d[i][j]}")
             if d[i][j] == 0:
                 raise StructuralError(f"zero distance between distinct points ({i},{j})")
+    scaled = _scaled_distances(space)
     metric_fail = ultra_fail = None
     for a, b, c in combinations(range(n), 3):
         for i, j, k in ((a, b, c), (b, a, c), (a, c, b)):
-            if metric_fail is None and d[i][k] > d[i][j] + d[j][k]:
+            if metric_fail is None and scaled[i][k] > scaled[i][j] + scaled[j][k]:
                 metric_fail = (i, j, k)
-            if ultra_fail is None and d[i][k] > max(d[i][j], d[j][k]):
+            if ultra_fail is None and scaled[i][k] > max(scaled[i][j], scaled[j][k]):
                 ultra_fail = (i, j, k)
         if metric_fail is not None and ultra_fail is not None:
             break

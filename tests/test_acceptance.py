@@ -181,7 +181,7 @@ def test_criterion_6_edge_flow_oracle():
         for seed in range(count):
             space = round_to_dyadic(random_ultrametric(n, 3000 + 31 * n + seed))
             tree = dendrogram(space)
-            oracle = oracle_vs_lp(space, vectors=50, seed=seed, tree=tree)
+            oracle = oracle_vs_lp(space, vectors=50, seed=seed)
             molecules = edge_molecule_isometry(tree, patterns=10, seed=seed)
             ok = ok and oracle.passed and molecules.passed
             instances += 1
@@ -304,7 +304,7 @@ def test_criterion_9_pipeline():
             ok = (
                 ok
                 and report.l1_lower == orthant_l1_lower(space, basis_vectors(build_chain(space)))
-                and oracle_vs_lp(rounded, vectors=25, seed=0, tree=dendrogram(rounded)).passed
+                and oracle_vs_lp(rounded, vectors=25, seed=0).passed
             )
         instances += 1
     _report(

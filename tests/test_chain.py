@@ -12,7 +12,6 @@ from ultrafree.chain import (
     _certified_chain,
     _dirac_rows,
     _family_inverse,
-    _molecule_expansions,
     _scan_chain,
     _telescopes,
     basis_constant,
@@ -192,7 +191,13 @@ def test_dirac_rows_match_the_family_inverse():
         expected = [
             (i, j, _apply(inverse, molecule(space, i, j).coeffs)) for i in range(n) for j in range(i + 1, n)
         ]
-        assert list(_molecule_expansions(space, family)) == expected
+        rows = certified[1]
+        differences = [
+            (i, j, [(a - b) / space.dist[i][j] for a, b in zip(rows[i], rows[j])])
+            for i in range(n)
+            for j in range(i + 1, n)
+        ]
+        assert differences == expected
         checked += n + len(expected)
     assert checked == 1452
 

@@ -14,7 +14,8 @@ from _oracles import (
     orthant_l1_lower,
 )
 from test_freespace import _PRIMES_NEAR_A_MILLION, _coprime_heights, _merge_ultrametric
-from ultrafree import ell1
+from test_rtree import count_path_metric_certificates
+from ultrafree import ell1, rtree
 from ultrafree.chain import BasisFamily, basis_vectors, build_chain
 from ultrafree.ell1 import (
     edge_flow_coordinates,
@@ -31,7 +32,7 @@ from ultrafree.ell1 import (
 )
 from ultrafree.freespace import FreeVector, dirac, free_norm, lip_norm, molecule, zero_vector
 from ultrafree.metric import CertificationError, FiniteMetricSpace, random_ultrametric, round_to_dyadic, validate
-from ultrafree.rtree import dendrogram, rooted_node_space
+from ultrafree.rtree import dendrogram, node_space, rooted_node_space, verify_retraction_claims
 
 H = Fraction(1, 2)
 
@@ -71,6 +72,23 @@ def test_edge_flow_coordinates_are_a_bijection(four_cluster):
         masses = tuple(Fraction(rng.randint(-4, 4)) for _ in range(dim))
         back = edge_flow_coordinates(tree, vector_from_edge_flows(tree, masses))
         assert back.masses == masses
+
+
+def test_one_path_metric_certificate_per_space(four_cluster, monkeypatch):
+    certified = count_path_metric_certificates(monkeypatch)
+    tree = dendrogram(four_cluster)
+    verify_retraction_claims(four_cluster)
+    node_space(tree), rooted_node_space(tree)
+    dim = len(tree.nodes) - 1
+    for k in range(1, 5):
+        tree_norm_certificate(tree, FreeVector(tuple(Fraction(x - k, k) for x in range(dim))))
+    oracle_vs_lp(four_cluster, vectors=5)
+    edge_molecules(tree)
+    assert len(certified) == 1 and certified[0] is four_cluster
+    # pipeline certifies the tree of the rounding, a space of its own, once
+    space = random_ultrametric(7, 3)
+    pipeline(space)
+    assert len(certified) == 2 and certified[1] == round_to_dyadic(space)
 
 
 def test_oracle_vs_lp_triangle(triangle):
@@ -200,8 +218,8 @@ _ENTRY_POINTS = (_certify_leaf_a, pipeline)
 def test_tree_certificate_rejects_a_wrong_edge_length(four_cluster, monkeypatch):
     real = ell1._scaled_tree
 
-    def stretched(tree, ambient):
-        scaled = real(tree, ambient)
+    def stretched(tree):
+        scaled = real(tree)
         return scaled._replace(edges=tuple((c, p, 2 * l if c == 2 else l) for c, p, l in scaled.edges))
 
     monkeypatch.setattr(ell1, "_scaled_tree", stretched)
@@ -267,7 +285,7 @@ def test_pipeline_raises_on_a_failed_edge_flow_certificate(four_cluster, monkeyp
 
 
 def test_pipeline_names_the_pair_off_its_distance(four_cluster, monkeypatch):
-    real = ell1.with_base
+    real = rtree.with_base
 
     def stretched(space, index):
         rooted = real(space, index)
@@ -275,7 +293,7 @@ def test_pipeline_names_the_pair_off_its_distance(four_cluster, monkeypatch):
         dist[0][2] = dist[2][0] = 2 * dist[0][2]  # the root and a: three edges apart, no edge of its own
         return FiniteMetricSpace(rooted.labels, tuple(map(tuple, dist)))
 
-    monkeypatch.setattr(ell1, "with_base", stretched)
+    monkeypatch.setattr(rtree, "with_base", stretched)  # the root-based node space is built through it
     with pytest.raises(CertificationError, match=r"edge-flow norm of the pair \(0@1/2, a\) is not its distance$"):
         pipeline(four_cluster)
 
@@ -297,7 +315,7 @@ def _node_pair_trees():
         ):
             tree = dendrogram(space)
             ambient = rooted_node_space(tree)
-            yield ambient, ell1._scaled_tree(tree, ambient)
+            yield ambient, ell1._scaled_tree(tree)
 
 
 def _verdict(check, *args):

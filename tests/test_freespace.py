@@ -255,6 +255,26 @@ def test_lipschitz_constant_names_a_domain_distance_that_is_not_positive(distanc
             measure(identity)
 
 
+def test_lip_norm_matches_the_fraction_max():
+    # random rational functions on tied, coprime, caterpillar and star ultrametrics
+    rng = random.Random(16)
+    checked = 0
+    for space in _stress_ultrametrics(rng):
+        n = len(space)
+        f = LipFunction((0, *(Fraction(rng.randint(-9, 9), rng.choice((1, 3, 7, 1009))) for _ in range(n - 1))))
+        pairs = [(i, j) for i in range(n) for j in range(i + 1, n)]
+        assert lip_norm(space, f) == max(abs(f.values[i] - f.values[j]) / space.dist[i][j] for i, j in pairs)
+        checked += 1
+    assert checked == 44
+
+
+@pytest.mark.parametrize("distance, shown", [(0, "0"), (-1, "-1")])
+def test_lip_norm_names_a_distance_that_is_not_positive(distance, shown):
+    space = FiniteMetricSpace(("0", "x", "y"), ((0, 1, 1), (1, 0, distance), (1, distance, 0)))
+    with pytest.raises(ValueError, match=rf"^the domain distance of the pair \(1, 2\) is {shown}, not positive$"):
+        lip_norm(space, LipFunction((0, 1, 0)))
+
+
 def test_push_forward_merges_coefficients(triangle):
     collapse = PointMap(triangle, triangle, (0, 1, 1))
     v = FreeVector((Fraction(2), Fraction(3)))

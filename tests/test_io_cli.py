@@ -8,9 +8,10 @@ from ultrafree import cli, ell1, freespace
 from ultrafree.campaign import CampaignConfig, emit_report, run_campaign
 from ultrafree.cli import main
 from ultrafree.freespace import FreeVector
-from ultrafree.metric import random_ultrametric
+from ultrafree.metric import FiniteMetricSpace, random_ultrametric
+from ultrafree.rtree import verify_retraction_claims
 from ultrafree.simplex import LpResult
-from test_rtree import CORRUPTED_MERGE_TREES, corrupt_merge_tree
+from test_rtree import CORRUPTED_MERGE_TREES, corrupt_merge_tree, count_path_metric_certificates
 from ultrafree.serialize import (
     IngestError,
     dump_json,
@@ -550,3 +551,46 @@ def test_cli_embed_failed_certificate_exit_one(tmp_path, capsys, monkeypatch, fo
     corrupt_merge_tree(monkeypatch, change)
     assert main(["embed", str(path)]) == 1
     assert capsys.readouterr().err == f"check failed: {message}\n"
+
+
+@pytest.mark.parametrize(
+    "dist",
+    [[[0, 1, "3/4"], [1, 0, "1/2"], ["3/4", "1/2", 0]], [[0, 3, 3], [3, 0, "3/2"], [3, "3/2", 0]]],
+    ids=["non-ultrametric", "non-dyadic"],
+)
+def test_embed_refuses_as_the_library_does(tmp_path, capsys, dist):
+    with pytest.raises(ValueError) as refusal:
+        verify_retraction_claims(FiniteMetricSpace(("0", "x", "y"), dist))
+    path = tmp_path / "space.json"
+    path.write_text(json.dumps({"labels": ["0", "x", "y"], "dist": dist}))
+    assert main(["embed", str(path)]) == 2
+    assert capsys.readouterr().err == f"error: {refusal.value}\n"
+
+
+def test_cli_embed_certifies_its_tree_once(tmp_path, capsys, monkeypatch, four_cluster):
+    path = tmp_path / "space.json"
+    dump_json(space_to_json(four_cluster), path)
+    certified = count_path_metric_certificates(monkeypatch)
+    assert main(["embed", str(path)]) == 0
+    assert certified == [four_cluster]
+
+
+_SPACE_ROWS = [[0, 1, 1], [1, 0, "1/2"], [1, "1/2", 0]]
+
+
+@pytest.mark.parametrize(
+    "data, message",
+    [
+        ({"labels": "0xy", "dist": _SPACE_ROWS}, "'labels' must be an array of labels"),
+        ({"labels": ["0", "x", "y"], "dist": dict(zip("abc", _SPACE_ROWS))}, "'dist' must be an array of arrays of distances"),
+        ({"labels": ["0", "x", "y"], "dist": ["011", "10h", "1h0"]}, "'dist' must be an array of arrays of distances"),
+    ],
+    ids=["labels-string", "dist-object", "dist-strings"],
+)
+def test_load_space_requires_arrays(tmp_path, capsys, data, message):
+    path = tmp_path / "space.json"
+    path.write_text(json.dumps(data))
+    with pytest.raises(IngestError, match=f"{message}$"):
+        load_space(path)
+    assert main(["validate", str(path)]) == 2
+    assert capsys.readouterr().err == f"error: {path}: {message}\n"

@@ -28,7 +28,7 @@ from ultrafree.metric import (
 from ultrafree.rtree import dendrogram, verify_retraction_claims
 from ultrafree.serialize import ingest, space_to_json, to_jsonable
 
-from _oracles import scan_validate, strict_max_check
+from _oracles import fraction_bilipschitz_distortion, scan_validate, strict_max_check
 from test_freespace import _stress_ultrametrics
 
 
@@ -141,6 +141,28 @@ def test_bilipschitz_identity(triangle):
 def test_bilipschitz_single_pair_distortion():
     a = FiniteMetricSpace(("0", "p"), ((0, 3), (3, 0)))
     assert identity_distortion(a, round_to_dyadic(a)) == Fraction(3, 2)
+
+
+def test_distortion_matches_the_fraction_ratios():
+    # tied, coprime, caterpillar and star ultrametrics for N = 2..12 against their dyadic
+    # roundings, both ways round: the same min and max as the Fraction ratios
+    checked = 0
+    for space in _stress_ultrametrics(random.Random(47)):
+        rounded = round_to_dyadic(space)
+        for a, b in ((space, rounded), (rounded, space)):
+            lower, upper = fraction_bilipschitz_distortion(a, b)
+            assert bilipschitz_distortion(a, b) == (lower, upper)
+            assert identity_distortion(a, b) == max(upper, 1 / lower)
+            checked += 1
+    assert checked == 88
+
+
+@pytest.mark.parametrize("distance, shown", [(0, "0"), (-1, "-1")])
+def test_distortion_names_a_distance_that_is_not_positive(triangle, distance, shown):
+    # the constructor admits these distances; a ratio over them means nothing
+    space = FiniteMetricSpace(("0", "x", "y"), ((0, 1, 1), (1, 0, distance), (1, distance, 0)))
+    with pytest.raises(ValueError, match=rf"^the domain distance of the pair \(1, 2\) is {shown}, not positive$"):
+        bilipschitz_distortion(space, triangle)
 
 
 def test_bilipschitz_size_mismatch(triangle):

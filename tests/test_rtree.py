@@ -1,3 +1,4 @@
+import pickle
 import random
 import re
 from fractions import Fraction
@@ -7,6 +8,7 @@ import pytest
 from ultrafree import rtree
 from ultrafree.metric import CertificationError, FiniteMetricSpace, random_ultrametric, round_to_dyadic
 from ultrafree.rtree import (
+    DendrogramTree,
     TreePoint,
     branching_points,
     canonicalize,
@@ -313,3 +315,43 @@ def test_dendrogram_certificate_names_the_defect(four_cluster, monkeypatch, chan
         dendrogram(four_cluster)
     with pytest.raises(CertificationError, match=re.escape(message) + "$"):
         verify_retraction_claims(four_cluster)
+
+
+@pytest.mark.parametrize("change, message", CORRUPTED_MERGE_TREES)
+def test_a_failed_certificate_keeps_nothing(four_cluster, monkeypatch, change, message):
+    corrupt_merge_tree(monkeypatch, change)
+    for _ in range(2):
+        with pytest.raises(CertificationError, match=re.escape(message) + "$"):
+            dendrogram(four_cluster)
+    monkeypatch.undo()
+    assert dendrogram(four_cluster) == scan_dendrogram(four_cluster)
+
+
+def test_the_tree_and_its_node_spaces_are_kept(four_cluster):
+    tree = dendrogram(four_cluster)
+    assert dendrogram(four_cluster) is tree
+    assert node_space(tree) is node_space(tree)
+    assert rooted_node_space(tree) is rooted_node_space(tree)
+    # another space with the same distances gets a tree of its own
+    other = dendrogram(FiniteMetricSpace(four_cluster.labels, four_cluster.dist))
+    assert other == tree and other is not tree
+
+
+def test_what_a_tree_keeps_stays_out_of_its_value(four_cluster):
+    tree = dendrogram(four_cluster)
+    node_space(tree), rooted_node_space(tree), verify_retraction_claims(four_cluster)
+    space = FiniteMetricSpace(four_cluster.labels, four_cluster.dist)
+    fresh = DendrogramTree(space, tree.nodes, tree.parent, tree.edge_length)
+    assert set(vars(tree)) > set(vars(fresh))
+    assert tree == fresh and hash(tree) == hash(fresh) and repr(tree) == repr(fresh)
+    assert pickle.dumps(tree) == pickle.dumps(fresh)
+    loaded = pickle.loads(pickle.dumps(tree))
+    assert loaded == tree and set(vars(loaded)) == {"space", "nodes", "parent", "edge_length"}
+
+
+def count_path_metric_certificates(monkeypatch):
+    """Record the space of every tree whose path metric gets certified."""
+    spaces = []
+    real = rtree._certify_path_metric
+    monkeypatch.setattr(rtree, "_certify_path_metric", lambda tree: spaces.append(tree.space) or real(tree))
+    return spaces
