@@ -113,7 +113,8 @@ def build_chain(space: FiniteMetricSpace, ordering: Optional[Sequence[int]] = No
     The ordering must be a permutation starting at the base.  The table is
     built incrementally: adding point number n+1 re-routes x there only when
     it is strictly closer than everything kept so far, which is exactly the
-    minimal-position tie rule.
+    minimal-position tie rule.  Distances are compared on the space's cached
+    :func:`_integer_view`, which has their order and their ties.
     """
     n_points = len(space)
     order = tuple(int(i) for i in ordering) if ordering is not None else tuple(range(n_points))
@@ -121,7 +122,7 @@ def build_chain(space: FiniteMetricSpace, ordering: Optional[Sequence[int]] = No
         raise ValueError("ordering must be a permutation of all point indices")
     if order[0] != 0:
         raise ValueError("ordering must start at the base point")
-    d = space.dist
+    d = _integer_view(space)[1]
     best_rank = [1] * n_points
     best_dist = [d[x][order[0]] for x in range(n_points)]
     rows = [tuple(best_rank)]
@@ -254,15 +255,22 @@ def verify_projection_algebra(chain: RetractionChain, include_norms: bool = Fals
     distinct images r_n(x) != 0 of the points x >= 1.  With ``include_norms``
     the operator norm of every stage n >= 2, certified at its witness pair by
     :func:`operator_norm_of_extension`, must additionally equal 1.
+
+    The min rule is certified from adjacent stages in O(N^2): for every n
+    and x, r_n r_{n+1} = r_n, r_{n+1} r_n = r_n and r_n r_n = r_n.  They give
+    every other pair by induction on |n - m| (ROADMAP item 1): for k < m,
+    r_k r_m = (r_k r_{k+1}) r_m = r_k (r_{k+1} r_m) = r_k, and for n > m,
+    r_n r_m = r_n (r_{n-1} r_m) = (r_n r_{n-1}) r_m = r_m.  Only when one of
+    them fails does :func:`_min_rule_scan` list every failing (n, m).
     """
-    size = chain.size
-    maps = [(0, *(chain.retract(n, x) for x in range(1, size))) for n in range(1, size + 1)]
-    min_rule = [
-        (n, m)
-        for n in range(1, size + 1)
-        for m in range(1, size + 1)
-        if any(maps[n - 1][maps[m - 1][x]] != maps[min(n, m) - 1][x] for x in range(1, size))
-    ]
+    size, order = chain.size, chain.ordering
+    maps = [(0, *(order[rank - 1] for rank in row[1:])) for row in chain.ranks]
+    adjacent = all(
+        now[now[x]] == now[x] and (nxt is None or now[nxt[x]] == now[x] == nxt[now[x]])
+        for now, nxt in zip(maps, [*maps[1:], None])
+        for x in range(1, size)
+    )
+    min_rule = () if adjacent else _min_rule_scan(maps)
     rank_failures = [n for n in range(1, size + 1) if len(set(maps[n - 1][1:]) - {0}) != n - 1]
     norm_failures: list[tuple[int, Fraction]] = []
     if include_norms:
@@ -270,7 +278,18 @@ def verify_projection_algebra(chain: RetractionChain, include_norms: bool = Fals
             value = operator_norm_of_extension(retraction_map(chain, n))
             if value != 1:
                 norm_failures.append((n, value))
-    return ProjectionAlgebraReport(tuple(min_rule), tuple(rank_failures), tuple(norm_failures))
+    return ProjectionAlgebraReport(min_rule, tuple(rank_failures), tuple(norm_failures))
+
+
+def _min_rule_scan(maps: Sequence[Sequence[int]]) -> tuple[tuple[int, int], ...]:
+    """Every (n, m) with r_n(r_m x) != r_min(n,m)(x) for some x >= 1, maps[n - 1] being r_n: O(N^3)."""
+    size = len(maps)
+    return tuple(
+        (n, m)
+        for n in range(1, size + 1)
+        for m in range(1, size + 1)
+        if any(maps[n - 1][maps[m - 1][x]] != maps[min(n, m) - 1][x] for x in range(1, size))
+    )
 
 
 def basis_vectors(chain: RetractionChain) -> BasisFamily:

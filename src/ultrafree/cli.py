@@ -10,7 +10,6 @@ from __future__ import annotations
 import argparse
 import os
 import sys
-from fractions import Fraction
 from functools import cache
 from pathlib import Path
 
@@ -27,11 +26,9 @@ from .serialize import (
     function_to_json,
     ingest,
     load_space,
-    vector_from_json,
+    load_vector,
     vector_to_json,
 )
-
-import json
 
 
 @cache
@@ -132,9 +129,7 @@ def _cmd_validate(args) -> int:
 
 def _cmd_norm(args) -> int:
     space = ingest(args.space, args.format)
-    with open(args.vector) as handle:
-        data = json.load(handle, parse_float=Fraction)
-    vector = vector_from_json(space, data)
+    vector = load_vector(space, args.vector)
     cert = free_norm_certificate(space, vector)
     _emit(
         {

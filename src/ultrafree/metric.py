@@ -15,7 +15,7 @@ from itertools import combinations
 from math import lcm
 from typing import Callable, Optional
 
-from .rational import _rationals, dyadic_floor, is_power_of_two
+from .rational import _rational_rows, dyadic_floor, is_power_of_two
 
 
 class StructuralError(ValueError):
@@ -32,6 +32,8 @@ class FiniteMetricSpace:
 
     The base point is index 0.  Construction checks shape and label
     uniqueness only; run :func:`validate` for metric/ultrametric checks.
+    Fraction entries pass straight through, and each distinct string entry
+    is parsed once (:func:`_rational_rows`).
     """
 
     labels: tuple[str, ...]
@@ -43,7 +45,7 @@ class FiniteMetricSpace:
             raise ValueError("a metric space needs at least the base point")
         if len(set(labels)) != len(labels):
             raise ValueError("duplicate labels")
-        rows = tuple(_rationals(row) for row in self.dist)
+        rows = _rational_rows(self.dist)
         if len(rows) != len(labels) or any(len(r) != len(labels) for r in rows):
             raise ValueError("distance matrix must be square and match the labels")
         object.__setattr__(self, "labels", labels)
@@ -149,7 +151,10 @@ def validate(space: FiniteMetricSpace) -> ValidationReport:
     reported, not raised, so deliberately bad inputs can be inspected.  A
     space with single-linkage merges is an ultrametric; only one without
     them goes through the triple scan, which names the first failing
-    triple.  The report is computed once per space and cached on it.
+    triple.  The merge heights are exactly the distances between distinct
+    points, so the dyadic flag reads those N - 1 heights; only a space
+    without merges tests every entry.  The report is computed once per
+    space and cached on it.
     """
     return _cached(space, "_report", _validated)
 
@@ -157,12 +162,17 @@ def validate(space: FiniteMetricSpace) -> ValidationReport:
 def _validated(space: FiniteMetricSpace) -> ValidationReport:
     _, d = _integer_view(space)
     _check_structure(space, d)
-    metric_fail, ultra_fail = (None, None) if _single_linkage(space) is not None else _failing_triples(d)
+    merges = _single_linkage(space)
+    if merges is None:
+        metric_fail, ultra_fail = _failing_triples(d)
+        heights = (h for i, row in enumerate(space.dist) for h in row[i + 1:])
+    else:
+        metric_fail, ultra_fail, heights = None, None, (h for h, _, _ in merges)
     return ValidationReport(
         is_metric=metric_fail is None,
         is_ultrametric=ultra_fail is None,
         failing_triple=metric_fail if metric_fail is not None else ultra_fail,
-        is_dyadic=all(is_power_of_two(h) for i, row in enumerate(space.dist) for h in row[i + 1:]),
+        is_dyadic=all(map(is_power_of_two, heights)),
     )
 
 
@@ -233,16 +243,17 @@ def round_to_dyadic(space: FiniteMetricSpace) -> FiniteMetricSpace:
     """Round every distance down to a power of two by the bit-length rule of ``dyadic_floor``.
 
     Each output distance r satisfies r <= d < 2r pairwise, the result is again
-    ultrametric, and the operation is idempotent.
+    ultrametric, and the operation is idempotent.  ``dyadic_floor`` runs once
+    per merge height, keyed by its value in the :func:`_integer_view`, and
+    the matrix is filled by looking each entry of the view up.
     """
     if not validate(space).is_ultrametric:
         raise ValueError("round_to_dyadic requires an ultrametric space")
-    n = len(space)
-    rows = [[Fraction(0)] * n for _ in range(n)]
-    for i in range(n):
-        for j in range(i + 1, n):
-            rows[i][j] = rows[j][i] = dyadic_floor(space.dist[i][j])
-    return FiniteMetricSpace(space.labels, rows)
+    scale, d = _integer_view(space)
+    floors = {0: Fraction(0)}
+    for h, _, _ in _single_linkage(space):
+        floors[h.numerator * (scale // h.denominator)] = dyadic_floor(h)
+    return FiniteMetricSpace(space.labels, tuple(tuple(floors[x] for x in row) for row in d))
 
 
 def _extreme_ratios(space: FiniteMetricSpace, top: Callable[[int, int], int]):

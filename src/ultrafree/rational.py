@@ -38,6 +38,25 @@ def _rationals(values) -> tuple[Fraction, ...]:
     return tuple(x if isinstance(x, Fraction) else parse_rational(x) for x in values)
 
 
+def _rational_rows(rows) -> tuple[tuple[Fraction, ...], ...]:
+    """:func:`_rationals` of each row, parsing each distinct string entry once.
+
+    The memo is local to the call and keyed on ``str`` entries only: 1,
+    True, 1.0 and Fraction(1) compare equal and hash alike, so a broader key
+    would let a bool or a float through after an equal int.
+    """
+    parsed: dict[str, Fraction] = {}
+
+    def rational(x: object) -> Fraction:
+        if type(x) is not str:
+            return parse_rational(x)
+        if x not in parsed:
+            parsed[x] = parse_rational(x)
+        return parsed[x]
+
+    return tuple(tuple(x if isinstance(x, Fraction) else rational(x) for x in row) for row in rows)
+
+
 def is_power_of_two(q: Fraction) -> bool:
     """True iff q == 2**k for some integer k (negative k allowed)."""
     if q <= 0:

@@ -11,7 +11,7 @@ import dataclasses
 import json
 from fractions import Fraction
 from pathlib import Path
-from typing import Any
+from typing import Any, Callable
 
 from .metric import FiniteMetricSpace, StructuralError, validate
 from .freespace import FreeVector, LipFunction
@@ -63,19 +63,44 @@ def space_from_json(data: dict) -> FiniteMetricSpace:
     return FiniteMetricSpace(tuple(labels), tuple(tuple(row) for row in dist))
 
 
+def _is_rational(cell: str) -> bool:
+    try:
+        parse_rational(cell)
+    except ValueError:
+        return False
+    return True
+
+
 def space_from_csv(text: str) -> FiniteMetricSpace:
-    rows = [line.split(",") for line in text.strip().splitlines() if line.strip()]
+    """Read comma-separated rows of distances, under an optional header line of labels.
+
+    The first line is the header when the file has one more line than it
+    has cells, or when one of its cells is not a rational; without a header
+    the points are labelled p0, p1, ...
+    """
+    rows = [[cell.strip() for cell in line.split(",")] for line in text.strip().splitlines() if line.strip()]
     if not rows:
         raise IngestError("empty CSV input")
-    header: list[str] | None = None
+    if len(rows) == len(rows[0]) + 1 or not all(map(_is_rational, rows[0])):
+        return FiniteMetricSpace(tuple(rows[0]), tuple(map(tuple, rows[1:])))
+    return FiniteMetricSpace(tuple(f"p{i}" for i in range(len(rows))), tuple(map(tuple, rows)))
+
+
+def _read(path: str | Path, parse: Callable[[str], Any]) -> Any:
+    """``parse`` of the text of the file at ``path``; any failure raises :class:`IngestError` naming the path."""
+    path = Path(path)
     try:
-        parse_rational(rows[0][0].strip())
-    except (ValueError, TypeError):
-        header = [cell.strip() for cell in rows[0]]
-        rows = rows[1:]
-    labels = tuple(header) if header else tuple(f"p{i}" for i in range(len(rows)))
-    dist = tuple(tuple(cell.strip() for cell in row) for row in rows)
-    return FiniteMetricSpace(labels, dist)
+        text = path.read_text()
+    except OSError as exc:
+        raise IngestError(f"cannot read {path}: {exc}") from exc
+    try:
+        return parse(text)
+    except (ValueError, TypeError) as exc:
+        raise IngestError(f"{path}: {exc}") from exc
+
+
+def _json(text: str) -> Any:
+    return json.loads(text, parse_float=Fraction)
 
 
 def load_space(path: str | Path, fmt: str | None = None) -> FiniteMetricSpace:
@@ -84,21 +109,11 @@ def load_space(path: str | Path, fmt: str | None = None) -> FiniteMetricSpace:
     Structural problems (shape, labels, non-rational entries) raise
     :class:`IngestError`; use :func:`ingest` to also reject non-metric data.
     """
-    path = Path(path)
     if fmt is None:
-        fmt = "csv" if path.suffix.lower() == ".csv" else "json"
-    try:
-        text = path.read_text()
-    except OSError as exc:
-        raise IngestError(f"cannot read {path}: {exc}") from exc
-    try:
-        if fmt == "json":
-            return space_from_json(json.loads(text, parse_float=Fraction))
-        if fmt == "csv":
-            return space_from_csv(text)
-    except (ValueError, TypeError) as exc:
-        raise IngestError(f"{path}: {exc}") from exc
-    raise IngestError(f"unknown format {fmt!r}")
+        fmt = "csv" if Path(path).suffix.lower() == ".csv" else "json"
+    if fmt not in ("json", "csv"):
+        raise IngestError(f"unknown format {fmt!r}")
+    return _read(path, space_from_csv if fmt == "csv" else lambda text: space_from_json(_json(text)))
 
 
 def ingest(path: str | Path, fmt: str | None = None) -> FiniteMetricSpace:
@@ -139,6 +154,11 @@ def vector_from_json(space: FiniteMetricSpace, data: dict) -> FreeVector:
             continue
         coeffs[idx - 1] = q
     return FreeVector(tuple(coeffs))
+
+
+def load_vector(space: FiniteMetricSpace, path: str | Path) -> FreeVector:
+    """Read a JSON vector file by :func:`vector_from_json`; every failure names the path."""
+    return _read(path, lambda text: vector_from_json(space, _json(text)))
 
 
 def vector_to_json(space: FiniteMetricSpace, v: FreeVector) -> dict:

@@ -34,7 +34,16 @@ tree-transport kernel.
 The projection algebra of a retraction chain is re-derived on its matrices:
 integer products of the 0/1 projection matrices against the min rule, and
 their exact ranks by Gauss-Jordan elimination.  It shares nothing with the
-point-map identities the package checks.
+point-map identities the package checks.  The package certifies the min
+rule from adjacent stages; the full scan of every (n, m) on the point maps
+that it replaced is kept as a second reference.
+
+The package builds a retraction chain, rounds a space down to powers of
+two and decides its dyadic flag on the integer view and the merge
+heights.  The references do each per entry in Fractions: every rank table
+entry by its definition (the least position among the first n attaining
+the least distance), ``loop_dyadic_floor`` of every distance, and
+``is_power_of_two`` of every distance.
 
 The basis constant is re-derived by its definition: every molecule is
 expanded by the inverse of the family matrix, and every truncation of
@@ -412,6 +421,29 @@ def matrix_projection_algebra(chain: RetractionChain) -> ProjectionAlgebraReport
     )
     return ProjectionAlgebraReport(min_rule, rank_failures, ())
 
+
+
+def scan_projection_algebra(chain: RetractionChain) -> ProjectionAlgebraReport:
+    """P_n P_m = P_min(n,m) on the point maps for every (n, m), and rank P_n = n - 1; no stage norms."""
+    size = chain.size
+    maps = [[0] + [chain.ordering[chain.ranks[n][x] - 1] for x in range(1, size)] for n in range(size)]
+    min_rule = tuple(
+        (n, m)
+        for n in range(1, size + 1)
+        for m in range(1, size + 1)
+        if any(maps[n - 1][maps[m - 1][x]] != maps[min(n, m) - 1][x] for x in range(1, size))
+    )
+    rank_failures = tuple(n for n in range(1, size + 1) if len(set(maps[n - 1][1:]) - {0}) != n - 1)
+    return ProjectionAlgebraReport(min_rule, rank_failures, ())
+
+
+def fraction_ranks(space: FiniteMetricSpace, ordering: Sequence[int]) -> tuple[tuple[int, ...], ...]:
+    """The rank table by its definition: the least 1-based position among the first n at the least distance."""
+    d = space.dist
+    return tuple(
+        tuple(min(range(1, n + 1), key=lambda k: (d[x][ordering[k - 1]], k)) for x in range(len(space)))
+        for n in range(1, len(space) + 1)
+    )
 
 
 def _scaled_distances(space: FiniteMetricSpace) -> list[list[int]]:

@@ -30,11 +30,13 @@ from ultrafree.metric import FiniteMetricSpace, random_ultrametric
 from ultrafree.serialize import dump_json, space_to_json
 
 from _oracles import (
+    fraction_ranks,
     matrix_projection_algebra,
     molecule_operator_norm,
     orthant_l1_lower,
     projection_matrix,
     scan_basis_constant,
+    scan_projection_algebra,
     scan_verify_chain,
     solver_basis_constant,
 )
@@ -337,6 +339,75 @@ def test_projection_algebra_min_rule_fails_off_ultrametrics():
     broken = _corrupted_table(build_chain(random_ultrametric(5, 2)))
     assert verify_projection_algebra(broken).rank_failures == (3,)
     assert verify_projection_algebra(broken) == matrix_projection_algebra(broken)
+
+
+def _count_min_rule_scans(monkeypatch):
+    """Record the stage count of every full min-rule scan that verification falls back to."""
+    scans = []
+    real = chain_module._min_rule_scan
+    monkeypatch.setattr(chain_module, "_min_rule_scan", lambda maps: scans.append(len(maps)) or real(maps))
+    return scans
+
+
+def _broken_identities(chain):
+    """Which of r_n r_{n+1} = r_n ("A"), r_{n+1} r_n = r_n ("B") and r_n r_n = r_n ("I") fail somewhere."""
+    maps = [[0] + [chain.ordering[row[x] - 1] for x in range(1, chain.size)] for row in chain.ranks]
+    broken = set()
+    for now, nxt in zip(maps, maps[1:] + [None]):
+        for x in range(1, chain.size):
+            if now[now[x]] != now[x]:
+                broken.add("I")
+            if nxt and now[nxt[x]] != now[x]:
+                broken.add("A")
+            if nxt and nxt[now[x]] != now[x]:
+                broken.add("B")
+    return frozenset(broken)
+
+
+def test_every_single_entry_corruption_matches_both_oracles(monkeypatch):
+    # every stage, point and new image of chains on N = 6 points: the adjacent
+    # certificate passes exactly when no adjacent identity or idempotence fails, and
+    # otherwise the fallback scan gives the report of both oracles
+    scans = _count_min_rule_scans(monkeypatch)
+    seen = set()
+    for seed in range(3):
+        chain = build_chain(random_ultrametric(6, seed))
+        for n in range(1, 7):
+            for x in range(1, 6):
+                for y in range(6):
+                    ranks = [list(row) for row in chain.ranks]
+                    ranks[n - 1][x] = chain.ordering.index(y) + 1
+                    corrupted = RetractionChain(chain.space, chain.ordering, tuple(map(tuple, ranks)))
+                    broken = _broken_identities(corrupted)
+                    before = len(scans)
+                    report = verify_projection_algebra(corrupted)
+                    assert report == scan_projection_algebra(corrupted) == matrix_projection_algebra(corrupted)
+                    assert len(scans) - before == bool(broken)
+                    assert bool(report.min_rule) == bool(broken)
+                    seen.add(broken)
+    # each identity is broken alone by some corruption, and each alone reaches the fallback
+    assert {frozenset("A"), frozenset("B"), frozenset("I")} <= seen
+
+
+def test_no_min_rule_scan_on_ultrametric_input(monkeypatch, tmp_path):
+    scans = _count_min_rule_scans(monkeypatch)
+    out = tmp_path / "campaign.json"
+    assert main(["--out", str(out), "campaign", "--sizes", "3-12", "--stages", "basis"]) == 0
+    assert len(json.loads(out.read_text())["instances"]) == 50
+    for space in _stress_ultrametrics(random.Random(23)):
+        assert verify_projection_algebra(_shuffled_chain(space, random.Random(len(space)))).passed
+    assert scans == []
+
+
+def test_build_chain_matches_the_fraction_ranks():
+    # tied, coprime, caterpillar and star ultrametrics, and each with one pair's
+    # distance scaled, which makes metrics that are no ultrametric and non-metrics
+    rng = random.Random(29)
+    for space in _stress_ultrametrics(rng, range(2, 16)):
+        for s in (space, _perturbed(space, rng)):
+            ordering = (0, *rng.sample(range(1, len(s)), len(s) - 1))
+            for order in (tuple(range(len(s))), ordering):
+                assert build_chain(s, order).ranks == fraction_ranks(s, order)
 
 
 def _scan_oracles(chain):

@@ -1,4 +1,5 @@
 import json
+import re
 from fractions import Fraction
 from pathlib import Path
 
@@ -52,6 +53,23 @@ def test_csv_without_header(tmp_path):
     space = ingest(path)
     assert space.labels == ("p0", "p1")
     assert space.dist[0][1] == Fraction(1, 2)
+
+
+@pytest.mark.parametrize(
+    "header, labels",
+    [("0,a,b", ("0", "a", "b")), ("a,0,1", ("a", "0", "1")), ("0,1,2", ("0", "1", "2")), ("2, 1 ,0", ("2", "1", "0"))],
+    ids=["numeric-first", "numeric-rest", "all-numeric", "spaced"],
+)
+def test_csv_header_with_numeric_labels(tmp_path, capsys, header, labels):
+    # a header is a first line with a cell that is no rational, or one line more than
+    # there are cells per line
+    path = tmp_path / "space.csv"
+    path.write_text(f"{header}\n0,1,1\n1,0,1/2\n1,1/2,0\n")
+    space = load_space(path)
+    assert space.labels == labels
+    assert space.dist == load_space(_write_triangle(tmp_path)).dist
+    assert main(["basis", str(path)]) == 0
+    assert json.loads(capsys.readouterr().out)["basis_vectors"] == [{labels[1]: "1"}, {labels[2]: "1", labels[1]: "-1"}]
 
 
 def test_ingest_rejects_structural(tmp_path):
@@ -155,6 +173,24 @@ def test_cli_norm_bad_vector_exit_two(tmp_path, capsys, content, needle):
     assert main(["norm", str(space), "--vector", str(vec)]) == 2
     err = capsys.readouterr().err
     assert err.startswith("error: ") and needle in err
+
+
+@pytest.mark.parametrize("content", ['{"x": ', '{"x": "1",}', ""], ids=["truncated", "trailing-comma", "empty"])
+def test_cli_norm_malformed_vector_names_the_file(tmp_path, capsys, content):
+    space = _write_triangle(tmp_path)
+    vec = tmp_path / "vec.json"
+    vec.write_text(content)
+    with pytest.raises(json.JSONDecodeError) as decoding:
+        json.loads(content)
+    assert main(["norm", str(space), "--vector", str(vec)]) == 2
+    assert capsys.readouterr().err == f"error: {vec}: {decoding.value}\n"
+
+
+def test_cli_norm_unreadable_vector_names_the_file(tmp_path, capsys):
+    space = _write_triangle(tmp_path)
+    missing = tmp_path / "missing.json"
+    assert main(["norm", str(space), "--vector", str(missing)]) == 2
+    assert capsys.readouterr().err.startswith(f"error: cannot read {missing}: ")
 
 
 def test_cli_basis(tmp_path, capsys):
@@ -527,6 +563,22 @@ def test_basis_matches_its_golden_report(space, variant, capsys):
     out = capsys.readouterr().out
     assert out == space.with_name(space.name.replace(".space.", f".{variant}.report.")).read_text()
     assert any(json.loads(out)["violations"].values()) == bool(expected)
+
+
+# The `ultrafree campaign` report over every stage, pinned byte for byte with its
+# timestamp masked.  After a deliberate change to the report, regenerate it with
+#     PYTHONPATH=src python -m ultrafree --seed 3 campaign --sizes 3-8 --seeds 2 --stages all \
+#         | sed 's/"generated_at": "[^"]*"/"generated_at": "<masked>"/' \
+#         > tests/golden/campaign/seed3-sizes3-8-seeds2-all.report.json
+CAMPAIGN_GOLDEN = Path(__file__).resolve().parent / "golden" / "campaign" / "seed3-sizes3-8-seeds2-all.report.json"
+
+
+def test_campaign_matches_its_golden_report(capsys):
+    assert main(["--seed", "3", "campaign", "--sizes", "3-8", "--seeds", "2", "--stages", "all"]) == 0
+    out = capsys.readouterr().out
+    masked = re.sub(r'"generated_at": "[^"]*"', '"generated_at": "<masked>"', out)
+    assert masked.count("<masked>") == 1
+    assert masked == CAMPAIGN_GOLDEN.read_text()
 
 
 @pytest.mark.parametrize(

@@ -28,7 +28,7 @@ from ultrafree.metric import (
 from ultrafree.rtree import dendrogram, verify_retraction_claims
 from ultrafree.serialize import ingest, space_to_json, to_jsonable
 
-from _oracles import fraction_bilipschitz_distortion, scan_validate, strict_max_check
+from _oracles import fraction_bilipschitz_distortion, loop_dyadic_floor, scan_validate, strict_max_check
 from test_freespace import _stress_ultrametrics
 
 
@@ -230,6 +230,26 @@ def test_validate_matches_the_fraction_triple_scan():
     assert kinds == {(True, True), (True, False), (False, False)}
 
 
+def test_rounding_and_the_dyadic_flag_match_the_fraction_entries():
+    # every entry rounded by doubling and halving, and every entry tested, on tied,
+    # coprime, caterpillar and star ultrametrics, their roundings, and each with one
+    # pair's distance scaled, which makes metrics that are no ultrametric and non-metrics
+    rng = random.Random(31)
+    flags = set()
+    for space in _stress_ultrametrics(rng, range(2, 21)):
+        rounded = round_to_dyadic(space)
+        assert rounded.dist == tuple(tuple(loop_dyadic_floor(h) if h else h for h in row) for row in space.dist)
+        for s in (space, rounded, _perturbed(space, rng), _perturbed(rounded, rng)):
+            report = validate(s)
+            dyadic = all(rational.is_power_of_two(s.dist[i][j]) for i in range(len(s)) for j in range(len(s)) if i != j)
+            assert report.is_dyadic == dyadic
+            flags.add((report.is_ultrametric, dyadic))
+            if not report.is_ultrametric:
+                with pytest.raises(ValueError, match="requires an ultrametric space"):
+                    round_to_dyadic(s)
+    assert flags == {(True, True), (True, False), (False, True), (False, False)}
+
+
 def _count_scans(monkeypatch):
     """Record every triple scan that validation runs."""
     scans = []
@@ -333,6 +353,55 @@ def test_new_spaces_get_a_view_of_their_own(four_cluster):
         assert _integer_view(space) == _integer_view(fresh) != view
         assert _single_linkage(space) == _single_linkage(fresh) != merges
     assert _integer_view(halved) == (8, view[1])
+
+
+def test_construction_parses_each_distinct_string_once(monkeypatch):
+    parsed = []
+    real = rational.parse_rational
+    monkeypatch.setattr(rational, "parse_rational", lambda x: parsed.append(x) or real(x))
+    space = random_ultrametric(12, 3)
+    strings = tuple(tuple(str(h) for h in row) for row in space.dist)
+    assert FiniteMetricSpace(space.labels, strings) == space
+    assert sorted(parsed) == sorted({h for row in strings for h in row})
+    parsed.clear()
+    assert FiniteMetricSpace(space.labels, space.dist) == space and parsed == []
+
+
+def _error(value):
+    try:
+        rational.parse_rational(value)
+    except (TypeError, ValueError) as exc:
+        return type(exc), str(exc)
+    raise AssertionError(f"{value!r} parses")
+
+
+@pytest.mark.parametrize("first, second", [
+    ("1", 1), (1, "1"), ("1", Fraction(1)), (Fraction(1), "1"), (1, Fraction(1)),
+    ("1", True), (True, "1"), (1, True), (True, 1), (Fraction(1), True),
+    ("1", 1.0), (1.0, "1"), (1, 1.0), (1.0, 1), (Fraction(1), 1.0),
+    ("1", "1/0"), ("1/0", "1"), ("x", "x"), ("1/0", 1), (1, "x"),
+])
+def test_equal_entries_of_other_types_parse_as_each_alone(tmp_path, capsys, first, second):
+    # 1, True, 1.0 and Fraction(1) compare equal and hash alike: a bool or a float
+    # after an equal int or string, or before it, still raises, and a bad token
+    # raises its own message, through the library and through `ultrafree validate`
+    dist = ((0, first, 1), (second, 0, 1), (1, 1, 0))
+    bad = [x for x in (first, second) if isinstance(x, (bool, float)) or x in ("1/0", "x")]
+    path = tmp_path / "space.json"
+    # JSON reads a decimal literal as a Fraction, never as a float
+    rows = ", ".join("[" + ", ".join("1.0" if isinstance(x, Fraction) else json.dumps(x) for x in row) + "]" for row in dist)
+    path.write_text(f'{{"labels": ["a", "b", "c"], "dist": [{rows}]}}')
+    if not bad:
+        assert FiniteMetricSpace(("a", "b", "c"), dist).dist == ((0, 1, 1), (1, 0, 1), (1, 1, 0))
+        assert main(["validate", str(path)]) == 0
+        return
+    error, message = _error(bad[0])
+    with pytest.raises(error) as raised:
+        FiniteMetricSpace(("a", "b", "c"), dist)
+    assert str(raised.value) == message
+    if not isinstance(bad[0], float):
+        assert main(["validate", str(path)]) == 2
+        assert capsys.readouterr().err == f"error: {path}: {message}\n"
 
 
 def test_construction_parses_only_what_is_not_a_fraction(monkeypatch):
