@@ -9,9 +9,9 @@ makes the telescoped difference vectors a monotone basis.
 
 Since P_n delta_x = delta_{r_n x}, every point evaluation has 0/1
 coordinates in the basis of its own chain, read off the rank table and
-certified by the telescoping identity; the basis constant and the molecule
-expansions of a chain's family come from them, and only families built
-otherwise are inverted.
+certified once by the telescoping identity; the basis constant and the
+molecule expansions of a family from :func:`basis_vectors`, which keeps
+its chain, come from them, and only families built otherwise are inverted.
 
 The chain identities and the closed-form basis constant, the maximum of
 d(r_n x, r_n y) / d(x, y) over the stages n >= 2 and the pairs, come from
@@ -30,7 +30,7 @@ from typing import Optional, Sequence
 
 from .freespace import FreeVector, PointMap, free_norm, molecule, operator_norm_of_extension
 from .linalg import SingularMatrixError, invert_matrix
-from .metric import FiniteMetricSpace, _integer_view
+from .metric import FiniteMetricSpace, _cached, _integer_view
 
 
 @dataclass(frozen=True)
@@ -49,15 +49,20 @@ class RetractionChain:
     def size(self) -> int:
         return len(self.ordering)
 
+    def _stage(self, n: int) -> int:
+        if not 1 <= n <= len(self.ordering):
+            raise ValueError(f"stage {n} is outside 1..{len(self.ordering)}")
+        return n - 1
+
     def rank(self, n: int, point: int) -> int:
-        return self.ranks[n - 1][point]
+        return self.ranks[self._stage(n)][point]
 
     def retract(self, n: int, point: int) -> int:
         """The point index of r_n(point)."""
-        return self.ordering[self.ranks[n - 1][point] - 1]
+        return self.ordering[self.ranks[self._stage(n)][point] - 1]
 
     def kept(self, n: int) -> tuple[int, ...]:
-        return self.ordering[:n]
+        return self.ordering[: self._stage(n) + 1]
 
     def nearest_distance(self, n: int, point: int) -> Fraction:
         """Exact distance from the point to the first n points of the ordering."""
@@ -147,10 +152,10 @@ def verify_chain(chain: RetractionChain) -> ChainReport:
         dist(x, S_n) = dist(y, S_n)                          (locality)
       * every kept point is fixed by its stage
 
-    The report is the one of :func:`_scan_chain`, the single incremental
-    integer scan that also gives the closed form of :func:`basis_constant`.
+    The report is that of the chain's one :func:`_scan_chain`, kept on it,
+    which also gives the closed form of :func:`basis_constant`.
     """
-    return _scan_chain(chain)[0]
+    return _cached(chain, "_scan", _scan_chain)[0]
 
 
 def _scan_chain(chain: RetractionChain) -> tuple[ChainReport, Optional[Fraction]]:
@@ -241,8 +246,8 @@ def _scan_chain(chain: RetractionChain) -> tuple[ChainReport, Optional[Fraction]
 
 
 def retraction_map(chain: RetractionChain, n: int) -> PointMap:
-    """Stage n of the chain as a base-preserving self-map of the space."""
-    image = tuple(chain.retract(n, x) for x in range(chain.size))
+    """Stage n of the chain as a base-preserving self-map of the space; n outside 1..N raises ValueError."""
+    image = tuple(chain.ordering[rank - 1] for rank in chain.ranks[chain._stage(n)])
     return PointMap(chain.space, chain.space, image)
 
 
@@ -297,7 +302,9 @@ def basis_vectors(chain: RetractionChain) -> BasisFamily:
 
     e_k is the evaluation of the (k+1)-st ordered point minus the evaluation
     of its nearest point among the first k; its norm is that nearest
-    distance, by the isometry of the evaluation embedding.
+    distance, by the isometry of the evaluation embedding.  The family keeps
+    ``chain`` outside its fields, as :func:`_cached` does, for
+    :func:`_certified_chain`; the chain never refers back to the family.
     """
     space, order = chain.space, chain.ordering
     one, zeros = Fraction(1), [Fraction(0)] * (chain.size - 1)
@@ -306,20 +313,30 @@ def basis_vectors(chain: RetractionChain) -> BasisFamily:
     for k in range(1, chain.size):
         point = order[k]
         # the anchor is one of the first k points, so never the point itself
-        anchor = chain.retract(k, point)
+        anchor = order[chain.ranks[k - 1][point] - 1]
         coeffs = list(zeros)
         coeffs[point - 1] = one
         if anchor:
             coeffs[anchor - 1] = -one
         vectors.append(FreeVector._exact(tuple(coeffs)))
         norms.append(space.dist[point][anchor])
-    return BasisFamily(space, tuple(vectors), tuple(norms))
+    family = BasisFamily(space, tuple(vectors), tuple(norms))
+    object.__setattr__(family, "_chain", chain)
+    return family
+
+
+def _check_family(space: FiniteMetricSpace, family: BasisFamily) -> None:
+    """Raise ValueError unless the family has N - 1 vectors of N - 1 coefficients each, N = len(space)."""
+    dim = len(space) - 1
+    if any(len(v.coeffs) != dim for v in family.vectors):
+        raise ValueError("family vectors do not live on the given space")
+    if len(family.vectors) != dim:
+        raise ValueError("family size must match the free-space dimension")
 
 
 def _family_inverse(family: BasisFamily) -> list[list[Fraction]]:
+    _check_family(family.space, family)
     dim = len(family.space) - 1
-    if len(family.vectors) != dim:
-        raise ValueError("family size must match the free-space dimension")
     matrix = [[family.vectors[k].coeffs[r] for k in range(dim)] for r in range(dim)]
     try:
         return invert_matrix(matrix)
@@ -339,7 +356,9 @@ def _apply(matrix: list[list[Fraction]], coeffs: Sequence[Fraction]) -> list[Fra
 
 
 def expand_in_basis(family: BasisFamily, v: FreeVector) -> tuple[Fraction, ...]:
-    """Coefficients of v in the family (unique since the family must span)."""
+    """Coefficients of v in the family (unique since the family must span); v must live on its space."""
+    if len(v.coeffs) != len(family.space) - 1:
+        raise ValueError("vector does not live on the family's space")
     return tuple(_apply(_family_inverse(family), v.coeffs))
 
 
@@ -384,44 +403,42 @@ def _telescopes(chain: RetractionChain, rows: Sequence[Sequence[int]]) -> bool:
     the point p added at stage n + 1, together with r_1 x = base and
     r_N x = x.  Summing the identity over n reconstructs delta_{r_n x}
     exactly from the first n - 1 coordinates of x, so every truncation of
-    delta_x is delta_{r_n x}.
+    delta_x is delta_{r_n x}.  The maps r_n are read off the rank rows.
     """
     order, size = chain.ordering, chain.size
-    if any(chain.retract(1, x) != 0 or chain.retract(size, x) != x for x in range(size)):
+    maps = [[order[rank - 1] for rank in row] for row in chain.ranks]
+    if any(maps[0][x] != 0 or maps[-1][x] != x for x in range(size)):
         return False
     for n in range(1, size):
-        added = order[n]
-        anchor = chain.retract(n, added)
+        added, before, after = order[n], maps[n - 1], maps[n]
+        anchor = before[added]
         for x in range(size):
-            after, before = chain.retract(n + 1, x), chain.retract(n, x)
-            if (after, before) != (added, anchor) if rows[x][n - 1] else after != before:
+            if (after[x], before[x]) != (added, anchor) if rows[x][n - 1] else after[x] != before[x]:
                 return False
     return True
+
+
+def _telescoped_rows(chain: RetractionChain) -> Optional[list[tuple[int, ...]]]:
+    rows = _dirac_rows(chain)
+    return rows if _telescopes(chain, rows) else None
 
 
 def _certified_chain(
     space: FiniteMetricSpace, family: BasisFamily
 ) -> Optional[tuple[RetractionChain, list[tuple[int, ...]]]]:
-    """The chain whose basis is ``family`` with its certified Dirac rows, or None.
+    """The chain :func:`basis_vectors` kept on ``family``, if on a space equal to ``space``, and its rows.
 
-    The ordering is read off the positive entry of each e_k, the chain is
-    rebuilt from it, and its basis must be the family itself.  Any other
-    family, and any chain whose rows fail :func:`_telescopes`, gets None.
+    The Dirac rows are checked by :func:`_telescopes` once per chain and
+    kept on it.  Rows that fail, and a family built otherwise, one equal to
+    a chain's family too, give None.  A family without N - 1 vectors of
+    N - 1 coefficients raises ValueError.
     """
-    ordering = [0]
-    for v in family.vectors:
-        positive = [r + 1 for r, c in enumerate(v.coeffs) if c > 0]
-        if len(positive) != 1:
-            return None
-        ordering.append(positive[0])
-    try:
-        chain = build_chain(space, ordering)
-    except ValueError:
+    _check_family(space, family)
+    chain = vars(family).get("_chain")
+    if chain is None or family.space != space:
         return None
-    if basis_vectors(chain) != family:
-        return None
-    rows = _dirac_rows(chain)
-    return (chain, rows) if _telescopes(chain, rows) else None
+    rows = _cached(chain, "_rows", _telescoped_rows)
+    return None if rows is None else (chain, rows)
 
 
 def _molecule_expansions(space: FiniteMetricSpace, family: BasisFamily):
@@ -444,40 +461,20 @@ def basis_constant(space: FiniteMetricSpace, family: BasisFamily) -> Fraction:
 
     Each projection norm is the maximum transport norm of a truncated
     molecule expansion, molecules being the extreme points of the unit
-    ball.  On a chain's own family, whose Dirac rows are certified, the
-    truncation of m_ij after n - 1 vectors is the molecule multiple
-    (delta_{r_n i} - delta_{r_n j}) / d(i, j), so the constant is the
-    maximum of d(r_n i, r_n j) / d(i, j) over the stages n >= 2 and the
-    pairs, read off the one incremental integer scan of
-    :func:`_scan_chain` that also checks the chain identities.  On any
-    other family, truncations that are exact molecule multiples use the
-    same distance closed form and the others go to the transport solver.
-    Equals exactly 1 for chains built on ultrametric spaces.
+    ball.  On the family of :func:`basis_vectors`, which keeps its chain,
+    the truncation of m_ij after n - 1 vectors is the molecule multiple
+    (delta_{r_n i} - delta_{r_n j}) / d(i, j), the Dirac rows certified,
+    so the constant is the maximum of d(r_n i, r_n j) / d(i, j) over the
+    stages n >= 2 and the pairs, read off the chain's one scan, which
+    :func:`verify_chain` reads too.  Any other family, a hand-built copy of
+    a chain's family too, is inverted: exact molecule multiples use the
+    same closed form and the others the transport solver, for the same
+    value.  A family without N - 1 vectors of N - 1 coefficients raises
+    ValueError.  Equals exactly 1 for chains built on ultrametric spaces.
     """
-    closed_form = _certified_chain(space, family) if family.vectors else None
-    constant = None if closed_form is None else _scan_chain(closed_form[0])[1]
+    certified = _certified_chain(space, family)
+    constant = None if certified is None else _cached(certified[0], "_scan", _scan_chain)[1]
     return _basis_constant(space, family) if constant is None else constant
-
-
-def _chain_basis(
-    chain: RetractionChain,
-) -> tuple[ChainReport, BasisFamily, Fraction, Optional[tuple[RetractionChain, list[tuple[int, ...]]]]]:
-    """The report, the family, the basis constant and the certified Dirac rows of a built chain.
-
-    For a chain from :func:`build_chain`, whose family is its own basis: the
-    report and the closed-form constant come from one :func:`_scan_chain`,
-    and the rows, certified by :func:`_telescopes`, are what
-    :func:`_certified_chain` would rebuild from the family.  The constant is
-    read off the closed form only when the rows telescope; the last entry is
-    then (chain, rows), else None and the constant takes the general route.
-    """
-    report, constant = _scan_chain(chain)
-    family = basis_vectors(chain)
-    rows = _dirac_rows(chain)
-    certified = (chain, rows) if _telescopes(chain, rows) else None
-    if certified is None or constant is None:
-        constant = _basis_constant(chain.space, family)
-    return report, family, constant, certified
 
 
 def _basis_constant(space: FiniteMetricSpace, family: BasisFamily) -> Fraction:

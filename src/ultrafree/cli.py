@@ -14,7 +14,7 @@ from functools import cache
 from pathlib import Path
 
 from .campaign import STAGES, CampaignConfig, emit_report, run_campaign
-from .chain import _chain_basis, build_chain
+from .chain import basis_constant, basis_vectors, build_chain, verify_chain
 from .ell1 import pipeline, three_point_report
 from .freespace import free_norm_certificate
 from .metric import CertificationError, StructuralError, validate
@@ -158,7 +158,8 @@ def _cmd_basis(args) -> int:
     else:
         ordering = tuple(range(len(space)))
     chain = build_chain(space, ordering)
-    report, family, constant, _ = _chain_basis(chain)
+    family = basis_vectors(chain)
+    report, constant = verify_chain(chain), basis_constant(space, family)
     _emit(
         {
             "ordering": list(ordering),

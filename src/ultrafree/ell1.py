@@ -24,9 +24,9 @@ The unit ball of the free space is the convex hull of the +-molecules
 m_ij = (delta_i - delta_j) / d(i, j), so the lower l1 constant of a family
 is 1 / max_{i<j} Phi(m_ij), where Phi(x) = sum |c_k(x)| * norm(e_k) over
 the coefficients c(x) of x in the family; its witness, the maximizing
-molecule scaled to Phi = 1, is certified by one transport solve.  On a
-chain's own family the coefficients of m_ij are the difference of the
-certified 0/1 Dirac rows of i and j over d(i, j).
+molecule scaled to Phi = 1, is certified by one transport solve.  On the
+family of a chain, which keeps its chain, the coefficients of m_ij are the
+difference of the chain's certified 0/1 Dirac rows of i and j over d(i, j).
 """
 
 from __future__ import annotations
@@ -37,7 +37,9 @@ from fractions import Fraction
 from math import lcm
 from typing import NamedTuple, Optional, Sequence
 
-from .chain import BasisFamily, _certified_chain, _chain_basis, _molecule_expansions, build_chain
+from .chain import (
+    BasisFamily, _certified_chain, _molecule_expansions, basis_constant, basis_vectors, build_chain, verify_chain
+)
 from .freespace import (
     FreeNormCertificate,
     FreeVector,
@@ -523,18 +525,37 @@ def l1_equivalence_constants(space: FiniteMetricSpace, family: BasisFamily) -> L
     the convex hull of the +-molecules and Phi is convex and even, so the
     maximum is attained at a molecule: lower = 1 / max_{i<j} Phi(m_ij).
 
-    On a chain's own family, Phi(m_ij) is the sum of norm(e_k) over the k
-    where the certified 0/1 Dirac rows of i and j differ, over d(i, j).
-    The value is certified by its witness w = m*/Phi(m*), at the maximizing
-    molecule m*: the coefficients must reconstruct m* exactly, and the
-    transport norm of w must equal the returned lower constant.  A family
-    that does not span the free space raises ValueError.
+    On the family of a chain, which keeps it, Phi(m_ij) is the sum of
+    norm(e_k) over the k where the certified 0/1 Dirac rows of i and j
+    differ, over d(i, j); any other family, a hand-built copy of it too, is
+    inverted, for the same value.  The value is certified by its witness
+    w = m*/Phi(m*), at the maximizing molecule m*: the coefficients must
+    reconstruct m* exactly, and the transport norm of w must equal the
+    returned lower constant.  A family that is empty, does not fit the
+    space or does not span the free space raises ValueError.
     """
     if not family.vectors:
         raise ValueError("family is empty")
-    if any(len(v.coeffs) != len(space) - 1 for v in family.vectors):
-        raise ValueError("family vectors do not live on the given space")
-    return _l1_equivalence_constants(space, family, _certified_chain(space, family))
+    certified = _certified_chain(space, family)
+    if certified is None:
+        phi, i, j, coeffs = max(
+            (
+                (sum((abs(c) * norm for c, norm in zip(coeffs, family.norms)), Fraction(0)), i, j, coeffs)
+                for i, j, coeffs in _molecule_expansions(space, family)
+            ),
+            key=lambda entry: entry[0],
+        )
+    else:
+        rows = certified[1]
+        phi, i, j = _chain_phi(space, family.norms, rows)
+        coeffs = [(a - b) / space.dist[i][j] for a, b in zip(rows[i], rows[j])]
+    lower = 1 / phi
+    m = molecule(space, i, j)
+    if _combination(len(space) - 1, family.vectors, coeffs) != list(m.coeffs):
+        raise CertificationError(f"l1 witness at pair ({i}, {j}) does not reconstruct its molecule")
+    if free_norm_certificate(space, lower * m).value != lower:
+        raise CertificationError(f"l1 witness at pair ({i}, {j}) does not attain the lower constant")
+    return L1Constants(lower, Fraction(1))
 
 
 def _chain_phi(
@@ -563,29 +584,6 @@ def _chain_phi(
                 best = total, row[j], i, j
     total, bottom, i, j = best
     return Fraction(total * q, unit * bottom), i, j
-
-
-def _l1_equivalence_constants(space: FiniteMetricSpace, family: BasisFamily, certified) -> L1Constants:
-    """The body of :func:`l1_equivalence_constants`; ``certified`` is ``_certified_chain(space, family)``."""
-    if certified is None:
-        phi, i, j, coeffs = max(
-            (
-                (sum((abs(c) * norm for c, norm in zip(coeffs, family.norms)), Fraction(0)), i, j, coeffs)
-                for i, j, coeffs in _molecule_expansions(space, family)
-            ),
-            key=lambda entry: entry[0],
-        )
-    else:
-        rows = certified[1]
-        phi, i, j = _chain_phi(space, family.norms, rows)
-        coeffs = [(a - b) / space.dist[i][j] for a, b in zip(rows[i], rows[j])]
-    lower = 1 / phi
-    m = molecule(space, i, j)
-    if _combination(len(space) - 1, family.vectors, coeffs) != list(m.coeffs):
-        raise CertificationError(f"l1 witness at pair ({i}, {j}) does not reconstruct its molecule")
-    if free_norm_certificate(space, lower * m).value != lower:
-        raise CertificationError(f"l1 witness at pair ({i}, {j}) does not attain the lower constant")
-    return L1Constants(lower, Fraction(1))
 
 
 def three_point_space(s: Fraction) -> FiniteMetricSpace:
@@ -778,10 +776,10 @@ def pipeline(
     its rounding are validated by their cached single-linkage merges.  The
     dendrogram of the rounding is kept on it, and its node distances,
     certified once, serve the claims, the node spaces and the battery.  The
-    chain identities and the basis constant come from one incremental
-    integer scan of the chain just built, its Dirac rows are certified
-    once, and the l1 constants are read off them in integers; the one
-    transport solve left is the witness of the l1 lower constant.
+    chain identities, the basis constant and the l1 constants are read
+    through the public functions off the chain's one scan and its Dirac
+    rows, certified once, in integers; the one transport solve left is the
+    witness of the l1 lower constant.
     """
     if len(space) < 2:
         raise ValueError("pipeline needs at least two points")
@@ -797,8 +795,9 @@ def pipeline(
     claims, image = _retraction_claims(rounded)
     ambient = node_space(tree)
     _certify_edge_flow_battery(tree, oracle_vectors, seed)
-    chain_report, family, constant, recognised = _chain_basis(build_chain(space, ordering))
-    l1 = _l1_equivalence_constants(space, family, recognised)
+    chain = build_chain(space, ordering)
+    family = basis_vectors(chain)
+    constant, l1 = basis_constant(space, family), l1_equivalence_constants(space, family)
     projection = operator_norm_of_extension(PointMap(ambient, ambient, tuple(image)))
     return PipelineReport(
         size=len(space),
@@ -808,6 +807,6 @@ def pipeline(
         basis_constant=constant,
         l1_lower=l1.lower,
         l1_upper=l1.upper,
-        chain_ok=chain_report.passed,
+        chain_ok=verify_chain(chain).passed,
         claims_ok=claims.passed,
     )

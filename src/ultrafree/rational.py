@@ -35,7 +35,8 @@ def parse_rational(value: object) -> Fraction:
 
 def _rationals(values) -> tuple[Fraction, ...]:
     """:func:`parse_rational` of each value, passing Fractions through without parsing them again."""
-    return tuple(x if isinstance(x, Fraction) else parse_rational(x) for x in values)
+    # the exact type: isinstance of the ABC Fraction is slow on anything else
+    return tuple(x if type(x) is Fraction else parse_rational(x) for x in values)
 
 
 def _rational_rows(rows) -> tuple[tuple[Fraction, ...], ...]:
@@ -54,7 +55,7 @@ def _rational_rows(rows) -> tuple[tuple[Fraction, ...], ...]:
             parsed[x] = parse_rational(x)
         return parsed[x]
 
-    return tuple(tuple(x if isinstance(x, Fraction) else rational(x) for x in row) for row in rows)
+    return tuple(tuple(x if type(x) is Fraction else rational(x) for x in row) for row in rows)
 
 
 def is_power_of_two(q: Fraction) -> bool:

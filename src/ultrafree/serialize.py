@@ -29,9 +29,9 @@ def to_jsonable(obj: Any) -> Any:
     keeps emitted reports byte-stable), tuples become lists.  Sets are
     refused like floats: their iteration order would make reports unstable.
     """
-    if isinstance(obj, Fraction):
+    if type(obj) is Fraction:  # a subclass comes last: isinstance of the ABC Fraction is slow on anything else
         return str(obj)
-    if isinstance(obj, bool) or obj is None or isinstance(obj, (int, str)):
+    if obj is None or isinstance(obj, (int, str)):
         return obj
     if dataclasses.is_dataclass(obj) and not isinstance(obj, type):
         return {f.name: to_jsonable(getattr(obj, f.name)) for f in dataclasses.fields(obj)}
@@ -39,6 +39,8 @@ def to_jsonable(obj: Any) -> Any:
         return {str(k): to_jsonable(v) for k, v in obj.items()}
     if isinstance(obj, (list, tuple)):
         return [to_jsonable(v) for v in obj]
+    if isinstance(obj, Fraction):
+        return str(obj)
     if isinstance(obj, float):
         raise TypeError("refusing to serialize a float")
     raise TypeError(f"cannot serialize {type(obj).__name__}")

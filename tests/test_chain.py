@@ -1,4 +1,5 @@
 import json
+import pickle
 import random
 from fractions import Fraction
 
@@ -25,7 +26,7 @@ from ultrafree.chain import (
 from ultrafree.campaign import CampaignConfig, run_campaign
 from ultrafree.cli import main
 from ultrafree.ell1 import l1_equivalence_constants, pipeline
-from ultrafree.freespace import dirac, free_norm, lipschitz_constant, molecule, operator_norm_of_extension
+from ultrafree.freespace import FreeVector, dirac, free_norm, lipschitz_constant, molecule, operator_norm_of_extension
 from ultrafree.metric import FiniteMetricSpace, random_ultrametric
 from ultrafree.serialize import dump_json, space_to_json
 
@@ -252,7 +253,8 @@ def test_telescoping_rejects_every_corrupted_entry():
 
 def test_corrupted_rows_fall_back_to_the_inverse(monkeypatch):
     space = random_ultrametric(7, 12)
-    family = basis_vectors(build_chain(space, (0, 3, 1, 6, 2, 5, 4)))
+    ordering = (0, 3, 1, 6, 2, 5, 4)
+    family = basis_vectors(build_chain(space, ordering))
     expected = basis_constant(space, family), l1_equivalence_constants(space, family).lower
     real_rows = chain_module._dirac_rows
 
@@ -265,6 +267,8 @@ def test_corrupted_rows_fall_back_to_the_inverse(monkeypatch):
     real_inverse = chain_module._family_inverse
     monkeypatch.setattr(chain_module, "_dirac_rows", corrupted)
     monkeypatch.setattr(chain_module, "_family_inverse", lambda fam: inversions.append(1) or real_inverse(fam))
+    # the rows are certified once per chain and kept on it, so the family is built after the patch
+    family = basis_vectors(build_chain(space, ordering))
     assert _certified_chain(space, family) is None
     assert (basis_constant(space, family), l1_equivalence_constants(space, family).lower) == expected
     assert len(inversions) == 2
@@ -522,3 +526,122 @@ def test_zero_distance_keeps_the_report_and_refuses_the_constant():
     assert _scan_chain(chain)[1] is None
     with pytest.raises(ZeroDivisionError):
         basis_constant(space, basis_vectors(chain))
+
+
+def _count_chain_readings(monkeypatch):
+    """Record the ordering of every chain that is scanned, and of every one whose Dirac rows are checked."""
+    scans, telescoped = [], []
+    real_scan, real_telescopes = chain_module._scan_chain, chain_module._telescopes
+    monkeypatch.setattr(chain_module, "_scan_chain", lambda chain: scans.append(chain.ordering) or real_scan(chain))
+    monkeypatch.setattr(
+        chain_module, "_telescopes", lambda chain, rows: telescoped.append(chain.ordering) or real_telescopes(chain, rows)
+    )
+    return scans, telescoped
+
+
+def test_each_chain_is_scanned_and_certified_once(tmp_path, monkeypatch, capsys):
+    scans, telescoped = _count_chain_readings(monkeypatch)
+    space = random_ultrametric(6, 4)
+    chain = build_chain(space, (0, 2, 1, 3, 5, 4))
+    family = basis_vectors(chain)
+    assert verify_chain(chain).passed and verify_chain(chain).passed
+    assert basis_constant(space, family) == basis_constant(space, basis_vectors(chain)) == 1
+    assert l1_equivalence_constants(space, family) == l1_equivalence_constants(space, basis_vectors(chain))
+    assert scans == telescoped == [chain.ordering]
+    del scans[:], telescoped[:]
+    path = tmp_path / "space.json"
+    dump_json(space_to_json(space), path)
+    assert main(["basis", str(path)]) == 0
+    assert json.loads(capsys.readouterr().out)["basis_constant"] == "1"
+    assert scans == telescoped == [tuple(range(6))]
+    del scans[:], telescoped[:]
+    assert run_campaign(CampaignConfig(sizes=(5,), seeds=1, stages=("validate", "basis", "embed"))).passed
+    assert scans == telescoped and len(scans) == 2 and scans[0] == tuple(range(5)) != scans[1]
+    del scans[:], telescoped[:]
+    assert pipeline(space).passed
+    assert scans == telescoped == [tuple(range(6))]
+
+
+def _counted_inversions(monkeypatch):
+    inversions = []
+    real_inverse = chain_module._family_inverse
+    monkeypatch.setattr(chain_module, "_family_inverse", lambda fam: inversions.append(1) or real_inverse(fam))
+    return inversions
+
+
+def test_a_hand_built_copy_of_a_chain_family_is_inverted_to_the_same_values(monkeypatch):
+    rng = random.Random(37)
+    inversions = _counted_inversions(monkeypatch)
+    for n in range(2, 9):
+        space = random_ultrametric(n, 90 + n)
+        family = basis_vectors(_shuffled_chain(space, rng))
+        expected = basis_constant(space, family), l1_equivalence_constants(space, family)
+        assert inversions == []
+        copy = BasisFamily(family.space, family.vectors, family.norms)
+        assert copy == family and hash(copy) == hash(family) and repr(copy) == repr(family)
+        assert _certified_chain(space, copy) is None
+        assert (basis_constant(space, copy), l1_equivalence_constants(space, copy)) == expected
+        assert len(inversions) == 2
+        inversions.clear()
+
+
+def test_an_equal_space_takes_the_closed_form(monkeypatch):
+    space = random_ultrametric(7, 5)
+    family = basis_vectors(build_chain(space, (0, 4, 2, 6, 1, 3, 5)))
+    lower = orthant_l1_lower(space, family)
+    twin = FiniteMetricSpace(space.labels, space.dist)
+    assert twin == space and twin is not space
+    other = random_ultrametric(7, 6)
+    assert _certified_chain(other, family) is None
+    _rejects_inverse(monkeypatch)
+    assert _certified_chain(twin, family)[0] is _certified_chain(space, family)[0]
+    assert basis_constant(twin, family) == 1
+    assert l1_equivalence_constants(twin, family).lower == lower
+
+
+def test_a_family_survives_a_pickle_round_trip(monkeypatch):
+    space = random_ultrametric(6, 8)
+    family = basis_vectors(build_chain(space, (0, 3, 1, 5, 2, 4)))
+    expected = basis_constant(space, family), l1_equivalence_constants(space, family)
+    back = pickle.loads(pickle.dumps(family))
+    assert back == family and hash(back) == hash(family) and repr(back) == repr(family)
+    # the kept chain travels with the family, so the copy still takes the closed form
+    _rejects_inverse(monkeypatch)
+    assert (basis_constant(space, back), l1_equivalence_constants(space, back)) == expected
+
+
+def test_families_that_do_not_fit_the_space_are_refused():
+    three, four = random_ultrametric(3, 1), random_ultrametric(4, 1)
+    family3, family4 = basis_vectors(build_chain(three)), basis_vectors(build_chain(four))
+    first, second, _ = family4.vectors
+    cases = [
+        (four, BasisFamily(four, (), ()), "family size must match the free-space dimension"),
+        (three, family4, "family vectors do not live on the given space"),
+        (four, family3, "family vectors do not live on the given space"),
+        (four, BasisFamily(four, (first, second), family4.norms[:2]), "family size must match the free-space dimension"),
+    ]
+    for space, family, message in cases:
+        with pytest.raises(ValueError, match=f"^{message}$"):
+            basis_constant(space, family)
+        with pytest.raises(ValueError, match=f"^{'family is empty' if not family.vectors else message}$"):
+            l1_equivalence_constants(space, family)
+    with pytest.raises(ValueError, match="^vector does not live on the family's space$"):
+        expand_in_basis(family4, FreeVector((1, 2)))
+    assert expand_in_basis(family4, dirac(four, 3)) == expand_in_basis(family4, FreeVector((0, 0, 1)))
+    point = FiniteMetricSpace(("0",), ((0,),))
+    assert basis_constant(point, BasisFamily(point, (), ())) == basis_constant(point, basis_vectors(build_chain(point))) == 1
+
+
+@pytest.mark.parametrize("n", [0, -1, 4, 5])
+def test_a_stage_outside_the_chain_is_refused(triangle, n):
+    chain = build_chain(triangle)
+    message = rf"^stage {n} is outside 1\.\.3$"
+    with pytest.raises(ValueError, match=message):
+        retraction_map(chain, n)
+    for read in (chain.rank, chain.retract, chain.nearest_distance):
+        with pytest.raises(ValueError, match=message):
+            read(n, 1)
+    with pytest.raises(ValueError, match=message):
+        chain.kept(n)
+    assert [retraction_map(chain, m).image for m in (1, 2, 3)] == [(0, 0, 0), (0, 1, 1), (0, 1, 2)]
+    assert [chain.kept(m) for m in (1, 2, 3)] == [(0,), (0, 1), (0, 1, 2)]

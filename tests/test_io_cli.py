@@ -10,6 +10,7 @@ from ultrafree.campaign import CampaignConfig, emit_report, run_campaign
 from ultrafree.cli import main
 from ultrafree.freespace import FreeVector
 from ultrafree.metric import FiniteMetricSpace, random_ultrametric
+from ultrafree.rational import _rational_rows, _rationals
 from ultrafree.rtree import verify_retraction_claims
 from ultrafree.simplex import LpResult
 from test_rtree import CORRUPTED_MERGE_TREES, corrupt_merge_tree, count_path_metric_certificates
@@ -114,6 +115,26 @@ def test_to_jsonable_refuses_sets(value):
     # a set would be emitted in iteration order, which is not byte-stable
     with pytest.raises(TypeError, match="cannot serialize"):
         to_jsonable(value)
+
+
+class _Quarter(Fraction):
+    """A Fraction subclass: it must be read and emitted as a Fraction."""
+
+
+def test_fraction_subclasses_bools_floats_and_sets_keep_their_treatment():
+    quarter = _Quarter(1, 4)
+    assert to_jsonable([quarter, True, 2, None, "x", Fraction(1, 2)]) == ["1/4", True, 2, None, "x", "1/2"]
+    assert to_jsonable({"q": quarter}) == {"q": "1/4"}
+    assert _rationals([quarter])[0] is quarter and _rational_rows([[quarter]])[0][0] is quarter
+    assert FreeVector((quarter,)).coeffs[0] is quarter
+    for value, message in ((0.5, "refusing to serialize a float"), ({1}, "cannot serialize set")):
+        with pytest.raises(TypeError, match=f"^{message}$"):
+            to_jsonable(value)
+    cases = ((True, "expected a rational number, got bool True"), (0.5, "refusing float 0.5"), ({1}, "cannot convert set"))
+    for value, message in cases:
+        for read in (lambda: _rationals([value]), lambda: _rational_rows([["1", value]])):
+            with pytest.raises(TypeError, match=f"^{message}"):
+                read()
 
 
 def _write_triangle(tmp_path, name="space.json", base_to_y="1"):

@@ -1,3 +1,4 @@
+import ast
 import os
 import subprocess
 import sys
@@ -18,3 +19,23 @@ def test_importing_the_package_and_the_cli_leaves_numpy_out():
         [sys.executable, "-c", code], cwd=ROOT, env=env, capture_output=True, text=True, check=True
     )
     assert result.stdout.strip() == "False"
+
+
+def _traced_layers() -> tuple[str, ...]:
+    """The ``LAYERS`` tuple of bench/tracer.py, read from its source without running it."""
+    tree = ast.parse((ROOT / "bench" / "tracer.py").read_text())
+    for node in tree.body:
+        if isinstance(node, ast.Assign) and [getattr(t, "id", None) for t in node.targets] == ["LAYERS"]:
+            return ast.literal_eval(node.value)
+    raise AssertionError("bench/tracer.py assigns no LAYERS")
+
+
+def test_importing_the_package_and_the_cli_loads_every_traced_layer():
+    # the bench tracer reads the module ultrafree.<layer> of each layer from sys.modules
+    layers = _traced_layers()
+    code = "import sys, ultrafree, ultrafree.cli; print(*sorted(sys.modules))"
+    env = {**os.environ, "PYTHONPATH": str(ROOT / "src")}
+    result = subprocess.run(
+        [sys.executable, "-c", code], cwd=ROOT, env=env, capture_output=True, text=True, check=True
+    )
+    assert layers and sorted({f"ultrafree.{layer}" for layer in layers} - set(result.stdout.split())) == []
