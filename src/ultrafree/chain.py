@@ -54,19 +54,25 @@ class RetractionChain:
             raise ValueError(f"stage {n} is outside 1..{len(self.ordering)}")
         return n - 1
 
+    def _point(self, point: int) -> int:
+        if not 0 <= point < len(self.ordering):
+            raise ValueError(f"point {point} is outside 0..{len(self.ordering) - 1}")
+        return point
+
     def rank(self, n: int, point: int) -> int:
-        return self.ranks[self._stage(n)][point]
+        return self.ranks[self._stage(n)][self._point(point)]
 
     def retract(self, n: int, point: int) -> int:
         """The point index of r_n(point)."""
-        return self.ordering[self.ranks[self._stage(n)][point] - 1]
+        return self.ordering[self.ranks[self._stage(n)][self._point(point)] - 1]
 
     def kept(self, n: int) -> tuple[int, ...]:
         return self.ordering[: self._stage(n) + 1]
 
     def nearest_distance(self, n: int, point: int) -> Fraction:
         """Exact distance from the point to the first n points of the ordering."""
-        return self.space.dist[point][self.retract(n, point)]
+        image = self.retract(n, point)  # checks the point before its row is read
+        return self.space.dist[point][image]
 
 
 @dataclass(frozen=True)

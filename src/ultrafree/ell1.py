@@ -17,8 +17,9 @@ common scale, and each vector's coefficients are scaled by the lcm of
 their denominators.  Every check of the certificate is then an integer
 comparison; Fractions are built only for a returned certificate.  The
 difference delta_i - delta_j of two nodes has its flow and its potential
-steps on the tree path from i to j alone (Godard 2010), so the node pairs
-of a battery are certified on their paths.
+steps on the tree path from i to j alone (Godard 2010), so once every edge
+length is checked against its distance, the node pairs of a battery are
+certified by their path sums, from one walk of the tree per source node.
 
 The unit ball of the free space is the convex hull of the +-molecules
 m_ij = (delta_i - delta_j) / d(i, j), so the lower l1 constant of a family
@@ -63,7 +64,7 @@ from .metric import (
     validate,
 )
 from .rational import parse_rational
-from .rtree import DendrogramTree, _retraction_claims, dendrogram, node_space, rooted_node_space
+from .rtree import DendrogramTree, _path_sums, _retraction_claims, dendrogram, node_space, rooted_node_space
 
 
 @dataclass(frozen=True)
@@ -220,15 +221,13 @@ class _ScaledTree(NamedTuple):
     ``edges`` holds (child, parent, length) in root-based node-space indices,
     highest child first, with the lengths of ``tree.edge_length``; ``dist``
     holds the node-space distance on both orientations of every edge, the
-    independent side the lengths are checked against.  ``position[x]`` is
-    the index in ``edges`` of the edge from x to its parent, -1 at the root.
+    independent side the lengths are checked against.
     """
 
     scale: int
     edges: tuple[tuple[int, int, int], ...]
     dist: dict[tuple[int, int], int]
     parent: tuple[int, ...]
-    position: tuple[int, ...]
     labels: tuple[str, ...]
 
 
@@ -240,18 +239,17 @@ def _scaled_tree(tree: DendrogramTree) -> _ScaledTree:
 def _prepared_tree(tree: DendrogramTree) -> _ScaledTree:
     ambient = rooted_node_space(tree)
     edges, d = _top_down(tree), ambient.dist
-    dist, parent, position = {}, [-1] * len(tree.nodes), [-1] * len(tree.nodes)
-    for k, (child, up, _) in enumerate(edges):
+    dist, parent = {}, [-1] * len(tree.nodes)
+    for child, up, _ in edges:
         dist[child, up] = d[child][up]
         dist[up, child] = d[up][child]
-        parent[child], position[child] = up, k
+        parent[child] = up
     scale = lcm(*(x.denominator for x in dist.values()), *(length.denominator for *_, length in edges))
     return _ScaledTree(
         scale,
         tuple((child, up, int(length * scale)) for child, up, length in edges),
         {arc: int(x * scale) for arc, x in dist.items()},
         tuple(parent),
-        tuple(position),
         ambient.labels,
     )
 
@@ -335,80 +333,38 @@ def _checked_coefficients(
     return value, unit, flow, g
 
 
-def _path_solution(tree: _ScaledTree, i: int, j: int) -> tuple[int, list[tuple[int, int, int]], dict[int, int]]:
-    """The edge-flow solution of delta_i - delta_j on the tree path from i to j, unchecked.
+def _checked_node_pairs(tree: _ScaledTree, d: Sequence[Sequence[Fraction]]) -> None:
+    """Certify that the edge-flow norm of delta_i - delta_j is d[i][j] for every node pair i < j, one walk per source.
 
-    One unit of flow runs up from i to the lowest common ancestor of i and
-    j and down from it to j.  Returns the value, the sum of the path's edge
-    lengths; the arcs (position, a, b), one unit from a to b along the edge
-    at ``position`` in ``tree.edges``, in that order; and the potential on
-    the path nodes, in units of 1/scale: 0 at the ancestor, stepping by
-    + length down to i and by - length down to j.  The root is point 0.
+    Every edge length must equal the node-space distance ``tree.dist`` on
+    both orientations, parent to child first; then the walk of the tree
+    from each node i gives the path sums path(i, .) of the lengths, and
+    the value path(i, j) of each pair (i, j > i) must be d[i][j].  The
+    messages are those of :func:`_checked_coefficients`; with at most one
+    edge off, those it gives on the first failing pair.  O(nodes^2) in all,
+    in integers.
+
+    This certifies delta_i - delta_j, whose subtree masses are +1 on the
+    path edges towards i, -1 towards j and 0 elsewhere.  Its flow, one unit
+    along the tree path from i to j, balances +1 at i and -1 at j and costs
+    the value, every edge length being its distance.  Its potential
+    g = -path(i, .) steps by the distance on every edge, so it is tight on
+    the path and 1-Lipschitz (the lengths are the positive height gaps of
+    the certified dendrogram), and g(i) - g(j) is the value.
     """
-    parent, edges, position = tree.parent, tree.edges, tree.position
-    rise = [i]
-    while rise[-1]:
-        rise.append(parent[rise[-1]])
-    above = {x: k for k, x in enumerate(rise)}
-    fall = []
-    top = j
-    while top not in above:
-        fall.append(top)
-        top = parent[top]
-    g = {top: 0}
-    arcs = []
-    value = 0
-    for step, nodes in ((1, rise[: above[top]]), (-1, fall)):
-        for x in reversed(nodes):
-            k = position[x]
-            _, up, length = edges[k]
-            g[x] = g[up] + step * length
-            value += length
-            arcs.append((k, x, up) if step > 0 else (k, up, x))
-    arcs.sort()
-    return value, arcs, g
-
-
-def _checked_pair(tree: _ScaledTree, i: int, j: int, distance: Fraction) -> None:
-    """Certify that the edge-flow norm of delta_i - delta_j is ``distance``, on the tree path alone.
-
-    Checked on the solution of :func:`_path_solution`: each path arc is a
-    tree edge (a ``dist`` lookup) and the potential is tight on it; the
-    cost, the sum of ``dist`` along the path, is the value, the sum of the
-    kernel lengths; g(i) - g(j) is the value; and the value is
-    ``distance``.  The messages are those of :func:`_checked_coefficients`.
-
-    This is that dense check on delta_i - delta_j, whose subtree masses are
-    +1 on the path edges towards i, -1 towards j and 0 elsewhere, so whose
-    flow and sign potential are these.  The checks left out hold by this
-    representation.  Every arc carries 1 > 0.  Off the path the flow and
-    the subtree mass are 0, and the potential is constant on every subtree
-    hanging off the path (0 at and above the ancestor), so each off-path
-    edge has a zero step, at most its distance: the dense checks of the
-    battery's random vectors, run first, find every edge distance
-    non-negative.  On a path arc the step is the distance, by tightness.
-    Every off-path divergence is 0, its coefficient; an interior path node
-    passes on the unit it takes in; i sends out 1 and j takes in 1, their
-    coefficients; the root is not constrained.
-    """
-    value, arcs, g = _path_solution(tree, i, j)
-    dist = tree.dist
-    cost = 0
-    for _, a, b in arcs:
-        length = dist.get((a, b))
-        if length is None:
-            raise CertificationError(f"flow arc {_edge(tree, a, b)} is not a tree edge")
-        if g[a] - g[b] != length:
-            raise CertificationError(f"potential does not drop by the length of edge {_edge(tree, a, b)}")
-        cost += length
-    if cost != value:
-        raise CertificationError(
-            f"edge flow costs {Fraction(cost, tree.scale)}, not the value {Fraction(value, tree.scale)}"
-        )
-    if g[i] - g[j] != value:
-        raise CertificationError(f"sign potential does not attain the value {Fraction(value, tree.scale)}")
-    if value * distance.denominator != distance.numerator * tree.scale:
-        raise CertificationError(f"edge-flow norm of the pair {_edge(tree, i, j)} is not its distance")
+    adjacent: list[list[tuple[int, int]]] = [[] for _ in tree.parent]
+    for child, up, length in tree.edges:
+        for a, b in ((up, child), (child, up)):
+            if (a, b) not in tree.dist:
+                raise CertificationError(f"flow arc {_edge(tree, a, b)} is not a tree edge")
+            if tree.dist[a, b] != length:
+                raise CertificationError(f"potential does not drop by the length of edge {_edge(tree, a, b)}")
+            adjacent[b].append((a, length))
+    for i, row in enumerate(d[:-1]):
+        path = _path_sums(adjacent, i)
+        for j in range(i + 1, len(row)):
+            if path[j] * row[j].denominator != row[j].numerator * tree.scale:
+                raise CertificationError(f"edge-flow norm of the pair {_edge(tree, i, j)} is not its distance")
 
 
 def tree_norm_certificate(tree: DendrogramTree, v: FreeVector) -> FreeNormCertificate:
@@ -436,16 +392,13 @@ def _certify_edge_flow_battery(tree: DendrogramTree, vectors: int, seed: int) ->
     (:func:`_scaled_tree`).  The random and leaf-supported vectors, drawn as
     integers over :data:`_DRAW_UNIT`, get every check of
     :func:`_checked_coefficients`, O(n) each for n nodes.  Every node pair
-    (i, j) is then certified on its own tree path by :func:`_checked_pair`,
-    in time linear in the path's length, and its norm must be d(i, j).
+    (i, j) is then certified by :func:`_checked_node_pairs` from one walk
+    of the tree per source, O(n^2) in all, and its norm must be d(i, j).
     """
     scaled, ambient = _scaled_tree(tree), rooted_node_space(tree)
     for coeffs in _battery_draws(tree.space, ambient, vectors, seed):
         _checked_coefficients(scaled, coeffs, _DRAW_UNIT)
-    d = ambient.dist
-    for i in range(len(ambient)):
-        for j in range(i + 1, len(ambient)):
-            _checked_pair(scaled, i, j, d[i][j])
+    _checked_node_pairs(scaled, ambient.dist)
 
 
 def edge_molecules(tree: DendrogramTree) -> BasisFamily:
@@ -768,11 +721,12 @@ def pipeline(
     certified on the battery of :func:`oracle_vs_lp` (``oracle_vectors``
     random vectors, the leaf-supported ones and every node pair) by its own
     flow and potential, in integers on the tree prepared once: the random
-    vectors over the whole tree, each node pair on its own tree path (see
-    :func:`_certify_edge_flow_battery`).  The projection norm is the
-    Lipschitz constant of the retraction on the node space, found by
-    cross-multiplication on integers and certified at its witness pair; a
-    failed certificate raises :class:`CertificationError`.  The input and
+    vectors over the whole tree, the node pairs by their path sums, one
+    walk of the tree per source (see :func:`_certify_edge_flow_battery`).
+    The projection norm is the Lipschitz constant of the retraction on the
+    node space, found by cross-multiplication on integers and certified at
+    its witness pair; a failed certificate raises
+    :class:`CertificationError`.  The input and
     its rounding are validated by their cached single-linkage merges.  The
     dendrogram of the rounding is kept on it, and its node distances,
     certified once, serve the claims, the node spaces and the battery.  The

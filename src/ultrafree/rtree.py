@@ -17,11 +17,13 @@ pair in integers, and verifies the nearest-anchor retraction back onto the
 original points together with its Lipschitz bounds (factor 2 from a leaf to
 a branching point, factor 4 between branching points, on
 power-of-two-valued spaces), on the same certified node distances, which
-the tree keeps (see :func:`ultrafree.metric._cached`).
+the tree keeps (see :func:`ultrafree.metric._cached`); the space keeps its
+tree through a weak reference.
 """
 
 from __future__ import annotations
 
+import weakref
 from dataclasses import dataclass
 from fractions import Fraction
 from itertools import combinations, combinations_with_replacement
@@ -49,10 +51,12 @@ class TreePoint:
     height: Fraction
 
     def __post_init__(self) -> None:
-        height = parse_rational(self.height)
+        anchor, height = int(self.anchor), parse_rational(self.height)
+        if anchor < 0:
+            raise ValueError("anchor must be a nonnegative point index")
         if height < 0:
             raise ValueError("height must be nonnegative")
-        object.__setattr__(self, "anchor", int(self.anchor))
+        object.__setattr__(self, "anchor", anchor)
         object.__setattr__(self, "height", height)
 
 
@@ -448,12 +452,19 @@ def dendrogram(space: FiniteMetricSpace) -> DendrogramTree:
     with the closed-form quotient distance, in integers, and raises on any
     mismatch, and additionally checks that every branching node has at
     least two children.  A space that is not an ultrametric is refused.
-    The certified tree is kept on the space: ``dendrogram(s) is
-    dendrogram(s)``, and a failed certificate raises on every call.
+    The space keeps its certified tree through a weak reference, since the
+    tree refers to the space: ``dendrogram(s) is dendrogram(s)`` while the
+    tree is held, both are freed by reference counting once neither is,
+    and a failed certificate raises on every call.
     """
     if not validate(space).is_ultrametric:
         raise ValueError("dendrogram requires an ultrametric space")
-    return _cached(space, "_tree", _certified_dendrogram)
+    kept = vars(space).get("_tree")
+    tree = None if kept is None else kept()
+    if tree is None:
+        tree = _certified_dendrogram(space)
+        object.__setattr__(space, "_tree", weakref.ref(tree))
+    return tree
 
 
 def _certified_dendrogram(space: FiniteMetricSpace) -> DendrogramTree:
@@ -503,14 +514,7 @@ def _certify_path_metric(tree: DendrogramTree) -> _Scaled:
             adjacent[p].append((k, length))
     rows = []
     for i in range(count):
-        path = [0] * count
-        stack = [(i, -1)]
-        while stack:
-            u, came = stack.pop()
-            for v, length in adjacent[u]:
-                if v != came:
-                    path[v] = path[u] + length
-                    stack.append((v, u))
+        path = _path_sums(adjacent, i)
         hi, di = height[i], d[nodes[i].anchor]
         for j in range(i + 1, count):
             hj = height[j]
@@ -520,6 +524,19 @@ def _certify_path_metric(tree: DendrogramTree) -> _Scaled:
                 )
         rows.append(tuple(path))
     return unit, rows
+
+
+def _path_sums(adjacent: Sequence[Sequence[tuple[int, int]]], source: int) -> list[int]:
+    """The path sums from ``source`` to every node of a tree given by its (neighbour, length) lists, one walk."""
+    path = [0] * len(adjacent)
+    stack = [(source, -1)]
+    while stack:
+        u, came = stack.pop()
+        for v, length in adjacent[u]:
+            if v != came:
+                path[v] = path[u] + length
+                stack.append((v, u))
+    return path
 
 
 def _node_label(tree: DendrogramTree, p: TreePoint) -> str:

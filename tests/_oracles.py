@@ -82,14 +82,16 @@ reference: the same checks in the same order, on ``space.dist`` and the
 certificate's own Fractions, with its own common denominator for the
 Lipschitz scan.
 
-The package certifies every node pair of the edge-flow battery on its
-own tree path, compares the ratios of a Lipschitz constant and of the
-chain branch of the l1 constant by cross-multiplication on integer views,
-and builds one Fraction at the end; the bi-Lipschitz distortion is found
-the same way.  What these replaced is kept as a reference: the dense
-edge-flow check of delta_i - delta_j over the whole tree followed by the
-distance comparison, the two Fraction maxima over every pair's ratio, and
-the Fraction minimum and maximum of the distortion ratios.
+The package certifies every node pair of the edge-flow battery by its
+path sum, from one walk of the tree per source node, compares the ratios
+of a Lipschitz constant and of the chain branch of the l1 constant by
+cross-multiplication on integer views, and builds one Fraction at the
+end; the bi-Lipschitz distortion is found the same way.  What these
+replaced is kept as a reference: the certificate of delta_i - delta_j on
+its own tree path, pair by pair, and the dense edge-flow check of it over
+the whole tree, each followed by the distance comparison; the two
+Fraction maxima over every pair's ratio; and the Fraction minimum and
+maximum of the distortion ratios.
 
 Four helpers that only the tests use live here rather than in the
 package: the strict-max triple check, the path sum along a dendrogram, the
@@ -250,6 +252,72 @@ def dense_pair_check(tree, i: int, j: int, distance: Fraction) -> None:
         raise CertificationError(
             f"edge-flow norm of the pair ({tree.labels[i]}, {tree.labels[j]}) is not its distance"
         )
+
+
+def path_solution(tree, i: int, j: int) -> tuple[int, list[tuple[int, int, int]], dict[int, int]]:
+    """The edge-flow solution of delta_i - delta_j on the tree path from i to j, unchecked.
+
+    ``tree`` is a prepared ``ell1._ScaledTree``; the root is point 0.  One
+    unit of flow runs up from i to the lowest common ancestor of i and j
+    and down from it to j.  Returns the value, the sum of the path's edge
+    lengths; the arcs (position, a, b), one unit from a to b along the edge
+    at ``position`` in ``tree.edges``, in that order; and the potential on
+    the path nodes, in units of 1/scale: 0 at the ancestor, stepping by
+    + length down to i and by - length down to j.
+    """
+    parent, edges = tree.parent, tree.edges
+    position = {child: k for k, (child, _, _) in enumerate(edges)}
+    rise = [i]
+    while rise[-1]:
+        rise.append(parent[rise[-1]])
+    above = {x: k for k, x in enumerate(rise)}
+    fall = []
+    top = j
+    while top not in above:
+        fall.append(top)
+        top = parent[top]
+    g = {top: 0}
+    arcs = []
+    value = 0
+    for step, nodes in ((1, rise[: above[top]]), (-1, fall)):
+        for x in reversed(nodes):
+            k = position[x]
+            _, up, length = edges[k]
+            g[x] = g[up] + step * length
+            value += length
+            arcs.append((k, x, up) if step > 0 else (k, up, x))
+    arcs.sort()
+    return value, arcs, g
+
+
+def path_pair_check(tree, i: int, j: int, distance: Fraction) -> None:
+    """Certify that the edge-flow norm of delta_i - delta_j is ``distance``, on the tree path alone.
+
+    Checked on the solution of :func:`path_solution`: each path arc is a
+    tree edge (a ``dist`` lookup) and the potential is tight on it; the
+    cost, the sum of ``dist`` along the path, is the value, the sum of the
+    kernel lengths; g(i) - g(j) is the value; and the value is
+    ``distance``.  The messages are those of the package's dense check,
+    which :func:`dense_pair_check` runs on the same pair.
+    """
+    value, arcs, g = path_solution(tree, i, j)
+    dist, labels = tree.dist, tree.labels
+    cost = 0
+    for _, a, b in arcs:
+        length = dist.get((a, b))
+        if length is None:
+            raise CertificationError(f"flow arc ({labels[a]}, {labels[b]}) is not a tree edge")
+        if g[a] - g[b] != length:
+            raise CertificationError(f"potential does not drop by the length of edge ({labels[a]}, {labels[b]})")
+        cost += length
+    if cost != value:
+        raise CertificationError(
+            f"edge flow costs {Fraction(cost, tree.scale)}, not the value {Fraction(value, tree.scale)}"
+        )
+    if g[i] - g[j] != value:
+        raise CertificationError(f"sign potential does not attain the value {Fraction(value, tree.scale)}")
+    if value * distance.denominator != distance.numerator * tree.scale:
+        raise CertificationError(f"edge-flow norm of the pair ({labels[i]}, {labels[j]}) is not its distance")
 
 
 def lp_vertex_minimum(costs, rows, rhs) -> tuple[str, Fraction | None]:

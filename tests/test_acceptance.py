@@ -281,12 +281,18 @@ def _generated_spaces():
     return ties + coprime + caterpillars + stars
 
 
+def _power_of_two_caterpillar(n: int) -> FiniteMetricSpace:
+    """Point k joins the cluster of 0..k-1 at height 2^k: a dendrogram of depth n, 2n - 1 nodes."""
+    dist = tuple(tuple(Fraction(0) if i == j else Fraction(2) ** max(i, j) for j in range(n)) for i in range(n))
+    return FiniteMetricSpace(tuple(f"p{i}" for i in range(n)), dist)
+
+
 def test_criterion_9_pipeline():
     ok = True
     instances = 0
     sizes = [(n, seed) for n in range(3, 9) for seed in range(2)] + [(10, 0), (12, 0), (16, 0), (24, 0)]
     spaces = [random_ultrametric(n, 5000 + 7 * n + seed) for n, seed in sizes]
-    spaces += _generated_spaces()
+    spaces += _generated_spaces() + [_power_of_two_caterpillar(100)]
     for space in spaces:
         n = len(space)
         report = pipeline(space)
@@ -310,7 +316,8 @@ def test_criterion_9_pipeline():
     _report(
         "9 pipeline",
         ok,
-        f"{instances} instances, N = 3..24 with ties, coprime heights, a caterpillar and a star; "
+        f"{instances} instances, N = 3..24 with ties, coprime heights, caterpillars and stars, and a "
+        "power-of-two caterpillar at N = 100 (199 tree nodes); "
         "for N <= 8 the l1 lower constant equals the orthant LP and the edge flows match the LP",
     )
     assert ok

@@ -632,6 +632,20 @@ def test_families_that_do_not_fit_the_space_are_refused():
     assert basis_constant(point, BasisFamily(point, (), ())) == basis_constant(point, basis_vectors(build_chain(point))) == 1
 
 
+@pytest.mark.parametrize("point", [-1, -3, 3, 4])
+def test_a_point_outside_the_space_is_refused(triangle, point):
+    # a negative index would otherwise read a point from the end of the table
+    chain = build_chain(triangle)
+    for read in (chain.rank, chain.retract, chain.nearest_distance):
+        with pytest.raises(ValueError, match=rf"^point {point} is outside 0\.\.2$"):
+            read(2, point)
+    with pytest.raises(ValueError, match=r"^point -1 is outside 0\.\.3$"):
+        build_chain(random_ultrametric(4, 1)).retract(4, -1)
+    assert [chain.retract(2, x) for x in range(3)] == [0, 1, 1]
+    assert [chain.rank(3, x) for x in range(3)] == [1, 2, 3]
+    assert chain.nearest_distance(2, 2) == triangle.dist[2][1]
+
+
 @pytest.mark.parametrize("n", [0, -1, 4, 5])
 def test_a_stage_outside_the_chain_is_refused(triangle, n):
     chain = build_chain(triangle)

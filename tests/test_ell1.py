@@ -12,7 +12,9 @@ from _oracles import (
     hull_extreme_pairs,
     lp_transport_norm,
     orthant_l1_lower,
+    path_pair_check,
 )
+from test_acceptance import _power_of_two_caterpillar
 from test_freespace import _PRIMES_NEAR_A_MILLION, _coprime_heights, _merge_ultrametric
 from test_rtree import count_path_metric_certificates
 from ultrafree import ell1, rtree
@@ -299,7 +301,8 @@ def test_pipeline_names_the_pair_off_its_distance(four_cluster, monkeypatch):
 
 
 def _node_pair_trees():
-    """Tied power-of-two, coprime, caterpillar and star trees, N = 2..8, with their prepared scaled trees."""
+    """Tied power-of-two, coprime, caterpillar and star trees, N = 2..8, and a power-of-two
+    caterpillar, with their prepared scaled trees."""
     rng = random.Random(15)
 
     def pair(count):
@@ -316,6 +319,8 @@ def _node_pair_trees():
             tree = dendrogram(space)
             ambient = rooted_node_space(tree)
             yield ambient, ell1._scaled_tree(tree)
+    tree = dendrogram(_power_of_two_caterpillar(8))
+    yield rooted_node_space(tree), ell1._scaled_tree(tree)
 
 
 def _verdict(check, *args):
@@ -327,112 +332,86 @@ def _verdict(check, *args):
     return None
 
 
-def _node_pair_verdicts(scaled, ambient, stretch=1):
-    """The verdicts of the path certificate and of the dense check on every node pair."""
-    pairs = [(i, j) for i in range(len(ambient)) for j in range(i + 1, len(ambient))]
-    return [
-        (
-            _verdict(ell1._checked_pair, scaled, i, j, stretch * ambient.dist[i][j]),
-            _verdict(dense_pair_check, scaled, i, j, stretch * ambient.dist[i][j]),
-        )
-        for i, j in pairs
-    ]
+def _corrupted_trees(scaled):
+    """The scaled tree with every pair distance doubled, then with each edge's distance tripled
+    on both orientations and with each edge's length doubled, as (tree, stretch) pairs."""
+    corrupted = [(scaled, 2)]
+    for k, (child, up, length) in enumerate(scaled.edges):
+        dist = dict(scaled.dist)
+        dist[child, up] *= 3
+        dist[up, child] *= 3
+        edges = list(scaled.edges)
+        edges[k] = (child, up, 2 * length)
+        corrupted += [(scaled._replace(dist=dist), 1), (scaled._replace(edges=tuple(edges)), 1)]
+    return corrupted
 
 
-def _flip_potentials(monkeypatch, node):
-    """Mirror the potential at ``node`` about its parent in both solutions, where the path solution has both."""
-    real_dense, real_path = ell1._edge_flow_solution, ell1._path_solution
-
-    def dense(tree, coeffs):
-        value, flow, g = real_dense(tree, coeffs)
-        g = list(g)
-        g[node] = 2 * g[tree.parent[node]] - g[node]
-        return value, flow, g
-
-    def path(tree, i, j):
-        value, arcs, g = real_path(tree, i, j)
-        if node in g and tree.parent[node] in g:
-            g[node] = 2 * g[tree.parent[node]] - g[node]
-        return value, arcs, g
-
-    monkeypatch.setattr(ell1, "_edge_flow_solution", dense)
-    monkeypatch.setattr(ell1, "_path_solution", path)
-
-
-def _shift_values(monkeypatch):
-    """Add one unit to the value of both solutions, leaving the flow and the potential."""
-    real_dense, real_path = ell1._edge_flow_solution, ell1._path_solution
-
-    def dense(tree, coeffs):
-        value, flow, g = real_dense(tree, coeffs)
-        return value + 1, flow, g
-
-    def path(tree, i, j):
-        value, arcs, g = real_path(tree, i, j)
-        return value + 1, arcs, g
-
-    monkeypatch.setattr(ell1, "_edge_flow_solution", dense)
-    monkeypatch.setattr(ell1, "_path_solution", path)
-
-
-def test_path_certificate_matches_the_dense_check(monkeypatch):
-    """Every node pair of tied, coprime, caterpillar and star trees gets the verdict and the
-    message of the dense check, also under a stretched node distance (on each edge, and on
-    the pair itself), a wrong edge length, a flipped potential step and a wrong value."""
+def test_path_certificate_matches_the_dense_check():
+    """On tied, coprime, caterpillar and star trees and a power-of-two caterpillar, the
+    walk-per-source check of every node pair fails with the message of the first node pair
+    that the path oracle and the dense check, which agree pair by pair, find failing, or
+    passes with them: uncorrupted, under stretched pair distances, a stretched edge
+    distance and a wrong edge length; under one stretched pair it names that pair."""
     compared = failures = 0
     for ambient, scaled in _node_pair_trees():
-        corrupted = [(scaled, 1), (scaled, 2)]
-        for k, (child, up, length) in enumerate(scaled.edges):
-            dist = dict(scaled.dist)
-            dist[child, up] *= 3
-            dist[up, child] *= 3
-            edges = list(scaled.edges)
-            edges[k] = (child, up, 2 * length)
-            corrupted += [(scaled._replace(dist=dist), 1), (scaled._replace(edges=tuple(edges)), 1)]
-        verdicts = [v for tree, stretch in corrupted for v in _node_pair_verdicts(tree, ambient, stretch)]
-        for child, *_ in scaled.edges:
-            with monkeypatch.context() as patch:
-                _flip_potentials(patch, child)
-                verdicts += _node_pair_verdicts(scaled, ambient)
-        with monkeypatch.context() as patch:
-            _shift_values(patch)
-            verdicts += _node_pair_verdicts(scaled, ambient)
-        for path, dense in verdicts:
-            assert path == dense
-            compared += 1
-            failures += path is not None
-        # the uncorrupted tree passes every pair
-        assert all(path is None for path, _ in verdicts[: len(ambient) * (len(ambient) - 1) // 2])
-    assert compared == 32445 and failures == 10200
+        pairs = [(i, j) for i in range(len(ambient)) for j in range(i + 1, len(ambient))]
+        for tree, stretch in [(scaled, 1)] + _corrupted_trees(scaled):
+            d = [[stretch * x for x in row] for row in ambient.dist]
+            verdicts = [(_verdict(path_pair_check, tree, i, j, d[i][j]),
+                         _verdict(dense_pair_check, tree, i, j, d[i][j])) for i, j in pairs]
+            assert all(path == dense for path, dense in verdicts)
+            first = next((path for path, _ in verdicts if path is not None), None)
+            assert _verdict(ell1._checked_node_pairs, tree, d) == first
+            assert (first is None) == (tree is scaled and stretch == 1)
+            compared += len(verdicts)
+            failures += sum(path is not None for path, _ in verdicts)
+        # one stretched pair, the others passing as above: the check names that pair
+        for i, j in pairs:
+            d = [list(row) for row in ambient.dist]
+            d[i][j] *= 2
+            message = _verdict(path_pair_check, scaled, i, j, d[i][j])
+            assert message is not None and _verdict(ell1._checked_node_pairs, scaled, d) == message
+    assert (compared, failures) == (24780, 7336)
+
+
+@pytest.mark.parametrize("arc", ["down", "up"])
+def test_node_pairs_name_an_edge_missing_an_orientation(four_cluster, arc):
+    # the top edge of a@1/4 (node-space point 6) under the root (point 0)
+    scaled = ell1._scaled_tree(dendrogram(four_cluster))
+    missing = (0, 6) if arc == "down" else (6, 0)
+    dist = {key: x for key, x in scaled.dist.items() if key != missing}
+    name = r"\(0@1/2, a@1/4\)" if arc == "down" else r"\(a@1/4, 0@1/2\)"
+    with pytest.raises(CertificationError, match=rf"^flow arc {name} is not a tree edge$"):
+        ell1._checked_node_pairs(scaled._replace(dist=dist), rooted_node_space(dendrogram(four_cluster)).dist)
 
 
 def test_pipeline_checks_no_node_pair_densely(monkeypatch):
     """One pipeline call makes a dense check of each random vector and of nothing else,
-    and certifies every node pair on its path."""
-    dense, paths = [], []
-    real_dense, real_pair = ell1._checked_coefficients, ell1._checked_pair
+    and certifies the node pairs by one walk of the tree from each node that starts a pair."""
+    dense, walks = [], []
+    real_dense, real_walk = ell1._checked_coefficients, ell1._path_sums
 
     def count_dense(tree, coeffs, unit):
         dense.append((list(coeffs), unit))
         return real_dense(tree, coeffs, unit)
 
-    def count_pair(tree, i, j, distance):
-        paths.append((i, j))
-        return real_pair(tree, i, j, distance)
+    def count_walk(adjacent, source):
+        walks.append(source)
+        return real_walk(adjacent, source)
 
     monkeypatch.setattr(ell1, "_checked_coefficients", count_dense)
-    monkeypatch.setattr(ell1, "_checked_pair", count_pair)
+    monkeypatch.setattr(ell1, "_path_sums", count_walk)
     space = random_ultrametric(7, 11)
     rounded = round_to_dyadic(space)
     ambient = rooted_node_space(dendrogram(rounded))
     nodes = len(ambient)
     for vectors in (0, 4, 25, 60):
         dense.clear()
-        paths.clear()
+        walks.clear()
         pipeline(space, oracle_vectors=vectors, seed=vectors)
         assert len(dense) == vectors + max(5, vectors // 5)
         assert dense == [(draw, 12) for draw in ell1._battery_draws(rounded, ambient, vectors, vectors)]
-        assert paths == [(i, j) for i in range(nodes) for j in range(i + 1, nodes)]
+        assert walks == list(range(nodes - 1))
 
 
 def test_pipeline_at_240_points():

@@ -1,6 +1,8 @@
+import gc
 import pickle
 import random
 import re
+import weakref
 from fractions import Fraction
 
 import pytest
@@ -37,6 +39,37 @@ Q = Fraction(1, 4)
 def test_tree_point_rejects_negative_height():
     with pytest.raises(ValueError):
         TreePoint(0, Fraction(-1, 4))
+
+
+@pytest.mark.parametrize("anchor", [-1, -3])
+def test_tree_point_rejects_a_negative_anchor(triangle, anchor):
+    # tree_distance would otherwise read the anchor as a point from the end of the space
+    with pytest.raises(ValueError, match="^anchor must be a nonnegative point index$"):
+        TreePoint(anchor, 0)
+    assert tree_distance(triangle, TreePoint(0, 0), TreePoint(2, 0)) == 1
+
+
+def test_a_space_and_its_tree_are_freed_by_reference_counting():
+    # the space keeps its tree weakly, so no reference cycle waits for the collector
+    gc.disable()
+    try:
+        space = round_to_dyadic(random_ultrametric(6, 4))
+        tree = dendrogram(space)
+        node_space(tree), rooted_node_space(tree)
+        assert dendrogram(space) is tree
+        refs = weakref.ref(space), weakref.ref(tree)
+        del space, tree
+        assert [ref() for ref in refs] == [None, None]
+    finally:
+        gc.enable()
+
+
+def test_a_dropped_tree_is_certified_again(four_cluster, monkeypatch):
+    certified = count_path_metric_certificates(monkeypatch)
+    first = weakref.ref(dendrogram(four_cluster))
+    assert first() is None and len(certified) == 1
+    tree = dendrogram(four_cluster)
+    assert dendrogram(four_cluster) is tree and len(certified) == 2
 
 
 def test_canonicalize_moves_to_minimal_anchor(triangle):
