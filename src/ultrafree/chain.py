@@ -8,10 +8,12 @@ and the induced linear projections on the free space are norm one, which
 makes the telescoped difference vectors a monotone basis.
 
 Since P_n delta_x = delta_{r_n x}, every point evaluation has 0/1
-coordinates in the basis of its own chain, read off the rank table and
-certified once by the telescoping identity; the basis constant and the
-molecule expansions of a family from :func:`basis_vectors`, which keeps
-its chain, come from them, and only families built otherwise are inverted.
+coordinates in the basis of its own chain, certified once by the
+telescoping identity: they mark the edges from x to the base of the
+anchor tree, where each added point hangs off its nearest earlier one.
+The basis constant and the l1 constants of a family from
+:func:`basis_vectors`, which keeps its chain, come from them, and only
+families built otherwise are inverted.
 
 The chain identities and the closed-form basis constant, the maximum of
 d(r_n x, r_n y) / d(x, y) over the stages n >= 2 and the pairs, come from
@@ -38,12 +40,24 @@ class RetractionChain:
     """Point ordering plus the full table of minimal nearest positions.
 
     ``ranks[n-1][x]`` is the 1-based position (in the ordering) of the
-    nearest point to x among the first n, minimal position on ties.
+    nearest point to x among the first n, minimal position on ties.  A
+    table that is not N x N with entries in 1..N raises ValueError.
     """
 
     space: FiniteMetricSpace
     ordering: tuple[int, ...]
     ranks: tuple[tuple[int, ...], ...]
+
+    def __post_init__(self) -> None:
+        size = len(self.ordering)
+        if len(self.ranks) != size:
+            raise ValueError(f"the rank table has {len(self.ranks)} stages, not {size}")
+        for n, row in enumerate(self.ranks, 1):
+            if len(row) != size:
+                raise ValueError(f"stage {n} ranks {len(row)} points, not {size}")
+            if min(row) < 1 or max(row) > size:
+                x = next(x for x, rank in enumerate(row) if not 1 <= rank <= size)
+                raise ValueError(f"the rank of point {x} at stage {n} is {row[x]}, outside 1..{size}")
 
     @property
     def size(self) -> int:
@@ -389,27 +403,18 @@ def _elementary_norm(space: FiniteMetricSpace, coeffs: list[Fraction]) -> Option
     return None
 
 
-def _dirac_rows(chain: RetractionChain) -> list[tuple[int, ...]]:
-    """The 0/1 coordinates of every Dirac in the chain basis, read off the rank table.
+def _telescopes(chain: RetractionChain) -> bool:
+    """Certify the telescoping identity of the chain's basis on its point maps, read off the rank rows.
 
-    Row x holds c_n(delta_x) for n = 1..N-1, which is 1 exactly when x is
-    nearest to the point added at stage n + 1.
-    """
-    return [
-        tuple(int(chain.ranks[n][x] == n + 1) for n in range(1, chain.size))
-        for x in range(chain.size)
-    ]
-
-
-def _telescopes(chain: RetractionChain, rows: Sequence[Sequence[int]]) -> bool:
-    """Certify the rows as the coordinates of every Dirac in the basis of the chain.
-
-    Checks delta_{r_{n+1} x} - delta_{r_n x} = rows[x][n-1] * e_n for every
-    stage n < N and every point x, where e_n = delta_{p} - delta_{r_n p} for
-    the point p added at stage n + 1, together with r_1 x = base and
-    r_N x = x.  Summing the identity over n reconstructs delta_{r_n x}
-    exactly from the first n - 1 coordinates of x, so every truncation of
-    delta_x is delta_{r_n x}.  The maps r_n are read off the rank rows.
+    Checks r_1 x = base, r_N x = x, and for every stage n < N and point x
+    that r_{n+1} x = r_n x, or r_{n+1} x = p and r_n x = r_n p for the point
+    p added at stage n + 1.  Then delta_{r_{n+1} x} - delta_{r_n x} is
+    e_n = delta_p - delta_{r_n p} where the map changes and 0 elsewhere, so
+    every truncation of delta_x is delta_{r_n x}.  By induction each r_n x
+    is among the first n points, so never p, and the 0/1 Dirac coordinate
+    [r_{n+1} x = p] is 1 exactly when the map changes: on every table this
+    is the check of the Dirac rows.  The coordinates 1 of x mark the edges
+    from x to the base of the anchor tree, where p hangs off r_n p.
     """
     order, size = chain.ordering, chain.size
     maps = [[order[rank - 1] for rank in row] for row in chain.ranks]
@@ -419,32 +424,24 @@ def _telescopes(chain: RetractionChain, rows: Sequence[Sequence[int]]) -> bool:
         added, before, after = order[n], maps[n - 1], maps[n]
         anchor = before[added]
         for x in range(size):
-            if (after[x], before[x]) != (added, anchor) if rows[x][n - 1] else after[x] != before[x]:
+            if after[x] != before[x] and (after[x] != added or before[x] != anchor):
                 return False
     return True
 
 
-def _telescoped_rows(chain: RetractionChain) -> Optional[list[tuple[int, ...]]]:
-    rows = _dirac_rows(chain)
-    return rows if _telescopes(chain, rows) else None
+def _certified_chain(space: FiniteMetricSpace, family: BasisFamily) -> Optional[RetractionChain]:
+    """The chain :func:`basis_vectors` kept on ``family``, if on a space equal to ``space`` and certified.
 
-
-def _certified_chain(
-    space: FiniteMetricSpace, family: BasisFamily
-) -> Optional[tuple[RetractionChain, list[tuple[int, ...]]]]:
-    """The chain :func:`basis_vectors` kept on ``family``, if on a space equal to ``space``, and its rows.
-
-    The Dirac rows are checked by :func:`_telescopes` once per chain and
-    kept on it.  Rows that fail, and a family built otherwise, one equal to
+    The chain is checked by :func:`_telescopes` once and the verdict kept
+    on it.  A chain that fails, and a family built otherwise, one equal to
     a chain's family too, give None.  A family without N - 1 vectors of
     N - 1 coefficients raises ValueError.
     """
     _check_family(space, family)
     chain = vars(family).get("_chain")
-    if chain is None or family.space != space:
+    if chain is None or family.space != space or not _cached(chain, "_telescoped", _telescopes):
         return None
-    rows = _cached(chain, "_rows", _telescoped_rows)
-    return None if rows is None else (chain, rows)
+    return chain
 
 
 def _molecule_expansions(space: FiniteMetricSpace, family: BasisFamily):
@@ -453,7 +450,7 @@ def _molecule_expansions(space: FiniteMetricSpace, family: BasisFamily):
     Molecules are the extreme points of the free-space unit ball, so a
     convex function of the coefficients attains its maximum over the ball
     on one of them.  The coefficients come from the inverse of the family
-    matrix (callers read a chain's own family off its certified Dirac rows
+    matrix (callers read a chain's own family off its anchor tree
     instead).  Raises ValueError when the family does not span.
     """
     inverse = _family_inverse(family)
@@ -469,7 +466,7 @@ def basis_constant(space: FiniteMetricSpace, family: BasisFamily) -> Fraction:
     molecule expansion, molecules being the extreme points of the unit
     ball.  On the family of :func:`basis_vectors`, which keeps its chain,
     the truncation of m_ij after n - 1 vectors is the molecule multiple
-    (delta_{r_n i} - delta_{r_n j}) / d(i, j), the Dirac rows certified,
+    (delta_{r_n i} - delta_{r_n j}) / d(i, j), the telescoping certified,
     so the constant is the maximum of d(r_n i, r_n j) / d(i, j) over the
     stages n >= 2 and the pairs, read off the chain's one scan, which
     :func:`verify_chain` reads too.  Any other family, a hand-built copy of
@@ -479,7 +476,7 @@ def basis_constant(space: FiniteMetricSpace, family: BasisFamily) -> Fraction:
     ValueError.  Equals exactly 1 for chains built on ultrametric spaces.
     """
     certified = _certified_chain(space, family)
-    constant = None if certified is None else _cached(certified[0], "_scan", _scan_chain)[1]
+    constant = None if certified is None else _cached(certified, "_scan", _scan_chain)[1]
     return _basis_constant(space, family) if constant is None else constant
 
 

@@ -26,8 +26,8 @@ m_ij = (delta_i - delta_j) / d(i, j), so the lower l1 constant of a family
 is 1 / max_{i<j} Phi(m_ij), where Phi(x) = sum |c_k(x)| * norm(e_k) over
 the coefficients c(x) of x in the family; its witness, the maximizing
 molecule scaled to Phi = 1, is certified by one transport solve.  On the
-family of a chain, which keeps its chain, the coefficients of m_ij are the
-difference of the chain's certified 0/1 Dirac rows of i and j over d(i, j).
+family of a chain, which keeps its chain, Phi(m_ij) is a path length in
+the chain's anchor tree over d(i, j), as for tree metrics (Godard 2010).
 """
 
 from __future__ import annotations
@@ -134,17 +134,18 @@ class OracleReport:
         return not (self.mismatches or self.pair_mismatches)
 
 
-def _random_coeffs(rng: random.Random, dim: int) -> tuple[Fraction, ...]:
-    return tuple(Fraction(rng.randint(-6, 6), rng.choice((1, 2, 3, 4))) for _ in range(dim))
-
-
 # the lcm of the denominators 1, 2, 3, 4 that a random coefficient is drawn with
 _DRAW_UNIT = 12
 
 
 def _random_integers(rng: random.Random, dim: int) -> list[int]:
-    """The draws of :func:`_random_coeffs` as integers over :data:`_DRAW_UNIT`, from the same rng calls."""
+    """dim random coefficients k / b, k in -6..6 and b in 1..4, as integers over :data:`_DRAW_UNIT`."""
     return [rng.randint(-6, 6) * (_DRAW_UNIT // rng.choice((1, 2, 3, 4))) for _ in range(dim)]
+
+
+def _random_coeffs(rng: random.Random, dim: int) -> tuple[Fraction, ...]:
+    """The draws of :func:`_random_integers` as Fractions."""
+    return tuple(Fraction(c, _DRAW_UNIT) for c in _random_integers(rng, dim))
 
 
 def _battery_draws(space: FiniteMetricSpace, ambient: FiniteMetricSpace, vectors: int, seed: int) -> list[list[int]]:
@@ -322,7 +323,10 @@ def _checked_coefficients(
         cost += amount * length
     for child in range(1, len(g)):
         parent = tree.parent[child]
-        if abs(g[child] - g[parent]) > dist[child, parent]:
+        length = dist.get((child, parent))
+        if length is None:
+            raise CertificationError(f"edge {_edge(tree, child, parent)} has no node-space distance")
+        if abs(g[child] - g[parent]) > length:
             raise CertificationError(f"potential is not 1-Lipschitz on edge {_edge(tree, child, parent)}")
         if divergence[child] != coeffs[child - 1]:
             raise CertificationError(f"flow on edge {_edge(tree, child, parent)} does not balance {labels[child]}")
@@ -478,19 +482,26 @@ def l1_equivalence_constants(space: FiniteMetricSpace, family: BasisFamily) -> L
     the convex hull of the +-molecules and Phi is convex and even, so the
     maximum is attained at a molecule: lower = 1 / max_{i<j} Phi(m_ij).
 
-    On the family of a chain, which keeps it, Phi(m_ij) is the sum of
-    norm(e_k) over the k where the certified 0/1 Dirac rows of i and j
-    differ, over d(i, j); any other family, a hand-built copy of it too, is
-    inverted, for the same value.  The value is certified by its witness
-    w = m*/Phi(m*), at the maximizing molecule m*: the coefficients must
-    reconstruct m* exactly, and the transport norm of w must equal the
-    returned lower constant.  A family that is empty, does not fit the
-    space or does not span the free space raises ValueError.
+    On the family of a chain, which keeps it, the coefficients of m_ij
+    certified by :func:`_telescopes` are +-1 / d(i, j) on the path from i
+    to j in the anchor tree, where the point p added at stage n + 1 hangs
+    off r_n p with weight norm(e_n), so Phi(m_ij) is that path length over
+    d(i, j).  One walk from each point, on the integer scale of the norms,
+    gives the path lengths, the ratios are compared by cross-multiplication
+    on the integer view, the first maximizing pair, row by row, is kept,
+    and only its coefficients are read off the rank rows: O(N^2) in all.
+    A distance that is not positive raises ValueError naming its pair.  Any
+    other family, a hand-built copy of it too, is inverted, for the same
+    value.  The value is certified by its witness w = m*/Phi(m*), at the
+    maximizing molecule m*: the coefficients must reconstruct m* exactly,
+    and the transport norm of w must equal the returned lower constant.  A
+    family that is empty, does not fit the space or does not span the free
+    space raises ValueError.
     """
     if not family.vectors:
         raise ValueError("family is empty")
-    certified = _certified_chain(space, family)
-    if certified is None:
+    chain = _certified_chain(space, family)
+    if chain is None:
         phi, i, j, coeffs = max(
             (
                 (sum((abs(c) * norm for c, norm in zip(coeffs, family.norms)), Fraction(0)), i, j, coeffs)
@@ -499,9 +510,26 @@ def l1_equivalence_constants(space: FiniteMetricSpace, family: BasisFamily) -> L
             key=lambda entry: entry[0],
         )
     else:
-        rows = certified[1]
-        phi, i, j = _chain_phi(space, family.norms, rows)
-        coeffs = [(a - b) / space.dist[i][j] for a, b in zip(rows[i], rows[j])]
+        q, d = _integer_view(space)
+        order, ranks = chain.ordering, chain.ranks
+        unit = lcm(*(norm.denominator for norm in family.norms))
+        adjacent: list[list[tuple[int, int]]] = [[] for _ in order]
+        for n, norm in enumerate(family.norms, 1):
+            point, weight = order[n], norm.numerator * (unit // norm.denominator)
+            anchor = order[ranks[n - 1][point] - 1]
+            adjacent[point].append((anchor, weight))
+            adjacent[anchor].append((point, weight))
+        best = None
+        for i, row in enumerate(d[:-1]):
+            path = _path_sums(adjacent, i)
+            for j in range(i + 1, len(row)):
+                if row[j] <= 0:
+                    raise ValueError(f"the distance of the pair ({i}, {j}) is {space.dist[i][j]}, not positive")
+                if best is None or path[j] * best[1] > best[0] * row[j]:
+                    best = path[j], row[j], i, j
+        total, bottom, i, j = best
+        phi = Fraction(total * q, unit * bottom)
+        coeffs = [(int(r[i] == n + 1) - int(r[j] == n + 1)) / space.dist[i][j] for n, r in enumerate(ranks[1:], 1)]
     lower = 1 / phi
     m = molecule(space, i, j)
     if _combination(len(space) - 1, family.vectors, coeffs) != list(m.coeffs):
@@ -509,34 +537,6 @@ def l1_equivalence_constants(space: FiniteMetricSpace, family: BasisFamily) -> L
     if free_norm_certificate(space, lower * m).value != lower:
         raise CertificationError(f"l1 witness at pair ({i}, {j}) does not attain the lower constant")
     return L1Constants(lower, Fraction(1))
-
-
-def _chain_phi(
-    space: FiniteMetricSpace, norms: Sequence[Fraction], rows: Sequence[Sequence[int]]
-) -> tuple[Fraction, int, int]:
-    """max_{i<j} Phi(m_ij) on a chain's own family, and the first pair i < j, row by row, attaining it.
-
-    ``rows`` are the certified 0/1 Dirac rows and ``norms`` the norms of
-    the family.  Phi(m_ij) is the sum of the norms where rows i and j
-    differ, over d(i, j).  With the norms over the lcm L of their
-    denominators and the integer view (q, D) of the space, Phi(m_ij) = S_ij
-    q / (L D[i][j]) for an integer sum S_ij, so the pairs are compared by
-    cross-multiplying S_ij / D[i][j] and one Fraction is built at the end.
-    A distance that is not positive raises ValueError naming its pair.
-    """
-    q, d = _integer_view(space)
-    unit = lcm(*(norm.denominator for norm in norms))
-    weights = [norm.numerator * (unit // norm.denominator) for norm in norms]
-    best = None
-    for i, row in enumerate(d):
-        for j in range(i + 1, len(row)):
-            if row[j] <= 0:
-                raise ValueError(f"the distance of the pair ({i}, {j}) is {space.dist[i][j]}, not positive")
-            total = sum(w for a, b, w in zip(rows[i], rows[j], weights) if a != b)
-            if best is None or total * best[1] > best[0] * row[j]:
-                best = total, row[j], i, j
-    total, bottom, i, j = best
-    return Fraction(total * q, unit * bottom), i, j
 
 
 def three_point_space(s: Fraction) -> FiniteMetricSpace:
@@ -730,10 +730,11 @@ def pipeline(
     its rounding are validated by their cached single-linkage merges.  The
     dendrogram of the rounding is kept on it, and its node distances,
     certified once, serve the claims, the node spaces and the battery.  The
-    chain identities, the basis constant and the l1 constants are read
-    through the public functions off the chain's one scan and its Dirac
-    rows, certified once, in integers; the one transport solve left is the
-    witness of the l1 lower constant.
+    chain identities and the basis constant are read through the public
+    functions off the chain's one scan, and the l1 constants off one walk
+    of its anchor tree per point, the telescoping certified once, all in
+    integers; the one transport solve left is the witness of the l1 lower
+    constant.
     """
     if len(space) < 2:
         raise ValueError("pipeline needs at least two points")

@@ -292,8 +292,15 @@ def bilipschitz_distortion(a: FiniteMetricSpace, b: FiniteMetricSpace) -> tuple[
 
 
 def identity_distortion(a: FiniteMetricSpace, b: FiniteMetricSpace) -> Fraction:
-    """Distortion of the identity correspondence: max over pairs of the worse ratio."""
+    """Distortion of the identity correspondence: max over pairs of the worse ratio.
+
+    A distance of ``b`` between distinct points that is not positive raises
+    ValueError naming the first such pair, row by row.
+    """
     lower, upper = bilipschitz_distortion(a, b)
+    if lower <= 0:
+        i, j = next((i, j) for i, row in enumerate(b.dist) for j in range(i + 1, len(row)) if row[j] <= 0)
+        raise ValueError(f"the codomain distance of the pair ({i}, {j}) is {b.dist[i][j]}, not positive")
     return max(upper, 1 / lower)
 
 

@@ -93,6 +93,15 @@ the whole tree, each followed by the distance comparison; the two
 Fraction maxima over every pair's ratio; and the Fraction minimum and
 maximum of the distortion ratios.
 
+The package certifies a chain's telescoping identity on its point maps
+and reads the l1 constant Phi of the chain's family off one walk of the
+anchor tree per point.  What these replaced is kept as a reference: the
+0/1 Dirac rows of every point read off the rank table, the telescoping
+check of those rows, and the scan of every pair for the largest sum of
+the norms where two rows differ over the distance, by cross-multiplication
+on the distances scaled to integers here.  None of them walks a tree or
+touches the integer view.
+
 Four helpers that only the tests use live here rather than in the
 package: the strict-max triple check, the path sum along a dendrogram, the
 0/1 projection matrices of a chain and the exact rank of a matrix.
@@ -235,6 +244,64 @@ def fraction_chain_phi(
         ),
         key=lambda entry: entry[0],
     )
+
+
+def dirac_rows(chain: RetractionChain) -> list[tuple[int, ...]]:
+    """The 0/1 coordinates of every Dirac in the chain basis, read off the rank table.
+
+    Row x holds c_n(delta_x) for n = 1..N-1, which is 1 exactly when x is
+    nearest to the point added at stage n + 1.
+    """
+    return [
+        tuple(int(chain.ranks[n][x] == n + 1) for n in range(1, chain.size))
+        for x in range(chain.size)
+    ]
+
+
+def rows_telescope(chain: RetractionChain, rows: Sequence[Sequence[int]]) -> bool:
+    """Certify the rows as the coordinates of every Dirac in the basis of the chain.
+
+    Checks delta_{r_{n+1} x} - delta_{r_n x} = rows[x][n-1] * e_n for every
+    stage n < N and every point x, where e_n = delta_{p} - delta_{r_n p} for
+    the point p added at stage n + 1, together with r_1 x = base and
+    r_N x = x.  The maps r_n are read off the rank rows.
+    """
+    order, size = chain.ordering, chain.size
+    maps = _retraction_table(chain)
+    if any(maps[0][x] != 0 or maps[-1][x] != x for x in range(size)):
+        return False
+    for n in range(1, size):
+        added, before, after = order[n], maps[n - 1], maps[n]
+        anchor = before[added]
+        for x in range(size):
+            if (after[x], before[x]) != (added, anchor) if rows[x][n - 1] else after[x] != before[x]:
+                return False
+    return True
+
+
+def rows_chain_phi(
+    space: FiniteMetricSpace, norms: Sequence[Fraction], rows: Sequence[Sequence[int]]
+) -> tuple[Fraction, int, int]:
+    """max_{i<j} Phi(m_ij) over the Dirac rows of a chain's family, and the first pair i < j, row by row, attaining it.
+
+    Phi(m_ij) is the sum of the norms where rows i and j differ, over
+    d(i, j), compared by cross-multiplication on the scaled distances and
+    the norms over the lcm of their denominators.  A distance that is not
+    positive raises ValueError naming its pair.
+    """
+    d = _scaled_distances(space)
+    unit = lcm(*(norm.denominator for norm in norms))
+    weights = [norm.numerator * (unit // norm.denominator) for norm in norms]
+    best = None
+    for i, row in enumerate(d):
+        for j in range(i + 1, len(row)):
+            if row[j] <= 0:
+                raise ValueError(f"the distance of the pair ({i}, {j}) is {space.dist[i][j]}, not positive")
+            total = sum(w for a, b, w in zip(rows[i], rows[j], weights) if a != b)
+            if best is None or total * best[1] > best[0] * row[j]:
+                best = total, row[j], i, j
+    total, _, i, j = best
+    return Fraction(total, unit) / space.dist[i][j], i, j
 
 
 def dense_pair_check(tree, i: int, j: int, distance: Fraction) -> None:

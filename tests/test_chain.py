@@ -11,7 +11,6 @@ from ultrafree.chain import (
     RetractionChain,
     _apply,
     _certified_chain,
-    _dirac_rows,
     _family_inverse,
     _scan_chain,
     _telescopes,
@@ -31,11 +30,13 @@ from ultrafree.metric import FiniteMetricSpace, random_ultrametric
 from ultrafree.serialize import dump_json, space_to_json
 
 from _oracles import (
+    dirac_rows,
     fraction_ranks,
     matrix_projection_algebra,
     molecule_operator_norm,
     orthant_l1_lower,
     projection_matrix,
+    rows_telescope,
     scan_basis_constant,
     scan_projection_algebra,
     scan_verify_chain,
@@ -181,20 +182,21 @@ def _shuffled_chain(space, rng):
 
 
 def test_dirac_rows_match_the_family_inverse():
-    # tied, coprime, caterpillar and star spaces, N = 2..12, random orderings
+    # tied, coprime, caterpillar and star spaces, N = 2..12, random orderings: every certified
+    # chain's Dirac rows, and the molecule coefficients the l1 witness reads off them, are the inverse's
     rng = random.Random(23)
     checked = 0
     for space in _stress_ultrametrics(rng):
-        family = basis_vectors(_shuffled_chain(space, rng))
-        certified = _certified_chain(space, family)
-        assert certified is not None
+        chain = _shuffled_chain(space, rng)
+        family = basis_vectors(chain)
+        assert _certified_chain(space, family) is chain
         inverse = _family_inverse(family)
         n = len(space)
-        assert certified[1] == [tuple(_apply(inverse, dirac(space, x).coeffs)) for x in range(n)]
+        rows = dirac_rows(chain)
+        assert rows == [tuple(_apply(inverse, dirac(space, x).coeffs)) for x in range(n)]
         expected = [
             (i, j, _apply(inverse, molecule(space, i, j).coeffs)) for i in range(n) for j in range(i + 1, n)
         ]
-        rows = certified[1]
         differences = [
             (i, j, [(a - b) / space.dist[i][j] for a, b in zip(rows[i], rows[j])])
             for i in range(n)
@@ -238,37 +240,51 @@ def test_hand_built_families_take_the_inverse(triangle, monkeypatch):
         l1_equivalence_constants(triangle, family)
 
 
+def _rank_corruptions(chain):
+    """(n, x, the chain with ranks[n - 1][x] changed) for every stage n, point x and other value in 1..N."""
+    size = chain.size
+    for n in range(1, size + 1):
+        for x in range(size):
+            for rank in range(1, size + 1):
+                if rank != chain.ranks[n - 1][x]:
+                    yield n, x, _with_rows(chain, [(n, x, rank)])
+
+
 def test_telescoping_rejects_every_corrupted_entry():
+    # the rows check rejects every flipped Dirac row entry, and the maps check gives its
+    # verdict on every single-entry rank corruption
     rng = random.Random(31)
+    verdicts = []
     for n in (2, 5, 8):
         chain = _shuffled_chain(random_ultrametric(n, 70 + n), rng)
-        rows = _dirac_rows(chain)
-        assert _telescopes(chain, rows)
+        rows = dirac_rows(chain)
+        assert _telescopes(chain) and rows_telescope(chain, rows)
         for x in range(n):
             for k in range(n - 1):
                 bad = list(rows)
                 bad[x] = rows[x][:k] + (1 - rows[x][k],) + rows[x][k + 1:]
-                assert not _telescopes(chain, bad)
+                assert not rows_telescope(chain, bad)
+        for stage, x, corrupted in _rank_corruptions(chain):
+            verdicts.append(_telescopes(corrupted))
+            assert verdicts[-1] == rows_telescope(corrupted, dirac_rows(corrupted))
+            # only a new anchor for the point added at stage + 1 can pass: it telescopes on another anchor tree
+            assert not verdicts[-1] or (stage < n and x == chain.ordering[stage])
+    assert (len(verdicts), sum(verdicts)) == (4 + 100 + 448, 4)
 
 
 def test_corrupted_rows_fall_back_to_the_inverse(monkeypatch):
     space = random_ultrametric(7, 12)
     ordering = (0, 3, 1, 6, 2, 5, 4)
-    family = basis_vectors(build_chain(space, ordering))
+    chain = build_chain(space, ordering)
+    family = basis_vectors(chain)
     expected = basis_constant(space, family), l1_equivalence_constants(space, family).lower
-    real_rows = chain_module._dirac_rows
-
-    def corrupted(chain):
-        rows = real_rows(chain)
-        rows[3] = (1 - rows[3][0],) + rows[3][1:]
-        return rows
-
-    inversions = []
-    real_inverse = chain_module._family_inverse
-    monkeypatch.setattr(chain_module, "_dirac_rows", corrupted)
-    monkeypatch.setattr(chain_module, "_family_inverse", lambda fam: inversions.append(1) or real_inverse(fam))
-    # the rows are certified once per chain and kept on it, so the family is built after the patch
-    family = basis_vectors(build_chain(space, ordering))
+    # stage 2 sends its kept point 3 to the base, which flips the first Dirac coordinate of 3;
+    # no anchor reads that entry, so the corrupted chain has the same family and fails the check
+    corrupted = _with_rows(chain, [(2, 3, 1)])
+    assert chain.ranks[1][3] == 2 and dirac_rows(corrupted)[3][0] == 1 - dirac_rows(chain)[3][0]
+    inversions = _counted_inversions(monkeypatch)
+    family = basis_vectors(corrupted)
+    assert family == basis_vectors(chain) and not _telescopes(corrupted)
     assert _certified_chain(space, family) is None
     assert (basis_constant(space, family), l1_equivalence_constants(space, family).lower) == expected
     assert len(inversions) == 2
@@ -277,8 +293,10 @@ def test_corrupted_rows_fall_back_to_the_inverse(monkeypatch):
 def test_collinear_chain_telescopes(collinear, monkeypatch):
     # stage 2 keeps {0, "2"} and sends "1" to the base, so e_2 = delta_"1":
     # the rows telescope, and the closed form reads d(0, "2") / d("1", "2")
-    family = basis_vectors(build_chain(collinear, (0, 2, 1)))
-    assert _certified_chain(collinear, family)[1] == [(0, 0), (0, 1), (1, 0)]
+    chain = build_chain(collinear, (0, 2, 1))
+    family = basis_vectors(chain)
+    assert _certified_chain(collinear, family) is chain
+    assert dirac_rows(chain) == [(0, 0), (0, 1), (1, 0)] and rows_telescope(chain, dirac_rows(chain))
     _rejects_inverse(monkeypatch)
     assert basis_constant(collinear, family) == 2
 
@@ -299,7 +317,7 @@ def _tangled_chain():
 def test_non_commuting_chain_fails_the_telescoping():
     chain = _tangled_chain()
     family = basis_vectors(chain)
-    assert not _telescopes(chain, _dirac_rows(chain))
+    assert not _telescopes(chain) and not rows_telescope(chain, dirac_rows(chain))
     assert _certified_chain(chain.space, family) is None
     assert basis_constant(chain.space, family) == solver_basis_constant(family) > 1
 
@@ -529,12 +547,12 @@ def test_zero_distance_keeps_the_report_and_refuses_the_constant():
 
 
 def _count_chain_readings(monkeypatch):
-    """Record the ordering of every chain that is scanned, and of every one whose Dirac rows are checked."""
+    """Record the ordering of every chain that is scanned, and of every one whose telescoping is checked."""
     scans, telescoped = [], []
     real_scan, real_telescopes = chain_module._scan_chain, chain_module._telescopes
     monkeypatch.setattr(chain_module, "_scan_chain", lambda chain: scans.append(chain.ordering) or real_scan(chain))
     monkeypatch.setattr(
-        chain_module, "_telescopes", lambda chain, rows: telescoped.append(chain.ordering) or real_telescopes(chain, rows)
+        chain_module, "_telescopes", lambda chain: telescoped.append(chain.ordering) or real_telescopes(chain)
     )
     return scans, telescoped
 
@@ -594,7 +612,7 @@ def test_an_equal_space_takes_the_closed_form(monkeypatch):
     other = random_ultrametric(7, 6)
     assert _certified_chain(other, family) is None
     _rejects_inverse(monkeypatch)
-    assert _certified_chain(twin, family)[0] is _certified_chain(space, family)[0]
+    assert _certified_chain(twin, family) is _certified_chain(space, family) is vars(family)["_chain"]
     assert basis_constant(twin, family) == 1
     assert l1_equivalence_constants(twin, family).lower == lower
 
@@ -659,3 +677,21 @@ def test_a_stage_outside_the_chain_is_refused(triangle, n):
         chain.kept(n)
     assert [retraction_map(chain, m).image for m in (1, 2, 3)] == [(0, 0, 0), (0, 1, 1), (0, 1, 2)]
     assert [chain.kept(m) for m in (1, 2, 3)] == [(0,), (0, 1), (0, 1, 2)]
+
+
+@pytest.mark.parametrize(
+    "ranks, message",
+    [
+        # rank 0 would read the last ordered point
+        (((1, 1, 1), (1, 2, 0), (1, 2, 3)), r"^the rank of point 2 at stage 2 is 0, outside 1\.\.3$"),
+        (((1, 1, 1), (1, 2, 2), (-1, 2, 3)), r"^the rank of point 0 at stage 3 is -1, outside 1\.\.3$"),
+        (((1, 4, 1), (1, 2, 2), (1, 2, 3)), r"^the rank of point 1 at stage 1 is 4, outside 1\.\.3$"),
+        (((1, 1, 1), (1, 2), (1, 2, 3)), r"^stage 2 ranks 2 points, not 3$"),
+        (((1, 1, 1), (1, 2, 2, 1), (1, 2, 3)), r"^stage 2 ranks 4 points, not 3$"),
+        (((1, 1, 1), (1, 2, 2)), r"^the rank table has 2 stages, not 3$"),
+    ],
+)
+def test_a_bad_rank_table_is_refused(triangle, ranks, message):
+    with pytest.raises(ValueError, match=message):
+        RetractionChain(triangle, (0, 1, 2), ranks)
+    assert RetractionChain(triangle, (0, 1, 2), ((1, 1, 1), (1, 2, 2), (1, 2, 3))) == build_chain(triangle)

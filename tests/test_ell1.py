@@ -1,24 +1,29 @@
 import dataclasses
 import random
 import re
+import sys
 from fractions import Fraction
 
 import pytest
 
 from _oracles import (
     dense_pair_check,
+    dirac_rows,
     fraction_chain_phi,
     fraction_rank,
     hull_extreme_pairs,
     lp_transport_norm,
     orthant_l1_lower,
     path_pair_check,
+    rows_chain_phi,
+    rows_telescope,
 )
 from test_acceptance import _power_of_two_caterpillar
-from test_freespace import _PRIMES_NEAR_A_MILLION, _coprime_heights, _merge_ultrametric
+from test_chain import _rank_corruptions, _shuffled_chain, _tangled_chain
+from test_freespace import _PRIMES_NEAR_A_MILLION, _coprime_heights, _merge_ultrametric, _stress_ultrametrics
 from test_rtree import count_path_metric_certificates
 from ultrafree import ell1, rtree
-from ultrafree.chain import BasisFamily, basis_vectors, build_chain
+from ultrafree.chain import BasisFamily, RetractionChain, basis_vectors, build_chain
 from ultrafree.ell1 import (
     edge_flow_coordinates,
     edge_molecule_isometry,
@@ -385,9 +390,18 @@ def test_node_pairs_name_an_edge_missing_an_orientation(four_cluster, arc):
         ell1._checked_node_pairs(scaled._replace(dist=dist), rooted_node_space(dendrogram(four_cluster)).dist)
 
 
+def test_a_dense_check_names_an_edge_missing_its_upward_distance(four_cluster):
+    # the zero vector sends no flow, so the missing orientation is first read by the 1-Lipschitz check
+    scaled = ell1._scaled_tree(dendrogram(four_cluster))
+    dist = {key: x for key, x in scaled.dist.items() if key != (6, 0)}
+    with pytest.raises(CertificationError, match=r"^edge \(a@1/4, 0@1/2\) has no node-space distance$"):
+        ell1._checked_coefficients(scaled._replace(dist=dist), [0] * len(scaled.edges), 1)
+
+
 def test_pipeline_checks_no_node_pair_densely(monkeypatch):
     """One pipeline call makes a dense check of each random vector and of nothing else,
-    and certifies the node pairs by one walk of the tree from each node that starts a pair."""
+    and certifies the node pairs by one walk of the tree from each node that starts a pair;
+    the l1 stage then walks the chain's anchor tree from each point that starts a pair."""
     dense, walks = [], []
     real_dense, real_walk = ell1._checked_coefficients, ell1._path_sums
 
@@ -396,7 +410,7 @@ def test_pipeline_checks_no_node_pair_densely(monkeypatch):
         return real_dense(tree, coeffs, unit)
 
     def count_walk(adjacent, source):
-        walks.append(source)
+        walks.append((len(adjacent), source))
         return real_walk(adjacent, source)
 
     monkeypatch.setattr(ell1, "_checked_coefficients", count_dense)
@@ -411,7 +425,7 @@ def test_pipeline_checks_no_node_pair_densely(monkeypatch):
         pipeline(space, oracle_vectors=vectors, seed=vectors)
         assert len(dense) == vectors + max(5, vectors // 5)
         assert dense == [(draw, 12) for draw in ell1._battery_draws(rounded, ambient, vectors, vectors)]
-        assert walks == list(range(nodes - 1))
+        assert walks == [(nodes, s) for s in range(nodes - 1)] + [(len(space), s) for s in range(len(space) - 1)]
 
 
 def test_pipeline_at_240_points():
@@ -588,22 +602,93 @@ def test_l1_lower_matches_orthant_oracle(space, family):
     assert constants.upper == 1
 
 
+def _walked_phi(space, family, monkeypatch):
+    """Phi at the witness of ``l1_equivalence_constants`` and its pair, the molecule it certifies."""
+    pairs = []
+    real = ell1.molecule
+    with monkeypatch.context() as patch:
+        patch.setattr(ell1, "molecule", lambda s, i, j: pairs.append((i, j)) or real(s, i, j))
+        lower = l1_equivalence_constants(space, family).lower
+    (pair,) = pairs
+    return (1 / lower, *pair)
+
+
+def _rows_phi(chain, family):
+    """The row scan's Phi and pair, matched with the Fraction max first."""
+    rows = dirac_rows(chain)
+    expected = rows_chain_phi(chain.space, family.norms, rows)
+    assert expected == fraction_chain_phi(chain.space, family.norms, rows)
+    return expected
+
+
 @pytest.mark.parametrize("space, family", [case for case in _l1_cases() if case.id.endswith("chain")])
-def test_chain_phi_matches_the_fraction_max(space, family):
-    # the cross-multiplied scan gives the Fraction max and its first maximizing pair, row by row
-    rows = ell1._certified_chain(space, family)[1]
-    assert ell1._chain_phi(space, family.norms, rows) == fraction_chain_phi(space, family.norms, rows)
+def test_chain_phi_matches_the_fraction_max(space, family, monkeypatch):
+    # the walk gives the row scan's max and its first maximizing pair, row by row, and so the Fraction max's
+    chain = ell1._certified_chain(space, family)
+    assert _walked_phi(space, family, monkeypatch) == _rows_phi(chain, family)
+
+
+def test_chain_phi_matches_the_row_scan_on_stress_chains_and_rank_corruptions(collinear, monkeypatch):
+    # tied, coprime, caterpillar and star spaces, N = 2..12, under the input and a random ordering, the
+    # collinear and tangled chains, and every single-entry rank corruption, values in 1..N, of chains on
+    # N = 3..6 points: the maps check gives the rows check's verdict, and the walk the row scan's Phi
+    rng = random.Random(53)
+    chains = [build_chain(collinear, (0, 2, 1)), _tangled_chain()]
+    for space in _stress_ultrametrics(rng):
+        chains += [build_chain(space), _shuffled_chain(space, rng)]
+    for n in range(3, 7):
+        for _, _, corrupted in _rank_corruptions(_shuffled_chain(random_ultrametric(n, 50 + n), rng)):
+            chains.append(corrupted)
+    walked = 0
+    for chain in chains:
+        family = basis_vectors(chain)
+        certified = ell1._certified_chain(chain.space, family) is chain
+        assert certified == rows_telescope(chain, dirac_rows(chain))
+        if certified:
+            assert _walked_phi(chain.space, family, monkeypatch) == _rows_phi(chain, family)
+            walked += 1
+    assert (len(chains), walked) == (2 + 2 * 44 + 18 + 48 + 100 + 180, 1 + 2 * 44 + 5)
 
 
 @pytest.mark.parametrize("distance, shown", [(0, "0"), (-1, "-1")])
-def test_chain_phi_names_a_distance_that_is_not_positive(triangle, distance, shown):
-    # a cross-multiplied ratio over a distance <= 0 would be misordered, so the scan refuses it
-    family = basis_vectors(build_chain(triangle))
-    rows = ell1._certified_chain(triangle, family)[1]
-    space = FiniteMetricSpace(("0", "x", "y"), ((0, 1, 1), (1, 0, distance), (1, distance, 0)))
+def test_chain_phi_names_a_distance_that_is_not_positive(distance, shown):
+    # a cross-multiplied ratio over a distance <= 0 would be misordered, so the walk and the row scan refuse it;
+    # the constructor admits a matrix with d(x, x) = -2 and d(y, x) = 1/2, whose chain telescopes
+    space = FiniteMetricSpace(("0", "x", "y"), ((0, 1, 1), (1, -2, distance), (1, H, 0)))
+    chain = build_chain(space)
+    family = basis_vectors(chain)
+    assert ell1._certified_chain(space, family) is chain
     message = rf"^the distance of the pair \(1, 2\) is {shown}, not positive$"
     with pytest.raises(ValueError, match=message):
-        ell1._chain_phi(space, family.norms, rows)
+        l1_equivalence_constants(space, family)
+    with pytest.raises(ValueError, match=message):
+        rows_chain_phi(space, family.norms, dirac_rows(chain))
+
+
+def test_a_chain_family_takes_one_walk_per_point_and_no_linalg(monkeypatch):
+    # N - 1 walks of the anchor tree, from the points 0..N-2 that start a pair, and no Gauss-Jordan
+    rng = random.Random(59)
+    cases = []
+    for n in range(2, 12):
+        space = random_ultrametric(n, 900 + n)
+        chain = _shuffled_chain(space, rng)
+        family = basis_vectors(chain)
+        cases.append((space, family, 1 / _rows_phi(chain, family)[0]))
+    walks = []
+    real_walk = ell1._path_sums
+    monkeypatch.setattr(ell1, "_path_sums", lambda adjacent, source: walks.append(source) or real_walk(adjacent, source))
+
+    def refuse(*args):
+        raise AssertionError("a linalg function was called")
+
+    for module in [module for name, module in sys.modules.items() if name.startswith("ultrafree.")]:
+        for name in ("_reduce", "_solve_square", "solve_linear", "invert_matrix"):
+            if hasattr(module, name):
+                monkeypatch.setattr(module, name, refuse)
+    for space, family, lower in cases:
+        walks.clear()
+        assert l1_equivalence_constants(space, family).lower == lower
+        assert walks == list(range(len(space) - 1))
 
 
 def test_l1_constants_name_a_zero_distance_of_an_asymmetric_matrix():
@@ -648,17 +733,34 @@ def test_l1_constants_reconstruction_is_checked(triangle, monkeypatch):
 
 
 def test_l1_constants_reconstruction_is_checked_on_chain_rows(triangle, monkeypatch):
-    # a chain's own family: the coefficients come from its Dirac rows
+    # a chain's own family: the coefficients come from its rank rows, here with the stage-2 entry of y
+    # sent to the base, which flips the first Dirac coordinate of y
     family = basis_vectors(build_chain(triangle))
     real_certified = ell1._certified_chain
 
     def flipped(space, fam):
-        chain, rows = real_certified(space, fam)
-        return chain, [rows[0], rows[1], (1 - rows[2][0], rows[2][1])]
+        chain = real_certified(space, fam)
+        return RetractionChain(chain.space, chain.ordering, (chain.ranks[0], (1, 2, 1), chain.ranks[2]))
 
     monkeypatch.setattr(ell1, "_certified_chain", flipped)
     with pytest.raises(CertificationError, match="reconstruct"):
         l1_equivalence_constants(triangle, family)
+
+
+def test_edge_molecule_isometry_draws_the_same_patterns(four_cluster, monkeypatch):
+    # the all-ones pattern, then each random pattern by the rng calls of one draw k / b, k in -6..6, b in 1..4
+    tree = dendrogram(four_cluster)
+    count = len(tree.nodes) - 1
+    rng = random.Random(4)
+    expected = [(Fraction(1),) * count] + [
+        tuple(Fraction(rng.randint(-6, 6), rng.choice((1, 2, 3, 4))) for _ in range(count)) for _ in range(12)
+    ]
+    seen = []
+    real = ell1._combination
+    monkeypatch.setattr(ell1, "_combination", lambda dim, vectors, coeffs: seen.append(coeffs) or real(dim, vectors, coeffs))
+    report = edge_molecule_isometry(tree, patterns=12, seed=4)
+    assert report.passed and report.patterns_checked == 13
+    assert seen == expected and all(type(c) is Fraction for pattern in seen for c in pattern)
 
 
 def test_three_point_space_validation():

@@ -420,3 +420,12 @@ def test_construction_parses_only_what_is_not_a_fraction(monkeypatch):
             LipFunction((Fraction(0), bad))
         with pytest.raises(error, match=match):
             FreeVector((half, bad))
+
+
+@pytest.mark.parametrize("distance, shown", [(0, "0"), (-1, "-1")])
+def test_identity_distortion_names_a_codomain_distance_that_is_not_positive(triangle, distance, shown):
+    # the ratio at that pair is not positive, so its inverse would divide by zero or flip the order
+    space = FiniteMetricSpace(("0", "x", "y"), ((0, 1, 1), (1, 0, distance), (1, distance, 0)))
+    assert bilipschitz_distortion(triangle, space)[0] == 2 * distance
+    with pytest.raises(ValueError, match=rf"^the codomain distance of the pair \(1, 2\) is {shown}, not positive$"):
+        identity_distortion(triangle, space)
