@@ -8,14 +8,14 @@ and the induced linear projections on the free space are norm one, which
 makes the telescoped difference vectors a monotone basis.
 
 Since P_n delta_x = delta_{r_n x}, every point evaluation has 0/1
-coordinates in the basis of its own chain, certified once by the
-telescoping identity: they mark the edges from x to the base of the
-anchor tree, where each added point hangs off its nearest earlier one.
-The basis constant and the l1 constants of a family from
+coordinates in the basis of its own chain: they mark the edges from x to
+the base of the anchor tree, where each added point hangs off its nearest
+earlier one.  The basis constant and the l1 constants of a family from
 :func:`basis_vectors`, which keeps its chain, come from them, and only
 families built otherwise are inverted.
 
-The chain identities and the closed-form basis constant, the maximum of
+The chain identities, the telescoping identity that gives those
+coordinates, and the closed-form basis constant, the maximum of
 d(r_n x, r_n y) / d(x, y) over the stages n >= 2 and the pairs, come from
 one incremental integer scan of the rank table, :func:`_scan_chain`: a
 pair is evaluated again only when one of its two points changes rank.
@@ -33,6 +33,7 @@ from typing import Optional, Sequence
 from .freespace import FreeVector, PointMap, free_norm, molecule, operator_norm_of_extension
 from .linalg import SingularMatrixError, invert_matrix
 from .metric import FiniteMetricSpace, _cached, _integer_view
+from .rational import _index
 
 
 @dataclass(frozen=True)
@@ -40,8 +41,10 @@ class RetractionChain:
     """Point ordering plus the full table of minimal nearest positions.
 
     ``ranks[n-1][x]`` is the 1-based position (in the ordering) of the
-    nearest point to x among the first n, minimal position on ties.  A
-    table that is not N x N with entries in 1..N raises ValueError.
+    nearest point to x among the first n, minimal position on ties.  An
+    ordering that is not a permutation of the points starting at the base,
+    and a table that is not N x N with entries in 1..N, raise ValueError; a
+    point index that is no integer raises TypeError.
     """
 
     space: FiniteMetricSpace
@@ -49,6 +52,7 @@ class RetractionChain:
     ranks: tuple[tuple[int, ...], ...]
 
     def __post_init__(self) -> None:
+        object.__setattr__(self, "ordering", _checked_ordering(len(self.space), self.ordering))
         size = len(self.ordering)
         if len(self.ranks) != size:
             raise ValueError(f"the rank table has {len(self.ranks)} stages, not {size}")
@@ -123,6 +127,16 @@ class ProjectionAlgebraReport:
         return not (self.min_rule or self.rank_failures or self.norm_failures)
 
 
+def _checked_ordering(size: int, ordering: Sequence[int]) -> tuple[int, ...]:
+    """The ordering as a tuple of ints, or the ValueError of :class:`RetractionChain` for one it refuses."""
+    order = tuple(map(_index, ordering))
+    if sorted(order) != list(range(size)):
+        raise ValueError("ordering must be a permutation of all point indices")
+    if order[:1] != (0,):
+        raise ValueError("ordering must start at the base point")
+    return order
+
+
 @dataclass(frozen=True)
 class BasisFamily:
     """Vectors of a (candidate) basis of the free space together with their norms."""
@@ -142,11 +156,7 @@ def build_chain(space: FiniteMetricSpace, ordering: Optional[Sequence[int]] = No
     :func:`_integer_view`, which has their order and their ties.
     """
     n_points = len(space)
-    order = tuple(int(i) for i in ordering) if ordering is not None else tuple(range(n_points))
-    if sorted(order) != list(range(n_points)):
-        raise ValueError("ordering must be a permutation of all point indices")
-    if order[0] != 0:
-        raise ValueError("ordering must start at the base point")
+    order = _checked_ordering(n_points, range(n_points) if ordering is None else ordering)
     d = _integer_view(space)[1]
     best_rank = [1] * n_points
     best_dist = [d[x][order[0]] for x in range(n_points)]
@@ -173,7 +183,8 @@ def verify_chain(chain: RetractionChain) -> ChainReport:
       * every kept point is fixed by its stage
 
     The report is that of the chain's one :func:`_scan_chain`, kept on it,
-    which also gives the closed form of :func:`basis_constant`.
+    which also gives the closed form of :func:`basis_constant`, and
+    :func:`_certified_chain` reads the telescoping identity off it.
     """
     return _cached(chain, "_scan", _scan_chain)[0]
 
@@ -324,7 +335,8 @@ def basis_vectors(chain: RetractionChain) -> BasisFamily:
     of its nearest point among the first k; its norm is that nearest
     distance, by the isometry of the evaluation embedding.  The family keeps
     ``chain`` outside its fields, as :func:`_cached` does, for
-    :func:`_certified_chain`; the chain never refers back to the family.
+    :func:`_certified_chain`, which certifies it off the chain's one scan;
+    the chain never refers back to the family.
     """
     space, order = chain.space, chain.ordering
     one, zeros = Fraction(1), [Fraction(0)] * (chain.size - 1)
@@ -403,43 +415,32 @@ def _elementary_norm(space: FiniteMetricSpace, coeffs: list[Fraction]) -> Option
     return None
 
 
-def _telescopes(chain: RetractionChain) -> bool:
-    """Certify the telescoping identity of the chain's basis on its point maps, read off the rank rows.
-
-    Checks r_1 x = base, r_N x = x, and for every stage n < N and point x
-    that r_{n+1} x = r_n x, or r_{n+1} x = p and r_n x = r_n p for the point
-    p added at stage n + 1.  Then delta_{r_{n+1} x} - delta_{r_n x} is
-    e_n = delta_p - delta_{r_n p} where the map changes and 0 elsewhere, so
-    every truncation of delta_x is delta_{r_n x}.  By induction each r_n x
-    is among the first n points, so never p, and the 0/1 Dirac coordinate
-    [r_{n+1} x = p] is 1 exactly when the map changes: on every table this
-    is the check of the Dirac rows.  The coordinates 1 of x mark the edges
-    from x to the base of the anchor tree, where p hangs off r_n p.
-    """
-    order, size = chain.ordering, chain.size
-    maps = [[order[rank - 1] for rank in row] for row in chain.ranks]
-    if any(maps[0][x] != 0 or maps[-1][x] != x for x in range(size)):
-        return False
-    for n in range(1, size):
-        added, before, after = order[n], maps[n - 1], maps[n]
-        anchor = before[added]
-        for x in range(size):
-            if after[x] != before[x] and (after[x] != added or before[x] != anchor):
-                return False
-    return True
-
-
 def _certified_chain(space: FiniteMetricSpace, family: BasisFamily) -> Optional[RetractionChain]:
     """The chain :func:`basis_vectors` kept on ``family``, if on a space equal to ``space`` and certified.
 
-    The chain is checked by :func:`_telescopes` once and the verdict kept
-    on it.  A chain that fails, and a family built otherwise, one equal to
+    The certificate is the chain's one scan, read through
+    :func:`verify_chain`, and the rank bound: no commutation and no
+    fixed-point failure, and stage n ranks only the first n points.  On
+    every table :class:`RetractionChain` admits, this is the telescoping
+    identity delta_{r_{n+1} x} - delta_{r_n x} = [r_{n+1} x = p] e_n, for
+    the point p added at stage n + 1 and e_n = delta_p - delta_{r_n p}.
+    If r_{n+1} x != r_n x, it is p: it is among the first n + 1 points,
+    and an earlier q, fixed by r_n, would give r_n r_{n+1} x = q != r_n x.
+    Then r_n x = r_n r_{n+1} x = r_n p; the rank bound at stage 1 gives
+    r_1 = base and the fixed points at stage N give r_N = id.  Conversely,
+    telescoping puts each r_n x among the first n points, fixes the kept
+    points and gives r_n r_{n+1} = r_n.  The coordinates 1 of x then mark
+    the edges from x to the base of the anchor tree, where p hangs off
+    r_n p.  A chain that fails, and a family built otherwise, one equal to
     a chain's family too, give None.  A family without N - 1 vectors of
     N - 1 coefficients raises ValueError.
     """
     _check_family(space, family)
     chain = vars(family).get("_chain")
-    if chain is None or family.space != space or not _cached(chain, "_telescoped", _telescopes):
+    if chain is None or family.space != space:
+        return None
+    report = verify_chain(chain)
+    if report.commutation or report.fixed_points or any(max(row) > n for n, row in enumerate(chain.ranks, 1)):
         return None
     return chain
 
@@ -466,14 +467,15 @@ def basis_constant(space: FiniteMetricSpace, family: BasisFamily) -> Fraction:
     molecule expansion, molecules being the extreme points of the unit
     ball.  On the family of :func:`basis_vectors`, which keeps its chain,
     the truncation of m_ij after n - 1 vectors is the molecule multiple
-    (delta_{r_n i} - delta_{r_n j}) / d(i, j), the telescoping certified,
-    so the constant is the maximum of d(r_n i, r_n j) / d(i, j) over the
-    stages n >= 2 and the pairs, read off the chain's one scan, which
-    :func:`verify_chain` reads too.  Any other family, a hand-built copy of
-    a chain's family too, is inverted: exact molecule multiples use the
-    same closed form and the others the transport solver, for the same
-    value.  A family without N - 1 vectors of N - 1 coefficients raises
-    ValueError.  Equals exactly 1 for chains built on ultrametric spaces.
+    (delta_{r_n i} - delta_{r_n j}) / d(i, j), the telescoping certified
+    by :func:`_certified_chain`, so the constant is the maximum of
+    d(r_n i, r_n j) / d(i, j) over the stages n >= 2 and the pairs, read
+    off the chain's one scan that certifies it.  Any other family, a
+    hand-built copy of a chain's family too, is inverted: exact molecule
+    multiples use the same closed form and the others the transport
+    solver, for the same value.  A family without N - 1 vectors of N - 1
+    coefficients raises ValueError.  Equals exactly 1 for chains built on
+    ultrametric spaces.
     """
     certified = _certified_chain(space, family)
     constant = None if certified is None else _cached(certified, "_scan", _scan_chain)[1]

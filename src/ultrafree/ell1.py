@@ -483,7 +483,7 @@ def l1_equivalence_constants(space: FiniteMetricSpace, family: BasisFamily) -> L
     maximum is attained at a molecule: lower = 1 / max_{i<j} Phi(m_ij).
 
     On the family of a chain, which keeps it, the coefficients of m_ij
-    certified by :func:`_telescopes` are +-1 / d(i, j) on the path from i
+    certified off the chain's scan are +-1 / d(i, j) on the path from i
     to j in the anchor tree, where the point p added at stage n + 1 hangs
     off r_n p with weight norm(e_n), so Phi(m_ij) is that path length over
     d(i, j).  One walk from each point, on the integer scale of the norms,
@@ -493,10 +493,12 @@ def l1_equivalence_constants(space: FiniteMetricSpace, family: BasisFamily) -> L
     A distance that is not positive raises ValueError naming its pair.  Any
     other family, a hand-built copy of it too, is inverted, for the same
     value.  The value is certified by its witness w = m*/Phi(m*), at the
-    maximizing molecule m*: the coefficients must reconstruct m* exactly,
-    and the transport norm of w must equal the returned lower constant.  A
-    family that is empty, does not fit the space or does not span the free
-    space raises ValueError.
+    maximizing molecule m*: the coefficients must reconstruct m* exactly
+    and give Phi(m*) = sum |c_k| * norm(e_k), and the transport norm of w
+    must equal the returned lower constant; a failed check raises
+    :class:`CertificationError` naming the pair.  A family that is empty,
+    does not fit the space or does not span the free space raises
+    ValueError.
     """
     if not family.vectors:
         raise ValueError("family is empty")
@@ -534,6 +536,8 @@ def l1_equivalence_constants(space: FiniteMetricSpace, family: BasisFamily) -> L
     m = molecule(space, i, j)
     if _combination(len(space) - 1, family.vectors, coeffs) != list(m.coeffs):
         raise CertificationError(f"l1 witness at pair ({i}, {j}) does not reconstruct its molecule")
+    if sum((abs(c) * norm for c, norm in zip(coeffs, family.norms) if c), Fraction(0)) != phi:
+        raise CertificationError(f"l1 witness at pair ({i}, {j}) does not attain Phi = {phi}")
     if free_norm_certificate(space, lower * m).value != lower:
         raise CertificationError(f"l1 witness at pair ({i}, {j}) does not attain the lower constant")
     return L1Constants(lower, Fraction(1))
@@ -731,10 +735,10 @@ def pipeline(
     dendrogram of the rounding is kept on it, and its node distances,
     certified once, serve the claims, the node spaces and the battery.  The
     chain identities and the basis constant are read through the public
-    functions off the chain's one scan, and the l1 constants off one walk
-    of its anchor tree per point, the telescoping certified once, all in
-    integers; the one transport solve left is the witness of the l1 lower
-    constant.
+    functions off the chain's one scan, which also certifies the
+    telescoping, and the l1 constants off one walk of its anchor tree per
+    point, all in integers; the one transport solve left is the witness of
+    the l1 lower constant.
     """
     if len(space) < 2:
         raise ValueError("pipeline needs at least two points")

@@ -33,7 +33,7 @@ from math import lcm
 from typing import Optional, Sequence
 
 from .metric import CertificationError, FiniteMetricSpace, _cached, _extreme_ratios, _integer_view, _single_linkage
-from .rational import _rationals, parse_rational
+from .rational import _index, _rationals, parse_rational
 from .simplex import solve_lp
 
 
@@ -107,7 +107,7 @@ class PointMap:
     image: tuple[int, ...]
 
     def __post_init__(self) -> None:
-        image = tuple(int(i) for i in self.image)
+        image = tuple(map(_index, self.image))
         if len(image) != len(self.domain):
             raise ValueError("one image point per domain point required")
         if any(not 0 <= i < len(self.codomain) for i in image):

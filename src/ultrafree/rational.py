@@ -6,6 +6,7 @@ rejected at the boundary so that equality assertions stay decidable.
 
 from __future__ import annotations
 
+import operator
 from fractions import Fraction
 
 __all__ = ["parse_rational", "is_power_of_two", "dyadic_floor", "dyadic_exponent"]
@@ -31,6 +32,14 @@ def parse_rational(value: object) -> Fraction:
     if isinstance(value, float):
         raise TypeError(f"refusing float {value!r}: pass a string such as '3/4' or '0.75'")
     raise TypeError(f"cannot convert {type(value).__name__} to a rational")
+
+
+def _index(value: object) -> int:
+    """``operator.index(value)``, so never a truncated float: anything else raises TypeError naming it."""
+    try:
+        return operator.index(value)
+    except TypeError:
+        raise TypeError(f"expected an integer index, got {type(value).__name__} {value!r}") from None
 
 
 def _rationals(values) -> tuple[Fraction, ...]:

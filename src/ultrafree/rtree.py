@@ -40,7 +40,7 @@ from .metric import (
     validate,
     with_base,
 )
-from .rational import parse_rational
+from .rational import _index, parse_rational
 
 
 @dataclass(frozen=True)
@@ -51,7 +51,7 @@ class TreePoint:
     height: Fraction
 
     def __post_init__(self) -> None:
-        anchor, height = int(self.anchor), parse_rational(self.height)
+        anchor, height = _index(self.anchor), parse_rational(self.height)
         if anchor < 0:
             raise ValueError("anchor must be a nonnegative point index")
         if height < 0:

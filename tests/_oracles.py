@@ -93,14 +93,15 @@ the whole tree, each followed by the distance comparison; the two
 Fraction maxima over every pair's ratio; and the Fraction minimum and
 maximum of the distortion ratios.
 
-The package certifies a chain's telescoping identity on its point maps
-and reads the l1 constant Phi of the chain's family off one walk of the
-anchor tree per point.  What these replaced is kept as a reference: the
-0/1 Dirac rows of every point read off the rank table, the telescoping
-check of those rows, and the scan of every pair for the largest sum of
-the norms where two rows differ over the distance, by cross-multiplication
-on the distances scaled to integers here.  None of them walks a tree or
-touches the integer view.
+The package reads a chain's telescoping identity off the report of its
+one scan and a bound on its ranks, and reads the l1 constant Phi of the
+chain's family off one walk of the anchor tree per point.  What these
+replaced is kept as a reference: the check of the identity on the point
+maps, stage by stage; the 0/1 Dirac rows of every point read off the rank
+table, the telescoping check of those rows; and the scan of every pair for
+the largest sum of the norms where two rows differ over the distance, by
+cross-multiplication on the distances scaled to integers here.  None of
+them reads the scan, walks a tree or touches the integer view.
 
 Four helpers that only the tests use live here rather than in the
 package: the strict-max triple check, the path sum along a dendrogram, the
@@ -275,6 +276,28 @@ def rows_telescope(chain: RetractionChain, rows: Sequence[Sequence[int]]) -> boo
         anchor = before[added]
         for x in range(size):
             if (after[x], before[x]) != (added, anchor) if rows[x][n - 1] else after[x] != before[x]:
+                return False
+    return True
+
+
+def maps_telescope(chain: RetractionChain) -> bool:
+    """Certify the telescoping identity of the chain's basis on its point maps, read off the rank rows.
+
+    Checks r_1 x = base, r_N x = x, and for every stage n < N and point x
+    that r_{n+1} x = r_n x, or r_{n+1} x = p and r_n x = r_n p for the point
+    p added at stage n + 1.  Then delta_{r_{n+1} x} - delta_{r_n x} is
+    e_n = delta_p - delta_{r_n p} where the map changes and 0 elsewhere.
+    It reads no Dirac row and no report of the chain's scan.
+    """
+    order, size = chain.ordering, chain.size
+    maps = _retraction_table(chain)
+    if any(maps[0][x] != 0 or maps[-1][x] != x for x in range(size)):
+        return False
+    for n in range(1, size):
+        added, before, after = order[n], maps[n - 1], maps[n]
+        anchor = before[added]
+        for x in range(size):
+            if after[x] != before[x] and (after[x] != added or before[x] != anchor):
                 return False
     return True
 

@@ -1,3 +1,4 @@
+import itertools
 import json
 import pickle
 import random
@@ -13,7 +14,6 @@ from ultrafree.chain import (
     _certified_chain,
     _family_inverse,
     _scan_chain,
-    _telescopes,
     basis_constant,
     basis_vectors,
     build_chain,
@@ -32,6 +32,7 @@ from ultrafree.serialize import dump_json, space_to_json
 from _oracles import (
     dirac_rows,
     fraction_ranks,
+    maps_telescope,
     matrix_projection_algebra,
     molecule_operator_norm,
     orthant_l1_lower,
@@ -74,6 +75,33 @@ def test_ordering_validation(triangle):
         build_chain(triangle, (0, 1))
     with pytest.raises(ValueError):
         build_chain(triangle, (0, 1, 1))
+
+
+@pytest.mark.parametrize(
+    "ordering, ranks, message",
+    [
+        ((0, 1), ((1, 1), (1, 2)), "ordering must be a permutation of all point indices"),
+        ((0, 2, 2), ((1, 1, 1), (1, 2, 2), (1, 2, 3)), "ordering must be a permutation of all point indices"),
+        ((1, 0, 2), ((1, 1, 1), (1, 2, 2), (1, 2, 3)), "ordering must start at the base point"),
+    ],
+)
+def test_a_bad_ordering_is_refused_by_the_chain(ordering, ranks, message):
+    # the certificate read off the scan needs a permutation starting at the base
+    space = random_ultrametric(3, 1)
+    with pytest.raises(ValueError, match=f"^{message}$"):
+        RetractionChain(space, ordering, ranks)
+    with pytest.raises(ValueError, match=f"^{message}$"):
+        build_chain(space, ordering)
+    assert RetractionChain(space, [0, 1, 2], build_chain(space).ranks) == build_chain(space)
+
+
+def test_an_ordering_index_that_is_no_integer_is_refused(triangle):
+    # int() would truncate (0, 2.7, 1.2) to the ordering (0, 2, 1)
+    with pytest.raises(TypeError, match=r"^expected an integer index, got float 2\.7$"):
+        build_chain(triangle, (0, 2.7, 1.2))
+    with pytest.raises(TypeError, match=r"^expected an integer index, got float 2\.0$"):
+        RetractionChain(triangle, (0, 2.0, 1), build_chain(triangle, (0, 2, 1)).ranks)
+    assert build_chain(triangle, (0, 2, 1)).ordering == (0, 2, 1)
 
 
 def test_verify_chain_random_campaign():
@@ -250,26 +278,45 @@ def _rank_corruptions(chain):
                     yield n, x, _with_rows(chain, [(n, x, rank)])
 
 
+def _certified(chain):
+    """Whether :func:`_certified_chain` certifies the chain on its own family, off the chain's scan."""
+    return _certified_chain(chain.space, basis_vectors(chain)) is chain
+
+
 def test_telescoping_rejects_every_corrupted_entry():
-    # the rows check rejects every flipped Dirac row entry, and the maps check gives its
-    # verdict on every single-entry rank corruption
+    # the rows check rejects every flipped Dirac row entry, and the scan's certificate gives the
+    # verdict of the maps and rows checks on every single-entry rank corruption
     rng = random.Random(31)
     verdicts = []
     for n in (2, 5, 8):
         chain = _shuffled_chain(random_ultrametric(n, 70 + n), rng)
         rows = dirac_rows(chain)
-        assert _telescopes(chain) and rows_telescope(chain, rows)
+        assert _certified(chain) and maps_telescope(chain) and rows_telescope(chain, rows)
         for x in range(n):
             for k in range(n - 1):
                 bad = list(rows)
                 bad[x] = rows[x][:k] + (1 - rows[x][k],) + rows[x][k + 1:]
                 assert not rows_telescope(chain, bad)
         for stage, x, corrupted in _rank_corruptions(chain):
-            verdicts.append(_telescopes(corrupted))
-            assert verdicts[-1] == rows_telescope(corrupted, dirac_rows(corrupted))
+            verdicts.append(_certified(corrupted))
+            assert verdicts[-1] == maps_telescope(corrupted) == rows_telescope(corrupted, dirac_rows(corrupted))
             # only a new anchor for the point added at stage + 1 can pass: it telescopes on another anchor tree
             assert not verdicts[-1] or (stage < n and x == chain.ordering[stage])
     assert (len(verdicts), sum(verdicts)) == (4 + 100 + 448, 4)
+
+
+def test_the_scan_certifies_every_two_and_three_point_table():
+    # every rank table with entries in 1..N: the certificate read off the scan and the rank
+    # bound gives the maps check's and the rows check's verdict; one table per stage-2 choice
+    # of the third point telescopes on three points, and only the nearest-point table on two
+    verdicts = []
+    for space in (random_ultrametric(2, 1), random_ultrametric(3, 1)):
+        n = len(space)
+        for entries in itertools.product(range(1, n + 1), repeat=n * n):
+            chain = RetractionChain(space, tuple(range(n)), tuple(zip(*[iter(entries)] * n)))
+            verdicts.append(_certified(chain))
+            assert verdicts[-1] == maps_telescope(chain) == rows_telescope(chain, dirac_rows(chain))
+    assert (len(verdicts), sum(verdicts)) == (16 + 19683, 1 + 2)
 
 
 def test_corrupted_rows_fall_back_to_the_inverse(monkeypatch):
@@ -284,8 +331,8 @@ def test_corrupted_rows_fall_back_to_the_inverse(monkeypatch):
     assert chain.ranks[1][3] == 2 and dirac_rows(corrupted)[3][0] == 1 - dirac_rows(chain)[3][0]
     inversions = _counted_inversions(monkeypatch)
     family = basis_vectors(corrupted)
-    assert family == basis_vectors(chain) and not _telescopes(corrupted)
-    assert _certified_chain(space, family) is None
+    assert family == basis_vectors(chain) and not maps_telescope(corrupted)
+    assert verify_chain(corrupted).fixed_points == ((2, 3),) and _certified_chain(space, family) is None
     assert (basis_constant(space, family), l1_equivalence_constants(space, family).lower) == expected
     assert len(inversions) == 2
 
@@ -295,8 +342,10 @@ def test_collinear_chain_telescopes(collinear, monkeypatch):
     # the rows telescope, and the closed form reads d(0, "2") / d("1", "2")
     chain = build_chain(collinear, (0, 2, 1))
     family = basis_vectors(chain)
-    assert _certified_chain(collinear, family) is chain
+    assert _certified_chain(collinear, family) is chain and maps_telescope(chain)
     assert dirac_rows(chain) == [(0, 0), (0, 1), (1, 0)] and rows_telescope(chain, dirac_rows(chain))
+    # the chain fails other identities, which the certificate does not read
+    assert not verify_chain(chain).passed
     _rejects_inverse(monkeypatch)
     assert basis_constant(collinear, family) == 2
 
@@ -317,8 +366,8 @@ def _tangled_chain():
 def test_non_commuting_chain_fails_the_telescoping():
     chain = _tangled_chain()
     family = basis_vectors(chain)
-    assert not _telescopes(chain) and not rows_telescope(chain, dirac_rows(chain))
-    assert _certified_chain(chain.space, family) is None
+    assert not maps_telescope(chain) and not rows_telescope(chain, dirac_rows(chain))
+    assert verify_chain(chain).commutation and _certified_chain(chain.space, family) is None
     assert basis_constant(chain.space, family) == solver_basis_constant(family) > 1
 
 
@@ -547,37 +596,46 @@ def test_zero_distance_keeps_the_report_and_refuses_the_constant():
 
 
 def _count_chain_readings(monkeypatch):
-    """Record the ordering of every chain that is scanned, and of every one whose telescoping is checked."""
-    scans, telescoped = [], []
-    real_scan, real_telescopes = chain_module._scan_chain, chain_module._telescopes
-    monkeypatch.setattr(chain_module, "_scan_chain", lambda chain: scans.append(chain.ordering) or real_scan(chain))
-    monkeypatch.setattr(
-        chain_module, "_telescopes", lambda chain: telescoped.append(chain.ordering) or real_telescopes(chain)
-    )
-    return scans, telescoped
+    """Record every chain that is scanned; the scan is the chain's only certificate."""
+    scanned = []
+    real_scan = chain_module._scan_chain
+    monkeypatch.setattr(chain_module, "_scan_chain", lambda chain: scanned.append(chain) or real_scan(chain))
+    return scanned
+
+
+def _orderings(scanned):
+    """The orderings of the scanned chains, each of which keeps its scan and no other verdict."""
+    assert all("_scan" in vars(chain) and "_telescoped" not in vars(chain) for chain in scanned)
+    return [chain.ordering for chain in scanned]
 
 
 def test_each_chain_is_scanned_and_certified_once(tmp_path, monkeypatch, capsys):
-    scans, telescoped = _count_chain_readings(monkeypatch)
+    scanned = _count_chain_readings(monkeypatch)
     space = random_ultrametric(6, 4)
     chain = build_chain(space, (0, 2, 1, 3, 5, 4))
     family = basis_vectors(chain)
     assert verify_chain(chain).passed and verify_chain(chain).passed
     assert basis_constant(space, family) == basis_constant(space, basis_vectors(chain)) == 1
     assert l1_equivalence_constants(space, family) == l1_equivalence_constants(space, basis_vectors(chain))
-    assert scans == telescoped == [chain.ordering]
-    del scans[:], telescoped[:]
+    assert _orderings(scanned) == [chain.ordering] and scanned[0] is chain
+    scanned.clear()
+    # the certificate alone scans too, once
+    other = build_chain(space, (0, 1, 3, 2, 4, 5))
+    assert _certified_chain(space, basis_vectors(other)) is other and _orderings(scanned) == [other.ordering]
+    assert basis_constant(space, basis_vectors(other)) == 1 and len(scanned) == 1
+    scanned.clear()
     path = tmp_path / "space.json"
     dump_json(space_to_json(space), path)
     assert main(["basis", str(path)]) == 0
     assert json.loads(capsys.readouterr().out)["basis_constant"] == "1"
-    assert scans == telescoped == [tuple(range(6))]
-    del scans[:], telescoped[:]
+    assert _orderings(scanned) == [tuple(range(6))]
+    scanned.clear()
     assert run_campaign(CampaignConfig(sizes=(5,), seeds=1, stages=("validate", "basis", "embed"))).passed
-    assert scans == telescoped and len(scans) == 2 and scans[0] == tuple(range(5)) != scans[1]
-    del scans[:], telescoped[:]
+    orderings = _orderings(scanned)
+    assert len(orderings) == 2 and orderings[0] == tuple(range(5)) != orderings[1]
+    scanned.clear()
     assert pipeline(space).passed
-    assert scans == telescoped == [tuple(range(6))]
+    assert _orderings(scanned) == [tuple(range(6))]
 
 
 def _counted_inversions(monkeypatch):

@@ -13,6 +13,7 @@ from _oracles import (
     fraction_rank,
     hull_extreme_pairs,
     lp_transport_norm,
+    maps_telescope,
     orthant_l1_lower,
     path_pair_check,
     rows_chain_phi,
@@ -631,7 +632,8 @@ def test_chain_phi_matches_the_fraction_max(space, family, monkeypatch):
 def test_chain_phi_matches_the_row_scan_on_stress_chains_and_rank_corruptions(collinear, monkeypatch):
     # tied, coprime, caterpillar and star spaces, N = 2..12, under the input and a random ordering, the
     # collinear and tangled chains, and every single-entry rank corruption, values in 1..N, of chains on
-    # N = 3..6 points: the maps check gives the rows check's verdict, and the walk the row scan's Phi
+    # N = 3..6 points: the scan's certificate gives the maps and rows checks' verdict, and the walk the
+    # row scan's Phi
     rng = random.Random(53)
     chains = [build_chain(collinear, (0, 2, 1)), _tangled_chain()]
     for space in _stress_ultrametrics(rng):
@@ -643,7 +645,7 @@ def test_chain_phi_matches_the_row_scan_on_stress_chains_and_rank_corruptions(co
     for chain in chains:
         family = basis_vectors(chain)
         certified = ell1._certified_chain(chain.space, family) is chain
-        assert certified == rows_telescope(chain, dirac_rows(chain))
+        assert certified == maps_telescope(chain) == rows_telescope(chain, dirac_rows(chain))
         if certified:
             assert _walked_phi(chain.space, family, monkeypatch) == _rows_phi(chain, family)
             walked += 1
@@ -715,6 +717,21 @@ def test_l1_constants_witness_is_checked(triangle, monkeypatch):
     )
     with pytest.raises(CertificationError, match=r"pair \(0, 2\)"):
         l1_equivalence_constants(triangle, family)
+
+
+def test_l1_constants_certify_phi_at_the_witness(monkeypatch):
+    # the transport solve of lower * m holds for any lower, so doubled path sums would halve the
+    # constant unnoticed; the witness coefficients' own Phi refuses them at the maximizing pair
+    space = random_ultrametric(9, 3)
+    chain = build_chain(space)
+    family = basis_vectors(chain)
+    phi, i, j = rows_chain_phi(space, family.norms, dirac_rows(chain))
+    assert l1_equivalence_constants(space, family).lower == 1 / phi == Fraction(41, 184)
+    real_walk = ell1._path_sums
+    monkeypatch.setattr(ell1, "_path_sums", lambda adjacent, source: [2 * x for x in real_walk(adjacent, source)])
+    message = rf"^l1 witness at pair \({i}, {j}\) does not attain Phi = {2 * phi}$"
+    with pytest.raises(CertificationError, match=message):
+        l1_equivalence_constants(space, family)
 
 
 def test_l1_constants_reconstruction_is_checked(triangle, monkeypatch):

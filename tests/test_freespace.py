@@ -219,6 +219,15 @@ def test_point_map_validation(triangle):
         PointMap(triangle, triangle, (0, 3, 1))  # out of range
 
 
+def test_point_map_refuses_an_image_that_is_no_integer(triangle):
+    # int() would truncate (0, 1.5, 2.9) to the image (0, 1, 2)
+    with pytest.raises(TypeError, match=r"^expected an integer index, got float 1\.5$"):
+        PointMap(triangle, triangle, (0, 1.5, 2.9))
+    with pytest.raises(TypeError, match=r"^expected an integer index, got float 0\.0$"):
+        PointMap(triangle, triangle, (0.0, 1, 2))
+    assert PointMap(triangle, triangle, [0, 2, 1]).image == (0, 2, 1)
+
+
 def test_lipschitz_constant_examples(triangle):
     identity = PointMap(triangle, triangle, (0, 1, 2))
     const = PointMap(triangle, triangle, (0, 0, 0))

@@ -1,5 +1,7 @@
 import ast
 import os
+import pkgutil
+import re
 import subprocess
 import sys
 from pathlib import Path
@@ -39,3 +41,40 @@ def test_importing_the_package_and_the_cli_loads_every_traced_layer():
         [sys.executable, "-c", code], cwd=ROOT, env=env, capture_output=True, text=True, check=True
     )
     assert layers and sorted({f"ultrafree.{layer}" for layer in layers} - set(result.stdout.split())) == []
+
+
+_CROSS_REFERENCE = re.compile(r":(func|class|data|mod):`([\w.]+)`")
+
+
+def _resolves(module: str, name: str) -> bool:
+    """Whether ``name`` is an attribute path in ``module``, under ``ultrafree.`` or in the standard library."""
+    for candidate in (f"{module}.{name}", f"ultrafree.{name}", name):
+        if candidate.split(".")[0] in ("ultrafree", *sys.stdlib_module_names):
+            try:
+                pkgutil.resolve_name(candidate)
+                return True
+            except (ImportError, AttributeError, ValueError):
+                pass
+    return False
+
+
+def _cross_references() -> list[tuple[str, str, str]]:
+    """(file, role, name) of every Sphinx cross-reference in the package sources."""
+    return [
+        (path.name, role, name)
+        for path in sorted((ROOT / "src" / "ultrafree").glob("*.py"))
+        for role, name in _CROSS_REFERENCE.findall(path.read_text())
+    ]
+
+
+def test_every_docstring_cross_reference_resolves():
+    references = _cross_references()
+    unresolved = [
+        (file, role, name) for file, role, name in references if not _resolves(f"ultrafree.{file[:-3]}", name)
+    ]
+    assert len(references) > 50 and unresolved == []
+    # a deleted or misspelled name is caught, and a name of another module resolves only under its path
+    assert not _resolves("ultrafree.chain", "_telescopes")
+    assert not _resolves("ultrafree.chain", "_tree_transport")
+    assert _resolves("ultrafree.chain", "freespace._tree_transport")
+    assert _resolves("ultrafree.ell1", "fractions.Fraction") and not _resolves("ultrafree.ell1", "fractions.Fractions")

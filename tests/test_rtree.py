@@ -49,6 +49,14 @@ def test_tree_point_rejects_a_negative_anchor(triangle, anchor):
     assert tree_distance(triangle, TreePoint(0, 0), TreePoint(2, 0)) == 1
 
 
+@pytest.mark.parametrize("anchor, shown", [(1.9, "float 1.9"), (Fraction(1), "Fraction Fraction(1, 1)"), ("1", "str '1'")])
+def test_tree_point_refuses_an_anchor_that_is_no_integer(triangle, anchor, shown):
+    # int() would truncate 1.9 to the anchor 1
+    with pytest.raises(TypeError, match=f"^expected an integer index, got {re.escape(shown)}$"):
+        TreePoint(anchor, 0)
+    assert tree_distance(triangle, TreePoint(1, 0), TreePoint(2, 0)) == H
+
+
 def test_a_space_and_its_tree_are_freed_by_reference_counting():
     # the space keeps its tree weakly, so no reference cycle waits for the collector
     gc.disable()
