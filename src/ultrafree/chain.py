@@ -189,8 +189,8 @@ def verify_chain(chain: RetractionChain) -> ChainReport:
     return _cached(chain, "_scan", _scan_chain)[0]
 
 
-def _scan_chain(chain: RetractionChain) -> tuple[ChainReport, Optional[Fraction]]:
-    """The :class:`ChainReport` and max_{n >= 2} max_{x<y} d(r_n x, r_n y) / d(x, y), in one scan.
+def _scan_chain(chain: RetractionChain) -> tuple[ChainReport, Optional[Fraction], bool]:
+    """The :class:`ChainReport`, max_{n >= 2} max_{x<y} d(r_n x, r_n y) / d(x, y) and the rank bound, in one scan.
 
     The scan runs on the integer rows of :func:`_integer_view`, which have
     the order and ties of the distances and the same ratios, so ratios are
@@ -211,6 +211,12 @@ def _scan_chain(chain: RetractionChain) -> tuple[ChainReport, Optional[Fraction]
     times a point is re-routed to a closer added point.  The fixed-point and
     commutation checks read each stage's row once, O(N^2) in all.
 
+    The rank bound holds when every stage n ranks only the first n points,
+    max(ranks[n-1]) <= n.  Entries that did not change since stage n - 1
+    are at most n - 1 once the bound holds there, so only the changed
+    entries are compared, and the verdict is kept with the report for
+    :func:`_certified_chain`.
+
     The constant is None when a distance between distinct points is not
     positive, and 1 on a one-point chain, which has no pairs.
     """
@@ -224,6 +230,7 @@ def _scan_chain(chain: RetractionChain) -> tuple[ChainReport, Optional[Fraction]
     target = [0] * size  # r_n x
     near = [0] * size  # d(x, r_n x)
     best_num, best_den = 0, 1
+    bounded = True
     prev: Sequence[int] = ()
     for n in range(1, size + 1):
         row = ranks[n - 1]
@@ -232,6 +239,8 @@ def _scan_chain(chain: RetractionChain) -> tuple[ChainReport, Optional[Fraction]
         is_moved = [False] * size
         for x in moved:
             is_moved[x] = True
+            if row[x] > n:
+                bounded = False
             target[x] = order[row[x] - 1]
             near[x] = d[x][target[x]]
         for x in moved:
@@ -261,7 +270,8 @@ def _scan_chain(chain: RetractionChain) -> tuple[ChainReport, Optional[Fraction]
                     if image[a][b] * best_den > best_num * d[a][b]:
                         best_num, best_den = image[a][b], d[a][b]
         for found, now in zip((lip, loc, loc_dist), violating):
-            found.extend((n, a, b) for a, b in sorted(now))
+            if now:
+                found.extend((n, a, b) for a, b in sorted(now))
         if n < size:
             nxt = ranks[n]
             for x in range(size):
@@ -272,8 +282,8 @@ def _scan_chain(chain: RetractionChain) -> tuple[ChainReport, Optional[Fraction]
         prev = row
     report = ChainReport(tuple(lip), tuple(comm), tuple(rcomm), tuple(loc), tuple(loc_dist), tuple(fixed))
     if not positive:
-        return report, None
-    return report, Fraction(best_num, best_den) if size > 1 else Fraction(1)
+        return report, None, bounded
+    return report, Fraction(best_num, best_den) if size > 1 else Fraction(1), bounded
 
 
 def retraction_map(chain: RetractionChain, n: int) -> PointMap:
@@ -418,9 +428,9 @@ def _elementary_norm(space: FiniteMetricSpace, coeffs: list[Fraction]) -> Option
 def _certified_chain(space: FiniteMetricSpace, family: BasisFamily) -> Optional[RetractionChain]:
     """The chain :func:`basis_vectors` kept on ``family``, if on a space equal to ``space`` and certified.
 
-    The certificate is the chain's one scan, read through
-    :func:`verify_chain`, and the rank bound: no commutation and no
-    fixed-point failure, and stage n ranks only the first n points.  On
+    The certificate is the chain's one scan, kept on it: no commutation
+    and no fixed-point failure in its report, and the rank bound it
+    records, that stage n ranks only the first n points.  On
     every table :class:`RetractionChain` admits, this is the telescoping
     identity delta_{r_{n+1} x} - delta_{r_n x} = [r_{n+1} x = p] e_n, for
     the point p added at stage n + 1 and e_n = delta_p - delta_{r_n p}.
@@ -439,8 +449,8 @@ def _certified_chain(space: FiniteMetricSpace, family: BasisFamily) -> Optional[
     chain = vars(family).get("_chain")
     if chain is None or family.space != space:
         return None
-    report = verify_chain(chain)
-    if report.commutation or report.fixed_points or any(max(row) > n for n, row in enumerate(chain.ranks, 1)):
+    report, _, bounded = _cached(chain, "_scan", _scan_chain)
+    if report.commutation or report.fixed_points or not bounded:
         return None
     return chain
 

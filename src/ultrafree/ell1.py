@@ -12,8 +12,9 @@ decides exactly, from the extreme molecules, whether a free space is
 isometric to l1.
 
 The certificate runs in integers: the tree is prepared once, its edge
-lengths and the node-space distances they are checked against put on one
-common scale, and each vector's coefficients are scaled by the lcm of
+lengths and the node-space distances they are checked against, read off
+the node space's integer view, put on one common scale, and each vector's
+coefficients are scaled by the lcm of
 their denominators.  Every check of the certificate is then an integer
 comparison; Fractions are built only for a returned certificate.  The
 difference delta_i - delta_j of two nodes has its flow and its potential
@@ -46,6 +47,7 @@ from .freespace import (
     FreeVector,
     LipFunction,
     PointMap,
+    _point_difference,
     _tree_transport,
     dirac,
     free_norm,
@@ -57,6 +59,7 @@ from .freespace import (
 from .metric import (
     CertificationError,
     FiniteMetricSpace,
+    _Scaled,
     _cached,
     _integer_view,
     identity_distortion,
@@ -136,11 +139,30 @@ class OracleReport:
 
 # the lcm of the denominators 1, 2, 3, 4 that a random coefficient is drawn with
 _DRAW_UNIT = 12
+# _DRAW_UNIT // b for the denominators b = 1, 2, 3, 4, indexed by b - 1
+_DRAW_STEPS = (12, 6, 4, 3)
 
 
 def _random_integers(rng: random.Random, dim: int) -> list[int]:
-    """dim random coefficients k / b, k in -6..6 and b in 1..4, as integers over :data:`_DRAW_UNIT`."""
-    return [rng.randint(-6, 6) * (_DRAW_UNIT // rng.choice((1, 2, 3, 4))) for _ in range(dim)]
+    """dim random coefficients k / b, k in -6..6 and b in 1..4, as integers over :data:`_DRAW_UNIT`.
+
+    Each draw reads the bit stream as ``rng.randint(-6, 6)`` and then
+    ``rng.choice((1, 2, 3, 4))`` read it through CPython's
+    ``_randbelow_with_getrandbits``: 4 bits for k + 6, drawn again while
+    they are 13 or more, then 3 bits for b - 1, drawn again while they are
+    4 or more.  So the values are those two calls give, and the rng ends in
+    the state they leave, at a fraction of the method calls.
+    """
+    bits, draws = rng.getrandbits, []
+    for _ in range(dim):
+        k = bits(4)
+        while k >= 13:
+            k = bits(4)
+        b = bits(3)
+        while b >= 4:
+            b = bits(3)
+        draws.append((k - 6) * _DRAW_STEPS[b])
+    return draws
 
 
 def _random_coeffs(rng: random.Random, dim: int) -> tuple[Fraction, ...]:
@@ -152,7 +174,9 @@ def _battery_draws(space: FiniteMetricSpace, ambient: FiniteMetricSpace, vectors
     """The random vectors of the battery, as integer coefficients over :data:`_DRAW_UNIT`.
 
     ``vectors`` random vectors on every node, then max(5, vectors // 5)
-    random vectors supported on the original leaves.
+    random vectors supported on the original leaves, all drawn by
+    :func:`_random_integers` from one ``random.Random(seed)``, so the
+    battery is the one that ``randint`` and ``choice`` give.
     """
     if vectors < 0:
         raise ValueError("the oracle battery size must be non-negative")
@@ -238,18 +262,21 @@ def _scaled_tree(tree: DendrogramTree) -> _ScaledTree:
 
 
 def _prepared_tree(tree: DendrogramTree) -> _ScaledTree:
+    """The scale is the lcm of the edge lengths' denominators and the scale q of the node space's integer view."""
     ambient = rooted_node_space(tree)
-    edges, d = _top_down(tree), ambient.dist
+    q, d = _integer_view(ambient)
+    edges = _top_down(tree)
+    scale = lcm(q, *(length.denominator for *_, length in edges))
+    factor = scale // q
     dist, parent = {}, [-1] * len(tree.nodes)
     for child, up, _ in edges:
-        dist[child, up] = d[child][up]
-        dist[up, child] = d[up][child]
+        dist[child, up] = d[child][up] * factor
+        dist[up, child] = d[up][child] * factor
         parent[child] = up
-    scale = lcm(*(x.denominator for x in dist.values()), *(length.denominator for *_, length in edges))
     return _ScaledTree(
         scale,
-        tuple((child, up, int(length * scale)) for child, up, length in edges),
-        {arc: int(x * scale) for arc, x in dist.items()},
+        tuple((child, up, length.numerator * (scale // length.denominator)) for child, up, length in edges),
+        dist,
         tuple(parent),
         ambient.labels,
     )
@@ -264,12 +291,16 @@ def _edge_flow_solution(tree: _ScaledTree, coeffs: Sequence[int]) -> tuple[int, 
     m_e is positive.
     """
     net, g = _tree_transport(tree.edges, [0, *coeffs])
-    flow = []
-    for child, parent, _ in tree.edges:
+    flow, value = [], 0
+    for child, parent, length in tree.edges:
         mass = net[child]
-        if mass:
-            flow.append((child, parent, mass) if mass > 0 else (parent, child, -mass))
-    return sum(length * abs(net[child]) for child, _, length in tree.edges), flow, g
+        if mass > 0:
+            flow.append((child, parent, mass))
+            value += length * mass
+        elif mass < 0:
+            flow.append((parent, child, -mass))
+            value -= length * mass
+    return value, flow, g
 
 
 def _edge(tree: _ScaledTree, a: int, b: int) -> str:
@@ -303,11 +334,7 @@ def _checked_coefficients(
     gives the same verdict and the same message.
     """
     value, flow, g = _edge_flow_solution(tree, coeffs)
-    dist, labels = tree.dist, tree.labels
-
-    def exact(x: int) -> Fraction:
-        return Fraction(x, tree.scale * unit)
-
+    dist, parent = tree.dist, tree.parent
     divergence = [0] * len(g)
     cost = 0
     for a, b, amount in flow:
@@ -321,29 +348,36 @@ def _checked_coefficients(
         divergence[a] += amount
         divergence[b] -= amount
         cost += amount * length
+    dual = 0
     for child in range(1, len(g)):
-        parent = tree.parent[child]
-        length = dist.get((child, parent))
+        up = parent[child]
+        length = dist.get((child, up))
         if length is None:
-            raise CertificationError(f"edge {_edge(tree, child, parent)} has no node-space distance")
-        if abs(g[child] - g[parent]) > length:
-            raise CertificationError(f"potential is not 1-Lipschitz on edge {_edge(tree, child, parent)}")
-        if divergence[child] != coeffs[child - 1]:
-            raise CertificationError(f"flow on edge {_edge(tree, child, parent)} does not balance {labels[child]}")
+            raise CertificationError(f"edge {_edge(tree, child, up)} has no node-space distance")
+        x = g[child]
+        if abs(x - g[up]) > length:
+            raise CertificationError(f"potential is not 1-Lipschitz on edge {_edge(tree, child, up)}")
+        c = coeffs[child - 1]
+        if divergence[child] != c:
+            raise CertificationError(f"flow on edge {_edge(tree, child, up)} does not balance {tree.labels[child]}")
+        dual += c * x
     if cost != value:
-        raise CertificationError(f"edge flow costs {exact(cost)}, not the value {exact(value)}")
-    if sum(c * x for c, x in zip(coeffs, g[1:])) != value:
-        raise CertificationError(f"sign potential does not attain the value {exact(value)}")
+        exact = tree.scale * unit
+        raise CertificationError(f"edge flow costs {Fraction(cost, exact)}, not the value {Fraction(value, exact)}")
+    if dual != value:
+        raise CertificationError(f"sign potential does not attain the value {Fraction(value, tree.scale * unit)}")
     return value, unit, flow, g
 
 
-def _checked_node_pairs(tree: _ScaledTree, d: Sequence[Sequence[Fraction]]) -> None:
-    """Certify that the edge-flow norm of delta_i - delta_j is d[i][j] for every node pair i < j, one walk per source.
+def _checked_node_pairs(tree: _ScaledTree, view: _Scaled) -> None:
+    """Certify that the edge-flow norm of delta_i - delta_j is d(i, j) for every node pair i < j, one walk per source.
 
-    Every edge length must equal the node-space distance ``tree.dist`` on
-    both orientations, parent to child first; then the walk of the tree
-    from each node i gives the path sums path(i, .) of the lengths, and
-    the value path(i, j) of each pair (i, j > i) must be d[i][j].  The
+    ``view`` is the integer view (q, D) of the node space, d(i, j) being
+    D[i][j] / q.  Every edge length must equal the node-space distance
+    ``tree.dist`` on both orientations, parent to child first; then the
+    walk of the tree from each node i gives the path sums path(i, .) of the
+    lengths, in units of 1/scale, and the value path(i, j) of each pair
+    (i, j > i) must be d(i, j), compared by cross-multiplying.  The
     messages are those of :func:`_checked_coefficients`; with at most one
     edge off, those it gives on the first failing pair.  O(nodes^2) in all,
     in integers.
@@ -364,10 +398,12 @@ def _checked_node_pairs(tree: _ScaledTree, d: Sequence[Sequence[Fraction]]) -> N
             if tree.dist[a, b] != length:
                 raise CertificationError(f"potential does not drop by the length of edge {_edge(tree, a, b)}")
             adjacent[b].append((a, length))
+    q, d = view
+    scale = tree.scale
     for i, row in enumerate(d[:-1]):
         path = _path_sums(adjacent, i)
         for j in range(i + 1, len(row)):
-            if path[j] * row[j].denominator != row[j].numerator * tree.scale:
+            if path[j] * q != row[j] * scale:
                 raise CertificationError(f"edge-flow norm of the pair {_edge(tree, i, j)} is not its distance")
 
 
@@ -397,12 +433,13 @@ def _certify_edge_flow_battery(tree: DendrogramTree, vectors: int, seed: int) ->
     integers over :data:`_DRAW_UNIT`, get every check of
     :func:`_checked_coefficients`, O(n) each for n nodes.  Every node pair
     (i, j) is then certified by :func:`_checked_node_pairs` from one walk
-    of the tree per source, O(n^2) in all, and its norm must be d(i, j).
+    of the tree per source, O(n^2) in all, and its norm must be d(i, j),
+    read off the node space's integer view.
     """
     scaled, ambient = _scaled_tree(tree), rooted_node_space(tree)
     for coeffs in _battery_draws(tree.space, ambient, vectors, seed):
         _checked_coefficients(scaled, coeffs, _DRAW_UNIT)
-    _checked_node_pairs(scaled, ambient.dist)
+    _checked_node_pairs(scaled, _integer_view(ambient))
 
 
 def edge_molecules(tree: DendrogramTree) -> BasisFamily:
@@ -493,16 +530,22 @@ def l1_equivalence_constants(space: FiniteMetricSpace, family: BasisFamily) -> L
     A distance that is not positive raises ValueError naming its pair.  Any
     other family, a hand-built copy of it too, is inverted, for the same
     value.  The value is certified by its witness w = m*/Phi(m*), at the
-    maximizing molecule m*: the coefficients must reconstruct m* exactly
-    and give Phi(m*) = sum |c_k| * norm(e_k), and the transport norm of w
-    must equal the returned lower constant; a failed check raises
-    :class:`CertificationError` naming the pair.  A family that is empty,
-    does not fit the space or does not span the free space raises
-    ValueError.
+    maximizing molecule m* = m_ij: the coefficients must reconstruct m*
+    exactly and give Phi(m*) = sum |c_k| * norm(e_k), and the transport
+    norm of w must equal the returned lower constant; a failed check raises
+    :class:`CertificationError` naming the pair.  On a chain's family the
+    first two checks run in integers on the signs s_k in {-1, 0, 1} of the
+    rank rows, c_k = s_k / d(i, j): sum_k s_k e_k must be delta_i - delta_j,
+    and sum |s_k| * norm(e_k), on the integer scale of the norms, the path
+    length the walk found.  The witness is built directly, +-lower / d(i, j)
+    at i and j, and its transport solve stays the independent certificate.
+    A family that is empty, does not fit the space or does not span the
+    free space raises ValueError.
     """
     if not family.vectors:
         raise ValueError("family is empty")
     chain = _certified_chain(space, family)
+    dim = len(space) - 1
     if chain is None:
         phi, i, j, coeffs = max(
             (
@@ -511,13 +554,18 @@ def l1_equivalence_constants(space: FiniteMetricSpace, family: BasisFamily) -> L
             ),
             key=lambda entry: entry[0],
         )
+        if _combination(dim, family.vectors, coeffs) != list(molecule(space, i, j).coeffs):
+            raise CertificationError(f"l1 witness at pair ({i}, {j}) does not reconstruct its molecule")
+        if sum((abs(c) * norm for c, norm in zip(coeffs, family.norms) if c), Fraction(0)) != phi:
+            raise CertificationError(f"l1 witness at pair ({i}, {j}) does not attain Phi = {phi}")
     else:
         q, d = _integer_view(space)
         order, ranks = chain.ordering, chain.ranks
         unit = lcm(*(norm.denominator for norm in family.norms))
+        weights = [norm.numerator * (unit // norm.denominator) for norm in family.norms]
         adjacent: list[list[tuple[int, int]]] = [[] for _ in order]
-        for n, norm in enumerate(family.norms, 1):
-            point, weight = order[n], norm.numerator * (unit // norm.denominator)
+        for n, weight in enumerate(weights, 1):
+            point = order[n]
             anchor = order[ranks[n - 1][point] - 1]
             adjacent[point].append((anchor, weight))
             adjacent[anchor].append((point, weight))
@@ -531,14 +579,19 @@ def l1_equivalence_constants(space: FiniteMetricSpace, family: BasisFamily) -> L
                     best = path[j], row[j], i, j
         total, bottom, i, j = best
         phi = Fraction(total * q, unit * bottom)
-        coeffs = [(int(r[i] == n + 1) - int(r[j] == n + 1)) / space.dist[i][j] for n, r in enumerate(ranks[1:], 1)]
+        # the coefficients of m_ij are these signs over d(i, j), and Phi(m_ij) = total / (unit d(i, j))
+        signs = [int(r[i] == n + 1) - int(r[j] == n + 1) for n, r in enumerate(ranks[1:], 1)]
+        if _combination(dim, family.vectors, signs) != list(_point_difference(len(space), i, j)):
+            raise CertificationError(f"l1 witness at pair ({i}, {j}) does not reconstruct its molecule")
+        if sum(weight for s, weight in zip(signs, weights) if s) != total:
+            raise CertificationError(f"l1 witness at pair ({i}, {j}) does not attain Phi = {phi}")
     lower = 1 / phi
-    m = molecule(space, i, j)
-    if _combination(len(space) - 1, family.vectors, coeffs) != list(m.coeffs):
-        raise CertificationError(f"l1 witness at pair ({i}, {j}) does not reconstruct its molecule")
-    if sum((abs(c) * norm for c, norm in zip(coeffs, family.norms) if c), Fraction(0)) != phi:
-        raise CertificationError(f"l1 witness at pair ({i}, {j}) does not attain Phi = {phi}")
-    if free_norm_certificate(space, lower * m).value != lower:
+    # the witness lower * m_ij, +-lower / d(i, j) at i and j
+    step, witness = lower / space.dist[i][j], [Fraction(0)] * dim
+    if i:
+        witness[i - 1] = step
+    witness[j - 1] = -step
+    if free_norm_certificate(space, FreeVector._exact(tuple(witness))).value != lower:
         raise CertificationError(f"l1 witness at pair ({i}, {j}) does not attain the lower constant")
     return L1Constants(lower, Fraction(1))
 
@@ -727,18 +780,22 @@ def pipeline(
     flow and potential, in integers on the tree prepared once: the random
     vectors over the whole tree, the node pairs by their path sums, one
     walk of the tree per source (see :func:`_certify_edge_flow_battery`).
-    The projection norm is the Lipschitz constant of the retraction on the
-    node space, found by cross-multiplication on integers and certified at
-    its witness pair; a failed certificate raises
-    :class:`CertificationError`.  The input and
+    The battery is drawn from the bit stream (:func:`_random_integers`),
+    and both node spaces are built with their integer views, which the
+    prepared tree and the node pairs read.  The projection norm is the
+    Lipschitz constant of the retraction on the node space, found by
+    cross-multiplication on integers and certified at its witness pair in
+    integers, with no molecule (:func:`operator_norm_of_extension`); a
+    failed certificate raises :class:`CertificationError`.  The input and
     its rounding are validated by their cached single-linkage merges.  The
     dendrogram of the rounding is kept on it, and its node distances,
     certified once, serve the claims, the node spaces and the battery.  The
     chain identities and the basis constant are read through the public
     functions off the chain's one scan, which also certifies the
-    telescoping, and the l1 constants off one walk of its anchor tree per
-    point, all in integers; the one transport solve left is the witness of
-    the l1 lower constant.
+    telescoping and the rank bound, and the l1 constants off one walk of
+    its anchor tree per point, all in integers, with the witness checked on
+    its signs; the one transport solve left is the witness of the l1 lower
+    constant.
     """
     if len(space) < 2:
         raise ValueError("pipeline needs at least two points")

@@ -44,12 +44,25 @@ class FiniteMetricSpace:
         if not labels:
             raise ValueError("a metric space needs at least the base point")
         if len(set(labels)) != len(labels):
-            raise ValueError("duplicate labels")
+            label = next(label for label in labels if labels.count(label) > 1)
+            raise ValueError(f"duplicate labels: {label!r} names more than one point")
         rows = _rational_rows(self.dist)
         if len(rows) != len(labels) or any(len(r) != len(labels) for r in rows):
             raise ValueError("distance matrix must be square and match the labels")
         object.__setattr__(self, "labels", labels)
         object.__setattr__(self, "dist", rows)
+
+    @classmethod
+    def _exact(cls, labels: tuple[str, ...], dist: tuple[tuple[Fraction, ...], ...]) -> "FiniteMetricSpace":
+        """Wrap labels and Fraction rows taken from a space already built, without checking them again.
+
+        :func:`with_base` permutes a space and :func:`round_to_dyadic` keeps
+        its labels and shape, so neither needs the constructor's checks.
+        """
+        space = object.__new__(cls)
+        object.__setattr__(space, "labels", labels)
+        object.__setattr__(space, "dist", dist)
+        return space
 
     def __getstate__(self) -> dict:
         # the fields only: what _cached keeps on the space stays out of a pickle
@@ -113,13 +126,22 @@ def _integer_view(space: FiniteMetricSpace) -> _Scaled:
     the space's cached view: computed once per space and kept on it outside
     its fields, so it takes no part in ``==``, ``hash``, ``repr``,
     serialization or pickling; its rows are tuples, which no caller can
-    change.  ``with_base`` and ``dataclasses.replace`` build new spaces,
-    each with a view of its own.  Validation, the single-linkage merges, the
-    chain scan, the dendrogram certificate, the l1-isometry decision, every
-    transport certificate and the ratio scans of :func:`_extreme_ratios`
-    run in integers on the space's cached view.
+    change.  ``dataclasses.replace`` builds a new space, which scales its
+    own rows on first use; :func:`with_base` hands a kept view on to the
+    space it builds, permuted, and the node spaces of
+    :mod:`ultrafree.rtree` are built with theirs (:func:`_keep_view`), each
+    exactly the view :func:`_scale_rows` would compute.  Validation, the
+    single-linkage merges, the chain scan, the dendrogram certificate, the
+    l1-isometry decision, every transport certificate and the ratio scans
+    of :func:`_extreme_ratios` run in integers on the space's cached view.
     """
     return _cached(space, "_view", _scale_rows)
+
+
+def _keep_view(space: FiniteMetricSpace, view: _Scaled) -> FiniteMetricSpace:
+    """Keep ``view`` on ``space`` as its cached view; the caller knows it to be :func:`_scale_rows` of the space."""
+    object.__setattr__(space, "_view", view)
+    return space
 
 
 def _scale_rows(space: FiniteMetricSpace) -> _Scaled:
@@ -253,7 +275,7 @@ def round_to_dyadic(space: FiniteMetricSpace) -> FiniteMetricSpace:
     floors = {0: Fraction(0)}
     for h, _, _ in _single_linkage(space):
         floors[h.numerator * (scale // h.denominator)] = dyadic_floor(h)
-    return FiniteMetricSpace(space.labels, tuple(tuple(floors[x] for x in row) for row in d))
+    return FiniteMetricSpace._exact(space.labels, tuple(tuple(floors[x] for x in row) for row in d))
 
 
 def _extreme_ratios(space: FiniteMetricSpace, top: Callable[[int, int], int]):
@@ -330,10 +352,19 @@ def random_ultrametric(n: int, seed: int) -> FiniteMetricSpace:
 
 
 def with_base(space: FiniteMetricSpace, index: int) -> FiniteMetricSpace:
-    """Re-point the space so that ``index`` becomes the base (a relabelling)."""
+    """Re-point the space so that ``index`` becomes the base (a relabelling).
+
+    A view the space keeps goes to the new space with its rows and columns
+    permuted alike: the scale, the lcm of the same denominators, is unchanged.
+    """
     if not 0 <= index < len(space):
         raise ValueError(f"index {index} out of range")
     perm = [index] + [i for i in range(len(space)) if i != index]
     labels = tuple(space.labels[p] for p in perm)
     dist = tuple(tuple(space.dist[p][q] for q in perm) for p in perm)
-    return FiniteMetricSpace(labels, dist)
+    rebased = FiniteMetricSpace._exact(labels, dist)
+    kept = vars(space).get("_view")
+    if kept is not None:
+        scale, rows = kept
+        _keep_view(rebased, (scale, tuple(tuple(rows[p][q] for q in perm) for p in perm)))
+    return rebased

@@ -27,7 +27,7 @@ import weakref
 from dataclasses import dataclass
 from fractions import Fraction
 from itertools import combinations, combinations_with_replacement
-from math import lcm
+from math import gcd, lcm
 from typing import Optional, Sequence
 
 from .metric import (
@@ -36,6 +36,7 @@ from .metric import (
     _Scaled,
     _cached,
     _integer_view,
+    _keep_view,
     _single_linkage,
     validate,
     with_base,
@@ -494,9 +495,10 @@ def _certify_path_metric(tree: DendrogramTree) -> _Scaled:
     Returns (L, rows), the node distances in units of 1/L.
     """
     nodes, parent = tree.nodes, tree.parent
-    roots = [_node_label(tree, nodes[k]) for k, p in enumerate(parent) if p == -1]
+    roots = [k for k, p in enumerate(parent) if p == -1]
     if len(roots) != 1 or parent[-1] != -1:
-        found = ", ".join(roots) or "none"
+        labels = _node_labels(tree)
+        found = ", ".join(labels[k] for k in roots) or "none"
         raise CertificationError(f"dendrogram must have exactly one root, the top node; its roots are {found}")
     for k, p in enumerate(parent):
         if p >= 0 and nodes[p].height <= nodes[k].height:
@@ -527,22 +529,43 @@ def _certify_path_metric(tree: DendrogramTree) -> _Scaled:
 
 
 def _path_sums(adjacent: Sequence[Sequence[tuple[int, int]]], source: int) -> list[int]:
-    """The path sums from ``source`` to every node of a tree given by its (neighbour, length) lists, one walk."""
-    path = [0] * len(adjacent)
-    stack = [(source, -1)]
-    while stack:
-        u, came = stack.pop()
+    """The path sums from ``source`` to every node of a tree given by its (neighbour, length) lists, one walk.
+
+    The walk visits the nodes breadth first, each once, from the list it
+    grows as it goes.
+    """
+    path: list = [None] * len(adjacent)
+    path[source] = 0
+    reached = [source]
+    for u in reached:
+        base = path[u]
         for v, length in adjacent[u]:
-            if v != came:
-                path[v] = path[u] + length
-                stack.append((v, u))
+            if path[v] is None:
+                path[v] = base + length
+                reached.append(v)
     return path
 
 
-def _node_label(tree: DendrogramTree, p: TreePoint) -> str:
-    if p.height == 0:
-        return tree.space.labels[p.anchor]
-    return f"{tree.space.labels[p.anchor]}@{p.height}"
+def _node_labels(tree: DendrogramTree) -> tuple[str, ...]:
+    """The node labels: a leaf keeps its point's label, and a branching point <m, h> is m@h.
+
+    Heights carry no @, so m@h names its branching point alone; a label
+    m@h that is already a point's label takes primes until it is none, and
+    no label changes where nothing collides.
+    """
+    labels = tree.space.labels
+    taken = set(labels)
+    named = []
+    for p in tree.nodes:
+        if not p.height:
+            named.append(labels[p.anchor])
+            continue
+        label = f"{labels[p.anchor]}@{p.height}"
+        while label in taken:
+            label += "'"
+        taken.add(label)
+        named.append(label)
+    return tuple(named)
 
 
 def node_space(tree: DendrogramTree) -> FiniteMetricSpace:
@@ -550,10 +573,14 @@ def node_space(tree: DendrogramTree) -> FiniteMetricSpace:
 
     Leaves keep their labels and their indices, so the original space sits at
     the same positions; this is the basing under which the retraction onto
-    the leaves preserves the base point.  The distances are the path sums
-    that :func:`_certify_path_metric` certifies once per tree, so a tree
-    whose path metric is not the quotient metric raises
-    :class:`CertificationError`.  It is kept on the tree.
+    the leaves preserves the base point.  Branching points are labelled by
+    :func:`_node_labels`.  The distances are the path sums that
+    :func:`_certify_path_metric` certifies once per tree, so a tree whose
+    path metric is not the quotient metric raises
+    :class:`CertificationError`.  The space is built with its integer view:
+    the path sums and their unit L, divided by their gcd, which is the
+    :func:`ultrafree.metric._scale_rows` of its distances.  It is kept on
+    the tree.
     """
     return _cached(tree, "_node_space", _node_metric)
 
@@ -562,7 +589,10 @@ def _node_metric(tree: DendrogramTree) -> FiniteMetricSpace:
     unit, rows = _node_distances(tree)
     exact = {x: Fraction(x, unit) for x in {x for row in rows for x in row}}
     dist = tuple(tuple(exact[x] for x in row) for row in rows)
-    return FiniteMetricSpace(tuple(_node_label(tree, p) for p in tree.nodes), dist)
+    # x / unit in lowest terms has the denominator unit / gcd(x, unit), and their lcm is unit / common
+    common = gcd(unit, *exact)
+    view = unit // common, tuple(tuple(x // common for x in row) for row in rows)
+    return _keep_view(FiniteMetricSpace(_node_labels(tree), dist), view)
 
 
 def rooted_node_space(tree: DendrogramTree) -> FiniteMetricSpace:
@@ -573,6 +603,9 @@ def rooted_node_space(tree: DendrogramTree) -> FiniteMetricSpace:
     edge-flow coordinates of :func:`ultrafree.ell1.tree_free_norm`, and the
     potential of :func:`ultrafree.freespace._tree_transport` vanishes at the
     base.  Free spaces over different base points are isometric, so this is
-    a choice of coordinates, not of content.  It is kept on the tree.
+    a choice of coordinates, not of content.  :func:`with_base` builds it
+    from :func:`node_space` and hands it the node space's integer view,
+    permuted, so neither space scales its distances again.  It is kept on
+    the tree.
     """
     return _cached(tree, "_rooted_node_space", lambda t: with_base(node_space(t), len(t.nodes) - 1))

@@ -14,6 +14,7 @@ from _oracles import (
     hull_extreme_pairs,
     lp_transport_norm,
     maps_telescope,
+    molecule_operator_norm,
     orthant_l1_lower,
     path_pair_check,
     rows_chain_phi,
@@ -22,9 +23,9 @@ from _oracles import (
 from test_acceptance import _power_of_two_caterpillar
 from test_chain import _rank_corruptions, _shuffled_chain, _tangled_chain
 from test_freespace import _PRIMES_NEAR_A_MILLION, _coprime_heights, _merge_ultrametric, _stress_ultrametrics
-from test_rtree import count_path_metric_certificates
-from ultrafree import ell1, rtree
-from ultrafree.chain import BasisFamily, RetractionChain, basis_vectors, build_chain
+from test_rtree import COLLIDING, count_path_metric_certificates
+from ultrafree import chain as chain_module, ell1, freespace, metric, rtree
+from ultrafree.chain import BasisFamily, RetractionChain, basis_vectors, build_chain, retraction_map
 from ultrafree.ell1 import (
     edge_flow_coordinates,
     edge_molecule_isometry,
@@ -38,9 +39,21 @@ from ultrafree.ell1 import (
     tree_norm_certificate,
     vector_from_edge_flows,
 )
-from ultrafree.freespace import FreeVector, dirac, free_norm, lip_norm, molecule, zero_vector
-from ultrafree.metric import CertificationError, FiniteMetricSpace, random_ultrametric, round_to_dyadic, validate
-from ultrafree.rtree import dendrogram, node_space, rooted_node_space, verify_retraction_claims
+from ultrafree.freespace import (
+    FreeVector,
+    PointMap,
+    dirac,
+    free_norm,
+    lip_norm,
+    lipschitz_constant,
+    molecule,
+    operator_norm_of_extension,
+    zero_vector,
+)
+from ultrafree.metric import (
+    CertificationError, FiniteMetricSpace, _integer_view, _scale_rows, random_ultrametric, round_to_dyadic, validate
+)
+from ultrafree.rtree import _retraction_claims, dendrogram, node_space, rooted_node_space, verify_retraction_claims
 
 H = Fraction(1, 2)
 
@@ -338,6 +351,11 @@ def _verdict(check, *args):
     return None
 
 
+def _view_of(ambient, d):
+    """The integer view of the rows ``d`` on the points of ``ambient``, as :func:`_scale_rows` scales a space."""
+    return _scale_rows(FiniteMetricSpace(ambient.labels, tuple(map(tuple, d))))
+
+
 def _corrupted_trees(scaled):
     """The scaled tree with every pair distance doubled, then with each edge's distance tripled
     on both orientations and with each edge's length doubled, as (tree, stretch) pairs."""
@@ -367,7 +385,7 @@ def test_path_certificate_matches_the_dense_check():
                          _verdict(dense_pair_check, tree, i, j, d[i][j])) for i, j in pairs]
             assert all(path == dense for path, dense in verdicts)
             first = next((path for path, _ in verdicts if path is not None), None)
-            assert _verdict(ell1._checked_node_pairs, tree, d) == first
+            assert _verdict(ell1._checked_node_pairs, tree, _view_of(ambient, d)) == first
             assert (first is None) == (tree is scaled and stretch == 1)
             compared += len(verdicts)
             failures += sum(path is not None for path, _ in verdicts)
@@ -376,7 +394,7 @@ def test_path_certificate_matches_the_dense_check():
             d = [list(row) for row in ambient.dist]
             d[i][j] *= 2
             message = _verdict(path_pair_check, scaled, i, j, d[i][j])
-            assert message is not None and _verdict(ell1._checked_node_pairs, scaled, d) == message
+            assert message is not None and _verdict(ell1._checked_node_pairs, scaled, _view_of(ambient, d)) == message
     assert (compared, failures) == (24780, 7336)
 
 
@@ -388,7 +406,7 @@ def test_node_pairs_name_an_edge_missing_an_orientation(four_cluster, arc):
     dist = {key: x for key, x in scaled.dist.items() if key != missing}
     name = r"\(0@1/2, a@1/4\)" if arc == "down" else r"\(a@1/4, 0@1/2\)"
     with pytest.raises(CertificationError, match=rf"^flow arc {name} is not a tree edge$"):
-        ell1._checked_node_pairs(scaled._replace(dist=dist), rooted_node_space(dendrogram(four_cluster)).dist)
+        ell1._checked_node_pairs(scaled._replace(dist=dist), _integer_view(rooted_node_space(dendrogram(four_cluster))))
 
 
 def test_a_dense_check_names_an_edge_missing_its_upward_distance(four_cluster):
@@ -427,6 +445,60 @@ def test_pipeline_checks_no_node_pair_densely(monkeypatch):
         assert len(dense) == vectors + max(5, vectors // 5)
         assert dense == [(draw, 12) for draw in ell1._battery_draws(rounded, ambient, vectors, vectors)]
         assert walks == [(nodes, s) for s in range(nodes - 1)] + [(len(space), s) for s in range(len(space) - 1)]
+
+
+@pytest.mark.parametrize("dim", [0, 1, 5, 9, 30])
+def test_the_draws_read_the_bit_stream_as_randint_and_choice(dim):
+    # the same values and the same rng state as k = randint(-6, 6), b = choice((1, 2, 3, 4)), draw by draw
+    for seed in range(2000):
+        fast, slow = random.Random(seed), random.Random(seed)
+        expected = [slow.randint(-6, 6) * (12 // slow.choice((1, 2, 3, 4))) for _ in range(dim)]
+        assert ell1._random_integers(fast, dim) == expected
+        assert fast.getstate() == slow.getstate()
+
+
+def test_a_pipeline_verdict_draws_bits_and_reads_integer_views(monkeypatch):
+    # at N = 7 the battery is drawn without randint or choice, no molecule is built, and neither node
+    # space scales its distances: both are built with their views; only the input and its rounding scale
+    space = random_ultrametric(7, 11)
+    expected = pipeline(FiniteMetricSpace(space.labels, space.dist))
+
+    def refuse(*args, **kwargs):
+        raise AssertionError("a refused function was called")
+
+    monkeypatch.setattr(random.Random, "randint", refuse)
+    monkeypatch.setattr(random.Random, "choice", refuse)
+    for module in (freespace, chain_module, ell1):
+        monkeypatch.setattr(module, "molecule", refuse)
+    scaled = []
+    real_scale = metric._scale_rows
+    monkeypatch.setattr(metric, "_scale_rows", lambda s: scaled.append(s.labels) or real_scale(s))
+    assert pipeline(space) == expected and expected.passed
+    assert scaled == [space.labels, space.labels]
+
+
+def test_a_point_labelled_like_a_branching_point_runs_every_check():
+    assert pipeline(COLLIDING).passed
+    report = oracle_vs_lp(COLLIDING)
+    assert report.passed and report.vectors_checked == 50 + 10 + 10
+
+
+def test_the_projection_norm_matches_the_molecule_oracle_on_stress_trees():
+    # the projection of the pipeline, the tree retraction on the node space, and every stage of a chain
+    rng = random.Random(73)
+    maps = 0
+    for space in _stress_ultrametrics(rng, range(2, 9)):
+        rounded = round_to_dyadic(space)
+        tree = dendrogram(rounded)
+        ambient = node_space(tree)
+        point_maps = [PointMap(ambient, ambient, tuple(_retraction_claims(rounded)[1]))]
+        chain = _shuffled_chain(space, rng)
+        point_maps += [retraction_map(chain, n) for n in range(1, len(space) + 1)]
+        for point_map in point_maps:
+            value = operator_norm_of_extension(point_map)
+            assert value == molecule_operator_norm(point_map) == lipschitz_constant(point_map)
+            maps += 1
+    assert maps == 4 * sum(range(3, 10))
 
 
 def test_pipeline_at_240_points():
@@ -604,13 +676,17 @@ def test_l1_lower_matches_orthant_oracle(space, family):
 
 
 def _walked_phi(space, family, monkeypatch):
-    """Phi at the witness of ``l1_equivalence_constants`` and its pair, the molecule it certifies."""
-    pairs = []
-    real = ell1.molecule
+    """Phi at the witness of ``l1_equivalence_constants`` and its pair, read off the support of the one
+    vector it certifies by a transport solve, the multiple lower * m_ij of the molecule at that pair."""
+    witnesses = []
+    real = ell1.free_norm_certificate
     with monkeypatch.context() as patch:
-        patch.setattr(ell1, "molecule", lambda s, i, j: pairs.append((i, j)) or real(s, i, j))
+        patch.setattr(ell1, "free_norm_certificate", lambda s, v: witnesses.append(v) or real(s, v))
         lower = l1_equivalence_constants(space, family).lower
-    (pair,) = pairs
+    (witness,) = witnesses
+    support = witness.support()
+    pair = (0, *support) if len(support) == 1 else support
+    assert witness == lower * molecule(space, *pair)
     return (1 / lower, *pair)
 
 

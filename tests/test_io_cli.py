@@ -275,6 +275,22 @@ def test_cli_l1check_one_point_exit_two(tmp_path, capsys):
     assert capsys.readouterr().err == "error: pipeline needs at least two points\n"
 
 
+def test_cli_l1check_tells_a_point_from_the_branching_point_of_its_label(tmp_path, capsys):
+    # the branching point <0, 1> would be labelled 0@1, the label of a point
+    path = tmp_path / "space.json"
+    path.write_text('{"labels": ["0", "0@1", "x"], "dist": [["0","2","4"],["2","0","4"],["4","4","0"]]}')
+    assert main(["l1check", str(path)]) == 0
+    out = json.loads(capsys.readouterr().out)
+    assert (out["size"], out["basis_constant"], out["chain_ok"], out["claims_ok"]) == (3, "1", True, True)
+
+
+def test_cli_names_a_duplicate_label(tmp_path, capsys):
+    path = tmp_path / "space.json"
+    path.write_text('{"labels": ["0", "p", "p"], "dist": [["0","2","4"],["2","0","4"],["4","4","0"]]}')
+    assert main(["l1check", str(path)]) == 2
+    assert capsys.readouterr().err == f"error: {path}: duplicate labels: 'p' names more than one point\n"
+
+
 @pytest.mark.parametrize("vectors", ["-3"])
 def test_cli_l1check_bad_oracle_vectors_exit_two(tmp_path, capsys, vectors):
     space = _write_triangle(tmp_path)

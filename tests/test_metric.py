@@ -17,6 +17,7 @@ from ultrafree.metric import (
     FiniteMetricSpace,
     StructuralError,
     _integer_view,
+    _scale_rows,
     _single_linkage,
     bilipschitz_distortion,
     identity_distortion,
@@ -206,6 +207,22 @@ def test_with_base_relabels(triangle):
     assert moved.labels == ("y", "0", "x")
     assert moved.dist[0][2] == triangle.dist[2][1]
     assert validate(moved).is_ultrametric
+
+
+def test_with_base_hands_a_kept_view_on_permuted():
+    rng = random.Random(67)
+    for n in range(1, 9):
+        space = random_ultrametric(n, 70 + n) if n > 1 else FiniteMetricSpace(("0",), ((0,),))
+        index = rng.randrange(n)
+        assert "_view" not in vars(with_base(space, index))
+        _integer_view(space)
+        moved = with_base(space, index)
+        assert "_view" in vars(moved) and _integer_view(moved) == _scale_rows(moved)
+
+
+def test_duplicate_labels_are_named():
+    with pytest.raises(ValueError, match=r"^duplicate labels: 'b' names more than one point$"):
+        FiniteMetricSpace(("0", "b", "a", "b"), ((0, 1, 1, 1), (1, 0, 1, 1), (1, 1, 0, 1), (1, 1, 1, 0)))
 
 
 def _perturbed(space, rng):

@@ -8,7 +8,9 @@ from fractions import Fraction
 import pytest
 
 from ultrafree import rtree
-from ultrafree.metric import CertificationError, FiniteMetricSpace, random_ultrametric, round_to_dyadic
+from ultrafree.metric import (
+    CertificationError, FiniteMetricSpace, _integer_view, _scale_rows, random_ultrametric, round_to_dyadic
+)
 from ultrafree.rtree import (
     DendrogramTree,
     TreePoint,
@@ -388,6 +390,40 @@ def test_what_a_tree_keeps_stays_out_of_its_value(four_cluster):
     assert pickle.dumps(tree) == pickle.dumps(fresh)
     loaded = pickle.loads(pickle.dumps(tree))
     assert loaded == tree and set(vars(loaded)) == {"space", "nodes", "parent", "edge_length"}
+
+
+def test_node_spaces_are_built_with_the_view_their_distances_scale_to():
+    rng = random.Random(71)
+    checked = 0
+    for space in _stress_ultrametrics(rng):
+        for s in (space, round_to_dyadic(space)):
+            tree = dendrogram(s)
+            for nodes in (node_space(tree), rooted_node_space(tree)):
+                assert "_view" in vars(nodes) and _integer_view(nodes) == _scale_rows(nodes)
+                checked += 1
+    assert checked == 4 * 44
+
+
+# the point 0@1 is labelled like the branching point <0, 1> of 0 and itself
+COLLIDING = FiniteMetricSpace(("0", "0@1", "x"), (("0", "2", "4"), ("2", "0", "4"), ("4", "4", "0")))
+
+
+def test_a_branching_label_that_a_point_has_takes_primes():
+    tree = dendrogram(COLLIDING)
+    assert node_space(tree).labels == ("0", "0@1", "x", "0@1'", "0@2")
+    assert rooted_node_space(tree).labels == ("0@2", "0", "0@1", "x", "0@1'")
+    primed = FiniteMetricSpace(("0", "0@1", "0@1'"), COLLIDING.dist)
+    assert node_space(dendrogram(primed)).labels == ("0", "0@1", "0@1'", "0@1''", "0@2")
+    # the root <0, 2> collides with a point here
+    rooted = FiniteMetricSpace(("0", "0@2", "x"), COLLIDING.dist)
+    assert node_space(dendrogram(rooted)).labels == ("0", "0@2", "x", "0@1", "0@2'")
+
+
+def test_node_labels_are_unchanged_where_nothing_collides(four_cluster):
+    assert node_space(dendrogram(four_cluster)).labels == ("0", "a", "b", "c", "a@1/8", "a@1/4", "0@1/2")
+    # a point may carry a label of the form m@h when no branching point has it
+    space = FiniteMetricSpace(("0", "0@3", "x"), COLLIDING.dist)
+    assert node_space(dendrogram(space)).labels == ("0", "0@3", "x", "0@1", "0@2")
 
 
 def count_path_metric_certificates(monkeypatch):
