@@ -32,8 +32,9 @@ class FiniteMetricSpace:
 
     The base point is index 0.  Construction checks shape and label
     uniqueness only; run :func:`validate` for metric/ultrametric checks.
-    Fraction entries pass straight through, and each distinct string entry
-    is parsed once (:func:`_rational_rows`).
+    Rows that are already tuples of exact Fractions are kept as given,
+    other Fraction entries pass straight through, and each distinct string
+    entry is parsed once (:func:`_rational_rows`).
     """
 
     labels: tuple[str, ...]

@@ -8,6 +8,7 @@ from __future__ import annotations
 
 import operator
 from fractions import Fraction
+from itertools import chain
 
 __all__ = ["parse_rational", "is_power_of_two", "dyadic_floor", "dyadic_exponent"]
 
@@ -51,10 +52,14 @@ def _rationals(values) -> tuple[Fraction, ...]:
 def _rational_rows(rows) -> tuple[tuple[Fraction, ...], ...]:
     """:func:`_rationals` of each row, parsing each distinct string entry once.
 
-    The memo is local to the call and keyed on ``str`` entries only: 1,
-    True, 1.0 and Fraction(1) compare equal and hash alike, so a broader key
-    would let a bool or a float through after an equal int.
+    Rows that are already a tuple of tuples of exact Fractions are returned
+    as given, without being rebuilt.  The memo is local to the call and
+    keyed on ``str`` entries only: 1, True, 1.0 and Fraction(1) compare
+    equal and hash alike, so a broader key would let a bool or a float
+    through after an equal int.
     """
+    if type(rows) is tuple and {*map(type, rows)} <= {tuple} and {*map(type, chain.from_iterable(rows))} <= {Fraction}:
+        return rows
     parsed: dict[str, Fraction] = {}
 
     def rational(x: object) -> Fraction:

@@ -2,14 +2,28 @@
 
 Rationals travel as strings ("p/q" or an integer literal); decimal strings
 are converted exactly.  JSON number literals with a decimal point are parsed
-through Fraction directly, so nothing is ever routed through a float.
+through Fraction directly, so nothing is ever routed through a float.  A
+JSON object that names a key twice is refused, not read as its last value.
+
+Reports are written by one recursive walk over the package objects
+(:func:`_json_text`): the bytes are those of the standard library's
+``json.dumps(to_jsonable(data), indent=2)``, without building the
+intermediate data or running its pure-Python indenting encoder.  A report
+file is rewritten in place (:func:`_overwrite`): on ext4, truncating a
+non-empty file to zero and writing it again, or renaming a new file over
+it, makes the file system allocate its blocks at close (``auto_da_alloc``),
+which costs about as much as building the report.  Overwriting the bytes
+and cutting the file to length does not.
 """
 
 from __future__ import annotations
 
 import dataclasses
 import json
+import os
 from fractions import Fraction
+from functools import cache
+from json.encoder import encode_basestring_ascii
 from pathlib import Path
 from typing import Any, Callable
 
@@ -26,24 +40,108 @@ def to_jsonable(obj: Any) -> Any:
     """Recursively convert package objects into JSON-serializable data.
 
     Fractions become strings, dataclasses become dicts in field order (which
-    keeps emitted reports byte-stable), tuples become lists.  Sets are
-    refused like floats: their iteration order would make reports unstable.
+    keeps emitted reports byte-stable), tuples become lists, and dict keys
+    become strings.  Sets are refused like floats: their iteration order
+    would make reports unstable.  This is the JSON reading of the text
+    :func:`dump_json` writes, so both follow the one dispatch of
+    :func:`_json_text`.
     """
-    if type(obj) is Fraction:  # a subclass comes last: isinstance of the ABC Fraction is slow on anything else
-        return str(obj)
-    if obj is None or isinstance(obj, (int, str)):
-        return obj
-    if dataclasses.is_dataclass(obj) and not isinstance(obj, type):
-        return {f.name: to_jsonable(getattr(obj, f.name)) for f in dataclasses.fields(obj)}
-    if isinstance(obj, dict):
-        return {str(k): to_jsonable(v) for k, v in obj.items()}
-    if isinstance(obj, (list, tuple)):
-        return [to_jsonable(v) for v in obj]
-    if isinstance(obj, Fraction):
-        return str(obj)
-    if isinstance(obj, float):
-        raise TypeError("refusing to serialize a float")
-    raise TypeError(f"cannot serialize {type(obj).__name__}")
+    return json.loads(_json_text(obj))
+
+
+@cache
+def _dataclass_keys(cls: type) -> tuple[tuple[str, str], ...]:
+    """(field name, its JSON key) for each field of the dataclass ``cls``, in field order; read once per class."""
+    return tuple((f.name, encode_basestring_ascii(f.name)) for f in dataclasses.fields(cls))
+
+
+def _json_text(data: Any) -> str:
+    """``json.dumps(to_jsonable(data), indent=2)``, written in one walk over ``data``.
+
+    The walk tries the types in this order: the exact Fraction; ``None``,
+    ints (bools included) and strings; dataclass instances; dicts; lists
+    and tuples; Fraction subclasses.  Strings are escaped to ASCII by the
+    standard library's encoder and ints written by ``int.__repr__``, as the
+    standard library does.  A dict key that is no string is written as its
+    ``str``; when two keys of one dict share a ``str``, the last value is
+    written at the place of the first, as in the dict ``to_jsonable`` would
+    build.  A float, a set or any other type raises ``TypeError``.
+    """
+    chunks: list[str] = []
+    append = chunks.append
+
+    def write(obj: Any, indent: str) -> None:
+        # indent is a newline and the indentation of obj's own line
+        cls = type(obj)
+        if cls is Fraction:
+            append(f'"{obj!s}"')  # digits, a sign and a slash need no escaping
+        elif obj is None:
+            append("null")
+        elif isinstance(obj, int):
+            append("true" if obj is True else "false" if obj is False else int.__repr__(obj))
+        elif isinstance(obj, str):
+            append(encode_basestring_ascii(obj))
+        elif cls not in (dict, list, tuple) and dataclasses.is_dataclass(cls):
+            keys = _dataclass_keys(cls)
+            if not keys:
+                append("{}")
+                return
+            inner = indent + "  "
+            separator = "{" + inner
+            for name, key in keys:
+                append(f"{separator}{key}: ")
+                write(getattr(obj, name), inner)
+                separator = "," + inner
+            append(indent + "}")
+        elif isinstance(obj, dict):
+            if not obj:
+                append("{}")
+                return
+            inner = indent + "  "
+            start = len(chunks)
+            separator = "{" + inner
+            for key, value in obj.items():
+                if type(key) is not str:
+                    del chunks[start:]
+                    write_keyed(obj, indent)
+                    return
+                append(f"{separator}{encode_basestring_ascii(key)}: ")
+                write(value, inner)
+                separator = "," + inner
+            append(indent + "}")
+        elif isinstance(obj, (list, tuple)):
+            if not obj:
+                append("[]")
+                return
+            inner = indent + "  "
+            separator = "[" + inner
+            for value in obj:
+                append(separator)
+                write(value, inner)
+                separator = "," + inner
+            append(indent + "]")
+        elif isinstance(obj, Fraction):
+            append(encode_basestring_ascii(str(obj)))
+        elif isinstance(obj, float):
+            raise TypeError("refusing to serialize a float")
+        else:
+            raise TypeError(f"cannot serialize {cls.__name__}")
+
+    def write_keyed(obj: dict, indent: str) -> None:
+        # a dict with a key that is no string: each value's text, under the str of its key
+        inner = indent + "  "
+        texts = {}
+        for key, value in obj.items():
+            key = str(key)
+            start = len(chunks)
+            write(value, inner)
+            texts[key] = "".join(chunks[start:])
+            del chunks[start:]
+        append("{" + ",".join(f"{inner}{encode_basestring_ascii(key)}: {text}" for key, text in texts.items()))
+        append(indent + "}")
+
+    write(data, "\n")
+    return "".join(chunks)
 
 
 def space_to_json(space: FiniteMetricSpace) -> dict:
@@ -101,8 +199,18 @@ def _read(path: str | Path, parse: Callable[[str], Any]) -> Any:
         raise IngestError(f"{path}: {exc}") from exc
 
 
+def _unique_keys(pairs: list[tuple[str, Any]]) -> dict:
+    """The JSON object of ``pairs``; a key named twice raises :class:`IngestError` naming it."""
+    seen: set[str] = set()
+    for key, _ in pairs:
+        if key in seen:
+            raise IngestError(f"duplicate key {key!r} in a JSON object")
+        seen.add(key)
+    return dict(pairs)
+
+
 def _json(text: str) -> Any:
-    return json.loads(text, parse_float=Fraction)
+    return json.loads(text, parse_float=Fraction, object_pairs_hook=_unique_keys)
 
 
 def load_space(path: str | Path, fmt: str | None = None) -> FiniteMetricSpace:
@@ -171,8 +279,36 @@ def function_to_json(space: FiniteMetricSpace, f: LipFunction) -> dict:
     return {space.labels[i]: str(v) for i, v in enumerate(f.values)}
 
 
+def _overwrite(path: str | Path, text: str) -> None:
+    """Write the ASCII ``text`` over the file at ``path`` from its start, then cut the file to its length.
+
+    The file is opened without ``O_TRUNC`` and created with the mode
+    ``Path.write_text`` gives a new file (0o666 less the umask).  It is cut
+    only when it was longer than ``text``, so ``/dev/null``, a FIFO or
+    ``/dev/stdout``, which cannot be truncated or have no length, take the
+    text as a stream.
+    """
+    data = memoryview(text.encode("ascii"))
+    fd = os.open(path, os.O_WRONLY | os.O_CREAT, 0o666)
+    try:
+        longer = os.fstat(fd).st_size > len(data)
+        while data:
+            data = data[os.write(fd, data):]
+        if longer:
+            os.ftruncate(fd, len(text))
+    finally:
+        os.close(fd)
+
+
 def dump_json(data: Any, path: str | Path | None = None) -> str:
-    text = json.dumps(to_jsonable(data), indent=2) + "\n"
+    """The JSON report of ``data`` with a final newline, also written to ``path`` when one is given.
+
+    The text is byte-identical to ``json.dumps(to_jsonable(data),
+    indent=2) + "\\n"`` (:func:`_json_text`).  It is built in full before
+    the file is opened, so a value that cannot be serialized leaves the file
+    as it was; the file is then rewritten in place (:func:`_overwrite`).
+    """
+    text = _json_text(data) + "\n"
     if path is not None:
-        Path(path).write_text(text)
+        _overwrite(path, text)
     return text

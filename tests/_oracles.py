@@ -103,6 +103,11 @@ the largest sum of the norms where two rows differ over the distance, by
 cross-multiplication on the distances scaled to integers here.  None of
 them reads the scan, walks a tree or touches the integer view.
 
+The package writes a report in one walk over its objects.  The route it
+replaced is kept as a reference: the recursive conversion to plain JSON
+data, then the standard library's ``indent=2`` encoder, sharing nothing
+with the walk.
+
 Four helpers that only the tests use live here rather than in the
 package: the strict-max triple check, the path sum along a dendrogram, the
 0/1 projection matrices of a chain and the exact rank of a matrix.
@@ -110,6 +115,8 @@ package: the strict-max triple check, the path sum along a dendrogram, the
 
 from __future__ import annotations
 
+import dataclasses
+import json
 from fractions import Fraction
 from itertools import combinations
 from math import lcm
@@ -906,3 +913,27 @@ def fraction_rank(matrix: Sequence[Sequence[Fraction]]) -> int:
     if not rows:
         return 0
     return _reduce(rows, len(rows[0]))
+
+
+def reference_jsonable(obj):
+    """Package objects as plain JSON data: Fractions as strings, dataclasses as dicts in field order, tuples as lists."""
+    if type(obj) is Fraction:
+        return str(obj)
+    if obj is None or isinstance(obj, (int, str)):
+        return obj
+    if dataclasses.is_dataclass(obj) and not isinstance(obj, type):
+        return {f.name: reference_jsonable(getattr(obj, f.name)) for f in dataclasses.fields(obj)}
+    if isinstance(obj, dict):
+        return {str(k): reference_jsonable(v) for k, v in obj.items()}
+    if isinstance(obj, (list, tuple)):
+        return [reference_jsonable(v) for v in obj]
+    if isinstance(obj, Fraction):
+        return str(obj)
+    if isinstance(obj, float):
+        raise TypeError("refusing to serialize a float")
+    raise TypeError(f"cannot serialize {type(obj).__name__}")
+
+
+def stdlib_report_text(obj) -> str:
+    """The report text of ``obj`` by :func:`reference_jsonable` and the standard library's ``indent=2`` encoder."""
+    return json.dumps(reference_jsonable(obj), indent=2) + "\n"

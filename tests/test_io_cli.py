@@ -19,6 +19,7 @@ from ultrafree.serialize import (
     dump_json,
     ingest,
     load_space,
+    load_vector,
     space_to_json,
     to_jsonable,
     vector_from_json,
@@ -91,6 +92,36 @@ def test_load_space_allows_non_metric(tmp_path):
     path = tmp_path / "bad.json"
     path.write_text('{"labels": ["a", "b", "c"], "dist": [[0, 1, 5], [1, 0, 1], [5, 1, 0]]}')
     assert load_space(path).dist[0][2] == 5
+
+
+@pytest.mark.parametrize(
+    "content, key",
+    [
+        ('{"labels": ["0", "x"], "dist": [[0, 1], [1, 0]], "labels": ["0", "y"]}', "labels"),
+        ('{"labels": ["0", "x"], "dist": [[0, 1], [1, 0]], "dist": [[0, 2], [2, 0]]}', "dist"),
+    ],
+)
+def test_space_file_refuses_a_duplicate_key(tmp_path, capsys, content, key):
+    path = tmp_path / "space.json"
+    path.write_text(content)
+    message = f"duplicate key {key!r} in a JSON object"
+    with pytest.raises(IngestError, match=f"^{re.escape(f'{path}: {message}')}$"):
+        load_space(path)
+    assert _run(["validate", str(path)], capsys) == (2, "", f"error: {path}: {message}\n")
+
+
+def test_vector_file_refuses_a_duplicate_key(tmp_path, capsys, triangle):
+    # read as its last value, this vector would have the norm 3
+    space = _write_triangle(tmp_path)
+    vec = tmp_path / "vec.json"
+    vec.write_text('{"x": "1", "x": "-3"}')
+    message = f"{vec}: duplicate key 'x' in a JSON object"
+    with pytest.raises(IngestError, match=f"^{re.escape(message)}$"):
+        load_vector(triangle, vec)
+    assert _run(["norm", str(space), "--vector", str(vec)], capsys) == (2, "", f"error: {message}\n")
+    vec.write_text('{"x": "-3"}')
+    code, out, _ = _run(["norm", str(space), "--vector", str(vec)], capsys)
+    assert code == 0 and json.loads(out)["value"] == "3"
 
 
 def test_vector_round_trip(triangle):

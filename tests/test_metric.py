@@ -384,6 +384,42 @@ def test_construction_parses_each_distinct_string_once(monkeypatch):
     assert FiniteMetricSpace(space.labels, space.dist) == space and parsed == []
 
 
+def test_rows_of_exact_fractions_are_kept_as_given():
+    space = random_ultrametric(10, 3)
+    assert FiniteMetricSpace(space.labels, space.dist).dist is space.dist
+    # lists, a tuple subclass and a Fraction subclass are read into fresh tuples
+    quarter = _Quarter(1, 4)
+    for dist in (
+        [list(row) for row in space.dist],
+        tuple(list(row) for row in space.dist),
+        tuple(_Row(row) for row in space.dist),
+        (tuple(space.dist[0][:-1]) + (quarter,),) + space.dist[1:],
+    ):
+        rows = FiniteMetricSpace(space.labels, dist).dist
+        assert rows is not dist and rows == tuple(map(tuple, dist))
+        assert {*map(type, rows)} == {tuple}
+    # the structural checks and their messages stay
+    one = Fraction(1)
+    cases = (
+        (("a", "b"), ((Fraction(0), one),), "distance matrix must be square and match the labels"),
+        (("a", "b"), ((Fraction(0), one), (one,)), "distance matrix must be square and match the labels"),
+        (("a",), ((Fraction(0), one), (one, Fraction(0))), "distance matrix must be square and match the labels"),
+        (("a", "a"), ((Fraction(0), one), (one, Fraction(0))), "duplicate labels: 'a' names more than one point"),
+        ((), (), "a metric space needs at least the base point"),
+    )
+    for labels, dist, message in cases:
+        with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+            FiniteMetricSpace(labels, dist)
+
+
+class _Row(tuple):
+    """A tuple subclass: a row of it is read into a plain tuple."""
+
+
+class _Quarter(Fraction):
+    """A Fraction subclass: it passes through, in a rebuilt row."""
+
+
 def _error(value):
     try:
         rational.parse_rational(value)
