@@ -30,7 +30,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Optional, Sequence
 
-from .freespace import FreeVector, PointMap, free_norm, molecule, operator_norm_of_extension
+from .freespace import FreeVector, PointMap, _point_difference, free_norm, molecule, operator_norm_of_extension
 from .linalg import SingularMatrixError, invert_matrix
 from .metric import FiniteMetricSpace, _cached, _integer_view
 from .rational import _index
@@ -200,13 +200,14 @@ def _scan_chain(chain: RetractionChain) -> tuple[ChainReport, Optional[Fraction]
     of a pair x < y (1-Lipschitz, locality, locality distance, and the ratio
     d(r_n x, r_n y) / d(x, y)) are functions of d and of the two entries
     ranks[n-1][x] and ranks[n-1][y] alone, since r_n x is the point at
-    position ranks[n-1][x] and dist(x, S_n) is d(x, r_n x).  So stage 1 is
-    scanned in full, and at stage n + 1 only the pairs with a point whose
-    rank entry differs from stage n are re-evaluated; every other pair keeps
-    its outcomes, and a violating pair is listed again with the new stage
-    number, so the witnesses come in the order of the exhaustive scan.  The
-    constant is the maximum of the ratios held at stage 2 and of every value
-    re-evaluated later.  With R changed rank entries the scan costs
+    position ranks[n-1][x] and dist(x, S_n) is d(x, r_n x).  So stages 1
+    and 2 are scanned in full, and at each later stage n + 1 only the pairs
+    with a point whose rank entry differs from stage n are re-evaluated;
+    every other pair keeps its outcomes, and a violating pair is listed
+    again with the new stage number, so the witnesses come in the order of
+    the exhaustive scan.  Every ratio evaluated from stage 2 on goes
+    straight into the maximum: a pair that is not re-evaluated keeps a
+    ratio already counted.  With R changed rank entries the scan costs
     O(N^2 + N * R); on a chain from :func:`build_chain` R is the number of
     times a point is re-routed to a closer added point.  The fixed-point and
     commutation checks read each stage's row once, O(N^2) in all.
@@ -226,7 +227,6 @@ def _scan_chain(chain: RetractionChain) -> tuple[ChainReport, Optional[Fraction]
     lip, comm, rcomm, loc, loc_dist, fixed = [], [], [], [], [], []
     violating = (set(), set(), set())  # the (x, y) failing 1-Lipschitz, locality, locality distance now
     state = [[0] * size for _ in range(size)]  # bit k set when (x, y) is in violating[k]
-    image = [[0] * size for _ in range(size)]  # d(r_n x, r_n y) at stages 1 and 2
     target = [0] * size  # r_n x
     near = [0] * size  # d(x, r_n x)
     best_num, best_den = 0, 1
@@ -235,7 +235,7 @@ def _scan_chain(chain: RetractionChain) -> tuple[ChainReport, Optional[Fraction]
     for n in range(1, size + 1):
         row = ranks[n - 1]
         fixed.extend((n, order[k]) for k in range(n) if row[order[k]] != k + 1)
-        moved = [x for x in range(size) if n == 1 or row[x] != prev[x]]
+        moved = [x for x in range(size) if n <= 2 or row[x] != prev[x]]
         is_moved = [False] * size
         for x in moved:
             is_moved[x] = True
@@ -259,16 +259,8 @@ def _scan_chain(chain: RetractionChain) -> tuple[ChainReport, Optional[Fraction]
                     for bit, now in enumerate(violating):
                         if (flags ^ old) >> bit & 1:
                             (now.add if flags >> bit & 1 else now.discard)((a, b))
-                if n <= 2:
-                    image[a][b] = value
-                elif value * best_den > best_num * dab:
+                if n >= 2 and value * best_den > best_num * dab:
                     best_num, best_den = value, dab
-        if n == 2 and positive:
-            best_num, best_den = image[0][1], d[0][1]
-            for a in range(size):
-                for b in range(a + 1, size):
-                    if image[a][b] * best_den > best_num * d[a][b]:
-                        best_num, best_den = image[a][b], d[a][b]
         for found, now in zip((lip, loc, loc_dist), violating):
             if now:
                 found.extend((n, a, b) for a, b in sorted(now))
@@ -349,18 +341,13 @@ def basis_vectors(chain: RetractionChain) -> BasisFamily:
     the chain never refers back to the family.
     """
     space, order = chain.space, chain.ordering
-    one, zeros = Fraction(1), [Fraction(0)] * (chain.size - 1)
     vectors = []
     norms = []
     for k in range(1, chain.size):
         point = order[k]
         # the anchor is one of the first k points, so never the point itself
         anchor = order[chain.ranks[k - 1][point] - 1]
-        coeffs = list(zeros)
-        coeffs[point - 1] = one
-        if anchor:
-            coeffs[anchor - 1] = -one
-        vectors.append(FreeVector._exact(tuple(coeffs)))
+        vectors.append(FreeVector._exact(_point_difference(chain.size, point, anchor)))
         norms.append(space.dist[point][anchor])
     family = BasisFamily(space, tuple(vectors), tuple(norms))
     object.__setattr__(family, "_chain", chain)

@@ -19,7 +19,7 @@ from .ell1 import pipeline, three_point_report
 from .freespace import free_norm_certificate
 from .metric import CertificationError, StructuralError, validate
 from .rational import parse_rational
-from .rtree import _retraction_claims, dendrogram
+from .rtree import _node_labels, _retraction_claims, dendrogram
 from .serialize import (
     IngestError,
     dump_json,
@@ -178,10 +178,10 @@ def _cmd_embed(args) -> int:
     space = ingest(args.space, args.format)
     tree = dendrogram(space)
     claims, images = _retraction_claims(space)
-    branching = tree.nodes[len(space):]
-    retraction = {
-        f"{space.labels[p.anchor]}@{p.height}": space.labels[image] for p, image in zip(branching, images[len(space):])
-    }
+    n = len(space)
+    branching = tree.nodes[n:]
+    # keyed by the node labels: a branching point named like a point takes primes there
+    retraction = {label: space.labels[image] for label, image in zip(_node_labels(tree)[n:], images[n:])}
     _emit(
         {
             "branching_points": [

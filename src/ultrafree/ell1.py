@@ -11,16 +11,17 @@ computes the l1-equivalence constants of a basis family in closed form, and
 decides exactly, from the extreme molecules, whether a free space is
 isometric to l1.
 
-The certificate runs in integers: the tree is prepared once, its edge
-lengths and the node-space distances they are checked against, read off
-the node space's integer view, put on one common scale, and each vector's
-coefficients are scaled by the lcm of
-their denominators.  Every check of the certificate is then an integer
-comparison; Fractions are built only for a returned certificate.  The
-difference delta_i - delta_j of two nodes has its flow and its potential
-steps on the tree path from i to j alone (Godard 2010), so once every edge
-length is checked against its distance, the node pairs of a battery are
-certified by their path sums, from one walk of the tree per source node.
+The certificate runs in integers: the tree is prepared once, on the scale
+of the node distances that :mod:`ultrafree.rtree` certified against the
+quotient metric, which its edge lengths are checked against, and each
+vector's coefficients are scaled by the lcm of their denominators.  Every
+check of the certificate is then an integer comparison; Fractions are
+built only for a returned certificate.  The difference delta_i - delta_j
+of two nodes has its flow and its potential steps on the tree path from i
+to j alone (Godard 2010), so once every edge length is checked against its
+distance, the norm of each node pair of a battery is its path length,
+which the certified distances hold, and only the rooted node space is
+compared against them.
 
 The unit ball of the free space is the convex hull of the +-molecules
 m_ij = (delta_i - delta_j) / d(i, j), so the lower l1 constant of a family
@@ -67,7 +68,9 @@ from .metric import (
     validate,
 )
 from .rational import parse_rational
-from .rtree import DendrogramTree, _path_sums, _retraction_claims, dendrogram, node_space, rooted_node_space
+from .rtree import (
+    DendrogramTree, _node_distances, _node_labels, _path_sums, _retraction_claims, dendrogram, node_space, rooted_node_space
+)
 
 
 @dataclass(frozen=True)
@@ -122,8 +125,8 @@ def vector_from_edge_flows(tree: DendrogramTree, masses: Sequence[Fraction]) -> 
 
 
 def tree_free_norm(tree: DendrogramTree, v: FreeVector) -> Fraction:
-    """Edge-flow norm: sum over edges of length(e) * |net mass below e|."""
-    return edge_flow_coordinates(tree, v).norm()
+    """Edge-flow norm: sum over edges of length(e) * |net mass below e|, the value of :func:`tree_norm_certificate`."""
+    return tree_norm_certificate(tree, v).value
 
 
 @dataclass(frozen=True)
@@ -200,16 +203,10 @@ def _battery(
         FreeVector._exact(tuple(Fraction(c, _DRAW_UNIT) for c in coeffs))
         for coeffs in _battery_draws(space, ambient, vectors, seed)
     ]
-    dim = len(ambient) - 1
-    zeros = (Fraction(0),) * dim
-    pairs = []
-    for i in range(len(ambient)):
-        for j in range(i + 1, len(ambient)):
-            coeffs = list(zeros)
-            if i:
-                coeffs[i - 1] = Fraction(1)
-            coeffs[j - 1] = Fraction(-1)
-            pairs.append((i, j, FreeVector._exact(tuple(coeffs))))
+    size = len(ambient)
+    pairs = [
+        (i, j, FreeVector._exact(_point_difference(size, i, j))) for i in range(size) for j in range(i + 1, size)
+    ]
     return battery, pairs
 
 
@@ -241,44 +238,41 @@ def oracle_vs_lp(space: FiniteMetricSpace, vectors: int = 50, seed: int = 0) -> 
 
 
 class _ScaledTree(NamedTuple):
-    """A tree prepared once for many vectors, on one integer scale: lengths in units of 1/scale.
+    """A tree prepared once for many vectors, on the scale L of its certified node distances: lengths in units of 1/L.
 
     ``edges`` holds (child, parent, length) in root-based node-space indices,
-    highest child first, with the lengths of ``tree.edge_length``; ``dist``
-    holds the node-space distance on both orientations of every edge, the
-    independent side the lengths are checked against.
+    highest child first, with the lengths of ``tree.edge_length``, and
+    ``parent`` the parent of each root-based index, -1 at the root.  ``rows``
+    are the node distances of :func:`ultrafree.rtree._node_distances`, by
+    tree node and not copied, the independent side the lengths are checked
+    against; ``node`` maps a root-based index to its tree node.  ``labels``
+    are the node labels, root-based.
     """
 
     scale: int
     edges: tuple[tuple[int, int, int], ...]
-    dist: dict[tuple[int, int], int]
     parent: tuple[int, ...]
+    rows: Sequence[Sequence[int]]
+    node: tuple[int, ...]
     labels: tuple[str, ...]
 
 
 def _scaled_tree(tree: DendrogramTree) -> _ScaledTree:
-    """``tree`` prepared against its root-based node space, once per tree and kept on it."""
+    """``tree`` prepared against its certified node distances, once per tree and kept on it."""
     return _cached(tree, "_scaled", _prepared_tree)
 
 
 def _prepared_tree(tree: DendrogramTree) -> _ScaledTree:
-    """The scale is the lcm of the edge lengths' denominators and the scale q of the node space's integer view."""
-    ambient = rooted_node_space(tree)
-    q, d = _integer_view(ambient)
-    edges = _top_down(tree)
-    scale = lcm(q, *(length.denominator for *_, length in edges))
-    factor = scale // q
-    dist, parent = {}, [-1] * len(tree.nodes)
-    for child, up, _ in edges:
-        dist[child, up] = d[child][up] * factor
-        dist[up, child] = d[up][child] * factor
-        parent[child] = up
+    """The scale is that of :func:`ultrafree.rtree._node_distances`, a multiple of every edge length's denominator."""
+    scale, rows = _node_distances(tree)
+    count, labels = len(tree.nodes), _node_labels(tree)
     return _ScaledTree(
         scale,
-        tuple((child, up, length.numerator * (scale // length.denominator)) for child, up, length in edges),
-        dist,
-        tuple(parent),
-        ambient.labels,
+        tuple((child, up, length.numerator * (scale // length.denominator)) for child, up, length in _top_down(tree)),
+        (-1, *((p + 1) % count for p in tree.parent[:-1])),
+        rows,
+        (count - 1, *range(count - 1)),
+        (labels[-1], *labels[:-1]),
     )
 
 
@@ -308,7 +302,7 @@ def _edge(tree: _ScaledTree, a: int, b: int) -> str:
 
 
 def _checked_edge_flow(tree: _ScaledTree, v: FreeVector) -> tuple[int, int, list[tuple[int, int, int]], list[int]]:
-    """The edge-flow solution of v, checked in integers against the node-space distances.
+    """The edge-flow solution of v, checked in integers against the certified node distances.
 
     Returns (value, unit, flow, potential): the coefficients are scaled by
     the lcm ``unit`` of their denominators and the value is in units of
@@ -325,24 +319,25 @@ def _checked_coefficients(
 ) -> tuple[int, int, list[tuple[int, int, int]], list[int]]:
     """The edge-flow solution of the coefficients ``coeffs`` / ``unit``, checked in integers.
 
-    The flow must run along tree edges with positive amounts, balance every
-    node to its coefficient and cost the value; the potential must be tight
-    on every edge that carries flow, 1-Lipschitz on every edge and attain
-    the value.  On a tree path the edge steps add up to the distance, so
-    the edge-wise 1-Lipschitz check covers every pair.  Every check is
-    homogeneous in ``unit``, so any common multiple of the denominators
-    gives the same verdict and the same message.
+    The flow must run along tree edges, those of ``tree.parent``, with
+    positive amounts, balance every node to its coefficient and cost the
+    value; the potential must be tight on every edge that carries flow,
+    1-Lipschitz on every edge and attain the value, every edge length
+    being read off ``tree.rows``.  On a tree path the edge steps add up to
+    the distance, so the edge-wise 1-Lipschitz check covers every pair.
+    Every check is homogeneous in ``unit``, so any common multiple of the
+    denominators gives the same verdict and the same message.
     """
     value, flow, g = _edge_flow_solution(tree, coeffs)
-    dist, parent = tree.dist, tree.parent
+    rows, node, parent = tree.rows, tree.node, tree.parent
     divergence = [0] * len(g)
     cost = 0
     for a, b, amount in flow:
-        length = dist.get((a, b))
-        if length is None:
+        if parent[a] != b and parent[b] != a:
             raise CertificationError(f"flow arc {_edge(tree, a, b)} is not a tree edge")
         if amount <= 0:
             raise CertificationError(f"flow on edge {_edge(tree, a, b)} is not positive")
+        length = rows[node[a]][node[b]]
         if g[a] - g[b] != length:
             raise CertificationError(f"potential does not drop by the length of edge {_edge(tree, a, b)}")
         divergence[a] += amount
@@ -351,11 +346,8 @@ def _checked_coefficients(
     dual = 0
     for child in range(1, len(g)):
         up = parent[child]
-        length = dist.get((child, up))
-        if length is None:
-            raise CertificationError(f"edge {_edge(tree, child, up)} has no node-space distance")
         x = g[child]
-        if abs(x - g[up]) > length:
+        if abs(x - g[up]) > rows[node[child]][node[up]]:
             raise CertificationError(f"potential is not 1-Lipschitz on edge {_edge(tree, child, up)}")
         c = coeffs[child - 1]
         if divergence[child] != c:
@@ -370,17 +362,21 @@ def _checked_coefficients(
 
 
 def _checked_node_pairs(tree: _ScaledTree, view: _Scaled) -> None:
-    """Certify that the edge-flow norm of delta_i - delta_j is d(i, j) for every node pair i < j, one walk per source.
+    """Certify that the edge-flow norm of delta_i - delta_j is d(i, j) for every node pair i < j, off the certified rows.
 
-    ``view`` is the integer view (q, D) of the node space, d(i, j) being
-    D[i][j] / q.  Every edge length must equal the node-space distance
-    ``tree.dist`` on both orientations, parent to child first; then the
-    walk of the tree from each node i gives the path sums path(i, .) of the
-    lengths, in units of 1/scale, and the value path(i, j) of each pair
-    (i, j > i) must be d(i, j), compared by cross-multiplying.  The
+    ``view`` is the integer view (q, D) of the root-based node space, d(i, j)
+    being D[i][j] / q.  Every edge length must equal its certified node
+    distance in ``tree.rows`` on both orientations, parent to child first.
+    The rows are the path sums of those same lengths, from the one walk per
+    node that certifies them against the quotient metric
+    (:func:`ultrafree.rtree._certify_path_metric`), so the value of each
+    pair (i, j > i), the length of its tree path, is its row entry, read
+    through ``tree.node``; it must be d(i, j), compared by
+    cross-multiplying.  That comparison checks that the rooted node space
+    lines up with the tree (:func:`ultrafree.metric.with_base`).  The
     messages are those of :func:`_checked_coefficients`; with at most one
     edge off, those it gives on the first failing pair.  O(nodes^2) in all,
-    in integers.
+    in integers, with no walk of the tree.
 
     This certifies delta_i - delta_j, whose subtree masses are +1 on the
     path edges towards i, -1 towards j and 0 elsewhere.  Its flow, one unit
@@ -390,20 +386,17 @@ def _checked_node_pairs(tree: _ScaledTree, view: _Scaled) -> None:
     the path and 1-Lipschitz (the lengths are the positive height gaps of
     the certified dendrogram), and g(i) - g(j) is the value.
     """
-    adjacent: list[list[tuple[int, int]]] = [[] for _ in tree.parent]
+    rows, node = tree.rows, tree.node
     for child, up, length in tree.edges:
         for a, b in ((up, child), (child, up)):
-            if (a, b) not in tree.dist:
-                raise CertificationError(f"flow arc {_edge(tree, a, b)} is not a tree edge")
-            if tree.dist[a, b] != length:
+            if rows[node[a]][node[b]] != length:
                 raise CertificationError(f"potential does not drop by the length of edge {_edge(tree, a, b)}")
-            adjacent[b].append((a, length))
     q, d = view
     scale = tree.scale
     for i, row in enumerate(d[:-1]):
-        path = _path_sums(adjacent, i)
+        path = rows[node[i]]
         for j in range(i + 1, len(row)):
-            if path[j] * q != row[j] * scale:
+            if path[node[j]] * q != row[j] * scale:
                 raise CertificationError(f"edge-flow norm of the pair {_edge(tree, i, j)} is not its distance")
 
 
@@ -428,13 +421,13 @@ def _certify_edge_flow_battery(tree: DendrogramTree, vectors: int, seed: int) ->
     """Certify the edge-flow norm on the battery of :func:`oracle_vs_lp`, in integers.
 
     The battery lives on the root-based node space of ``tree``, whose path
-    metric is certified, and the tree is prepared on one integer scale once
-    (:func:`_scaled_tree`).  The random and leaf-supported vectors, drawn as
-    integers over :data:`_DRAW_UNIT`, get every check of
-    :func:`_checked_coefficients`, O(n) each for n nodes.  Every node pair
-    (i, j) is then certified by :func:`_checked_node_pairs` from one walk
-    of the tree per source, O(n^2) in all, and its norm must be d(i, j),
-    read off the node space's integer view.
+    metric is certified, and the tree is prepared once on the scale of its
+    certified node distances (:func:`_scaled_tree`).  The random and
+    leaf-supported vectors, drawn as integers over :data:`_DRAW_UNIT`, get
+    every check of :func:`_checked_coefficients`, O(n) each for n nodes.
+    Every node pair (i, j) is then certified by :func:`_checked_node_pairs`
+    off the certified distances, O(n^2) in all with no walk of the tree,
+    and its norm must be d(i, j), read off the node space's integer view.
     """
     scaled, ambient = _scaled_tree(tree), rooted_node_space(tree)
     for coeffs in _battery_draws(tree.space, ambient, vectors, seed):
@@ -587,11 +580,9 @@ def l1_equivalence_constants(space: FiniteMetricSpace, family: BasisFamily) -> L
             raise CertificationError(f"l1 witness at pair ({i}, {j}) does not attain Phi = {phi}")
     lower = 1 / phi
     # the witness lower * m_ij, +-lower / d(i, j) at i and j
-    step, witness = lower / space.dist[i][j], [Fraction(0)] * dim
-    if i:
-        witness[i - 1] = step
-    witness[j - 1] = -step
-    if free_norm_certificate(space, FreeVector._exact(tuple(witness))).value != lower:
+    step = lower / space.dist[i][j]
+    witness = FreeVector._exact(tuple(step * c if c else c for c in _point_difference(len(space), i, j)))
+    if free_norm_certificate(space, witness).value != lower:
         raise CertificationError(f"l1 witness at pair ({i}, {j}) does not attain the lower constant")
     return L1Constants(lower, Fraction(1))
 
@@ -778,14 +769,15 @@ def pipeline(
     certified on the battery of :func:`oracle_vs_lp` (``oracle_vectors``
     random vectors, the leaf-supported ones and every node pair) by its own
     flow and potential, in integers on the tree prepared once: the random
-    vectors over the whole tree, the node pairs by their path sums, one
-    walk of the tree per source (see :func:`_certify_edge_flow_battery`).
-    The battery is drawn from the bit stream (:func:`_random_integers`),
-    and both node spaces are built with their integer views, which the
-    prepared tree and the node pairs read.  The projection norm is the
-    Lipschitz constant of the retraction on the node space, found by
-    cross-multiplication on integers and certified at its witness pair in
-    integers, with no molecule (:func:`operator_norm_of_extension`); a
+    vectors over the whole tree, the node pairs off the certified node
+    distances, with no walk of the tree (see
+    :func:`_certify_edge_flow_battery`).  The battery is drawn from the bit
+    stream (:func:`_random_integers`), and both node spaces are built with
+    their integer views; the node pairs read the rooted one's.  The
+    projection norm is the Lipschitz constant of the retraction on the
+    node space, found by cross-multiplication on integers and certified at
+    its witness pair in integers, with no molecule
+    (:func:`operator_norm_of_extension`); a
     failed certificate raises :class:`CertificationError`.  The input and
     its rounding are validated by their cached single-linkage merges.  The
     dendrogram of the rounding is kept on it, and its node distances,

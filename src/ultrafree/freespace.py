@@ -453,11 +453,16 @@ def operator_norm_of_extension(point_map: PointMap) -> Fraction:
     return best
 
 
+# the coefficients of a point difference, shared: Fraction arithmetic costs more than a lookup
+_ZERO, _ONE, _MINUS_ONE = Fraction(0), Fraction(1), Fraction(-1)
+
+
 def _point_difference(size: int, i: int, j: int) -> tuple[Fraction, ...]:
     """The coefficients of delta_i - delta_j on ``size`` points, all integers; the base evaluates to zero."""
-    coeffs = [Fraction(0)] * (size - 1)
-    if i:
-        coeffs[i - 1] += 1
-    if j:
-        coeffs[j - 1] -= 1
+    coeffs = [_ZERO] * (size - 1)
+    if i != j:
+        if i:
+            coeffs[i - 1] = _ONE
+        if j:
+            coeffs[j - 1] = _MINUS_ONE
     return tuple(coeffs)

@@ -390,20 +390,19 @@ def path_solution(tree, i: int, j: int) -> tuple[int, list[tuple[int, int, int]]
 def path_pair_check(tree, i: int, j: int, distance: Fraction) -> None:
     """Certify that the edge-flow norm of delta_i - delta_j is ``distance``, on the tree path alone.
 
-    Checked on the solution of :func:`path_solution`: each path arc is a
-    tree edge (a ``dist`` lookup) and the potential is tight on it; the
-    cost, the sum of ``dist`` along the path, is the value, the sum of the
-    kernel lengths; g(i) - g(j) is the value; and the value is
-    ``distance``.  The messages are those of the package's dense check,
-    which :func:`dense_pair_check` runs on the same pair.
+    Checked on the solution of :func:`path_solution`, whose arcs run along
+    tree edges: the potential is tight on each path arc against its node
+    distance in ``tree.rows``; the cost, the sum of those distances along
+    the path, is the value, the sum of the kernel lengths; g(i) - g(j) is
+    the value; and the value is ``distance``.  The messages are those of
+    the package's dense check, which :func:`dense_pair_check` runs on the
+    same pair.
     """
     value, arcs, g = path_solution(tree, i, j)
-    dist, labels = tree.dist, tree.labels
+    rows, node, labels = tree.rows, tree.node, tree.labels
     cost = 0
     for _, a, b in arcs:
-        length = dist.get((a, b))
-        if length is None:
-            raise CertificationError(f"flow arc ({labels[a]}, {labels[b]}) is not a tree edge")
+        length = rows[node[a]][node[b]]
         if g[a] - g[b] != length:
             raise CertificationError(f"potential does not drop by the length of edge ({labels[a]}, {labels[b]})")
         cost += length

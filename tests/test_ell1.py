@@ -51,7 +51,7 @@ from ultrafree.freespace import (
     zero_vector,
 )
 from ultrafree.metric import (
-    CertificationError, FiniteMetricSpace, _integer_view, _scale_rows, random_ultrametric, round_to_dyadic, validate
+    CertificationError, FiniteMetricSpace, _scale_rows, random_ultrametric, round_to_dyadic, validate
 )
 from ultrafree.rtree import _retraction_claims, dendrogram, node_space, rooted_node_space, verify_retraction_claims
 
@@ -319,6 +319,22 @@ def test_pipeline_names_the_pair_off_its_distance(four_cluster, monkeypatch):
         pipeline(four_cluster)
 
 
+def test_pipeline_names_an_edge_pair_off_its_distance(four_cluster, monkeypatch):
+    # the edge lengths are checked against the certified rows, so a rooted node space stretched on an
+    # edge passes that check and fails the comparison with the rows, at the pair of that edge
+    real = rtree.with_base
+
+    def stretched(space, index):
+        rooted = real(space, index)
+        dist = [list(row) for row in rooted.dist]
+        dist[0][6] = dist[6][0] = 2 * dist[0][6]  # the root and its child a@1/4
+        return FiniteMetricSpace(rooted.labels, tuple(map(tuple, dist)))
+
+    monkeypatch.setattr(rtree, "with_base", stretched)
+    with pytest.raises(CertificationError, match=r"edge-flow norm of the pair \(0@1/2, a@1/4\) is not its distance$"):
+        pipeline(four_cluster)
+
+
 def _node_pair_trees():
     """Tied power-of-two, coprime, caterpillar and star trees, N = 2..8, and a power-of-two
     caterpillar, with their prepared scaled trees."""
@@ -357,16 +373,17 @@ def _view_of(ambient, d):
 
 
 def _corrupted_trees(scaled):
-    """The scaled tree with every pair distance doubled, then with each edge's distance tripled
+    """The scaled tree with every pair distance doubled, then with each edge's row distance tripled
     on both orientations and with each edge's length doubled, as (tree, stretch) pairs."""
     corrupted = [(scaled, 2)]
     for k, (child, up, length) in enumerate(scaled.edges):
-        dist = dict(scaled.dist)
-        dist[child, up] *= 3
-        dist[up, child] *= 3
+        rows = [list(row) for row in scaled.rows]
+        a, b = scaled.node[child], scaled.node[up]
+        rows[a][b] *= 3
+        rows[b][a] *= 3
         edges = list(scaled.edges)
         edges[k] = (child, up, 2 * length)
-        corrupted += [(scaled._replace(dist=dist), 1), (scaled._replace(edges=tuple(edges)), 1)]
+        corrupted += [(scaled._replace(rows=rows), 1), (scaled._replace(edges=tuple(edges)), 1)]
     return corrupted
 
 
@@ -398,29 +415,10 @@ def test_path_certificate_matches_the_dense_check():
     assert (compared, failures) == (24780, 7336)
 
 
-@pytest.mark.parametrize("arc", ["down", "up"])
-def test_node_pairs_name_an_edge_missing_an_orientation(four_cluster, arc):
-    # the top edge of a@1/4 (node-space point 6) under the root (point 0)
-    scaled = ell1._scaled_tree(dendrogram(four_cluster))
-    missing = (0, 6) if arc == "down" else (6, 0)
-    dist = {key: x for key, x in scaled.dist.items() if key != missing}
-    name = r"\(0@1/2, a@1/4\)" if arc == "down" else r"\(a@1/4, 0@1/2\)"
-    with pytest.raises(CertificationError, match=rf"^flow arc {name} is not a tree edge$"):
-        ell1._checked_node_pairs(scaled._replace(dist=dist), _integer_view(rooted_node_space(dendrogram(four_cluster))))
-
-
-def test_a_dense_check_names_an_edge_missing_its_upward_distance(four_cluster):
-    # the zero vector sends no flow, so the missing orientation is first read by the 1-Lipschitz check
-    scaled = ell1._scaled_tree(dendrogram(four_cluster))
-    dist = {key: x for key, x in scaled.dist.items() if key != (6, 0)}
-    with pytest.raises(CertificationError, match=r"^edge \(a@1/4, 0@1/2\) has no node-space distance$"):
-        ell1._checked_coefficients(scaled._replace(dist=dist), [0] * len(scaled.edges), 1)
-
-
 def test_pipeline_checks_no_node_pair_densely(monkeypatch):
     """One pipeline call makes a dense check of each random vector and of nothing else,
-    and certifies the node pairs by one walk of the tree from each node that starts a pair;
-    the l1 stage then walks the chain's anchor tree from each point that starts a pair."""
+    and certifies the node pairs off the certified rows, with no walk of the tree; its only
+    walks are the l1 stage's, of the chain's anchor tree from each point that starts a pair."""
     dense, walks = [], []
     real_dense, real_walk = ell1._checked_coefficients, ell1._path_sums
 
@@ -437,14 +435,13 @@ def test_pipeline_checks_no_node_pair_densely(monkeypatch):
     space = random_ultrametric(7, 11)
     rounded = round_to_dyadic(space)
     ambient = rooted_node_space(dendrogram(rounded))
-    nodes = len(ambient)
     for vectors in (0, 4, 25, 60):
         dense.clear()
         walks.clear()
         pipeline(space, oracle_vectors=vectors, seed=vectors)
         assert len(dense) == vectors + max(5, vectors // 5)
         assert dense == [(draw, 12) for draw in ell1._battery_draws(rounded, ambient, vectors, vectors)]
-        assert walks == [(nodes, s) for s in range(nodes - 1)] + [(len(space), s) for s in range(len(space) - 1)]
+        assert walks == [(len(space), s) for s in range(len(space) - 1)]
 
 
 @pytest.mark.parametrize("dim", [0, 1, 5, 9, 30])

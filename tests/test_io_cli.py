@@ -291,6 +291,15 @@ def test_cli_embed(tmp_path, capsys):
     assert out["dendrogram"]["parent"] == [4, 3, 3, 4, -1]
 
 
+def test_cli_embed_keys_the_retraction_by_the_node_labels(tmp_path, capsys):
+    # the point a@1/2 is labelled like the branching point <a, 1/2>, whose node label takes a prime
+    path = tmp_path / "space.json"
+    path.write_text(json.dumps({"labels": ["a", "a@1/2", "x"], "dist": [[0, 1, 2], [1, 0, 2], [2, 2, 0]]}))
+    assert main(["embed", str(path)]) == 0
+    out = json.loads(capsys.readouterr().out)
+    assert out["retraction_table"] == {"a@1/2'": "a", "a@1": "a"}
+
+
 def test_cli_l1check(tmp_path, capsys):
     space = _write_triangle(tmp_path)
     assert main(["l1check", str(space)]) == 0
