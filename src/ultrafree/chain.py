@@ -17,8 +17,11 @@ families built otherwise are inverted.
 The chain identities, the telescoping identity that gives those
 coordinates, and the closed-form basis constant, the maximum of
 d(r_n x, r_n y) / d(x, y) over the stages n >= 2 and the pairs, come from
-one incremental integer scan of the rank table, :func:`_scan_chain`: a
-pair is evaluated again only when one of its two points changes rank.
+one scan of the rank table, :func:`_scan_chain`.  On an ultrametric the
+nearest-point table is read off the cluster tree: r_n x is the earliest
+point of the lowest cluster around x that meets the first n points.  A
+table that follows this rule is certified in O(N^2) with no pair scanned;
+every other table is scanned stage by stage and pair by pair, in integers.
 
 Non-ultrametric spaces are accepted in exploratory mode: verification then
 reports violations instead of asserting their absence.
@@ -32,7 +35,7 @@ from typing import Optional, Sequence
 
 from .freespace import FreeVector, PointMap, _point_difference, free_norm, molecule, operator_norm_of_extension
 from .linalg import SingularMatrixError, invert_matrix
-from .metric import FiniteMetricSpace, _cached, _integer_view
+from .metric import FiniteMetricSpace, _cached, _cluster_parents, _integer_view, _single_linkage
 from .rational import _index
 
 
@@ -44,7 +47,8 @@ class RetractionChain:
     nearest point to x among the first n, minimal position on ties.  An
     ordering that is not a permutation of the points starting at the base,
     and a table that is not N x N with entries in 1..N, raise ValueError; a
-    point index that is no integer raises TypeError.
+    point index or a rank that is no integer raises TypeError, and a bool
+    reads as an int.
     """
 
     space: FiniteMetricSpace
@@ -53,15 +57,26 @@ class RetractionChain:
 
     def __post_init__(self) -> None:
         object.__setattr__(self, "ordering", _checked_ordering(len(self.space), self.ordering))
+        ranks = tuple(tuple(map(_index, row)) for row in self.ranks)
         size = len(self.ordering)
-        if len(self.ranks) != size:
-            raise ValueError(f"the rank table has {len(self.ranks)} stages, not {size}")
-        for n, row in enumerate(self.ranks, 1):
+        if len(ranks) != size:
+            raise ValueError(f"the rank table has {len(ranks)} stages, not {size}")
+        for n, row in enumerate(ranks, 1):
             if len(row) != size:
                 raise ValueError(f"stage {n} ranks {len(row)} points, not {size}")
             if min(row) < 1 or max(row) > size:
                 x = next(x for x, rank in enumerate(row) if not 1 <= rank <= size)
                 raise ValueError(f"the rank of point {x} at stage {n} is {row[x]}, outside 1..{size}")
+        object.__setattr__(self, "ranks", ranks)
+
+    @classmethod
+    def _exact(cls, space: FiniteMetricSpace, ordering: tuple[int, ...], ranks: tuple[tuple[int, ...], ...]):
+        """Wrap a checked ordering and the int rows :func:`build_chain` built, without checking them again."""
+        chain = object.__new__(cls)
+        object.__setattr__(chain, "space", space)
+        object.__setattr__(chain, "ordering", ordering)
+        object.__setattr__(chain, "ranks", ranks)
+        return chain
 
     @property
     def size(self) -> int:
@@ -169,7 +184,7 @@ def build_chain(space: FiniteMetricSpace, ordering: Optional[Sequence[int]] = No
                 best_dist[x] = dn
                 best_rank[x] = n
         rows.append(tuple(best_rank))
-    return RetractionChain(space, order, tuple(rows))
+    return RetractionChain._exact(space, order, tuple(rows))
 
 
 def verify_chain(chain: RetractionChain) -> ChainReport:
@@ -184,86 +199,124 @@ def verify_chain(chain: RetractionChain) -> ChainReport:
 
     The report is that of the chain's one :func:`_scan_chain`, kept on it,
     which also gives the closed form of :func:`basis_constant`, and
-    :func:`_certified_chain` reads the telescoping identity off it.
+    :func:`_certified_chain` reads the telescoping identity off it.  A
+    table that follows the merge-tree rule on an ultrametric with positive
+    distances has the empty report, proved in :func:`_follows_merge_tree`;
+    any other table is checked pair by pair.
     """
     return _cached(chain, "_scan", _scan_chain)[0]
 
 
 def _scan_chain(chain: RetractionChain) -> tuple[ChainReport, Optional[Fraction], bool]:
-    """The :class:`ChainReport`, max_{n >= 2} max_{x<y} d(r_n x, r_n y) / d(x, y) and the rank bound, in one scan.
+    """The :class:`ChainReport`, max_{n >= 2} max_{x<y} d(r_n x, r_n y) / d(x, y) and the rank bound.
+
+    A table that follows the merge-tree rule, :func:`_follows_merge_tree`,
+    gets the empty report, the constant 1 and a true rank bound in
+    O(N^2), which are :func:`_full_scan`'s by the proof in the rule's
+    docstring; every other table goes through the full scan, O(N^3).
+    """
+    if _follows_merge_tree(chain):
+        return ChainReport((), (), (), (), (), ()), Fraction(1), True
+    return _full_scan(chain)
+
+
+def _follows_merge_tree(chain: RetractionChain) -> bool:
+    """Whether the rank table is the merge-tree rule's, on an ultrametric with positive distances.
+
+    Let the clusters be those of :func:`_single_linkage` with tied merges
+    contracted (:func:`ultrafree.metric._cluster_parents`): they are
+    nested, each is the ball of radius its height h(C) about every member,
+    and d(x, y) for x != y is the height of the lowest cluster holding
+    both.  Let first(C) be the least position in the ordering of a point
+    of C, S_n the first n points, and C_n(x) the lowest cluster around x
+    with first(C) <= n, the lowest one that meets S_n.  The rule is
+    ranks[n-1][x] = first(C_n(x)), so r_n x is the earliest point of
+    C_n(x).  Going up from x, first() never increases and is 1 at the top,
+    so one two-pointer walk, down the stages from N and up the clusters
+    from x, checks the column of each point, O(N^2) in all.
+
+    On a space whose lowest merge height is positive and whose diagonal is
+    zero, such a table has the empty report, the constant 1 and the rank
+    bound, which are what :func:`_full_scan` finds on it:
+
+      * rank bound: first(C_n(x)) <= n by the choice of C_n(x);
+      * fixed points: a kept x has first({x}) <= n, so r_n x = x;
+      * 1-Lipschitz: for x != y let E be the lowest cluster holding both,
+        h(E) = d(x, y).  If E meets S_n, then C_n(x) and C_n(y) lie in E,
+        and d(r_n x, r_n y) <= h(E).  Otherwise both are the lowest
+        cluster above E that meets S_n, and r_n x = r_n y;
+      * locality: for x not kept, the child of C = C_n(x) around x misses
+        S_n, so every kept point of C is at distance h(C) from x and every
+        kept point outside C is farther: dist(x, S_n) = d(x, r_n x) = h(C).
+        If d(x, y) < h(C), E lies strictly inside C and misses S_n, so
+        C_n(y) = C: the same rank and the same distance for y;
+      * commutation: let C' = C_{n+1}(x), inside C = C_n(x).  If C' = C,
+        r_{n+1} x = r_n x, which r_n fixes.  Otherwise C' misses S_n, r_{n+1} x is the point
+        p added at stage n + 1, and the clusters around p that meet S_n are
+        those above C', the lowest being C, so r_n p = r_n x.  And r_n x
+        is kept, so r_{n+1} fixes it;
+      * constant: every ratio is at most 1 by the 1-Lipschitz property,
+        and the last stage is the identity, so it is 1 once there is a
+        pair; a one-point chain has the constant 1.
+    """
+    size, dist = chain.size, chain.space.dist
+    merges = _single_linkage(chain.space)
+    if merges is None or (merges and merges[0][0] <= 0) or any(dist[x][x] for x in range(size)):
+        return False
+    first = [0] * (size + len(merges))
+    for k, x in enumerate(chain.ordering, 1):
+        first[x] = k
+    for k, (_, a, b) in enumerate(merges, size):
+        first[k] = min(first[a], first[b])
+    parent = _cluster_parents(size, merges)
+    stages = range(size, 0, -1)
+    for x, column in enumerate(zip(*chain.ranks)):
+        u = x
+        for n, rank in zip(stages, reversed(column)):
+            while first[u] > n:
+                u = parent[u]
+            if rank != first[u]:
+                return False
+    return True
+
+
+def _full_scan(chain: RetractionChain) -> tuple[ChainReport, Optional[Fraction], bool]:
+    """The report, the constant and the rank bound of :func:`_scan_chain` by scanning every stage and pair, O(N^3).
 
     The scan runs on the integer rows of :func:`_integer_view`, which have
     the order and ties of the distances and the same ratios, so ratios are
     compared by cross-multiplication and one Fraction is built at the end.
-
-    Unchanged rank entries give unchanged outcomes: at stage n the outcomes
-    of a pair x < y (1-Lipschitz, locality, locality distance, and the ratio
-    d(r_n x, r_n y) / d(x, y)) are functions of d and of the two entries
-    ranks[n-1][x] and ranks[n-1][y] alone, since r_n x is the point at
-    position ranks[n-1][x] and dist(x, S_n) is d(x, r_n x).  So stages 1
-    and 2 are scanned in full, and at each later stage n + 1 only the pairs
-    with a point whose rank entry differs from stage n are re-evaluated;
-    every other pair keeps its outcomes, and a violating pair is listed
-    again with the new stage number, so the witnesses come in the order of
-    the exhaustive scan.  Every ratio evaluated from stage 2 on goes
-    straight into the maximum: a pair that is not re-evaluated keeps a
-    ratio already counted.  With R changed rank entries the scan costs
-    O(N^2 + N * R); on a chain from :func:`build_chain` R is the number of
-    times a point is re-routed to a closer added point.  The fixed-point and
-    commutation checks read each stage's row once, O(N^2) in all.
-
-    The rank bound holds when every stage n ranks only the first n points,
-    max(ranks[n-1]) <= n.  Entries that did not change since stage n - 1
-    are at most n - 1 once the bound holds there, so only the changed
-    entries are compared, and the verdict is kept with the report for
-    :func:`_certified_chain`.
-
-    The constant is None when a distance between distinct points is not
-    positive, and 1 on a one-point chain, which has no pairs.
+    Witnesses come stage by stage, the pairs x < y in order.  The rank
+    bound holds when every stage n ranks only the first n points,
+    max(ranks[n-1]) <= n.  The constant is None when a distance between
+    distinct points is not positive, and 1 on a one-point chain, which has
+    no pairs.
     """
     order, ranks, size = chain.ordering, chain.ranks, chain.size
     d = _integer_view(chain.space)[1]
     positive = all(d[a][b] > 0 for a in range(size) for b in range(a + 1, size))
     lip, comm, rcomm, loc, loc_dist, fixed = [], [], [], [], [], []
-    violating = (set(), set(), set())  # the (x, y) failing 1-Lipschitz, locality, locality distance now
-    state = [[0] * size for _ in range(size)]  # bit k set when (x, y) is in violating[k]
-    target = [0] * size  # r_n x
-    near = [0] * size  # d(x, r_n x)
     best_num, best_den = 0, 1
     bounded = True
-    prev: Sequence[int] = ()
-    for n in range(1, size + 1):
-        row = ranks[n - 1]
+    for n, row in enumerate(ranks, 1):
+        bounded = bounded and max(row) <= n
         fixed.extend((n, order[k]) for k in range(n) if row[order[k]] != k + 1)
-        moved = [x for x in range(size) if n <= 2 or row[x] != prev[x]]
-        is_moved = [False] * size
-        for x in moved:
-            is_moved[x] = True
-            if row[x] > n:
-                bounded = False
-            target[x] = order[row[x] - 1]
-            near[x] = d[x][target[x]]
-        for x in moved:
-            for y in range(size):
-                if is_moved[y] and y <= x:
-                    continue  # the pair itself, or one already re-evaluated from y
-                a, b = (x, y) if x < y else (y, x)
-                dab = d[a][b]
-                value = d[target[a]][target[b]]
-                flags = value > dab
-                if dab < near[a]:
-                    flags |= (row[a] != row[b]) << 1 | (near[b] != near[a]) << 2
-                old = state[a][b]
-                if flags != old:
-                    state[a][b] = flags
-                    for bit, now in enumerate(violating):
-                        if (flags ^ old) >> bit & 1:
-                            (now.add if flags >> bit & 1 else now.discard)((a, b))
+        target = [order[rank - 1] for rank in row]  # r_n x
+        near = [d[x][t] for x, t in enumerate(target)]  # d(x, r_n x)
+        for a in range(size):
+            da, dt, ra, na = d[a], d[target[a]], row[a], near[a]
+            for b in range(a + 1, size):
+                dab = da[b]
+                value = dt[target[b]]
+                if value > dab:
+                    lip.append((n, a, b))
+                if dab < na:
+                    if ra != row[b]:
+                        loc.append((n, a, b))
+                    if near[b] != na:
+                        loc_dist.append((n, a, b))
                 if n >= 2 and value * best_den > best_num * dab:
                     best_num, best_den = value, dab
-        for found, now in zip((lip, loc, loc_dist), violating):
-            if now:
-                found.extend((n, a, b) for a, b in sorted(now))
         if n < size:
             nxt = ranks[n]
             for x in range(size):
@@ -271,7 +324,6 @@ def _scan_chain(chain: RetractionChain) -> tuple[ChainReport, Optional[Fraction]
                     comm.append((n, x))
                 if nxt[target[x]] != row[x]:
                     rcomm.append((n, x))
-        prev = row
     report = ChainReport(tuple(lip), tuple(comm), tuple(rcomm), tuple(loc), tuple(loc_dist), tuple(fixed))
     if not positive:
         return report, None, bounded
@@ -417,7 +469,9 @@ def _certified_chain(space: FiniteMetricSpace, family: BasisFamily) -> Optional[
 
     The certificate is the chain's one scan, kept on it: no commutation
     and no fixed-point failure in its report, and the rank bound it
-    records, that stage n ranks only the first n points.  On
+    records, that stage n ranks only the first n points.  A table that
+    follows the merge-tree rule of :func:`_follows_merge_tree` has all
+    three, as proved there, with no pair scanned.  On
     every table :class:`RetractionChain` admits, this is the telescoping
     identity delta_{r_{n+1} x} - delta_{r_n x} = [r_{n+1} x = p] e_n, for
     the point p added at stage n + 1 and e_n = delta_p - delta_{r_n p}.
@@ -467,7 +521,9 @@ def basis_constant(space: FiniteMetricSpace, family: BasisFamily) -> Fraction:
     (delta_{r_n i} - delta_{r_n j}) / d(i, j), the telescoping certified
     by :func:`_certified_chain`, so the constant is the maximum of
     d(r_n i, r_n j) / d(i, j) over the stages n >= 2 and the pairs, read
-    off the chain's one scan that certifies it.  Any other family, a
+    off the chain's one scan that certifies it: 1 with no pair scanned on
+    a table that follows the merge-tree rule (:func:`_follows_merge_tree`),
+    and the maximum of the full scan otherwise.  Any other family, a
     hand-built copy of a chain's family too, is inverted: exact molecule
     multiples use the same closed form and the others the transport
     solver, for the same value.  A family without N - 1 vectors of N - 1

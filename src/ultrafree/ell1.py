@@ -784,7 +784,9 @@ def pipeline(
     certified once, serve the claims, the node spaces and the battery.  The
     chain identities and the basis constant are read through the public
     functions off the chain's one scan, which also certifies the
-    telescoping and the rank bound, and the l1 constants off one walk of
+    telescoping and the rank bound: on this ultrametric input the scan
+    checks the chain's table against the merge-tree rule in O(N^2), with
+    no pair scanned.  The l1 constants come off one walk of
     its anchor tree per point, all in integers, with the witness checked on
     its signs; the one transport solve left is the witness of the l1 lower
     constant.

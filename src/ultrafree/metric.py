@@ -262,6 +262,31 @@ def _merge_pairs(space: FiniteMetricSpace) -> Optional[tuple[tuple[Fraction, int
     return tuple(merges)
 
 
+def _cluster_parents(n: int, merges) -> list[int]:
+    """For each node of the merge tree, the merge that closes the lowest cluster strictly above it; -1 at the top.
+
+    ``merges`` are those of :func:`_single_linkage` on n points, and the
+    nodes are the points 0..n-1, then merge k as node n + k.  Tied merges
+    are contracted: a merge whose parent merge has the same height belongs
+    to its parent's cluster, and the highest merge of such a run closes
+    the cluster.  Every value but -1 is a closing merge, and every closing
+    merge is the value of its own two merged nodes at least.  The clusters
+    are the points and the closing merges, each the ball of radius its
+    height about every member.
+    """
+    count = n + len(merges)
+    up = [-1] * count
+    for k, (_, a, b) in enumerate(merges):
+        up[a] = up[b] = n + k
+    parent = [-1] * count
+    for u in reversed(range(count)):
+        p = up[u]
+        if p >= 0:
+            q = up[p]
+            parent[u] = parent[p] if q >= 0 and merges[q - n][0] == merges[p - n][0] else p
+    return parent
+
+
 def round_to_dyadic(space: FiniteMetricSpace) -> FiniteMetricSpace:
     """Round every distance down to a power of two by the bit-length rule of ``dyadic_floor``.
 

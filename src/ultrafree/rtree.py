@@ -35,6 +35,7 @@ from .metric import (
     FiniteMetricSpace,
     _Scaled,
     _cached,
+    _cluster_parents,
     _integer_view,
     _keep_view,
     _single_linkage,
@@ -217,28 +218,23 @@ def _merge_tree(n: int, merges) -> tuple[list[TreePoint], list[int], list[Fracti
     """The nodes, parents and edge lengths of the dendrogram, read off single-linkage merges.
 
     ``merges`` are those of :func:`ultrafree.metric._single_linkage` on n
-    points.  A merge whose parent merge has the same height belongs to its
-    parent's cluster; every other merge closes a cluster C at its height h,
-    the ball of radius h about each member, which is the branching point
-    <min C, h/2>.  Nodes are the leaves in point order, then the branching
-    points by (height, anchor); a node's parent is the branching point of
-    the next cluster above it, and its edge length the height gap.
+    points, with tied merges contracted by
+    :func:`ultrafree.metric._cluster_parents`: each closing merge closes a
+    cluster C at its height h, the ball of radius h about each member,
+    which is the branching point <min C, h/2>.  Nodes are the leaves in
+    point order, then the branching points by (height, anchor); a node's
+    parent is the branching point of the next cluster above it, and its
+    edge length the height gap.
     """
-    count = n + len(merges)
-    up = [-1] * count
-    low = list(range(count))
+    above = _cluster_parents(n, merges)
+    low = list(range(len(above)))
     height = [Fraction(0)] * n + [h for h, _, _ in merges]
     for k, (_, a, b) in enumerate(merges):
-        up[a] = up[b] = n + k
         low[n + k] = min(low[a], low[b])
-    top = list(range(count))  # the merge that closes each merge's cluster
-    for u in reversed(range(n, count)):
-        if up[u] >= 0 and height[up[u]] == height[u]:
-            top[u] = top[up[u]]
-    closing = sorted((u for u in range(n, count) if top[u] == u), key=lambda u: (height[u], low[u]))
-    index = {u: n + k for k, u in enumerate(closing)}
+    closing = sorted({*above} - {-1}, key=lambda u: (height[u], low[u]))
+    index = {-1: -1, **{u: n + k for k, u in enumerate(closing)}}
     nodes = [TreePoint(x, Fraction(0)) for x in range(n)] + [TreePoint(low[u], height[u] / 2) for u in closing]
-    parent = [index[top[up[u]]] if up[u] >= 0 else -1 for u in (*range(n), *closing)]
+    parent = [index[above[u]] for u in (*range(n), *closing)]
     edge = [nodes[p].height - node.height if p >= 0 else Fraction(0) for node, p in zip(nodes, parent)]
     return nodes, parent, edge
 
@@ -551,8 +547,13 @@ def _node_labels(tree: DendrogramTree) -> tuple[str, ...]:
 
     Heights carry no @, so m@h names its branching point alone; a label
     m@h that is already a point's label takes primes until it is none, and
-    no label changes where nothing collides.
+    no label changes where nothing collides.  The labels are built once
+    per tree and kept on it.
     """
+    return _cached(tree, "_labels", _label_nodes)
+
+
+def _label_nodes(tree: DendrogramTree) -> tuple[str, ...]:
     labels = tree.space.labels
     taken = set(labels)
     named = []

@@ -51,13 +51,13 @@ every expansion is normed by the transport solver.  It shares nothing
 with the closed forms the package reads the constant from.
 
 The package checks the chain identities and reads the closed-form basis
-constant off one incremental integer scan of the rank table.  The two
-exhaustive scans it replaced are kept as references: every identity at
-every stage and pair, and the maximum of d(r_n i, r_n j) / d(i, j) over
-every stage n >= 2 and pair, by cross-multiplication.  Both run on the
-distances scaled to integers here and on a retraction table read off the
-ranks here; neither touches the package's integer view or re-evaluates
-only what changed.
+constant off one scan of the rank table: the merge-tree rule on an
+ultrametric, and otherwise every stage and pair.  Two exhaustive scans
+are kept as references: every identity at every stage and pair, and the
+maximum of d(r_n i, r_n j) / d(i, j) over every stage n >= 2 and pair,
+by cross-multiplication.  Both run on the distances scaled to integers
+here and on a retraction table read off the ranks here; neither touches
+the package's integer view, its merges or its cluster tree.
 
 The package validates a space, builds its dendrogram, certifies it and
 checks the retraction claims in integers, from one single-linkage merge

@@ -2,6 +2,7 @@ import itertools
 import json
 import pickle
 import random
+import re
 from fractions import Fraction
 
 import pytest
@@ -13,6 +14,8 @@ from ultrafree.chain import (
     _apply,
     _certified_chain,
     _family_inverse,
+    _follows_merge_tree,
+    _full_scan,
     _scan_chain,
     basis_constant,
     basis_vectors,
@@ -26,7 +29,7 @@ from ultrafree.campaign import CampaignConfig, run_campaign
 from ultrafree.cli import main
 from ultrafree.ell1 import l1_equivalence_constants, pipeline
 from ultrafree.freespace import FreeVector, dirac, free_norm, lipschitz_constant, molecule, operator_norm_of_extension
-from ultrafree.metric import FiniteMetricSpace, random_ultrametric
+from ultrafree.metric import FiniteMetricSpace, _single_linkage, random_ultrametric, validate
 from ultrafree.serialize import dump_json, space_to_json
 
 from _oracles import (
@@ -43,7 +46,7 @@ from _oracles import (
     scan_verify_chain,
     solver_basis_constant,
 )
-from test_freespace import _stress_ultrametrics
+from test_freespace import _nested_ultrametric, _stress_ultrametrics
 from test_metric import _perturbed
 
 
@@ -210,7 +213,7 @@ def _shuffled_chain(space, rng):
 
 
 def test_dirac_rows_match_the_family_inverse():
-    # tied, coprime, caterpillar and star spaces, N = 2..12, random orderings: every certified
+    # tied, coprime, caterpillar, star and nested spaces, N = 2..12, random orderings: every certified
     # chain's Dirac rows, and the molecule coefficients the l1 witness reads off them, are the inverse's
     rng = random.Random(23)
     checked = 0
@@ -232,7 +235,7 @@ def test_dirac_rows_match_the_family_inverse():
         ]
         assert differences == expected
         checked += n + len(expected)
-    assert checked == 1452
+    assert checked == 1815
 
 
 class InverseTaken(Exception):
@@ -308,15 +311,22 @@ def test_telescoping_rejects_every_corrupted_entry():
 def test_the_scan_certifies_every_two_and_three_point_table():
     # every rank table with entries in 1..N: the certificate read off the scan and the rank
     # bound gives the maps check's and the rows check's verdict; one table per stage-2 choice
-    # of the third point telescopes on three points, and only the nearest-point table on two
-    verdicts = []
-    for space in (random_ultrametric(2, 1), random_ultrametric(3, 1)):
+    # of the third point telescopes on three points, and only the nearest-point table on two.
+    # Only the nearest-point table of each space follows the merge-tree rule, and every table
+    # gets the full scan's and the exhaustive scans' report, constant and rank bound
+    spaces = random_ultrametric(2, 1), random_ultrametric(3, 1)
+    verdicts, followed = [], []
+    for space in spaces:
         n = len(space)
         for entries in itertools.product(range(1, n + 1), repeat=n * n):
             chain = RetractionChain(space, tuple(range(n)), tuple(zip(*[iter(entries)] * n)))
             verdicts.append(_certified(chain))
             assert verdicts[-1] == maps_telescope(chain) == rows_telescope(chain, dirac_rows(chain))
+            assert _scan_chain(chain) == _full_scan(chain) == _scan_oracles(chain)
+            if _follows_merge_tree(chain):
+                followed.append(chain)
     assert (len(verdicts), sum(verdicts)) == (16 + 19683, 1 + 2)
+    assert followed == [build_chain(space) for space in spaces]
 
 
 def test_corrupted_rows_fall_back_to_the_inverse(monkeypatch):
@@ -470,8 +480,48 @@ def test_no_min_rule_scan_on_ultrametric_input(monkeypatch, tmp_path):
     assert scans == []
 
 
+def _count_full_scans(monkeypatch):
+    """Record the size of every chain that the scan sends to the full scan."""
+    scans = []
+    real = chain_module._full_scan
+    monkeypatch.setattr(chain_module, "_full_scan", lambda chain: scans.append(chain.size) or real(chain))
+    return scans
+
+
+def test_no_full_scan_on_ultrametric_input(monkeypatch, tmp_path, capsys):
+    scans = _count_full_scans(monkeypatch)
+    out = tmp_path / "campaign.json"
+    assert main(["--out", str(out), "campaign", "--sizes", "3-12", "--stages", "basis"]) == 0
+    assert len(json.loads(out.read_text())["instances"]) == 50
+    path = tmp_path / "space.json"
+    for space in _stress_ultrametrics(random.Random(23)):
+        assert pipeline(space).passed
+        dump_json(space_to_json(space), path)
+        assert main(["basis", str(path)]) == 0 and main(["basis", str(path), "--shuffle"]) == 0
+    capsys.readouterr()
+    assert scans == []
+    # a space that is no ultrametric and a hand-built table do take it
+    space = random_ultrametric(6, 4)
+    twisted = FiniteMetricSpace(space.labels, tuple(
+        tuple(h * 4 if {x, y} == {1, 2} else h for y, h in enumerate(row)) for x, row in enumerate(space.dist)
+    ))
+    chain = build_chain(twisted)
+    assert not validate(twisted).is_ultrametric and verify_chain(chain) == scan_verify_chain(chain)
+    chain = build_chain(space)
+    assert not verify_chain(_with_rows(chain, [(2, chain.ordering[1], 1)])).passed
+    assert scans == [6, 6]
+
+
+def test_pipeline_on_the_nested_space_takes_no_full_scan(monkeypatch):
+    # each added point is strictly nearest to every later point, so every later point
+    # changes rank at every stage; the rule still reads the table in O(N^2)
+    scans = _count_full_scans(monkeypatch)
+    report = pipeline(_nested_ultrametric(200))
+    assert report.passed and report.basis_constant == 1 and scans == []
+
+
 def test_build_chain_matches_the_fraction_ranks():
-    # tied, coprime, caterpillar and star ultrametrics, and each with one pair's
+    # tied, coprime, caterpillar, star and nested ultrametrics, and each with one pair's
     # distance scaled, which makes metrics that are no ultrametric and non-metrics
     rng = random.Random(29)
     for space in _stress_ultrametrics(rng, range(2, 16)):
@@ -488,7 +538,7 @@ def _scan_oracles(chain):
 
 
 def test_one_scan_matches_the_fraction_scans():
-    # tied, coprime, caterpillar and star ultrametrics for N = 2..40, and each with one
+    # tied, coprime, caterpillar, star and nested ultrametrics for N = 2..40, and each with one
     # pair's distance scaled, under the input ordering and a random one: witnesses,
     # their order and the closed-form constant must be the exhaustive scans'
     rng = random.Random(41)
@@ -544,10 +594,44 @@ def test_one_scan_matches_the_fraction_scans_on_hand_built_tables():
     assert failing > 400 and constants > 200 and unranked > 50
 
 
+def test_the_rule_matches_the_full_scan_on_every_ordering():
+    # every ordering of the stress spaces for N = 2..6, and of each with one pair's distance
+    # scaled: the nearest-point table follows the merge-tree rule exactly on an ultrametric,
+    # and the scan's report, constant and rank bound are the full scan's and the exhaustive scans'
+    rng = random.Random(53)
+    outcomes = set()
+    for space in _stress_ultrametrics(rng, range(2, 7)):
+        for s in (space, _perturbed(space, rng)):
+            ultrametric = validate(s).is_ultrametric
+            for rest in itertools.permutations(range(1, len(s))):
+                chain = build_chain(s, (0, *rest))
+                assert _follows_merge_tree(chain) == ultrametric
+                expected = _scan_oracles(chain)
+                assert _scan_chain(chain) == _full_scan(chain) == expected
+                outcomes.add((ultrametric, expected[0].passed, expected[1] == 1))
+    assert outcomes == {(True, True, True), (False, True, True), (False, False, True), (False, False, False)}
+
+
+def test_the_rule_contracts_tied_merges(monkeypatch):
+    # a, b and c pairwise at 1 and each at 2 from the base, under the ordering (0, c, b, a): at
+    # stage 3 a ties between c and b and goes to c, the earlier.  The binary merges join a and b
+    # first, so a rule read off them would send a to b and this table to the full scan
+    space = FiniteMetricSpace(("0", "a", "b", "c"), ((0, 2, 2, 2), (2, 0, 1, 1), (2, 1, 0, 1), (2, 1, 1, 0)))
+    assert [merge[1:] for merge in _single_linkage(space)] == [(1, 2), (4, 3), (0, 5)]
+    chain = build_chain(space, (0, 3, 2, 1))
+    assert chain.rank(3, 1) == 2 and chain.retract(3, 1) == 3
+    scans = _count_full_scans(monkeypatch)
+    assert _follows_merge_tree(chain) and _scan_chain(chain) == _scan_oracles(chain)
+    assert _scan_chain(chain)[0].passed and scans == []
+    binary = _with_rows(chain, [(3, 1, 3)])
+    assert not _follows_merge_tree(binary) and _scan_chain(binary) == _scan_oracles(binary)
+    assert scans == [4]
+
+
 def test_stage_one_values_carried_into_stage_two_count():
     # y is sent to the point added at stage 2 by the stage-1 and stage-2 rows alike, so
-    # the pair (x, y) is not re-evaluated at stage 2 and its ratio there is carried from
-    # stage 1; sent there by the stage-1 row alone, the value is never held at stage 2
+    # the ratio of the pair (x, y) above 1 is held at stage 2 and counts; sent there by
+    # the stage-1 row alone, it is held at stage 1 only, which the constant skips
     space = random_ultrametric(9, 3)
     chain = build_chain(space, (0, 5, 1, 2, 3, 4, 6, 7, 8))
     second = chain.ordering[1]
@@ -578,6 +662,15 @@ def test_zero_distance_keeps_the_report_and_refuses_the_constant():
     assert _scan_chain(chain)[1] is None
     with pytest.raises(ZeroDivisionError):
         basis_constant(space, basis_vectors(chain))
+
+
+def test_a_nonzero_diagonal_keeps_the_full_scan():
+    # the merges read only the distances between distinct points; d(x, x) = 3 makes the
+    # rule's own table fail the 1-Lipschitz check at stage 2, which the full scan reports
+    space = FiniteMetricSpace(("0", "x", "y"), ((0, 2, 2), (2, 3, 1), (2, 1, 0)))
+    chain = RetractionChain(space, (0, 1, 2), ((1, 1, 1), (1, 2, 2), (1, 2, 3)))
+    assert _single_linkage(space) is not None and not _follows_merge_tree(chain)
+    assert _scan_chain(chain) == _scan_oracles(chain) and (2, 1, 2) in verify_chain(chain).one_lipschitz
 
 
 def _count_chain_readings(monkeypatch):
@@ -738,3 +831,17 @@ def test_a_bad_rank_table_is_refused(triangle, ranks, message):
     with pytest.raises(ValueError, match=message):
         RetractionChain(triangle, (0, 1, 2), ranks)
     assert RetractionChain(triangle, (0, 1, 2), ((1, 1, 1), (1, 2, 2), (1, 2, 3))) == build_chain(triangle)
+
+
+@pytest.mark.parametrize("entry", [1.5, 1.0, Fraction(1), "1", None])
+def test_a_rank_that_is_no_integer_is_refused(triangle, entry):
+    # 1.5 would be read as a rank, and 1.0 == 1 would pass every check of the table
+    message = f"expected an integer index, got {type(entry).__name__} {entry!r}"
+    with pytest.raises(TypeError, match=f"^{re.escape(message)}$"):
+        RetractionChain(triangle, (0, 1, 2), ((1, 1, 1), (1, 2, entry), (1, 2, 3)))
+
+
+def test_a_bool_rank_reads_as_an_int(triangle):
+    chain = RetractionChain(triangle, (0, 1, 2), ((True, 1, 1), (1, 2, 2), (1, 2, 3)))
+    assert chain == build_chain(triangle) and type(chain.ranks[0][0]) is int
+    assert verify_chain(chain).passed

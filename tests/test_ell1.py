@@ -495,7 +495,7 @@ def test_the_projection_norm_matches_the_molecule_oracle_on_stress_trees():
             value = operator_norm_of_extension(point_map)
             assert value == molecule_operator_norm(point_map) == lipschitz_constant(point_map)
             maps += 1
-    assert maps == 4 * sum(range(3, 10))
+    assert maps == 5 * sum(range(3, 10))
 
 
 def test_pipeline_at_240_points():
@@ -703,7 +703,7 @@ def test_chain_phi_matches_the_fraction_max(space, family, monkeypatch):
 
 
 def test_chain_phi_matches_the_row_scan_on_stress_chains_and_rank_corruptions(collinear, monkeypatch):
-    # tied, coprime, caterpillar and star spaces, N = 2..12, under the input and a random ordering, the
+    # tied, coprime, caterpillar, star and nested spaces, N = 2..12, under the input and a random ordering, the
     # collinear and tangled chains, and every single-entry rank corruption, values in 1..N, of chains on
     # N = 3..6 points: the scan's certificate gives the maps and rows checks' verdict, and the walk the
     # row scan's Phi
@@ -722,7 +722,7 @@ def test_chain_phi_matches_the_row_scan_on_stress_chains_and_rank_corruptions(co
         if certified:
             assert _walked_phi(chain.space, family, monkeypatch) == _rows_phi(chain, family)
             walked += 1
-    assert (len(chains), walked) == (2 + 2 * 44 + 18 + 48 + 100 + 180, 1 + 2 * 44 + 5)
+    assert (len(chains), walked) == (2 + 2 * 55 + 18 + 48 + 100 + 180, 1 + 2 * 55 + 6)
 
 
 @pytest.mark.parametrize("distance, shown", [(0, "0"), (-1, "-1")])

@@ -265,7 +265,7 @@ def test_lipschitz_constant_names_a_domain_distance_that_is_not_positive(distanc
 
 
 def test_lip_norm_matches_the_fraction_max():
-    # random rational functions on tied, coprime, caterpillar and star ultrametrics
+    # random rational functions on tied, coprime, caterpillar, star and nested ultrametrics
     rng = random.Random(16)
     checked = 0
     for space in _stress_ultrametrics(rng):
@@ -274,7 +274,7 @@ def test_lip_norm_matches_the_fraction_max():
         pairs = [(i, j) for i in range(n) for j in range(i + 1, n)]
         assert lip_norm(space, f) == max(abs(f.values[i] - f.values[j]) / space.dist[i][j] for i, j in pairs)
         checked += 1
-    assert checked == 44
+    assert checked == 55
 
 
 @pytest.mark.parametrize("distance, shown", [(0, "0"), (-1, "-1")])
@@ -432,7 +432,7 @@ def test_route_takes_the_tree_only_on_ultrametrics(four_cluster, monkeypatch):
 
 
 def _stress_ultrametrics(rng, sizes=range(2, 13)):
-    """Equal-height power-of-two ties, heights over primes near 10^6, caterpillars and stars, N in sizes."""
+    """Power-of-two ties, heights over primes near 10^6, caterpillars, stars and the nested space, N in sizes."""
 
     def pair(count):
         return rng.sample(range(count), 2)
@@ -443,6 +443,13 @@ def _stress_ultrametrics(rng, sizes=range(2, 13)):
         # each merge joins the next singleton to the growing cluster
         yield _merge_ultrametric(_coprime_heights(n - 1, rng), lambda count: (0, count - 1))
         yield _merge_ultrametric([Fraction(3, 2)] * (n - 1), pair)
+        yield _nested_ultrametric(n)
+
+
+def _nested_ultrametric(n):
+    """d(i, j) = 2^(n - min(i, j)): a caterpillar that the base joins last, each point nearest to every later one."""
+    # point n - 2 joins n - 1 at height 4, then each earlier point joins the cluster of the later ones
+    return _merge_ultrametric([Fraction(2) ** k for k in range(2, n + 1)], lambda count: (count - 2, count - 1))
 
 
 def _stress_vectors(space, rng):
@@ -467,7 +474,7 @@ def test_tree_route_matches_the_lp_on_stress_ultrametrics(monkeypatch):
             assert cert.value == lp_transport_norm(space, v)
             assert cert.potential.values == tuple(sign_potential(merges, (-sum(v.coeffs), *v.coeffs)))
             checked += 1
-    assert calls == [] and checked == 132
+    assert calls == [] and checked == 165
 
 
 @pytest.mark.parametrize("seed", [60, 61])

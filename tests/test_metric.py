@@ -145,7 +145,7 @@ def test_bilipschitz_single_pair_distortion():
 
 
 def test_distortion_matches_the_fraction_ratios():
-    # tied, coprime, caterpillar and star ultrametrics for N = 2..12 against their dyadic
+    # tied, coprime, caterpillar, star and nested ultrametrics for N = 2..12 against their dyadic
     # roundings, both ways round: the same min and max as the Fraction ratios
     checked = 0
     for space in _stress_ultrametrics(random.Random(47)):
@@ -155,7 +155,7 @@ def test_distortion_matches_the_fraction_ratios():
             assert bilipschitz_distortion(a, b) == (lower, upper)
             assert identity_distortion(a, b) == max(upper, 1 / lower)
             checked += 1
-    assert checked == 88
+    assert checked == 110
 
 
 @pytest.mark.parametrize("distance, shown", [(0, "0"), (-1, "-1")])
@@ -234,7 +234,7 @@ def _perturbed(space, rng):
 
 
 def test_validate_matches_the_fraction_triple_scan():
-    # tied, coprime, caterpillar and star ultrametrics for N = 2..40, and each with one
+    # tied, coprime, caterpillar, star and nested ultrametrics for N = 2..40, and each with one
     # pair's distance scaled: metrics that are no ultrametric and non-metrics, whose
     # first failing triple must be the scan's
     rng = random.Random(43)
@@ -249,7 +249,7 @@ def test_validate_matches_the_fraction_triple_scan():
 
 def test_rounding_and_the_dyadic_flag_match_the_fraction_entries():
     # every entry rounded by doubling and halving, and every entry tested, on tied,
-    # coprime, caterpillar and star ultrametrics, their roundings, and each with one
+    # coprime, caterpillar, star and nested ultrametrics, their roundings, and each with one
     # pair's distance scaled, which makes metrics that are no ultrametric and non-metrics
     rng = random.Random(31)
     flags = set()
@@ -298,7 +298,7 @@ def test_one_triple_scan_per_space_that_is_no_ultrametric(monkeypatch, collinear
     rng = random.Random(5)
     spaces = [collinear, lopsided] + [_perturbed(s, rng) for s in _stress_ultrametrics(rng, range(3, 9))]
     spaces = [s for s in spaces if _single_linkage(s) is None]
-    assert len(spaces) == 19
+    assert len(spaces) == 28
     for count, space in enumerate(spaces, 1):
         report = validate(space)
         assert not report.is_ultrametric and len(scans) == count

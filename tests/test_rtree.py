@@ -14,6 +14,7 @@ from ultrafree.metric import (
 from ultrafree.rtree import (
     DendrogramTree,
     TreePoint,
+    _node_labels,
     branching_points,
     canonicalize,
     dendrogram,
@@ -280,7 +281,7 @@ def test_node_spaces(triangle):
 
 
 # The integer path (one single-linkage merge tree, certified in integers) against
-# the Fraction scans it replaced, on tied, coprime, caterpillar and star spaces
+# the Fraction scans it replaced, on tied, coprime, caterpillar, star and nested spaces
 # for N = 2..40, each as given and rounded to powers of two.
 def _oracle_spaces():
     return [(space, round_to_dyadic(space)) for space in _stress_ultrametrics(random.Random(41), range(2, 41))]
@@ -295,7 +296,7 @@ def test_dendrogram_matches_the_scan_oracle():
             assert tree == scan_dendrogram(s), s
             assert node_space(tree).dist == quotient_node_distances(tree)
             checked += 1
-    assert checked == 4 * 39 + 3 * 39  # the tied spaces are their own rounding
+    assert checked == 5 * 39 + 3 * 39  # the tied and the nested spaces are their own rounding
 
 
 def test_retraction_claims_match_the_scan_oracle():
@@ -375,6 +376,7 @@ def test_the_tree_and_its_node_spaces_are_kept(four_cluster):
     assert dendrogram(four_cluster) is tree
     assert node_space(tree) is node_space(tree)
     assert rooted_node_space(tree) is rooted_node_space(tree)
+    assert _node_labels(tree) is _node_labels(tree) == node_space(tree).labels
     # another space with the same distances gets a tree of its own
     other = dendrogram(FiniteMetricSpace(four_cluster.labels, four_cluster.dist))
     assert other == tree and other is not tree
@@ -401,7 +403,7 @@ def test_node_spaces_are_built_with_the_view_their_distances_scale_to():
             for nodes in (node_space(tree), rooted_node_space(tree)):
                 assert "_view" in vars(nodes) and _integer_view(nodes) == _scale_rows(nodes)
                 checked += 1
-    assert checked == 4 * 44
+    assert checked == 4 * 55
 
 
 # the point 0@1 is labelled like the branching point <0, 1> of 0 and itself
