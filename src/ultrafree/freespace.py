@@ -18,17 +18,23 @@ exact simplex.  Both routes end in the same check against the metric alone,
 certified in integers on the space's cached view: the flow must meet the
 coefficients at the value's cost, and its potential, vanishing at the base,
 must be 1-Lipschitz and pair with the coefficients to the same value
-exactly.  The view, the merges and the integer merge tree are computed once
-per space and kept on it (:func:`ultrafree.metric._integer_view`); the tree
-route builds Fractions only for the returned certificate, and the simplex
-result is scaled onto integers for the same check.
+exactly.  On a space with merges the potential is checked merge by merge,
+in O(N): every pair of points is a cross pair of exactly one merge and
+sits at its height, so the largest and smallest potential of the two
+merged clusters bound every pair the merge joins.  A space without merges,
+and a potential that fails a merge, go to the scan of every pair, which
+names the first failing pair.  The view, the merges and the integer merge
+tree are computed once per space and kept on it
+(:func:`ultrafree.metric._integer_view`); the tree route builds Fractions
+only for the returned certificate, and the simplex result is scaled onto
+integers for the same check.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from math import lcm
+from math import gcd, lcm
 from typing import Optional, Sequence
 
 from .metric import CertificationError, FiniteMetricSpace, _cached, _extreme_ratios, _integer_view, _single_linkage
@@ -192,7 +198,10 @@ def _lca_flow(merges, masses: Sequence[int]) -> tuple[int, list[tuple[int, int, 
 
     Every cluster keeps its unmatched (point, mass) entries, which share the
     sign of its net mass; a merge matches the two lists against each other
-    until one runs out.  Returns the cost and the arcs sorted by (i, j).
+    until one runs out.  The merged cluster keeps the left entries before
+    the right ones, and the longer list absorbs the shorter in place, so
+    one-signed mass costs no copy of a growing list.  Returns the cost and
+    the arcs sorted by (i, j).
     """
     unmatched = [[(x, m)] if m else [] for x, m in enumerate(masses)]
     arcs = []
@@ -201,14 +210,26 @@ def _lca_flow(merges, masses: Sequence[int]) -> tuple[int, list[tuple[int, int, 
         left, right = unmatched[a], unmatched[b]
         while left and right and (left[-1][1] > 0) != (right[-1][1] > 0):
             (x, p), (y, q) = left.pop(), right.pop()
-            amount = min(abs(p), abs(q))
-            arcs.append((x, y, amount) if p > 0 else (y, x, amount))
+            # the smaller of |p| and |q| moves; the rest, of the larger's sign, stays in its list
+            rest = p + q
+            if p > 0:
+                amount = p if rest <= 0 else -q
+                arcs.append((x, y, amount))
+            else:
+                amount = -p if rest >= 0 else q
+                arcs.append((y, x, amount))
             value += h * amount
-            if abs(p) > amount:
-                left.append((x, p + q))
-            if abs(q) > amount:
-                right.append((y, p + q))
-        unmatched.append(left + right)
+            if rest:
+                if (rest > 0) == (p > 0):
+                    left.append((x, rest))
+                else:
+                    right.append((y, rest))
+        if len(left) >= len(right):
+            left += right
+        else:
+            right[:0] = left
+            left = right
+        unmatched.append(left)
     arcs.sort()
     return value, arcs
 
@@ -230,17 +251,26 @@ def _tree_transport(edges: Sequence[tuple], masses: Sequence) -> tuple[list, lis
     return net, g
 
 
-def _certify_transport(space: FiniteMetricSpace, masses, unit: int, cost: int, arcs, potential, scale: int) -> None:
+def _certify_transport(space: FiniteMetricSpace, masses: list, unit: int, cost: int, arcs, potential, scale: int) -> None:
     """Check a transport certificate in integers on the space's cached view; a failure names its witness.
 
     On the view (q, D), d(i, j) = D[i][j] / q.  The coefficient at point
-    k + 1 is masses[k] / unit, an arc (i, j, amount) carries amount / unit,
-    the value is cost / (q * unit) and the potential at x is potential[x] /
-    scale.  The arcs must carry positive amounts, the flow's divergence
+    k + 1 is masses[k] / unit (``masses`` a list, compared whole with the
+    divergence), an arc (i, j, amount) carries amount / unit, the value is
+    cost / (q * unit) and the potential at x is potential[x] / scale.  The
+    arcs must carry positive amounts, the flow's divergence
     must be the coefficients and its cost the value; the potential must
     vanish at the base, be 1-Lipschitz on every pair and pair with the
     coefficients to the value.  Then the value is both attained and a lower
     bound: the norm.  Fractions are built only to write a failure message.
+
+    The Lipschitz and the duality checks compare on q and the potential's
+    scale divided by their gcd, so the tree route, whose potential is over
+    2q, multiplies nothing by q.  A space with single-linkage merges has
+    its potential checked merge by merge (:func:`_merges_lipschitz`), in
+    O(N); a space without them, and a potential that fails a merge, go to
+    the pairwise scan (:func:`_steep_pair`), which decides the check and
+    names the first failing pair, row by row.
     """
     q, d = _integer_view(space)
     n = len(space)
@@ -252,29 +282,70 @@ def _certify_transport(space: FiniteMetricSpace, masses, unit: int, cost: int, a
         divergence[i] += amount
         divergence[j] -= amount
         total += d[i][j] * amount
-    for k, m in enumerate(masses, 1):
-        if divergence[k] != m:
-            raise CertificationError(
-                f"transport flow leaves point {k} with {Fraction(divergence[k], unit)}, not {Fraction(m, unit)}"
-            )
+    if divergence[1:] != masses:
+        k, m = next((k, m) for k, m in enumerate(masses, 1) if divergence[k] != m)
+        raise CertificationError(
+            f"transport flow leaves point {k} with {Fraction(divergence[k], unit)}, not {Fraction(m, unit)}"
+        )
     if total != cost:
         raise CertificationError(
             f"transport flow costs {Fraction(total, q * unit)}, not the value {Fraction(cost, q * unit)}"
         )
     if potential[0] != 0:
         raise CertificationError(f"dual potential is {Fraction(potential[0], scale)} at the base, not 0")
-    # |g_i - g_j| <= d(i, j) iff |G_i - G_j| * q <= scale * D[i][j]
-    for i in range(n):
-        gi, row = potential[i], d[i]
-        for j in range(i + 1, n):
-            if abs(gi - potential[j]) * q > scale * row[j]:
-                raise CertificationError(f"dual potential is not 1-Lipschitz on the pair ({i}, {j})")
+    common = gcd(q, scale)
+    p, s = q // common, scale // common
+    tree = _cached(space, "_transport_tree", _transport_tree)
+    if tree is None or not _merges_lipschitz(tree[0], potential, p, s):
+        pair = _steep_pair(d, potential, p, s)
+        if pair is not None:
+            raise CertificationError(f"dual potential is not 1-Lipschitz on the pair ({pair[0]}, {pair[1]})")
     # the value is cost / (q * unit) and the dual dual / (unit * scale)
     dual = sum(m * x for m, x in zip(masses, potential[1:]))
-    if dual * q != cost * scale:
+    if dual * p != cost * s:
         raise CertificationError(
             f"primal and dual transport optima differ: {Fraction(cost, q * unit)} against {Fraction(dual, unit * scale)}"
         )
+
+
+def _merges_lipschitz(merges, potential, p: int, s: int) -> bool:
+    """Whether |G_x - G_y| * p <= s * D[x][y] on every pair of points, checked at each merge of the space.
+
+    ``merges`` are the integer merges of :func:`_transport_tree`, heights
+    on the scale of the view (q, D), and ``potential`` holds G, one
+    integer per point.  With p / s the reduced q / scale, this says that
+    G / scale is 1-Lipschitz.  Each cluster carries its largest and
+    smallest G up the merges, and the merge of clusters A and B at height
+    h is checked by max_A G - min_B G and max_B G - min_A G against h.
+
+    Proof that this is the pairwise check.  The merges join clusters until
+    one is left, so two distinct points x and y are a cross pair (x in A, y
+    in B, or the other way round) of exactly one merge: the first that
+    joins them.  :func:`ultrafree.metric._single_linkage` returns merges
+    only when every cross pair of every merge sits exactly at its height,
+    so D[x][y] = h for that merge.  Over the cross pairs of A and B, the
+    largest |G_x - G_y| is the larger of max_A G - min_B G and max_B G -
+    min_A G.  Hence every pair passes iff every merge passes, and a failed
+    merge holds a failed pair.  O(N) per potential.
+    """
+    high, low = list(potential), list(potential)
+    for h, a, b in merges:
+        top_a, top_b, bottom_a, bottom_b, limit = high[a], high[b], low[a], low[b], s * h
+        if (top_a - bottom_b) * p > limit or (top_b - bottom_a) * p > limit:
+            return False
+        high.append(top_a if top_a > top_b else top_b)
+        low.append(bottom_a if bottom_a < bottom_b else bottom_b)
+    return True
+
+
+def _steep_pair(d, potential, p: int, s: int) -> Optional[tuple[int, int]]:
+    """The first pair i < j, row by row, with |G_i - G_j| * p > s * D[i][j] on the view rows ``d``; None when none is."""
+    for i, row in enumerate(d):
+        gi = potential[i]
+        for j in range(i + 1, len(row)):
+            if abs(gi - potential[j]) * p > s * row[j]:
+                return i, j
+    return None
 
 
 def _certify_rational(space: FiniteMetricSpace, coeffs, value, flow, potential) -> None:
@@ -326,21 +397,22 @@ def free_norm_certificate(space: FiniteMetricSpace, v: FreeVector) -> FreeNormCe
     opposite-signed masses at their lowest merge, the base carrying
     -sum(v), and the potential is the sign potential of
     :func:`_tree_transport` on the merge tree, all in integers, which
-    :func:`_certify_transport` checks before the Fractions of the result
-    are built; on any other input the transport program of
+    :func:`_certify_transport` checks, its potential merge by merge, before
+    the Fractions of the result are built, one per distinct amount and
+    potential value; on any other input the transport program of
     :func:`_transport_program` is solved from its base-routing basis, and
     its result is scaled onto integers for the same check
-    (:func:`_certify_rational`).  A failed check raises
-    :class:`CertificationError`.
+    (:func:`_certify_rational`), its potential on every pair.  The zero
+    vector has the zero certificate, decided on the integer coefficients
+    on the tree route.  A failed check raises :class:`CertificationError`.
     """
     n = len(space)
     if len(v.coeffs) != n - 1:
         raise ValueError("vector dimension does not match the space")
-    if n == 1 or v.is_zero():
-        return FreeNormCertificate(Fraction(0), (), LipFunction((Fraction(0),) * n))
-
     tree = _cached(space, "_transport_tree", _transport_tree)
     if tree is None:
+        if v.is_zero():
+            return _zero_certificate(n)
         arcs, costs, columns, basis = _transport_program(space, v.coeffs)
         result = solve_lp(costs, columns, v.coeffs, basis=basis)
         flow = tuple((arcs[k][0], arcs[k][1], amount) for k, amount in enumerate(result.x) if amount)
@@ -351,16 +423,24 @@ def free_norm_certificate(space: FiniteMetricSpace, v: FreeVector) -> FreeNormCe
     # a tree edge is half its height gap, so g is over 2 scale
     scale, unit = _integer_view(space)[0], lcm(*(c.denominator for c in v.coeffs))
     coeffs = [c.numerator * (unit // c.denominator) for c in v.coeffs]
+    if not any(coeffs):
+        return _zero_certificate(n)
     masses = [-sum(coeffs), *coeffs]
     cost, arcs = _lca_flow(merges, masses)
     _, g = _tree_transport(edges, masses + [0] * len(merges))
     potential = [x - g[0] for x in g[:n]]
     _certify_transport(space, coeffs, unit, cost, arcs, potential, 2 * scale)
+    amounts = {amount: Fraction(amount, unit) for amount in {amount for _, _, amount in arcs}}
+    values = {x: Fraction(x, 2 * scale) for x in set(potential)}
     return FreeNormCertificate(
         Fraction(cost, scale * unit),
-        tuple((i, j, Fraction(amount, unit)) for i, j, amount in arcs),
-        LipFunction._exact(tuple(Fraction(x, 2 * scale) for x in potential)),
+        tuple((i, j, amounts[amount]) for i, j, amount in arcs),
+        LipFunction._exact(tuple(map(values.__getitem__, potential))),
     )
+
+
+def _zero_certificate(n: int) -> FreeNormCertificate:
+    return FreeNormCertificate(Fraction(0), (), LipFunction((Fraction(0),) * n))
 
 
 def free_norm(space: FiniteMetricSpace, v: FreeVector) -> Fraction:
@@ -441,11 +521,8 @@ def operator_norm_of_extension(point_map: PointMap) -> Fraction:
         raise CertificationError(f"the image of the molecule at pair ({i}, {j}) is not its one-arc flow")
     q, d = _integer_view(cod)
     g = _distance_potential(d, target)  # the potential is g / q
-    for x, row in enumerate(d):
-        gx = g[x]
-        for y in range(x + 1, len(row)):
-            if abs(gx - g[y]) > row[y]:
-                raise CertificationError(f"the potential of pair ({i}, {j}) is not 1-Lipschitz")
+    if _steep_pair(d, g, 1, 1) is not None:
+        raise CertificationError(f"the potential of pair ({i}, {j}) is not 1-Lipschitz")
     p, e = _integer_view(dom)
     pairing = sum(c * x for c, x in zip(image, g[1:]) if c)
     if pairing * p * best.denominator != best.numerator * q * e[i][j]:

@@ -55,10 +55,17 @@ class FiniteMetricSpace:
 
     @classmethod
     def _exact(cls, labels: tuple[str, ...], dist: tuple[tuple[Fraction, ...], ...]) -> "FiniteMetricSpace":
-        """Wrap labels and Fraction rows taken from a space already built, without checking them again.
+        """Wrap labels and Fraction rows without the constructor's checks and row walk.
 
-        :func:`with_base` permutes a space and :func:`round_to_dyadic` keeps
-        its labels and shape, so neither needs the constructor's checks.
+        A caller may use it when it knows what the constructor would check:
+        ``labels`` is a non-empty tuple of distinct strings and ``dist`` a
+        tuple of one tuple of exact Fractions per label, each as long as
+        ``labels``.  :func:`with_base` permutes a space and
+        :func:`round_to_dyadic` keeps its labels and shape;
+        :func:`random_ultrametric` builds distinct labels and rows of
+        Fractions, and so does the node space of a dendrogram that passed
+        its path-metric certificate (:mod:`ultrafree.rtree`), on which no
+        two leaves share a point.
         """
         space = object.__new__(cls)
         object.__setattr__(space, "labels", labels)
@@ -373,8 +380,7 @@ def random_ultrametric(n: int, seed: int) -> FiniteMetricSpace:
                 dist[x][y] = dist[y][x] = h
         clusters[i].extend(clusters[j])
         del clusters[j]
-    labels = tuple(f"p{i}" for i in range(n))
-    return FiniteMetricSpace(labels, tuple(tuple(row) for row in dist))
+    return FiniteMetricSpace._exact(tuple(f"p{i}" for i in range(n)), tuple(tuple(row) for row in dist))
 
 
 def with_base(space: FiniteMetricSpace, index: int) -> FiniteMetricSpace:

@@ -593,7 +593,7 @@ def _node_metric(tree: DendrogramTree) -> FiniteMetricSpace:
     # x / unit in lowest terms has the denominator unit / gcd(x, unit), and their lcm is unit / common
     common = gcd(unit, *exact)
     view = unit // common, tuple(tuple(x // common for x in row) for row in rows)
-    return _keep_view(FiniteMetricSpace(_node_labels(tree), dist), view)
+    return _keep_view(FiniteMetricSpace._exact(_node_labels(tree), dist), view)
 
 
 def rooted_node_space(tree: DendrogramTree) -> FiniteMetricSpace:

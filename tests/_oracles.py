@@ -77,10 +77,13 @@ pair, on the package simplex, asking whether the molecule is a convex
 combination of the other +-molecules.
 
 The package checks every transport certificate in integers on the
-space's cached view.  The Fraction check it replaced is kept as a
-reference: the same checks in the same order, on ``space.dist`` and the
-certificate's own Fractions, with its own common denominator for the
-Lipschitz scan.
+space's cached view, the potential of an ultrametric merge by merge.  The
+Fraction check it replaced is kept as a reference: the same checks in the
+same order, on ``space.dist`` and the certificate's own Fractions, with
+its own common denominator for the Lipschitz scan over every pair.  The
+package matches the masses of the tree route in cluster lists that merge
+in place; the matching that builds each merged list afresh, by
+concatenation, is kept as a reference.
 
 The package certifies every node pair of the edge-flow battery by its
 path sum, from one walk of the tree per source node, compares the ratios
@@ -522,6 +525,33 @@ def sign_potential(merges, masses) -> list[Fraction]:
             sign = (net[child] > 0) - (net[child] < 0)
             g[child] = g[n + k] + sign * (h - height[child]) / 2
     return [x - g[0] for x in g[:n]]
+
+
+def concat_lca_flow(merges, masses) -> tuple[int, list[tuple[int, int, int]]]:
+    """The lowest-merge matching of opposite-signed masses, each merged cluster list built by concatenation.
+
+    Every cluster keeps its unmatched (point, mass) entries; a merge at
+    height h matches the last entries of its two lists while their signs
+    differ, at cost h per unit, then the cluster keeps left + right.
+    Returns the cost and the arcs sorted by (i, j).
+    """
+    unmatched = [[(x, m)] if m else [] for x, m in enumerate(masses)]
+    arcs = []
+    value = 0
+    for h, a, b in merges:
+        left, right = unmatched[a], unmatched[b]
+        while left and right and (left[-1][1] > 0) != (right[-1][1] > 0):
+            (x, p), (y, q) = left.pop(), right.pop()
+            amount = min(abs(p), abs(q))
+            arcs.append((x, y, amount) if p > 0 else (y, x, amount))
+            value += h * amount
+            if abs(p) > amount:
+                left.append((x, p + q))
+            if abs(q) > amount:
+                right.append((y, p + q))
+        unmatched.append(left + right)
+    arcs.sort()
+    return value, arcs
 
 
 def fraction_certify_transport(space: FiniteMetricSpace, coeffs, value, flow, potential) -> None:

@@ -1,5 +1,7 @@
 import random
 from fractions import Fraction
+from itertools import product
+from math import gcd, lcm
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -31,6 +33,7 @@ from ultrafree.simplex import LpResult
 
 from _oracles import (
     ball_transport_norm,
+    concat_lca_flow,
     dual_vertex_norm,
     fraction_certify_transport,
     fraction_lipschitz_witness,
@@ -551,6 +554,110 @@ def test_integer_check_matches_the_fraction_check():
             assert expected is not None, name
             assert _verdict(freespace._certify_rational, space, v.coeffs, *corrupted) == expected, name
     assert lp_route == 15
+
+
+def _lipschitz_verdicts(space, potential, scale):
+    """The merge check, the pairwise scan and the integer and Fraction certificates of ``potential`` / scale.
+
+    The vector is zero and so is the flow, so only the Lipschitz check can fail.
+    """
+    q, d = freespace._integer_view(space)
+    common = gcd(q, scale)
+    p, s = q // common, scale // common
+    merged = freespace._merges_lipschitz(freespace._transport_tree(space)[0], potential, p, s)
+    pair = freespace._steep_pair(d, potential, p, s)
+    assert merged == (pair is None)
+    zeros = [0] * (len(space) - 1)
+    verdict = _verdict(freespace._certify_transport, space, zeros, 1, 0, [], potential, scale)
+    exact = [Fraction(x, scale) for x in potential]
+    assert verdict == _verdict(fraction_certify_transport, space, zeros, Fraction(0), [], exact)
+    return verdict
+
+
+def test_merge_check_matches_the_pairwise_scan_on_every_small_potential():
+    # every potential in -3..3 on the 3- and 4-point tied, coprime, caterpillar, star and nested spaces
+    seen = set()
+    checked = 0
+    for space in _stress_ultrametrics(random.Random(19), range(3, 5)):
+        q = freespace._integer_view(space)[0]
+        for values in product(range(-3, 4), repeat=len(space) - 1):
+            for scale in (1, 3, 2 * q):
+                seen.add(_lipschitz_verdicts(space, [0, *values], scale))
+                checked += 1
+    assert checked == 3 * 5 * (7**2 + 7**3)
+    assert None in seen and "dual potential is not 1-Lipschitz on the pair (0, 1)" in seen
+    assert "dual potential is not 1-Lipschitz on the pair (2, 3)" in seen
+
+
+def test_merge_check_matches_the_pairwise_scan_on_stress_ultrametrics():
+    # honest, tight, random and corrupted potentials on every stress shape, N = 2..12
+    rng = random.Random(37)
+    passed = failed = 0
+    for space in _stress_ultrametrics(rng):
+        n = len(space)
+        q, d = freespace._integer_view(space)
+        top = max(max(row) for row in d)
+        potentials = [(free_norm_certificate(space, v).potential.values, 2 * q) for v in _stress_vectors(space, rng)]
+        potentials = [([x.numerator * (scale // x.denominator) for x in g], scale) for g, scale in potentials]
+        target = rng.randrange(n)
+        potentials.append(([row[target] - d[0][target] for row in d], q))
+        potentials.append(([0, *(rng.randint(-top, top) for _ in range(n - 1))], q))
+        for g, scale in list(potentials):
+            for step in (1, -1, rng.randint(1, top), -rng.randint(1, top)):
+                x = rng.randrange(1, n)
+                potentials.append(([*g[:x], g[x] + step, *g[x + 1:]], scale))
+        for g, scale in potentials:
+            if _lipschitz_verdicts(space, g, scale) is None:
+                passed += 1
+            else:
+                failed += 1
+    assert passed > 300 and failed > 300 and passed + failed == 55 * 25
+
+
+def test_lca_flow_matches_the_concatenating_matching():
+    # arc for arc on every stress shape, and on one-signed mass over the nested spaces
+    rng = random.Random(43)
+    checked = 0
+    spaces = [*_stress_ultrametrics(rng), _nested_ultrametric(200)]
+    for space in spaces:
+        n = len(space)
+        merges = freespace._transport_tree(space)[0]
+        for v in [*_stress_vectors(space, rng), FreeVector((1,) * (n - 1)), FreeVector((-1,) * (n - 1))]:
+            unit = lcm(*(c.denominator for c in v.coeffs))
+            coeffs = [c.numerator * (unit // c.denominator) for c in v.coeffs]
+            masses = [-sum(coeffs), *coeffs]
+            assert freespace._lca_flow(merges, masses) == concat_lca_flow(merges, masses)
+            checked += 1
+    assert checked == 56 * 5
+
+
+def _count_pairwise_scans(monkeypatch):
+    """Record the size of every space whose potential goes to the pairwise Lipschitz scan."""
+    scans = []
+    real = freespace._steep_pair
+    monkeypatch.setattr(freespace, "_steep_pair", lambda d, g, p, s: scans.append(len(d)) or real(d, g, p, s))
+    return scans
+
+
+def test_tree_route_takes_no_pairwise_lipschitz_scan(monkeypatch):
+    scans = _count_pairwise_scans(monkeypatch)
+    rng = random.Random(53)
+    nested = _nested_ultrametric(200)
+    for v in (FreeVector((1,) * 199), _coprime_vector(200, rng), molecule(nested, 0, 199)):
+        free_norm_certificate(nested, v)
+    certified = 0
+    for space in _stress_ultrametrics(rng):
+        for v in _stress_vectors(space, rng):
+            free_norm_certificate(space, v)
+            certified += 1
+    assert scans == [] and certified == 165
+    # a graph metric takes the LP route, and one pairwise scan per certificate
+    for n in (3, 4, 5, 6):
+        space = _rational_graph_metric(n, rng)
+        assert _single_linkage(space) is None
+        for _ in range(2):
+            free_norm_certificate(space, _coprime_vector(n, rng))
+    assert scans == [3, 3, 4, 4, 5, 5, 6, 6]
 
 
 def test_equal_spaces_give_the_same_certificate(lopsided):

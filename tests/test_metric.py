@@ -26,11 +26,11 @@ from ultrafree.metric import (
     validate,
     with_base,
 )
-from ultrafree.rtree import dendrogram, verify_retraction_claims
+from ultrafree.rtree import dendrogram, node_space, verify_retraction_claims
 from ultrafree.serialize import ingest, space_to_json, to_jsonable
 
 from _oracles import fraction_bilipschitz_distortion, loop_dyadic_floor, scan_validate, strict_max_check
-from test_freespace import _stress_ultrametrics
+from test_freespace import _nested_ultrametric, _stress_ultrametrics
 
 
 def test_validate_ultrametric_triangle(triangle):
@@ -410,6 +410,22 @@ def test_rows_of_exact_fractions_are_kept_as_given():
     for labels, dist, message in cases:
         with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
             FiniteMetricSpace(labels, dist)
+
+
+def test_generated_spaces_skip_the_row_walk(monkeypatch):
+    # random spaces and node spaces are born with distinct labels and rows of Fractions
+    nested = _nested_ultrametric(7)
+    walked = []
+    real = metric._rational_rows
+    monkeypatch.setattr(metric, "_rational_rows", lambda rows: walked.append(rows) or real(rows))
+    spaces = [random_ultrametric(n, 3) for n in (2, 10)]
+    spaces += [node_space(dendrogram(space)) for space in (random_ultrametric(9, 4), nested)]
+    assert walked == []
+    for space in spaces:
+        assert len(set(space.labels)) == len(space.labels) and {*map(type, space.labels)} == {str}
+        assert type(space.dist) is tuple and {*map(type, space.dist)} == {tuple}
+        assert {type(h) for row in space.dist for h in row} == {Fraction}
+        assert FiniteMetricSpace(space.labels, space.dist) == space
 
 
 class _Row(tuple):
