@@ -17,11 +17,12 @@ from .campaign import STAGES, CampaignConfig, emit_report, run_campaign
 from .chain import basis_constant, basis_vectors, build_chain, verify_chain
 from .ell1 import pipeline, three_point_report
 from .freespace import free_norm_certificate
-from .metric import CertificationError, StructuralError, validate
+from .metric import CertificationError, StructuralError
 from .rational import parse_rational
 from .rtree import _node_labels, _retraction_claims, dendrogram
 from .serialize import (
     IngestError,
+    _validate_file,
     dump_json,
     function_to_json,
     ingest,
@@ -121,8 +122,7 @@ def _parse_sizes(text: str) -> tuple[int, ...]:
 
 
 def _cmd_validate(args) -> int:
-    space = load_space(args.space, args.format)
-    report = validate(space)
+    report = _validate_file(load_space(args.space, args.format), args.space)
     _emit(report, args)
     return 0 if report.is_metric and report.is_ultrametric else 1
 

@@ -382,8 +382,7 @@ def _transport_tree(space: FiniteMetricSpace) -> Optional[tuple[tuple, tuple]]:
     merges = _single_linkage(space)
     if merges is None:
         return None
-    n, scale = len(space), _integer_view(space)[0]
-    merges = tuple((h.numerator * (scale // h.denominator), a, b) for h, a, b in merges)
+    n = len(space)
     height = [0] * n + [h for h, _, _ in merges]
     edges = tuple((x, n + k, h - height[x]) for k, (h, a, b) in reversed(list(enumerate(merges))) for x in (a, b))
     return merges, edges

@@ -12,10 +12,9 @@ import random
 from dataclasses import dataclass
 from fractions import Fraction
 from itertools import combinations
-from math import lcm
 from typing import Callable, Optional
 
-from .rational import _rational_rows, dyadic_floor, is_power_of_two
+from .rational import _Scaled, _integer_rows, _is_power_of_two_over, _power_of_two_below, _rational_rows
 
 
 class StructuralError(ValueError):
@@ -34,7 +33,9 @@ class FiniteMetricSpace:
     uniqueness only; run :func:`validate` for metric/ultrametric checks.
     Rows that are already tuples of exact Fractions are kept as given,
     other Fraction entries pass straight through, and each distinct string
-    entry is parsed once (:func:`_rational_rows`).
+    entry is parsed once (:func:`_rational_rows`).  Which spaces are born
+    with their integer view, and which compute it on first use, is told at
+    :func:`_integer_view`.
     """
 
     labels: tuple[str, ...]
@@ -47,11 +48,13 @@ class FiniteMetricSpace:
         if len(set(labels)) != len(labels):
             label = next(label for label in labels if labels.count(label) > 1)
             raise ValueError(f"duplicate labels: {label!r} names more than one point")
-        rows = _rational_rows(self.dist)
+        rows, view = _rational_rows(self.dist)
         if len(rows) != len(labels) or any(len(r) != len(labels) for r in rows):
             raise ValueError("distance matrix must be square and match the labels")
         object.__setattr__(self, "labels", labels)
         object.__setattr__(self, "dist", rows)
+        if view is not None:
+            _keep_view(self, view)
 
     @classmethod
     def _exact(cls, labels: tuple[str, ...], dist: tuple[tuple[Fraction, ...], ...]) -> "FiniteMetricSpace":
@@ -111,10 +114,6 @@ class ValidationReport:
     is_dyadic: bool
 
 
-# (scale, rows): a matrix of rationals rows[i][j] / scale, all over one denominator
-_Scaled = tuple[int, tuple[tuple[int, ...], ...]]
-
-
 def _cached(owner, name: str, build: Callable):
     """``build(owner)``, computed on the first call and kept on the frozen dataclass ``owner``, outside its fields.
 
@@ -131,30 +130,47 @@ def _integer_view(space: FiniteMetricSpace) -> _Scaled:
 
     The scale is the lcm of the denominators, so the rows are integers with
     the same order, ties, sums and maxima as the distances.  The view is
-    the space's cached view: computed once per space and kept on it outside
-    its fields, so it takes no part in ``==``, ``hash``, ``repr``,
-    serialization or pickling; its rows are tuples, which no caller can
-    change.  ``dataclasses.replace`` builds a new space, which scales its
-    own rows on first use; :func:`with_base` hands a kept view on to the
-    space it builds, permuted, and the node spaces of
-    :mod:`ultrafree.rtree` are built with theirs (:func:`_keep_view`), each
-    exactly the view :func:`_scale_rows` would compute.  Validation, the
+    the space's cached view, kept on it outside its fields, so it takes no
+    part in ``==``, ``hash``, ``repr``, serialization or pickling; its rows
+    are tuples, which no caller can change.
+
+    Most spaces are born with their view (:func:`_keep_view`), read off the
+    distinct values they are built from (:func:`_integer_rows`): a space
+    built from rows of strings, as :func:`ultrafree.serialize.ingest` reads
+    them, from its parsed strings; :func:`random_ultrametric` from its
+    integer merge heights; :func:`round_to_dyadic` from the view of its
+    input; the node spaces of :mod:`ultrafree.rtree` from their certified
+    path sums (:func:`_space_with_view`); and :func:`with_base` hands a kept
+    view on to the space it builds, permuted.  A space built from rows of
+    Fractions or of other numbers, or by ``dataclasses.replace``, computes
+    its view from its distinct distances on first use.  Validation, the
     single-linkage merges, the chain scan, the dendrogram certificate, the
     l1-isometry decision, every transport certificate and the ratio scans
-    of :func:`_extreme_ratios` run in integers on the space's cached view.
+    of :func:`_extreme_ratios` run in integers on the space's view.
     """
-    return _cached(space, "_view", _scale_rows)
+    return _cached(space, "_view", _distinct_view)
+
+
+def _distinct_view(space: FiniteMetricSpace) -> _Scaled:
+    """The view of a space born without one, from its distinct distances."""
+    return _integer_rows(space.dist, {x: x for row in space.dist for x in row})
 
 
 def _keep_view(space: FiniteMetricSpace, view: _Scaled) -> FiniteMetricSpace:
-    """Keep ``view`` on ``space`` as its cached view; the caller knows it to be :func:`_scale_rows` of the space."""
+    """Keep ``view`` on ``space`` as its cached view; the caller knows it to be the view of the space's distances."""
     object.__setattr__(space, "_view", view)
     return space
 
 
-def _scale_rows(space: FiniteMetricSpace) -> _Scaled:
-    scale = lcm(*(h.denominator for row in space.dist for h in row))
-    return scale, tuple(tuple(h.numerator * (scale // h.denominator) for h in row) for row in space.dist)
+def _space_with_view(labels: tuple[str, ...], keys, exact: dict) -> FiniteMetricSpace:
+    """The space on ``labels`` whose distance (i, j) is ``exact[keys[i][j]]``, born with its view.
+
+    Both the Fraction rows and the view (:func:`_integer_rows`) are read off
+    the rows ``keys`` by lookup, one Fraction and one integer per distinct
+    key.  The caller vouches for what :meth:`FiniteMetricSpace._exact` asks.
+    """
+    dist = tuple(tuple(map(exact.__getitem__, row)) for row in keys)
+    return _keep_view(FiniteMetricSpace._exact(labels, dist), _integer_rows(keys, exact))
 
 
 def _check_structure(space: FiniteMetricSpace, d: tuple[tuple[int, ...], ...]) -> None:
@@ -183,26 +199,27 @@ def validate(space: FiniteMetricSpace) -> ValidationReport:
     them goes through the triple scan, which names the first failing
     triple.  The merge heights are exactly the distances between distinct
     points, so the dyadic flag reads those N - 1 heights; only a space
-    without merges tests every entry.  The report is computed once per
-    space and cached on it.
+    without merges tests every entry.  Both run in integers on the
+    :func:`_integer_view`.  The report is computed once per space and
+    cached on it.
     """
     return _cached(space, "_report", _validated)
 
 
 def _validated(space: FiniteMetricSpace) -> ValidationReport:
-    _, d = _integer_view(space)
+    scale, d = _integer_view(space)
     _check_structure(space, d)
     merges = _single_linkage(space)
     if merges is None:
         metric_fail, ultra_fail = _failing_triples(d)
-        heights = (h for i, row in enumerate(space.dist) for h in row[i + 1:])
+        heights = {h for i, row in enumerate(d) for h in row[i + 1:]}
     else:
-        metric_fail, ultra_fail, heights = None, None, (h for h, _, _ in merges)
+        metric_fail, ultra_fail, heights = None, None, {h for h, _, _ in merges}
     return ValidationReport(
         is_metric=metric_fail is None,
         is_ultrametric=ultra_fail is None,
         failing_triple=metric_fail if metric_fail is not None else ultra_fail,
-        is_dyadic=all(map(is_power_of_two, heights)),
+        is_dyadic=all(_is_power_of_two_over(h, scale) for h in heights),
     )
 
 
@@ -223,16 +240,17 @@ def _failing_triples(d: tuple[tuple[int, ...], ...]) -> tuple[Optional[tuple[int
     return metric_fail, ultra_fail
 
 
-def _single_linkage(space: FiniteMetricSpace) -> Optional[tuple[tuple[Fraction, int, int], ...]]:
+def _single_linkage(space: FiniteMetricSpace) -> Optional[tuple[tuple[int, int, int], ...]]:
     """The merges of the single-linkage hierarchy, or None when the space is no ultrametric.
 
     Pairs of :func:`_integer_view` are taken by increasing distance, and a
     pair joining two clusters merges them at its distance; merge k is
-    (height, left, right) and creates node n + k, the points being nodes
-    0..n-1.  The distances must be symmetric and non-negative, and every
-    cross pair of every merge must sit exactly at the merge height: then
-    d(x, y) is the height of the merge that first joins x and y, and heights
-    never fall, which makes the space an ultrametric with this merge tree.
+    (height, left, right), the height on the scale of the view, and creates
+    node n + k, the points being nodes 0..n-1.  The distances must be
+    symmetric and non-negative, and every cross pair of every merge must
+    sit exactly at the merge height: then d(x, y) is the height of the
+    merge that first joins x and y, and heights never fall, which makes the
+    space an ultrametric with this merge tree.
     Conversely every ultrametric passes, so this is the package's one
     ultrametricity decision, and :func:`validate` reads it.  Like the view,
     the merges are computed once per space and cached on it.
@@ -240,7 +258,7 @@ def _single_linkage(space: FiniteMetricSpace) -> Optional[tuple[tuple[Fraction, 
     return _cached(space, "_merges", _merge_pairs)
 
 
-def _merge_pairs(space: FiniteMetricSpace) -> Optional[tuple[tuple[Fraction, int, int], ...]]:
+def _merge_pairs(space: FiniteMetricSpace) -> Optional[tuple[tuple[int, int, int], ...]]:
     n = len(space)
     d = _integer_view(space)[1]
     pairs = []
@@ -254,7 +272,7 @@ def _merge_pairs(space: FiniteMetricSpace) -> Optional[tuple[tuple[Fraction, int
     pairs.sort()
     node = list(range(n))
     members = [[x] for x in range(n)]
-    merges: list[tuple[Fraction, int, int]] = []
+    merges: list[tuple[int, int, int]] = []
     for h, i, j in pairs:
         a, b = node[i], node[j]
         if a == b:
@@ -264,7 +282,7 @@ def _merge_pairs(space: FiniteMetricSpace) -> Optional[tuple[tuple[Fraction, int
             return None
         for x in left + right:
             node[x] = n + len(merges)
-        merges.append((space.dist[i][j], a, b))
+        merges.append((h, a, b))
         members.append(left + right)
     return tuple(merges)
 
@@ -298,17 +316,19 @@ def round_to_dyadic(space: FiniteMetricSpace) -> FiniteMetricSpace:
     """Round every distance down to a power of two by the bit-length rule of ``dyadic_floor``.
 
     Each output distance r satisfies r <= d < 2r pairwise, the result is again
-    ultrametric, and the operation is idempotent.  ``dyadic_floor`` runs once
-    per merge height, keyed by its value in the :func:`_integer_view`, and
-    the matrix is filled by looking each entry of the view up.
+    ultrametric, and the operation is idempotent.  The rule runs once per
+    distinct merge height, on its integer in the :func:`_integer_view`, and
+    the rounded space is born with its view, both read off the input's view
+    by lookup (:func:`_space_with_view`).
     """
     if not validate(space).is_ultrametric:
         raise ValueError("round_to_dyadic requires an ultrametric space")
     scale, d = _integer_view(space)
     floors = {0: Fraction(0)}
     for h, _, _ in _single_linkage(space):
-        floors[h.numerator * (scale // h.denominator)] = dyadic_floor(h)
-    return FiniteMetricSpace._exact(space.labels, tuple(tuple(floors[x] for x in row) for row in d))
+        if h not in floors:
+            floors[h] = _power_of_two_below(h, scale)
+    return _space_with_view(space.labels, d, floors)
 
 
 def _extreme_ratios(space: FiniteMetricSpace, top: Callable[[int, int], int]):
@@ -364,23 +384,25 @@ def random_ultrametric(n: int, seed: int) -> FiniteMetricSpace:
 
     Sampled as a random binary merge tree with strictly increasing rational
     merge heights; d(x, y) is the height at which x and y first share a
-    cluster, i.e. the height of their lowest common ancestor.
+    cluster, i.e. the height of their lowest common ancestor.  The heights
+    are quarters, drawn as their integer numerators, so the space is born
+    with its view (:func:`_space_with_view`).
     """
     if n < 2:
         raise ValueError("need at least 2 points")
     rng = random.Random(seed)
     numerators = sorted(rng.sample(range(1, 6 * n), n - 1))
-    heights = [Fraction(k, 4) for k in numerators]
     clusters = [[i] for i in range(n)]
-    dist = [[Fraction(0)] * n for _ in range(n)]
-    for h in heights:
+    dist = [[0] * n for _ in range(n)]
+    for h in numerators:
         i, j = sorted(rng.sample(range(len(clusters)), 2))
         for x in clusters[i]:
             for y in clusters[j]:
                 dist[x][y] = dist[y][x] = h
         clusters[i].extend(clusters[j])
         del clusters[j]
-    return FiniteMetricSpace._exact(tuple(f"p{i}" for i in range(n)), tuple(tuple(row) for row in dist))
+    quarters = {0: Fraction(0), **{k: Fraction(k, 4) for k in numerators}}
+    return _space_with_view(tuple(f"p{i}" for i in range(n)), dist, quarters)
 
 
 def with_base(space: FiniteMetricSpace, index: int) -> FiniteMetricSpace:

@@ -9,6 +9,8 @@ from __future__ import annotations
 import operator
 from fractions import Fraction
 from itertools import chain
+from math import gcd, lcm
+from typing import Optional
 
 __all__ = ["parse_rational", "is_power_of_two", "dyadic_floor", "dyadic_exponent"]
 
@@ -49,17 +51,45 @@ def _rationals(values) -> tuple[Fraction, ...]:
     return tuple(x if type(x) is Fraction else parse_rational(x) for x in values)
 
 
-def _rational_rows(rows) -> tuple[tuple[Fraction, ...], ...]:
-    """:func:`_rationals` of each row, parsing each distinct string entry once.
+# (scale, rows): a matrix of rationals rows[i][j] / scale, all over one denominator
+_Scaled = tuple[int, tuple[tuple[int, ...], ...]]
 
-    Rows that are already a tuple of tuples of exact Fractions are returned
-    as given, without being rebuilt.  The memo is local to the call and
-    keyed on ``str`` entries only: 1, True, 1.0 and Fraction(1) compare
-    equal and hash alike, so a broader key would let a bool or a float
-    through after an equal int.
+
+def _integer_rows(keys, exact: dict) -> _Scaled:
+    """The integer view of the matrix whose entry (i, j) is ``exact[keys[i][j]]``, each value scaled once.
+
+    ``exact`` maps each distinct key of the rows ``keys`` to its Fraction.
+    The scale is the lcm of the denominators of those values, so it is the
+    lcm of the denominators of every entry; each value becomes one integer
+    on that scale, and the integer rows are read off ``keys`` by lookup.
     """
-    if type(rows) is tuple and {*map(type, rows)} <= {tuple} and {*map(type, chain.from_iterable(rows))} <= {Fraction}:
-        return rows
+    scale = lcm(*(q.denominator for q in exact.values()))
+    scaled = {key: q.numerator * (scale // q.denominator) for key, q in exact.items()}
+    return scale, tuple(tuple(map(scaled.__getitem__, row)) for row in keys)
+
+
+def _rational_rows(rows) -> tuple[tuple[tuple[Fraction, ...], ...], Optional[_Scaled]]:
+    """:func:`_rationals` of each row, parsing each distinct string entry once, and the integer view when it comes free.
+
+    Rows of exact Fractions come back without a view, as given when they
+    are a tuple of tuples already, else as one.  Rows whose every
+    entry is a string, as a JSON or CSV file gives them, are parsed one
+    distinct string at a time in reading order, so the first bad entry is
+    named; both the Fraction rows and the view (:func:`_integer_rows`) are
+    then read off the strings by lookup.  Any other rows are read entry by
+    entry with a memo that is local to the call and keyed on ``str``
+    entries only: 1, True, 1.0 and Fraction(1) compare equal and hash
+    alike, so a broader key would let a bool or a float through after an
+    equal int; their view is left to be computed when it is asked for.
+    """
+    if not (type(rows) is tuple and {*map(type, rows)} <= {tuple}):
+        rows = tuple(map(tuple, rows))
+    types = {*map(type, chain.from_iterable(rows))}
+    if types <= {Fraction}:
+        return rows, None
+    if types == {str}:
+        exact = {x: parse_rational(x) for x in dict.fromkeys(chain.from_iterable(rows))}
+        return tuple(tuple(map(exact.__getitem__, row)) for row in rows), _integer_rows(rows, exact)
     parsed: dict[str, Fraction] = {}
 
     def rational(x: object) -> Fraction:
@@ -69,29 +99,39 @@ def _rational_rows(rows) -> tuple[tuple[Fraction, ...], ...]:
             parsed[x] = parse_rational(x)
         return parsed[x]
 
-    return tuple(tuple(x if type(x) is Fraction else rational(x) for x in row) for row in rows)
+    return tuple(tuple(x if type(x) is Fraction else rational(x) for x in row) for row in rows), None
 
 
 def is_power_of_two(q: Fraction) -> bool:
     """True iff q == 2**k for some integer k (negative k allowed)."""
-    if q <= 0:
+    return _is_power_of_two_over(q.numerator, q.denominator)
+
+
+def _is_power_of_two_over(num: int, den: int) -> bool:
+    """:func:`is_power_of_two` of num / den, for a positive den; the two need not be coprime."""
+    if num <= 0:
         return False
-    num, den = q.numerator, q.denominator
+    common = gcd(num, den)
+    num, den = num // common, den // common
     return num & (num - 1) == 0 and den & (den - 1) == 0
 
 
 def dyadic_floor(q: Fraction) -> Fraction:
     """Largest power of two <= q, from the bit lengths and one exact comparison.
 
-    With a and b the bit lengths of the numerator and the denominator,
+    With a and b the bit lengths of a numerator and a denominator of q,
     2**(a-b-1) < q < 2**(a-b+1), so the answer is 2**(a-b) when
     2**(a-b) <= q and 2**(a-b-1) otherwise.  Never touches logarithms.
     """
     if q <= 0:
         raise ValueError(f"dyadic_floor needs a positive value, got {q}")
-    num, den = q.numerator, q.denominator
+    return _power_of_two_below(q.numerator, q.denominator)
+
+
+def _power_of_two_below(num: int, den: int) -> Fraction:
+    """:func:`dyadic_floor` of num / den for positive integers, which need not be coprime."""
     k = num.bit_length() - den.bit_length()
-    below = num < den << k if k >= 0 else num << -k < den  # q < 2**k
+    below = num < den << k if k >= 0 else num << -k < den  # num / den < 2**k
     if below:
         k -= 1
     return Fraction(1 << k) if k >= 0 else Fraction(1, 1 << -k)

@@ -27,7 +27,7 @@ import weakref
 from dataclasses import dataclass
 from fractions import Fraction
 from itertools import combinations, combinations_with_replacement
-from math import gcd, lcm
+from math import lcm
 from typing import Optional, Sequence
 
 from .metric import (
@@ -37,8 +37,8 @@ from .metric import (
     _cached,
     _cluster_parents,
     _integer_view,
-    _keep_view,
     _single_linkage,
+    _space_with_view,
     validate,
     with_base,
 )
@@ -60,6 +60,14 @@ class TreePoint:
             raise ValueError("height must be nonnegative")
         object.__setattr__(self, "anchor", anchor)
         object.__setattr__(self, "height", height)
+
+    @classmethod
+    def _exact(cls, anchor: int, height: Fraction) -> "TreePoint":
+        """Wrap an int anchor >= 0 and an exact Fraction height >= 0 without the checks of ``__post_init__``."""
+        point = object.__new__(cls)
+        object.__setattr__(point, "anchor", anchor)
+        object.__setattr__(point, "height", height)
+        return point
 
 
 def canonicalize(space: FiniteMetricSpace, p: TreePoint) -> TreePoint:
@@ -211,31 +219,41 @@ def branching_points(space: FiniteMetricSpace) -> list[TreePoint]:
     merges = _single_linkage(space)
     if merges is None:
         raise ValueError("branching points require an ultrametric space")
-    return _merge_tree(len(space), merges)[0][len(space):]
+    return _merge_tree(len(space), merges, _integer_view(space)[0])[0][len(space):]
 
 
-def _merge_tree(n: int, merges) -> tuple[list[TreePoint], list[int], list[Fraction]]:
+def _merge_tree(n: int, merges, scale: int) -> tuple[list[TreePoint], list[int], list[Fraction]]:
     """The nodes, parents and edge lengths of the dendrogram, read off single-linkage merges.
 
     ``merges`` are those of :func:`ultrafree.metric._single_linkage` on n
-    points, with tied merges contracted by
-    :func:`ultrafree.metric._cluster_parents`: each closing merge closes a
-    cluster C at its height h, the ball of radius h about each member,
-    which is the branching point <min C, h/2>.  Nodes are the leaves in
-    point order, then the branching points by (height, anchor); a node's
-    parent is the branching point of the next cluster above it, and its
-    edge length the height gap.
+    points, their heights in units of 1/``scale``, with tied merges
+    contracted by :func:`ultrafree.metric._cluster_parents`: each closing
+    merge closes a cluster C at its height h, the ball of radius h about
+    each member, which is the branching point <min C, h/2>.  Nodes are the
+    leaves in point order, then the branching points by (height, anchor); a
+    node's parent is the branching point of the next cluster above it, and
+    its edge length the height gap.  In units of 1/(2 scale) a node's height
+    is its merge height, so the nodes are sorted and the gaps taken in
+    integers, and one Fraction is built per distinct height and gap.
     """
     above = _cluster_parents(n, merges)
     low = list(range(len(above)))
-    height = [Fraction(0)] * n + [h for h, _, _ in merges]
+    height = [0] * n + [h for h, _, _ in merges]
     for k, (_, a, b) in enumerate(merges):
         low[n + k] = min(low[a], low[b])
     closing = sorted({*above} - {-1}, key=lambda u: (height[u], low[u]))
     index = {-1: -1, **{u: n + k for k, u in enumerate(closing)}}
-    nodes = [TreePoint(x, Fraction(0)) for x in range(n)] + [TreePoint(low[u], height[u] / 2) for u in closing]
-    parent = [index[above[u]] for u in (*range(n), *closing)]
-    edge = [nodes[p].height - node.height if p >= 0 else Fraction(0) for node, p in zip(nodes, parent)]
+    order = (*range(n), *closing)
+    parent = [index[above[u]] for u in order]
+    exact = {0: Fraction(0)}
+
+    def halved(x: int) -> Fraction:
+        if x not in exact:
+            exact[x] = Fraction(x, 2 * scale)
+        return exact[x]
+
+    nodes = [TreePoint._exact(low[u], halved(height[u])) for u in order]
+    edge = [halved(height[above[u]] - height[u]) if above[u] >= 0 else exact[0] for u in order]
     return nodes, parent, edge
 
 
@@ -465,11 +483,15 @@ def dendrogram(space: FiniteMetricSpace) -> DendrogramTree:
 
 
 def _certified_dendrogram(space: FiniteMetricSpace) -> DendrogramTree:
-    nodes, parent, edge = _merge_tree(len(space), _single_linkage(space))
+    nodes, parent, edge = _merge_tree(len(space), _single_linkage(space), _integer_view(space)[0])
     tree = DendrogramTree(space, tuple(nodes), tuple(parent), tuple(edge))
     _node_distances(tree)
+    children = [0] * len(nodes)
+    for p in parent:
+        if p >= 0:
+            children[p] += 1
     for k, u in enumerate(nodes):
-        if u.height > 0 and parent.count(k) < 2:
+        if u.height > 0 and children[k] < 2:
             raise CertificationError(f"branching node {u} has fewer than two children")
     return tree
 
@@ -485,7 +507,8 @@ def _certify_path_metric(tree: DendrogramTree) -> _Scaled:
     The tree must be rooted at its top node, with every parent strictly
     higher than its child, so that it is a tree.  The heights, the edge
     lengths and half of every distance of the integer view of
-    ``tree.space`` go on one integer scale L; one walk of the tree from
+    ``tree.space`` go on one integer scale L, on which the heights are
+    compared; one walk of the tree from
     each node gives its path sums, and each pair (p, q), p < q in node
     order, must have path sum 2 max(h_p, h_q, d(m, n)/2) - h_p - h_q.
     Returns (L, rows), the node distances in units of 1/L.
@@ -496,13 +519,13 @@ def _certify_path_metric(tree: DendrogramTree) -> _Scaled:
         labels = _node_labels(tree)
         found = ", ".join(labels[k] for k in roots) or "none"
         raise CertificationError(f"dendrogram must have exactly one root, the top node; its roots are {found}")
-    for k, p in enumerate(parent):
-        if p >= 0 and nodes[p].height <= nodes[k].height:
-            raise CertificationError(f"parent {nodes[p]} of {nodes[k]} is not higher")
     scale, d = _integer_view(tree.space)
     unit = lcm(2 * scale, *(p.height.denominator for p in nodes), *(x.denominator for x in tree.edge_length))
     half = unit // (2 * scale)
     height = [p.height.numerator * (unit // p.height.denominator) for p in nodes]
+    for k, p in enumerate(parent):
+        if p >= 0 and height[p] <= height[k]:
+            raise CertificationError(f"parent {nodes[p]} of {nodes[k]} is not higher")
     count = len(nodes)
     adjacent: list[list[tuple[int, int]]] = [[] for _ in range(count)]
     for k, (p, x) in enumerate(zip(parent, tree.edge_length)):
@@ -578,9 +601,9 @@ def node_space(tree: DendrogramTree) -> FiniteMetricSpace:
     :func:`_node_labels`.  The distances are the path sums that
     :func:`_certify_path_metric` certifies once per tree, so a tree whose
     path metric is not the quotient metric raises
-    :class:`CertificationError`.  The space is built with its integer view:
-    the path sums and their unit L, divided by their gcd, which is the
-    :func:`ultrafree.metric._scale_rows` of its distances.  It is kept on
+    :class:`CertificationError`.  The space is built with its integer view,
+    read off the path sums by lookup with one Fraction per distinct
+    distance (:func:`ultrafree.metric._space_with_view`).  It is kept on
     the tree.
     """
     return _cached(tree, "_node_space", _node_metric)
@@ -588,12 +611,7 @@ def node_space(tree: DendrogramTree) -> FiniteMetricSpace:
 
 def _node_metric(tree: DendrogramTree) -> FiniteMetricSpace:
     unit, rows = _node_distances(tree)
-    exact = {x: Fraction(x, unit) for x in {x for row in rows for x in row}}
-    dist = tuple(tuple(exact[x] for x in row) for row in rows)
-    # x / unit in lowest terms has the denominator unit / gcd(x, unit), and their lcm is unit / common
-    common = gcd(unit, *exact)
-    view = unit // common, tuple(tuple(x // common for x in row) for row in rows)
-    return _keep_view(FiniteMetricSpace._exact(_node_labels(tree), dist), view)
+    return _space_with_view(_node_labels(tree), rows, {x: Fraction(x, unit) for x in {x for row in rows for x in row}})
 
 
 def rooted_node_space(tree: DendrogramTree) -> FiniteMetricSpace:

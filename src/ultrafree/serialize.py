@@ -27,7 +27,7 @@ from json.encoder import encode_basestring_ascii
 from pathlib import Path
 from typing import Any, Callable
 
-from .metric import FiniteMetricSpace, StructuralError, validate
+from .metric import FiniteMetricSpace, StructuralError, ValidationReport, validate
 from .freespace import FreeVector, LipFunction
 from .rational import parse_rational
 
@@ -62,7 +62,9 @@ def _json_text(data: Any) -> str:
     ints (bools included) and strings; dataclass instances; dicts; lists
     and tuples; Fraction subclasses.  Strings are escaped to ASCII by the
     standard library's encoder and ints written by ``int.__repr__``, as the
-    standard library does.  A dict key that is no string is written as its
+    standard library does.  A list or tuple whose items are all exact ints,
+    or all exact Fractions, is written in one join; bools and subclasses
+    take the general path.  A dict key that is no string is written as its
     ``str``; when two keys of one dict share a ``str``, the last value is
     written at the place of the first, as in the dict ``to_jsonable`` would
     build.  A float, a set or any other type raises ``TypeError``.
@@ -114,6 +116,13 @@ def _json_text(data: Any) -> str:
                 append("[]")
                 return
             inner = indent + "  "
+            first = type(obj[0])
+            if first is int and {*map(type, obj)} == {int}:
+                append("[" + inner + ("," + inner).join(map(int.__repr__, obj)) + indent + "]")
+                return
+            if first is Fraction and {*map(type, obj)} == {Fraction}:
+                append("[" + inner + '"' + ('",' + inner + '"').join(map(str, obj)) + '"' + indent + "]")
+                return
             separator = "[" + inner
             for value in obj:
                 append(separator)
@@ -151,13 +160,25 @@ def space_to_json(space: FiniteMetricSpace) -> dict:
     }
 
 
+# what json.loads gives for each JSON value other than a string or an integer
+_JSON_KINDS = {type(None): "null", bool: "a boolean", Fraction: "a decimal number", list: "an array", dict: "an object"}
+
+
 def space_from_json(data: dict) -> FiniteMetricSpace:
-    """Read ``{"labels": [...], "dist": [[...], ...]}``; a field of another JSON type raises :class:`IngestError` naming it."""
+    """Read ``{"labels": [...], "dist": [[...], ...]}``; a field of another JSON type raises :class:`IngestError` naming it.
+
+    A label must be a string or an integer; any other label raises
+    :class:`IngestError` naming its index.
+    """
     if not isinstance(data, dict) or "labels" not in data or "dist" not in data:
         raise IngestError("expected an object with 'labels' and 'dist'")
     labels, dist = data["labels"], data["dist"]
     if not isinstance(labels, list):
         raise IngestError("'labels' must be an array of labels")
+    for k, label in enumerate(labels):
+        if type(label) not in (str, int):
+            kind = _JSON_KINDS.get(type(label), f"a {type(label).__name__}")
+            raise IngestError(f"label {k} is {kind}, not a string or an integer")
     if not isinstance(dist, list) or not all(isinstance(row, list) for row in dist):
         raise IngestError("'dist' must be an array of arrays of distances")
     return FiniteMetricSpace(tuple(labels), tuple(tuple(row) for row in dist))
@@ -187,12 +208,18 @@ def space_from_csv(text: str) -> FiniteMetricSpace:
 
 
 def _read(path: str | Path, parse: Callable[[str], Any]) -> Any:
-    """``parse`` of the text of the file at ``path``; any failure raises :class:`IngestError` naming the path."""
+    """``parse`` of the UTF-8 text of the file at ``path``; any failure raises :class:`IngestError` naming the path.
+
+    The file is read as UTF-8 whatever the locale, so a file reads the same
+    everywhere.
+    """
     path = Path(path)
     try:
-        text = path.read_text()
+        text = path.read_text(encoding="utf-8")
     except OSError as exc:
         raise IngestError(f"cannot read {path}: {exc}") from exc
+    except UnicodeDecodeError as exc:
+        raise IngestError(f"cannot read {path} as UTF-8: {exc}") from exc
     try:
         return parse(text)
     except (ValueError, TypeError) as exc:
@@ -234,13 +261,21 @@ def ingest(path: str | Path, fmt: str | None = None) -> FiniteMetricSpace:
     read the validation report cached on the space.
     """
     space = load_space(path, fmt)
-    try:
-        report = validate(space)
-    except StructuralError as exc:
-        raise IngestError(f"{path}: {exc}") from exc
+    report = _validate_file(space, path)
     if not report.is_metric:
         raise IngestError(f"{path}: triangle inequality fails at triple {report.failing_triple}")
     return space
+
+
+def _validate_file(space: FiniteMetricSpace, path: str | Path) -> ValidationReport:
+    """:func:`ultrafree.metric.validate` of a space read from ``path``; a structural defect raises :class:`IngestError`.
+
+    The error names the path as every other failure to read the file does.
+    """
+    try:
+        return validate(space)
+    except StructuralError as exc:
+        raise IngestError(f"{path}: {exc}") from exc
 
 
 def vector_from_json(space: FiniteMetricSpace, data: dict) -> FreeVector:

@@ -70,6 +70,13 @@ quotient formula on every pair, and the retraction claims by
 ``tree_distance``, ``generating_partner`` and ``dyadic_exponent`` on every
 pair.  None of them touches the integer view or the merges.
 
+Most spaces of the package are born with their integer view, read off
+their distinct values, and the merge tree is built on the merges' integer
+heights.  What these replaced is kept as a reference: ``scale_rows``
+scales every entry of ``space.dist`` over the lcm of all its denominators,
+and ``fraction_merge_tree`` builds the dendrogram's nodes, parents and edge
+lengths in Fraction arithmetic, each node through ``TreePoint``'s checks.
+
 The package decides l1-isometry from the extreme molecules, each pair
 certified by a segment witness or a separating potential.  The reference
 decides extremality by its definition: one LP feasibility problem per
@@ -129,7 +136,14 @@ from ultrafree.chain import BasisFamily, ChainReport, ProjectionAlgebraReport, R
 from ultrafree.ell1 import _checked_edge_flow
 from ultrafree.freespace import FreeVector, PointMap, _transport_program, free_norm, molecule, push_forward
 from ultrafree.linalg import SingularMatrixError, _reduce, invert_matrix, solve_linear
-from ultrafree.metric import CertificationError, FiniteMetricSpace, StructuralError, ValidationReport, validate
+from ultrafree.metric import (
+    CertificationError,
+    FiniteMetricSpace,
+    StructuralError,
+    ValidationReport,
+    _cluster_parents,
+    validate,
+)
 from ultrafree.rational import dyadic_exponent, is_power_of_two
 from ultrafree.rtree import (
     DendrogramTree,
@@ -506,8 +520,8 @@ def ball_transport_norm(space: FiniteMetricSpace, v: FreeVector) -> Fraction:
 def sign_potential(merges, masses) -> list[Fraction]:
     """The sign potential of the merge tree in Fractions, shifted to vanish at the base.
 
-    ``merges`` are those of ``metric._single_linkage`` and ``masses`` one
-    per point, the base carrying -sum(v).  Going down from the root, each
+    ``merges`` are those of ``metric._single_linkage`` with their heights
+    as Fractions, and ``masses`` one per point, the base carrying -sum(v).  Going down from the root, each
     cluster moves from its parent by half the gap between their heights,
     up when its net mass is positive, down when negative, not at all when
     zero.  The points are the clusters at height 0.
@@ -800,6 +814,35 @@ def scan_dendrogram(space: FiniteMetricSpace) -> DendrogramTree:
         if best >= 0:
             edge[idx] = nodes[best].height - u.height
     return DendrogramTree(space, tuple(nodes), tuple(parent), tuple(edge))
+
+
+def scale_rows(space: FiniteMetricSpace) -> tuple[int, tuple[tuple[int, ...], ...]]:
+    """Every distance on the lcm of every denominator of ``space.dist``, entry by entry."""
+    scale = lcm(*(h.denominator for row in space.dist for h in row))
+    return scale, tuple(tuple(h.numerator * (scale // h.denominator) for h in row) for row in space.dist)
+
+
+def fraction_merge_tree(space: FiniteMetricSpace, merges) -> tuple[list[TreePoint], list[int], list[Fraction]]:
+    """The nodes, parents and edge lengths of the dendrogram off the integer ``merges``, in Fraction arithmetic.
+
+    Each merge height goes back to a Fraction on the scale of ``scale_rows``;
+    the tied merges are contracted by ``_cluster_parents``, the branching
+    points sorted by (height, anchor) and every edge length taken as a
+    difference of node heights.
+    """
+    n, scale = len(space), scale_rows(space)[0]
+    merges = [(Fraction(h, scale), a, b) for h, a, b in merges]
+    above = _cluster_parents(n, merges)
+    low = list(range(len(above)))
+    height = [Fraction(0)] * n + [h for h, _, _ in merges]
+    for k, (_, a, b) in enumerate(merges):
+        low[n + k] = min(low[a], low[b])
+    closing = sorted({*above} - {-1}, key=lambda u: (height[u], low[u]))
+    index = {-1: -1, **{u: n + k for k, u in enumerate(closing)}}
+    nodes = [TreePoint(x, Fraction(0)) for x in range(n)] + [TreePoint(low[u], height[u] / 2) for u in closing]
+    parent = [index[above[u]] for u in (*range(n), *closing)]
+    edge = [nodes[p].height - node.height if p >= 0 else Fraction(0) for node, p in zip(nodes, parent)]
+    return nodes, parent, edge
 
 
 def quotient_node_distances(tree: DendrogramTree) -> tuple[tuple[Fraction, ...], ...]:

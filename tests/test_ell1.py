@@ -19,12 +19,13 @@ from _oracles import (
     path_pair_check,
     rows_chain_phi,
     rows_telescope,
+    scale_rows,
 )
 from test_acceptance import _power_of_two_caterpillar
 from test_chain import _rank_corruptions, _shuffled_chain, _tangled_chain
 from test_freespace import _PRIMES_NEAR_A_MILLION, _coprime_heights, _merge_ultrametric, _stress_ultrametrics
-from test_rtree import COLLIDING, count_path_metric_certificates
-from ultrafree import chain as chain_module, ell1, freespace, metric, rtree
+from test_rtree import COLLIDING, count_path_metric_certificates, record_late_views_and_checked_points
+from ultrafree import chain as chain_module, ell1, freespace, rtree
 from ultrafree.chain import BasisFamily, RetractionChain, basis_vectors, build_chain, retraction_map
 from ultrafree.ell1 import (
     edge_flow_coordinates,
@@ -50,10 +51,9 @@ from ultrafree.freespace import (
     operator_norm_of_extension,
     zero_vector,
 )
-from ultrafree.metric import (
-    CertificationError, FiniteMetricSpace, _scale_rows, random_ultrametric, round_to_dyadic, validate
-)
+from ultrafree.metric import CertificationError, FiniteMetricSpace, random_ultrametric, round_to_dyadic, validate
 from ultrafree.rtree import _retraction_claims, dendrogram, node_space, rooted_node_space, verify_retraction_claims
+from ultrafree.serialize import dump_json, ingest, space_to_json
 
 H = Fraction(1, 2)
 
@@ -368,8 +368,8 @@ def _verdict(check, *args):
 
 
 def _view_of(ambient, d):
-    """The integer view of the rows ``d`` on the points of ``ambient``, as :func:`_scale_rows` scales a space."""
-    return _scale_rows(FiniteMetricSpace(ambient.labels, tuple(map(tuple, d))))
+    """The integer view of the rows ``d`` on the points of ``ambient``, scaled entry by entry."""
+    return scale_rows(FiniteMetricSpace(ambient.labels, tuple(map(tuple, d))))
 
 
 def _corrupted_trees(scaled):
@@ -454,10 +454,13 @@ def test_the_draws_read_the_bit_stream_as_randint_and_choice(dim):
         assert fast.getstate() == slow.getstate()
 
 
-def test_a_pipeline_verdict_draws_bits_and_reads_integer_views(monkeypatch):
-    # at N = 7 the battery is drawn without randint or choice, no molecule is built, and neither node
-    # space scales its distances: both are built with their views; only the input and its rounding scale
+def test_a_pipeline_verdict_draws_bits_and_reads_integer_views(monkeypatch, tmp_path):
+    # at N = 7 the battery is drawn without randint or choice and no molecule is built; on generated and on
+    # JSON input, the input, its rounding and both node spaces are born with their views, so none computes
+    # one on first use, and no tree node goes through the checks of TreePoint
     space = random_ultrametric(7, 11)
+    path = tmp_path / "space.json"
+    dump_json(space_to_json(space), path)
     expected = pipeline(FiniteMetricSpace(space.labels, space.dist))
 
     def refuse(*args, **kwargs):
@@ -467,11 +470,12 @@ def test_a_pipeline_verdict_draws_bits_and_reads_integer_views(monkeypatch):
     monkeypatch.setattr(random.Random, "choice", refuse)
     for module in (freespace, chain_module, ell1):
         monkeypatch.setattr(module, "molecule", refuse)
-    scaled = []
-    real_scale = metric._scale_rows
-    monkeypatch.setattr(metric, "_scale_rows", lambda s: scaled.append(s.labels) or real_scale(s))
-    assert pipeline(space) == expected and expected.passed
-    assert scaled == [space.labels, space.labels]
+    late = record_late_views_and_checked_points(monkeypatch)
+    assert pipeline(space) == pipeline(ingest(path)) == expected and expected.passed
+    assert late == []
+    # a space built from rows of Fractions computes its view on first use, once
+    pipeline(FiniteMetricSpace(space.labels, space.dist))
+    assert late == [space.labels]
 
 
 def test_a_point_labelled_like_a_branching_point_runs_every_check():

@@ -39,6 +39,7 @@ from _oracles import (
     fraction_lipschitz_witness,
     lp_transport_norm,
     molecule_operator_norm,
+    scale_rows,
     sign_potential,
 )
 
@@ -471,7 +472,9 @@ def test_tree_route_matches_the_lp_on_stress_ultrametrics(monkeypatch):
     calls = _count_lp(monkeypatch)
     checked = 0
     for space in _stress_ultrametrics(rng):
-        merges = _single_linkage(space)
+        # the merge heights are on the scale of the view; the oracle takes them as Fractions
+        scale = scale_rows(space)[0]
+        merges = [(Fraction(h, scale), a, b) for h, a, b in _single_linkage(space)]
         for v in _stress_vectors(space, rng):
             cert = free_norm_certificate(space, v)
             assert cert.value == lp_transport_norm(space, v)

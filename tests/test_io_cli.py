@@ -9,11 +9,13 @@ from ultrafree import cli, ell1, freespace
 from ultrafree.campaign import CampaignConfig, emit_report, run_campaign
 from ultrafree.cli import main
 from ultrafree.freespace import FreeVector
-from ultrafree.metric import FiniteMetricSpace, random_ultrametric
+from ultrafree.metric import FiniteMetricSpace, random_ultrametric, round_to_dyadic
 from ultrafree.rational import _rational_rows, _rationals
 from ultrafree.rtree import verify_retraction_claims
 from ultrafree.simplex import LpResult
-from test_rtree import CORRUPTED_MERGE_TREES, corrupt_merge_tree, count_path_metric_certificates
+from test_rtree import (
+    CORRUPTED_MERGE_TREES, corrupt_merge_tree, count_path_metric_certificates, record_late_views_and_checked_points
+)
 from ultrafree.serialize import (
     IngestError,
     dump_json,
@@ -156,7 +158,7 @@ def test_fraction_subclasses_bools_floats_and_sets_keep_their_treatment():
     quarter = _Quarter(1, 4)
     assert to_jsonable([quarter, True, 2, None, "x", Fraction(1, 2)]) == ["1/4", True, 2, None, "x", "1/2"]
     assert to_jsonable({"q": quarter}) == {"q": "1/4"}
-    assert _rationals([quarter])[0] is quarter and _rational_rows([[quarter]])[0][0] is quarter
+    assert _rationals([quarter])[0] is quarter and _rational_rows([[quarter]])[0][0][0] is quarter
     assert FreeVector((quarter,)).coeffs[0] is quarter
     for value, message in ((0.5, "refusing to serialize a float"), ({1}, "cannot serialize set")):
         with pytest.raises(TypeError, match=f"^{message}$"):
@@ -194,7 +196,31 @@ def test_cli_validate_non_ultrametric_exit_one(tmp_path, capsys):
 def test_cli_validate_structural_exit_two(tmp_path, capsys):
     path = tmp_path / "bad.json"
     path.write_text('{"labels": ["a","b"], "dist": [["0","1"],["2","0"]]}')
-    assert main(["validate", str(path)]) == 2
+    # every command that reads a space names the file in front of a structural defect
+    for command in ("validate", "basis", "embed", "l1check"):
+        assert _run([command, str(path)], capsys) == (2, "", f"error: {path}: asymmetric entries at (0,1): 1 vs 2\n")
+    path.write_text('{"labels": ["a","b"], "dist": [["0","-1"],["-1","0"]]}')
+    assert _run(["validate", str(path)], capsys) == (2, "", f"error: {path}: negative distance at (0,1): -1\n")
+
+
+def test_space_files_are_read_as_utf8(tmp_path, capsys):
+    # the tier-1 workflow also runs this file under LC_ALL=C, where the locale encoding is ASCII
+    path = tmp_path / "space.json"
+    data = {"labels": ["0", "\u00e9t\u00e9"], "dist": [["0", "1"], ["1", "0"]]}
+    path.write_bytes(json.dumps(data, ensure_ascii=False).encode("utf-8"))
+    assert load_space(path).labels == ("0", "\u00e9t\u00e9")
+    code, out, _ = _run(["basis", str(path)], capsys)
+    assert code == 0 and json.loads(out)["basis_vectors"] == [{"\u00e9t\u00e9": "1"}]
+    csv = tmp_path / "space.csv"
+    csv.write_bytes("0,\u00e9t\u00e9\n0,1\n1,0\n".encode("utf-8"))
+    assert load_space(csv).labels == ("0", "\u00e9t\u00e9")
+    # Latin-1 bytes are no UTF-8: the error names the file
+    path.write_bytes(json.dumps(data, ensure_ascii=False).encode("latin-1"))
+    prefix = f"cannot read {path} as UTF-8: 'utf-8' codec can't decode byte 0xe9"
+    with pytest.raises(IngestError, match=f"^{re.escape(prefix)}"):
+        load_space(path)
+    code, out, err = _run(["validate", str(path)], capsys)
+    assert (code, out) == (2, "") and err.startswith(f"error: {prefix}")
 
 
 def test_cli_norm(tmp_path, capsys):
@@ -713,13 +739,43 @@ _SPACE_ROWS = [[0, 1, 1], [1, 0, "1/2"], [1, "1/2", 0]]
         ({"labels": "0xy", "dist": _SPACE_ROWS}, "'labels' must be an array of labels"),
         ({"labels": ["0", "x", "y"], "dist": dict(zip("abc", _SPACE_ROWS))}, "'dist' must be an array of arrays of distances"),
         ({"labels": ["0", "x", "y"], "dist": ["011", "10h", "1h0"]}, "'dist' must be an array of arrays of distances"),
+        ({"labels": [["x"], "b", "c"], "dist": _SPACE_ROWS}, "label 0 is an array, not a string or an integer"),
+        ({"labels": ["0", None, "y"], "dist": _SPACE_ROWS}, "label 1 is null, not a string or an integer"),
+        ({"labels": ["0", "x", True], "dist": _SPACE_ROWS}, "label 2 is a boolean, not a string or an integer"),
+        ({"labels": ["0", {"x": 1}, "y"], "dist": _SPACE_ROWS}, "label 1 is an object, not a string or an integer"),
+        ({"labels": ["0", 1.5, "y"], "dist": _SPACE_ROWS}, "label 1 is a decimal number, not a string or an integer"),
     ],
-    ids=["labels-string", "dist-object", "dist-strings"],
+    ids=["labels-string", "dist-object", "dist-strings", "label-array", "label-null", "label-bool", "label-object",
+         "label-decimal"],
 )
 def test_load_space_requires_arrays(tmp_path, capsys, data, message):
     path = tmp_path / "space.json"
     path.write_text(json.dumps(data))
     with pytest.raises(IngestError, match=f"{message}$"):
         load_space(path)
-    assert main(["validate", str(path)]) == 2
-    assert capsys.readouterr().err == f"error: {path}: {message}\n"
+    for command in ("validate", "basis"):
+        assert main([command, str(path)]) == 2
+        assert capsys.readouterr().err == f"error: {path}: {message}\n"
+
+
+def test_integer_labels_are_read_as_strings(tmp_path):
+    path = tmp_path / "space.json"
+    path.write_text(json.dumps({"labels": [0, 7, -2], "dist": _SPACE_ROWS}))
+    assert load_space(path).labels == ("0", "7", "-2")
+
+
+def test_cli_commands_read_views_born_with_their_spaces(tmp_path, capsys, monkeypatch):
+    # basis, embed, l1check and a campaign on JSON or generated input: no space computes its view on first use,
+    # and no tree node goes through the checks of TreePoint
+    space = random_ultrametric(9, 2)
+    path, dyadic = tmp_path / "space.json", tmp_path / "dyadic.json"
+    dump_json(space_to_json(space), path)
+    dump_json(space_to_json(round_to_dyadic(space)), dyadic)
+    late = record_late_views_and_checked_points(monkeypatch)
+    commands = [
+        ["basis", str(path)], ["basis", "--shuffle", str(path)], ["embed", str(dyadic)], ["l1check", str(path)],
+        ["campaign", "--sizes", "2-7", "--seeds", "2", "--stages", "validate,basis,embed,l1check"],
+    ]
+    for argv in commands:
+        assert _run(argv, capsys)[0] == 0
+    assert late == []

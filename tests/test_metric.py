@@ -3,6 +3,7 @@ import json
 import pickle
 import random
 import re
+from pathlib import Path
 from fractions import Fraction
 
 import pytest
@@ -17,7 +18,6 @@ from ultrafree.metric import (
     FiniteMetricSpace,
     StructuralError,
     _integer_view,
-    _scale_rows,
     _single_linkage,
     bilipschitz_distortion,
     identity_distortion,
@@ -26,10 +26,10 @@ from ultrafree.metric import (
     validate,
     with_base,
 )
-from ultrafree.rtree import dendrogram, node_space, verify_retraction_claims
-from ultrafree.serialize import ingest, space_to_json, to_jsonable
+from ultrafree.rtree import dendrogram, node_space, rooted_node_space, verify_retraction_claims
+from ultrafree.serialize import dump_json, ingest, space_to_json, to_jsonable
 
-from _oracles import fraction_bilipschitz_distortion, loop_dyadic_floor, scan_validate, strict_max_check
+from _oracles import fraction_bilipschitz_distortion, loop_dyadic_floor, scale_rows, scan_validate, strict_max_check
 from test_freespace import _nested_ultrametric, _stress_ultrametrics
 
 
@@ -212,12 +212,14 @@ def test_with_base_relabels(triangle):
 def test_with_base_hands_a_kept_view_on_permuted():
     rng = random.Random(67)
     for n in range(1, 9):
-        space = random_ultrametric(n, 70 + n) if n > 1 else FiniteMetricSpace(("0",), ((0,),))
+        # rows of Fractions give a space born without its view
+        generated = random_ultrametric(n, 70 + n) if n > 1 else FiniteMetricSpace(("0",), ((0,),))
+        space = FiniteMetricSpace(generated.labels, generated.dist)
         index = rng.randrange(n)
         assert "_view" not in vars(with_base(space, index))
         _integer_view(space)
         moved = with_base(space, index)
-        assert "_view" in vars(moved) and _integer_view(moved) == _scale_rows(moved)
+        assert "_view" in vars(moved) and _integer_view(moved) == scale_rows(moved)
 
 
 def test_duplicate_labels_are_named():
@@ -368,7 +370,9 @@ def test_new_spaces_get_a_view_of_their_own(four_cluster):
     for space in (moved, halved):
         fresh = FiniteMetricSpace(space.labels, space.dist)
         assert _integer_view(space) == _integer_view(fresh) != view
-        assert _single_linkage(space) == _single_linkage(fresh) != merges
+        # the merge heights are on the scale of the view
+        heights = (_integer_view(space)[0], _single_linkage(space))
+        assert heights == (_integer_view(fresh)[0], _single_linkage(fresh)) != (view[0], merges)
     assert _integer_view(halved) == (8, view[1])
 
 
@@ -410,6 +414,29 @@ def test_rows_of_exact_fractions_are_kept_as_given():
     for labels, dist, message in cases:
         with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
             FiniteMetricSpace(labels, dist)
+
+
+GOLDEN_SPACES = sorted((Path(__file__).resolve().parent / "golden").glob("*/*.space.json"))
+
+
+def test_views_born_with_their_spaces_are_the_entry_by_entry_scaling(tmp_path):
+    # the view a space is born with is the one it would compute from its distances, entry by entry
+    rng = random.Random(53)
+    born = [ingest(path) for path in GOLDEN_SPACES]
+    for k, space in enumerate([*_stress_ultrametrics(rng), _nested_ultrametric(40)]):
+        json_path, csv_path = tmp_path / f"{k}.json", tmp_path / f"{k}.csv"
+        dump_json(space_to_json(space), json_path)
+        csv_path.write_text("\n".join(",".join(map(str, row)) for row in (space.labels, *space.dist)))
+        born += [ingest(json_path), ingest(csv_path), round_to_dyadic(space)]
+    for space in born[:len(GOLDEN_SPACES)]:
+        if validate(space).is_ultrametric:
+            tree = dendrogram(round_to_dyadic(space))
+            born += [node_space(tree), rooted_node_space(tree)]
+    born += [random_ultrametric(n, seed) for n in range(2, 30) for seed in range(3)]
+    born += [round_to_dyadic(space) for space in born[-20:]]
+    for space in born:
+        assert "_view" in vars(space) and _integer_view(space) == scale_rows(space)
+    assert len(GOLDEN_SPACES) == 21 and len(born) == 21 + 3 * 56 + 2 * 20 + 84 + 20
 
 
 def test_generated_spaces_skip_the_row_walk(monkeypatch):

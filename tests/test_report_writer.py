@@ -123,13 +123,22 @@ def _containers(children):
     )
 
 
-_VALUES = st.recursive(_LEAVES, _containers, max_leaves=24)
+# flat arrays: all exact ints and all exact Fractions are written in one join, anything mixed item by item
+_FLAT_ITEMS = (
+    st.lists(st.integers(min_value=-(2**70), max_value=2**70), max_size=6)
+    | st.lists(st.fractions(), max_size=6)
+    | st.lists(st.integers() | st.fractions() | st.booleans() | st.integers().map(_Count) | _FRACTIONS, max_size=6)
+)
+_FLAT = _FLAT_ITEMS | _FLAT_ITEMS.map(tuple)
+_VALUES = st.recursive(_LEAVES | _FLAT, _containers, max_leaves=24)
 
 
 @settings(max_examples=300, deadline=None)
 @given(_VALUES)
 @example({1: "one", "1": "first", True: "true", Fraction(1): "fraction", "True": [], None: {}, "None": 2})
 @example(OrderedDict([(Fraction(1, 2), 0), ("1/2", _Point(_Tag("x"), None)), (_Tag("x"), 1), ("tag:x", 2)]))
+@example([[1, -2, 3], (Fraction(1, 3), Fraction(-2)), [1, True], (False,), [_Count(3), 4], [Fraction(1, 2), _Quarter(1, 4)],
+          [Fraction(1), 1], [], ()])
 def test_dump_json_is_the_standard_library_text(value):
     text = stdlib_report_text(value)
     assert dump_json(value) == text

@@ -7,9 +7,9 @@ from fractions import Fraction
 
 import pytest
 
-from ultrafree import rtree
+from ultrafree import metric, rtree
 from ultrafree.metric import (
-    CertificationError, FiniteMetricSpace, _integer_view, _scale_rows, random_ultrametric, round_to_dyadic
+    CertificationError, FiniteMetricSpace, _integer_view, _single_linkage, random_ultrametric, round_to_dyadic
 )
 from ultrafree.rtree import (
     DendrogramTree,
@@ -32,8 +32,16 @@ from ultrafree.rtree import (
     verify_segment_axioms,
 )
 
-from _oracles import path_distance, quotient_node_distances, scan_branching_points, scan_dendrogram, scan_retraction_claims
-from test_freespace import _stress_ultrametrics
+from _oracles import (
+    fraction_merge_tree,
+    path_distance,
+    quotient_node_distances,
+    scale_rows,
+    scan_branching_points,
+    scan_dendrogram,
+    scan_retraction_claims,
+)
+from test_freespace import _nested_ultrametric, _stress_ultrametrics
 
 H = Fraction(1, 2)
 Q = Fraction(1, 4)
@@ -349,7 +357,7 @@ CORRUPTED_MERGE_TREES = [
 
 def corrupt_merge_tree(monkeypatch, change):
     real = rtree._merge_tree
-    monkeypatch.setattr(rtree, "_merge_tree", lambda n, merges: change(*real(n, merges)))
+    monkeypatch.setattr(rtree, "_merge_tree", lambda *args: change(*real(*args)))
 
 
 @pytest.mark.parametrize("change, message", CORRUPTED_MERGE_TREES)
@@ -394,6 +402,18 @@ def test_what_a_tree_keeps_stays_out_of_its_value(four_cluster):
     assert loaded == tree and set(vars(loaded)) == {"space", "nodes", "parent", "edge_length"}
 
 
+def test_the_integer_merge_tree_matches_the_fraction_oracle():
+    rng = random.Random(83)
+    spaces = [*_stress_ultrametrics(rng), _nested_ultrametric(200)]
+    for space in spaces:
+        merges = _single_linkage(space)
+        nodes, parent, edge = rtree._merge_tree(len(space), merges, _integer_view(space)[0])
+        assert (nodes, parent, edge) == fraction_merge_tree(space, merges)
+        assert {type(p.anchor) for p in nodes} == {int}
+        assert {type(p.height) for p in nodes} | {*map(type, edge)} == {Fraction}
+    assert len(spaces) == 5 * 11 + 1
+
+
 def test_node_spaces_are_built_with_the_view_their_distances_scale_to():
     rng = random.Random(71)
     checked = 0
@@ -401,7 +421,7 @@ def test_node_spaces_are_built_with_the_view_their_distances_scale_to():
         for s in (space, round_to_dyadic(space)):
             tree = dendrogram(s)
             for nodes in (node_space(tree), rooted_node_space(tree)):
-                assert "_view" in vars(nodes) and _integer_view(nodes) == _scale_rows(nodes)
+                assert "_view" in vars(nodes) and _integer_view(nodes) == scale_rows(nodes)
                 checked += 1
     assert checked == 4 * 55
 
@@ -426,6 +446,15 @@ def test_node_labels_are_unchanged_where_nothing_collides(four_cluster):
     # a point may carry a label of the form m@h when no branching point has it
     space = FiniteMetricSpace(("0", "0@3", "x"), COLLIDING.dist)
     assert node_space(dendrogram(space)).labels == ("0", "0@3", "x", "0@1", "0@2")
+
+
+def record_late_views_and_checked_points(monkeypatch):
+    """Record the labels of each space that computes its view on first use, and each TreePoint built through its checks."""
+    seen = []
+    real_view, real_check = metric._distinct_view, TreePoint.__post_init__
+    monkeypatch.setattr(metric, "_distinct_view", lambda space: seen.append(space.labels) or real_view(space))
+    monkeypatch.setattr(TreePoint, "__post_init__", lambda point: seen.append(point) or real_check(point))
+    return seen
 
 
 def count_path_metric_certificates(monkeypatch):
