@@ -35,7 +35,7 @@ from typing import Optional, Sequence
 
 from .freespace import FreeVector, PointMap, _point_difference, free_norm, molecule, operator_norm_of_extension
 from .linalg import SingularMatrixError, invert_matrix
-from .metric import FiniteMetricSpace, _cached, _cluster_parents, _integer_view, _single_linkage
+from .metric import CertificationError, FiniteMetricSpace, _cached, _cluster_parents, _integer_view, _single_linkage
 from .rational import _index
 
 
@@ -436,11 +436,30 @@ def _apply(matrix: list[list[Fraction]], coeffs: Sequence[Fraction]) -> list[Fra
     return out
 
 
+def _combination(dim: int, vectors: Sequence[FreeVector], coeffs: Sequence[Fraction]) -> list[Fraction]:
+    """The dim coefficients of sum_k coeffs[k] * vectors[k]."""
+    combo = [Fraction(0)] * dim
+    for c, vec in zip(coeffs, vectors):
+        if c:
+            for r, value in enumerate(vec.coeffs):
+                if value:
+                    combo[r] += c * value
+    return combo
+
+
 def expand_in_basis(family: BasisFamily, v: FreeVector) -> tuple[Fraction, ...]:
-    """Coefficients of v in the family (unique since the family must span); v must live on its space."""
+    """Coefficients of v in the family (unique since the family must span); v must live on its space.
+
+    They must reconstruct v, sum_k c_k e_k = v; a :class:`CertificationError` names the first point where not.
+    """
     if len(v.coeffs) != len(family.space) - 1:
         raise ValueError("vector does not live on the family's space")
-    return tuple(_apply(_family_inverse(family), v.coeffs))
+    coeffs = _apply(_family_inverse(family), v.coeffs)
+    combo = _combination(len(v.coeffs), family.vectors, coeffs)
+    if combo != list(v.coeffs):
+        k = next(k for k, (got, want) in enumerate(zip(combo, v.coeffs)) if got != want)
+        raise CertificationError(f"the expansion in the family gives {combo[k]} at point {k + 1}, not {v.coeffs[k]}")
+    return tuple(coeffs)
 
 
 def _elementary_norm(space: FiniteMetricSpace, coeffs: list[Fraction]) -> Optional[Fraction]:

@@ -2,26 +2,14 @@
 
 On a metric tree the transport norm has explicit l1 coordinates: the norm of
 a coefficient vector equals the sum over edges of edge length times the
-absolute net coefficient mass hanging below the edge.  This module implements
-that edge-flow oracle on the dendrogram, certifies it vector by vector with
-its own flow (|mass| along each edge) and sign potential, both read off
-:func:`ultrafree.freespace._tree_transport`, the kernel of the free-space
-tree route, plays it against the transport solver in :func:`oracle_vs_lp`,
-computes the l1-equivalence constants of a basis family in closed form, and
-decides exactly, from the extreme molecules, whether a free space is
-isometric to l1.
-
-The certificate runs in integers: the tree is prepared once, on the scale
-of the node distances that :mod:`ultrafree.rtree` certified against the
-quotient metric, which its edge lengths are checked against, and each
-vector's coefficients are scaled by the lcm of their denominators.  Every
-check of the certificate is then an integer comparison; Fractions are
-built only for a returned certificate.  The difference delta_i - delta_j
-of two nodes has its flow and its potential steps on the tree path from i
-to j alone (Godard 2010), so once every edge length is checked against its
-distance, the norm of each node pair of a battery is its path length,
-which the certified distances hold, and only the rooted node space is
-compared against them.
+absolute net coefficient mass hanging below the edge (Godard 2010).  The
+rooted node space of a dendrogram keeps its tree, so its transport norm
+takes the tree route of :mod:`ultrafree.freespace` and its one
+certificate.  This module certifies a battery of vectors on that route,
+the node pairs off the certified node distances, plays it against the
+simplex in :func:`oracle_vs_lp`, computes the l1-equivalence constants of
+a basis family in closed form, and decides exactly, from the extreme
+molecules, whether a free space is isometric to l1.
 
 The unit ball of the free space is the convex hull of the +-molecules
 m_ij = (delta_i - delta_j) / d(i, j), so the lower l1 constant of a family
@@ -38,16 +26,25 @@ import random
 from dataclasses import dataclass
 from fractions import Fraction
 from math import lcm
-from typing import NamedTuple, Optional, Sequence
+from typing import Optional, Sequence
 
 from .chain import (
-    BasisFamily, _certified_chain, _molecule_expansions, basis_constant, basis_vectors, build_chain, verify_chain
+    BasisFamily,
+    _certified_chain,
+    _combination,
+    _molecule_expansions,
+    basis_constant,
+    basis_vectors,
+    build_chain,
+    verify_chain,
 )
 from .freespace import (
     FreeNormCertificate,
     FreeVector,
-    LipFunction,
     PointMap,
+    _certify_transport,
+    _edge_flow,
+    _lp_certificate,
     _point_difference,
     _tree_transport,
     dirac,
@@ -61,8 +58,8 @@ from .metric import (
     CertificationError,
     FiniteMetricSpace,
     _Scaled,
-    _cached,
     _integer_view,
+    _tree_edges,
     identity_distortion,
     round_to_dyadic,
     validate,
@@ -91,15 +88,8 @@ class EdgeFlowCoordinates:
         )
 
 
-def _top_down(tree: DendrogramTree) -> list[tuple[int, int, Fraction]]:
-    """The edges (child, parent, length), highest child first; point 0 is the root, k + 1 node k."""
-    count = len(tree.nodes)
-    order = sorted(range(count - 1), key=lambda k: tree.nodes[k].height, reverse=True)
-    return [(k + 1, (tree.parent[k] + 1) % count, tree.edge_length[k]) for k in order]
-
-
 def edge_flow_coordinates(tree: DendrogramTree, v: FreeVector) -> EdgeFlowCoordinates:
-    """The subtree masses of :func:`_tree_transport` on the dendrogram; linear time in the node count.
+    """The subtree masses of :func:`_tree_transport` on the edges the rooted node space keeps; linear time.
 
     Coefficient k belongs to tree node k, with the root (always the last
     node) carrying none: these are free-space coordinates based at the root.
@@ -107,7 +97,7 @@ def edge_flow_coordinates(tree: DendrogramTree, v: FreeVector) -> EdgeFlowCoordi
     count = len(tree.nodes)
     if len(v.coeffs) != count - 1:
         raise ValueError("vector dimension does not match the tree nodes")
-    net, _ = _tree_transport(_top_down(tree), [Fraction(0), *v.coeffs])
+    net, _ = _tree_transport(_tree_edges(rooted_node_space(tree)), [Fraction(0), *v.coeffs])
     return EdgeFlowCoordinates(tuple(net[1:]), tree.edge_length[: count - 1])
 
 
@@ -217,222 +207,77 @@ def oracle_vs_lp(space: FiniteMetricSpace, vectors: int = 50, seed: int = 0) -> 
     contains random rational vectors, random vectors supported on the
     original leaves only, and every pairwise evaluation difference (whose
     common value must also be the tree distance of the pair), on the
-    dendrogram kept on the space.
+    dendrogram kept on the space.  The LP side is solved by
+    :func:`ultrafree.freespace._lp_certificate`, once per vector, since
+    :func:`free_norm` takes the tree route on the node space.
     """
     tree = dendrogram(space)
     ambient = rooted_node_space(tree)
     battery, pairs = _battery(space, ambient, vectors, seed)
-    mism = []
+    mism, pair_mism = [], []
     for v in battery:
-        flow_value = tree_free_norm(tree, v)
-        lp_value = free_norm(ambient, v)
+        flow_value, lp_value = tree_free_norm(tree, v), _lp_certificate(ambient, v).value
         if flow_value != lp_value:
             mism.append((v, flow_value, lp_value))
-    pair_mism = []
     for i, j, v in pairs:
-        flow_value = tree_free_norm(tree, v)
-        lp_value = free_norm(ambient, v)
+        flow_value, lp_value = tree_free_norm(tree, v), _lp_certificate(ambient, v).value
         if not flow_value == lp_value == ambient.dist[i][j]:
             pair_mism.append((v, flow_value, lp_value))
     return OracleReport(len(battery) + len(pairs), tuple(mism), tuple(pair_mism))
 
 
-class _ScaledTree(NamedTuple):
-    """A tree prepared once for many vectors, on the scale L of its certified node distances: lengths in units of 1/L.
-
-    ``edges`` holds (child, parent, length) in root-based node-space indices,
-    highest child first, with the lengths of ``tree.edge_length``, and
-    ``parent`` the parent of each root-based index, -1 at the root.  ``rows``
-    are the node distances of :func:`ultrafree.rtree._node_distances`, by
-    tree node and not copied, the independent side the lengths are checked
-    against; ``node`` maps a root-based index to its tree node.  ``labels``
-    are the node labels, root-based.
-    """
-
-    scale: int
-    edges: tuple[tuple[int, int, int], ...]
-    parent: tuple[int, ...]
-    rows: Sequence[Sequence[int]]
-    node: tuple[int, ...]
-    labels: tuple[str, ...]
-
-
-def _scaled_tree(tree: DendrogramTree) -> _ScaledTree:
-    """``tree`` prepared against its certified node distances, once per tree and kept on it."""
-    return _cached(tree, "_scaled", _prepared_tree)
-
-
-def _prepared_tree(tree: DendrogramTree) -> _ScaledTree:
-    """The scale is that of :func:`ultrafree.rtree._node_distances`, a multiple of every edge length's denominator."""
-    scale, rows = _node_distances(tree)
-    count, labels = len(tree.nodes), _node_labels(tree)
-    return _ScaledTree(
-        scale,
-        tuple((child, up, length.numerator * (scale // length.denominator)) for child, up, length in _top_down(tree)),
-        (-1, *((p + 1) % count for p in tree.parent[:-1])),
-        rows,
-        (count - 1, *range(count - 1)),
-        (labels[-1], *labels[:-1]),
-    )
-
-
-def _edge_flow_solution(tree: _ScaledTree, coeffs: Sequence[int]) -> tuple[int, list[tuple[int, int, int]], list[int]]:
-    """The edge-flow norm of integer coefficients with its flow and sign potential, unchecked.
-
-    Coefficient k belongs to point k + 1.  The subtree masses m_e and the
-    potential, in units of 1/scale, are those of :func:`_tree_transport`;
-    the flow sends |m_e| along each edge e, out of the subtree below e when
-    m_e is positive.
-    """
-    net, g = _tree_transport(tree.edges, [0, *coeffs])
-    flow, value = [], 0
-    for child, parent, length in tree.edges:
-        mass = net[child]
-        if mass > 0:
-            flow.append((child, parent, mass))
-            value += length * mass
-        elif mass < 0:
-            flow.append((parent, child, -mass))
-            value -= length * mass
-    return value, flow, g
-
-
-def _edge(tree: _ScaledTree, a: int, b: int) -> str:
-    return f"({tree.labels[a]}, {tree.labels[b]})"
-
-
-def _checked_edge_flow(tree: _ScaledTree, v: FreeVector) -> tuple[int, int, list[tuple[int, int, int]], list[int]]:
-    """The edge-flow solution of v, checked in integers against the certified node distances.
-
-    Returns (value, unit, flow, potential): the coefficients are scaled by
-    the lcm ``unit`` of their denominators and the value is in units of
-    1/(scale * unit).  The checks are those of :func:`_checked_coefficients`.
-    """
-    if len(v.coeffs) != len(tree.edges):
-        raise ValueError("vector dimension does not match the tree nodes")
-    unit = lcm(*(c.denominator for c in v.coeffs))
-    return _checked_coefficients(tree, [c.numerator * (unit // c.denominator) for c in v.coeffs], unit)
-
-
-def _checked_coefficients(
-    tree: _ScaledTree, coeffs: Sequence[int], unit: int
-) -> tuple[int, int, list[tuple[int, int, int]], list[int]]:
-    """The edge-flow solution of the coefficients ``coeffs`` / ``unit``, checked in integers.
-
-    The flow must run along tree edges, those of ``tree.parent``, with
-    positive amounts, balance every node to its coefficient and cost the
-    value; the potential must be tight on every edge that carries flow,
-    1-Lipschitz on every edge and attain the value, every edge length
-    being read off ``tree.rows``.  On a tree path the edge steps add up to
-    the distance, so the edge-wise 1-Lipschitz check covers every pair.
-    Every check is homogeneous in ``unit``, so any common multiple of the
-    denominators gives the same verdict and the same message.
-    """
-    value, flow, g = _edge_flow_solution(tree, coeffs)
-    rows, node, parent = tree.rows, tree.node, tree.parent
-    divergence = [0] * len(g)
-    cost = 0
-    for a, b, amount in flow:
-        if parent[a] != b and parent[b] != a:
-            raise CertificationError(f"flow arc {_edge(tree, a, b)} is not a tree edge")
-        if amount <= 0:
-            raise CertificationError(f"flow on edge {_edge(tree, a, b)} is not positive")
-        length = rows[node[a]][node[b]]
-        if g[a] - g[b] != length:
-            raise CertificationError(f"potential does not drop by the length of edge {_edge(tree, a, b)}")
-        divergence[a] += amount
-        divergence[b] -= amount
-        cost += amount * length
-    dual = 0
-    for child in range(1, len(g)):
-        up = parent[child]
-        x = g[child]
-        if abs(x - g[up]) > rows[node[child]][node[up]]:
-            raise CertificationError(f"potential is not 1-Lipschitz on edge {_edge(tree, child, up)}")
-        c = coeffs[child - 1]
-        if divergence[child] != c:
-            raise CertificationError(f"flow on edge {_edge(tree, child, up)} does not balance {tree.labels[child]}")
-        dual += c * x
-    if cost != value:
-        exact = tree.scale * unit
-        raise CertificationError(f"edge flow costs {Fraction(cost, exact)}, not the value {Fraction(value, exact)}")
-    if dual != value:
-        raise CertificationError(f"sign potential does not attain the value {Fraction(value, tree.scale * unit)}")
-    return value, unit, flow, g
-
-
-def _checked_node_pairs(tree: _ScaledTree, view: _Scaled) -> None:
+def _checked_node_pairs(tree: DendrogramTree, view: _Scaled) -> None:
     """Certify that the edge-flow norm of delta_i - delta_j is d(i, j) for every node pair i < j, off the certified rows.
 
-    ``view`` is the integer view (q, D) of the root-based node space, d(i, j)
-    being D[i][j] / q.  Every edge length must equal its certified node
-    distance in ``tree.rows`` on both orientations, parent to child first.
-    The rows are the path sums of those same lengths, from the one walk per
-    node that certifies them against the quotient metric
-    (:func:`ultrafree.rtree._certify_path_metric`), so the value of each
-    pair (i, j > i), the length of its tree path, is its row entry, read
-    through ``tree.node``; it must be d(i, j), compared by
-    cross-multiplying.  That comparison checks that the rooted node space
-    lines up with the tree (:func:`ultrafree.metric.with_base`).  The
-    messages are those of :func:`_checked_coefficients`; with at most one
-    edge off, those it gives on the first failing pair.  O(nodes^2) in all,
-    in integers, with no walk of the tree.
-
-    This certifies delta_i - delta_j, whose subtree masses are +1 on the
-    path edges towards i, -1 towards j and 0 elsewhere.  Its flow, one unit
-    along the tree path from i to j, balances +1 at i and -1 at j and costs
-    the value, every edge length being its distance.  Its potential
-    g = -path(i, .) steps by the distance on every edge, so it is tight on
-    the path and 1-Lipschitz (the lengths are the positive height gaps of
-    the certified dendrogram), and g(i) - g(j) is the value.
+    ``view`` is the integer view (q, D) of the root-based node space (point
+    0 the root, point x >= 1 tree node x - 1).  Every edge length must equal
+    its node distance in the rows of :func:`ultrafree.rtree._node_distances`,
+    both orientations, parent to child first.  The rows are the certified
+    path sums of those lengths, so the norm of each pair, the length of its
+    tree path (one unit of flow along it, the potential -path(i, .)), is its
+    row entry, and it must be D[i][j] / q, by cross-multiplying.  A failure
+    names its edge or pair.  O(nodes^2) in integers, with no walk of the tree.
     """
-    rows, node = tree.rows, tree.node
-    for child, up, length in tree.edges:
+    scale, rows = _node_distances(tree)
+    labels, parent, last = _node_labels(tree), tree.parent, len(tree.nodes) - 1
+    for child in reversed(range(last)):
+        up, length = parent[child], tree.edge_length[child]
+        top, bottom = length.numerator * scale, length.denominator
         for a, b in ((up, child), (child, up)):
-            if rows[node[a]][node[b]] != length:
-                raise CertificationError(f"potential does not drop by the length of edge {_edge(tree, a, b)}")
+            if rows[a][b] * bottom != top:
+                raise CertificationError(f"potential does not drop by the length of edge ({labels[a]}, {labels[b]})")
     q, d = view
-    scale = tree.scale
     for i, row in enumerate(d[:-1]):
-        path = rows[node[i]]
+        node = i - 1 if i else last
+        path = rows[node]
         for j in range(i + 1, len(row)):
-            if path[node[j]] * q != row[j] * scale:
-                raise CertificationError(f"edge-flow norm of the pair {_edge(tree, i, j)} is not its distance")
+            if path[j - 1] * q != row[j] * scale:
+                pair = f"({labels[node]}, {labels[j - 1]})"
+                raise CertificationError(f"edge-flow norm of the pair {pair} is not its distance")
 
 
 def tree_norm_certificate(tree: DendrogramTree, v: FreeVector) -> FreeNormCertificate:
     """Edge-flow norm of v on the root-based node space, with its flow and potential.
 
-    The flow and the sign potential are checked in integers, as in
-    :func:`_checked_edge_flow`, on the tree prepared once against its
-    certified node distances (:func:`_scaled_tree`), and converted to
-    Fractions at the end; any failure raises :class:`CertificationError`.
+    This is :func:`free_norm_certificate` on :func:`rooted_node_space`,
+    which keeps its tree, so it takes the tree route and its one check.
     """
-    scaled = _scaled_tree(tree)
-    value, unit, flow, g = _checked_edge_flow(scaled, v)
-    return FreeNormCertificate(
-        Fraction(value, scaled.scale * unit),
-        tuple((a, b, Fraction(amount, unit)) for a, b, amount in flow),
-        LipFunction(tuple(Fraction(x, scaled.scale) for x in g)),
-    )
+    return free_norm_certificate(rooted_node_space(tree), v)
 
 
 def _certify_edge_flow_battery(tree: DendrogramTree, vectors: int, seed: int) -> None:
-    """Certify the edge-flow norm on the battery of :func:`oracle_vs_lp`, in integers.
+    """Certify the edge-flow norm on the battery of :func:`oracle_vs_lp`, in integers, with no Fraction built.
 
-    The battery lives on the root-based node space of ``tree``, whose path
-    metric is certified, and the tree is prepared once on the scale of its
-    certified node distances (:func:`_scaled_tree`).  The random and
-    leaf-supported vectors, drawn as integers over :data:`_DRAW_UNIT`, get
-    every check of :func:`_checked_coefficients`, O(n) each for n nodes.
-    Every node pair (i, j) is then certified by :func:`_checked_node_pairs`
-    off the certified distances, O(n^2) in all with no walk of the tree,
-    and its norm must be d(i, j), read off the node space's integer view.
+    Each random and leaf-supported draw over :data:`_DRAW_UNIT` takes the
+    tree route on the rooted node space (:func:`_edge_flow`) and the one
+    transport certificate, O(n) for n nodes; then :func:`_checked_node_pairs`.
     """
-    scaled, ambient = _scaled_tree(tree), rooted_node_space(tree)
+    ambient = rooted_node_space(tree)
+    edges, view = _tree_edges(ambient), _integer_view(ambient)
     for coeffs in _battery_draws(tree.space, ambient, vectors, seed):
-        _checked_coefficients(scaled, coeffs, _DRAW_UNIT)
-    _checked_node_pairs(scaled, _integer_view(ambient))
+        cost, arcs, potential = _edge_flow(edges, coeffs)
+        _certify_transport(ambient, coeffs, _DRAW_UNIT, cost, arcs, potential, view[0])
+    _checked_node_pairs(tree, view)
 
 
 def edge_molecules(tree: DendrogramTree) -> BasisFamily:
@@ -453,17 +298,6 @@ def edge_molecules(tree: DendrogramTree) -> BasisFamily:
     return BasisFamily(ambient, tuple(vectors), (Fraction(1),) * len(vectors))
 
 
-def _combination(dim: int, vectors: Sequence[FreeVector], coeffs: Sequence[Fraction]) -> list[Fraction]:
-    """The dim coefficients of sum_k coeffs[k] * vectors[k]."""
-    combo = [Fraction(0)] * dim
-    for c, vec in zip(coeffs, vectors):
-        if c:
-            for r, value in enumerate(vec.coeffs):
-                if value:
-                    combo[r] += c * value
-    return combo
-
-
 @dataclass(frozen=True)
 class EdgeMoleculeReport:
     patterns_checked: int
@@ -478,7 +312,8 @@ def edge_molecule_isometry(tree: DendrogramTree, patterns: int = 30, seed: int =
     """Check that edge molecules are exactly 1-equivalent to the l1 unit basis.
 
     For each sign/coefficient pattern c the norm of sum c_k u_k, computed by
-    the transport solver on the node space, must equal sum |c_k| exactly.
+    the simplex on the node space (:func:`ultrafree.freespace._lp_certificate`),
+    must equal sum |c_k| exactly.
     """
     family = edge_molecules(tree)
     ambient = family.space
@@ -489,7 +324,7 @@ def edge_molecule_isometry(tree: DendrogramTree, patterns: int = 30, seed: int =
     mismatches = []
     for pattern in batteries:
         combo = _combination(len(ambient) - 1, family.vectors, pattern)
-        lhs = free_norm(ambient, FreeVector(tuple(combo)))
+        lhs = _lp_certificate(ambient, FreeVector(tuple(combo))).value
         rhs = sum((abs(c) for c in pattern), Fraction(0))
         if lhs != rhs:
             mismatches.append((pattern, lhs, rhs))
@@ -549,8 +384,6 @@ def l1_equivalence_constants(space: FiniteMetricSpace, family: BasisFamily) -> L
         )
         if _combination(dim, family.vectors, coeffs) != list(molecule(space, i, j).coeffs):
             raise CertificationError(f"l1 witness at pair ({i}, {j}) does not reconstruct its molecule")
-        if sum((abs(c) * norm for c, norm in zip(coeffs, family.norms) if c), Fraction(0)) != phi:
-            raise CertificationError(f"l1 witness at pair ({i}, {j}) does not attain Phi = {phi}")
     else:
         q, d = _integer_view(space)
         order, ranks = chain.ordering, chain.ranks
@@ -767,13 +600,10 @@ def pipeline(
     and the induced projection norm below or at 4, the basis constant must be
     exactly 1 and the l1 lower constant in (0, 1].  The edge-flow norm is
     certified on the battery of :func:`oracle_vs_lp` (``oracle_vectors``
-    random vectors, the leaf-supported ones and every node pair) by its own
-    flow and potential, in integers on the tree prepared once: the random
-    vectors over the whole tree, the node pairs off the certified node
-    distances, with no walk of the tree (see
-    :func:`_certify_edge_flow_battery`).  The battery is drawn from the bit
-    stream (:func:`_random_integers`), and both node spaces are built with
-    their integer views; the node pairs read the rooted one's.  The
+    random vectors, the leaf-supported ones and every node pair), in
+    integers by :func:`_certify_edge_flow_battery`.  The battery is drawn
+    from the bit stream (:func:`_random_integers`), and both node spaces
+    are built with their integer views and their tree.  The
     projection norm is the Lipschitz constant of the retraction on the
     node space, found by cross-multiplication on integers and certified at
     its witness pair in integers, with no molecule

@@ -6,28 +6,27 @@ nonnegative flow on the complete directed graph whose net divergence at each
 non-base point equals the coefficient there (the base point is an
 unconstrained source/sink).
 
-Two exact routes compute it.  One pass over the sorted pairs builds the
-single-linkage merges and decides the route: when the distances are
-symmetric, non-negative and every cross pair of every merge sits exactly at
-the merge height, the space is an ultrametric and the norm is read off its
-merge tree in integers: opposite-signed masses are matched at their lowest
-merge, and the potential comes from :func:`_tree_transport`, the one kernel
-for subtree masses and sign potentials, which the edge-flow certificate of
-:mod:`ultrafree.ell1` runs on the dendrogram.  Other input goes to the
-exact simplex.  Both routes end in the same check against the metric alone,
-certified in integers on the space's cached view: the flow must meet the
-coefficients at the value's cost, and its potential, vanishing at the base,
-must be 1-Lipschitz and pair with the coefficients to the same value
-exactly.  On a space with merges the potential is checked merge by merge,
-in O(N): every pair of points is a cross pair of exactly one merge and
-sits at its height, so the largest and smallest potential of the two
-merged clusters bound every pair the merge joins.  A space without merges,
-and a potential that fails a merge, go to the scan of every pair, which
-names the first failing pair.  The view, the merges and the integer merge
-tree are computed once per space and kept on it
-(:func:`ultrafree.metric._integer_view`); the tree route builds Fractions
-only for the returned certificate, and the simplex result is scaled onto
-integers for the same check.
+Three exact routes compute it.  On a space that keeps its tree, a node space
+of :mod:`ultrafree.rtree`, the norm is the l1 norm of the edge masses
+(Godard 2010).  Otherwise one pass over the
+sorted pairs builds the single-linkage merges and decides the route: when
+the distances are symmetric, non-negative and every cross pair of every
+merge sits exactly at the merge height, the space is an ultrametric and the
+norm is read off its merge tree in integers: opposite-signed masses are
+matched at their lowest merge.  Both tree routes take the potential from
+:func:`_tree_transport`, the one kernel for subtree masses and sign
+potentials.  Other input goes to the exact simplex.  All routes end in the
+same check against the metric alone, certified in integers on the space's
+cached view: the flow must meet the coefficients at the value's cost, and
+its potential, vanishing at the base, must be 1-Lipschitz and pair with the
+coefficients to the same value exactly.  The potential is checked edge by
+edge on a space with a tree, and merge by merge on a space with merges,
+each in O(N); any other space, and a potential that fails an edge or a
+merge, go to the scan of every pair, which names the first failing pair.
+The view, the merges and the integer merge tree are computed once per
+space and kept on it (:func:`ultrafree.metric._integer_view`); the tree
+routes build Fractions only for the returned certificate, and the simplex
+result is scaled onto integers for the same check.
 """
 
 from __future__ import annotations
@@ -35,9 +34,12 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 from math import gcd, lcm
+from operator import mul
 from typing import Optional, Sequence
 
-from .metric import CertificationError, FiniteMetricSpace, _cached, _extreme_ratios, _integer_view, _single_linkage
+from .metric import (
+    CertificationError, FiniteMetricSpace, _cached, _extreme_ratios, _integer_view, _single_linkage, _tree_edges
+)
 from .rational import _index, _rationals, parse_rational
 from .simplex import solve_lp
 
@@ -265,12 +267,13 @@ def _certify_transport(space: FiniteMetricSpace, masses: list, unit: int, cost: 
     bound: the norm.  Fractions are built only to write a failure message.
 
     The Lipschitz and the duality checks compare on q and the potential's
-    scale divided by their gcd, so the tree route, whose potential is over
-    2q, multiplies nothing by q.  A space with single-linkage merges has
-    its potential checked merge by merge (:func:`_merges_lipschitz`), in
-    O(N); a space without them, and a potential that fails a merge, go to
-    the pairwise scan (:func:`_steep_pair`), which decides the check and
-    names the first failing pair, row by row.
+    scale divided by their gcd, so the merge route, whose potential is over
+    2q, multiplies nothing by q.  The potential is checked edge by edge on
+    a space that keeps a tree (:func:`_edges_lipschitz`) and merge by merge
+    on one with merges (:func:`_merges_lipschitz`), in O(N); any other
+    space, and a potential that fails an edge or a merge, go to the
+    pairwise scan (:func:`_steep_pair`), which decides the check and names
+    the first failing pair, row by row.
     """
     q, d = _integer_view(space)
     n = len(space)
@@ -295,13 +298,18 @@ def _certify_transport(space: FiniteMetricSpace, masses: list, unit: int, cost: 
         raise CertificationError(f"dual potential is {Fraction(potential[0], scale)} at the base, not 0")
     common = gcd(q, scale)
     p, s = q // common, scale // common
-    tree = _cached(space, "_transport_tree", _transport_tree)
-    if tree is None or not _merges_lipschitz(tree[0], potential, p, s):
+    edges = _tree_edges(space)
+    if edges is not None:
+        passed = _edges_lipschitz(d, edges, potential, p, s)
+    else:
+        tree = _cached(space, "_transport_tree", _transport_tree)
+        passed = tree is not None and _merges_lipschitz(tree[0], potential, p, s)
+    if not passed:
         pair = _steep_pair(d, potential, p, s)
         if pair is not None:
             raise CertificationError(f"dual potential is not 1-Lipschitz on the pair ({pair[0]}, {pair[1]})")
     # the value is cost / (q * unit) and the dual dual / (unit * scale)
-    dual = sum(m * x for m, x in zip(masses, potential[1:]))
+    dual = sum(map(mul, masses, potential[1:]))
     if dual * p != cost * s:
         raise CertificationError(
             f"primal and dual transport optima differ: {Fraction(cost, q * unit)} against {Fraction(dual, unit * scale)}"
@@ -335,6 +343,24 @@ def _merges_lipschitz(merges, potential, p: int, s: int) -> bool:
             return False
         high.append(top_a if top_a > top_b else top_b)
         low.append(bottom_a if bottom_a < bottom_b else bottom_b)
+    return True
+
+
+def _edges_lipschitz(d, edges, potential, p: int, s: int) -> bool:
+    """Whether |G_x - G_y| * p <= s * D[x][y] on every pair of points, checked on each edge of the space's tree.
+
+    ``edges`` are those :func:`ultrafree.metric._keep_tree` kept, each
+    checked on its entry of the view rows ``d``, and p / s, G are as in
+    :func:`_merges_lipschitz`.  Proof that this is the pairwise check.  The
+    view is the path metric of the tree (:func:`ultrafree.metric._keep_view`):
+    D[x][y] is the sum of D over the edges of the tree path from x to y.
+    If every edge passes, the steps of G along that path add up to at most
+    s / p times that sum, so the pair passes; an edge is a pair, so a
+    failed edge is a failed pair.  O(N) per potential.
+    """
+    for child, up, _ in edges:
+        if abs(potential[child] - potential[up]) * p > s * d[child][up]:
+            return False
     return True
 
 
@@ -388,54 +414,85 @@ def _transport_tree(space: FiniteMetricSpace) -> Optional[tuple[tuple, tuple]]:
     return merges, edges
 
 
+def _edge_flow(edges, coeffs: Sequence[int]) -> tuple[int, list[tuple[int, int, int]], list[int]]:
+    """The cost, flow and potential of integer coefficients on a tree's (child, parent, length) edges, unchecked.
+
+    Coefficient k is at point k + 1 and -sum(coeffs) at the base.  The flow sends the subtree mass m_e of
+    :func:`_tree_transport` along each edge e, out of the subtree when positive, at cost sum(length * |m_e|);
+    the sign potential is shifted to vanish at the base.
+    """
+    net, g = _tree_transport(edges, [-sum(coeffs), *coeffs])
+    arcs, cost = [], 0
+    for child, parent, length in edges:
+        mass = net[child]
+        if mass > 0:
+            arcs.append((child, parent, mass))
+            cost += length * mass
+        elif mass < 0:
+            arcs.append((parent, child, -mass))
+            cost -= length * mass
+    base = g[0]
+    return cost, arcs, [x - base for x in g] if base else g
+
+
 def free_norm_certificate(space: FiniteMetricSpace, v: FreeVector) -> FreeNormCertificate:
     """The transport norm of v with an optimal flow and an optimal dual potential.
 
-    On an ultrametric (decided by :func:`_single_linkage`, one sort of the
-    pairs and a union-find, once per space) the flow matches
-    opposite-signed masses at their lowest merge, the base carrying
-    -sum(v), and the potential is the sign potential of
-    :func:`_tree_transport` on the merge tree, all in integers, which
-    :func:`_certify_transport` checks, its potential merge by merge, before
-    the Fractions of the result are built, one per distinct amount and
-    potential value; on any other input the transport program of
-    :func:`_transport_program` is solved from its base-routing basis, and
-    its result is scaled onto integers for the same check
-    (:func:`_certify_rational`), its potential on every pair.  The zero
-    vector has the zero certificate, decided on the integer coefficients
-    on the tree route.  A failed check raises :class:`CertificationError`.
+    On a space that keeps its tree they are those of :func:`_edge_flow`.  On
+    an ultrametric (decided once per space by :func:`_single_linkage`) the
+    flow matches opposite-signed masses at their lowest merge, the base
+    carrying -sum(v), and the potential is the sign potential of
+    :func:`_tree_transport` on the merge tree.  Both run in integers, checked
+    by :func:`_certify_transport` before the Fractions of the result are
+    built, one per distinct value; any other input goes to the simplex
+    (:func:`_lp_certificate`).  The zero vector has the zero certificate.  A
+    failed check raises :class:`CertificationError`.
     """
     n = len(space)
     if len(v.coeffs) != n - 1:
         raise ValueError("vector dimension does not match the space")
-    tree = _cached(space, "_transport_tree", _transport_tree)
-    if tree is None:
-        if v.is_zero():
-            return _zero_certificate(n)
-        arcs, costs, columns, basis = _transport_program(space, v.coeffs)
-        result = solve_lp(costs, columns, v.coeffs, basis=basis)
-        flow = tuple((arcs[k][0], arcs[k][1], amount) for k, amount in enumerate(result.x) if amount)
-        potential = (Fraction(0), *result.dual)
-        _certify_rational(space, v.coeffs, result.value, flow, potential)
-        return FreeNormCertificate(result.value, flow, LipFunction._exact(potential))
-    merges, edges = tree
-    # a tree edge is half its height gap, so g is over 2 scale
+    edges = _tree_edges(space)
+    tree = None if edges is not None else _cached(space, "_transport_tree", _transport_tree)
+    if edges is None and tree is None:
+        return _zero_certificate(n) if v.is_zero() else _lp_certificate(space, v)
     scale, unit = _integer_view(space)[0], lcm(*(c.denominator for c in v.coeffs))
     coeffs = [c.numerator * (unit // c.denominator) for c in v.coeffs]
     if not any(coeffs):
         return _zero_certificate(n)
-    masses = [-sum(coeffs), *coeffs]
-    cost, arcs = _lca_flow(merges, masses)
-    _, g = _tree_transport(edges, masses + [0] * len(merges))
-    potential = [x - g[0] for x in g[:n]]
-    _certify_transport(space, coeffs, unit, cost, arcs, potential, 2 * scale)
+    if edges is not None:
+        # the edge lengths are entries of the view, so g is over scale
+        cost, arcs, potential = _edge_flow(edges, coeffs)
+        over = scale
+    else:
+        merges, edges = tree
+        masses = [-sum(coeffs), *coeffs]
+        cost, arcs = _lca_flow(merges, masses)
+        _, g = _tree_transport(edges, masses + [0] * len(merges))
+        potential = [x - g[0] for x in g[:n]]
+        # a merge-tree edge is half its height gap, so g is over 2 scale
+        over = 2 * scale
+    _certify_transport(space, coeffs, unit, cost, arcs, potential, over)
     amounts = {amount: Fraction(amount, unit) for amount in {amount for _, _, amount in arcs}}
-    values = {x: Fraction(x, 2 * scale) for x in set(potential)}
+    values = {x: Fraction(x, over) for x in set(potential)}
     return FreeNormCertificate(
         Fraction(cost, scale * unit),
         tuple((i, j, amounts[amount]) for i, j, amount in arcs),
         LipFunction._exact(tuple(map(values.__getitem__, potential))),
     )
+
+
+def _lp_certificate(space: FiniteMetricSpace, v: FreeVector) -> FreeNormCertificate:
+    """The program of :func:`_transport_program` solved by the simplex from its base-routing basis, on any space.
+
+    Its result is checked on integers (:func:`_certify_rational`).  The
+    oracles of :mod:`ultrafree.ell1` call it on node spaces, which keep a tree.
+    """
+    arcs, costs, columns, basis = _transport_program(space, v.coeffs)
+    result = solve_lp(costs, columns, v.coeffs, basis=basis)
+    flow = tuple((arcs[k][0], arcs[k][1], amount) for k, amount in enumerate(result.x) if amount)
+    potential = (Fraction(0), *result.dual)
+    _certify_rational(space, v.coeffs, result.value, flow, potential)
+    return FreeNormCertificate(result.value, flow, LipFunction._exact(potential))
 
 
 def _zero_certificate(n: int) -> FreeNormCertificate:

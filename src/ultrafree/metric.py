@@ -140,8 +140,9 @@ def _integer_view(space: FiniteMetricSpace) -> _Scaled:
     them, from its parsed strings; :func:`random_ultrametric` from its
     integer merge heights; :func:`round_to_dyadic` from the view of its
     input; the node spaces of :mod:`ultrafree.rtree` from their certified
-    path sums (:func:`_space_with_view`); and :func:`with_base` hands a kept
-    view on to the space it builds, permuted.  A space built from rows of
+    path sums (:func:`_space_with_view`), which also keep their tree
+    (:func:`_keep_tree`); and :func:`with_base` hands a kept view, but no
+    tree, on to the space it builds, permuted.  A space built from rows of
     Fractions or of other numbers, or by ``dataclasses.replace``, computes
     its view from its distinct distances on first use.  Validation, the
     single-linkage merges, the chain scan, the dendrogram certificate, the
@@ -157,9 +158,28 @@ def _distinct_view(space: FiniteMetricSpace) -> _Scaled:
 
 
 def _keep_view(space: FiniteMetricSpace, view: _Scaled) -> FiniteMetricSpace:
-    """Keep ``view`` on ``space`` as its cached view; the caller knows it to be the view of the space's distances."""
+    """Keep ``view`` on ``space`` as its cached view; the caller knows it to be the view of the space's distances.
+
+    A tree kept beside it (:func:`_keep_tree`) has the view as its path metric: only :mod:`ultrafree.rtree`
+    keeps one, on a node space whose view it built from the path sums of the same tree.
+    """
     object.__setattr__(space, "_view", view)
     return space
+
+
+def _keep_tree(space: FiniteMetricSpace, links) -> FiniteMetricSpace:
+    """Keep on ``space`` the (child, parent, length) edges of the (child, parent) ``links``, parents first.
+
+    The length is the view's entry; the caller vouches that the view is the path metric of the tree.
+    """
+    d = _integer_view(space)[1]
+    object.__setattr__(space, "_edges", tuple((child, up, d[child][up]) for child, up in links))
+    return space
+
+
+def _tree_edges(space: FiniteMetricSpace) -> Optional[tuple[tuple[int, int, int], ...]]:
+    """The edges :func:`_keep_tree` kept on ``space``, or None when it keeps no tree."""
+    return vars(space).get("_edges")
 
 
 def _space_with_view(labels: tuple[str, ...], keys, exact: dict) -> FiniteMetricSpace:

@@ -37,6 +37,7 @@ from .metric import (
     _cached,
     _cluster_parents,
     _integer_view,
+    _keep_tree,
     _single_linkage,
     _space_with_view,
     validate,
@@ -603,15 +604,26 @@ def node_space(tree: DendrogramTree) -> FiniteMetricSpace:
     path metric is not the quotient metric raises
     :class:`CertificationError`.  The space is built with its integer view,
     read off the path sums by lookup with one Fraction per distinct
-    distance (:func:`ultrafree.metric._space_with_view`).  It is kept on
-    the tree.
+    distance (:func:`ultrafree.metric._space_with_view`), and with its tree
+    (:func:`_with_edges`).  It is kept on the tree.
     """
     return _cached(tree, "_node_space", _node_metric)
 
 
 def _node_metric(tree: DendrogramTree) -> FiniteMetricSpace:
     unit, rows = _node_distances(tree)
-    return _space_with_view(_node_labels(tree), rows, {x: Fraction(x, unit) for x in {x for row in rows for x in row}})
+    space = _space_with_view(_node_labels(tree), rows, {x: Fraction(x, unit) for x in {x for row in rows for x in row}})
+    return _with_edges(space, tree, 0)
+
+
+def _with_edges(space: FiniteMetricSpace, tree: DendrogramTree, shift: int) -> FiniteMetricSpace:
+    """Keep the edges of ``tree`` on ``space``, built from its path sums, tree node k being point (k + shift) % nodes.
+
+    A parent is strictly higher than its child (:func:`_certify_path_metric`) and the nodes are listed by
+    height, so the reversed node order, root excluded, is top-down (:func:`ultrafree.metric._keep_tree`).
+    """
+    parent, count = tree.parent, len(tree.parent)
+    return _keep_tree(space, (((k + shift) % count, (parent[k] + shift) % count) for k in reversed(range(count - 1))))
 
 
 def rooted_node_space(tree: DendrogramTree) -> FiniteMetricSpace:
@@ -619,12 +631,14 @@ def rooted_node_space(tree: DendrogramTree) -> FiniteMetricSpace:
 
     Point 0 is the root and point k >= 1 is node k-1 (the root is always the
     last tree node), so free vectors in these coordinates line up with the
-    edge-flow coordinates of :func:`ultrafree.ell1.tree_free_norm`, and the
-    potential of :func:`ultrafree.freespace._tree_transport` vanishes at the
-    base.  Free spaces over different base points are isometric, so this is
-    a choice of coordinates, not of content.  :func:`with_base` builds it
+    edge-flow coordinates of :func:`ultrafree.ell1.edge_flow_coordinates`.
+    Free spaces over different base points are isometric, so this is a
+    choice of coordinates, not of content.  :func:`with_base` builds it
     from :func:`node_space` and hands it the node space's integer view,
-    permuted, so neither space scales its distances again.  It is kept on
-    the tree.
+    permuted, so neither space scales its distances again; the tree is
+    kept on it in its own indices (:func:`_with_edges`), so
+    :func:`ultrafree.freespace.free_norm_certificate` takes the tree route
+    on it, the potential of :func:`ultrafree.freespace._tree_transport`
+    vanishing at the base.  It is kept on the tree.
     """
-    return _cached(tree, "_rooted_node_space", lambda t: with_base(node_space(t), len(t.nodes) - 1))
+    return _cached(tree, "_rooted_node_space", lambda t: _with_edges(with_base(node_space(t), len(t.nodes) - 1), t, 1))

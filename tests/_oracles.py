@@ -93,15 +93,16 @@ in place; the matching that builds each merged list afresh, by
 concatenation, is kept as a reference.
 
 The package certifies every node pair of the edge-flow battery by its
-path sum, from one walk of the tree per source node, compares the ratios
-of a Lipschitz constant and of the chain branch of the l1 constant by
-cross-multiplication on integer views, and builds one Fraction at the
-end; the bi-Lipschitz distortion is found the same way.  What these
-replaced is kept as a reference: the certificate of delta_i - delta_j on
-its own tree path, pair by pair, and the dense edge-flow check of it over
-the whole tree, each followed by the distance comparison; the two
-Fraction maxima over every pair's ratio; and the Fraction minimum and
-maximum of the distortion ratios.
+certified path sum, checks every edge flow with the one transport
+certificate of the free-space routes, compares the ratios of a Lipschitz
+constant and of the chain branch of the l1 constant by cross-multiplication
+on integer views, and builds one Fraction at the end; the bi-Lipschitz
+distortion is found the same way.  What these replaced is kept as a
+reference: the certificate of delta_i - delta_j on its own tree path, pair
+by pair, and the dense edge-flow check of it over the whole tree, with its
+own subtree masses and potential on its own prepared tree, each followed by
+the distance comparison; the two Fraction maxima over every pair's ratio;
+and the Fraction minimum and maximum of the distortion ratios.
 
 The package reads a chain's telescoping identity off the report of its
 one scan and a bound on its ranks, and reads the l1 constant Phi of the
@@ -130,10 +131,9 @@ import json
 from fractions import Fraction
 from itertools import combinations
 from math import lcm
-from typing import Sequence
+from typing import NamedTuple, Sequence
 
 from ultrafree.chain import BasisFamily, ChainReport, ProjectionAlgebraReport, RetractionChain
-from ultrafree.ell1 import _checked_edge_flow
 from ultrafree.freespace import FreeVector, PointMap, _transport_program, free_norm, molecule, push_forward
 from ultrafree.linalg import SingularMatrixError, _reduce, invert_matrix, solve_linear
 from ultrafree.metric import (
@@ -150,6 +150,8 @@ from ultrafree.rtree import (
     RetractionClaimReport,
     TreePoint,
     canonicalize,
+    _node_distances,
+    _node_labels,
     generating_partner,
     retract_to_space,
     tree_distance,
@@ -351,18 +353,112 @@ def rows_chain_phi(
     return Fraction(total, unit) / space.dist[i][j], i, j
 
 
-def dense_pair_check(tree, i: int, j: int, distance: Fraction) -> None:
+class ScaledTree(NamedTuple):
+    """A dendrogram prepared for the dense edge-flow check, on the scale L of its certified node distances.
+
+    ``edges`` holds (child, parent, length) in root-based node-space
+    indices, highest child first, the lengths in units of 1/L, and
+    ``parent`` the parent of each root-based index, -1 at the root.
+    ``rows`` are the certified node distances by tree node, the side the
+    lengths are checked against; ``node`` maps a root-based index to its
+    tree node.  ``labels`` are the node labels, root-based.
+    """
+
+    scale: int
+    edges: tuple[tuple[int, int, int], ...]
+    parent: tuple[int, ...]
+    rows: Sequence[Sequence[int]]
+    node: tuple[int, ...]
+    labels: tuple[str, ...]
+
+
+def scaled_tree(tree: DendrogramTree) -> ScaledTree:
+    """``tree`` prepared against its certified node distances, its edges sorted by the height of their child."""
+    scale, rows = _node_distances(tree)
+    count, labels = len(tree.nodes), _node_labels(tree)
+    order = sorted(range(count - 1), key=lambda k: tree.nodes[k].height, reverse=True)
+    edges = []
+    for k in order:
+        length = tree.edge_length[k]
+        edges.append((k + 1, (tree.parent[k] + 1) % count, length.numerator * (scale // length.denominator)))
+    return ScaledTree(
+        scale,
+        tuple(edges),
+        (-1, *((p + 1) % count for p in tree.parent[:-1])),
+        rows,
+        (count - 1, *range(count - 1)),
+        (labels[-1], *labels[:-1]),
+    )
+
+
+def _edge(tree: ScaledTree, a: int, b: int) -> str:
+    return f"({tree.labels[a]}, {tree.labels[b]})"
+
+
+def dense_edge_flow_check(tree: ScaledTree, coeffs: Sequence[int], unit: int) -> int:
+    """The edge-flow norm of ``coeffs`` / ``unit`` over the whole tree, checked; the value is in units of 1/(scale unit).
+
+    The solution is built here: the subtree masses children first, the flow
+    of |mass| along each edge, out of the subtree when the mass is
+    positive, and the potential stepping from parent to child by the
+    length, up towards positive mass.  The flow must run along tree edges
+    with positive amounts, balance every node to its coefficient and cost
+    the value; the potential must be tight on every edge that carries flow,
+    1-Lipschitz on every edge and attain the value, every edge length being
+    read off ``tree.rows``.
+    """
+    net = [0, *coeffs]
+    for child, up, _ in reversed(tree.edges):
+        net[up] += net[child]
+    g = [0] * len(net)
+    flow, value = [], 0
+    for child, up, length in tree.edges:
+        mass = net[child]
+        g[child] = g[up] + (length if mass > 0 else -length if mass < 0 else 0)
+        if mass:
+            flow.append((child, up, mass) if mass > 0 else (up, child, -mass))
+            value += length * abs(mass)
+    rows, node, parent = tree.rows, tree.node, tree.parent
+    divergence = [0] * len(g)
+    cost = 0
+    for a, b, amount in flow:
+        if parent[a] != b and parent[b] != a:
+            raise CertificationError(f"flow arc {_edge(tree, a, b)} is not a tree edge")
+        if amount <= 0:
+            raise CertificationError(f"flow on edge {_edge(tree, a, b)} is not positive")
+        length = rows[node[a]][node[b]]
+        if g[a] - g[b] != length:
+            raise CertificationError(f"potential does not drop by the length of edge {_edge(tree, a, b)}")
+        divergence[a] += amount
+        divergence[b] -= amount
+        cost += amount * length
+    dual = 0
+    for child in range(1, len(g)):
+        up = parent[child]
+        if abs(g[child] - g[up]) > rows[node[child]][node[up]]:
+            raise CertificationError(f"potential is not 1-Lipschitz on edge {_edge(tree, child, up)}")
+        if divergence[child] != coeffs[child - 1]:
+            raise CertificationError(f"flow on edge {_edge(tree, child, up)} does not balance {tree.labels[child]}")
+        dual += coeffs[child - 1] * g[child]
+    if cost != value:
+        exact = tree.scale * unit
+        raise CertificationError(f"edge flow costs {Fraction(cost, exact)}, not the value {Fraction(value, exact)}")
+    if dual != value:
+        raise CertificationError(f"sign potential does not attain the value {Fraction(value, tree.scale * unit)}")
+    return value
+
+
+def dense_pair_check(tree: ScaledTree, i: int, j: int, distance: Fraction) -> None:
     """Certify delta_i - delta_j by the dense edge-flow check over the whole tree, then against ``distance``.
 
-    ``tree`` is a prepared ``ell1._ScaledTree``; the root is point 0 and
-    carries no coefficient.
+    The root is point 0 and carries no coefficient.
     """
-    coeffs = [Fraction(0)] * len(tree.edges)
+    coeffs = [0] * len(tree.edges)
     if i:
-        coeffs[i - 1] = Fraction(1)
-    coeffs[j - 1] = Fraction(-1)
-    value, unit, _, _ = _checked_edge_flow(tree, FreeVector(tuple(coeffs)))
-    if value * distance.denominator != distance.numerator * tree.scale * unit:
+        coeffs[i - 1] = 1
+    coeffs[j - 1] = -1
+    value = dense_edge_flow_check(tree, coeffs, 1)
+    if value * distance.denominator != distance.numerator * tree.scale:
         raise CertificationError(
             f"edge-flow norm of the pair ({tree.labels[i]}, {tree.labels[j]}) is not its distance"
         )
@@ -371,7 +467,7 @@ def dense_pair_check(tree, i: int, j: int, distance: Fraction) -> None:
 def path_solution(tree, i: int, j: int) -> tuple[int, list[tuple[int, int, int]], dict[int, int]]:
     """The edge-flow solution of delta_i - delta_j on the tree path from i to j, unchecked.
 
-    ``tree`` is a prepared ``ell1._ScaledTree``; the root is point 0.  One
+    ``tree`` is a :class:`ScaledTree`; the root is point 0.  One
     unit of flow runs up from i to the lowest common ancestor of i and j
     and down from it to j.  Returns the value, the sum of the path's edge
     lengths; the arcs (position, a, b), one unit from a to b along the edge

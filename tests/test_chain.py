@@ -29,7 +29,7 @@ from ultrafree.campaign import CampaignConfig, run_campaign
 from ultrafree.cli import main
 from ultrafree.ell1 import l1_equivalence_constants, pipeline
 from ultrafree.freespace import FreeVector, dirac, free_norm, lipschitz_constant, molecule, operator_norm_of_extension
-from ultrafree.metric import FiniteMetricSpace, _single_linkage, random_ultrametric, validate
+from ultrafree.metric import CertificationError, FiniteMetricSpace, _single_linkage, random_ultrametric, validate
 from ultrafree.serialize import dump_json, space_to_json
 
 from _oracles import (
@@ -167,6 +167,21 @@ def test_basis_vectors_triangle(triangle):
 def test_expand_telescopes(triangle):
     family = basis_vectors(build_chain(triangle))
     assert expand_in_basis(family, dirac(triangle, 2)) == (1, 1)
+
+
+def test_expand_certifies_its_coefficients_by_reconstruction(triangle, monkeypatch):
+    # a perturbed inverse gives coefficients whose combination misses v: the first point it misses is named
+    family = basis_vectors(build_chain(triangle))
+    real = chain_module.invert_matrix
+
+    def perturbed(matrix):
+        inverse = real(matrix)
+        inverse[0][0] += 1
+        return inverse
+
+    monkeypatch.setattr(chain_module, "invert_matrix", perturbed)
+    with pytest.raises(CertificationError, match=r"^the expansion in the family gives 2 at point 1, not 1$"):
+        expand_in_basis(family, dirac(triangle, 1))
 
 
 def test_expand_requires_spanning(triangle):

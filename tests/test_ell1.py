@@ -20,6 +20,7 @@ from _oracles import (
     rows_chain_phi,
     rows_telescope,
     scale_rows,
+    scaled_tree,
 )
 from test_acceptance import _power_of_two_caterpillar
 from test_chain import _rank_corruptions, _shuffled_chain, _tangled_chain
@@ -64,7 +65,7 @@ def test_tree_free_norm_four_cluster(four_cluster):
     # lower branching points; the root carries none
     v = FreeVector((0, 1, 1, 1, 0, 0))
     assert tree_free_norm(tree, v) == Fraction(3, 2)
-    assert free_norm(rooted_node_space(tree), v) == Fraction(3, 2)
+    assert lp_transport_norm(rooted_node_space(tree), v) == Fraction(3, 2)
 
 
 def test_tree_free_norm_molecule_and_zero(four_cluster):
@@ -112,6 +113,29 @@ def test_one_path_metric_certificate_per_space(four_cluster, monkeypatch):
     assert len(certified) == 2 and certified[1] == round_to_dyadic(space)
 
 
+def test_the_lp_is_solved_by_the_oracles_alone(monkeypatch):
+    # the tree route serves pipeline, the tree certificate and the battery, with no simplex; oracle_vs_lp
+    # solves one LP per battery vector and per node pair, and edge_molecule_isometry one per pattern
+    solved = []
+    real = freespace.solve_lp
+    monkeypatch.setattr(freespace, "solve_lp", lambda *args, **kwargs: solved.append(len(args[2])) or real(*args, **kwargs))
+    space = random_ultrametric(7, 11)
+    rounded = round_to_dyadic(space)
+    tree = dendrogram(rounded)
+    dim = len(tree.nodes) - 1
+    assert pipeline(space).passed
+    ell1._certify_edge_flow_battery(tree, 25, 3)
+    for k in range(1, 4):
+        tree_norm_certificate(tree, FreeVector(tuple(Fraction(x - k, k) for x in range(dim))))
+    assert solved == []
+    report = oracle_vs_lp(rounded, vectors=20, seed=3)
+    assert report.passed and solved == [dim] * report.vectors_checked
+    assert report.vectors_checked == 20 + 5 + (dim + 1) * dim // 2
+    solved.clear()
+    report = edge_molecule_isometry(tree, patterns=6, seed=3)
+    assert report.passed and solved == [dim] * report.patterns_checked == [dim] * 7
+
+
 def test_oracle_vs_lp_triangle(triangle):
     report = oracle_vs_lp(triangle, vectors=50, seed=1)
     assert report.passed
@@ -147,7 +171,7 @@ def test_tree_norm_certificate_matches_the_lp():
             for _ in range(3):
                 v = FreeVector(tuple(Fraction(rng.randint(-6, 6), rng.randint(1, 4)) for _ in range(len(ambient) - 1)))
                 cert = tree_norm_certificate(tree, v)
-                assert cert.value == free_norm(ambient, v) == tree_free_norm(tree, v)
+                assert cert.value == lp_transport_norm(ambient, v) == tree_free_norm(tree, v)
                 # the edge-wise check covers every pair, so the full scan agrees
                 assert lip_norm(ambient, cert.potential) <= 1
 
@@ -223,85 +247,110 @@ def test_tree_norm_certificate_on_one_integer_scale():
 # four_cluster: node 1 is the leaf a, its parent node 4 the ball a@1/8 at distance 1/8;
 # in the root-based node space they are points 2 and 5
 _LEAF_A = FreeVector((0, 1, 0, 0, 0, 0))
-_EDGE_A = r"edge \(a, a@1/8\)"
 
 
 def _certify_leaf_a(space):
     return tree_norm_certificate(dendrogram(space), _LEAF_A)
 
 
-# Both entry points reach the one checker: tree_norm_certificate on _LEAF_A, and
+# Both entry points reach the one transport certificate: tree_norm_certificate on _LEAF_A, and
 # pipeline on its battery, which fails at the first vector the corruption reaches.
 # Each corruption test runs both, under the test's one name.
 _ENTRY_POINTS = (_certify_leaf_a, pipeline)
 
 
 def test_tree_certificate_rejects_a_wrong_edge_length(four_cluster, monkeypatch):
-    real = ell1._scaled_tree
+    # the kept length of the edge of a doubled, as both routes read it: the value counts it twice, the
+    # flow's cost on the view once
+    real = freespace._tree_edges
 
-    def stretched(tree):
-        scaled = real(tree)
-        return scaled._replace(edges=tuple((c, p, 2 * l if c == 2 else l) for c, p, l in scaled.edges))
+    def stretched(space):
+        edges = real(space)
+        return edges and tuple((c, p, 2 * l if c == 2 else l) for c, p, l in edges)
 
-    monkeypatch.setattr(ell1, "_scaled_tree", stretched)
-    with pytest.raises(CertificationError, match="potential does not drop by the length of " + _EDGE_A + "$"):
+    for module in (freespace, ell1):
+        monkeypatch.setattr(module, "_tree_edges", stretched)
+    with pytest.raises(CertificationError, match=r"^transport flow costs 1/2, not the value 5/8$"):
         _certify_leaf_a(four_cluster)
-    # the first battery vector gives a negative mass, so its arc runs from a@1/8 down to a
-    with pytest.raises(CertificationError, match=r"potential does not drop by the length of edge \(a@1/8, a\)$"):
+    with pytest.raises(CertificationError, match=r"^transport flow costs 13/24, not the value 19/24$"):
         pipeline(four_cluster)
 
 
 def _corrupt_solution(monkeypatch, change):
-    """Corrupt the unchecked solution of every vector that sends mass up the edge of a."""
-    real = ell1._edge_flow_solution
+    """Corrupt the unchecked edge flow of every vector that sends mass up the edge of a."""
+    real = freespace._edge_flow
 
-    def corrupted(tree, coeffs):
-        value, flow, g = real(tree, coeffs)
-        return change(value, flow, g) if any(arc[:2] == (2, 5) for arc in flow) else (value, flow, g)
+    def corrupted(edges, coeffs):
+        cost, arcs, g = real(edges, coeffs)
+        return change(cost, arcs, g) if any(arc[:2] == (2, 5) for arc in arcs) else (cost, arcs, g)
 
-    monkeypatch.setattr(ell1, "_edge_flow_solution", corrupted)
+    for module in (freespace, ell1):
+        monkeypatch.setattr(module, "_edge_flow", corrupted)
 
 
 def test_tree_certificate_rejects_a_flipped_potential_sign(four_cluster, monkeypatch):
-    def flip(value, flow, g):
+    # mirrored about its parent, the potential of a still steps by the edge length: it stays
+    # 1-Lipschitz, edge by edge and so on every pair, and fails the duality check
+    def flip(cost, arcs, g):
         g = list(g)
         g[2] = 2 * g[5] - g[2]  # a mirrored about its parent a@1/8
-        return value, flow, g
+        return cost, arcs, g
 
     _corrupt_solution(monkeypatch, flip)
-    for certify in _ENTRY_POINTS:
-        with pytest.raises(CertificationError, match="potential does not drop by the length of " + _EDGE_A + "$"):
-            certify(four_cluster)
+    with pytest.raises(CertificationError, match=r"^primal and dual transport optima differ: 1/2 against 1/4$"):
+        _certify_leaf_a(four_cluster)
+    with pytest.raises(CertificationError, match=r"^primal and dual transport optima differ: 173/48 against 157/48$"):
+        pipeline(four_cluster)
 
 
 def test_tree_certificate_rejects_a_corrupted_flow(four_cluster, monkeypatch):
-    def double(value, flow, g):
-        return value, [(a, b, 2 * amount if (a, b) == (2, 5) else amount) for a, b, amount in flow], g
+    def double(cost, arcs, g):
+        return cost, [(a, b, 2 * amount if (a, b) == (2, 5) else amount) for a, b, amount in arcs], g
 
     _corrupt_solution(monkeypatch, double)
-    for certify in _ENTRY_POINTS:
-        with pytest.raises(CertificationError, match="flow on " + _EDGE_A + " does not balance a$"):
-            certify(four_cluster)
+    with pytest.raises(CertificationError, match=r"^transport flow leaves point 2 with 2, not 1$"):
+        _certify_leaf_a(four_cluster)
+    with pytest.raises(CertificationError, match=r"^transport flow leaves point 2 with 8/3, not 4/3$"):
+        pipeline(four_cluster)
 
 
-def test_tree_certificate_rejects_a_flow_off_the_tree(four_cluster, monkeypatch):
-    def shortcut(value, flow, g):
-        return value, [(2, 0, 1)], g
+def test_tree_certificate_checks_a_flow_off_the_tree_on_the_metric(four_cluster, monkeypatch):
+    # the one certificate checks a flow against the metric, not the tree: the arc from a to the root
+    # carries the unit mass of a at its cost, the tree path's, so it certifies _LEAF_A; on the
+    # battery's first vector it leaves the other points unbalanced
+    def shortcut(cost, arcs, g):
+        return cost, [(2, 0, 1)], g
 
     _corrupt_solution(monkeypatch, shortcut)
-    for certify in _ENTRY_POINTS:
-        with pytest.raises(CertificationError, match=r"flow arc \(a, 0@1/2\) is not a tree edge$"):
-            certify(four_cluster)
+    cert = _certify_leaf_a(four_cluster)
+    assert cert.flow == ((2, 0, Fraction(1)),) and cert.value == Fraction(1, 2)
+    with pytest.raises(CertificationError, match=r"^transport flow leaves point 1 with 0, not 5$"):
+        pipeline(four_cluster)
 
 
 def test_pipeline_raises_on_a_failed_edge_flow_certificate(four_cluster, monkeypatch):
-    def negated(value, flow, g):
-        return value, flow, [-x for x in g]
+    # a negated potential is as steep as the sign potential on every edge, and pairs to minus the value
+    def negated(cost, arcs, g):
+        return cost, arcs, [-x for x in g]
 
     _corrupt_solution(monkeypatch, negated)
-    # the first arc checked is the top edge, from a@1/4 to the root
+    with pytest.raises(CertificationError, match=r"^primal and dual transport optima differ: 1/2 against -1/2$"):
+        _certify_leaf_a(four_cluster)
+    with pytest.raises(CertificationError, match=r"^primal and dual transport optima differ: 173/48 against -173/48$"):
+        pipeline(four_cluster)
+
+
+def test_tree_certificate_names_the_pair_of_a_steep_potential(four_cluster, monkeypatch):
+    # a potential raised at a by one edge length fails the edge of a, and the pairwise scan names
+    # the first failing pair, row by row: the root and a
+    def raised(cost, arcs, g):
+        g = list(g)
+        g[2] += g[2] - g[5]
+        return cost, arcs, g
+
+    _corrupt_solution(monkeypatch, raised)
     for certify in _ENTRY_POINTS:
-        with pytest.raises(CertificationError, match=r"potential does not drop by the length of edge \(a@1/4, 0@1/2\)$"):
+        with pytest.raises(CertificationError, match=r"^dual potential is not 1-Lipschitz on the pair \(0, 2\)$"):
             certify(four_cluster)
 
 
@@ -337,7 +386,7 @@ def test_pipeline_names_an_edge_pair_off_its_distance(four_cluster, monkeypatch)
 
 def _node_pair_trees():
     """Tied power-of-two, coprime, caterpillar and star trees, N = 2..8, and a power-of-two
-    caterpillar, with their prepared scaled trees."""
+    caterpillar: their rooted node spaces and dendrograms."""
     rng = random.Random(15)
 
     def pair(count):
@@ -352,10 +401,9 @@ def _node_pair_trees():
             _merge_ultrametric([Fraction(3, 2)] * (n - 1), pair),
         ):
             tree = dendrogram(space)
-            ambient = rooted_node_space(tree)
-            yield ambient, ell1._scaled_tree(tree)
+            yield rooted_node_space(tree), tree
     tree = dendrogram(_power_of_two_caterpillar(8))
-    yield rooted_node_space(tree), ell1._scaled_tree(tree)
+    yield rooted_node_space(tree), tree
 
 
 def _verdict(check, *args):
@@ -387,6 +435,16 @@ def _corrupted_trees(scaled):
     return corrupted
 
 
+def _as_dendrogram(tree, scaled):
+    """A copy of ``tree`` with the edge lengths and the certified node distances of ``scaled``, corrupted or not."""
+    lengths = list(tree.edge_length)
+    for child, _, length in scaled.edges:
+        lengths[scaled.node[child]] = Fraction(length, scaled.scale)
+    copy = dataclasses.replace(tree, edge_length=tuple(lengths))
+    object.__setattr__(copy, "_distances", (scaled.scale, scaled.rows))  # as rtree._node_distances keeps them
+    return copy
+
+
 def test_path_certificate_matches_the_dense_check():
     """On tied, coprime, caterpillar and star trees and a power-of-two caterpillar, the
     walk-per-source check of every node pair fails with the message of the first node pair
@@ -394,7 +452,8 @@ def test_path_certificate_matches_the_dense_check():
     passes with them: uncorrupted, under stretched pair distances, a stretched edge
     distance and a wrong edge length; under one stretched pair it names that pair."""
     compared = failures = 0
-    for ambient, scaled in _node_pair_trees():
+    for ambient, dendro in _node_pair_trees():
+        scaled = scaled_tree(dendro)
         pairs = [(i, j) for i in range(len(ambient)) for j in range(i + 1, len(ambient))]
         for tree, stretch in [(scaled, 1)] + _corrupted_trees(scaled):
             d = [[stretch * x for x in row] for row in ambient.dist]
@@ -402,7 +461,7 @@ def test_path_certificate_matches_the_dense_check():
                          _verdict(dense_pair_check, tree, i, j, d[i][j])) for i, j in pairs]
             assert all(path == dense for path, dense in verdicts)
             first = next((path for path, _ in verdicts if path is not None), None)
-            assert _verdict(ell1._checked_node_pairs, tree, _view_of(ambient, d)) == first
+            assert _verdict(ell1._checked_node_pairs, _as_dendrogram(dendro, tree), _view_of(ambient, d)) == first
             assert (first is None) == (tree is scaled and stretch == 1)
             compared += len(verdicts)
             failures += sum(path is not None for path, _ in verdicts)
@@ -411,26 +470,26 @@ def test_path_certificate_matches_the_dense_check():
             d = [list(row) for row in ambient.dist]
             d[i][j] *= 2
             message = _verdict(path_pair_check, scaled, i, j, d[i][j])
-            assert message is not None and _verdict(ell1._checked_node_pairs, scaled, _view_of(ambient, d)) == message
+            assert message is not None and _verdict(ell1._checked_node_pairs, dendro, _view_of(ambient, d)) == message
     assert (compared, failures) == (24780, 7336)
 
 
 def test_pipeline_checks_no_node_pair_densely(monkeypatch):
-    """One pipeline call makes a dense check of each random vector and of nothing else,
-    and certifies the node pairs off the certified rows, with no walk of the tree; its only
+    """One pipeline call certifies the edge flow of each random vector over the whole tree and of
+    nothing else, and certifies the node pairs off the certified rows, with no walk of the tree; its only
     walks are the l1 stage's, of the chain's anchor tree from each point that starts a pair."""
     dense, walks = [], []
-    real_dense, real_walk = ell1._checked_coefficients, ell1._path_sums
+    real_dense, real_walk = ell1._certify_transport, ell1._path_sums
 
-    def count_dense(tree, coeffs, unit):
-        dense.append((list(coeffs), unit))
-        return real_dense(tree, coeffs, unit)
+    def count_dense(space, masses, unit, *certificate):
+        dense.append((list(masses), unit))
+        return real_dense(space, masses, unit, *certificate)
 
     def count_walk(adjacent, source):
         walks.append((len(adjacent), source))
         return real_walk(adjacent, source)
 
-    monkeypatch.setattr(ell1, "_checked_coefficients", count_dense)
+    monkeypatch.setattr(ell1, "_certify_transport", count_dense)
     monkeypatch.setattr(ell1, "_path_sums", count_walk)
     space = random_ultrametric(7, 11)
     rounded = round_to_dyadic(space)
@@ -555,7 +614,7 @@ def test_leaf_vectors_match_original_space_norm(triangle):
             a * (dirac(ambient, 2) - dirac(ambient, 1))
             + b * (dirac(ambient, 3) - dirac(ambient, 1))
         )
-        assert free_norm(triangle, small) == free_norm(ambient, big)
+        assert free_norm(triangle, small) == free_norm(ambient, big) == lp_transport_norm(ambient, big)
 
 
 def test_edge_molecules_span_and_norm_one(triangle):
@@ -563,14 +622,14 @@ def test_edge_molecules_span_and_norm_one(triangle):
     family = edge_molecules(tree)
     assert len(family.vectors) == len(tree.nodes) - 1
     for vec in family.vectors:
-        assert free_norm(family.space, vec) == 1
+        assert free_norm(family.space, vec) == lp_transport_norm(family.space, vec) == 1
 
 
 def test_edge_molecule_single_edge_homogeneity(triangle):
     tree = dendrogram(triangle)
     family = edge_molecules(tree)
     c = Fraction(-7, 3)
-    assert free_norm(family.space, c * family.vectors[0]) == abs(c)
+    assert free_norm(family.space, c * family.vectors[0]) == lp_transport_norm(family.space, c * family.vectors[0]) == abs(c)
 
 
 def test_edge_molecule_isometry_all_ones(triangle):
@@ -579,7 +638,7 @@ def test_edge_molecule_isometry_all_ones(triangle):
     total = family.vectors[0]
     for vec in family.vectors[1:]:
         total = total + vec
-    assert free_norm(family.space, total) == len(family.vectors) == 4
+    assert free_norm(family.space, total) == lp_transport_norm(family.space, total) == len(family.vectors) == 4
 
 
 def test_edge_molecule_isometry_random(triangle, four_cluster):

@@ -9,7 +9,7 @@ from ultrafree import cli, ell1, freespace
 from ultrafree.campaign import CampaignConfig, emit_report, run_campaign
 from ultrafree.cli import main
 from ultrafree.freespace import FreeVector
-from ultrafree.metric import FiniteMetricSpace, random_ultrametric, round_to_dyadic
+from ultrafree.metric import CertificationError, FiniteMetricSpace, random_ultrametric, round_to_dyadic
 from ultrafree.rational import _rational_rows, _rationals
 from ultrafree.rtree import verify_retraction_claims
 from ultrafree.simplex import LpResult
@@ -427,6 +427,28 @@ def test_cli_threepoint_names_the_failed_identity(capsys, monkeypatch):
     monkeypatch.setattr(ell1, "free_norm", lambda space, v: 2 * real(space, v) if v.coeffs == (1, 1) else real(space, v))
     assert main(["threepoint", "--s", "1/2"]) == 1
     assert capsys.readouterr().err == "check failed: three-point identity failed: |dx + dy| is 4, not 2\n"
+
+
+def test_cli_threepoint_names_the_failed_scaling_bound(capsys, monkeypatch):
+    # norms of delta_x - beta delta_y halved, the four identities kept: the first beta, 1/4, misses its bound 1/2
+    real = ell1.free_norm
+    monkeypatch.setattr(ell1, "free_norm", lambda space, v: real(space, v) / (1 if v.coeffs[1] in (0, 1, -1) else 2))
+    with pytest.raises(CertificationError, match=r"^scaling bound failed at beta=1/4$"):
+        ell1.three_point_report(Fraction(1, 2))
+    assert main(["threepoint", "--s", "1/2"]) == 1
+    assert capsys.readouterr().err == "check failed: scaling bound failed at beta=1/4\n"
+
+
+def test_cli_l1check_names_a_rounding_that_is_not_dyadic(tmp_path, capsys, monkeypatch):
+    # a rounding that leaves the distance 3 as it is
+    monkeypatch.setattr(ell1, "round_to_dyadic", lambda space: space)
+    path = tmp_path / "space.json"
+    path.write_text('{"labels": ["0", "x", "y"], "dist": [["0", "3", "3"], ["3", "0", "1"], ["3", "1", "0"]]}')
+    message = "dyadic rounding did not give a power-of-two ultrametric"
+    with pytest.raises(CertificationError, match=f"^{message}$"):
+        ell1.pipeline(ingest(path))
+    assert main(["l1check", str(path)]) == 1
+    assert capsys.readouterr().err == f"check failed: {message}\n"
 
 
 def test_cli_threepoint(tmp_path, capsys):

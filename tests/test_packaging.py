@@ -78,3 +78,22 @@ def test_every_docstring_cross_reference_resolves():
     assert not _resolves("ultrafree.chain", "_tree_transport")
     assert _resolves("ultrafree.chain", "freespace._tree_transport")
     assert _resolves("ultrafree.ell1", "fractions.Fraction") and not _resolves("ultrafree.ell1", "fractions.Fractions")
+
+
+def _imported_modules(path: Path):
+    """The top-level name of every absolute import in the file at ``path``."""
+    for node in ast.walk(ast.parse(path.read_text())):
+        if isinstance(node, ast.Import):
+            yield from (alias.name.split(".")[0] for alias in node.names)
+        elif isinstance(node, ast.ImportFrom) and node.level == 0:
+            yield node.module.split(".")[0]
+
+
+def test_the_sources_import_only_what_ci_installs():
+    # CI installs pytest and hypothesis alone, so an import of anything else passes here and fails there
+    tests = {path.stem for path in (ROOT / "tests").glob("*.py")}
+    allowed = {*sys.stdlib_module_names, "ultrafree", "pytest", "hypothesis", *tests}
+    files = [*(ROOT / "src").rglob("*.py"), *(ROOT / "tests").glob("*.py"), *(ROOT / "demos").glob("*.py")]
+    found = {(path.relative_to(ROOT).as_posix(), name) for path in files for name in _imported_modules(path)}
+    assert {"numpy", "scipy", "networkx"}.isdisjoint(allowed) and ("tests/test_packaging.py", "ast") in found
+    assert sorted((file, name) for file, name in found if name not in allowed) == []
