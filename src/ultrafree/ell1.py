@@ -6,9 +6,8 @@ absolute net coefficient mass hanging below the edge (Godard 2010).  The
 rooted node space of a dendrogram keeps its tree, so its transport norm
 takes the tree route of :mod:`ultrafree.freespace` and its one
 certificate.  This module certifies a battery of vectors on that route,
-the node pairs off the certified node distances, plays it against the
-simplex in :func:`oracle_vs_lp`, computes the l1-equivalence constants of
-a basis family in closed form, and decides exactly, from the extreme
+plays it against the simplex in :func:`oracle_vs_lp`, computes the
+l1-equivalence constants of a basis family in closed form, and decides exactly, from the extreme
 molecules, whether a free space is isometric to l1.
 
 The unit ball of the free space is the convex hull of the +-molecules
@@ -57,7 +56,6 @@ from .freespace import (
 from .metric import (
     CertificationError,
     FiniteMetricSpace,
-    _Scaled,
     _integer_view,
     _tree_edges,
     identity_distortion,
@@ -66,7 +64,7 @@ from .metric import (
 )
 from .rational import parse_rational
 from .rtree import (
-    DendrogramTree, _node_distances, _node_labels, _path_sums, _retraction_claims, dendrogram, node_space, rooted_node_space
+    DendrogramTree, _certified_heights, _node_labels, _retraction_claims, dendrogram, node_space, rooted_node_space
 )
 
 
@@ -89,16 +87,24 @@ class EdgeFlowCoordinates:
 
 
 def edge_flow_coordinates(tree: DendrogramTree, v: FreeVector) -> EdgeFlowCoordinates:
-    """The subtree masses of :func:`_tree_transport` on the edges the rooted node space keeps; linear time.
+    """The subtree masses of :func:`_tree_transport` on the tree's edges, checked against v; linear time.
 
     Coefficient k belongs to tree node k, with the root (always the last
     node) carrying none: these are free-space coordinates based at the root.
+    The certified tree's edges go top-down, with no node space built, and
+    own mass minus the children's masses must give v back.
     """
     count = len(tree.nodes)
     if len(v.coeffs) != count - 1:
         raise ValueError("vector dimension does not match the tree nodes")
-    net, _ = _tree_transport(_tree_edges(rooted_node_space(tree)), [Fraction(0), *v.coeffs])
-    return EdgeFlowCoordinates(tuple(net[1:]), tree.edge_length[: count - 1])
+    _certified_heights(tree)
+    edges = [(k + 1, (tree.parent[k] + 1) % count, 0) for k in reversed(range(count - 1))]
+    masses = tuple(_tree_transport(edges, [Fraction(0), *v.coeffs])[0][1:])
+    back = vector_from_edge_flows(tree, masses).coeffs
+    if back != v.coeffs:
+        k = next(k for k, (c, x) in enumerate(zip(back, v.coeffs)) if c != x)
+        raise CertificationError(f"edge-flow masses give {back[k]} at node {_node_labels(tree)[k]}, not {v.coeffs[k]}")
+    return EdgeFlowCoordinates(masses, tree.edge_length[: count - 1])
 
 
 def vector_from_edge_flows(tree: DendrogramTree, masses: Sequence[Fraction]) -> FreeVector:
@@ -226,36 +232,6 @@ def oracle_vs_lp(space: FiniteMetricSpace, vectors: int = 50, seed: int = 0) -> 
     return OracleReport(len(battery) + len(pairs), tuple(mism), tuple(pair_mism))
 
 
-def _checked_node_pairs(tree: DendrogramTree, view: _Scaled) -> None:
-    """Certify that the edge-flow norm of delta_i - delta_j is d(i, j) for every node pair i < j, off the certified rows.
-
-    ``view`` is the integer view (q, D) of the root-based node space (point
-    0 the root, point x >= 1 tree node x - 1).  Every edge length must equal
-    its node distance in the rows of :func:`ultrafree.rtree._node_distances`,
-    both orientations, parent to child first.  The rows are the certified
-    path sums of those lengths, so the norm of each pair, the length of its
-    tree path (one unit of flow along it, the potential -path(i, .)), is its
-    row entry, and it must be D[i][j] / q, by cross-multiplying.  A failure
-    names its edge or pair.  O(nodes^2) in integers, with no walk of the tree.
-    """
-    scale, rows = _node_distances(tree)
-    labels, parent, last = _node_labels(tree), tree.parent, len(tree.nodes) - 1
-    for child in reversed(range(last)):
-        up, length = parent[child], tree.edge_length[child]
-        top, bottom = length.numerator * scale, length.denominator
-        for a, b in ((up, child), (child, up)):
-            if rows[a][b] * bottom != top:
-                raise CertificationError(f"potential does not drop by the length of edge ({labels[a]}, {labels[b]})")
-    q, d = view
-    for i, row in enumerate(d[:-1]):
-        node = i - 1 if i else last
-        path = rows[node]
-        for j in range(i + 1, len(row)):
-            if path[j - 1] * q != row[j] * scale:
-                pair = f"({labels[node]}, {labels[j - 1]})"
-                raise CertificationError(f"edge-flow norm of the pair {pair} is not its distance")
-
-
 def tree_norm_certificate(tree: DendrogramTree, v: FreeVector) -> FreeNormCertificate:
     """Edge-flow norm of v on the root-based node space, with its flow and potential.
 
@@ -266,18 +242,18 @@ def tree_norm_certificate(tree: DendrogramTree, v: FreeVector) -> FreeNormCertif
 
 
 def _certify_edge_flow_battery(tree: DendrogramTree, vectors: int, seed: int) -> None:
-    """Certify the edge-flow norm on the battery of :func:`oracle_vs_lp`, in integers, with no Fraction built.
+    """Certify the edge-flow norm on the random draws of :func:`oracle_vs_lp`, in integers, with no Fraction built.
 
     Each random and leaf-supported draw over :data:`_DRAW_UNIT` takes the
     tree route on the rooted node space (:func:`_edge_flow`) and the one
-    transport certificate, O(n) for n nodes; then :func:`_checked_node_pairs`.
+    transport certificate, O(n) for n nodes.  A node pair's norm, its path
+    length, is its distance, which the dendrogram's certificate proves.
     """
     ambient = rooted_node_space(tree)
-    edges, view = _tree_edges(ambient), _integer_view(ambient)
+    edges, scale = _tree_edges(ambient), _integer_view(ambient)[0]
     for coeffs in _battery_draws(tree.space, ambient, vectors, seed):
         cost, arcs, potential = _edge_flow(edges, coeffs)
-        _certify_transport(ambient, coeffs, _DRAW_UNIT, cost, arcs, potential, view[0])
-    _checked_node_pairs(tree, view)
+        _certify_transport(ambient, coeffs, _DRAW_UNIT, cost, arcs, potential, scale)
 
 
 def edge_molecules(tree: DendrogramTree) -> BasisFamily:
@@ -335,6 +311,24 @@ def edge_molecule_isometry(tree: DendrogramTree, patterns: int = 30, seed: int =
 class L1Constants:
     lower: Fraction
     upper: Fraction
+
+
+def _path_sums(adjacent: Sequence[Sequence[tuple[int, int]]], source: int) -> list[int]:
+    """The path sums from ``source`` to every node of a tree given by its (neighbour, length) lists, one walk.
+
+    The walk visits the nodes breadth first, each once, from the list it
+    grows as it goes.
+    """
+    path: list = [None] * len(adjacent)
+    path[source] = 0
+    reached = [source]
+    for u in reached:
+        base = path[u]
+        for v, length in adjacent[u]:
+            if path[v] is None:
+                path[v] = base + length
+                reached.append(v)
+    return path
 
 
 def l1_equivalence_constants(space: FiniteMetricSpace, family: BasisFamily) -> L1Constants:
@@ -599,19 +593,20 @@ def pipeline(
     The rounding distortion must stay below 2, the tree retraction constant
     and the induced projection norm below or at 4, the basis constant must be
     exactly 1 and the l1 lower constant in (0, 1].  The edge-flow norm is
-    certified on the battery of :func:`oracle_vs_lp` (``oracle_vectors``
-    random vectors, the leaf-supported ones and every node pair), in
-    integers by :func:`_certify_edge_flow_battery`.  The battery is drawn
-    from the bit stream (:func:`_random_integers`), and both node spaces
-    are built with their integer views and their tree.  The
+    certified on the random draws of :func:`oracle_vs_lp` (``oracle_vectors``
+    random vectors and the leaf-supported ones), in integers by
+    :func:`_certify_edge_flow_battery`.  The draws come off the bit stream
+    (:func:`_random_integers`), and both node spaces are built with their
+    integer views and their tree.  The
     projection norm is the Lipschitz constant of the retraction on the
     node space, found by cross-multiplication on integers and certified at
     its witness pair in integers, with no molecule
     (:func:`operator_norm_of_extension`); a
     failed certificate raises :class:`CertificationError`.  The input and
     its rounding are validated by their cached single-linkage merges.  The
-    dendrogram of the rounding is kept on it, and its node distances,
-    certified once, serve the claims, the node spaces and the battery.  The
+    dendrogram of the rounding is kept on it, certified node by node, and
+    its node distances, off the quotient formula, serve the claims and both
+    node spaces, whose node pairs that certificate proves.  The
     chain identities and the basis constant are read through the public
     functions off the chain's one scan, which also certifies the
     telescoping and the rank bound: on this ultrametric input the scan

@@ -67,7 +67,7 @@ class FiniteMetricSpace:
         :func:`round_to_dyadic` keeps its labels and shape;
         :func:`random_ultrametric` builds distinct labels and rows of
         Fractions, and so does the node space of a dendrogram that passed
-        its path-metric certificate (:mod:`ultrafree.rtree`), on which no
+        its certificate (:mod:`ultrafree.rtree`), on which no
         two leaves share a point.
         """
         space = object.__new__(cls)
@@ -139,8 +139,8 @@ def _integer_view(space: FiniteMetricSpace) -> _Scaled:
     built from rows of strings, as :func:`ultrafree.serialize.ingest` reads
     them, from its parsed strings; :func:`random_ultrametric` from its
     integer merge heights; :func:`round_to_dyadic` from the view of its
-    input; the node spaces of :mod:`ultrafree.rtree` from their certified
-    path sums (:func:`_space_with_view`), which also keep their tree
+    input; the node spaces of :mod:`ultrafree.rtree` from the node distances
+    of their certified tree (:func:`_space_with_view`), which they keep
     (:func:`_keep_tree`); and :func:`with_base` hands a kept view, but no
     tree, on to the space it builds, permuted.  A space built from rows of
     Fractions or of other numbers, or by ``dataclasses.replace``, computes
@@ -161,7 +161,7 @@ def _keep_view(space: FiniteMetricSpace, view: _Scaled) -> FiniteMetricSpace:
     """Keep ``view`` on ``space`` as its cached view; the caller knows it to be the view of the space's distances.
 
     A tree kept beside it (:func:`_keep_tree`) has the view as its path metric: only :mod:`ultrafree.rtree`
-    keeps one, on a node space whose view it built from the path sums of the same tree.
+    keeps one, on a node space whose view it read off the node distances of the same certified tree.
     """
     object.__setattr__(space, "_view", view)
     return space

@@ -12,13 +12,13 @@ each cluster C that merges at height h (tied merges contracted) is the
 branching point <min C, h/2>, and the tree distance of two points is twice
 the height of their lowest common ancestor.  The module reads the branching
 points and the rooted edge-weighted dendrogram off one single-linkage merge
-tree, certifies its path metric against the quotient metric on every node
-pair in integers, and verifies the nearest-anchor retraction back onto the
-original points together with its Lipschitz bounds (factor 2 from a leaf to
-a branching point, factor 4 between branching points, on
-power-of-two-valued spaces), on the same certified node distances, which
-the tree keeps (see :func:`ultrafree.metric._cached`); the space keeps its
-tree through a weak reference.
+tree, certifies it node by node in integers, reads the node distances off
+the quotient formula, and verifies the nearest-anchor retraction back onto
+the original points together with its Lipschitz bounds (factor 2 from a leaf
+to a branching point, factor 4 between branching points, on
+power-of-two-valued spaces) on those node distances, which the tree keeps
+(see :func:`ultrafree.metric._cached`); the space keeps its tree through a
+weak reference.
 """
 
 from __future__ import annotations
@@ -41,7 +41,6 @@ from .metric import (
     _single_linkage,
     _space_with_view,
     validate,
-    with_base,
 )
 from .rational import _index, parse_rational
 
@@ -464,10 +463,10 @@ def dendrogram(space: FiniteMetricSpace) -> DendrogramTree:
     branching points are its clusters with tied heights contracted, the
     parent of a node is the branching point of the next cluster above it,
     and the root is the cluster of all points, anchored at the base.
-    Certification compares the path-length distance of every node pair
-    with the closed-form quotient distance, in integers, and raises on any
-    mismatch, and additionally checks that every branching node has at
-    least two children.  A space that is not an ultrametric is refused.
+    Certification checks each node once, in integers, which proves the
+    tree's path metric to be the quotient metric on every node pair
+    (:func:`_certify_dendrogram`), and raises on the first node that fails.
+    A space that is not an ultrametric is refused.
     The space keeps its certified tree through a weak reference, since the
     tree refers to the space: ``dendrogram(s) is dendrogram(s)`` while the
     tree is held, both are freed by reference counting once neither is,
@@ -478,43 +477,43 @@ def dendrogram(space: FiniteMetricSpace) -> DendrogramTree:
     kept = vars(space).get("_tree")
     tree = None if kept is None else kept()
     if tree is None:
-        tree = _certified_dendrogram(space)
+        nodes, parent, edge = _merge_tree(len(space), _single_linkage(space), _integer_view(space)[0])
+        tree = DendrogramTree(space, tuple(nodes), tuple(parent), tuple(edge))
+        _certified_heights(tree)
         object.__setattr__(space, "_tree", weakref.ref(tree))
     return tree
 
 
-def _certified_dendrogram(space: FiniteMetricSpace) -> DendrogramTree:
-    nodes, parent, edge = _merge_tree(len(space), _single_linkage(space), _integer_view(space)[0])
-    tree = DendrogramTree(space, tuple(nodes), tuple(parent), tuple(edge))
-    _node_distances(tree)
-    children = [0] * len(nodes)
-    for p in parent:
-        if p >= 0:
-            children[p] += 1
-    for k, u in enumerate(nodes):
-        if u.height > 0 and children[k] < 2:
-            raise CertificationError(f"branching node {u} has fewer than two children")
-    return tree
+def _certified_heights(tree: DendrogramTree) -> tuple[int, list[int]]:
+    """(L, heights) of :func:`_certify_dendrogram`, certified once per tree and kept on it."""
+    return _cached(tree, "_heights", _certify_dendrogram)
 
 
-def _node_distances(tree: DendrogramTree) -> _Scaled:
-    """The node distances (L, rows) of :func:`_certify_path_metric`, certified once per tree and kept on it."""
-    return _cached(tree, "_distances", _certify_path_metric)
+def _certify_dendrogram(tree: DendrogramTree) -> tuple[int, list[int]]:
+    """Check each node of the tree once, naming the first that fails; returns the scale L and the heights over L.
 
+    Heights, edge lengths and half of every distance of the integer view
+    (q, D) of the ultrametric ``tree.space`` go on one integer scale L.  The
+    top node is the one root; every parent is strictly higher than its
+    child, so the parents form a tree; every edge length is its height gap;
+    node k < n is the leaf <k, 0>; any other node p has two children or
+    more, the anchor of one of them as its anchor, and any two of their
+    anchors at distance 2 h_p.  O(nodes + sum of squared child counts).
 
-def _certify_path_metric(tree: DendrogramTree) -> _Scaled:
-    """Raise unless the path metric of the tree is the quotient metric on every node pair.
-
-    The tree must be rooted at its top node, with every parent strictly
-    higher than its child, so that it is a tree.  The heights, the edge
-    lengths and half of every distance of the integer view of
-    ``tree.space`` go on one integer scale L, on which the heights are
-    compared; one walk of the tree from
-    each node gives its path sums, and each pair (p, q), p < q in node
-    order, must have path sum 2 max(h_p, h_q, d(m, n)/2) - h_p - h_q.
-    Returns (L, rows), the node distances in units of 1/L.
+    Then the path metric is the quotient metric.  By induction up the
+    tree, m_v is a leaf below v and every leaf x below v has
+    d(x, m_v) <= 2 h_v: m_p is m_c for a child c of p, and a leaf x below a
+    child c' has d(x, m_c') <= 2 h_c' < 2 h_p, with d(m_c', m_p) 0 or 2 h_p.
+    So, by the isosceles rule, leaves below two children of p are at
+    distance 2 h_p.  Edges being height gaps, the path from u to v through
+    their lowest common ancestor W has length 2 h_W - h_u - h_v.  The
+    formula 2 max(h_u, h_v, d(m_u, m_v)/2) - h_u - h_v agrees: if W = u,
+    then d(m_u, m_v) <= 2 h_u and it gives h_u - h_v; otherwise m_u and m_v
+    lie below two children of W, at 2 h_W > 2 max(h_u, h_v).  A tree read
+    off single-linkage merges passes: a cluster closing at 2h splits into
+    sub-clusters 2h apart, and its least member is the least of one of them.
     """
-    nodes, parent = tree.nodes, tree.parent
+    nodes, parent, n = tree.nodes, tree.parent, len(tree.space)
     roots = [k for k, p in enumerate(parent) if p == -1]
     if len(roots) != 1 or parent[-1] != -1:
         labels = _node_labels(tree)
@@ -522,48 +521,54 @@ def _certify_path_metric(tree: DendrogramTree) -> _Scaled:
         raise CertificationError(f"dendrogram must have exactly one root, the top node; its roots are {found}")
     scale, d = _integer_view(tree.space)
     unit = lcm(2 * scale, *(p.height.denominator for p in nodes), *(x.denominator for x in tree.edge_length))
-    half = unit // (2 * scale)
     height = [p.height.numerator * (unit // p.height.denominator) for p in nodes]
-    for k, p in enumerate(parent):
-        if p >= 0 and height[p] <= height[k]:
-            raise CertificationError(f"parent {nodes[p]} of {nodes[k]} is not higher")
-    count = len(nodes)
-    adjacent: list[list[tuple[int, int]]] = [[] for _ in range(count)]
+    children: list[list[int]] = [[] for _ in nodes]
     for k, (p, x) in enumerate(zip(parent, tree.edge_length)):
-        if p >= 0:
-            length = x.numerator * (unit // x.denominator)
-            adjacent[k].append((p, length))
-            adjacent[p].append((k, length))
-    rows = []
-    for i in range(count):
-        path = _path_sums(adjacent, i)
-        hi, di = height[i], d[nodes[i].anchor]
-        for j in range(i + 1, count):
-            hj = height[j]
-            if path[j] != 2 * max(hi, hj, di[nodes[j].anchor] * half) - hi - hj:
-                raise CertificationError(
-                    f"path metric disagrees with the quotient metric on ({nodes[i]}, {nodes[j]})"
-                )
-        rows.append(tuple(path))
-    return unit, rows
+        if p < 0:
+            continue
+        if height[p] <= height[k]:
+            raise CertificationError(f"parent {nodes[p]} of {nodes[k]} is not higher")
+        if x.numerator * (unit // x.denominator) != height[p] - height[k]:
+            gap = Fraction(height[p] - height[k], unit)
+            raise CertificationError(f"edge of {nodes[k]} has length {x}, not its height gap {gap}")
+        children[p].append(k)
+    for k, u in enumerate(nodes):
+        if k < n and (u.anchor != k or u.height):
+            raise CertificationError(f"leaf {k} is {u}, not {TreePoint._exact(k, Fraction(0))}")
+        if k >= n and len(children[k]) < 2:
+            raise CertificationError(f"branching node {u} has fewer than two children")
+        if k >= n and all(nodes[c].anchor != u.anchor for c in children[k]):
+            raise CertificationError(f"anchor of branching node {u} is the anchor of none of its children")
+    # every anchor is a point now, that of a leaf below
+    half = unit // (2 * scale)
+    for k in range(n, len(nodes)):
+        for a, b in combinations(children[k], 2):
+            if d[nodes[a].anchor][nodes[b].anchor] * half != height[k]:
+                pair, at = f"{nodes[a]} and {nodes[b]}", "distance twice its height"
+                raise CertificationError(f"anchors of the children {pair} of {nodes[k]} are not at {at}")
+    return unit, height
 
 
-def _path_sums(adjacent: Sequence[Sequence[tuple[int, int]]], source: int) -> list[int]:
-    """The path sums from ``source`` to every node of a tree given by its (neighbour, length) lists, one walk.
+def _node_distances(tree: DendrogramTree) -> _Scaled:
+    """The node distances (L, rows) of the certified tree off the quotient formula, once per tree and kept on it.
 
-    The walk visits the nodes breadth first, each once, from the list it
-    grows as it goes.
+    Pair (i, j) is 2 max(h_i, h_j, D[m_i][m_j] L/2q) - h_i - h_j, which is |h_i - h_j| unless the distance
+    term is the largest; each row is computed in full, which is quicker than mirroring a triangle.
     """
-    path: list = [None] * len(adjacent)
-    path[source] = 0
-    reached = [source]
-    for u in reached:
-        base = path[u]
-        for v, length in adjacent[u]:
-            if path[v] is None:
-                path[v] = base + length
-                reached.append(v)
-    return path
+    return _cached(tree, "_distances", _quotient_rows)
+
+
+def _quotient_rows(tree: DendrogramTree) -> _Scaled:
+    unit, height = _certified_heights(tree)
+    scale, d = _integer_view(tree.space)
+    half = unit // (2 * scale)
+    d = [[x * half for x in row] for row in d] if half != 1 else d
+    anchor = [p.anchor for p in tree.nodes]
+    rows = []
+    for hi, m in zip(height, anchor):
+        column = [d[m][a] for a in anchor]
+        rows.append(tuple([2 * x - hi - hj if x > hi and x > hj else abs(hi - hj) for hj, x in zip(height, column)]))
+    return unit, rows
 
 
 def _node_labels(tree: DendrogramTree) -> tuple[str, ...]:
@@ -599,30 +604,30 @@ def node_space(tree: DendrogramTree) -> FiniteMetricSpace:
     Leaves keep their labels and their indices, so the original space sits at
     the same positions; this is the basing under which the retraction onto
     the leaves preserves the base point.  Branching points are labelled by
-    :func:`_node_labels`.  The distances are the path sums that
-    :func:`_certify_path_metric` certifies once per tree, so a tree whose
-    path metric is not the quotient metric raises
-    :class:`CertificationError`.  The space is built with its integer view,
-    read off the path sums by lookup with one Fraction per distinct
-    distance (:func:`ultrafree.metric._space_with_view`), and with its tree
-    (:func:`_with_edges`).  It is kept on the tree.
+    :func:`_node_labels`.  :func:`_node_metric` builds it off the node
+    distances of the certified tree, with its integer view and its tree, so
+    a tree that fails its certificate raises :class:`CertificationError`.
+    It is kept on the tree.
     """
-    return _cached(tree, "_node_space", _node_metric)
+    return _cached(tree, "_node_space", lambda t: _node_metric(t, 0))
 
 
-def _node_metric(tree: DendrogramTree) -> FiniteMetricSpace:
+def _node_metric(tree: DendrogramTree, shift: int) -> FiniteMetricSpace:
+    """The space of the tree nodes, node k being point (k + shift) % nodes, with its view and its tree.
+
+    The labels and the node distances (:func:`_node_distances`) are rotated by ``shift``, and the Fraction
+    rows and the view read off them by lookup, one Fraction per distinct distance, built once per tree
+    (:func:`ultrafree.metric._space_with_view`).  The view is the
+    tree's path metric, so the tree is kept on the space (:func:`ultrafree.metric._keep_tree`), top-down:
+    parents are higher than their children, and a tree read off merges lists its nodes by height.
+    """
     unit, rows = _node_distances(tree)
-    space = _space_with_view(_node_labels(tree), rows, {x: Fraction(x, unit) for x in {x for row in rows for x in row}})
-    return _with_edges(space, tree, 0)
-
-
-def _with_edges(space: FiniteMetricSpace, tree: DendrogramTree, shift: int) -> FiniteMetricSpace:
-    """Keep the edges of ``tree`` on ``space``, built from its path sums, tree node k being point (k + shift) % nodes.
-
-    A parent is strictly higher than its child (:func:`_certify_path_metric`) and the nodes are listed by
-    height, so the reversed node order, root excluded, is top-down (:func:`ultrafree.metric._keep_tree`).
-    """
-    parent, count = tree.parent, len(tree.parent)
+    exact = _cached(tree, "_exact", lambda t: {x: Fraction(x, unit) for x in set().union(*rows)})
+    labels, parent, count = _node_labels(tree), tree.parent, len(tree.nodes)
+    if shift:
+        labels = labels[-shift:] + labels[:-shift]
+        rows = [row[-shift:] + row[:-shift] for row in rows[-shift:] + rows[:-shift]]
+    space = _space_with_view(labels, rows, exact)
     return _keep_tree(space, (((k + shift) % count, (parent[k] + shift) % count) for k in reversed(range(count - 1))))
 
 
@@ -633,12 +638,10 @@ def rooted_node_space(tree: DendrogramTree) -> FiniteMetricSpace:
     last tree node), so free vectors in these coordinates line up with the
     edge-flow coordinates of :func:`ultrafree.ell1.edge_flow_coordinates`.
     Free spaces over different base points are isometric, so this is a
-    choice of coordinates, not of content.  :func:`with_base` builds it
-    from :func:`node_space` and hands it the node space's integer view,
-    permuted, so neither space scales its distances again; the tree is
-    kept on it in its own indices (:func:`_with_edges`), so
+    choice of coordinates, not of content.  :func:`_node_metric` builds it
+    like :func:`node_space`, rotated by one, with its view and its tree, so
     :func:`ultrafree.freespace.free_norm_certificate` takes the tree route
     on it, the potential of :func:`ultrafree.freespace._tree_transport`
     vanishing at the base.  It is kept on the tree.
     """
-    return _cached(tree, "_rooted_node_space", lambda t: _with_edges(with_base(node_space(t), len(t.nodes) - 1), t, 1))
+    return _cached(tree, "_rooted_node_space", lambda t: _node_metric(t, 1))

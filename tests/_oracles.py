@@ -92,17 +92,24 @@ package matches the masses of the tree route in cluster lists that merge
 in place; the matching that builds each merged list afresh, by
 concatenation, is kept as a reference.
 
-The package certifies every node pair of the edge-flow battery by its
-certified path sum, checks every edge flow with the one transport
+The package certifies a dendrogram node by node and reads its node
+distances off the quotient formula.  The certificate it replaced is kept
+as a reference: ``walk_certificate`` walks the tree from every node for
+its path sums and compares each node pair with the quotient formula, with
+its own integer view of the space; it shares nothing with the per-node
+checks but the tree.  With the node spaces read off those distances, the
+package checks no node pair of the edge-flow battery; the two node-pair
+checks it once ran are kept as references for each other: the certificate
+of delta_i - delta_j on its own tree path, pair by pair, and the dense
+edge-flow check of it over the whole tree, with its own subtree masses and
+potential on its own prepared tree, each followed by the distance
+comparison.  The package checks every edge flow with the one transport
 certificate of the free-space routes, compares the ratios of a Lipschitz
 constant and of the chain branch of the l1 constant by cross-multiplication
 on integer views, and builds one Fraction at the end; the bi-Lipschitz
 distortion is found the same way.  What these replaced is kept as a
-reference: the certificate of delta_i - delta_j on its own tree path, pair
-by pair, and the dense edge-flow check of it over the whole tree, with its
-own subtree masses and potential on its own prepared tree, each followed by
-the distance comparison; the two Fraction maxima over every pair's ratio;
-and the Fraction minimum and maximum of the distortion ratios.
+reference: the two Fraction maxima over every pair's ratio; and the
+Fraction minimum and maximum of the distortion ratios.
 
 The package reads a chain's telescoping identity off the report of its
 one scan and a bound on its ranks, and reads the l1 constant Phi of the
@@ -508,8 +515,7 @@ def path_pair_check(tree, i: int, j: int, distance: Fraction) -> None:
     distance in ``tree.rows``; the cost, the sum of those distances along
     the path, is the value, the sum of the kernel lengths; g(i) - g(j) is
     the value; and the value is ``distance``.  The messages are those of
-    the package's dense check, which :func:`dense_pair_check` runs on the
-    same pair.
+    the dense check, which :func:`dense_pair_check` runs on the same pair.
     """
     value, arcs, g = path_solution(tree, i, j)
     rows, node, labels = tree.rows, tree.node, tree.labels
@@ -939,6 +945,61 @@ def fraction_merge_tree(space: FiniteMetricSpace, merges) -> tuple[list[TreePoin
     parent = [index[above[u]] for u in (*range(n), *closing)]
     edge = [nodes[p].height - node.height if p >= 0 else Fraction(0) for node, p in zip(nodes, parent)]
     return nodes, parent, edge
+
+
+def walk_certificate(tree: DendrogramTree) -> tuple[int, list[tuple[int, ...]]]:
+    """Raise unless the tree's path metric is the quotient metric on every node pair; returns (L, rows).
+
+    The tree must be rooted at its top node, with every parent strictly
+    higher than its child, so that it is a tree, and every node above the
+    leaves must have at least two children.  The heights, the edge lengths
+    and half of every distance go on one integer scale L; one breadth-first
+    walk from each node gives its path sums, and each pair (p, q), p < q in
+    node order, must have path sum 2 max(h_p, h_q, d(m, n)/2) - h_p - h_q.
+    The rows are the path sums in units of 1/L.
+    """
+    nodes, parent, space = tree.nodes, tree.parent, tree.space
+    roots = [k for k, p in enumerate(parent) if p == -1]
+    if len(roots) != 1 or parent[-1] != -1:
+        raise CertificationError(f"dendrogram roots are {roots}, not the top node alone")
+    scale, d = scale_rows(space)
+    unit = lcm(2 * scale, *(p.height.denominator for p in nodes), *(x.denominator for x in tree.edge_length))
+    half = unit // (2 * scale)
+    height = [p.height.numerator * (unit // p.height.denominator) for p in nodes]
+    for k, p in enumerate(parent):
+        if p >= 0 and height[p] <= height[k]:
+            raise CertificationError(f"parent {nodes[p]} of {nodes[k]} is not higher")
+    count = len(nodes)
+    adjacent: list[list[tuple[int, int]]] = [[] for _ in range(count)]
+    for k, (p, x) in enumerate(zip(parent, tree.edge_length)):
+        if p >= 0:
+            length = x.numerator * (unit // x.denominator)
+            adjacent[k].append((p, length))
+            adjacent[p].append((k, length))
+    rows = []
+    for i in range(count):
+        path: list = [None] * count
+        path[i] = 0
+        reached = [i]
+        for u in reached:
+            for v, length in adjacent[u]:
+                if path[v] is None:
+                    path[v] = path[u] + length
+                    reached.append(v)
+        hi, di = height[i], d[nodes[i].anchor]
+        for j in range(i + 1, count):
+            hj = height[j]
+            if path[j] != 2 * max(hi, hj, di[nodes[j].anchor] * half) - hi - hj:
+                raise CertificationError(f"path metric disagrees with the quotient metric on ({nodes[i]}, {nodes[j]})")
+        rows.append(tuple(path))
+    children = [0] * count
+    for p in parent:
+        if p >= 0:
+            children[p] += 1
+    for k, u in enumerate(nodes):
+        if u.height > 0 and children[k] < 2:
+            raise CertificationError(f"branching node {u} has fewer than two children")
+    return unit, rows
 
 
 def quotient_node_distances(tree: DendrogramTree) -> tuple[tuple[Fraction, ...], ...]:

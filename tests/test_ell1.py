@@ -19,15 +19,15 @@ from _oracles import (
     path_pair_check,
     rows_chain_phi,
     rows_telescope,
-    scale_rows,
     scaled_tree,
 )
 from test_acceptance import _power_of_two_caterpillar
 from test_chain import _rank_corruptions, _shuffled_chain, _tangled_chain
 from test_freespace import _PRIMES_NEAR_A_MILLION, _coprime_heights, _merge_ultrametric, _stress_ultrametrics
-from test_rtree import COLLIDING, count_path_metric_certificates, record_late_views_and_checked_points
+from test_rtree import COLLIDING, count_dendrogram_certificates, record_late_views_and_checked_points
 from ultrafree import chain as chain_module, ell1, freespace, rtree
 from ultrafree.chain import BasisFamily, RetractionChain, basis_vectors, build_chain, retraction_map
+from ultrafree.cli import main
 from ultrafree.ell1 import (
     edge_flow_coordinates,
     edge_molecule_isometry,
@@ -96,8 +96,65 @@ def test_edge_flow_coordinates_are_a_bijection(four_cluster):
         assert back.masses == masses
 
 
+def test_edge_flow_coordinates_build_no_node_space(monkeypatch):
+    # the masses come off the tree's parents, so a fresh tree gets its coordinates with no node space built
+    built = []
+    real = rtree._node_metric
+    monkeypatch.setattr(rtree, "_node_metric", lambda tree, shift: built.append(shift) or real(tree, shift))
+    tree = dendrogram(round_to_dyadic(random_ultrametric(30, 7)))
+    rng = random.Random(8)
+    for _ in range(5):
+        v = FreeVector(tuple(Fraction(rng.randint(-5, 5), rng.randint(1, 3)) for _ in range(len(tree.nodes) - 1)))
+        assert vector_from_edge_flows(tree, edge_flow_coordinates(tree, v).masses) == v
+    assert built == [] and not {"_node_space", "_rooted_node_space", "_distances"} & set(vars(tree))
+    edge_flow_coordinates(tree, FreeVector((0,) * (len(tree.nodes) - 1))), tree_free_norm(tree, v)
+    assert built == [1]
+
+
+def test_edge_flow_coordinates_check_that_the_masses_give_back_the_vector(four_cluster, monkeypatch):
+    # the mass of a doubled: own mass minus the children's masses gives 2 at a, the first node that differs
+    real = ell1._tree_transport
+
+    def doubled(edges, masses):
+        net, g = real(edges, masses)
+        net[2] *= 2
+        return net, g
+
+    monkeypatch.setattr(ell1, "_tree_transport", doubled)
+    with pytest.raises(CertificationError, match="^edge-flow masses give 2 at node a, not 1$"):
+        edge_flow_coordinates(dendrogram(four_cluster), FreeVector((0, 1, 1, 1, 0, 0)))
+
+
+def test_edge_flow_coordinates_certify_the_tree(four_cluster):
+    tree = dendrogram(four_cluster)
+    lengths = list(tree.edge_length)
+    lengths[1] *= 2
+    message = "edge of TreePoint(anchor=1, height=Fraction(0, 1)) has length 1/4, not its height gap 1/8"
+    with pytest.raises(CertificationError, match=re.escape(message) + "$"):
+        edge_flow_coordinates(dataclasses.replace(tree, edge_length=tuple(lengths)), FreeVector((0,) * 6))
+
+
+def test_no_dendrogram_is_walked(monkeypatch, tmp_path):
+    # the tree is certified node by node and its node distances read off the quotient formula, so
+    # dendrogram, ultrafree embed and pipeline walk no dendrogram: the one walk left is the l1 stage's
+    assert not hasattr(rtree, "_path_sums")
+    walks = []
+    real = ell1._path_sums
+    monkeypatch.setattr(ell1, "_path_sums", lambda adjacent, source: walks.append(len(adjacent)) or real(adjacent, source))
+    space = random_ultrametric(9, 4)
+    rounded = round_to_dyadic(space)
+    tree = dendrogram(rounded)
+    node_space(tree), rooted_node_space(tree)
+    path = tmp_path / "space.json"
+    dump_json(space_to_json(rounded), path)
+    assert main(["embed", str(path)]) == 0
+    assert walks == []
+    assert pipeline(space).passed
+    assert walks == [len(space)] * (len(space) - 1) and len(tree.nodes) > len(space)
+
+
 def test_one_path_metric_certificate_per_space(four_cluster, monkeypatch):
-    certified = count_path_metric_certificates(monkeypatch)
+    certified = count_dendrogram_certificates(monkeypatch)
     tree = dendrogram(four_cluster)
     verify_retraction_claims(four_cluster)
     node_space(tree), rooted_node_space(tree)
@@ -354,36 +411,6 @@ def test_tree_certificate_names_the_pair_of_a_steep_potential(four_cluster, monk
             certify(four_cluster)
 
 
-def test_pipeline_names_the_pair_off_its_distance(four_cluster, monkeypatch):
-    real = rtree.with_base
-
-    def stretched(space, index):
-        rooted = real(space, index)
-        dist = [list(row) for row in rooted.dist]
-        dist[0][2] = dist[2][0] = 2 * dist[0][2]  # the root and a: three edges apart, no edge of its own
-        return FiniteMetricSpace(rooted.labels, tuple(map(tuple, dist)))
-
-    monkeypatch.setattr(rtree, "with_base", stretched)  # the root-based node space is built through it
-    with pytest.raises(CertificationError, match=r"edge-flow norm of the pair \(0@1/2, a\) is not its distance$"):
-        pipeline(four_cluster)
-
-
-def test_pipeline_names_an_edge_pair_off_its_distance(four_cluster, monkeypatch):
-    # the edge lengths are checked against the certified rows, so a rooted node space stretched on an
-    # edge passes that check and fails the comparison with the rows, at the pair of that edge
-    real = rtree.with_base
-
-    def stretched(space, index):
-        rooted = real(space, index)
-        dist = [list(row) for row in rooted.dist]
-        dist[0][6] = dist[6][0] = 2 * dist[0][6]  # the root and its child a@1/4
-        return FiniteMetricSpace(rooted.labels, tuple(map(tuple, dist)))
-
-    monkeypatch.setattr(rtree, "with_base", stretched)
-    with pytest.raises(CertificationError, match=r"edge-flow norm of the pair \(0@1/2, a@1/4\) is not its distance$"):
-        pipeline(four_cluster)
-
-
 def _node_pair_trees():
     """Tied power-of-two, coprime, caterpillar and star trees, N = 2..8, and a power-of-two
     caterpillar: their rooted node spaces and dendrograms."""
@@ -415,11 +442,6 @@ def _verdict(check, *args):
     return None
 
 
-def _view_of(ambient, d):
-    """The integer view of the rows ``d`` on the points of ``ambient``, scaled entry by entry."""
-    return scale_rows(FiniteMetricSpace(ambient.labels, tuple(map(tuple, d))))
-
-
 def _corrupted_trees(scaled):
     """The scaled tree with every pair distance doubled, then with each edge's row distance tripled
     on both orientations and with each edge's length doubled, as (tree, stretch) pairs."""
@@ -436,21 +458,20 @@ def _corrupted_trees(scaled):
 
 
 def _as_dendrogram(tree, scaled):
-    """A copy of ``tree`` with the edge lengths and the certified node distances of ``scaled``, corrupted or not."""
+    """A fresh copy of ``tree`` with the edge lengths of ``scaled``, corrupted or not, and nothing certified on it."""
     lengths = list(tree.edge_length)
     for child, _, length in scaled.edges:
         lengths[scaled.node[child]] = Fraction(length, scaled.scale)
-    copy = dataclasses.replace(tree, edge_length=tuple(lengths))
-    object.__setattr__(copy, "_distances", (scaled.scale, scaled.rows))  # as rtree._node_distances keeps them
-    return copy
+    return dataclasses.replace(tree, edge_length=tuple(lengths))
 
 
 def test_path_certificate_matches_the_dense_check():
     """On tied, coprime, caterpillar and star trees and a power-of-two caterpillar, the
-    walk-per-source check of every node pair fails with the message of the first node pair
-    that the path oracle and the dense check, which agree pair by pair, find failing, or
-    passes with them: uncorrupted, under stretched pair distances, a stretched edge
-    distance and a wrong edge length; under one stretched pair it names that pair."""
+    walk-per-source check of every node pair and the dense check agree pair by pair, fail
+    on some pair under stretched pair distances, a stretched edge distance and a wrong edge
+    length, and pass uncorrupted; under one stretched pair both name that pair.  The tree's
+    own certificate, which reads no node pair, refuses a tree exactly when an edge length
+    is wrong, since the node spaces are read off the node distances of the tree itself."""
     compared = failures = 0
     for ambient, dendro in _node_pair_trees():
         scaled = scaled_tree(dendro)
@@ -461,23 +482,24 @@ def test_path_certificate_matches_the_dense_check():
                          _verdict(dense_pair_check, tree, i, j, d[i][j])) for i, j in pairs]
             assert all(path == dense for path, dense in verdicts)
             first = next((path for path, _ in verdicts if path is not None), None)
-            assert _verdict(ell1._checked_node_pairs, _as_dendrogram(dendro, tree), _view_of(ambient, d)) == first
             assert (first is None) == (tree is scaled and stretch == 1)
+            refused = _verdict(rtree._certify_dendrogram, _as_dendrogram(dendro, tree)) is not None
+            assert refused == (tree.edges != scaled.edges)
             compared += len(verdicts)
             failures += sum(path is not None for path, _ in verdicts)
-        # one stretched pair, the others passing as above: the check names that pair
+        # one stretched pair, the others passing as above: both checks name that pair
         for i, j in pairs:
             d = [list(row) for row in ambient.dist]
             d[i][j] *= 2
             message = _verdict(path_pair_check, scaled, i, j, d[i][j])
-            assert message is not None and _verdict(ell1._checked_node_pairs, dendro, _view_of(ambient, d)) == message
+            assert message is not None and _verdict(dense_pair_check, scaled, i, j, d[i][j]) == message
     assert (compared, failures) == (24780, 7336)
 
 
 def test_pipeline_checks_no_node_pair_densely(monkeypatch):
     """One pipeline call certifies the edge flow of each random vector over the whole tree and of
-    nothing else, and certifies the node pairs off the certified rows, with no walk of the tree; its only
-    walks are the l1 stage's, of the chain's anchor tree from each point that starts a pair."""
+    nothing else, and no node pair, with no walk of the tree; its only walks are the l1 stage's, of
+    the chain's anchor tree from each point that starts a pair."""
     dense, walks = [], []
     real_dense, real_walk = ell1._certify_transport, ell1._path_sums
 
@@ -570,9 +592,8 @@ def test_tree_certificate_recertifies_the_path_metric(four_cluster):
     tree = dendrogram(four_cluster)
     lengths = list(tree.edge_length)
     lengths[1] *= 2
-    # the first node pair whose path runs through the stretched edge of a: the base and a
-    message = ("path metric disagrees with the quotient metric on "
-               "(TreePoint(anchor=0, height=Fraction(0, 1)), TreePoint(anchor=1, height=Fraction(0, 1)))")
+    # the stretched edge of a itself
+    message = "edge of TreePoint(anchor=1, height=Fraction(0, 1)) has length 1/4, not its height gap 1/8"
     with pytest.raises(CertificationError, match=re.escape(message) + "$"):
         tree_norm_certificate(dataclasses.replace(tree, edge_length=tuple(lengths)), _LEAF_A)
 

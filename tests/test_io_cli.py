@@ -14,7 +14,7 @@ from ultrafree.rational import _rational_rows, _rationals
 from ultrafree.rtree import verify_retraction_claims
 from ultrafree.simplex import LpResult
 from test_rtree import (
-    CORRUPTED_MERGE_TREES, corrupt_merge_tree, count_path_metric_certificates, record_late_views_and_checked_points
+    CORRUPTED_MERGE_TREES, corrupt_merge_tree, count_dendrogram_certificates, record_late_views_and_checked_points
 )
 from ultrafree.serialize import (
     IngestError,
@@ -747,7 +747,7 @@ def test_embed_refuses_as_the_library_does(tmp_path, capsys, dist):
 def test_cli_embed_certifies_its_tree_once(tmp_path, capsys, monkeypatch, four_cluster):
     path = tmp_path / "space.json"
     dump_json(space_to_json(four_cluster), path)
-    certified = count_path_metric_certificates(monkeypatch)
+    certified = count_dendrogram_certificates(monkeypatch)
     assert main(["embed", str(path)]) == 0
     assert certified == [four_cluster]
 

@@ -9,7 +9,7 @@ import pytest
 
 from ultrafree import metric, rtree
 from ultrafree.metric import (
-    CertificationError, FiniteMetricSpace, _integer_view, _single_linkage, random_ultrametric, round_to_dyadic
+    CertificationError, FiniteMetricSpace, _integer_view, _single_linkage, random_ultrametric, round_to_dyadic, with_base
 )
 from ultrafree.rtree import (
     DendrogramTree,
@@ -40,6 +40,7 @@ from _oracles import (
     scan_branching_points,
     scan_dendrogram,
     scan_retraction_claims,
+    walk_certificate,
 )
 from test_freespace import _nested_ultrametric, _stress_ultrametrics
 
@@ -84,7 +85,7 @@ def test_a_space_and_its_tree_are_freed_by_reference_counting():
 
 
 def test_a_dropped_tree_is_certified_again(four_cluster, monkeypatch):
-    certified = count_path_metric_certificates(monkeypatch)
+    certified = count_dendrogram_certificates(monkeypatch)
     first = weakref.ref(dendrogram(four_cluster))
     assert first() is None and len(certified) == 1
     tree = dendrogram(four_cluster)
@@ -344,15 +345,90 @@ def _long_edge(nodes, parent, edge):
     return nodes, parent, edge
 
 
+def _short_edge(nodes, parent, edge):
+    """The edge of a@1/4 half as long."""
+    edge = list(edge)
+    edge[5] /= 2
+    return nodes, parent, edge
+
+
+def _leaf_off_its_point(nodes, parent, edge):
+    """The leaf of b at the point a."""
+    nodes = list(nodes)
+    nodes[2] = TreePoint(1, 0)
+    return nodes, parent, edge
+
+
+def _anchor_under_no_child(nodes, parent, edge):
+    """a@1/4 anchored at the base, which hangs off the root."""
+    nodes = list(nodes)
+    nodes[5] = TreePoint(0, Q)
+    return nodes, parent, edge
+
+
+def _close_children(nodes, parent, edge):
+    """a@1/8 lifted to 3/16, its edges kept as height gaps: a and b are closer than twice its height."""
+    e = Fraction(3, 16)
+    nodes = list(nodes)
+    nodes[4] = TreePoint(1, e)
+    edge = list(edge)
+    edge[1] = edge[2] = e
+    edge[4] = Q - e
+    return nodes, parent, edge
+
+
+def _point(anchor, height):
+    return f"TreePoint(anchor={anchor}, height=Fraction({height.numerator}, {height.denominator}))"
+
+
 CORRUPTED_MERGE_TREES = [
     pytest.param(_lower_parent, "parent TreePoint(anchor=1, height=Fraction(1, 8)) "
                  "of TreePoint(anchor=1, height=Fraction(1, 4)) is not higher", id="lower-parent"),
     pytest.param(_one_child, "branching node TreePoint(anchor=3, height=Fraction(1, 8)) has fewer than two children",
                  id="one-child"),
-    pytest.param(_long_edge, "path metric disagrees with the quotient metric on "
-                 "(TreePoint(anchor=0, height=Fraction(0, 1)), TreePoint(anchor=1, height=Fraction(0, 1)))",
+    pytest.param(_long_edge, f"edge of {_point(1, Fraction(0))} has length 1/4, not its height gap 1/8",
                  id="long-edge"),
+    pytest.param(_short_edge, f"edge of {_point(1, Q)} has length 1/8, not its height gap 1/4", id="short-edge"),
+    pytest.param(_leaf_off_its_point, f"leaf 2 is {_point(1, Fraction(0))}, not {_point(2, Fraction(0))}",
+                 id="leaf-off-its-point"),
+    pytest.param(_anchor_under_no_child,
+                 f"anchor of branching node {_point(0, Q)} is the anchor of none of its children",
+                 id="anchor-under-no-child"),
+    pytest.param(_close_children, f"anchors of the children {_point(1, Fraction(0))} and {_point(2, Fraction(0))} "
+                 f"of {_point(1, Fraction(3, 16))} are not at distance twice its height", id="close-children"),
 ]
+
+
+def _fails(check, tree):
+    try:
+        check(tree)
+    except CertificationError:
+        return True
+    return False
+
+
+def test_the_node_certificate_agrees_with_the_walk_oracle(four_cluster):
+    # pass for pass with the same node distances, the oracle's path sums and the quotient formula, on
+    # tied, coprime, caterpillar, star and nested spaces, and fail for fail on every corrupted tree
+    rng = random.Random(29)
+    for space in [*_stress_ultrametrics(rng), _nested_ultrametric(200)]:
+        tree = dendrogram(space)
+        unit, rows = walk_certificate(tree)
+        assert rtree._node_distances(tree) == (unit, rows)
+        assert tuple(tuple(Fraction(x, unit) for x in row) for row in rows) == quotient_node_distances(tree)
+    merge_tree = rtree._merge_tree(len(four_cluster), _single_linkage(four_cluster), _integer_view(four_cluster)[0])
+    for change, _ in (param.values for param in CORRUPTED_MERGE_TREES):
+        broken = DendrogramTree(four_cluster, *map(tuple, change(*merge_tree)))
+        assert _fails(rtree._certify_dendrogram, broken) and _fails(walk_certificate, broken)
+
+
+def test_the_rooted_node_space_is_the_node_space_based_at_the_root():
+    rng = random.Random(37)
+    for space in _stress_ultrametrics(rng):
+        for s in (space, round_to_dyadic(space)):
+            tree = dendrogram(s)
+            rooted, based = rooted_node_space(tree), with_base(node_space(tree), len(tree.nodes) - 1)
+            assert rooted == based and _integer_view(rooted) == _integer_view(based)
 
 
 def corrupt_merge_tree(monkeypatch, change):
@@ -457,9 +533,9 @@ def record_late_views_and_checked_points(monkeypatch):
     return seen
 
 
-def count_path_metric_certificates(monkeypatch):
-    """Record the space of every tree whose path metric gets certified."""
+def count_dendrogram_certificates(monkeypatch):
+    """Record the space of every tree that gets certified."""
     spaces = []
-    real = rtree._certify_path_metric
-    monkeypatch.setattr(rtree, "_certify_path_metric", lambda tree: spaces.append(tree.space) or real(tree))
+    real = rtree._certify_dendrogram
+    monkeypatch.setattr(rtree, "_certify_dendrogram", lambda tree: spaces.append(tree.space) or real(tree))
     return spaces
