@@ -177,7 +177,7 @@ def _cmd_basis(args) -> int:
 def _cmd_embed(args) -> int:
     space = ingest(args.space, args.format)
     tree = dendrogram(space)
-    claims, images = _retraction_claims(space)
+    claims, images, _ = _retraction_claims(space)
     n = len(space)
     branching = tree.nodes[n:]
     # keyed by the node labels: a branching point named like a point takes primes there

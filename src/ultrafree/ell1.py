@@ -40,8 +40,8 @@ from .chain import (
 from .freespace import (
     FreeNormCertificate,
     FreeVector,
-    PointMap,
     _certify_transport,
+    _certify_witness,
     _edge_flow,
     _lp_certificate,
     _point_difference,
@@ -50,21 +50,27 @@ from .freespace import (
     free_norm,
     free_norm_certificate,
     molecule,
-    operator_norm_of_extension,
     zero_vector,
 )
 from .metric import (
     CertificationError,
     FiniteMetricSpace,
     _integer_view,
-    _tree_edges,
     identity_distortion,
     round_to_dyadic,
     validate,
 )
-from .rational import parse_rational
+from .rational import _rationals, parse_rational
 from .rtree import (
-    DendrogramTree, _certified_heights, _node_labels, _retraction_claims, dendrogram, node_space, rooted_node_space
+    DendrogramTree,
+    _certified_heights,
+    _node_distances,
+    _node_edges,
+    _node_labels,
+    _retraction_claims,
+    _rooted_view,
+    dendrogram,
+    rooted_node_space,
 )
 
 
@@ -98,26 +104,50 @@ def edge_flow_coordinates(tree: DendrogramTree, v: FreeVector) -> EdgeFlowCoordi
     if len(v.coeffs) != count - 1:
         raise ValueError("vector dimension does not match the tree nodes")
     _certified_heights(tree)
-    edges = [(k + 1, (tree.parent[k] + 1) % count, 0) for k in reversed(range(count - 1))]
-    masses = tuple(_tree_transport(edges, [Fraction(0), *v.coeffs])[0][1:])
-    back = vector_from_edge_flows(tree, masses).coeffs
+    masses = tuple(_tree_transport(_top_down(tree), [Fraction(0), *v.coeffs])[0][1:])
+    back = _own_minus_children(tree, masses)
     if back != v.coeffs:
         k = next(k for k, (c, x) in enumerate(zip(back, v.coeffs)) if c != x)
         raise CertificationError(f"edge-flow masses give {back[k]} at node {_node_labels(tree)[k]}, not {v.coeffs[k]}")
     return EdgeFlowCoordinates(masses, tree.edge_length[: count - 1])
 
 
-def vector_from_edge_flows(tree: DendrogramTree, masses: Sequence[Fraction]) -> FreeVector:
-    """Invert the edge-flow map: coefficient = own mass minus children's masses."""
+def _top_down(tree: DendrogramTree) -> list[tuple[int, int, int]]:
+    """The edges (node k + 1, its parent, 0) of the tree in root-based coordinates, parents first, for :func:`_tree_transport`."""
     count = len(tree.nodes)
-    if len(masses) != count - 1:
-        raise ValueError("one mass per non-root node required")
+    return [(k + 1, (tree.parent[k] + 1) % count, 0) for k in reversed(range(count - 1))]
+
+
+def _own_minus_children(tree: DendrogramTree, masses: Sequence[Fraction]) -> tuple[Fraction, ...]:
+    """The coefficient at each non-root node: its own mass minus its children's masses."""
+    count = len(tree.nodes)
     coeffs = list(masses)
     for k in range(count - 1):
         p = tree.parent[k]
         if p < count - 1:
             coeffs[p] -= masses[k]
-    return FreeVector(tuple(coeffs))
+    return tuple(coeffs)
+
+
+def vector_from_edge_flows(tree: DendrogramTree, masses: Sequence[Fraction]) -> FreeVector:
+    """Invert the edge-flow map: coefficient = own mass minus children's masses; linear time.
+
+    The tree is certified, and the subtree masses of the result
+    (:func:`_tree_transport` on the tree's top-down edges) must give the
+    masses back; a failure raises :class:`CertificationError` naming the
+    first node that differs.
+    """
+    count = len(tree.nodes)
+    if len(masses) != count - 1:
+        raise ValueError("one mass per non-root node required")
+    masses = tuple(_rationals(masses))
+    _certified_heights(tree)
+    coeffs = _own_minus_children(tree, masses)
+    back = _tree_transport(_top_down(tree), [Fraction(0), *coeffs])[0][1:]
+    if back != list(masses):
+        k = next(k for k, (m, x) in enumerate(zip(back, masses)) if m != x)
+        raise CertificationError(f"edge-flow vector has mass {back[k]} below node {_node_labels(tree)[k]}, not {masses[k]}")
+    return FreeVector._exact(coeffs)
 
 
 def tree_free_norm(tree: DendrogramTree, v: FreeVector) -> Fraction:
@@ -169,17 +199,17 @@ def _random_coeffs(rng: random.Random, dim: int) -> tuple[Fraction, ...]:
     return tuple(Fraction(c, _DRAW_UNIT) for c in _random_integers(rng, dim))
 
 
-def _battery_draws(space: FiniteMetricSpace, ambient: FiniteMetricSpace, vectors: int, seed: int) -> list[list[int]]:
-    """The random vectors of the battery, as integer coefficients over :data:`_DRAW_UNIT`.
+def _battery_draws(leaves: int, nodes: int, vectors: int, seed: int) -> list[list[int]]:
+    """The random vectors of the battery on a tree of ``nodes`` nodes over ``leaves`` points, as integers over :data:`_DRAW_UNIT`.
 
-    ``vectors`` random vectors on every node, then max(5, vectors // 5)
+    ``vectors`` random vectors on every non-root node, then max(5, vectors // 5)
     random vectors supported on the original leaves, all drawn by
     :func:`_random_integers` from one ``random.Random(seed)``, so the
     battery is the one that ``randint`` and ``choice`` give.
     """
     if vectors < 0:
         raise ValueError("the oracle battery size must be non-negative")
-    dim, leaves = len(ambient) - 1, len(space)
+    dim = nodes - 1
     rng = random.Random(seed)
     draws = [_random_integers(rng, dim) for _ in range(vectors)]
     draws += [_random_integers(rng, leaves) + [0] * (dim - leaves) for _ in range(max(5, vectors // 5))]
@@ -197,7 +227,7 @@ def _battery(
     """
     battery = [
         FreeVector._exact(tuple(Fraction(c, _DRAW_UNIT) for c in coeffs))
-        for coeffs in _battery_draws(space, ambient, vectors, seed)
+        for coeffs in _battery_draws(len(space), len(ambient), vectors, seed)
     ]
     size = len(ambient)
     pairs = [
@@ -244,16 +274,20 @@ def tree_norm_certificate(tree: DendrogramTree, v: FreeVector) -> FreeNormCertif
 def _certify_edge_flow_battery(tree: DendrogramTree, vectors: int, seed: int) -> None:
     """Certify the edge-flow norm on the random draws of :func:`oracle_vs_lp`, in integers, with no Fraction built.
 
-    Each random and leaf-supported draw over :data:`_DRAW_UNIT` takes the
-    tree route on the rooted node space (:func:`_edge_flow`) and the one
-    transport certificate, O(n) for n nodes.  A node pair's norm, its path
-    length, is its distance, which the dendrogram's certificate proves.
+    The battery reads the view of the rooted node space and its top-down
+    edges off the certified tree once (:func:`ultrafree.rtree._rooted_view`),
+    and builds no node space.  Each random and leaf-supported draw over
+    :data:`_DRAW_UNIT` takes the tree route (:func:`_edge_flow`), whose
+    potential is over the view's scale, and the one transport certificate
+    (:func:`ultrafree.freespace._certify_transport`) on that view and those
+    edges, O(n) for n nodes.  A node pair's norm, its path length, is its
+    distance, which the dendrogram's certificate proves.
     """
-    ambient = rooted_node_space(tree)
-    edges, scale = _tree_edges(ambient), _integer_view(ambient)[0]
-    for coeffs in _battery_draws(tree.space, ambient, vectors, seed):
+    view, edges = _rooted_view(tree)
+    route = (edges, None)
+    for coeffs in _battery_draws(len(tree.space), len(tree.nodes), vectors, seed):
         cost, arcs, potential = _edge_flow(edges, coeffs)
-        _certify_transport(ambient, coeffs, _DRAW_UNIT, cost, arcs, potential, scale)
+        _certify_transport(view, route, coeffs, _DRAW_UNIT, cost, arcs, potential, view[0])
 
 
 def edge_molecules(tree: DendrogramTree) -> BasisFamily:
@@ -592,29 +626,33 @@ def pipeline(
 
     The rounding distortion must stay below 2, the tree retraction constant
     and the induced projection norm below or at 4, the basis constant must be
-    exactly 1 and the l1 lower constant in (0, 1].  The edge-flow norm is
-    certified on the random draws of :func:`oracle_vs_lp` (``oracle_vectors``
-    random vectors and the leaf-supported ones), in integers by
-    :func:`_certify_edge_flow_battery`.  The draws come off the bit stream
-    (:func:`_random_integers`), and both node spaces are built with their
-    integer views and their tree.  The
-    projection norm is the Lipschitz constant of the retraction on the
-    node space, found by cross-multiplication on integers and certified at
-    its witness pair in integers, with no molecule
-    (:func:`operator_norm_of_extension`); a
-    failed certificate raises :class:`CertificationError`.  The input and
-    its rounding are validated by their cached single-linkage merges.  The
-    dendrogram of the rounding is kept on it, certified node by node, and
-    its node distances, off the quotient formula, serve the claims and both
-    node spaces, whose node pairs that certificate proves.  The
-    chain identities and the basis constant are read through the public
-    functions off the chain's one scan, which also certifies the
-    telescoping and the rank bound: on this ultrametric input the scan
-    checks the chain's table against the merge-tree rule in O(N^2), with
-    no pair scanned.  The l1 constants come off one walk of
-    its anchor tree per point, all in integers, with the witness checked on
-    its signs; the one transport solve left is the witness of the l1 lower
-    constant.
+    exactly 1 and the l1 lower constant in (0, 1].  After the input's
+    validation, everything is read off one certified tree, and no node
+    space is built.  The input is validated by its cached single-linkage
+    merges; its rounding is certified by its height map and keeps the
+    input's merges and report (:func:`ultrafree.metric.round_to_dyadic`),
+    and the distortion is read off that map.  The dendrogram of the
+    rounding is kept on it, certified node by node, and its node
+    distances, off the quotient formula, serve the claims, the battery and
+    the projection.  The edge-flow norm is certified on the random draws
+    of :func:`oracle_vs_lp` (``oracle_vectors`` random vectors and the
+    leaf-supported ones), drawn off the bit stream (:func:`_random_integers`),
+    in integers by :func:`_certify_edge_flow_battery`, on the rooted rows
+    and edges of the tree, one transport certificate per draw.  The node
+    pairs are scanned once, by the retraction claims, whose attained
+    constant is the projection norm, the Lipschitz constant of the
+    retraction on the node space: it is certified at the claims' witness
+    pair on the node distances, with the tree's edges as the Lipschitz
+    route, by the witness certificate of :func:`ultrafree.freespace.operator_norm_of_extension`
+    (:func:`ultrafree.freespace._certify_witness`); a failed certificate
+    raises :class:`CertificationError`.  The chain identities and the
+    basis constant are read through the public functions off the chain's
+    one scan, which also certifies the telescoping and the rank bound: on
+    this ultrametric input the scan checks the chain's table against the
+    merge-tree rule in O(N^2), with no pair scanned.  The l1 constants come
+    off one walk of its anchor tree per point, all in integers, with the
+    witness checked on its signs; the one transport solve left is the
+    witness of the l1 lower constant.
     """
     if len(space) < 2:
         raise ValueError("pipeline needs at least two points")
@@ -627,13 +665,15 @@ def pipeline(
         raise CertificationError("dyadic rounding did not give a power-of-two ultrametric")
     distortion = identity_distortion(space, rounded)
     tree = dendrogram(rounded)
-    claims, image = _retraction_claims(rounded)
-    ambient = node_space(tree)
+    claims, image, (i, j) = _retraction_claims(rounded)
     _certify_edge_flow_battery(tree, oracle_vectors, seed)
     chain = build_chain(space, ordering)
     family = basis_vectors(chain)
     constant, l1 = basis_constant(space, family), l1_equivalence_constants(space, family)
-    projection = operator_norm_of_extension(PointMap(ambient, ambient, tuple(image)))
+    projection = claims.attained_constant
+    if projection:
+        rows = _node_distances(tree)
+        _certify_witness(rows, rows, (_node_edges(tree, rows[1]), None), image, i, j, projection)
     return PipelineReport(
         size=len(space),
         distortion=distortion,

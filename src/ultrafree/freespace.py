@@ -13,16 +13,20 @@ sorted pairs builds the single-linkage merges and decides the route: when
 the distances are symmetric, non-negative and every cross pair of every
 merge sits exactly at the merge height, the space is an ultrametric and the
 norm is read off its merge tree in integers: opposite-signed masses are
-matched at their lowest merge.  Both tree routes take the potential from
-:func:`_tree_transport`, the one kernel for subtree masses and sign
-potentials.  Other input goes to the exact simplex.  All routes end in the
+matched at their lowest merge.  Both tree routes take the subtree masses
+of :func:`_subtree_masses` and the sign potential: the merge route from
+:func:`_tree_transport`, and the edge route from :func:`_edge_flow`, which
+steps it in the same pass as its arcs.  Other input goes to the exact
+simplex.  All routes end in the
 same check against the metric alone, certified in integers on the space's
 cached view: the flow must meet the coefficients at the value's cost, and
 its potential, vanishing at the base, must be 1-Lipschitz and pair with the
 coefficients to the same value exactly.  The potential is checked edge by
 edge on a space with a tree, and merge by merge on a space with merges,
 each in O(N); any other space, and a potential that fails an edge or a
-merge, go to the scan of every pair, which names the first failing pair.
+merge, go to the scan of every pair, which names the first failing pair
+(:func:`_steep`, the one dispatch, which the witness certificate of
+:func:`operator_norm_of_extension` shares).
 The view, the merges and the integer merge tree are computed once per
 space and kept on it (:func:`ultrafree.metric._integer_view`); the tree
 routes build Fractions only for the returned certificate, and the simplex
@@ -40,7 +44,7 @@ from typing import Optional, Sequence
 from .metric import (
     CertificationError, FiniteMetricSpace, _cached, _extreme_ratios, _integer_view, _single_linkage, _tree_edges
 )
-from .rational import _index, _rationals, parse_rational
+from .rational import _Scaled, _index, _rationals, parse_rational
 from .simplex import solve_lp
 
 
@@ -236,16 +240,22 @@ def _lca_flow(merges, masses: Sequence[int]) -> tuple[int, list[tuple[int, int, 
     return value, arcs
 
 
-def _tree_transport(edges: Sequence[tuple], masses: Sequence) -> tuple[list, list]:
-    """Subtree masses and sign potential of a tree: ``edges`` are (child, parent, length), parents first.
-
-    Each node's mass adds into its parent, children first.  The potential
-    is 0 at the root and steps from parent to child by sign(subtree mass) *
-    length, which attains the transport norm sum(length * |subtree mass|).
-    """
+def _subtree_masses(edges: Sequence[tuple], masses: Sequence) -> list:
+    """The mass of each node's subtree: ``edges`` are (child, parent, length), parents first, and each mass adds into its parent, children first."""
     net = list(masses)
     for child, parent, _ in reversed(edges):
         net[parent] += net[child]
+    return net
+
+
+def _tree_transport(edges: Sequence[tuple], masses: Sequence) -> tuple[list, list]:
+    """Subtree masses and sign potential of a tree: ``edges`` are (child, parent, length), parents first.
+
+    The masses are those of :func:`_subtree_masses`.  The potential
+    is 0 at the root and steps from parent to child by sign(subtree mass) *
+    length, which attains the transport norm sum(length * |subtree mass|).
+    """
+    net = _subtree_masses(edges, masses)
     g = [0] * len(net)
     for child, parent, length in edges:
         mass = net[child]
@@ -253,8 +263,8 @@ def _tree_transport(edges: Sequence[tuple], masses: Sequence) -> tuple[list, lis
     return net, g
 
 
-def _certify_transport(space: FiniteMetricSpace, masses: list, unit: int, cost: int, arcs, potential, scale: int) -> None:
-    """Check a transport certificate in integers on the space's cached view; a failure names its witness.
+def _certify_transport(view: _Scaled, route, masses: list, unit: int, cost: int, arcs, potential, scale: int) -> None:
+    """Check a transport certificate in integers on a space's view; a failure names its witness.
 
     On the view (q, D), d(i, j) = D[i][j] / q.  The coefficient at point
     k + 1 is masses[k] / unit (``masses`` a list, compared whole with the
@@ -268,15 +278,14 @@ def _certify_transport(space: FiniteMetricSpace, masses: list, unit: int, cost: 
 
     The Lipschitz and the duality checks compare on q and the potential's
     scale divided by their gcd, so the merge route, whose potential is over
-    2q, multiplies nothing by q.  The potential is checked edge by edge on
-    a space that keeps a tree (:func:`_edges_lipschitz`) and merge by merge
-    on one with merges (:func:`_merges_lipschitz`), in O(N); any other
-    space, and a potential that fails an edge or a merge, go to the
-    pairwise scan (:func:`_steep_pair`), which decides the check and names
-    the first failing pair, row by row.
+    2q, multiplies nothing by q.  The potential is checked on ``route``,
+    the space's :func:`_lipschitz_route`, by :func:`_steep`: edge by edge
+    or merge by merge in O(N), else pair by pair.  A caller that certifies
+    many vectors on one space, as :func:`ultrafree.ell1._certify_edge_flow_battery`
+    does, reads the view and the route once.
     """
-    q, d = _integer_view(space)
-    n = len(space)
+    q, d = view
+    n = len(d)
     divergence = [0] * n
     total = 0
     for i, j, amount in arcs:
@@ -298,22 +307,47 @@ def _certify_transport(space: FiniteMetricSpace, masses: list, unit: int, cost: 
         raise CertificationError(f"dual potential is {Fraction(potential[0], scale)} at the base, not 0")
     common = gcd(q, scale)
     p, s = q // common, scale // common
-    edges = _tree_edges(space)
-    if edges is not None:
-        passed = _edges_lipschitz(d, edges, potential, p, s)
-    else:
-        tree = _cached(space, "_transport_tree", _transport_tree)
-        passed = tree is not None and _merges_lipschitz(tree[0], potential, p, s)
-    if not passed:
-        pair = _steep_pair(d, potential, p, s)
-        if pair is not None:
-            raise CertificationError(f"dual potential is not 1-Lipschitz on the pair ({pair[0]}, {pair[1]})")
+    pair = _steep(d, route, potential, p, s)
+    if pair is not None:
+        raise CertificationError(f"dual potential is not 1-Lipschitz on the pair ({pair[0]}, {pair[1]})")
     # the value is cost / (q * unit) and the dual dual / (unit * scale)
     dual = sum(map(mul, masses, potential[1:]))
     if dual * p != cost * s:
         raise CertificationError(
             f"primal and dual transport optima differ: {Fraction(cost, q * unit)} against {Fraction(dual, unit * scale)}"
         )
+
+
+def _lipschitz_route(space: FiniteMetricSpace) -> tuple:
+    """How :func:`_steep` checks a potential on the space: (edges, None) for the edges it keeps, (None, merges) for its integer merges, or (None, None).
+
+    The edges are those of :func:`ultrafree.metric._keep_tree`, and the
+    merges those of :func:`_transport_tree`, prepared once per space.
+    """
+    edges = _tree_edges(space)
+    if edges is not None:
+        return edges, None
+    tree = _cached(space, "_transport_tree", _transport_tree)
+    return None, None if tree is None else tree[0]
+
+
+def _steep(d, route, potential, p: int, s: int) -> Optional[tuple[int, int]]:
+    """The first pair i < j, row by row, on which G / scale is not 1-Lipschitz, or None: the one dispatch of the Lipschitz check.
+
+    With p / s and G as in :func:`_merges_lipschitz`, a potential is checked
+    on the edges of ``route`` (:func:`_edges_lipschitz`), else on its merges
+    (:func:`_merges_lipschitz`), each in O(N) on the view rows ``d``; a
+    route with neither, and a potential that fails an edge or a merge, go
+    to the pairwise scan (:func:`_steep_pair`), which decides the check and
+    names the first failing pair.
+    """
+    edges, merges = route
+    if edges is not None:
+        if _edges_lipschitz(d, edges, potential, p, s):
+            return None
+    elif merges is not None and _merges_lipschitz(merges, potential, p, s):
+        return None
+    return _steep_pair(d, potential, p, s)
 
 
 def _merges_lipschitz(merges, potential, p: int, s: int) -> bool:
@@ -382,14 +416,15 @@ def _certify_rational(space: FiniteMetricSpace, coeffs, value, flow, potential) 
     view's scale are integers; the potential goes over the lcm of its own
     denominators.
     """
-    q = _integer_view(space)[0]
+    view = _integer_view(space)
     unit = lcm(value.denominator, *(c.denominator for c in coeffs), *(a.denominator for _, _, a in flow))
     scale = lcm(*(x.denominator for x in potential))
     _certify_transport(
-        space,
+        view,
+        _lipschitz_route(space),
         [c.numerator * (unit // c.denominator) for c in coeffs],
         unit,
-        value.numerator * (unit // value.denominator) * q,
+        value.numerator * (unit // value.denominator) * view[0],
         [(i, j, a.numerator * (unit // a.denominator)) for i, j, a in flow],
         [x.numerator * (scale // x.denominator) for x in potential],
         scale,
@@ -417,20 +452,26 @@ def _transport_tree(space: FiniteMetricSpace) -> Optional[tuple[tuple, tuple]]:
 def _edge_flow(edges, coeffs: Sequence[int]) -> tuple[int, list[tuple[int, int, int]], list[int]]:
     """The cost, flow and potential of integer coefficients on a tree's (child, parent, length) edges, unchecked.
 
-    Coefficient k is at point k + 1 and -sum(coeffs) at the base.  The flow sends the subtree mass m_e of
-    :func:`_tree_transport` along each edge e, out of the subtree when positive, at cost sum(length * |m_e|);
-    the sign potential is shifted to vanish at the base.
+    Coefficient k is at point k + 1 and -sum(coeffs) at the base.  After the subtree masses m_e of
+    :func:`_subtree_masses`, one pass down the edges sends m_e along each edge e, out of the subtree when
+    positive, at cost sum(length * |m_e|), and steps the sign potential of :func:`_tree_transport`; the
+    potential is shifted to vanish at the base.
     """
-    net, g = _tree_transport(edges, [-sum(coeffs), *coeffs])
+    net = _subtree_masses(edges, [-sum(coeffs), *coeffs])
+    g = [0] * len(net)
     arcs, cost = [], 0
     for child, parent, length in edges:
         mass = net[child]
         if mass > 0:
             arcs.append((child, parent, mass))
             cost += length * mass
+            g[child] = g[parent] + length
         elif mass < 0:
             arcs.append((parent, child, -mass))
             cost -= length * mass
+            g[child] = g[parent] - length
+        else:
+            g[child] = g[parent]
     base = g[0]
     return cost, arcs, [x - base for x in g] if base else g
 
@@ -451,11 +492,12 @@ def free_norm_certificate(space: FiniteMetricSpace, v: FreeVector) -> FreeNormCe
     n = len(space)
     if len(v.coeffs) != n - 1:
         raise ValueError("vector dimension does not match the space")
-    edges = _tree_edges(space)
-    tree = None if edges is not None else _cached(space, "_transport_tree", _transport_tree)
-    if edges is None and tree is None:
+    route = _lipschitz_route(space)
+    edges, merges = route
+    if edges is None and merges is None:
         return _zero_certificate(n) if v.is_zero() else _lp_certificate(space, v)
-    scale, unit = _integer_view(space)[0], lcm(*(c.denominator for c in v.coeffs))
+    view = _integer_view(space)
+    scale, unit = view[0], lcm(*(c.denominator for c in v.coeffs))
     coeffs = [c.numerator * (unit // c.denominator) for c in v.coeffs]
     if not any(coeffs):
         return _zero_certificate(n)
@@ -464,14 +506,13 @@ def free_norm_certificate(space: FiniteMetricSpace, v: FreeVector) -> FreeNormCe
         cost, arcs, potential = _edge_flow(edges, coeffs)
         over = scale
     else:
-        merges, edges = tree
         masses = [-sum(coeffs), *coeffs]
         cost, arcs = _lca_flow(merges, masses)
-        _, g = _tree_transport(edges, masses + [0] * len(merges))
+        _, g = _tree_transport(_cached(space, "_transport_tree", _transport_tree)[1], masses + [0] * len(merges))
         potential = [x - g[0] for x in g[:n]]
         # a merge-tree edge is half its height gap, so g is over 2 scale
         over = 2 * scale
-    _certify_transport(space, coeffs, unit, cost, arcs, potential, over)
+    _certify_transport(view, route, coeffs, unit, cost, arcs, potential, over)
     amounts = {amount: Fraction(amount, unit) for amount in {amount for _, _, amount in arcs}}
     values = {x: Fraction(x, over) for x in set(potential)}
     return FreeNormCertificate(
@@ -531,13 +572,18 @@ def push_forward(point_map: PointMap, v: FreeVector) -> FreeVector:
     """Apply the linearized map: each evaluation goes to the evaluation of its image."""
     if len(v.coeffs) != len(point_map.domain) - 1:
         raise ValueError("vector dimension does not match the domain")
-    out = [Fraction(0)] * (len(point_map.codomain) - 1)
-    for k, c in enumerate(v.coeffs):
+    return FreeVector._exact(_push_forward(point_map.image, len(point_map.codomain), v.coeffs))
+
+
+def _push_forward(image: Sequence[int], size: int, coeffs: Sequence[Fraction]) -> tuple[Fraction, ...]:
+    """The body of :func:`push_forward`: coefficient k goes to the image of point k + 1, on ``size`` points."""
+    out = [Fraction(0)] * (size - 1)
+    for k, c in enumerate(coeffs):
         if c:
-            target = point_map.image[k + 1]
+            target = image[k + 1]
             if target != 0:
                 out[target - 1] += c
-    return FreeVector._exact(tuple(out))
+    return tuple(out)
 
 
 def _distance_potential(d, target: int) -> list[int]:
@@ -552,38 +598,51 @@ def operator_norm_of_extension(point_map: PointMap) -> Fraction:
     the one arc from f(i) to f(j), which costs d(f i, f j) / d(i, j) <=
     Lip(f); molecules are the extreme points of the domain unit ball, so the
     norm is at most Lip(f).  Lower bound, at the first pair (i, j) attaining
-    Lip(f): the one-arc flow must have the image of m_ij as its divergence,
-    and the potential g = d(., f j) - d(base, f j), an integer row on the
-    codomain's cached view, must be 1-Lipschitz and pair with that image
-    to exactly Lip(f).  A failed check raises :class:`CertificationError`
-    naming the pair.
-
-    The checks run on integer data.  The factor 1/d(i, j) is common to
-    m_ij and its one-arc flow, so :func:`push_forward` of delta_i - delta_j
-    is compared with delta_{f i} - delta_{f j}, both with integer
-    coefficients.  On the views (p, D) of the
-    domain and (q, C) of the codomain the pairing of g / q with the image
-    of m_ij is <g, image> p / (q D[i][j]), which is cross-multiplied with
-    the returned Lip(f).  No molecule is built and no Fraction vector is
-    added or scaled.
+    Lip(f), found by one scan of the domain pairs (:func:`_lipschitz_witness`):
+    the witness certificate :func:`_certify_witness` on the cached views of
+    the domain and the codomain, with the codomain's route
+    (:func:`_lipschitz_route`).  No molecule is built and no Fraction vector
+    is added or scaled.
     """
     best, i, j = _lipschitz_witness(point_map)
     if best == 0:
         return best
-    dom, cod = point_map.domain, point_map.codomain
-    source, target = point_map.image[i], point_map.image[j]
-    image = push_forward(point_map, FreeVector._exact(_point_difference(len(dom), i, j))).coeffs
-    if image != _point_difference(len(cod), source, target):
+    cod = point_map.codomain
+    _certify_witness(_integer_view(point_map.domain), _integer_view(cod), _lipschitz_route(cod), point_map.image, i, j, best)
+    return best
+
+
+def _certify_witness(domain: _Scaled, codomain: _Scaled, route, image: Sequence[int], i: int, j: int, best: Fraction) -> None:
+    """Certify that the linearized map of ``image`` has operator norm at least ``best``, at the pair (i, j); a failure names the pair.
+
+    ``domain`` and ``codomain`` are views (p, D) and (q, C), ``route`` the
+    codomain's :func:`_lipschitz_route`.  The map must send base to base;
+    the image of m_ij (:func:`push_forward`) must be its one-arc flow; the
+    potential g = C(., f j) - C(base, f j), over q, must be 1-Lipschitz,
+    checked by :func:`_steep` on the route; and g must pair with the image
+    of m_ij to exactly ``best``.  Then ``best`` <= the norm.  The checks run
+    on integer data: the factor 1/d(i, j) is common to m_ij and its one-arc
+    flow, so the image of delta_i - delta_j is compared with
+    delta_{f i} - delta_{f j}, both with integer coefficients, and the
+    pairing of g / q with the image of m_ij, <g, image> p / (q D[i][j]), is
+    cross-multiplied with ``best``.  :func:`operator_norm_of_extension`
+    calls it after its scan, and :func:`ultrafree.ell1.pipeline` on the
+    node distances of a dendrogram at the retraction claims' witness.
+    """
+    (p, e), (q, d) = domain, codomain
+    if image[0] != 0:
+        raise CertificationError(f"the map sends the base to {image[0]}, not to the base")
+    source, target = image[i], image[j]
+    pushed = _push_forward(image, len(d), _point_difference(len(e), i, j))
+    if pushed != _point_difference(len(d), source, target):
         raise CertificationError(f"the image of the molecule at pair ({i}, {j}) is not its one-arc flow")
-    q, d = _integer_view(cod)
     g = _distance_potential(d, target)  # the potential is g / q
-    if _steep_pair(d, g, 1, 1) is not None:
+    if _steep(d, route, g, 1, 1) is not None:
         raise CertificationError(f"the potential of pair ({i}, {j}) is not 1-Lipschitz")
-    p, e = _integer_view(dom)
-    pairing = sum(c * x for c, x in zip(image, g[1:]) if c)
+    # the image is the integer vector delta_{f i} - delta_{f j} now, so each coefficient is its numerator
+    pairing = sum(c.numerator * x for c, x in zip(pushed, g[1:]) if c)
     if pairing * p * best.denominator != best.numerator * q * e[i][j]:
         raise CertificationError(f"the potential of pair ({i}, {j}) does not attain the operator norm {best}")
-    return best
 
 
 # the coefficients of a point difference, shared: Fraction arithmetic costs more than a lookup

@@ -5,6 +5,8 @@ from __future__ import annotations
 from fractions import Fraction
 from typing import Sequence
 
+from .metric import CertificationError
+
 
 class SingularMatrixError(ValueError):
     pass
@@ -56,7 +58,20 @@ def solve_linear(matrix: Sequence[Sequence[Fraction]], rhs: Sequence[Fraction]) 
 
 
 def invert_matrix(matrix: Sequence[Sequence[Fraction]]) -> list[list[Fraction]]:
-    """Exact inverse by Gauss-Jordan; raises SingularMatrixError if singular."""
+    """Exact inverse by Gauss-Jordan; raises SingularMatrixError if singular.
+
+    The inverse is certified before it is returned: A A^-1 must be the
+    identity, entry by entry, in O(n^3) like the elimination; the first
+    entry that differs, row by row, raises :class:`CertificationError`
+    naming it.
+    """
     n = len(matrix)
     identity = [[Fraction(int(i == j)) for j in range(n)] for i in range(n)]
-    return _solve_square(matrix, identity)
+    inverse = _solve_square(matrix, identity)
+    columns = list(zip(*inverse))
+    for i, row in enumerate(matrix):
+        for j, column in enumerate(columns):
+            entry = sum((a * b for a, b in zip(row, column) if a and b), Fraction(0))
+            if entry != (i == j):
+                raise CertificationError(f"the inverse fails A A^-1 = I at entry ({i}, {j}): {entry}, not {int(i == j)}")
+    return inverse

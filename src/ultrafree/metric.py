@@ -9,6 +9,7 @@ are reported with a witnessing triple instead of raised.
 from __future__ import annotations
 
 import random
+import weakref
 from dataclasses import dataclass
 from fractions import Fraction
 from itertools import combinations
@@ -114,6 +115,10 @@ class ValidationReport:
     is_dyadic: bool
 
 
+# the report of every dyadic ultrametric, shared: the report is frozen
+_DYADIC_ULTRAMETRIC = ValidationReport(is_metric=True, is_ultrametric=True, failing_triple=None, is_dyadic=True)
+
+
 def _cached(owner, name: str, build: Callable):
     """``build(owner)``, computed on the first call and kept on the frozen dataclass ``owner``, outside its fields.
 
@@ -139,8 +144,10 @@ def _integer_view(space: FiniteMetricSpace) -> _Scaled:
     built from rows of strings, as :func:`ultrafree.serialize.ingest` reads
     them, from its parsed strings; :func:`random_ultrametric` from its
     integer merge heights; :func:`round_to_dyadic` from the view of its
-    input; the node spaces of :mod:`ultrafree.rtree` from the node distances
-    of their certified tree (:func:`_space_with_view`), which they keep
+    input, with its merges and its report; the node spaces of
+    :mod:`ultrafree.rtree` from the node distances of their certified tree
+    (:func:`_space_with_view`, or the rooted view of
+    :func:`ultrafree.rtree._rooted_view`), which they keep
     (:func:`_keep_tree`); and :func:`with_base` hands a kept view, but no
     tree, on to the space it builds, permuted.  A space built from rows of
     Fractions or of other numbers, or by ``dataclasses.replace``, computes
@@ -167,13 +174,13 @@ def _keep_view(space: FiniteMetricSpace, view: _Scaled) -> FiniteMetricSpace:
     return space
 
 
-def _keep_tree(space: FiniteMetricSpace, links) -> FiniteMetricSpace:
-    """Keep on ``space`` the (child, parent, length) edges of the (child, parent) ``links``, parents first.
+def _keep_tree(space: FiniteMetricSpace, edges: tuple[tuple[int, int, int], ...]) -> FiniteMetricSpace:
+    """Keep on ``space`` the (child, parent, length) ``edges`` of a tree, parents first.
 
-    The length is the view's entry; the caller vouches that the view is the path metric of the tree.
+    Each length is the view's entry at its edge; the caller vouches for that, and that the view is the path
+    metric of the tree.
     """
-    d = _integer_view(space)[1]
-    object.__setattr__(space, "_edges", tuple((child, up, d[child][up]) for child, up in links))
+    object.__setattr__(space, "_edges", edges)
     return space
 
 
@@ -340,15 +347,61 @@ def round_to_dyadic(space: FiniteMetricSpace) -> FiniteMetricSpace:
     distinct merge height, on its integer in the :func:`_integer_view`, and
     the rounded space is born with its view, both read off the input's view
     by lookup (:func:`_space_with_view`).
+
+    The rounding is certified by its height map phi, from the distinct
+    merge heights of the input to those of the rounding, on the two views,
+    in O(distinct heights) (:func:`_certify_height_map`): every phi(h) is a
+    power of two on the rounding's scale, so positive, and phi never falls
+    as h grows.  Then the rounding keeps the input's merges with their
+    heights mapped, and the report of :func:`validate`, with no pair
+    scanned again.  Proof.  Every distance of the rounding is phi of the
+    input's, so each cross pair of an input merge at h sits at phi(h) in
+    the rounding, and the merges, listed by increasing h, list their mapped
+    heights in non-decreasing order.  That is what :func:`_single_linkage`
+    certifies of its merges, so the rounding is an ultrametric with these
+    merges: symmetric, 0 on the diagonal only, as phi(0) = 0 < phi(h) for
+    h > 0.  Its distances between distinct points are the mapped merge
+    heights, powers of two, so its report is that of a dyadic ultrametric,
+    as :func:`validate` would find it.  Tied mapped heights may list the
+    merges in another order than :func:`_merge_pairs` would, but the
+    dendrogram does not depend on that order: tied merges are contracted
+    (:func:`_cluster_parents`), and every cluster is a ball.  The rounding
+    also keeps phi, for :func:`bilipschitz_distortion`.
     """
     if not validate(space).is_ultrametric:
         raise ValueError("round_to_dyadic requires an ultrametric space")
     scale, d = _integer_view(space)
+    merges = _single_linkage(space)
     floors = {0: Fraction(0)}
-    for h, _, _ in _single_linkage(space):
+    for h, _, _ in merges:
         if h not in floors:
             floors[h] = _power_of_two_below(h, scale)
-    return _space_with_view(space.labels, d, floors)
+    rounded = _space_with_view(space.labels, d, floors)
+    unit = _integer_view(rounded)[0]
+    mapped = {h: x.numerator * (unit // x.denominator) for h, x in floors.items()}
+    _certify_height_map(mapped, scale, unit)
+    object.__setattr__(rounded, "_merges", tuple((mapped[h], a, b) for h, a, b in merges))
+    object.__setattr__(rounded, "_report", _DYADIC_ULTRAMETRIC)
+    object.__setattr__(rounded, "_height_map", (weakref.ref(space), mapped))
+    return rounded
+
+
+def _certify_height_map(mapped: dict, scale: int, unit: int) -> None:
+    """Check that the height map h -> mapped[h], on the scales 1/``scale`` and 1/``unit``, is a non-decreasing map onto powers of two.
+
+    ``mapped`` holds 0 -> 0 and one entry per distinct merge height; a
+    failure names the first height, from below, that fails.
+    """
+    below = 0
+    for h in sorted(mapped)[1:]:
+        x = mapped[h]
+        if not _is_power_of_two_over(x, unit):
+            raise CertificationError(f"dyadic rounding maps the height {Fraction(h, scale)} to {Fraction(x, unit)}, not a power of two")
+        if x < below:
+            raise CertificationError(
+                f"dyadic rounding maps the height {Fraction(h, scale)} to {Fraction(x, unit)}, below {Fraction(below, unit)}"
+            )
+        below = x
 
 
 def _extreme_ratios(space: FiniteMetricSpace, top: Callable[[int, int], int]):
@@ -375,15 +428,34 @@ def bilipschitz_distortion(a: FiniteMetricSpace, b: FiniteMetricSpace) -> tuple[
     """Min and max of d_b/d_a over all pairs, under the identity correspondence.
 
     On the integer views (p, A) and (q, B) the ratio at (i, j) is B[i][j] p / (A[i][j] q).
+    When b is the rounding of a by :func:`round_to_dyadic`, b keeps a's
+    certified height map phi, and B[i][j] = phi(A[i][j]); every distance of
+    a between distinct points is one of its merge heights and every merge
+    height is one of its distances, so the ratios over the pairs are the
+    ratios phi(h) / h over the distinct merge heights, read in
+    O(distinct heights).  Any other pair of spaces is scanned pair by pair.
     """
     if len(a) != len(b):
         raise ValueError(f"point counts differ: {len(a)} vs {len(b)}")
     q, e = _integer_view(b)
-    extremes = _extreme_ratios(a, lambda i, j: e[i][j])
-    if extremes is None:
-        return (Fraction(1), Fraction(1))
     p = _integer_view(a)[0]
-    return tuple(Fraction(top * p, bottom * q) for top, bottom, _, _ in extremes)
+    kept = vars(b).get("_height_map")
+    if kept is not None and kept[0]() is a:
+        ratios = [(x, h) for h, x in kept[1].items() if h]
+        if not ratios:
+            return (Fraction(1), Fraction(1))
+        least = greatest = ratios[0]
+        for ratio in ratios[1:]:
+            if ratio[0] * greatest[1] > greatest[0] * ratio[1]:
+                greatest = ratio
+            if ratio[0] * least[1] < least[0] * ratio[1]:
+                least = ratio
+        extremes = (least, greatest)
+    else:
+        extremes = _extreme_ratios(a, lambda i, j: e[i][j])
+        if extremes is None:
+            return (Fraction(1), Fraction(1))
+    return tuple(Fraction(top * p, bottom * q) for top, bottom, *_ in extremes)
 
 
 def identity_distortion(a: FiniteMetricSpace, b: FiniteMetricSpace) -> Fraction:

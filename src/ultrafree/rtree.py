@@ -27,7 +27,7 @@ import weakref
 from dataclasses import dataclass
 from fractions import Fraction
 from itertools import combinations, combinations_with_replacement
-from math import lcm
+from math import gcd, lcm
 from typing import Optional, Sequence
 
 from .metric import (
@@ -38,6 +38,7 @@ from .metric import (
     _cluster_parents,
     _integer_view,
     _keep_tree,
+    _keep_view,
     _single_linkage,
     _space_with_view,
     validate,
@@ -365,8 +366,8 @@ def verify_retraction_claims(space: FiniteMetricSpace) -> RetractionClaimReport:
     return _retraction_claims(space)[0]
 
 
-def _retraction_claims(space: FiniteMetricSpace) -> tuple[RetractionClaimReport, list[int]]:
-    """The body of :func:`verify_retraction_claims`, with the image of every tree node.
+def _retraction_claims(space: FiniteMetricSpace) -> tuple[RetractionClaimReport, list[int], tuple[int, int]]:
+    """The body of :func:`verify_retraction_claims`, with the image of every tree node and the witness pair.
 
     The one place that refuses input to the claims: a non-ultrametric space
     through :func:`dendrogram`, then a non-dyadic one.  The claims run on the
@@ -378,6 +379,12 @@ def _retraction_claims(space: FiniteMetricSpace) -> tuple[RetractionClaimReport,
     exactly twice its height from that anchor.  On powers of two,
     2**max(e_m, e_n) - 2**(e_n - 1) - 2**(e_k - 1) of the exponent-gap
     claim is max(d, 2 h_max) - h_max - h_min.
+
+    The attained constant comes off one scan of the node pairs p < q, row
+    by row, with the strict-greater rule of :func:`ultrafree.freespace._lipschitz_witness`,
+    so the witness pair returned is the first pair that attains it, the
+    pair that :func:`ultrafree.freespace.operator_norm_of_extension` would
+    find on the node space; (0, 1) when the constant is 0.
     """
     tree = dendrogram(space)
     if not validate(space).is_dyadic:
@@ -413,11 +420,11 @@ def _retraction_claims(space: FiniteMetricSpace) -> tuple[RetractionClaimReport,
             if gap > 4 * (max(gap, 2 * high) - high - low):
                 exponent_gap.append((a, b))
     idempotent = all(images[images[k]] == images[k] for k in range(count))
-    best, over = 0, 1
+    best, over, witness = 0, 1, (0, 1)
     for p, q in combinations(range(count), 2):
         moved, rho = rows[images[p]][images[q]], rows[p][q]
         if moved * over > best * rho:
-            best, over = moved, rho
+            best, over, witness = moved, rho, (p, q)
     report = RetractionClaimReport(
         tuple(leaf_branch),
         tuple(branch_pair),
@@ -427,7 +434,7 @@ def _retraction_claims(space: FiniteMetricSpace) -> tuple[RetractionClaimReport,
         idempotent,
         Fraction(best, over),
     )
-    return report, images
+    return report, images, witness
 
 
 @dataclass(frozen=True)
@@ -613,22 +620,72 @@ def node_space(tree: DendrogramTree) -> FiniteMetricSpace:
 
 
 def _node_metric(tree: DendrogramTree, shift: int) -> FiniteMetricSpace:
-    """The space of the tree nodes, node k being point (k + shift) % nodes, with its view and its tree.
+    """The space of the tree nodes, node k being point (k + shift) % nodes for a shift of 0 or 1, with its view and its tree.
 
-    The labels and the node distances (:func:`_node_distances`) are rotated by ``shift``, and the Fraction
-    rows and the view read off them by lookup, one Fraction per distinct distance, built once per tree
-    (:func:`ultrafree.metric._space_with_view`).  The view is the
-    tree's path metric, so the tree is kept on the space (:func:`ultrafree.metric._keep_tree`), top-down:
-    parents are higher than their children, and a tree read off merges lists its nodes by height.
+    Its Fraction rows are read off the node distances by lookup, one
+    Fraction per distinct distance, built once per tree.  With no shift the
+    view is read off :func:`_node_distances` (:func:`ultrafree.metric._space_with_view`);
+    a shift of one takes the view, the labels and the edges of
+    :func:`_rooted_view`, so the rotation is made once per tree.  The view
+    is the tree's path metric, so the tree is kept on the space
+    (:func:`ultrafree.metric._keep_tree`), top-down: parents are higher
+    than their children, and a tree read off merges lists its nodes by
+    height.
     """
     unit, rows = _node_distances(tree)
-    exact = _cached(tree, "_exact", lambda t: {x: Fraction(x, unit) for x in set().union(*rows)})
-    labels, parent, count = _node_labels(tree), tree.parent, len(tree.nodes)
-    if shift:
-        labels = labels[-shift:] + labels[:-shift]
-        rows = [row[-shift:] + row[:-shift] for row in rows[-shift:] + rows[:-shift]]
-    space = _space_with_view(labels, rows, exact)
-    return _keep_tree(space, (((k + shift) % count, (parent[k] + shift) % count) for k in reversed(range(count - 1))))
+    exact = _exact_distances(tree)
+    labels = _node_labels(tree)
+    if not shift:
+        space = _space_with_view(labels, rows, exact)
+        return _keep_tree(space, _node_edges(tree, _integer_view(space)[1]))
+    view, edges = _rooted_view(tree)
+    shrink = unit // view[0]
+    if shrink != 1:
+        exact = {x // shrink: value for x, value in exact.items()}
+    dist = tuple(tuple(map(exact.__getitem__, row)) for row in view[1])
+    space = _keep_view(FiniteMetricSpace._exact(labels[-1:] + labels[:-1], dist), view)
+    return _keep_tree(space, edges)
+
+
+def _node_edges(tree: DendrogramTree, d) -> tuple[tuple[int, int, int], ...]:
+    """The (child, parent, length) edges of the tree nodes, parents first, each length read off the node rows ``d``."""
+    parent = tree.parent
+    return tuple((k, parent[k], d[k][parent[k]]) for k in reversed(range(len(parent) - 1)))
+
+
+def _exact_distances(tree: DendrogramTree) -> dict:
+    """Each distinct node distance x of :func:`_node_distances`, over its unit L, as the Fraction x / L; once per tree."""
+    def build(t: DendrogramTree) -> dict:
+        unit, rows = _node_distances(t)
+        return {x: Fraction(x, unit) for x in set().union(*rows)}
+
+    return _cached(tree, "_exact", build)
+
+
+def _rooted_view(tree: DendrogramTree) -> tuple[_Scaled, tuple[tuple[int, int, int], ...]]:
+    """The view of :func:`rooted_node_space` and its top-down (child, parent, length) edges, once per tree and kept on it.
+
+    The rows are those of :func:`_node_distances` rotated by one, the root
+    first, over the lcm of the denominators of the distances, as
+    :func:`ultrafree.metric._integer_view` would put them; an edge goes
+    from node k + 1 to its parent, and its length is read off those rows.
+    The edge-flow battery of :mod:`ultrafree.ell1` runs on them with no
+    node space built.
+    """
+    return _cached(tree, "_rooted", _rotated_rows)
+
+
+def _rotated_rows(tree: DendrogramTree) -> tuple[_Scaled, tuple[tuple[int, int, int], ...]]:
+    unit, rows = _node_distances(tree)
+    # the lcm of the denominators of x / L over the distances x is L / gcd(L, every x)
+    shrink = gcd(unit, *(gcd(*row) for row in rows))
+    scale = unit // shrink
+    rotated = [row[-1:] + row[:-1] for row in rows[-1:] + rows[:-1]]
+    if shrink != 1:
+        rotated = [tuple(x // shrink for x in row) for row in rotated]
+    d, parent, count = tuple(rotated), tree.parent, len(rows)
+    links = [(k + 1, (parent[k] + 1) % count) for k in reversed(range(count - 1))]
+    return (scale, d), tuple((child, up, d[child][up]) for child, up in links)
 
 
 def rooted_node_space(tree: DendrogramTree) -> FiniteMetricSpace:
@@ -639,9 +696,9 @@ def rooted_node_space(tree: DendrogramTree) -> FiniteMetricSpace:
     edge-flow coordinates of :func:`ultrafree.ell1.edge_flow_coordinates`.
     Free spaces over different base points are isometric, so this is a
     choice of coordinates, not of content.  :func:`_node_metric` builds it
-    like :func:`node_space`, rotated by one, with its view and its tree, so
+    off :func:`_rooted_view`, with its view and its tree, so
     :func:`ultrafree.freespace.free_norm_certificate` takes the tree route
-    on it, the potential of :func:`ultrafree.freespace._tree_transport`
+    on it, the potential of :func:`ultrafree.freespace._edge_flow`
     vanishing at the base.  It is kept on the tree.
     """
     return _cached(tree, "_rooted_node_space", lambda t: _node_metric(t, 1))

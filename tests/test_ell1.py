@@ -25,7 +25,7 @@ from test_acceptance import _power_of_two_caterpillar
 from test_chain import _rank_corruptions, _shuffled_chain, _tangled_chain
 from test_freespace import _PRIMES_NEAR_A_MILLION, _coprime_heights, _merge_ultrametric, _stress_ultrametrics
 from test_rtree import COLLIDING, count_dendrogram_certificates, record_late_views_and_checked_points
-from ultrafree import chain as chain_module, ell1, freespace, rtree
+from ultrafree import chain as chain_module, ell1, freespace, metric as metric_module, rtree
 from ultrafree.chain import BasisFamily, RetractionChain, basis_vectors, build_chain, retraction_map
 from ultrafree.cli import main
 from ultrafree.ell1 import (
@@ -52,7 +52,9 @@ from ultrafree.freespace import (
     operator_norm_of_extension,
     zero_vector,
 )
-from ultrafree.metric import CertificationError, FiniteMetricSpace, random_ultrametric, round_to_dyadic, validate
+from ultrafree.metric import (
+    CertificationError, FiniteMetricSpace, random_ultrametric, round_to_dyadic, validate, with_base
+)
 from ultrafree.rtree import _retraction_claims, dendrogram, node_space, rooted_node_space, verify_retraction_claims
 from ultrafree.serialize import dump_json, ingest, space_to_json
 
@@ -123,6 +125,22 @@ def test_edge_flow_coordinates_check_that_the_masses_give_back_the_vector(four_c
     monkeypatch.setattr(ell1, "_tree_transport", doubled)
     with pytest.raises(CertificationError, match="^edge-flow masses give 2 at node a, not 1$"):
         edge_flow_coordinates(dendrogram(four_cluster), FreeVector((0, 1, 1, 1, 0, 0)))
+
+
+def test_vector_from_edge_flows_checks_that_its_subtree_masses_give_back_the_masses(four_cluster, monkeypatch):
+    # the coefficient at a raised by one: the subtree mass below a is then 2, not 1
+    real = ell1._own_minus_children
+
+    def raised(tree, masses):
+        coeffs = list(real(tree, masses))
+        coeffs[1] += 1
+        return tuple(coeffs)
+
+    tree = dendrogram(four_cluster)
+    masses = edge_flow_coordinates(tree, FreeVector((0, 1, 1, 1, 0, 0))).masses
+    monkeypatch.setattr(ell1, "_own_minus_children", raised)
+    with pytest.raises(CertificationError, match="^edge-flow vector has mass 2 below node a, not 1$"):
+        vector_from_edge_flows(tree, masses)
 
 
 def test_edge_flow_coordinates_certify_the_tree(four_cluster):
@@ -317,16 +335,15 @@ _ENTRY_POINTS = (_certify_leaf_a, pipeline)
 
 
 def test_tree_certificate_rejects_a_wrong_edge_length(four_cluster, monkeypatch):
-    # the kept length of the edge of a doubled, as both routes read it: the value counts it twice, the
-    # flow's cost on the view once
-    real = freespace._tree_edges
+    # the length of the edge of a doubled in the tree's rooted view, which the rooted node space keeps and
+    # the battery reads: the value counts it twice, the flow's cost on the view once
+    real = rtree._rotated_rows
 
-    def stretched(space):
-        edges = real(space)
-        return edges and tuple((c, p, 2 * l if c == 2 else l) for c, p, l in edges)
+    def stretched(tree):
+        view, edges = real(tree)
+        return view, tuple((c, p, 2 * l if c == 2 else l) for c, p, l in edges)
 
-    for module in (freespace, ell1):
-        monkeypatch.setattr(module, "_tree_edges", stretched)
+    monkeypatch.setattr(rtree, "_rotated_rows", stretched)
     with pytest.raises(CertificationError, match=r"^transport flow costs 1/2, not the value 5/8$"):
         _certify_leaf_a(four_cluster)
     with pytest.raises(CertificationError, match=r"^transport flow costs 13/24, not the value 19/24$"):
@@ -503,9 +520,9 @@ def test_pipeline_checks_no_node_pair_densely(monkeypatch):
     dense, walks = [], []
     real_dense, real_walk = ell1._certify_transport, ell1._path_sums
 
-    def count_dense(space, masses, unit, *certificate):
+    def count_dense(view, route, masses, unit, *certificate):
         dense.append((list(masses), unit))
-        return real_dense(space, masses, unit, *certificate)
+        return real_dense(view, route, masses, unit, *certificate)
 
     def count_walk(adjacent, source):
         walks.append((len(adjacent), source))
@@ -514,15 +531,122 @@ def test_pipeline_checks_no_node_pair_densely(monkeypatch):
     monkeypatch.setattr(ell1, "_certify_transport", count_dense)
     monkeypatch.setattr(ell1, "_path_sums", count_walk)
     space = random_ultrametric(7, 11)
-    rounded = round_to_dyadic(space)
-    ambient = rooted_node_space(dendrogram(rounded))
+    nodes = len(dendrogram(round_to_dyadic(space)).nodes)
     for vectors in (0, 4, 25, 60):
         dense.clear()
         walks.clear()
         pipeline(space, oracle_vectors=vectors, seed=vectors)
         assert len(dense) == vectors + max(5, vectors // 5)
-        assert dense == [(draw, 12) for draw in ell1._battery_draws(rounded, ambient, vectors, vectors)]
+        assert dense == [(draw, 12) for draw in ell1._battery_draws(len(space), nodes, vectors, vectors)]
         assert walks == [(len(space), s) for s in range(len(space) - 1)]
+
+
+def test_a_pipeline_call_builds_no_node_space_and_scans_each_node_pair_once(monkeypatch):
+    """Count guards on one pipeline call: no node space is built, the rounding runs no merge scan, the
+    node pairs are read by the claims alone, one witness certificate certifies the projection, and
+    the battery takes exactly one transport certificate per draw; the l1 witness takes the one other."""
+    built, merged, claimed, witnessed, battery, other = [], [], [], [], [], []
+
+    def count(module, name, record):
+        real = getattr(module, name)
+        monkeypatch.setattr(module, name, lambda *args: record.append(args[0]) or real(*args))
+
+    count(rtree, "_node_metric", built)
+    count(metric_module, "_merge_pairs", merged)
+    count(ell1, "_retraction_claims", claimed)
+    count(ell1, "_certify_witness", witnessed)
+    count(ell1, "_certify_transport", battery)
+    count(freespace, "_certify_transport", other)
+    for n, seed in ((7, 11), (12, 3), (30, 5)):
+        space = random_ultrametric(n, seed)
+        for record in (built, merged, claimed, witnessed, battery, other):
+            record.clear()
+        report = pipeline(space, seed=seed)
+        assert report.passed and built == [] and merged == [space]
+        assert len(claimed) == len(witnessed) == len(other) == 1
+        assert len(battery) == 25 + 5
+        tree = dendrogram(claimed[0])
+        assert not {"_node_space", "_rooted_node_space"} & set(vars(tree))
+
+
+def test_the_projection_is_the_operator_norm_on_the_node_space():
+    # the pipeline's projection, certified at the claims' witness on the node rows, against the scan of
+    # operator_norm_of_extension and the molecule oracle on the node space, with the same witness pair
+    checked = 0
+    for space in _stress_ultrametrics(random.Random(79), range(2, 10)):
+        rounded = round_to_dyadic(space)
+        tree = dendrogram(rounded)
+        claims, images, pair = _retraction_claims(rounded)
+        ambient = node_space(tree)
+        point_map = PointMap(ambient, ambient, tuple(images))
+        value = pipeline(space).projection_norm
+        assert value == claims.attained_constant == operator_norm_of_extension(point_map)
+        assert value == molecule_operator_norm(point_map)
+        assert freespace._lipschitz_witness(point_map) == (value, *pair)
+        checked += 1
+    assert checked == 5 * 8
+
+
+def test_the_battery_reads_the_rooted_view_of_the_node_space():
+    # the rooted view and edges the battery reads are those of the node space based at the root
+    for space in [*_stress_ultrametrics(random.Random(83), range(2, 12)), random_ultrametric(40, 2)]:
+        tree = dendrogram(round_to_dyadic(space))
+        view, edges = rtree._rooted_view(tree)
+        count = len(tree.nodes)
+        based = with_base(node_space(tree), count - 1)
+        assert view == metric_module._integer_view(based)
+        links = [(k + 1, (tree.parent[k] + 1) % count) for k in reversed(range(count - 1))]
+        assert edges == tuple((c, p, view[1][c][p]) for c, p in links)
+        ambient = rooted_node_space(tree)
+        assert metric_module._integer_view(ambient) == view and metric_module._tree_edges(ambient) == edges
+        assert ambient == based
+
+
+def test_the_edge_flow_is_the_flow_of_the_subtree_masses_and_the_sign_potential():
+    # the one pass of _edge_flow against _tree_transport: the arcs carry the subtree masses, the cost
+    # is their l1 norm, and the potential is the sign potential shifted to vanish at the base
+    rng = random.Random(89)
+    checked = 0
+    for space in _stress_ultrametrics(rng, range(2, 10)):
+        tree = dendrogram(round_to_dyadic(space))
+        for shift, edges in ((1, rtree._rooted_view(tree)[1]), (0, metric_module._tree_edges(node_space(tree)))):
+            for _ in range(3):
+                coeffs = [rng.randint(-9, 9) for _ in range(len(tree.nodes) - 1)]
+                cost, arcs, g = freespace._edge_flow(edges, coeffs)
+                net, sign = freespace._tree_transport(edges, [-sum(coeffs), *coeffs])
+                assert g == [x - sign[0] for x in sign]
+                expected = [(c, p, net[c]) if net[c] > 0 else (p, c, -net[c]) for c, p, _ in edges if net[c]]
+                assert arcs == expected and cost == sum(length * abs(net[c]) for c, _, length in edges)
+                checked += 1
+    assert checked == 5 * 8 * 2 * 3
+
+
+def test_pipeline_refuses_a_retraction_that_moves_the_base(tmp_path, capsys, monkeypatch):
+    # the claims' images with the base sent to point 1: the witness certificate refuses the map
+    real = ell1._retraction_claims
+
+    def moved(space):
+        claims, images, pair = real(space)
+        return claims, [1, *images[1:]], pair
+
+    monkeypatch.setattr(ell1, "_retraction_claims", moved)
+    message = "the map sends the base to 1, not to the base"
+    with pytest.raises(CertificationError, match=f"^{message}$"):
+        pipeline(random_ultrametric(7, 11))
+    path = tmp_path / "space.json"
+    dump_json(space_to_json(random_ultrametric(7, 11)), path)
+    assert main(["l1check", str(path)]) == 1
+    assert capsys.readouterr().err == f"check failed: {message}\n"
+
+
+def test_pipeline_refuses_a_projection_witness_whose_image_is_not_its_arc(monkeypatch):
+    # the body of push_forward doubled: the image of the witness molecule is twice its one-arc flow
+    real = freespace._push_forward
+    monkeypatch.setattr(freespace, "_push_forward", lambda image, size, coeffs: tuple(2 * c for c in real(image, size, coeffs)))
+    space = random_ultrametric(7, 11)
+    pair = _retraction_claims(round_to_dyadic(space))[2]
+    with pytest.raises(CertificationError, match=rf"^the image of the molecule at pair \({pair[0]}, {pair[1]}\) is not its one-arc flow$"):
+        pipeline(space)
 
 
 @pytest.mark.parametrize("dim", [0, 1, 5, 9, 30])

@@ -326,8 +326,9 @@ def test_operator_norm_witness_is_checked(triangle, monkeypatch, corrupt):
     # the collapse y -> x attains Lip = 1 first at the pair (0, 1)
     collapse = PointMap(triangle, triangle, (0, 1, 1))
     if corrupt == "image":
-        real = freespace.push_forward
-        monkeypatch.setattr(freespace, "push_forward", lambda pm, v: 2 * real(pm, v))
+        # the body of push_forward, doubled
+        real = freespace._push_forward
+        monkeypatch.setattr(freespace, "_push_forward", lambda image, size, coeffs: tuple(2 * c for c in real(image, size, coeffs)))
         match = r"image of the molecule at pair \(0, 1\)"
     else:
         real = freespace._distance_potential
@@ -571,7 +572,7 @@ def _lipschitz_verdicts(space, potential, scale):
     pair = freespace._steep_pair(d, potential, p, s)
     assert merged == (pair is None)
     zeros = [0] * (len(space) - 1)
-    verdict = _verdict(freespace._certify_transport, space, zeros, 1, 0, [], potential, scale)
+    verdict = _verdict(freespace._certify_transport, (q, d), freespace._lipschitz_route(space), zeros, 1, 0, [], potential, scale)
     exact = [Fraction(x, scale) for x in potential]
     assert verdict == _verdict(fraction_certify_transport, space, zeros, Fraction(0), [], exact)
     return verdict

@@ -2,7 +2,11 @@ from fractions import Fraction
 
 import pytest
 
+from ultrafree import linalg
+from ultrafree.ell1 import edge_molecules, l1_equivalence_constants
 from ultrafree.linalg import SingularMatrixError, invert_matrix, solve_linear
+from ultrafree.metric import CertificationError, random_ultrametric
+from ultrafree.rtree import dendrogram
 
 from _oracles import fraction_rank
 
@@ -70,3 +74,23 @@ def test_shape_errors():
 def test_fraction_rank(matrix, rank):
     assert fraction_rank(matrix) == rank
     assert fraction_rank([list(col) for col in zip(*matrix)]) == rank
+
+
+def test_invert_matrix_checks_the_product_with_its_matrix(monkeypatch):
+    # entry (1, 0) of the eliminated inverse raised by 1/2: row 0 of A against column 0 of it gives 5/4
+    real = linalg._solve_square
+
+    def corrupted(matrix, rhs_rows):
+        inverse = real(matrix, rhs_rows)
+        inverse[1][0] += F(1, 2)
+        return inverse
+
+    monkeypatch.setattr(linalg, "_solve_square", corrupted)
+    matrix = [[F(1), F(1, 2), F(0)], [F(0), F(1), F(-1)], [F(2), F(0), F(3)]]
+    with pytest.raises(CertificationError, match=r"^the inverse fails A A\^-1 = I at entry \(0, 0\): 5/4, not 1$"):
+        invert_matrix(matrix)
+    # the general route of the l1 constants inverts its family, and so meets the same check
+    tree = dendrogram(random_ultrametric(4, 2))
+    family = edge_molecules(tree)
+    with pytest.raises(CertificationError, match=r"^the inverse fails A A\^-1 = I at entry \(1, 0\): 2, not 0$"):
+        l1_equivalence_constants(family.space, family)

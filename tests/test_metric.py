@@ -13,7 +13,7 @@ from ultrafree import metric, rational
 from ultrafree.campaign import STAGES
 from ultrafree.cli import main
 from ultrafree.ell1 import pipeline
-from ultrafree.freespace import FreeVector, LipFunction
+from ultrafree.freespace import FreeVector, LipFunction, free_norm_certificate
 from ultrafree.metric import (
     FiniteMetricSpace,
     StructuralError,
@@ -26,11 +26,11 @@ from ultrafree.metric import (
     validate,
     with_base,
 )
-from ultrafree.rtree import dendrogram, node_space, rooted_node_space, verify_retraction_claims
+from ultrafree.rtree import branching_points, dendrogram, node_space, rooted_node_space, verify_retraction_claims
 from ultrafree.serialize import dump_json, ingest, space_to_json, to_jsonable
 
 from _oracles import fraction_bilipschitz_distortion, loop_dyadic_floor, scale_rows, scan_validate, strict_max_check
-from test_freespace import _nested_ultrametric, _stress_ultrametrics
+from test_freespace import _merge_ultrametric, _nested_ultrametric, _stress_ultrametrics, _stress_vectors
 
 
 def test_validate_ultrametric_triangle(triangle):
@@ -156,6 +156,134 @@ def test_distortion_matches_the_fraction_ratios():
             assert identity_distortion(a, b) == max(upper, 1 / lower)
             checked += 1
     assert checked == 110
+
+
+def _tie_making_ultrametrics(rng):
+    """Merge trees on N = 3..12 whose heights lie in [2^k, 2^(k+1)) for a few k, so the rounding ties merges
+    that the input keeps apart, some of them under different parents."""
+    for n in range(3, 13):
+        for _ in range(3):
+            heights = [Fraction(2) ** rng.randint(-1, 2) * Fraction(rng.randint(8, 15), 8) for _ in range(n - 1)]
+            yield _merge_ultrametric(heights, lambda count: rng.sample(range(count), 2))
+
+
+def _roundings(rng):
+    yield from _stress_ultrametrics(rng, range(2, 21))
+    yield _nested_ultrametric(200)
+    yield from _tie_making_ultrametrics(rng)
+
+
+def test_the_rounding_keeps_merges_that_give_the_fresh_dendrogram():
+    """The rounding keeps the input's merges with their heights mapped, and the report, with no pair
+    scanned: a fresh copy of it, whose merges and report are computed, has the same view, report,
+    branching points and dendrogram (nodes, parents and edge lengths), and every cross pair of a kept
+    merge sits at its height.  Under tied rounded heights the kept merges come in another order than
+    the fresh ones on some inputs, and the dendrogram is the same all the same."""
+    checked = reordered = 0
+    for space in _roundings(random.Random(59)):
+        rounded = round_to_dyadic(space)
+        kept = vars(rounded)["_merges"]
+        fresh = FiniteMetricSpace(rounded.labels, rounded.dist)
+        assert fresh == rounded and "_merges" not in vars(fresh)
+        assert _integer_view(fresh) == _integer_view(rounded)
+        assert validate(rounded) == validate(fresh) == scan_validate(fresh)
+        d = _integer_view(rounded)[1]
+        members = [[x] for x in range(len(rounded))]
+        for h, a, b in kept:
+            assert all(d[x][y] == h for x in members[a] for y in members[b])
+            members.append(members[a] + members[b])
+        assert sorted(h for h, _, _ in kept) == [h for h, _, _ in kept]
+        mine, theirs = dendrogram(rounded), dendrogram(fresh)
+        assert (mine.nodes, mine.parent, mine.edge_length) == (theirs.nodes, theirs.parent, theirs.edge_length)
+        assert branching_points(rounded) == branching_points(fresh)
+        reordered += kept != _single_linkage(fresh)
+        checked += 1
+    assert checked == 5 * 19 + 1 + 30 and reordered > 10
+
+
+def test_a_certificate_on_a_rounding_has_the_value_off_fresh_merges():
+    # the kept merges of a rounding may list tied merges in another order than a fresh copy's, so the
+    # merge route may match masses in another order: another optimal flow, certified, of the same value
+    rng = random.Random(71)
+    checked = other_flows = 0
+    for space in _roundings(random.Random(59)):
+        if len(space) > 40:
+            continue
+        rounded = round_to_dyadic(space)
+        fresh = FiniteMetricSpace(rounded.labels, rounded.dist)
+        for v in _stress_vectors(rounded, rng):
+            kept, computed = free_norm_certificate(rounded, v), free_norm_certificate(fresh, v)
+            assert kept.value == computed.value and kept.potential == computed.potential
+            other_flows += kept.flow != computed.flow
+            checked += 1
+    assert checked == 3 * (5 * 19 + 30) and other_flows > 0
+
+
+def test_the_rounding_runs_no_merge_scan(monkeypatch):
+    # the input's merges are computed once; the rounding, and the rounding of the rounding, keep theirs
+    scanned = []
+    real = metric._merge_pairs
+    monkeypatch.setattr(metric, "_merge_pairs", lambda space: scanned.append(space) or real(space))
+    scans = _count_scans(monkeypatch)
+    for space in _stress_ultrametrics(random.Random(61), range(2, 9)):
+        scanned.clear()
+        rounded = round_to_dyadic(space)
+        assert validate(rounded).is_dyadic and round_to_dyadic(rounded) == rounded
+        assert len(scanned) == 1 and scanned[0] is space
+    assert scans == []
+
+
+def test_the_distortion_of_a_rounding_reads_its_height_map(monkeypatch):
+    """The distortion of the identity from a space onto its rounding is read off the height map, with
+    no pair scanned, and equals the full scan, which a fresh copy of either space takes."""
+    scans = []
+    real = metric._extreme_ratios
+    monkeypatch.setattr(metric, "_extreme_ratios", lambda space, top: scans.append(len(space)) or real(space, top))
+    checked = 0
+    for space in _roundings(random.Random(67)):
+        rounded = round_to_dyadic(space)
+        scans.clear()
+        closed = bilipschitz_distortion(space, rounded), identity_distortion(space, rounded)
+        assert scans == []
+        twin, copy = FiniteMetricSpace(space.labels, space.dist), FiniteMetricSpace(rounded.labels, rounded.dist)
+        assert bilipschitz_distortion(twin, rounded) == bilipschitz_distortion(space, copy) == closed[0]
+        assert identity_distortion(twin, rounded) == closed[1]
+        assert scans == [len(space)] * 3
+        if len(space) <= 40:
+            lower, upper = fraction_bilipschitz_distortion(space, rounded)
+            assert closed == ((lower, upper), max(upper, 1 / lower))
+        checked += 1
+    assert checked == 5 * 19 + 1 + 30
+
+
+@pytest.mark.parametrize(
+    "fault, message",
+    [
+        ("three-halves", "dyadic rounding maps the height 3 to 3, not a power of two"),
+        ("halved-top", "dyadic rounding maps the height 4 to 1, below 2"),
+    ],
+    ids=["three-halves", "halved-top"],
+)
+def test_the_rounding_refuses_a_wrong_height_map(tmp_path, capsys, monkeypatch, fault, message):
+    # the rule of dyadic_floor corrupted on one height: 3 kept as it is, or the top height 4 halved twice,
+    # below the rounding 2 of the height 3 under it
+    real = metric._power_of_two_below
+
+    def corrupted(num, den):
+        if fault == "three-halves" and Fraction(num, den) == 3:
+            return Fraction(3)
+        return real(num, den) / 4 if Fraction(num, den) == 4 else real(num, den)
+
+    monkeypatch.setattr(metric, "_power_of_two_below", corrupted)
+    space = FiniteMetricSpace(("0", "x", "y", "z"), ((0, 4, 4, 4), (4, 0, 1, 3), (4, 1, 0, 3), (4, 3, 3, 0)))
+    with pytest.raises(metric.CertificationError, match=f"^{message}$"):
+        round_to_dyadic(space)
+    with pytest.raises(metric.CertificationError, match=f"^{message}$"):
+        pipeline(space)
+    path = tmp_path / "space.json"
+    dump_json(space_to_json(space), path)
+    assert main(["l1check", str(path)]) == 1
+    assert capsys.readouterr().err == f"check failed: {message}\n"
 
 
 @pytest.mark.parametrize("distance, shown", [(0, "0"), (-1, "-1")])

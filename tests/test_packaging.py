@@ -97,3 +97,29 @@ def test_the_sources_import_only_what_ci_installs():
     found = {(path.relative_to(ROOT).as_posix(), name) for path in files for name in _imported_modules(path)}
     assert {"numpy", "scipy", "networkx"}.isdisjoint(allowed) and ("tests/test_packaging.py", "ast") in found
     assert sorted((file, name) for file, name in found if name not in allowed) == []
+
+
+def _audit_rows() -> list[str]:
+    """The function named in each row of the README's certificate audit table, as module.name."""
+    text = (ROOT / "README.md").read_text(encoding="utf-8")
+    section = text.split("## Certificate audit", 1)[1].split("\n## ", 1)[0]
+    return re.findall(r"^\| `([\w.]+)` \|", section, flags=re.M)
+
+
+def test_the_certificate_audit_has_one_row_per_public_function():
+    import inspect
+
+    import ultrafree
+    from ultrafree import linalg, rational
+
+    public = {
+        f"{value.__module__.split('.')[-1]}.{name}"
+        for name, value in vars(ultrafree).items()
+        if inspect.isfunction(value)
+    }
+    public |= {f"linalg.{name}" for name in ("solve_linear", "invert_matrix")}
+    public |= {f"rational.{name}" for name in rational.__all__}
+    rows = _audit_rows()
+    assert len(rows) == len(set(rows)) and sorted(rows) == sorted(public)
+    assert all(_resolves("ultrafree", row) for row in rows)
+    assert "ell1.pipeline" in rows and "metric.round_to_dyadic" in rows
