@@ -462,27 +462,6 @@ def expand_in_basis(family: BasisFamily, v: FreeVector) -> tuple[Fraction, ...]:
     return tuple(coeffs)
 
 
-def _elementary_norm(space: FiniteMetricSpace, coeffs: list[Fraction]) -> Optional[Fraction]:
-    """Closed-form norm for vectors that are exact multiples of a molecule.
-
-    Such vectors have support at most two with opposite coefficients and
-    their norm is coefficient times distance, by the isometry of the
-    evaluation embedding (itself certified against the solver in the tests).
-    Returns None when the closed form does not apply.
-    """
-    support = [(k + 1, c) for k, c in enumerate(coeffs) if c]
-    if not support:
-        return Fraction(0)
-    if len(support) == 1:
-        point, c = support[0]
-        return abs(c) * space.dist[point][0]
-    if len(support) == 2:
-        (p, cp), (q, cq) = support
-        if cp == -cq:
-            return abs(cp) * space.dist[p][q]
-    return None
-
-
 def _certified_chain(space: FiniteMetricSpace, family: BasisFamily) -> Optional[RetractionChain]:
     """The chain :func:`basis_vectors` kept on ``family``, if on a space equal to ``space`` and certified.
 
@@ -543,11 +522,11 @@ def basis_constant(space: FiniteMetricSpace, family: BasisFamily) -> Fraction:
     off the chain's one scan that certifies it: 1 with no pair scanned on
     a table that follows the merge-tree rule (:func:`_follows_merge_tree`),
     and the maximum of the full scan otherwise.  Any other family, a
-    hand-built copy of a chain's family too, is inverted: exact molecule
-    multiples use the same closed form and the others the transport
-    solver, for the same value.  A family without N - 1 vectors of N - 1
-    coefficients raises ValueError.  Equals exactly 1 for chains built on
-    ultrametric spaces.
+    hand-built copy of a chain's family too, is inverted, and every
+    truncation is normed through the transport certificate
+    (:func:`ultrafree.freespace.free_norm`).  A family without N - 1
+    vectors of N - 1 coefficients raises ValueError.  Equals exactly 1 for
+    chains built on ultrametric spaces.
     """
     certified = _certified_chain(space, family)
     constant = None if certified is None else _cached(certified, "_scan", _scan_chain)[1]
@@ -570,9 +549,7 @@ def _basis_constant(space: FiniteMetricSpace, family: BasisFamily) -> Fraction:
                 for r in range(dim):
                     if vec[r]:
                         partial[r] += ck * vec[r]
-            value = _elementary_norm(space, partial)
-            if value is None:
-                value = free_norm(space, FreeVector(tuple(partial)))
+            value = free_norm(space, FreeVector._exact(tuple(partial)))
             if value > best:
                 best = value
     return best

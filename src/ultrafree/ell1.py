@@ -45,7 +45,7 @@ from .freespace import (
     _edge_flow,
     _lp_certificate,
     _point_difference,
-    _tree_transport,
+    _subtree_masses,
     dirac,
     free_norm,
     free_norm_certificate,
@@ -93,7 +93,7 @@ class EdgeFlowCoordinates:
 
 
 def edge_flow_coordinates(tree: DendrogramTree, v: FreeVector) -> EdgeFlowCoordinates:
-    """The subtree masses of :func:`_tree_transport` on the tree's edges, checked against v; linear time.
+    """The subtree masses of :func:`_subtree_masses` on the tree's edges, checked against v; linear time.
 
     Coefficient k belongs to tree node k, with the root (always the last
     node) carrying none: these are free-space coordinates based at the root.
@@ -104,7 +104,7 @@ def edge_flow_coordinates(tree: DendrogramTree, v: FreeVector) -> EdgeFlowCoordi
     if len(v.coeffs) != count - 1:
         raise ValueError("vector dimension does not match the tree nodes")
     _certified_heights(tree)
-    masses = tuple(_tree_transport(_top_down(tree), [Fraction(0), *v.coeffs])[0][1:])
+    masses = tuple(_subtree_masses(_top_down(tree), [Fraction(0), *v.coeffs])[1:])
     back = _own_minus_children(tree, masses)
     if back != v.coeffs:
         k = next(k for k, (c, x) in enumerate(zip(back, v.coeffs)) if c != x)
@@ -113,7 +113,7 @@ def edge_flow_coordinates(tree: DendrogramTree, v: FreeVector) -> EdgeFlowCoordi
 
 
 def _top_down(tree: DendrogramTree) -> list[tuple[int, int, int]]:
-    """The edges (node k + 1, its parent, 0) of the tree in root-based coordinates, parents first, for :func:`_tree_transport`."""
+    """The edges (node k + 1, its parent, 0) of the tree in root-based coordinates, parents first, for :func:`_subtree_masses`."""
     count = len(tree.nodes)
     return [(k + 1, (tree.parent[k] + 1) % count, 0) for k in reversed(range(count - 1))]
 
@@ -133,7 +133,7 @@ def vector_from_edge_flows(tree: DendrogramTree, masses: Sequence[Fraction]) -> 
     """Invert the edge-flow map: coefficient = own mass minus children's masses; linear time.
 
     The tree is certified, and the subtree masses of the result
-    (:func:`_tree_transport` on the tree's top-down edges) must give the
+    (:func:`_subtree_masses` on the tree's top-down edges) must give the
     masses back; a failure raises :class:`CertificationError` naming the
     first node that differs.
     """
@@ -143,7 +143,7 @@ def vector_from_edge_flows(tree: DendrogramTree, masses: Sequence[Fraction]) -> 
     masses = tuple(_rationals(masses))
     _certified_heights(tree)
     coeffs = _own_minus_children(tree, masses)
-    back = _tree_transport(_top_down(tree), [Fraction(0), *coeffs])[0][1:]
+    back = _subtree_masses(_top_down(tree), [Fraction(0), *coeffs])[1:]
     if back != list(masses):
         k = next(k for k, (m, x) in enumerate(zip(back, masses)) if m != x)
         raise CertificationError(f"edge-flow vector has mass {back[k]} below node {_node_labels(tree)[k]}, not {masses[k]}")

@@ -13,11 +13,12 @@ sorted pairs builds the single-linkage merges and decides the route: when
 the distances are symmetric, non-negative and every cross pair of every
 merge sits exactly at the merge height, the space is an ultrametric and the
 norm is read off its merge tree in integers: opposite-signed masses are
-matched at their lowest merge.  Both tree routes take the subtree masses
-of :func:`_subtree_masses` and the sign potential: the merge route from
-:func:`_tree_transport`, and the edge route from :func:`_edge_flow`, which
-steps it in the same pass as its arcs.  Other input goes to the exact
-simplex.  All routes end in the
+matched at their lowest merge.  Each tree route is one integer kernel that
+gives the flow and the sign potential together: :func:`_edge_flow` steps
+the potential down the edges in the same pass as its arcs, after the
+subtree masses of :func:`_subtree_masses`, and :func:`_lca_flow` down the
+merges, after the signs it reads off its matching.  Other input goes to
+the exact simplex.  All routes end in the
 same check against the metric alone, certified in integers on the space's
 cached view: the flow must meet the coefficients at the value's cost, and
 its potential, vanishing at the base, must be 1-Lipschitz and pair with the
@@ -27,10 +28,10 @@ each in O(N); any other space, and a potential that fails an edge or a
 merge, go to the scan of every pair, which names the first failing pair
 (:func:`_steep`, the one dispatch, which the witness certificate of
 :func:`operator_norm_of_extension` shares).
-The view, the merges and the integer merge tree are computed once per
-space and kept on it (:func:`ultrafree.metric._integer_view`); the tree
-routes build Fractions only for the returned certificate, and the simplex
-result is scaled onto integers for the same check.
+The view and the merges are computed once per space and kept on it
+(:func:`ultrafree.metric._integer_view`); the tree routes build Fractions
+only for the returned certificate, and the simplex result is scaled onto
+integers for the same check.
 """
 
 from __future__ import annotations
@@ -42,7 +43,7 @@ from operator import mul
 from typing import Optional, Sequence
 
 from .metric import (
-    CertificationError, FiniteMetricSpace, _cached, _extreme_ratios, _integer_view, _single_linkage, _tree_edges
+    CertificationError, FiniteMetricSpace, _extreme_ratios, _integer_view, _single_linkage, _tree_edges
 )
 from .rational import _Scaled, _index, _rationals, parse_rational
 from .simplex import solve_lp
@@ -199,17 +200,27 @@ def _transport_program(space: FiniteMetricSpace, lead: Sequence[Fraction]):
     return arcs, costs, columns, basis
 
 
-def _lca_flow(merges, masses: Sequence[int]) -> tuple[int, list[tuple[int, int, int]]]:
-    """Match opposite-signed point masses at each merge, bottom-up, at cost = merge height.
+def _lca_flow(merges, masses: Sequence[int]) -> tuple[int, list[tuple[int, int, int]], list[int]]:
+    """Match opposite-signed point masses at each merge, bottom-up, at cost = merge height, and step the sign potential.
 
     Every cluster keeps its unmatched (point, mass) entries, which share the
     sign of its net mass; a merge matches the two lists against each other
     until one runs out.  The merged cluster keeps the left entries before
     the right ones, and the longer list absorbs the shorter in place, so
-    one-signed mass costs no copy of a growing list.  Returns the cost and
-    the arcs sorted by (i, j).
+    one-signed mass costs no copy of a growing list.
+
+    The sign potential steps from a cluster's parent, at height H, down to
+    the cluster, at height h, by sign * (H - h) / 2, the sign being that of
+    the cluster's net mass, read off its list: it pairs with the masses to
+    the cost and is 1-Lipschitz, pairs across a merge at H being H apart.
+    One pass down the merges steps it: a child first gets its parent's
+    potential plus sign * H, and a merge node takes its own sign * height
+    off before its children step from it.  Returns the cost, the arcs
+    sorted by (i, j) and the potential at the points over twice the
+    heights' scale, shifted to vanish at point 0.
     """
     unmatched = [[(x, m)] if m else [] for x, m in enumerate(masses)]
+    sign = [1 if m > 0 else -1 if m else 0 for m in masses]
     arcs = []
     value = 0
     for h, a, b in merges:
@@ -236,8 +247,17 @@ def _lca_flow(merges, masses: Sequence[int]) -> tuple[int, list[tuple[int, int, 
             right[:0] = left
             left = right
         unmatched.append(left)
+        sign.append((1 if left[-1][1] > 0 else -1) if left else 0)
     arcs.sort()
-    return value, arcs
+    g = [0] * len(sign)
+    node = len(sign)
+    for h, a, b in reversed(merges):
+        node -= 1
+        top = g[node] - sign[node] * h
+        g[a] = top + sign[a] * h
+        g[b] = top + sign[b] * h
+    base = g[0]
+    return value, arcs, [x - base for x in g[: len(masses)]]
 
 
 def _subtree_masses(edges: Sequence[tuple], masses: Sequence) -> list:
@@ -246,21 +266,6 @@ def _subtree_masses(edges: Sequence[tuple], masses: Sequence) -> list:
     for child, parent, _ in reversed(edges):
         net[parent] += net[child]
     return net
-
-
-def _tree_transport(edges: Sequence[tuple], masses: Sequence) -> tuple[list, list]:
-    """Subtree masses and sign potential of a tree: ``edges`` are (child, parent, length), parents first.
-
-    The masses are those of :func:`_subtree_masses`.  The potential
-    is 0 at the root and steps from parent to child by sign(subtree mass) *
-    length, which attains the transport norm sum(length * |subtree mass|).
-    """
-    net = _subtree_masses(edges, masses)
-    g = [0] * len(net)
-    for child, parent, length in edges:
-        mass = net[child]
-        g[child] = g[parent] + ((mass > 0) - (mass < 0)) * length
-    return net, g
 
 
 def _certify_transport(view: _Scaled, route, masses: list, unit: int, cost: int, arcs, potential, scale: int) -> None:
@@ -322,13 +327,13 @@ def _lipschitz_route(space: FiniteMetricSpace) -> tuple:
     """How :func:`_steep` checks a potential on the space: (edges, None) for the edges it keeps, (None, merges) for its integer merges, or (None, None).
 
     The edges are those of :func:`ultrafree.metric._keep_tree`, and the
-    merges those of :func:`_transport_tree`, prepared once per space.
+    merges those of :func:`ultrafree.metric._single_linkage`, both kept on
+    the space.
     """
     edges = _tree_edges(space)
     if edges is not None:
         return edges, None
-    tree = _cached(space, "_transport_tree", _transport_tree)
-    return None, None if tree is None else tree[0]
+    return None, _single_linkage(space)
 
 
 def _steep(d, route, potential, p: int, s: int) -> Optional[tuple[int, int]]:
@@ -353,8 +358,8 @@ def _steep(d, route, potential, p: int, s: int) -> Optional[tuple[int, int]]:
 def _merges_lipschitz(merges, potential, p: int, s: int) -> bool:
     """Whether |G_x - G_y| * p <= s * D[x][y] on every pair of points, checked at each merge of the space.
 
-    ``merges`` are the integer merges of :func:`_transport_tree`, heights
-    on the scale of the view (q, D), and ``potential`` holds G, one
+    ``merges`` are those of :func:`ultrafree.metric._single_linkage`,
+    heights on the scale of the view (q, D), and ``potential`` holds G, one
     integer per point.  With p / s the reduced q / scale, this says that
     G / scale is 1-Lipschitz.  Each cluster carries its largest and
     smallest G up the merges, and the merge of clusters A and B at height
@@ -431,31 +436,13 @@ def _certify_rational(space: FiniteMetricSpace, coeffs, value, flow, potential) 
     )
 
 
-def _transport_tree(space: FiniteMetricSpace) -> Optional[tuple[tuple, tuple]]:
-    """The merge tree of :func:`_single_linkage` in integers, or None when the space is no ultrametric.
-
-    Returns the merges with their heights on the scale of
-    :func:`_integer_view`, merge k being node n + k, and the top-down
-    (child, parent, length) edges for :func:`_tree_transport`, a child's
-    length being its height gap to its merge.  :func:`free_norm_certificate`
-    prepares it once per space and keeps it on the space with the view.
-    """
-    merges = _single_linkage(space)
-    if merges is None:
-        return None
-    n = len(space)
-    height = [0] * n + [h for h, _, _ in merges]
-    edges = tuple((x, n + k, h - height[x]) for k, (h, a, b) in reversed(list(enumerate(merges))) for x in (a, b))
-    return merges, edges
-
-
 def _edge_flow(edges, coeffs: Sequence[int]) -> tuple[int, list[tuple[int, int, int]], list[int]]:
     """The cost, flow and potential of integer coefficients on a tree's (child, parent, length) edges, unchecked.
 
     Coefficient k is at point k + 1 and -sum(coeffs) at the base.  After the subtree masses m_e of
     :func:`_subtree_masses`, one pass down the edges sends m_e along each edge e, out of the subtree when
-    positive, at cost sum(length * |m_e|), and steps the sign potential of :func:`_tree_transport`; the
-    potential is shifted to vanish at the base.
+    positive, at cost sum(length * |m_e|), and steps the sign potential from parent to child by
+    sign(m_e) * length; the potential is shifted to vanish at the base.
     """
     net = _subtree_masses(edges, [-sum(coeffs), *coeffs])
     g = [0] * len(net)
@@ -482,8 +469,8 @@ def free_norm_certificate(space: FiniteMetricSpace, v: FreeVector) -> FreeNormCe
     On a space that keeps its tree they are those of :func:`_edge_flow`.  On
     an ultrametric (decided once per space by :func:`_single_linkage`) the
     flow matches opposite-signed masses at their lowest merge, the base
-    carrying -sum(v), and the potential is the sign potential of
-    :func:`_tree_transport` on the merge tree.  Both run in integers, checked
+    carrying -sum(v), and the potential is the sign potential of the merge
+    tree, both from :func:`_lca_flow`.  Both run in integers, checked
     by :func:`_certify_transport` before the Fractions of the result are
     built, one per distinct value; any other input goes to the simplex
     (:func:`_lp_certificate`).  The zero vector has the zero certificate.  A
@@ -506,11 +493,8 @@ def free_norm_certificate(space: FiniteMetricSpace, v: FreeVector) -> FreeNormCe
         cost, arcs, potential = _edge_flow(edges, coeffs)
         over = scale
     else:
-        masses = [-sum(coeffs), *coeffs]
-        cost, arcs = _lca_flow(merges, masses)
-        _, g = _tree_transport(_cached(space, "_transport_tree", _transport_tree)[1], masses + [0] * len(merges))
-        potential = [x - g[0] for x in g[:n]]
-        # a merge-tree edge is half its height gap, so g is over 2 scale
+        cost, arcs, potential = _lca_flow(merges, [-sum(coeffs), *coeffs])
+        # a merge-tree edge is half its height gap, so the potential is over 2 scale
         over = 2 * scale
     _certify_transport(view, route, coeffs, unit, cost, arcs, potential, over)
     amounts = {amount: Fraction(amount, unit) for amount in {amount for _, _, amount in arcs}}

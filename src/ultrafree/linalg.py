@@ -51,10 +51,20 @@ def _solve_square(matrix: Sequence[Sequence[Fraction]], rhs_rows: Sequence[Seque
 
 
 def solve_linear(matrix: Sequence[Sequence[Fraction]], rhs: Sequence[Fraction]) -> list[Fraction]:
-    """Solve a square system exactly by Gaussian elimination."""
+    """Solve a square system exactly by Gaussian elimination.
+
+    The solution is certified before it is returned: A x = b must hold row
+    by row, in O(n^2); the first row that fails raises
+    :class:`CertificationError` naming it.
+    """
     if len(rhs) != len(matrix):
         raise ValueError("system must be square with matching right-hand side")
-    return [row[0] for row in _solve_square(matrix, [[Fraction(b)] for b in rhs])]
+    x = [row[0] for row in _solve_square(matrix, [[Fraction(b)] for b in rhs])]
+    for i, (row, b) in enumerate(zip(matrix, rhs)):
+        value = sum((a * y for a, y in zip(row, x) if a and y), Fraction(0))
+        if value != b:
+            raise CertificationError(f"the solution fails A x = b at row {i}: {value}, not {Fraction(b)}")
+    return x
 
 
 def invert_matrix(matrix: Sequence[Sequence[Fraction]]) -> list[list[Fraction]]:

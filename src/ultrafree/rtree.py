@@ -371,9 +371,10 @@ def _retraction_claims(space: FiniteMetricSpace) -> tuple[RetractionClaimReport,
 
     The one place that refuses input to the claims: a non-ultrametric space
     through :func:`dendrogram`, then a non-dyadic one.  The claims run on the
-    node distances of :func:`_node_distances`, in units of 1/L; the leaves
-    are nodes 0..n-1, so the distances of the space are there too.  Every
-    claim is an integer comparison on that one scale.  A node retracts to its
+    node distances of :func:`_node_distances` and the node heights of
+    :func:`_certified_heights`, both in units of 1/L; the leaves are nodes
+    0..n-1, so the distances of the space are there too.  Every claim is an
+    integer comparison on that one scale.  A node retracts to its
     canonical anchor, the first point within twice its height, and a
     branching point's generating partner is the first other point at
     exactly twice its height from that anchor.  On powers of two,
@@ -389,9 +390,8 @@ def _retraction_claims(space: FiniteMetricSpace) -> tuple[RetractionClaimReport,
     tree = dendrogram(space)
     if not validate(space).is_dyadic:
         raise ValueError("retraction claims require power-of-two distances")
-    nodes, (unit, rows) = tree.nodes, _node_distances(tree)
+    nodes, (_, height), rows = tree.nodes, _certified_heights(tree), _node_distances(tree)[1]
     n, count = len(space), len(nodes)
-    height = [p.height.numerator * (unit // p.height.denominator) for p in nodes]
     images = [next(q for q in range(n) if rows[p.anchor][q] <= 2 * height[k]) for k, p in enumerate(nodes)]
     partners = {
         k: next(q for q in range(n) if q != images[k] and rows[images[k]][q] == 2 * height[k])

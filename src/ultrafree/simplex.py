@@ -53,19 +53,6 @@ class LpResult:
     dual: tuple[Fraction, ...]
 
 
-def dense_columns(rows: Sequence[Sequence[Fraction]]) -> list[list[tuple[int, Fraction]]]:
-    """Convert a dense row-major matrix into the sparse column format."""
-    if not rows:
-        return []
-    ncols = len(rows[0])
-    cols: list[list[tuple[int, Fraction]]] = [[] for _ in range(ncols)]
-    for i, row in enumerate(rows):
-        for j, a in enumerate(row):
-            if a:
-                cols[j].append((i, Fraction(a)))
-    return cols
-
-
 def solve_lp(
     costs: Sequence[Fraction],
     columns: Sequence[SparseColumn],

@@ -29,7 +29,11 @@ times the absolute mass of the ball.
 The route's potential is pinned, not only checked for validity, by the
 sign potential computed here in Fractions, cluster by cluster on the
 single-linkage merges, sharing no code with the package's integer
-tree-transport kernel.
+kernels.  The tree transport here, the subtree masses and the sign
+potential stepped down a tree's edges, is the reference that both fused
+kernels of the package are matched against: the edge flow on a tree's
+edges, and the merge matching, which steps its potential down the merges,
+on the edges of the merge tree.
 
 The projection algebra of a retraction chain is re-derived on its matrices:
 integer products of the 0/1 projection matrices against the min rule, and
@@ -641,6 +645,33 @@ def sign_potential(merges, masses) -> list[Fraction]:
             sign = (net[child] > 0) - (net[child] < 0)
             g[child] = g[n + k] + sign * (h - height[child]) / 2
     return [x - g[0] for x in g[:n]]
+
+
+def tree_transport(edges, masses) -> tuple[list, list]:
+    """Subtree masses and sign potential of a tree: ``edges`` are (child, parent, length), parents first.
+
+    Each mass adds into its parent, children first.  The potential is 0 at
+    the root and steps from parent to child by sign(subtree mass) * length,
+    which attains the transport norm sum(length * |subtree mass|).
+    """
+    net = list(masses)
+    for child, parent, _ in reversed(edges):
+        net[parent] += net[child]
+    g = [0] * len(net)
+    for child, parent, length in edges:
+        mass = net[child]
+        g[child] = g[parent] + ((mass > 0) - (mass < 0)) * length
+    return net, g
+
+
+def merge_tree_edges(merges, n: int) -> list[tuple[int, int, int]]:
+    """The (child, parent, length) edges of the merge tree of ``merges`` on n points, parents first.
+
+    Merge k is node n + k, and a child's length is its height gap to its
+    merge, so the tree's path between two points is twice their distance.
+    """
+    height = [0] * n + [h for h, _, _ in merges]
+    return [(x, n + k, h - height[x]) for k, (h, a, b) in reversed(list(enumerate(merges))) for x in (a, b)]
 
 
 def concat_lca_flow(merges, masses) -> tuple[int, list[tuple[int, int, int]]]:

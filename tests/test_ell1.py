@@ -20,6 +20,7 @@ from _oracles import (
     rows_chain_phi,
     rows_telescope,
     scaled_tree,
+    tree_transport,
 )
 from test_acceptance import _power_of_two_caterpillar
 from test_chain import _rank_corruptions, _shuffled_chain, _tangled_chain
@@ -115,14 +116,14 @@ def test_edge_flow_coordinates_build_no_node_space(monkeypatch):
 
 def test_edge_flow_coordinates_check_that_the_masses_give_back_the_vector(four_cluster, monkeypatch):
     # the mass of a doubled: own mass minus the children's masses gives 2 at a, the first node that differs
-    real = ell1._tree_transport
+    real = ell1._subtree_masses
 
     def doubled(edges, masses):
-        net, g = real(edges, masses)
+        net = real(edges, masses)
         net[2] *= 2
-        return net, g
+        return net
 
-    monkeypatch.setattr(ell1, "_tree_transport", doubled)
+    monkeypatch.setattr(ell1, "_subtree_masses", doubled)
     with pytest.raises(CertificationError, match="^edge-flow masses give 2 at node a, not 1$"):
         edge_flow_coordinates(dendrogram(four_cluster), FreeVector((0, 1, 1, 1, 0, 0)))
 
@@ -603,7 +604,7 @@ def test_the_battery_reads_the_rooted_view_of_the_node_space():
 
 
 def test_the_edge_flow_is_the_flow_of_the_subtree_masses_and_the_sign_potential():
-    # the one pass of _edge_flow against _tree_transport: the arcs carry the subtree masses, the cost
+    # the one pass of _edge_flow against the tree transport oracle: the arcs carry the subtree masses, the cost
     # is their l1 norm, and the potential is the sign potential shifted to vanish at the base
     rng = random.Random(89)
     checked = 0
@@ -613,7 +614,7 @@ def test_the_edge_flow_is_the_flow_of_the_subtree_masses_and_the_sign_potential(
             for _ in range(3):
                 coeffs = [rng.randint(-9, 9) for _ in range(len(tree.nodes) - 1)]
                 cost, arcs, g = freespace._edge_flow(edges, coeffs)
-                net, sign = freespace._tree_transport(edges, [-sum(coeffs), *coeffs])
+                net, sign = tree_transport(edges, [-sum(coeffs), *coeffs])
                 assert g == [x - sign[0] for x in sign]
                 expected = [(c, p, net[c]) if net[c] > 0 else (p, c, -net[c]) for c, p, _ in edges if net[c]]
                 assert arcs == expected and cost == sum(length * abs(net[c]) for c, _, length in edges)

@@ -38,9 +38,11 @@ from _oracles import (
     fraction_certify_transport,
     fraction_lipschitz_witness,
     lp_transport_norm,
+    merge_tree_edges,
     molecule_operator_norm,
     scale_rows,
     sign_potential,
+    tree_transport,
 )
 
 
@@ -377,7 +379,8 @@ def _no_lp(*args, **kwargs):
 def test_tree_route_names_the_pair_breaking_lipschitz(triangle, monkeypatch):
     monkeypatch.setattr(freespace, "solve_lp", _no_lp)
     # on the scale 2 of the triangle the potential is g / 4: the points get 0, 1/2 and -1/2
-    monkeypatch.setattr(freespace, "_tree_transport", lambda edges, masses: (masses, [0, 2, -2, 0, 0]))
+    real = freespace._lca_flow
+    monkeypatch.setattr(freespace, "_lca_flow", lambda merges, masses: (*real(merges, masses)[:2], [0, 2, -2]))
     with pytest.raises(CertificationError, match=r"not 1-Lipschitz on the pair \(1, 2\)"):
         free_norm(triangle, FreeVector((1, -1)))
 
@@ -385,7 +388,8 @@ def test_tree_route_names_the_pair_breaking_lipschitz(triangle, monkeypatch):
 def test_tree_route_names_both_optima(triangle, monkeypatch):
     # the detour x -> 0 -> y meets the coefficients at cost 2 (4 on the scale 2); the sign potential pairs to 1/2
     monkeypatch.setattr(freespace, "solve_lp", _no_lp)
-    monkeypatch.setattr(freespace, "_lca_flow", lambda merges, masses: (4, [(0, 2, 1), (1, 0, 1)]))
+    real = freespace._lca_flow
+    monkeypatch.setattr(freespace, "_lca_flow", lambda merges, masses: (4, [(0, 2, 1), (1, 0, 1)], real(merges, masses)[2]))
     with pytest.raises(CertificationError, match=r"optima differ: 2 against 1/2"):
         free_norm(triangle, FreeVector((1, -1)))
 
@@ -401,7 +405,8 @@ def test_tree_route_names_both_optima(triangle, monkeypatch):
 )
 def test_tree_route_checks_its_flow(triangle, monkeypatch, flow, match):
     # integer amounts for the unit 1 of (1, -1); the value 1 is 2 on the scale 2 of the triangle
-    monkeypatch.setattr(freespace, "_lca_flow", lambda merges, masses: (2, flow))
+    real = freespace._lca_flow
+    monkeypatch.setattr(freespace, "_lca_flow", lambda merges, masses: (2, flow, real(merges, masses)[2]))
     with pytest.raises(CertificationError, match=match):
         free_norm(triangle, FreeVector((1, -1)))
 
@@ -568,7 +573,7 @@ def _lipschitz_verdicts(space, potential, scale):
     q, d = freespace._integer_view(space)
     common = gcd(q, scale)
     p, s = q // common, scale // common
-    merged = freespace._merges_lipschitz(freespace._transport_tree(space)[0], potential, p, s)
+    merged = freespace._merges_lipschitz(_single_linkage(space), potential, p, s)
     pair = freespace._steep_pair(d, potential, p, s)
     assert merged == (pair is None)
     zeros = [0] * (len(space) - 1)
@@ -618,20 +623,38 @@ def test_merge_check_matches_the_pairwise_scan_on_stress_ultrametrics():
     assert passed > 300 and failed > 300 and passed + failed == 55 * 25
 
 
-def test_lca_flow_matches_the_concatenating_matching():
-    # arc for arc on every stress shape, and on one-signed mass over the nested spaces
-    rng = random.Random(43)
-    checked = 0
-    spaces = [*_stress_ultrametrics(rng), _nested_ultrametric(200)]
-    for space in spaces:
+def _lca_cases(rng):
+    """(space, merges, masses) on every stress shape and the nested N = 200, with one-signed masses on each."""
+    for space in [*_stress_ultrametrics(rng), _nested_ultrametric(200)]:
         n = len(space)
-        merges = freespace._transport_tree(space)[0]
+        merges = _single_linkage(space)
         for v in [*_stress_vectors(space, rng), FreeVector((1,) * (n - 1)), FreeVector((-1,) * (n - 1))]:
             unit = lcm(*(c.denominator for c in v.coeffs))
             coeffs = [c.numerator * (unit // c.denominator) for c in v.coeffs]
-            masses = [-sum(coeffs), *coeffs]
-            assert freespace._lca_flow(merges, masses) == concat_lca_flow(merges, masses)
-            checked += 1
+            yield space, merges, [-sum(coeffs), *coeffs]
+
+
+def test_lca_flow_matches_the_concatenating_matching():
+    # arc for arc on every stress shape, and on one-signed mass over the nested spaces
+    checked = 0
+    for _, merges, masses in _lca_cases(random.Random(43)):
+        assert freespace._lca_flow(merges, masses)[:2] == concat_lca_flow(merges, masses)
+        checked += 1
+    assert checked == 56 * 5
+
+
+def test_lca_flow_steps_the_sign_potential_of_the_merge_tree():
+    # the fused potential, over twice the view's scale, against the Fraction sign potential and the
+    # tree transport on the merge tree's edges, shifted to vanish at the base
+    checked = 0
+    for space, merges, masses in _lca_cases(random.Random(47)):
+        n, q = len(space), scale_rows(space)[0]
+        potential = freespace._lca_flow(merges, masses)[2]
+        exact = [(Fraction(h, q), a, b) for h, a, b in merges]
+        assert [Fraction(x, 2 * q) for x in potential] == sign_potential(exact, masses)
+        g = tree_transport(merge_tree_edges(merges, n), masses + [0] * len(merges))[1]
+        assert potential == [x - g[0] for x in g[:n]]
+        checked += 1
     assert checked == 56 * 5
 
 

@@ -405,16 +405,17 @@ def test_cli_norm_failed_certificate_exit_one(tmp_path, capsys, monkeypatch, dua
 
 
 @pytest.mark.parametrize(
-    "corrupt, value, message",
+    "corrupt, message",
     [
         # on the scale 2 of the triangle: potential g / 4 = (0, 1/2, -1/2), value 4 / 2 = 2
-        ("_tree_transport", ([], [0, 2, -2, 0, 0]), "dual potential is not 1-Lipschitz on the pair (1, 2)"),
-        ("_lca_flow", (4, [(0, 2, 1), (1, 0, 1)]), "primal and dual transport optima differ: 2 against 1/2"),
+        (lambda cost, arcs, g: (cost, arcs, [0, 2, -2]), "dual potential is not 1-Lipschitz on the pair (1, 2)"),
+        (lambda cost, arcs, g: (4, [(0, 2, 1), (1, 0, 1)], g), "primal and dual transport optima differ: 2 against 1/2"),
     ],
     ids=["potential", "flow"],
 )
-def test_cli_norm_failed_tree_certificate_exit_one(tmp_path, capsys, monkeypatch, corrupt, value, message):
-    monkeypatch.setattr(freespace, corrupt, lambda *args: value)
+def test_cli_norm_failed_tree_certificate_exit_one(tmp_path, capsys, monkeypatch, corrupt, message):
+    real = freespace._lca_flow
+    monkeypatch.setattr(freespace, "_lca_flow", lambda merges, masses: corrupt(*real(merges, masses)))
     space = _write_triangle(tmp_path)
     vec = tmp_path / "vec.json"
     vec.write_text('{"x": "1", "y": "-1"}')

@@ -94,3 +94,18 @@ def test_invert_matrix_checks_the_product_with_its_matrix(monkeypatch):
     family = edge_molecules(tree)
     with pytest.raises(CertificationError, match=r"^the inverse fails A A\^-1 = I at entry \(1, 0\): 2, not 0$"):
         l1_equivalence_constants(family.space, family)
+
+
+def test_solve_linear_checks_each_row_of_its_solution(monkeypatch):
+    # x_1 of the eliminated solution (1, 1, 1) raised by 1/2: row 0 of A x gives 1 + 3/4 = 7/4, not the 3/2 of b
+    real = linalg._solve_square
+
+    def corrupted(matrix, rhs_rows):
+        solution = real(matrix, rhs_rows)
+        solution[1][0] += F(1, 2)
+        return solution
+
+    monkeypatch.setattr(linalg, "_solve_square", corrupted)
+    matrix = [[F(1), F(1, 2), F(0)], [F(0), F(1), F(-1)], [F(2), F(0), F(3)]]
+    with pytest.raises(CertificationError, match=r"^the solution fails A x = b at row 0: 7/4, not 3/2$"):
+        solve_linear(matrix, [F(3, 2), F(0), F(5)])

@@ -75,8 +75,8 @@ def test_every_docstring_cross_reference_resolves():
     assert len(references) > 50 and unresolved == []
     # a deleted or misspelled name is caught, and a name of another module resolves only under its path
     assert not _resolves("ultrafree.chain", "_telescopes")
-    assert not _resolves("ultrafree.chain", "_tree_transport")
-    assert _resolves("ultrafree.chain", "freespace._tree_transport")
+    assert not _resolves("ultrafree.chain", "_lca_flow")
+    assert _resolves("ultrafree.chain", "freespace._lca_flow")
     assert _resolves("ultrafree.ell1", "fractions.Fraction") and not _resolves("ultrafree.ell1", "fractions.Fractions")
 
 

@@ -8,11 +8,22 @@ from ultrafree.simplex import (
     LpError,
     LpInfeasibleError,
     LpUnboundedError,
-    dense_columns,
     solve_lp,
 )
 
 from _oracles import feasible_basis, lp_vertex_minimum
+
+
+def dense_columns(rows):
+    """Convert a dense row-major matrix into the sparse (row, coefficient) column format of the solver."""
+    if not rows:
+        return []
+    cols = [[] for _ in rows[0]]
+    for i, row in enumerate(rows):
+        for j, a in enumerate(row):
+            if a:
+                cols[j].append((i, Fraction(a)))
+    return cols
 
 
 def _solve_dense(costs, rows, rhs, basis=None):
